@@ -16,19 +16,27 @@ A census is therefore a finite, exactly reproducible object: integer rows
 sorted by the canonical key (F, re a, im a, re b, im b, re c, im c, re d,
 im d).  Floats (radius, gauge) are derived columns.
 
-Two independent enumerators are provided and cross-checked in the tests:
+Three enumerators are provided and cross-checked in the tests:
 
+* :func:`enumerate_pruned` -- the production path.  Scans coprime first
+  columns (a, c) (Euclid in Z[i] with nearest-rounding division),
+  completes each to a unimodular matrix by the extended Euclid identity,
+  and walks the finite family of completions (b0 + t a, d0 + t c) over
+  Gaussian integers t in a disk.  Vectorized: each block of first-column
+  values a is one numpy pass (Euclid on int64 pair arrays, t-disks
+  expanded into candidate arrays, exact F filter).  It is the fastest of
+  the three at every cutoff from 2 up (cutoff 12: about 0.3 s against
+  2.5 s for the box scan, on a 2-core x86 VM); below that all take under
+  a millisecond.
 * :func:`enumerate_naive` -- box scan over (a, b, c) with the determinant
   forcing d exactly (conjugate-multiply then divisibility by |a|^2; the
   a = 0 branch is handled separately).  Vectorized; the work budget is the
-  cube of the box size and is checked before any allocation.
-* :func:`enumerate_pruned` -- scan coprime first columns (a, c) (Euclid in
-  Z[i] with nearest-rounding division), complete each to a unimodular
-  matrix by the extended Euclid identity, and walk the finite family of
-  completions (b0 + t a, d0 + t c) over Gaussian integers t in a disk.
+  cube of the box size and is checked before any allocation.  Test oracle,
+  also reachable through the CLI's ``--naive`` flag.
+* :func:`enumerate_literal` -- four-entry box scan in pure Python.  Test
+  oracle for tiny cutoffs.
 
-Both must produce identical censuses; the pruned one is the production
-path for larger cutoffs.
+All must produce identical censuses.
 """
 
 from __future__ import annotations
@@ -43,9 +51,18 @@ import numpy as np
 from .errors import BudgetError, DomainError, InputError
 
 CSV_HEADER = "re_a,im_a,re_b,im_b,re_c,im_c,re_d,im_d,radius,gauge"
+_CSV_INTS = ",".join(["%d"] * 8)
+_CSV_DTYPE = np.dtype(
+    [(name, np.int64) for name in CSV_HEADER.split(",")[:8]]
+    + [("radius", np.float64), ("gauge", np.float64)]
+)
 
 #: Default cap on candidate tuples examined by an enumeration call.
 DEFAULT_WORK_BUDGET = 200_000_000
+
+#: First-column values a per numpy pass of :func:`enumerate_pruned`.  Keeps
+#: the per-pass arrays to a few MB at the cutoffs the work budget admits.
+_PRUNED_BLOCK = 16
 
 #: The 8 gauge-1 elements (the lattice's intersection with the compact
 #: subgroup): 4 diagonal unit matrices and 4 antidiagonal ones.
@@ -82,10 +99,6 @@ def gnorm(x: Gint) -> int:
     return x[0] * x[0] + x[1] * x[1]
 
 
-def is_unit(x: Gint) -> bool:
-    return gnorm(x) == 1
-
-
 def _round_nearest(p: int, n: int) -> int:
     """Nearest integer to p/n for n > 0, ties toward +infinity."""
     return (2 * p + n) // (2 * n)
@@ -116,6 +129,33 @@ def gxgcd(x: Gint, y: Gint) -> tuple[Gint, Gint, Gint]:
         u0, u1 = u1, gsub(u0, gmul(q, u1))
         v0, v1 = v1, gsub(v0, gmul(q, v1))
     return r0, u0, v0
+
+
+def _gxgcd_arrays(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`gxgcd` on many pairs at once.
+
+    x, y are (2, N) int64 arrays of (re, im) rows.  Every pair takes the
+    same nearest-rounding steps as the scalar loop; a pair leaves the
+    working set once its remainder is zero.  Returns (g, u, v), each (2, N),
+    with u x + v y = g.
+    """
+    n = x.shape[1]
+    zero, one = np.zeros(n, np.int64), np.ones(n, np.int64)
+    state = [(x[0], x[1]), (y[0], y[1]), (one, zero), (zero, zero), (zero, zero), (one, zero)]
+    out = np.empty((3, 2, n), dtype=np.int64)
+    idx = np.arange(n)
+    while idx.size:
+        r0, r1, u0, u1, v0, v1 = state
+        done = (r1[0] == 0) & (r1[1] == 0)
+        if done.any():
+            out[:, :, idx[done]] = np.array([r0, u0, v0])[:, :, done]
+            idx = idx[~done]
+            r0, r1, u0, u1, v0, v1 = state = [(re[~done], im[~done]) for re, im in state]
+        norm = gnorm(r1)
+        p = gmul(r0, gconj(r1))
+        q = (_round_nearest(p[0], norm), _round_nearest(p[1], norm))
+        state = [r1, gsub(r0, gmul(q, r1)), u1, gsub(u0, gmul(q, u1)), v1, gsub(v0, gmul(q, v1))]
+    return out[0], out[1], out[2]
 
 
 # ---------------------------------------------------------------------------
@@ -191,30 +231,18 @@ class Census:
         return self.rows[self.fnorm == 2]
 
     def to_csv(self, path: str | Path) -> None:
-        lines = [CSV_HEADER]
-        rad = self.radii
-        gau = self.gauges
-        for i in range(self.size):
-            ints = ",".join(str(int(v)) for v in self.rows[i])
-            lines.append(f"{ints},{rad[i]:.17g},{gau[i]:.17g}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        # radius and gauge are functions of F, so each shell's float fields
+        # are formatted once and written into that shell's row format.
+        rad, gau = self.radii, self.gauges
+        with open(path, "w") as fh:
+            fh.write(CSV_HEADER + "\n")
+            for _f, start, stop in self.shells():
+                line = _CSV_INTS + f",{rad[start]:.17g},{gau[start]:.17g}\n"
+                fh.write((line * (stop - start)) % tuple(self.rows[start:stop].ravel().tolist()))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "Census":
-        text = Path(path).read_text().strip().splitlines()
-        if not text or text[0].strip() != CSV_HEADER:
-            raise InputError(f"{path}: expected census header '{CSV_HEADER}'")
-        rows = []
-        for ln, line in enumerate(text[1:], start=2):
-            parts = line.split(",")
-            if len(parts) != 10:
-                raise InputError(f"{path}:{ln}: expected 10 fields")
-            try:
-                rows.append([int(p) for p in parts[:8]])
-            except ValueError as exc:
-                raise InputError(f"{path}:{ln}: bad integer entry: {exc}") from None
-        arr = np.asarray(rows, dtype=np.int64).reshape(-1, 8)
-        return cls.from_rows(arr, cutoff=None)
+        return cls.from_rows(_read_csv_rows(path), cutoff=None)
 
     @classmethod
     def from_rows(cls, arr: np.ndarray, cutoff: float | None) -> "Census":
@@ -236,12 +264,55 @@ class Census:
         order = np.lexsort(tuple(arr[:, j] for j in range(7, -1, -1)) + (f,))
         arr = arr[order]
         f = f[order]
+        dup = np.flatnonzero((arr[1:] == arr[:-1]).all(axis=1))
+        if dup.size:
+            raise InputError(f"duplicate row {arr[dup[0]].tolist()}")
         if cutoff is None:
             # Loaded files carry no cutoff; the max observed gauge is a valid
             # coverage bound (no element can sit between it and the original
             # cutoff, or it would have been enumerated).
             cutoff = float(np.exp(0.5 * np.arccosh(0.5 * float(f[-1])))) if f.size else 1.0
         return cls(rows=arr, fnorm=f, cutoff=float(cutoff))
+
+
+def _read_csv_rows(path: str | Path) -> np.ndarray:
+    """Integer columns of a census CSV as an (N, 8) int64 array.
+
+    Any row that is not 8 integers and 2 floats, and any blank line between
+    rows, is an InputError naming the file and line.
+    """
+    lines = Path(path).read_text().strip().splitlines()
+    if not lines or lines[0].strip() != CSV_HEADER:
+        raise InputError(f"{path}: expected census header '{CSV_HEADER}'")
+    if "" in lines:
+        # loadtxt would skip it; inside a census a blank line means damage.
+        raise InputError(f"{path}:{lines.index('') + 1}: blank line inside the census")
+    try:
+        data = _parse_csv_lines(lines[1:])
+    except ValueError:
+        lo, hi = 1, len(lines)  # lines[lo:hi] holds the first bad line
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                _parse_csv_lines(lines[lo:mid])
+            except ValueError:
+                hi = mid
+            else:
+                lo = mid
+        raise InputError(
+            f"{path}:{lo + 1}: expected 8 integers and 2 floats, got {lines[lo]!r}"
+        ) from None
+    # The dtype is 8 int64 fields then 2 float64 ones, unpadded.
+    return data.view(np.int64).reshape(-1, 10)[:, :8]
+
+
+def _parse_csv_lines(lines: list[str]) -> np.ndarray:
+    if not lines:
+        return np.zeros(0, dtype=_CSV_DTYPE)
+    # max_rows lets loadtxt size its output once instead of growing it.
+    return np.loadtxt(
+        lines, dtype=_CSV_DTYPE, delimiter=",", comments=None, ndmin=1, max_rows=len(lines)
+    )
 
 
 def shell_counts(census: Census, width: float = 0.25) -> list[tuple[float, int]]:
@@ -377,74 +448,97 @@ def enumerate_pruned(
     (b0, d0) = (-v, u), and every completion is (b0 + t a, d0 + t c) for a
     Gaussian integer t.  The admissible t live in a disk of radius
     cutoff/max(|a|, |c|), so each column contributes O(cutoff^2 / |a|^2)
-    candidates.  Work is counted per candidate against the budget.
+    candidates.
+
+    Each block of :data:`_PRUNED_BLOCK` first-column values a is one numpy
+    pass: Euclid on all its (a, c) pairs at once, then each row of every
+    pair's t-disk bounding square narrowed to the t_im where F can be small
+    enough, expanded into candidate (b, d) arrays and filtered by the exact
+    F.  Work (pairs plus t-square cells) is checked against the budget
+    before a block's candidates are allocated.  Blocks are shared out to
+    ``workers`` threads; the census is the same for any count.
     """
     fmax = f_threshold(cutoff)
     entry_sq = int(math.floor(float(cutoff) ** 2 + 1e-9))
     box = _gaussian_box(entry_sq)
-    pairs = [
-        (tuple(a), tuple(c))
-        for a in box.tolist()
-        for c in box.tolist()
-        if (a != [0, 0] or c != [0, 0])
-    ]
-    _check_budget(len(pairs), budget, "pruned enumeration (column scan)")
+    k = box.shape[0]
+    n_pairs = k * k - 1
+    _check_budget(n_pairs, budget, "pruned enumeration (column scan)")
 
     bound = float(cutoff) + 1e-12
 
-    def scan_pairs(chunk) -> tuple[list[list[int]], int]:
-        rows: list[list[int]] = []
-        work = 0
-        for a, c in chunk:
-            g, u, v = gxgcd(a, c)
-            if not is_unit(g):
-                continue
-            ginv = gconj(g)  # inverse of a unit
-            b0 = gneg(gmul(v, ginv))
-            d0 = gmul(u, ginv)
-            # Pivot on the larger column entry for the tightest t-disk.
-            if gnorm(a) >= gnorm(c):
-                piv, off = a, b0
-            else:
-                piv, off = c, d0
-            npiv = gnorm(piv)
-            azf = complex(off[0], off[1]) / complex(piv[0], piv[1])
-            rad = bound / math.sqrt(npiv)
-            t_res = range(
-                math.ceil(-azf.real - rad - 1e-9),
-                math.floor(-azf.real + rad + 1e-9) + 1,
-            )
-            t_ims = range(
-                math.ceil(-azf.imag - rad - 1e-9),
-                math.floor(-azf.imag + rad + 1e-9) + 1,
-            )
-            work += len(t_res) * len(t_ims)
-            na, nc = gnorm(a), gnorm(c)
-            for tr in t_res:
-                for ti in t_ims:
-                    t = (tr, ti)
-                    b = gadd(b0, gmul(t, a))
-                    d = gadd(d0, gmul(t, c))
-                    f = na + nc + gnorm(b) + gnorm(d)
-                    if f <= fmax:
-                        rows.append(
-                            [a[0], a[1], b[0], b[1], c[0], c[1], d[0], d[1]]
-                        )
-        return rows, work
+    def scan_block(a_vals: np.ndarray, work: int) -> tuple[np.ndarray, int]:
+        a = np.repeat(a_vals, k, axis=0).T
+        c = np.tile(box, (a_vals.shape[0], 1)).T
+        # (1 + i) divides z iff re z + im z is even, so a pair with both sums
+        # even is not coprime.  Skipping those also drops the pair (0, 0).
+        live = ((a[0] + a[1]) | (c[0] + c[1])) & 1 == 1
+        a, c = a[:, live], c[:, live]
+        g, u, v = _gxgcd_arrays(a, c)
+        unit = gnorm(g) == 1
+        a, c, g, u, v = (w[:, unit] for w in (a, c, g, u, v))
+        ginv = gconj(g)  # inverse of a unit
+        b0 = np.array(gneg(gmul(v, ginv)))
+        d0 = np.array(gmul(u, ginv))
+        # Pivot on the larger column entry for the tightest t-disk.
+        na, nc = gnorm(a), gnorm(c)
+        on_a = na >= nc
+        piv = np.where(on_a, a, c)
+        off = np.where(on_a, b0, d0)
+        azf = (off[0] + 1j * off[1]) / (piv[0] + 1j * piv[1])
+        rad = bound / np.sqrt(np.maximum(na, nc))
+        lo_re = np.ceil(-azf.real - rad - 1e-9).astype(np.int64)
+        lo_im = np.ceil(-azf.imag - rad - 1e-9).astype(np.int64)
+        n_re = np.floor(-azf.real + rad + 1e-9).astype(np.int64) - lo_re + 1
+        n_im = np.floor(-azf.imag + rad + 1e-9).astype(np.int64) - lo_im + 1
+        work += int((n_re * n_im).sum())
+        _check_budget(n_pairs + work, budget, "pruned enumeration")
 
-    chunks = _split(pairs, workers)
+        # Along each row t_re of a pair's t-square, F(t) = c0 + s |t|^2
+        # + 2 Re(t w) <= fmax is an interval of t_im.  Bounds from
+        # floor(sqrt(disc)) + 1 > sqrt(disc) make it a superset; clipped to
+        # the square, it is then filtered by the exact F.
+        s = na + nc
+        w = gadd(gmul(a, gconj(b0)), gmul(c, gconj(d0)))
+        c0 = s + gnorm(b0) + gnorm(d0)
+        pair, step = _runs(n_re)
+        tr = lo_re[pair] + step
+        s, wi = s[pair], w[1][pair]
+        rest = c0[pair] + s * tr * tr + 2 * tr * w[0][pair] - fmax
+        disc = wi * wi - s * rest
+        root = np.floor(np.sqrt(np.maximum(disc, 0))).astype(np.int64) + 1
+        ti_lo = np.maximum(-((root - wi) // s), lo_im[pair])
+        ti_hi = np.minimum((wi + root) // s, lo_im[pair] + n_im[pair] - 1)
+        n_ti = np.where(disc >= 0, np.maximum(ti_hi - ti_lo + 1, 0), 0)
+        row, step = _runs(n_ti)
+        ti = ti_lo[row] + step
+        keep = s[row] * ti * ti - 2 * wi[row] * ti + rest[row] <= 0
+        row, ti = row[keep], ti[keep]
+        t, sel = (tr[row], ti), pair[row]
+        a, c = a[:, sel], c[:, sel]
+        b = gadd(b0[:, sel], gmul(t, a))
+        d = gadd(d0[:, sel], gmul(t, c))
+        return np.stack([a[0], a[1], b[0], b[1], c[0], c[1], d[0], d[1]], axis=1), work
+
+    def scan_chunk(blocks: list[np.ndarray]) -> tuple[list[np.ndarray], int]:
+        pieces, work = [], 0
+        for a_vals in blocks:
+            rows, work = scan_block(a_vals, work)
+            pieces.append(rows)
+        return pieces, work
+
+    chunks = _split([box[i : i + _PRUNED_BLOCK] for i in range(0, k, _PRUNED_BLOCK)], workers)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(scan_pairs, chunks))
+            results = list(pool.map(scan_chunk, chunks))
     else:
-        results = [scan_pairs(c) for c in chunks]
+        results = [scan_chunk(c) for c in chunks]
 
-    total_work = len(pairs) + sum(w for _, w in results)
-    _check_budget(total_work, budget, "pruned enumeration")
+    # Each chunk checked only its own share; the total decides.
+    _check_budget(n_pairs + sum(w for _, w in results), budget, "pruned enumeration")
 
-    rows = [r for rs, _ in results for r in rs]
-    arr = np.asarray(rows, dtype=np.int64) if rows else np.zeros((0, 8), np.int64)
-    return Census.from_rows(arr, cutoff=cutoff)
+    pieces = [rows for res, _ in results for rows in res]
+    return Census.from_rows(np.concatenate(pieces), cutoff=cutoff)
 
 
 def enumerate_literal(cutoff: float, *, budget: int = DEFAULT_WORK_BUDGET) -> Census:
@@ -468,6 +562,13 @@ def enumerate_literal(cutoff: float, *, budget: int = DEFAULT_WORK_BUDGET) -> Ce
                         rows.append([*a, *b, *c, *d])
     arr = np.asarray(rows, dtype=np.int64) if rows else np.zeros((0, 8), np.int64)
     return Census.from_rows(arr, cutoff=cutoff)
+
+
+def _runs(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Expand runs: the owning index and the position within its run of
+    every element, for runs of the given (nonnegative) lengths."""
+    owner = np.repeat(np.arange(lengths.size), lengths)
+    return owner, np.arange(owner.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
 
 def _split(seq, parts: int):

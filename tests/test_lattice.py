@@ -1,5 +1,7 @@
 """Exact census enumeration over the Gaussian-integer matrix group."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,7 +9,9 @@ from hypothesis import given, strategies as st
 from orbitcount.errors import BudgetError, InputError
 from orbitcount.group import gauge, radius
 from orbitcount.lattice import (
+    CSV_HEADER,
     Census,
+    _gxgcd_arrays,
     compact_stabilizer_rows,
     enumerate_literal,
     enumerate_naive,
@@ -44,6 +48,19 @@ def test_gxgcd_bezout(x, y):
             assert r == (0, 0)
 
 
+@given(st.lists(st.tuples(gint, gint), min_size=1, max_size=40))
+def test_gxgcd_arrays_match_scalar(pairs):
+    x = np.array([p[0] for p in pairs], dtype=np.int64).T
+    y = np.array([p[1] for p in pairs], dtype=np.int64).T
+    g, u, v = _gxgcd_arrays(x, y)
+    for i, (xs, ys) in enumerate(pairs):
+        gi, ui, vi = (tuple(int(w) for w in arr[:, i]) for arr in (g, u, v))
+        gs, us, vs = gxgcd(xs, ys)
+        assert tuple(p + q for p, q in zip(gmul(ui, xs), gmul(vi, ys))) == gi
+        assert (gnorm(gi) == 1) == (gnorm(gs) == 1)
+        assert (gi, ui, vi) == (gs, us, vs)
+
+
 @given(gint, gint)
 def test_gdivmod_nearest(x, y):
     if y == (0, 0):
@@ -78,6 +95,9 @@ def test_census_sizes_frozen(census1, census2, census8):
     assert census8.size == 42248
     assert enumerate_pruned(GOLDEN).size == 72
     assert len(census8.shells()) == 53
+    census12 = enumerate_pruned(12.0)
+    assert census12.size == 211592
+    assert len(census12.shells()) == 122
 
 
 def test_naive_agrees_at_depth(census8):
@@ -122,6 +142,44 @@ def test_from_rows_rejects_bad_determinant():
         Census.from_rows(row, cutoff=2.0)
 
 
+def test_from_rows_rejects_duplicates(census4):
+    rows = np.concatenate([census4.rows, np.repeat(census4.rows[100:101], 5, axis=0)])
+    with pytest.raises(InputError, match="duplicate row"):
+        Census.from_rows(rows, cutoff=4.0)
+
+
+def test_to_csv_matches_per_row_format(tmp_path, census8):
+    lines = [CSV_HEADER]
+    for ints, rad, gau in zip(census8.rows, census8.radii, census8.gauges):
+        lines.append(",".join(str(int(v)) for v in ints) + f",{rad:.17g},{gau:.17g}")
+    path = tmp_path / "c8.csv"
+    census8.to_csv(path)
+    text = path.read_text()
+    assert text.endswith("\n")
+    assert text[:-1].split("\n") == lines  # a list diff names the first bad row
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "1,0,0,0,0,0,1,0,0",  # short row
+        "1,0,0,0,0,0,1,0,0,1,7",  # long row
+        "1.5,0,0,0,0,0,1,0,0,1",
+        "x,0,0,0,0,0,1,0,0,1",
+        "",  # blank line between rows
+    ],
+)
+def test_from_csv_rejects_malformed_rows(tmp_path, census2, bad):
+    good = tmp_path / "good.csv"
+    census2.to_csv(good)
+    lines = good.read_text().splitlines()
+    lines.insert(5, bad)
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InputError, match=re.escape(f"{path}:6:")):
+        Census.from_csv(path)
+
+
 def test_csv_roundtrip_bytes(tmp_path, census2):
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
@@ -142,6 +200,12 @@ def test_worker_determinism():
 def test_budget_error():
     with pytest.raises(BudgetError):
         enumerate_naive(8.0, budget=1000)
+    with pytest.raises(BudgetError):
+        enumerate_pruned(8.0, budget=1000)
+    # Past the 38,808-pair column scan: the t-disk cells exceed the budget.
+    for workers in (1, 2):
+        with pytest.raises(BudgetError):
+            enumerate_pruned(8.0, budget=100_000, workers=workers)
 
 
 def test_shell_counts_partition(census8):
