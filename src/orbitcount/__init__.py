@@ -17,17 +17,15 @@ from .errors import (  # noqa: F401
 )
 from .group import (  # noqa: F401
     CartanFactors,
-    RootSystemData,
     cartan_decompose,
     gauge,
     gauge_from_radius,
     radius,
     radius_from_gauge,
-    rank1_model,
 )
 from .lattice import Census, enumerate_naive, enumerate_pruned, shell_counts  # noqa: F401
-from .freespace import product_factor, u_even, u_odd  # noqa: F401
-from .special import bessel_k1, bessel_k1_scaled  # noqa: F401
+from .freespace import kernel, product_factor  # noqa: F401
+from .special import bessel_k1  # noqa: F401
 from .perron import (  # noqa: F401
     SmoothingParams,
     perron_contour_oracle,

@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-enumerate      build a census CSV for a gauge cutoff (pruned by default)
+enumerate      build a census CSV for a gauge cutoff
 poincare       evaluate the kernel series over a census with its tail bound
 smoothed-count smoothed, product-weighted count below radius X
 spectral-side  evaluate a spectrum file's expansion at one or more X
@@ -33,8 +33,7 @@ import numpy as np
 
 from .config import RunConfig, build_config
 from .errors import ConvergenceError, InputError
-from .freespace import DEFAULT_C_G
-from .lattice import Census, enumerate_naive, enumerate_pruned, shell_counts
+from .lattice import Census, enumerate_pruned, shell_counts
 from .perron import SmoothingParams, perron_contour_oracle, smoothed_geometric_count, smoothing_kernel
 from .poincare import GrowthModel, series_eval
 from .reports import base_meta, complex_fields, write_json
@@ -50,8 +49,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nu", type=int, help="kernel exponent (default 2)")
     p.add_argument("--rho-norm", dest="rho_norm", type=float, help="spectral offset (default 1.0)")
     p.add_argument("--c-g", dest="c_g", type=float, help="free-space constant (default 1.0)")
-    p.add_argument("--workers", type=int, help="worker threads (default 1)")
-    p.add_argument("--budget", dest="work_budget", type=int, help="work budget")
     p.add_argument("--quad-tol", dest="quad_tol", type=float, help="contour tolerance")
 
 
@@ -87,8 +84,7 @@ def _parse_z(raw_re: float, raw_im: float) -> complex:
 
 def _cmd_enumerate(args) -> dict:
     cfg = _config_from(args)
-    enum = enumerate_naive if args.naive else enumerate_pruned
-    census = enum(args.cutoff, budget=cfg.work_budget, workers=cfg.workers)
+    census = enumerate_pruned(args.cutoff, budget=cfg.work_budget, workers=cfg.workers)
     census.to_csv(args.out)
     bins = shell_counts(census, width=0.25)
     return {
@@ -101,7 +97,7 @@ def _cmd_enumerate(args) -> dict:
             "max_gauge": float(census.gauges[-1]) if census.size else None,
             "distinct_shells": len(census.shells()),
             "radius_histogram": [[left, n] for left, n in bins],
-            "enumerator": "naive" if args.naive else "pruned",
+            "enumerator": "pruned",
         },
     }
 
@@ -282,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="build a census CSV")
     p.add_argument("--cutoff", type=float, required=True, help="gauge cutoff >= 1")
     p.add_argument("--out", required=True, help="census CSV path")
-    p.add_argument("--naive", action="store_true", help="use the box-scan enumerator")
+    p.add_argument("--workers", type=int, help="worker threads (default 1)")
+    p.add_argument("--budget", dest="work_budget", type=int, help="work budget")
     _add_common(p)
     p.set_defaults(fn=_cmd_enumerate)
 

@@ -1,117 +1,50 @@
-"""Radial free-space resolvent-power kernels on the model space.
+"""The free-space kernel of the rank-one model space.
 
-With Cartan vector ``H`` (here ``H = [r]``) and spectral parameter ``z``
-(eigenvalue ``lambda_z = z^2 - rho_norm^2``), the fundamental solutions of
-the ``nu``-th resolvent power split by parity:
+The series are built from the fundamental solution of ``(Delta - lambda_z)^2``
+on the model space, ``lambda_z = z^2 - 1``.  It is radial, and at radius r
+it is the single closed form
 
-* odd case (``nu = (n+1)/2 + d``):
+    u_z(r) = C_G * (r / sinh r) * e^{-z r} / z.
 
-      u_z(H) = C_G * prodfac(H) * exp(-z |H|) / z
+``r / sinh r`` is the product factor of the one positive root class
+(``alpha(H) = 2r``, see :mod:`orbitcount.group`); it lies in (0, 1] and
+equals 1 at r = 0, where the kernel is regular with value C_G / z.
 
-* even case (``nu = n/2 + d + 1``):
-
-      u_z(H) = C_G * prodfac(H) * (|H| / z) * K_1(z |H|)
-
-where ``prodfac`` is the product over positive-root classes of
-``alpha(H) / (2 sinh(alpha(H)/2))`` and ``d`` counts the classes.  For the
-rank-one model (one class, ``alpha(H) = 2r``) the product factor is
-``r / sinh(r)`` and ``nu = 2``.
-
-All evaluators broadcast over arrays of radii / Cartan vectors.
+Both functions broadcast over arrays of radii.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, PoleError
-from .group import RootSystemData, rank1_model
-from .special import bessel_k1
+from .errors import PoleError
 
 #: free-space normalization constant; the model-space computations in this
 #: package are all carried out with C_G = 1 and the constant kept symbolic.
 DEFAULT_C_G = 1.0
 
-_TAYLOR_SWITCH = 1e-6
+_TAYLOR_SWITCH = 5e-7
 
 
-def _factor(t: np.ndarray) -> np.ndarray:
-    """t / (2 sinh(t/2)) with the removable singularity filled two-term.
+def product_factor(r) -> np.ndarray:
+    """r / sinh(r) with the removable singularity filled two-term.
 
-    For |t| < 1e-6 the ratio is 1 - t^2/24 + O(t^4); the dropped term is
-    below 1e-25, far under double rounding.
+    For |r| < 5e-7 the ratio is 1 - r^2/6 + O(r^4); the dropped term is
+    below 1e-26, far under double rounding.
     """
-    t = np.asarray(t, dtype=float)
-    small = np.abs(t) < _TAYLOR_SWITCH
-    safe = np.where(small, 1.0, t)
-    out = np.where(small, 1.0 - t * t / 24.0, safe / (2.0 * np.sinh(0.5 * safe)))
-    return out
+    r = np.asarray(r, dtype=float)
+    small = np.abs(r) < _TAYLOR_SWITCH
+    safe = np.where(small, 1.0, r)
+    return np.where(small, 1.0 - r * r / 6.0, safe / np.sinh(safe))
 
 
-def product_factor(H, roots: RootSystemData | None = None) -> np.ndarray:
-    """prod over root classes of alpha(H) / (2 sinh(alpha(H)/2)).
-
-    ``H``: array of Cartan vectors, shape (..., dim_flat); a bare scalar or
-    (...,)-shaped array is promoted to the rank-one flat.  Values lie in
-    (0, 1], hitting 1 exactly at H = 0.
-    """
-    roots = roots or rank1_model()
-    H = np.asarray(H, dtype=float)
-    if H.ndim == 0 or H.shape[-1:] != (roots.dim_flat,):
-        if roots.dim_flat != 1:
-            raise DomainError(
-                f"H must have trailing dimension {roots.dim_flat}, got {H.shape}"
-            )
-        H = H[..., None]
-    out = np.ones(H.shape[:-1], dtype=float)
-    for vec, _mult in roots.positive_roots:
-        t = H @ np.asarray(vec, dtype=float)
-        out = out * _factor(t)
-    return out
-
-
-def _cartan_norm(H, roots: RootSystemData) -> np.ndarray:
-    H = np.asarray(H, dtype=float)
-    if H.ndim == 0 or H.shape[-1:] != (roots.dim_flat,):
-        if roots.dim_flat != 1:
-            raise DomainError(
-                f"H must have trailing dimension {roots.dim_flat}, got {H.shape}"
-            )
-        H = H[..., None]
-    return np.sqrt(np.sum(H * H, axis=-1))
-
-
-def u_odd(z, H, roots: RootSystemData | None = None, c_g: float = DEFAULT_C_G):
-    """Odd-parity kernel C_G prodfac(H) e^{-z |H|} / z.
+def kernel(z, r, c_g: float = DEFAULT_C_G):
+    """u_z(r) = C_G (r / sinh r) e^{-z r} / z at radii r >= 0.
 
     ``z`` may be complex with Re z > 0 (decay); z = 0 is a pole.
-    Regular at H = 0 (value C_G / z).
     """
-    roots = roots or rank1_model()
     z = complex(z)
     if abs(z) < 1e-12:
-        raise PoleError("u_odd has a pole at z = 0")
-    r = _cartan_norm(H, roots)
-    pf = product_factor(H, roots)
-    val = c_g * pf * np.exp(-z * r) / z
-    return val
-
-
-def u_even(z, H, roots: RootSystemData | None = None, c_g: float = DEFAULT_C_G):
-    """Even-parity kernel C_G prodfac(H) (|H|/z) K_1(z |H|).
-
-    Restricted to real z > 0 (the Bessel primitive is real-argument); the
-    kernel is singular at H = 0, which is a domain error.
-    """
-    roots = roots or rank1_model()
-    zc = complex(z)
-    if abs(zc.imag) > 1e-12 * max(1.0, abs(zc.real)):
-        raise DomainError("u_even supports real spectral parameter z only")
-    zr = zc.real
-    if zr <= 0.0:
-        raise PoleError("u_even needs z > 0")
-    r = _cartan_norm(H, roots)
-    if np.any(r == 0.0):
-        raise DomainError("u_even is singular at H = 0")
-    pf = product_factor(H, roots)
-    return c_g * pf * (r / zr) * bessel_k1(zr * r)
+        raise PoleError("the free-space kernel has a pole at z = 0")
+    r = np.asarray(r, dtype=float)
+    return c_g * product_factor(r) * np.exp(-z * r) / z

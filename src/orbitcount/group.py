@@ -10,8 +10,8 @@ length at curvature -1.  Concretely, with ``g = k1 exp(H) k2``:
 * the gauge ``||g||`` is the largest singular value, hence
   ``radius = 2 * log(gauge)``;
 * the single positive root ``alpha`` acts by ``alpha(H) = 2 r`` and carries
-  multiplicity 2 (complex root space), giving kernel product factor
-  ``alpha(H) / (2 sinh(alpha(H)/2)) = r / sinh(r)``.
+  multiplicity 2 (complex root space), giving the kernel product factor
+  ``r / sinh(r)`` of :mod:`orbitcount.freespace`.
 
 Everything is written against stacked arrays: a "matrix" argument is any
 ``(..., 2, 2)`` complex array, and the batch dimensions broadcast through.
@@ -29,7 +29,7 @@ is exact, so no cancellation occurs even at radius 20.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,57 +37,6 @@ from .errors import DomainError
 
 # Tolerance used when checking that an input matrix is actually unimodular.
 UNIMODULAR_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class RootSystemData:
-    """Restricted root data of the rank-one model space.
-
-    Attributes
-    ----------
-    positive_roots
-        Tuple of ``(root_vector, multiplicity)`` pairs; root vectors are
-        functionals on the 1-D flat, applied by the dot product.
-    dim_flat
-        Rank (dimension of the flat subspace), ``n`` in kernel formulas.
-    rho_norm
-        Scalar spectral offset entering ``lambda_z = z^2 - rho_norm^2``.
-        Default 1.0: in arc-length normalization the model space has
-        spectral bottom 1 and the leading count term grows like
-        ``X e^{rho_norm X}`` with ``rho_norm = 1``.  (The dual norm of the
-        half-sum functional below is 2; the two normalizations measure
-        different things, so this scalar is configurable, not derived.)
-    """
-
-    positive_roots: tuple[tuple[tuple[float, ...], int], ...] = (((2.0,), 2),)
-    dim_flat: int = 1
-    rho_norm: float = 1.0
-
-    @property
-    def num_root_classes(self) -> int:
-        """Number of positive roots counted without multiplicity (``d``)."""
-        return len(self.positive_roots)
-
-    @property
-    def rho_vector(self) -> tuple[float, ...]:
-        """Multiplicity-weighted half sum of positive roots, as a functional."""
-        acc = np.zeros(self.dim_flat)
-        for vec, mult in self.positive_roots:
-            acc += 0.5 * mult * np.asarray(vec, dtype=float)
-        return tuple(acc)
-
-    @property
-    def nu_odd(self) -> int:
-        """Kernel exponent for odd total parity: ``(n + 1)/2 + d``."""
-        return (self.dim_flat + 1) // 2 + self.num_root_classes
-
-    def is_odd_case(self) -> bool:
-        return self.dim_flat % 2 == 1
-
-
-def rank1_model() -> RootSystemData:
-    """Root data of the standard rank-one model space (the default)."""
-    return RootSystemData()
 
 
 # ---------------------------------------------------------------------------

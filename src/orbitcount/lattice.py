@@ -31,8 +31,7 @@ Three enumerators are provided and cross-checked in the tests:
 * :func:`enumerate_naive` -- box scan over (a, b, c) with the determinant
   forcing d exactly (conjugate-multiply then divisibility by |a|^2; the
   a = 0 branch is handled separately).  Vectorized; the work budget is the
-  cube of the box size and is checked before any allocation.  Test oracle,
-  also reachable through the CLI's ``--naive`` flag.
+  cube of the box size and is checked before any allocation.  Test oracle.
 * :func:`enumerate_literal` -- four-entry box scan in pure Python.  Test
   oracle for tiny cutoffs.
 
@@ -48,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BudgetError, DomainError, InputError
+from .errors import BudgetError, InputError
 
 CSV_HEADER = "re_a,im_a,re_b,im_b,re_c,im_c,re_d,im_d,radius,gauge"
 _CSV_INTS = ",".join(["%d"] * 8)
@@ -349,12 +348,7 @@ def _check_budget(estimate: int, budget: int, what: str) -> None:
         raise BudgetError(estimate, budget, what)
 
 
-def enumerate_naive(
-    cutoff: float,
-    *,
-    budget: int = DEFAULT_WORK_BUDGET,
-    workers: int = 1,
-) -> Census:
+def enumerate_naive(cutoff: float, *, budget: int = DEFAULT_WORK_BUDGET) -> Census:
     """Box-scan enumeration: exhaustive over (a, b, c), d forced by det = 1.
 
     The candidate count (box size cubed) is checked against the budget
@@ -375,49 +369,35 @@ def enumerate_naive(
     num_re = 1 + bre * cre - bim * cim
     num_im = bre * cim + bim * cre
 
-    nonzero_a = [tuple(v) for v in box.tolist() if tuple(v) != (0, 0)]
-
-    def scan_chunk(chunk: list[Gint]) -> list[np.ndarray]:
-        out = []
-        for a in chunk:
-            ar, ai = a
-            na = ar * ar + ai * ai
-            # d = (1 + b c) conj(a) / |a|^2, exact when both parts divide.
-            pre = num_re * ar + num_im * ai
-            pim = num_im * ar - num_re * ai
-            ok = (pre % na == 0) & (pim % na == 0)
-            if not ok.any():
-                continue
-            dre = pre[ok] // na
-            dim = pim[ok] // na
-            nb = (bre * bre + bim * bim + np.zeros_like(cre))[ok]
-            nc = (np.zeros_like(bre) + cre * cre + cim * cim)[ok]
-            nd = dre * dre + dim * dim
-            f = na + nb + nc + nd
-            keep = (nd <= entry_sq) & (f <= fmax)
-            if not keep.any():
-                continue
-            bidx, cidx = np.nonzero(ok)
-            bsel = box[bidx[keep]]
-            csel = box[cidx[keep]]
-            rows = np.empty((int(keep.sum()), 8), dtype=np.int64)
-            rows[:, 0] = ar
-            rows[:, 1] = ai
-            rows[:, 2:4] = bsel
-            rows[:, 4:6] = csel
-            rows[:, 6] = dre[keep]
-            rows[:, 7] = dim[keep]
-            out.append(rows)
-        return out
-
-    chunks = _split(nonzero_a, workers)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(scan_chunk, chunks))
-    else:
-        results = [scan_chunk(c) for c in chunks]
-
-    pieces: list[np.ndarray] = [blk for res in results for blk in res]
+    pieces: list[np.ndarray] = []
+    for ar, ai in box.tolist():
+        na = ar * ar + ai * ai
+        if na == 0:
+            continue
+        # d = (1 + b c) conj(a) / |a|^2, exact when both parts divide.
+        pre = num_re * ar + num_im * ai
+        pim = num_im * ar - num_re * ai
+        ok = (pre % na == 0) & (pim % na == 0)
+        if not ok.any():
+            continue
+        dre = pre[ok] // na
+        dim = pim[ok] // na
+        nb = (bre * bre + bim * bim + np.zeros_like(cre))[ok]
+        nc = (np.zeros_like(bre) + cre * cre + cim * cim)[ok]
+        nd = dre * dre + dim * dim
+        f = na + nb + nc + nd
+        keep = (nd <= entry_sq) & (f <= fmax)
+        if not keep.any():
+            continue
+        bidx, cidx = np.nonzero(ok)
+        rows = np.empty((int(keep.sum()), 8), dtype=np.int64)
+        rows[:, 0] = ar
+        rows[:, 1] = ai
+        rows[:, 2:4] = box[bidx[keep]]
+        rows[:, 4:6] = box[cidx[keep]]
+        rows[:, 6] = dre[keep]
+        rows[:, 7] = dim[keep]
+        pieces.append(rows)
 
     # a = 0 branch: b c = -1 forces b to be a unit and c = -1/b; d is free
     # in the box subject to the F filter (F = 2 + |d|^2).

@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import CoverageError, InputError
 from .freespace import DEFAULT_C_G, product_factor
-from .group import RootSystemData, rank1_model
 from .lattice import Census
 from .quadrature import LineIntegral, vertical_line_integral
 from .summation import NeumaierSum
@@ -142,7 +141,6 @@ def smoothed_geometric_count(
     X: float,
     params: SmoothingParams,
     *,
-    roots: RootSystemData | None = None,
     c_g: float = DEFAULT_C_G,
 ) -> SmoothedCount:
     """C_G * sum over census elements with r < X of prodfac(r) W(X - r).
@@ -151,7 +149,6 @@ def smoothed_geometric_count(
     CoverageError otherwise, since missing elements would silently bias the
     count.
     """
-    roots = roots or rank1_model()
     if X <= 0:
         raise InputError(f"count parameter X must be > 0, got {X}")
     needed = math.exp(0.5 * X)
@@ -171,7 +168,7 @@ def smoothed_geometric_count(
             break
         n = stop - start
         used += n
-        term = n * float(product_factor(r, roots)) * float(
+        term = n * float(product_factor(r)) * float(
             smoothing_kernel(params, X - r)
         )
         subtotals.append((fval, c_g * term))

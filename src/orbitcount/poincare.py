@@ -17,7 +17,8 @@ and the census growth is modelled by N(gauge <= T) <= c * T^{sigma0 + eps}
 with c fitted by least squares on the observed shells and multiplied by a
 recorded safety factor.  In radius form N(r) <= c_safe e^{(sigma0+eps) r/2},
 so the tail beyond the census radius R0 is bounded by summing
-count-bound(top of slab) * |u_z|(bottom of slab) over half-unit slabs.
+count-bound(top of slab) * |u_z|(bottom of slab) over half-unit slabs;
+at a translated base point g each slab bottom moves in by radius(g).
 This converges iff Re z > (sigma0 + eps)/2; the stricter documented
 precondition Re z > sigma0 + 1 (+ margin) is enforced.
 """
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError, TailError
-from .freespace import DEFAULT_C_G, product_factor
-from .group import RootSystemData, radius as group_radius, rank1_model
+from .freespace import DEFAULT_C_G, kernel, product_factor
+from .group import check_unimodular, radius as group_radius
 from .lattice import Census
 from .summation import NeumaierSum
 
@@ -124,12 +125,19 @@ def tail_bound(
     c_ls: float,
     *,
     c_g: float = DEFAULT_C_G,
+    shift: float = 0.0,
 ) -> float:
     """Certified bound on the series tail beyond the census radius.
 
-    Half-unit slabs [R0 + j/2, R0 + (j+1)/2): per slab, count is bounded by
-    the model at the slab top and each term by the kernel majorant at the
-    slab bottom.  Terms decay like e^{-(Re z - (sigma0+eps)/2) j / 2}.
+    Half-unit slabs [R0 + j/2, R0 + (j+1)/2) of element radius: per slab,
+    count is bounded by the model at the slab top and each term by the
+    kernel majorant at the slab bottom.  Terms decay like
+    e^{-(Re z - (sigma0+eps)/2) j / 2}.
+
+    ``shift`` is the radius of the base point g the series is evaluated at.
+    A missing element gamma has radius(gamma) > R0 and, by the triangle
+    inequality, radius(gamma g) >= radius(gamma) - shift, so each slab's
+    kernel majorant is taken ``shift`` lower (clamped at radius 0).
     """
     rez = complex(z).real
     a = model.sigma0 + model.eps
@@ -143,9 +151,9 @@ def tail_bound(
     acc = NeumaierSum()
     j = 0
     while True:
-        bot = r0 + 0.5 * j
-        top = bot + 0.5
-        count = c_safe * math.exp(0.5 * a * top)
+        lo = r0 - shift + 0.5 * j  # slab bottom, translated radius
+        bot = max(lo, 0.0)
+        count = c_safe * math.exp(0.5 * a * (lo + 0.5 + shift))
         pf = bot / math.sinh(bot) if bot > 0 else 1.0
         term = count * (c_g / absz) * pf * math.exp(-rez * bot)
         acc.add(term)
@@ -178,18 +186,17 @@ def series_eval(
     z: complex,
     *,
     model: GrowthModel | None = None,
-    roots: RootSystemData | None = None,
     c_g: float = DEFAULT_C_G,
     point: np.ndarray | None = None,
 ) -> SeriesValue:
     """Evaluate the kernel series over the census at ``point`` (default: id).
 
-    Shell-by-shell accumulation in canonical order; the certificate is the
-    tail bound of the *identity* point census radii (translating the base
-    point shifts radii by at most its own radius, which callers account for
-    by enlarging the census; the standard runs evaluate at the identity).
+    Shell-by-shell accumulation in canonical order.  The tail certificate
+    covers the translated series: it is the identity-point bound with every
+    kernel majorant moved in by the radius of ``point`` (see
+    :func:`tail_bound`), so a far-off base point needs a deeper census for
+    the same tail.
     """
-    roots = roots or rank1_model()
     model = model or GrowthModel()
     zc = complex(z)
     if zc.real <= model.required_abscissa:
@@ -197,10 +204,16 @@ def series_eval(
             f"Re z = {zc.real:g} is below the certified abscissa "
             f"{model.required_abscissa:g} (sigma0 + 1 + margin)"
         )
+    shift = 0.0
+    if point is not None:
+        point = check_unimodular(point)
+        if point.shape != (2, 2):
+            raise DomainError("base point must be a single 2x2 matrix")
+        shift = float(group_radius(point, validate=False))
     if census.size == 0:
         return SeriesValue(
             value=0.0 + 0.0j,
-            tail=tail_bound(census, zc, model, 1.0, c_g=c_g),
+            tail=tail_bound(census, zc, model, 1.0, c_g=c_g, shift=shift),
             z=zc,
             shells=(),
             c_ls=1.0,
@@ -210,13 +223,8 @@ def series_eval(
     if point is None:
         radii = census.radii
     else:
-        point = np.asarray(point, dtype=complex)
-        if point.shape != (2, 2):
-            raise DomainError("base point must be a single 2x2 matrix")
         radii = group_radius(census.matrices() @ point, validate=False)
-
-    pf = product_factor(radii, roots)
-    terms = c_g * pf * np.exp(-zc * radii) / zc
+    terms = kernel(zc, radii, c_g)
 
     re_acc = NeumaierSum()
     im_acc = NeumaierSum()
@@ -228,7 +236,7 @@ def series_eval(
         shells.append((fval, stop - start, complex(re_acc.value, im_acc.value)))
 
     c_ls = fit_prefactor(census, model)
-    tail = tail_bound(census, zc, model, c_ls, c_g=c_g)
+    tail = tail_bound(census, zc, model, c_ls, c_g=c_g, shift=shift)
     total = complex(re_acc.value, im_acc.value)
     return SeriesValue(value=total, tail=tail, z=zc, shells=tuple(shells), c_ls=c_ls, model=model)
 
@@ -236,7 +244,6 @@ def series_eval(
 def series_evaluator_for_contour(
     census: Census,
     *,
-    roots: RootSystemData | None = None,
     c_g: float = DEFAULT_C_G,
 ):
     """Vectorized z -> series value (identity point) for contour transforms.
@@ -246,12 +253,11 @@ def series_evaluator_for_contour(
     gate here: on a vertical line every z shares one Re z and the caller
     certifies the tail once at that abscissa.
     """
-    roots = roots or rank1_model()
     radii_full = census.radii
     shells = census.shells()
     rads = np.array([radii_full[s] for _f, s, _e in shells])
     counts = np.array([e - s for _f, s, e in shells], dtype=float)
-    weights = counts * c_g * product_factor(rads, roots)
+    weights = counts * c_g * product_factor(rads)
 
     def f(zarr: np.ndarray) -> np.ndarray:
         zarr = np.asarray(zarr, dtype=complex)

@@ -1,9 +1,7 @@
-"""Report serialization: JSON documents and CSV tables.
+"""Report serialization: JSON documents.
 
-Float policy: CSV cells are printed with ``%.17g`` (17 significant digits
-always round-trip IEEE doubles exactly).  JSON floats go through Python's
-shortest-round-trip ``repr``, which preserves the exact same bits on parse;
-the two encodings are equivalent in precision.
+Floats go through Python's shortest-round-trip ``repr``, which preserves
+the exact same bits on parse.
 
 Reruns with identical inputs and configuration produce byte-identical
 documents except for the single ``meta.generated_at`` timestamp field.
@@ -18,10 +16,6 @@ from pathlib import Path
 from typing import Any
 
 from . import __version__
-
-
-def fmt17(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def base_meta(command: str, config: dict[str, Any]) -> dict[str, Any]:
@@ -45,18 +39,3 @@ def write_json(doc: dict[str, Any], path: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
-
-
-def write_csv(path: str | Path, header: list[str], rows: list[list[Any]]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, bool):
-                cells.append("true" if v else "false")
-            elif isinstance(v, float):
-                cells.append(fmt17(v))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")

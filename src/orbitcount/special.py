@@ -1,7 +1,8 @@
 """Modified Bessel function K_1 of real positive argument.
 
-This is the radial kernel primitive for the even-dimensional cases, so it
-is implemented here from scratch rather than delegated:
+This is the radial kernel primitive of the flat torus oracle in dimension
+n = 2 (:mod:`orbitcount.torus`), implemented here from scratch rather than
+delegated:
 
 * ``x <= K1_CROSSOVER``: the ascending series
   (DLMF 10.31.2 / A&S 9.6.11 shape)
@@ -26,10 +27,6 @@ The crossover was tuned against the quadrature oracle of
 
 on a dense log grid; anywhere in [2, 3.5] meets 1e-12 relative, and 2.7
 minimized the worst-case disagreement.
-
-``bessel_k1_asymptotic`` implements the large-x divergent series
-sqrt(pi/(2x)) e^{-x} (1 + 3/(8x) - 15/(128 x^2) + ...); it is exposed for
-tests and diagnostics, never used by the evaluator.
 """
 
 from __future__ import annotations
@@ -78,8 +75,7 @@ def _k1_series(x: float) -> float:
 def _k1_cf2(x: float) -> tuple[float, float]:
     """CF2 evaluation for x >= 2: returns (K_0(x) e^x, K_1(x) e^x).
 
-    Scaled by e^x so the same core serves the scaled variant and stays
-    finite far beyond the underflow point of the unscaled function.
+    Scaled by e^x so the core stays finite up to the hard-underflow point.
     """
     b = 2.0 * (1.0 + x)
     d = 1.0 / b
@@ -140,36 +136,3 @@ def bessel_k1(x):
     for i in range(flat_in.size):
         flat_out[i] = _k1_scalar(float(flat_in[i]))
     return out
-
-
-def bessel_k1_scaled(x):
-    """e^x K_1(x); stays O(1/sqrt(x)) for large x."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise DomainError("bessel_k1_scaled needs finite x > 0")
-
-    def one(v: float) -> float:
-        if v <= K1_CROSSOVER:
-            return _k1_series(v) * math.exp(v)
-        return _k1_cf2(v)[1]
-
-    if arr.ndim == 0:
-        return one(float(arr))
-    out = np.empty_like(arr)
-    fo = out.ravel()
-    fi = arr.ravel()
-    for i in range(fi.size):
-        fo[i] = one(float(fi[i]))
-    return out
-
-
-def bessel_k1_asymptotic(x: float, terms: int = 4) -> float:
-    """Truncated large-x expansion, mu = 4 coefficients (3/8, -15/128, ...)."""
-    if x <= 0:
-        raise DomainError("asymptotic form needs x > 0")
-    acc = 1.0
-    coef = 1.0
-    for k in range(1, terms):
-        coef *= (4.0 - (2 * k - 1) ** 2) / (k * 8.0)
-        acc += coef / x**k
-    return math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) * acc

@@ -34,6 +34,7 @@ in the test suite validates them.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -132,26 +133,6 @@ class Spectrum:
             )
         return cls(data=tuple(rows), rho_norm=rho_norm)
 
-    def to_csv(self, path: str | Path, *, as_lambda: bool = False) -> None:
-        out = []
-        if as_lambda:
-            out.append("label,lambda,weight")
-            for d in self.data:
-                lam = d.lam(self.rho_norm)
-                if abs(lam.imag) > 1e-9 * max(1.0, abs(lam.real)):
-                    raise InputError(
-                        f"datum {d.label}: eigenvalue {lam} is not real; "
-                        "use the z_re,z_im format"
-                    )
-                out.append(f"{d.label},{lam.real:.17g},{d.weight:.17g}")
-        else:
-            out.append("label,z_re,z_im,weight")
-            for d in self.data:
-                out.append(
-                    f"{d.label},{d.z.real:.17g},{d.z.imag:.17g},{d.weight:.17g}"
-                )
-        Path(path).write_text("\n".join(out) + "\n")
-
 
 def _check_collisions(z_xi: complex, params: SmoothingParams, nu: int) -> None:
     if abs(z_xi) < POLE_TOL:
@@ -168,24 +149,17 @@ def _check_collisions(z_xi: complex, params: SmoothingParams, nu: int) -> None:
             )
 
 
-_POLE_TRAIN_WEIGHT_CACHE: dict[tuple[int, float], np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _train_weights(params: SmoothingParams) -> np.ndarray:
     """Partial fractions of 1/q(z): w_m = (-1)^(m-1)/(theta^(ell-1) (m-1)! (ell-m)!)."""
-    key = (params.ell, params.theta)
-    got = _POLE_TRAIN_WEIGHT_CACHE.get(key)
-    if got is None:
-        ell, theta = params.ell, params.theta
-        got = np.array(
-            [
-                (-1.0) ** (m - 1)
-                / (theta ** (ell - 1) * math.factorial(m - 1) * math.factorial(ell - m))
-                for m in range(1, ell + 1)
-            ]
-        )
-        _POLE_TRAIN_WEIGHT_CACHE[key] = got
-    return got
+    ell, theta = params.ell, params.theta
+    return np.array(
+        [
+            (-1.0) ** (m - 1)
+            / (theta ** (ell - 1) * math.factorial(m - 1) * math.factorial(ell - m))
+            for m in range(1, ell + 1)
+        ]
+    )
 
 
 def residue_pair(
@@ -261,12 +235,6 @@ def per_term(
             / (math.factorial(m - 1) * math.factorial(ell - m) * den)
         )
     return neumaier_sum_complex(terms) / theta ** (ell - 1)
-
-
-SIGN_CONVENTION_NOTE = (
-    "raw contour calculus = (-1)**nu * reported normalization; "
-    "nu = 2 on the model space, so the sign is +1 there"
-)
 
 
 def convention_sign(nu: int) -> int:

@@ -1,18 +1,15 @@
-"""Compensated summation helpers.
+"""Compensated summation.
 
 Every reduction whose result lands in a report goes through Neumaier's
 variant of Kahan summation so that totals are (a) noticeably more accurate
 than naive left-to-right adds and (b) bit-for-bit reproducible for a fixed
-addend order.  Reproducibility across worker counts is then a pure ordering
-question, which the callers solve by always combining per-shell subtotals
+addend order, which the callers fix by always adding per-shell subtotals
 in canonical shell order.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Iterable
 
 
 class NeumaierSum:
@@ -38,35 +35,9 @@ class NeumaierSum:
         self._s = t
         return self
 
-    def extend(self, xs: Iterable[float]) -> "NeumaierSum":
-        for x in xs:
-            self.add(x)
-        return self
-
     @property
     def value(self) -> float:
         return self._s + self._c
-
-
-def neumaier_sum(xs: Iterable[float]) -> float:
-    """Compensated sum of an iterable of floats, in iteration order."""
-    acc = NeumaierSum()
-    acc.extend(xs)
-    return acc.value
-
-
-def neumaier_sum_array(xs: np.ndarray) -> float:
-    """Compensated sum of a 1-D float array, in array order.
-
-    Loops in Python; meant for arrays that were already reduced once (shell
-    subtotals, panel contributions), not for multi-million-term raw sums.
-    For those, pairwise summation via ``np.sum`` feeds *into* one of these
-    accumulators per shell.
-    """
-    acc = NeumaierSum()
-    for x in np.asarray(xs, dtype=float).ravel():
-        acc.add(float(x))
-    return acc.value
 
 
 def neumaier_sum_complex(xs: Iterable[complex]) -> complex:
@@ -78,13 +49,3 @@ def neumaier_sum_complex(xs: Iterable[complex]) -> complex:
         re.add(xc.real)
         im.add(xc.imag)
     return complex(re.value, im.value)
-
-
-def ordered_subtotal_combine(subtotals: Sequence[float]) -> float:
-    """Combine per-chunk subtotals in the given (canonical) order.
-
-    This is the single combination point used after any parallel split, so
-    the result is independent of how many workers produced the subtotals as
-    long as chunk boundaries are deterministic.
-    """
-    return neumaier_sum(subtotals)

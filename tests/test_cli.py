@@ -2,8 +2,10 @@
 mapping that is awkward to trigger from outside."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,13 +13,19 @@ from orbitcount import cli
 from orbitcount.errors import QuadratureError
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_cli(*args, cwd=None):
+    # the child imports this checkout's package, installed or not
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "orbitcount.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
     )
     return proc
 
@@ -60,13 +68,6 @@ def test_enumerate_report_and_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_enumerate_naive_flag(tmp_path):
-    out = tmp_path / "n.csv"
-    r = run_cli("enumerate", "--cutoff", "1.5", "--out", str(out), "--naive")
-    assert r.returncode == 0
-    assert json.loads(r.stdout)["census"]["enumerator"] == "naive"
-
-
 def test_enumerate_workers_deterministic(tmp_path):
     a = tmp_path / "w1.csv"
     b = tmp_path / "w3.csv"
@@ -76,6 +77,15 @@ def test_enumerate_workers_deterministic(tmp_path):
         == 0
     )
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_enumerate_only_options_are_refused_elsewhere(census_csv):
+    # --workers and --budget steer the enumerator and nothing else
+    for flag in ("--workers", "--budget"):
+        r = run_cli("poincare", "--census", str(census_csv), "--z", "6", flag, "2")
+        assert r.returncode == 2
+        assert "unrecognized arguments" in r.stderr
+        assert r.stdout == ""
 
 
 def test_poincare_report(census_csv):

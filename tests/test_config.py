@@ -7,7 +7,7 @@ import pytest
 
 from orbitcount.config import RunConfig, build_config, load_config_file
 from orbitcount.errors import InputError
-from orbitcount.reports import base_meta, complex_fields, fmt17, write_csv, write_json
+from orbitcount.reports import base_meta, complex_fields, write_json
 
 
 def test_defaults():
@@ -56,11 +56,6 @@ def test_validation():
         RunConfig(work_budget=0).validate()
 
 
-def test_fmt17_roundtrips():
-    for x in (0.1, 1.0 / 3.0, 1e-300, 123456789.123456789, 2.0**-1074):
-        assert float(fmt17(x)) == x
-
-
 def test_complex_fields():
     assert complex_fields(complex(1.5, -2.0)) == {"re": 1.5, "im": -2.0}
 
@@ -81,15 +76,6 @@ def test_write_json_stdout_and_file(tmp_path, capsys):
 def test_write_json_rejects_nan(tmp_path):
     with pytest.raises(ValueError):
         write_json({"x": float("nan")}, str(tmp_path / "bad.json"))
-
-
-def test_write_csv_formatting(tmp_path):
-    p = tmp_path / "t.csv"
-    write_csv(p, ["a", "b", "c"], [[1, 0.1, True], [2, 2.0 / 3.0, False]])
-    lines = p.read_text().strip().splitlines()
-    assert lines[0] == "a,b,c"
-    assert lines[1].split(",")[2] == "true"
-    assert float(lines[2].split(",")[1]) == 2.0 / 3.0
 
 
 def test_base_meta_shape():

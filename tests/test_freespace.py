@@ -1,15 +1,12 @@
-"""Free-space radial kernels (odd and even flat ranks) and the root-system
-product weight."""
+"""The free-space radial kernel and its root product factor."""
 
 import math
 
 import numpy as np
 import pytest
 
-from orbitcount.errors import DomainError, PoleError
-from orbitcount.freespace import product_factor, u_even, u_odd
-from orbitcount.group import RootSystemData, rank1_model
-from orbitcount.special import bessel_k1
+from orbitcount.errors import PoleError
+from orbitcount.freespace import kernel, product_factor
 
 
 def test_product_factor_at_origin_is_one():
@@ -35,72 +32,34 @@ def test_product_factor_is_even():
     assert np.allclose(product_factor(r), product_factor(-r), rtol=0, atol=0)
 
 
-def test_product_factor_multiclass():
-    roots = RootSystemData(
-        positive_roots=(((1.0,), 1), ((3.0,), 2)), dim_flat=1, rho_norm=3.5
-    )
-    r = 0.8
-
-    def fac(t):
-        return t / (2.0 * math.sinh(t / 2.0))
-
-    want = fac(1.0 * r) * fac(3.0 * r)
-    assert float(product_factor(r, roots)) == pytest.approx(want, rel=1e-14)
-
-
-def test_u_odd_closed_form():
+def test_kernel_closed_form():
     z, r = 2.0, 1.5
     want = (r / math.sinh(r)) * math.exp(-z * r) / z
-    got = complex(u_odd(z, r))
+    got = complex(kernel(z, r))
     assert got.imag == 0.0
     assert got.real == pytest.approx(want, rel=1e-14)
 
 
-def test_u_odd_origin_limit():
+def test_kernel_origin_limit():
     # r -> 0 limit is C_G / z
     z = 3.0
-    assert complex(u_odd(z, 1e-12)).real == pytest.approx(1.0 / z, rel=1e-9)
+    assert complex(kernel(z, 1e-12)).real == pytest.approx(1.0 / z, rel=1e-9)
 
 
-def test_u_odd_scales_with_c_g():
-    assert complex(u_odd(2.0, 1.0, c_g=2.5)) == pytest.approx(
-        2.5 * complex(u_odd(2.0, 1.0)), rel=1e-15
+def test_kernel_scales_with_c_g():
+    assert complex(kernel(2.0, 1.0, c_g=2.5)) == pytest.approx(
+        2.5 * complex(kernel(2.0, 1.0)), rel=1e-15
     )
 
 
-def test_u_odd_complex_z():
+def test_kernel_complex_z():
     z = complex(2.0, 0.7)
     r = 1.2
-    got = complex(u_odd(z, r))
+    got = complex(kernel(z, r))
     want = (r / math.sinh(r)) * np.exp(-z * r) / z
     assert abs(got - want) <= 1e-15 * abs(want)
 
 
-def test_u_odd_pole():
+def test_kernel_pole():
     with pytest.raises(PoleError):
-        u_odd(0.0, 1.0)
-
-
-def test_u_even_formula():
-    z, h = 1.4, 0.9
-    pf = float(product_factor(h))
-    want = pf * (h / z) * float(bessel_k1(z * h))
-    assert float(u_even(z, h)) == pytest.approx(want, rel=1e-13)
-
-
-def test_u_even_rejects_origin():
-    with pytest.raises(DomainError):
-        u_even(1.0, 0.0)
-
-
-def test_u_even_large_argument_envelope():
-    # for large z|H| the kernel follows the exponential envelope of K_1
-    z, h = 30.0, 2.0
-    got = float(u_even(z, h))
-    lead = float(product_factor(h)) * (h / z) * math.sqrt(math.pi / (2 * z * h)) * math.exp(-z * h)
-    assert got == pytest.approx(lead, rel=2e-2)
-
-
-def test_rank1_model_is_default():
-    r = 1.3
-    assert float(product_factor(r)) == float(product_factor(r, rank1_model()))
+        kernel(0.0, 1.0)

@@ -16,7 +16,6 @@ from orbitcount.group import (
     radius_from_gauge,
     random_elements,
     random_su2,
-    rank1_model,
 )
 
 
@@ -100,10 +99,3 @@ def test_decompose_identity_convention():
     fac = cartan_decompose(eye)
     assert np.allclose(fac.cartan, 0.0)
     assert np.allclose(fac.k1 @ fac.k2, eye, atol=1e-15)
-
-
-def test_rank1_model_shape():
-    roots = rank1_model()
-    assert roots.num_root_classes == 1
-    assert roots.positive_roots[0][1] == 2  # multiplicity of the single class
-    assert roots.rho_norm == 1.0

@@ -5,6 +5,7 @@ import pytest
 
 from orbitcount.errors import InputError
 from orbitcount.group import exp_cartan
+from orbitcount.lattice import enumerate_pruned
 from orbitcount.poincare import (
     SIGMA0_DEFAULT,
     GrowthModel,
@@ -102,6 +103,24 @@ def test_translated_base_point(census8):
     moved = series_eval(census8, 6.0, point=exp_cartan(0.3))
     assert moved.value != sv_id.value
     assert np.isfinite(moved.value.real)
+
+
+def test_translated_tail_covers_deeper_census(census8):
+    # At a base point of radius 2 the identity-point tail (2.6e-7) is below
+    # the change to a cutoff-12 census (2.1e-6); the shifted tail covers it.
+    g = exp_cartan(2.0)
+    shallow = series_eval(census8, 6.0, point=g)
+    deep = series_eval(enumerate_pruned(12.0), 6.0, point=g)
+    assert abs(deep.value - shallow.value) <= shallow.tail
+    # at the identity the certificate is unchanged to the bit
+    assert (
+        series_eval(census8, 6.0, point=np.eye(2)).tail == series_eval(census8, 6.0).tail
+    )
+
+
+def test_translated_point_must_be_unimodular(census8):
+    with pytest.raises(InputError):
+        series_eval(census8, 6.0, point=2.0 * np.eye(2))
 
 
 def test_contour_evaluator_matches_series(census8):

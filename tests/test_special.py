@@ -11,12 +11,7 @@ import numpy as np
 import pytest
 
 from orbitcount.errors import DomainError
-from orbitcount.special import (
-    K1_CROSSOVER,
-    bessel_k1,
-    bessel_k1_asymptotic,
-    bessel_k1_scaled,
-)
+from orbitcount.special import K1_CROSSOVER, bessel_k1
 
 REFERENCE = Path(__file__).parent / "data" / "k1_reference.csv"
 
@@ -57,28 +52,9 @@ def test_domain_error():
         bessel_k1(np.array([1.0, -2.0]))
 
 
-def test_scaled_consistency():
-    x = np.logspace(-3, np.log10(700.0), 50)
-    lhs = bessel_k1_scaled(x) * np.exp(-x)
-    rhs = bessel_k1(x)
-    assert np.max(np.abs(lhs - rhs) / rhs) <= 1e-13
-
-
 def test_hard_underflow_region():
-    # e^{-x} is sub-denormal past ~746; the unscaled value collapses to 0
-    # while the scaled one stays meaningful
+    # e^{-x} is sub-denormal past ~746; the value collapses to 0
     assert bessel_k1(800.0) == 0.0
-    assert 0.0 < bessel_k1_scaled(800.0) < 1.0
-
-
-def test_asymptotic_expansion_at_50():
-    # the 4-term tail expansion should sit within its own truncation error
-    # of the table-backed value, and clearly away from the bare leading term
-    want = float(bessel_k1(50.0))
-    got = bessel_k1_asymptotic(50.0)
-    assert abs(got - want) / want <= 1e-7
-    bare = np.sqrt(np.pi / (2.0 * 50.0)) * np.exp(-50.0)
-    assert abs(bare - want) / want > 1e-3
 
 
 def test_shapes():

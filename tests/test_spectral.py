@@ -179,15 +179,3 @@ def test_spectrum_csv_both_headers(tmp_path):
     bad.write_text("foo,bar\n1,2\n")
     with pytest.raises(InputError):
         Spectrum.from_csv(bad)
-
-
-def test_spectrum_csv_roundtrip(tmp_path):
-    sp = _spectrum()
-    p = tmp_path / "spectrum.csv"
-    sp.to_csv(p)
-    back = Spectrum.from_csv(p, rho_norm=1.0)
-    assert len(back.data) == len(sp.data)
-    for a, b in zip(sp.data, back.data):
-        assert a.label == b.label
-        assert abs(a.z - b.z) <= 1e-15
-        assert a.weight == b.weight
