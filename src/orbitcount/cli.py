@@ -74,10 +74,6 @@ def _parse_xs(raw: str) -> list[float]:
     return xs
 
 
-def _parse_z(raw_re: float, raw_im: float) -> complex:
-    return complex(raw_re, raw_im)
-
-
 # ---------------------------------------------------------------------------
 # subcommand bodies
 
@@ -106,8 +102,7 @@ def _cmd_poincare(args) -> dict:
     cfg = _config_from(args)
     census = Census.from_csv(args.census)
     model = GrowthModel(sigma0=cfg.sigma0, eps=cfg.growth_eps, safety=cfg.growth_safety)
-    z = _parse_z(args.z, args.z_im)
-    val = series_eval(census, z, model=model, c_g=cfg.c_g)
+    val = series_eval(census, complex(args.z, args.z_im), model=model, c_g=cfg.c_g)
     return {
         "meta": base_meta("poincare", cfg.as_dict()),
         "series": {
@@ -271,8 +266,15 @@ def _cmd_perron_check(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # A usage error is bad input (exit 1); exit 2 means "not certified".
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="orbitcount", description=__doc__.split("\n\n")[0])
+    ap = _Parser(prog="orbitcount", description=__doc__.split("\n\n")[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="build a census CSV")

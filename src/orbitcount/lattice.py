@@ -14,7 +14,8 @@ gauge^2 = (F + sqrt(F^2 - 4)) / 2, so
 
 A census is therefore a finite, exactly reproducible object: integer rows
 sorted by the canonical key (F, re a, im a, re b, im b, re c, im c, re d,
-im d).  Floats (radius, gauge) are derived columns.
+im d).  Its CSV file holds those 8 integers per row and nothing else;
+radius and gauge are derived from F.
 
 Three enumerators are provided and cross-checked in the tests:
 
@@ -49,12 +50,8 @@ import numpy as np
 
 from .errors import BudgetError, InputError
 
-CSV_HEADER = "re_a,im_a,re_b,im_b,re_c,im_c,re_d,im_d,radius,gauge"
-_CSV_INTS = ",".join(["%d"] * 8)
-_CSV_DTYPE = np.dtype(
-    [(name, np.int64) for name in CSV_HEADER.split(",")[:8]]
-    + [("radius", np.float64), ("gauge", np.float64)]
-)
+CSV_HEADER = "re_a,im_a,re_b,im_b,re_c,im_c,re_d,im_d"
+_CSV_LINE = ",".join(["%d"] * 8) + "\n"
 
 #: Default cap on candidate tuples examined by an enumeration call.
 DEFAULT_WORK_BUDGET = 200_000_000
@@ -230,14 +227,12 @@ class Census:
         return self.rows[self.fnorm == 2]
 
     def to_csv(self, path: str | Path) -> None:
-        # radius and gauge are functions of F, so each shell's float fields
-        # are formatted once and written into that shell's row format.
-        rad, gau = self.radii, self.gauges
+        # One shell per write, so the formatted text never holds the whole census.
         with open(path, "w") as fh:
             fh.write(CSV_HEADER + "\n")
             for _f, start, stop in self.shells():
-                line = _CSV_INTS + f",{rad[start]:.17g},{gau[start]:.17g}\n"
-                fh.write((line * (stop - start)) % tuple(self.rows[start:stop].ravel().tolist()))
+                ints = self.rows[start:stop].ravel().tolist()
+                fh.write((_CSV_LINE * (stop - start)) % tuple(ints))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "Census":
@@ -275,19 +270,22 @@ class Census:
 
 
 def _read_csv_rows(path: str | Path) -> np.ndarray:
-    """Integer columns of a census CSV as an (N, 8) int64 array.
+    """A census CSV as an (N, 8) int64 array.
 
-    Any row that is not 8 integers and 2 floats, and any blank line between
-    rows, is an InputError naming the file and line.
+    Any row that is not 8 integers, and any blank line between rows, is an
+    InputError naming the file and line.
     """
     lines = Path(path).read_text().strip().splitlines()
     if not lines or lines[0].strip() != CSV_HEADER:
-        raise InputError(f"{path}: expected census header '{CSV_HEADER}'")
+        raise InputError(
+            f"{path}: expected census header '{CSV_HEADER}'; "
+            "rebuild the census with `orbitcount enumerate`"
+        )
     if "" in lines:
         # loadtxt would skip it; inside a census a blank line means damage.
         raise InputError(f"{path}:{lines.index('') + 1}: blank line inside the census")
     try:
-        data = _parse_csv_lines(lines[1:])
+        return _parse_csv_lines(lines[1:])
     except ValueError:
         lo, hi = 1, len(lines)  # lines[lo:hi] holds the first bad line
         while hi - lo > 1:
@@ -298,20 +296,19 @@ def _read_csv_rows(path: str | Path) -> np.ndarray:
                 hi = mid
             else:
                 lo = mid
-        raise InputError(
-            f"{path}:{lo + 1}: expected 8 integers and 2 floats, got {lines[lo]!r}"
-        ) from None
-    # The dtype is 8 int64 fields then 2 float64 ones, unpadded.
-    return data.view(np.int64).reshape(-1, 10)[:, :8]
+        raise InputError(f"{path}:{lo + 1}: expected 8 integers, got {lines[lo]!r}") from None
 
 
 def _parse_csv_lines(lines: list[str]) -> np.ndarray:
     if not lines:
-        return np.zeros(0, dtype=_CSV_DTYPE)
+        return np.zeros((0, 8), dtype=np.int64)
     # max_rows lets loadtxt size its output once instead of growing it.
-    return np.loadtxt(
-        lines, dtype=_CSV_DTYPE, delimiter=",", comments=None, ndmin=1, max_rows=len(lines)
+    rows = np.loadtxt(
+        lines, dtype=np.int64, delimiter=",", comments=None, ndmin=2, max_rows=len(lines)
     )
+    if rows.shape[1] != 8:  # loadtxt accepts any width that every row shares
+        raise ValueError(f"{rows.shape[1]} columns")
+    return rows
 
 
 def shell_counts(census: Census, width: float = 0.25) -> list[tuple[float, int]]:

@@ -77,6 +77,11 @@ def kernel_denominator(params: SmoothingParams, z: np.ndarray) -> np.ndarray:
     return out
 
 
+def panel_width(X: float) -> float:
+    """Contour panel height for an e^{zX} integrand: a quarter period, at most 1."""
+    return min(1.0, 2.0 * math.pi / (4.0 * max(abs(X), 1e-2)))
+
+
 def perron_contour_oracle(
     X: float,
     params: SmoothingParams,
@@ -95,9 +100,8 @@ def perron_contour_oracle(
     def integrand(z):
         return np.exp(z * X) / (z * kernel_denominator(params, z))
 
-    width = min(1.0, 2.0 * math.pi / (4.0 * max(abs(X), 1e-2)))
     return vertical_line_integral(
-        integrand, sigma, height, abs_tol=abs_tol, panel_width=width
+        integrand, sigma, height, abs_tol=abs_tol, panel_width=panel_width(X)
     )
 
 
@@ -120,9 +124,8 @@ def smoothing_contour_transform(
     def integrand(z):
         return f_of_z(z) * np.exp(z * X) / kernel_denominator(params, z)
 
-    width = min(1.0, 2.0 * math.pi / (4.0 * max(abs(X), 1e-2)))
     return vertical_line_integral(
-        integrand, sigma, height, abs_tol=abs_tol, panel_width=width
+        integrand, sigma, height, abs_tol=abs_tol, panel_width=panel_width(X)
     )
 
 

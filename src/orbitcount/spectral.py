@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, PoleCollisionError
-from .perron import SmoothingParams, kernel_denominator
+from .perron import SmoothingParams, kernel_denominator, panel_width
 from .quadrature import LineIntegral, vertical_line_integral
 from .summation import neumaier_sum_complex
 
@@ -71,6 +71,13 @@ def z_from_lambda(lam: complex, rho_norm: float) -> complex:
 
 def lambda_from_z(z: complex, rho_norm: float) -> complex:
     return complex(z) * complex(z) - rho_norm * rho_norm
+
+
+#: Spectrum file headers and each one's row fields -> z_xi conversion.
+_SPECTRUM_HEADERS = {
+    ("label", "lambda", "weight"): z_from_lambda,
+    ("label", "z_re", "z_im", "weight"): lambda re, im, _rho: branch_z(complex(re, im)),
+}
 
 
 @dataclass(frozen=True)
@@ -102,35 +109,23 @@ class Spectrum:
         lines = Path(path).read_text().strip().splitlines()
         if not lines:
             raise InputError(f"{path}: empty spectrum file")
-        header = [h.strip() for h in lines[0].split(",")]
-        rows = []
-        if header == ["label", "lambda", "weight"]:
-            for ln, line in enumerate(lines[1:], start=2):
-                parts = [p.strip() for p in line.split(",")]
-                if len(parts) != 3:
-                    raise InputError(f"{path}:{ln}: expected 3 fields")
-                try:
-                    lam = float(parts[1])
-                    w = float(parts[2])
-                except ValueError as exc:
-                    raise InputError(f"{path}:{ln}: {exc}") from None
-                rows.append(SpectralDatum(parts[0], z_from_lambda(lam, rho_norm), w))
-        elif header == ["label", "z_re", "z_im", "weight"]:
-            for ln, line in enumerate(lines[1:], start=2):
-                parts = [p.strip() for p in line.split(",")]
-                if len(parts) != 4:
-                    raise InputError(f"{path}:{ln}: expected 4 fields")
-                try:
-                    z = complex(float(parts[1]), float(parts[2]))
-                    w = float(parts[3])
-                except ValueError as exc:
-                    raise InputError(f"{path}:{ln}: {exc}") from None
-                rows.append(SpectralDatum(parts[0], branch_z(z), w))
-        else:
+        header = tuple(h.strip() for h in lines[0].split(","))
+        if header not in _SPECTRUM_HEADERS:
             raise InputError(
                 f"{path}: unrecognized spectrum header {lines[0]!r}; expected "
                 "'label,lambda,weight' or 'label,z_re,z_im,weight'"
             )
+        to_z = _SPECTRUM_HEADERS[header]
+        rows = []
+        for ln, line in enumerate(lines[1:], start=2):
+            parts = [p.strip() for p in line.split(",")]
+            if len(parts) != len(header):
+                raise InputError(f"{path}:{ln}: expected {len(header)} fields")
+            try:
+                *z_fields, w = (float(p) for p in parts[1:])
+            except ValueError as exc:
+                raise InputError(f"{path}:{ln}: {exc}") from None
+            rows.append(SpectralDatum(parts[0], to_z(*z_fields, rho_norm), w))
         return cls(data=tuple(rows), rho_norm=rho_norm)
 
 
@@ -319,7 +314,7 @@ def global_contour_oracle(
 
     return vertical_line_integral(
         integrand, float(sigma), height, abs_tol=abs_tol,
-        panel_width=min(1.0, 2.0 * math.pi / (4.0 * max(abs(X), 1e-2))),
+        panel_width=panel_width(X),
         conj_symmetric=_schwarz_symmetric(zarr, ws),
     )
 

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from orbitcount import cli
-from orbitcount.errors import QuadratureError
+from orbitcount.errors import InputError, QuadratureError
+from orbitcount.lattice import CSV_HEADER, Census
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -83,9 +84,37 @@ def test_enumerate_only_options_are_refused_elsewhere(census_csv):
     # --workers and --budget steer the enumerator and nothing else
     for flag in ("--workers", "--budget"):
         r = run_cli("poincare", "--census", str(census_csv), "--z", "6", flag, "2")
-        assert r.returncode == 2
+        assert r.returncode == 1
         assert "unrecognized arguments" in r.stderr
         assert r.stdout == ""
+
+
+def test_missing_required_option_exits_1():
+    r = run_cli("poincare", "--z", "6")
+    assert r.returncode == 1
+    assert "the following arguments are required: --census" in r.stderr
+    assert r.stdout == ""
+
+
+def test_help_exits_0():
+    r = run_cli("poincare", "--help")
+    assert r.returncode == 0
+    assert "--census" in r.stdout
+
+
+def test_ten_column_census_is_refused(tmp_path, census2):
+    # the former row format: the 8 integers, then radius and gauge as floats
+    old = tmp_path / "old.csv"
+    lines = [CSV_HEADER + ",radius,gauge"] + [
+        ",".join(str(int(v)) for v in ints) + f",{rad:.17g},{gau:.17g}"
+        for ints, rad, gau in zip(census2.rows, census2.radii, census2.gauges)
+    ]
+    old.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InputError, match="orbitcount enumerate"):
+        Census.from_csv(old)
+    r = run_cli("poincare", "--census", str(old), "--z", "6")
+    assert r.returncode == 1
+    assert "rebuild the census with `orbitcount enumerate`" in r.stderr
 
 
 def test_poincare_report(census_csv):

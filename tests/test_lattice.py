@@ -149,9 +149,7 @@ def test_from_rows_rejects_duplicates(census4):
 
 
 def test_to_csv_matches_per_row_format(tmp_path, census8):
-    lines = [CSV_HEADER]
-    for ints, rad, gau in zip(census8.rows, census8.radii, census8.gauges):
-        lines.append(",".join(str(int(v)) for v in ints) + f",{rad:.17g},{gau:.17g}")
+    lines = [CSV_HEADER] + [",".join(str(int(v)) for v in ints) for ints in census8.rows]
     path = tmp_path / "c8.csv"
     census8.to_csv(path)
     text = path.read_text()
@@ -162,10 +160,11 @@ def test_to_csv_matches_per_row_format(tmp_path, census8):
 @pytest.mark.parametrize(
     "bad",
     [
-        "1,0,0,0,0,0,1,0,0",  # short row
-        "1,0,0,0,0,0,1,0,0,1,7",  # long row
-        "1.5,0,0,0,0,0,1,0,0,1",
-        "x,0,0,0,0,0,1,0,0,1",
+        "1,0,0,0,0,0,1",  # 7 fields
+        "1,0,0,0,0,0,1,0,0",  # 9 fields
+        "1.5,0,0,0,0,0,1,0",
+        "x,0,0,0,0,0,1,0",
+        "1,0,0,0,0,0,1,99999999999999999999",  # past int64
         "",  # blank line between rows
     ],
 )
@@ -177,6 +176,15 @@ def test_from_csv_rejects_malformed_rows(tmp_path, census2, bad):
     path = tmp_path / "bad.csv"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(InputError, match=re.escape(f"{path}:6:")):
+        Census.from_csv(path)
+
+
+def test_from_csv_rejects_uniform_wrong_width(tmp_path, census2):
+    # every row 7 integers: one width throughout, still not a census
+    path = tmp_path / "narrow.csv"
+    rows = [",".join(str(int(v)) for v in ints[:7]) for ints in census2.rows]
+    path.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+    with pytest.raises(InputError, match=re.escape(f"{path}:2: expected 8 integers")):
         Census.from_csv(path)
 
 

@@ -1,6 +1,8 @@
 """Residue calculus for the spectral expansion: closed forms against the
 circle oracle and the assembled global contour."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -179,3 +181,24 @@ def test_spectrum_csv_both_headers(tmp_path):
     bad.write_text("foo,bar\n1,2\n")
     with pytest.raises(InputError):
         Spectrum.from_csv(bad)
+
+
+@pytest.mark.parametrize(
+    "header, bad, message",
+    [
+        ("label,lambda,weight", "b,-1.0", "expected 3 fields"),
+        ("label,lambda,weight", "b,-1.0,1.0,2.0", "expected 3 fields"),
+        ("label,lambda,weight", "b,-1.0,heavy", "could not convert string to float: 'heavy'"),
+        ("label,lambda,weight", "b,x,heavy", "could not convert string to float: 'x'"),
+        ("label,z_re,z_im,weight", "b,0.5,1.0", "expected 4 fields"),
+        ("label,z_re,z_im,weight", "b,0.5,1.0,1.0,1.0", "expected 4 fields"),
+        ("label,z_re,z_im,weight", "b,0.5,i,1.0", "could not convert string to float: 'i'"),
+        ("label,z_re,z_im,weight", "b,0.5,1.0,heavy", "could not convert string to float: 'heavy'"),
+    ],
+)
+def test_spectrum_csv_rejects_malformed_rows(tmp_path, header, bad, message):
+    good = "a,-2.0,1.0" if header.count(",") == 2 else "a,0.5,0.0,1.0"
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{header}\n{good}\n{bad}\n{good}\n")
+    with pytest.raises(InputError, match=re.escape(f"{path}:3: {message}")):
+        Spectrum.from_csv(path)
