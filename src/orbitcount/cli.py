@@ -27,6 +27,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -45,11 +46,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--report", help="write the JSON report here (default: stdout)")
     p.add_argument("--ell", type=int, help="smoothing order (default 2)")
-    p.add_argument("--theta", type=float, help="smoothing step (default 1.0)")
+    p.add_argument("--theta", type=_finite_float, help="smoothing step (default 1.0)")
     p.add_argument("--nu", type=int, help="kernel exponent (default 2)")
-    p.add_argument("--rho-norm", dest="rho_norm", type=float, help="spectral offset (default 1.0)")
-    p.add_argument("--c-g", dest="c_g", type=float, help="free-space constant (default 1.0)")
-    p.add_argument("--quad-tol", dest="quad_tol", type=float, help="contour tolerance")
+    p.add_argument("--rho-norm", dest="rho_norm", type=_finite_float, help="spectral offset (default 1.0)")
+    p.add_argument("--c-g", dest="c_g", type=_finite_float, help="free-space constant (default 1.0)")
+    p.add_argument("--quad-tol", dest="quad_tol", type=_finite_float, help="contour tolerance")
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
@@ -64,13 +65,27 @@ def _smoothing(cfg: RunConfig) -> SmoothingParams:
     return SmoothingParams(ell=cfg.ell, theta=cfg.theta)
 
 
-def _parse_xs(raw: str) -> list[float]:
+def _finite_float(raw: str) -> float:
+    """argparse ``type=`` for float options: nan and +/-inf are bad input."""
+    try:
+        x = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {raw!r}") from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {raw!r}")
+    return x
+
+
+def _parse_floats(raw: str, what: str) -> list[float]:
+    """A comma-separated list of finite floats (X values, a torus point)."""
     try:
         xs = [float(s) for s in raw.split(",") if s.strip()]
     except ValueError as exc:
-        raise InputError(f"bad X list {raw!r}: {exc}") from None
+        raise InputError(f"bad {what} list {raw!r}: {exc}") from None
     if not xs:
-        raise InputError("empty X list")
+        raise InputError(f"empty {what} list")
+    if not all(math.isfinite(x) for x in xs):
+        raise InputError(f"bad {what} list {raw!r}: every entry must be finite")
     return xs
 
 
@@ -150,7 +165,7 @@ def _cmd_spectral_side(args) -> dict:
     spectrum = Spectrum.from_csv(args.spectrum, rho_norm=cfg.rho_norm)
     sm = _smoothing(cfg)
     rows = []
-    for x in _parse_xs(args.x):
+    for x in _parse_floats(args.x, "X"):
         val = spectral_side_eval(spectrum, x, sm, nu=cfg.nu)
         rows.append(
             {
@@ -182,7 +197,7 @@ def _cmd_compare(args) -> dict:
     sm = _smoothing(cfg)
     sign = convention_sign(cfg.nu)
     rows = []
-    for x in _parse_xs(args.x):
+    for x in _parse_floats(args.x, "X"):
         geo = smoothed_geometric_count(census, x, sm, c_g=cfg.c_g)
         sp = spectral_side_eval(spectrum, x, sm, nu=cfg.nu)
         geo_signed = sign * geo.value
@@ -218,7 +233,7 @@ def _cmd_oracle_torus(args) -> dict:
         spectral_trunc=args.spectral_trunc,
         geom_trunc=args.geom_trunc,
     )
-    point = [float(s) for s in args.point.split(",")] if args.point else [0.0] * params.n
+    point = _parse_floats(args.point, "point") if args.point else [0.0] * params.n
     cmp = torus_identity_check(params, np.asarray(point))
     return {
         "meta": base_meta("oracle-torus", cfg.as_dict()),
@@ -278,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="build a census CSV")
-    p.add_argument("--cutoff", type=float, required=True, help="gauge cutoff >= 1")
+    p.add_argument("--cutoff", type=_finite_float, required=True, help="gauge cutoff >= 1")
     p.add_argument("--out", required=True, help="census CSV path")
     p.add_argument("--workers", type=int, help="worker threads (default 1)")
     p.add_argument("--budget", dest="work_budget", type=int, help="work budget")
@@ -287,14 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("poincare", help="kernel series over a census")
     p.add_argument("--census", required=True)
-    p.add_argument("--z", type=float, required=True, help="Re z (must exceed the certified abscissa)")
-    p.add_argument("--z-im", type=float, default=0.0, help="Im z (default 0)")
+    p.add_argument("--z", type=_finite_float, required=True, help="Re z (must exceed the certified abscissa)")
+    p.add_argument("--z-im", type=_finite_float, default=0.0, help="Im z (default 0)")
     _add_common(p)
     p.set_defaults(fn=_cmd_poincare)
 
     p = sub.add_parser("smoothed-count", help="smoothed weighted count below radius X")
     p.add_argument("--census", required=True)
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--x", type=_finite_float, required=True)
     _add_common(p)
     p.set_defaults(fn=_cmd_smoothed_count)
 
@@ -313,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-torus", help="flat-torus identity check")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lam", "--lambda", dest="lam", type=float, required=True)
+    p.add_argument("--lam", "--lambda", dest="lam", type=_finite_float, required=True)
     p.add_argument("--point", help="comma-separated coordinates (default origin)")
     p.add_argument("--spectral-trunc", dest="spectral_trunc", type=int)
     p.add_argument("--geom-trunc", dest="geom_trunc", type=int)
@@ -321,9 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_oracle_torus)
 
     p = sub.add_parser("perron-check", help="smoothing kernel vs contour integral")
-    p.add_argument("--u", type=float, required=True, help="kernel argument X - r")
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--height", type=float, default=1000.0)
+    p.add_argument("--u", type=_finite_float, required=True, help="kernel argument X - r")
+    p.add_argument("--sigma", type=_finite_float, default=1.0)
+    p.add_argument("--height", type=_finite_float, default=1000.0)
     _add_common(p)
     p.set_defaults(fn=_cmd_perron_check)
 

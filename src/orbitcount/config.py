@@ -8,6 +8,7 @@ defaults < file < explicit CLI flags.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
@@ -58,11 +59,14 @@ def _coerce(key: str, raw: str) -> Any:
     try:
         if ftype == "int":
             return int(raw)
-        if ftype == "float":
-            return float(raw)
+        if ftype != "float":
+            return raw
+        x = float(raw)
     except ValueError:
         raise InputError(f"config key {key}: cannot parse {raw!r}") from None
-    return raw
+    if not math.isfinite(x):
+        raise InputError(f"config key {key}: {raw!r} is not a finite number")
+    return x
 
 
 def load_config_file(path: str | Path) -> dict[str, Any]:

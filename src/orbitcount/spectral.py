@@ -29,6 +29,13 @@ can be made on matching conventions.  For the model space nu = 2, SIGN = +1.
 Residues are evaluated by a closed three-factor Leibniz expansion (never by
 numerical differentiation); an independent small-circle quadrature oracle
 in the test suite validates them.
+
+The formula is evaluated over arrays: one pass computes A, B and Per for
+every datum of a spectrum at one X, with loops only over the derivative
+orders (at most nu each) and the train index.  Each datum's value depends
+on that datum alone, and ``spectral_side_eval`` still adds the values in
+file order with compensated summation.  ``residue_pair`` and ``per_term``
+are the same code applied to one datum.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ import numpy as np
 from .errors import InputError, PoleCollisionError
 from .perron import SmoothingParams, kernel_denominator, panel_width
 from .quadrature import LineIntegral, vertical_line_integral
-from .summation import neumaier_sum_complex
+from .summation import neumaier_sum_complex, neumaier_sum_rows
 
 #: kernel exponent of the rank-one model space
 NU_DEFAULT = 2
@@ -122,26 +129,39 @@ class Spectrum:
             if len(parts) != len(header):
                 raise InputError(f"{path}:{ln}: expected {len(header)} fields")
             try:
-                *z_fields, w = (float(p) for p in parts[1:])
+                values = [float(p) for p in parts[1:]]
             except ValueError as exc:
                 raise InputError(f"{path}:{ln}: {exc}") from None
+            for p, v in zip(parts[1:], values):
+                if not math.isfinite(v):
+                    raise InputError(f"{path}:{ln}: non-finite field {p!r}")
+            *z_fields, w = values
             rows.append(SpectralDatum(parts[0], to_z(*z_fields, rho_norm), w))
         return cls(data=tuple(rows), rho_norm=rho_norm)
 
 
-def _check_collisions(z_xi: complex, params: SmoothingParams, nu: int) -> None:
-    if abs(z_xi) < POLE_TOL:
+def _check_collisions(z: np.ndarray, params: SmoothingParams) -> None:
+    """Refuse the first z_xi, in array order, that sits on another pole of phi."""
+    mth = params.theta * np.arange(1, params.ell + 1)
+    at_zero = np.abs(z) < POLE_TOL
+    # Both (z - z_xi) and (z + z_xi) matter: collision whenever
+    # z_xi^2 is within tolerance of (m theta)^2.
+    zc = z[:, None]
+    on_train = np.minimum(np.abs(zc - mth), np.abs(zc + mth)) < POLE_TOL
+    bad = at_zero | on_train.any(axis=1)
+    if not bad.any():
+        return
+    k = int(np.argmax(bad))
+    z_xi = complex(z[k])
+    if at_zero[k]:
         raise PoleCollisionError(
             f"z_xi = {z_xi}: the two residue points +/- z_xi collide at 0"
         )
-    for m in range(1, params.ell + 1):
-        # Both (z - z_xi) and (z + z_xi) matter: collision whenever
-        # z_xi^2 is within tolerance of (m theta)^2.
-        if min(abs(z_xi - m * params.theta), abs(z_xi + m * params.theta)) < POLE_TOL:
-            raise PoleCollisionError(
-                f"z_xi = {z_xi} collides with kernel pole at -{m}*theta "
-                f"(theta = {params.theta}); shift theta"
-            )
+    m = int(np.argmax(on_train[k])) + 1
+    raise PoleCollisionError(
+        f"z_xi = {z_xi} collides with kernel pole at -{m}*theta "
+        f"(theta = {params.theta}); shift theta"
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -157,53 +177,118 @@ def _train_weights(params: SmoothingParams) -> np.ndarray:
     )
 
 
+# Complex products, powers and quotients over arrays, spelled out in real
+# arithmetic as Python's complex type computes them (CPython's c_prod, c_powu
+# and c_quot).  numpy's own complex multiply fuses multiply-adds where the CPU
+# has them and its divide multiplies by a reciprocal; A + B + Per cancels by
+# up to four digits, which magnifies one such rounding to ~1e-12 relative.
+
+
+def _pack(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = re.astype(complex)
+    out.imag = im
+    return out
+
+
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _pack(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def _cpow(x: np.ndarray, n: int) -> np.ndarray:
+    """x**n for an integer n >= 1, by Python's square-and-multiply."""
+    r = np.ones_like(x)
+    while True:
+        if n & 1:
+            r = _cmul(r, x)
+        n >>= 1
+        if not n:
+            return r
+        x = _cmul(x, x)
+
+
+def _cdiv(a, b) -> np.ndarray:
+    """a / b by Smith's algorithm, dividing by the scaled denominator; b != 0."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    by_re = np.abs(br) >= np.abs(bi)
+    big, small = np.where(by_re, br, bi), np.where(by_re, bi, br)
+    ratio = small / big
+    denom = big + small * ratio
+    return _pack(
+        np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom,
+        np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom,
+    )
+
+
+def _datum_terms(
+    z: np.ndarray, X: float, params: SmoothingParams, nu: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A, B and Per (module docstring) for every z_xi of a 1-D complex array.
+
+    The residues use the closed three-factor Leibniz rule on
+    (z -/+ z_xi)^{-nu} * e^{zX} * (1/q(z)); all derivatives are explicit:
+
+        d^i (z + s)^{-nu} = (-1)^i (nu)_i (z + s)^{-nu-i}
+        d^j e^{zX}        = X^j e^{zX}
+        d^k (1/q)         = sum_m w_m (-1)^k k! (z + m theta)^{-k-1}
+
+    The loops run over the derivative orders (i, j); the data and the train
+    index m are array axes.  Every z_xi is checked for collisions before any
+    value is computed.
+    """
+    if nu < 1 or int(nu) != nu:
+        raise InputError(f"kernel exponent nu must be a positive integer, got {nu}")
+    _check_collisions(z, params)
+    ell, theta = params.ell, params.theta
+    wm = _train_weights(params)
+    mth = theta * np.arange(1, ell + 1)
+    n = nu - 1
+
+    def full_residue(at: np.ndarray) -> np.ndarray:
+        # residue of (z + at)^{-nu} e^{zX} / q(z) at z = at, where
+        # (z - at)^{nu} has been stripped: (1/(nu-1)!) d^{nu-1} at `at`.
+        gap = at + at  # at minus the other pole -at
+        exp_at = np.exp(at * X)
+        shifted = at[:, None] + mth
+        total = np.zeros_like(at)
+        for i in range(n + 1):
+            poch = 1.0
+            for t in range(i):
+                poch *= nu + t
+            f1 = (-1.0) ** i * poch * _cdiv(1.0, _cpow(gap, nu + i))
+            for j in range(n - i + 1):
+                k = n - i - j
+                f2 = X**j * exp_at
+                # numpy's complex power, not _cpow: reports rest on its rounding
+                f3 = np.sum(wm * (-1.0) ** k * math.factorial(k) * shifted ** (-(k + 1.0)), axis=-1)
+                coef = math.factorial(n) / (
+                    math.factorial(i) * math.factorial(j) * math.factorial(k)
+                )
+                total += _cmul(_cmul(coef * f1, f2), f3)
+        return _cdiv(total, math.factorial(n))
+
+    # pole train as displayed: term m is (-1)^(m-1) e^{-m theta X} over
+    # (m-1)! (ell-m)! (z_xi^2 - m^2 theta^2)^nu
+    ms = range(1, ell + 1)
+    decay = np.array([(-1.0) ** (m - 1) * cmath.exp(-m * theta * X) for m in ms])
+    facts = np.array([math.factorial(m - 1) * math.factorial(ell - m) for m in ms], dtype=float)
+    zc = z[:, None]
+    den = facts * _cpow(_cmul(zc, zc) - mth**2, nu)
+    per = _cdiv(neumaier_sum_rows(_cdiv(decay, den)), theta ** (ell - 1))
+    AB = full_residue(np.concatenate([z, -z]))  # A and B in one pass
+    return AB[: z.size], AB[z.size :], per
+
+
 def residue_pair(
     z_xi: complex,
     X: float,
     params: SmoothingParams,
     nu: int = NU_DEFAULT,
 ) -> tuple[complex, complex]:
-    """Full residues (A, B) of phi at z = +z_xi and z = -z_xi.
-
-    Closed form via the three-factor Leibniz rule on
-    (z -/+ z_xi)^{-nu} * e^{zX} * (1/q(z)); all derivatives are explicit:
-
-        d^i (z + s)^{-nu} = (-1)^i (nu)_i (z + s)^{-nu-i}
-        d^j e^{zX}        = X^j e^{zX}
-        d^k (1/q)         = sum_m w_m (-1)^k k! (z + m theta)^{-k-1}
-    """
-    if nu < 1 or int(nu) != nu:
-        raise InputError(f"kernel exponent nu must be a positive integer, got {nu}")
-    z_xi = complex(z_xi)
-    _check_collisions(z_xi, params, nu)
-    wm = _train_weights(params)
-    mths = params.theta * np.arange(1, params.ell + 1)
-
-    def full_residue(at: complex, other_pole: complex) -> complex:
-        # residue of (z - other_pole)^{-nu} e^{zX} / q(z) at z = at,
-        # where (z - at)^{nu} has been stripped: (1/(nu-1)!) d^{nu-1} at `at`.
-        n = nu - 1
-        gap = at - other_pole  # = +/- 2 z_xi
-        exp_at = cmath.exp(at * X)
-        total = 0.0 + 0.0j
-        for i in range(n + 1):
-            poch = 1.0
-            for t in range(i):
-                poch *= nu + t
-            f1 = (-1.0) ** i * poch * gap ** (-nu - i)
-            for j in range(n - i + 1):
-                k = n - i - j
-                f2 = X**j * exp_at
-                f3 = complex(np.sum(wm * (-1.0) ** k * math.factorial(k) * (at + mths) ** (-(k + 1.0))))
-                coef = math.factorial(n) / (
-                    math.factorial(i) * math.factorial(j) * math.factorial(k)
-                )
-                total += coef * f1 * f2 * f3
-        return total / math.factorial(n)
-
-    A = full_residue(z_xi, -z_xi)
-    B = full_residue(-z_xi, z_xi)
-    return A, B
+    """Full residues (A, B) of phi at z = +z_xi and z = -z_xi (see
+    ``_datum_terms`` for the closed form)."""
+    A, B, _ = _datum_terms(np.array([complex(z_xi)]), X, params, nu)
+    return complex(A[0]), complex(B[0])
 
 
 def per_term(
@@ -218,18 +303,7 @@ def per_term(
     when nu is even (the model case); for odd nu the displayed denominator
     (z_xi^2 - m^2 theta^2)^nu differs from the residue sum by a global sign.
     """
-    z_xi = complex(z_xi)
-    _check_collisions(z_xi, params, nu)
-    ell, theta = params.ell, params.theta
-    terms = []
-    for m in range(1, ell + 1):
-        den = (z_xi * z_xi - (m * theta) ** 2) ** nu
-        terms.append(
-            (-1.0) ** (m - 1)
-            * cmath.exp(-m * theta * X)
-            / (math.factorial(m - 1) * math.factorial(ell - m) * den)
-        )
-    return neumaier_sum_complex(terms) / theta ** (ell - 1)
+    return complex(_datum_terms(np.array([complex(z_xi)]), X, params, nu)[2][0])
 
 
 def convention_sign(nu: int) -> int:
@@ -253,28 +327,34 @@ def spectral_side_eval(
 ) -> SpectralValue:
     """Sum of datum contributions w (A + B [+ Per]) at count parameter X.
 
-    The constant datum (lambda = 0) omits Per.  Data are processed in file
-    order and combined with compensated summation.
+    The constant datum (lambda = 0) omits Per.  Every datum's contribution
+    comes from one array evaluation over the whole spectrum; the total adds
+    them in file order with compensated summation.
     """
     if X <= 0:
         raise InputError(f"count parameter X must be > 0, got {X}")
-    contribs = []
-    constants = []
-    for d in spectrum:
-        A, B = residue_pair(d.z, X, params, nu)
-        if d.is_constant(spectrum.rho_norm):
-            val = d.weight * (A + B)
-            constants.append(d.label)
-        else:
-            val = d.weight * (A + B + per_term(d.z, X, params, nu))
-        contribs.append((d.label, val))
-    total = neumaier_sum_complex(v for _, v in contribs)
+    data = spectrum.data
+    z = np.array([d.z for d in data], dtype=complex)
+    w = np.array([d.weight for d in data], dtype=float)
+    const = np.array([d.is_constant(spectrum.rho_norm) for d in data], dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        A, B, per = _datum_terms(z, X, params, nu)
+        pair = A + B
+        contrib = w * np.where(const, pair, pair + per)
+    finite = np.isfinite(contrib)
+    if not finite.all():
+        d = data[int(np.argmin(finite))]
+        raise InputError(
+            f"datum {d.label!r} (z_xi = {d.z}) overflows at X = {X}: "
+            "its contribution is not a finite number"
+        )
+    values = contrib.tolist()
     return SpectralValue(
-        total=total,
-        per_datum=tuple(contribs),
+        total=neumaier_sum_complex(values),
+        per_datum=tuple(zip((d.label for d in data), values)),
         nu=nu,
         sign=convention_sign(nu),
-        constant_labels=tuple(constants),
+        constant_labels=tuple(d.label for d, c in zip(data, const) if c),
     )
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
+import numpy as np
+
 
 class NeumaierSum:
     """Running compensated sum (Neumaier 1974).
@@ -49,3 +51,18 @@ def neumaier_sum_complex(xs: Iterable[complex]) -> complex:
         re.add(xc.real)
         im.add(xc.imag)
     return complex(re.value, im.value)
+
+
+def neumaier_sum_rows(x: np.ndarray) -> np.ndarray:
+    """Compensated sum of each row of a 2-D complex array, columns added left
+    to right: entry k equals ``neumaier_sum_complex(x[k])`` bit for bit."""
+    out = np.empty(x.shape[0], dtype=complex)
+    for part, dest in ((x.real, out.real), (x.imag, out.imag)):
+        s = np.zeros(x.shape[0])
+        c = np.zeros(x.shape[0])
+        for col in part.T:
+            t = s + col
+            c += np.where(np.abs(s) >= np.abs(col), (s - t) + col, (col - t) + s)
+            s = t
+        dest[:] = s + c
+    return out

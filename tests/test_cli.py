@@ -175,6 +175,59 @@ def test_compare_emits_rows_without_verdict(census_csv, spectrum_csv):
     for row in rows:
         assert row["geometric_signed"] == row["geometric"]  # sign is +1 at nu=2
     assert "no pass/fail" in doc["compare"]["note"]
+    # the spectral column is the spectral-side total, bit for bit
+    side = run_cli(
+        "spectral-side", "--spectrum", str(spectrum_csv), "--x", "0.5,1.0",
+        "--theta", "0.8",
+    )
+    assert side.returncode == 0, side.stderr
+    totals = {e["x"]: e["total"] for e in json.loads(side.stdout)["spectral"]["evaluations"]}
+    for row in rows:
+        assert row["spectral"] == totals[row["x"]]
+        assert row["difference"] == row["geometric_signed"] - row["spectral"]["re"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spectral-side", "--spectrum", "{spectrum}", "--x", "nan", "--theta", "0.8"],
+         "bad X list 'nan': every entry must be finite"),
+        (["spectral-side", "--spectrum", "{spectrum}", "--x", "1,inf", "--theta", "0.8"],
+         "bad X list '1,inf': every entry must be finite"),
+        (["smoothed-count", "--census", "{census}", "--x", "nan"],
+         "argument --x: not a finite number: 'nan'"),
+        (["compare", "--census", "{census}", "--spectrum", "{spectrum}", "--x", "nan",
+          "--theta", "0.8"], "bad X list 'nan': every entry must be finite"),
+        (["poincare", "--census", "{census}", "--z", "inf"],
+         "argument --z: not a finite number: 'inf'"),
+        (["poincare", "--census", "{census}", "--z", "6", "--z-im", "nan"],
+         "argument --z-im: not a finite number: 'nan'"),
+        (["spectral-side", "--spectrum", "{nan_spectrum}", "--x", "1", "--theta", "0.8"],
+         "nan.csv:3: non-finite field 'nan'"),
+        (["oracle-torus", "--n", "2", "--nu", "2", "--lam", "-1", "--point", "0.1,nan"],
+         "bad point list '0.1,nan': every entry must be finite"),
+        (["oracle-torus", "--n", "1", "--lam", "-1", "--point", "x"],
+         "bad point list 'x': could not convert string to float: 'x'"),
+    ],
+    ids=["spectral-x-nan", "spectral-x-inf", "smoothed-x-nan", "compare-x-nan",
+         "poincare-z-inf", "poincare-z-im-nan", "spectrum-row-nan", "torus-point-nan",
+         "torus-point-text"],
+)
+def test_non_finite_numbers_exit_1(tmp_path, capsys, census_csv, spectrum_csv, argv, message):
+    nan_spectrum = tmp_path / "nan.csv"
+    nan_spectrum.write_text("label,lambda,weight\nconst,0.0,1.0\nlow,nan,2.0\n")
+    argv = [
+        a.format(census=census_csv, spectrum=spectrum_csv, nan_spectrum=nan_spectrum)
+        for a in argv
+    ]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse refuses the value
+        code = exc.code
+    assert code == 1
+    out = capsys.readouterr()
+    assert message in out.err
+    assert out.out == ""
 
 
 def test_oracle_torus(tmp_path):

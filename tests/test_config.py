@@ -56,6 +56,14 @@ def test_validation():
         RunConfig(work_budget=0).validate()
 
 
+@pytest.mark.parametrize("line", ["c_g = nan", "theta = inf", "quad_tol = -inf"])
+def test_config_refuses_non_finite(tmp_path, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(InputError, match="is not a finite number"):
+        load_config_file(cfg)
+
+
 def test_complex_fields():
     assert complex_fields(complex(1.5, -2.0)) == {"re": 1.5, "im": -2.0}
 

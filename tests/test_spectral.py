@@ -1,8 +1,10 @@
 """Residue calculus for the spectral expansion: closed forms against the
 circle oracle and the assembled global contour."""
 
+import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,6 +14,9 @@ from orbitcount.quadrature import cauchy_circle_residue
 from orbitcount.spectral import (
     SpectralDatum,
     Spectrum,
+    _cdiv,
+    _cmul,
+    _cpow,
     branch_z,
     convention_sign,
     global_contour_oracle,
@@ -28,14 +33,18 @@ GRID = [0.6 + 0j, 1.25 + 0j, 2.6 + 0j, 0.45 + 1.1j, 1.4 + 0.8j]
 WEIGHTS = [1.3, 0.7, 0.25, 0.9, 0.4]
 
 
-def _phi(z_xi, X):
+def _phi_general(z_xi, X, sm, nu):
     def f(z):
         z = np.asarray(z, dtype=complex)
         return np.exp(z * X) / (
-            (z - z_xi) ** NU * (z + z_xi) ** NU * kernel_denominator(SM, z)
+            (z - z_xi) ** nu * (z + z_xi) ** nu * kernel_denominator(sm, z)
         )
 
     return f
+
+
+def _phi(z_xi, X):
+    return _phi_general(z_xi, X, SM, NU)
 
 
 def _spectrum(zs=GRID, ws=WEIGHTS):
@@ -158,6 +167,12 @@ def test_side_eval_rejects_nonpositive_x():
         spectral_side_eval(_spectrum(), 0.0, SM, NU)
 
 
+def test_side_eval_refuses_overflow():
+    # e^{z_xi X} passes the float range for z_xi = 0.6 at X = 1200
+    with pytest.raises(InputError, match=r"datum 'd0' \(z_xi = \(0.6\+0j\)\) overflows at X = 1200"):
+        spectral_side_eval(_spectrum(), 1200.0, SM, NU)
+
+
 def test_sign_convention():
     assert convention_sign(2) == 1
     assert convention_sign(1) == -1
@@ -194,6 +209,9 @@ def test_spectrum_csv_both_headers(tmp_path):
         ("label,z_re,z_im,weight", "b,0.5,1.0,1.0,1.0", "expected 4 fields"),
         ("label,z_re,z_im,weight", "b,0.5,i,1.0", "could not convert string to float: 'i'"),
         ("label,z_re,z_im,weight", "b,0.5,1.0,heavy", "could not convert string to float: 'heavy'"),
+        ("label,lambda,weight", "low,nan,2.0", "non-finite field 'nan'"),
+        ("label,lambda,weight", "low,-3.0,inf", "non-finite field 'inf'"),
+        ("label,z_re,z_im,weight", "a,inf,0.0,1.0", "non-finite field 'inf'"),
     ],
 )
 def test_spectrum_csv_rejects_malformed_rows(tmp_path, header, bad, message):
@@ -202,3 +220,174 @@ def test_spectrum_csv_rejects_malformed_rows(tmp_path, header, bad, message):
     path.write_text(f"{header}\n{good}\n{bad}\n{good}\n")
     with pytest.raises(InputError, match=re.escape(f"{path}:3: {message}")):
         Spectrum.from_csv(path)
+
+
+# A mixed spectrum for the array evaluator: the constant datum (z = 1), real,
+# purely imaginary and complex parameters.  theta = 0.7 keeps every +/- z_xi
+# at least 0.3 from the train -0.7, -1.4, -2.1, far outside the 1e-2 circles.
+MIXED = Spectrum(
+    (
+        SpectralDatum("const", 1.0 + 0j, 1.0),
+        SpectralDatum("real", 0.35 + 0j, 2.0),
+        SpectralDatum("imag", 3.2j, 0.7),
+        SpectralDatum("cplx1", 0.45 + 1.1j, 0.9),
+        SpectralDatum("cplx2", 1.4 + 0.8j, 0.4),
+        SpectralDatum("real2", 2.6 + 0j, 0.25),
+    )
+)
+
+
+def _displayed_per(z_xi, X, sm, nu):
+    th, ell = sm.theta, sm.ell
+    return sum(
+        (-1) ** (m - 1) * np.exp(-m * th * X)
+        / (math.factorial(m - 1) * math.factorial(ell - m) * (z_xi**2 - (m * th) ** 2) ** nu)
+        for m in range(1, ell + 1)
+    ) / th ** (ell - 1)
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3])
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_array_evaluator_matches_circle_oracle(nu, ell):
+    sm = SmoothingParams(ell=ell, theta=0.7)
+
+    def res(f, at):
+        # radius 0.1: every other pole is >= 0.3 away; the larger circle
+        # keeps the third-order poles' rounding near 1e-14 of the addends
+        return cauchy_circle_residue(f, complex(at), radius=0.1)
+
+    for X in (0.8, 2.3):
+        val = spectral_side_eval(MIXED, X, sm, nu)
+        assert val.constant_labels == ("const",)
+        assert [lab for lab, _ in val.per_datum] == [d.label for d in MIXED]
+        for d, (_, got) in zip(MIXED, val.per_datum):
+            f = _phi_general(d.z, X, sm, nu)
+            parts = [res(f, d.z), res(f, -d.z)]
+            if d.label != "const":
+                if nu % 2 == 0:
+                    parts.append(sum(res(f, p) for p in sm.pole_train))
+                else:
+                    parts.append(_displayed_per(d.z, X, sm, nu))
+            want = d.weight * sum(parts)
+            scale = d.weight * sum(abs(t) for t in parts)
+            assert abs(got - want) <= 1e-12 * scale, (d.label, got, want)
+
+
+def test_per_datum_values_do_not_depend_on_neighbours():
+    rng = np.random.default_rng(7)
+    zs = np.concatenate(
+        [rng.uniform(0.05, 0.6, 40), 1j * rng.uniform(0.5, 20.0, 460), [1.0]]
+    )
+    sp = Spectrum(
+        tuple(SpectralDatum(f"d{i}", complex(z), float(w))
+              for i, (z, w) in enumerate(zip(zs, rng.uniform(0.5, 2.0, zs.size))))
+    )
+    back = Spectrum(tuple(reversed(sp.data)))
+    for sm in (SmoothingParams(ell=2, theta=0.8), SmoothingParams(ell=3, theta=0.75)):
+        for X in (1.0, 3.5):
+            fwd = spectral_side_eval(sp, X, sm, NU)
+            rev = spectral_side_eval(back, X, sm, NU)
+            assert rev.per_datum == tuple(reversed(fwd.per_datum))
+            assert rev.constant_labels == fwd.constant_labels == ("d500",)
+            one = spectral_side_eval(Spectrum(sp.data[123:124]), X, sm, NU)
+            assert one.per_datum == fwd.per_datum[123:124]
+
+
+def test_collision_inside_a_large_spectrum_names_the_datum():
+    sm = SmoothingParams(ell=2, theta=0.8)
+    data = [SpectralDatum(f"t{k}", complex(0.0, y), 1.0)
+            for k, y in enumerate(np.linspace(1.5, 20.0, 2000))]
+    data[1000] = SpectralDatum("bad", 1.6 + 0j, 1.0)  # z_xi = 2 theta
+    data[1500] = SpectralDatum("zero", 1e-9 + 0j, 1.0)  # a later collision
+    with pytest.raises(PoleCollisionError) as info:
+        spectral_side_eval(Spectrum(tuple(data)), 1.0, sm, NU)
+    assert str(info.value) == (
+        "z_xi = (1.6+0j) collides with kernel pole at -2*theta (theta = 0.8); shift theta"
+    )
+
+
+def test_header_only_spectrum(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("label,lambda,weight\n")
+    val = spectral_side_eval(Spectrum.from_csv(path), 1.0, SM, NU)
+    assert val.total == 0
+    assert val.per_datum == ()
+    assert val.constant_labels == ()
+
+
+@pytest.mark.parametrize("nu", [0, 1.5])
+@pytest.mark.parametrize("spectrum", [_spectrum(), Spectrum(())], ids=["five", "empty"])
+def test_side_eval_rejects_bad_nu(spectrum, nu):
+    with pytest.raises(InputError, match="nu must be a positive integer"):
+        spectral_side_eval(spectrum, 1.0, SM, nu)
+
+
+def _mp_datum_value(z_xi, X, theta, ell, nu):
+    """w = 1 contribution A + B + Per at 40 digits, by numerical
+    differentiation and the train's simple-pole residues."""
+    with mpmath.workdps(40):
+        xi, X, theta = mpmath.mpc(z_xi), mpmath.mpf(X), mpmath.mpf(theta)
+
+        def q(z):
+            return mpmath.fprod(z + m * theta for m in range(1, ell + 1))
+
+        def residue_at(at):
+            g = lambda z: mpmath.exp(z * X) / ((z + at) ** nu * q(z))
+            return mpmath.diff(g, at, nu - 1) / mpmath.factorial(nu - 1)
+
+        per = mpmath.fsum(
+            mpmath.exp(-m * theta * X)
+            / ((m * m * theta * theta - xi * xi) ** nu
+               * mpmath.fprod((k - m) * theta for k in range(1, ell + 1) if k != m))
+            for m in range(1, ell + 1)
+        )
+        return complex(residue_at(xi) + residue_at(-xi) + per)
+
+
+@pytest.mark.parametrize(
+    "z_xi, X",
+    [(0.3185437927620648 + 0j, 1.0), (16.27594765718209j, 1.0), (7.349297750656915j, 4.0)],
+)
+def test_cancelling_data_match_mpmath(z_xi, X):
+    # A + B + Per cancels by up to four digits on these data
+    sm = SmoothingParams(ell=2, theta=0.8)
+    got = spectral_side_eval(Spectrum((SpectralDatum("d", z_xi, 1.0),)), X, sm, 2)
+    want = _mp_datum_value(z_xi, X, 0.8, 2, 2)
+    assert abs(got.total - want) <= 5e-12 * abs(want)
+
+
+def _prod(a, b):
+    return complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def _quot(a, b):
+    # Smith's algorithm as CPython's complex division computes it
+    if abs(b.real) >= abs(b.imag):
+        ratio = b.imag / b.real
+        denom = b.real + b.imag * ratio
+        return complex((a.real + a.imag * ratio) / denom, (a.imag - a.real * ratio) / denom)
+    ratio = b.real / b.imag
+    denom = b.real * ratio + b.imag
+    return complex((a.real * ratio + a.imag) / denom, (a.imag * ratio - a.real) / denom)
+
+
+def test_complex_helpers_round_like_scalar_formulas():
+    rng = np.random.default_rng(11)
+    scale = 10.0 ** rng.uniform(-3, 3, (2, 400))
+    a = (rng.normal(size=400) + 1j * rng.normal(size=400)) * scale[0]
+    b = (rng.normal(size=400) + 1j * rng.normal(size=400)) * scale[1]
+    b[:4] = [2.5, -1.5j, 3.0 + 1e-300j, 1e-300 - 4.0j]  # real, imaginary, lopsided
+    assert _cmul(a, b).tolist() == [_prod(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert _cdiv(a, b).tolist() == [_quot(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    for n in range(1, 7):
+        want = []
+        for x in b.tolist():
+            # square-and-multiply, the order of CPython's c_powu
+            r, p, k = 1 + 0j, x, n
+            while k:
+                if k & 1:
+                    r = _prod(r, p)
+                k >>= 1
+                p = _prod(p, p)
+            want.append(r)
+        assert _cpow(b, n).tolist() == want

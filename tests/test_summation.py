@@ -5,7 +5,7 @@ import math
 import numpy as np
 from hypothesis import given, strategies as st
 
-from orbitcount.summation import NeumaierSum, neumaier_sum_complex
+from orbitcount.summation import NeumaierSum, neumaier_sum_complex, neumaier_sum_rows
 
 finite = st.floats(
     allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12
@@ -63,3 +63,15 @@ def test_complex_parts_are_independent():
     zs = [complex(1e16, 1.0), complex(1.0, -1e16), complex(-1e16, 1e16)]
     got = neumaier_sum_complex(zs)
     assert got == complex(1.0, 1.0)
+
+
+@given(st.lists(st.tuples(finite, finite), min_size=0, max_size=5), st.integers(1, 6))
+def test_rows_equal_the_scalar_sum(cols, rows):
+    # every row the same columns, shuffled per row, plus a cancelling pair
+    rng = np.random.default_rng(len(cols) * 7 + rows)
+    base = [complex(a, b) for a, b in cols] + [1e16 + 1j, -1e16 - 1j]
+    x = np.array([rng.permutation(base) for _ in range(rows)])
+    got = neumaier_sum_rows(x)
+    for k in range(rows):
+        want = neumaier_sum_complex(x[k].tolist())
+        assert got[k].real == want.real and got[k].imag == want.imag
