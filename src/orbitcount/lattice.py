@@ -64,6 +64,10 @@ _PRUNED_BLOCK = 16
 #: subgroup): 4 diagonal unit matrices and 4 antidiagonal ones.
 COMPACT_COUNT = 8
 
+#: Largest |entry| a census row may hold: it keeps F and the determinant
+#: (sums of products of two entries) inside int64.
+MAX_ENTRY = 1 << 30
+
 
 # ---------------------------------------------------------------------------
 # Gaussian-integer arithmetic on (re, im) int pairs
@@ -240,25 +244,24 @@ class Census:
 
     @classmethod
     def from_rows(cls, arr: np.ndarray, cutoff: float | None) -> "Census":
-        """Validate determinants, sort canonically, derive F."""
+        """Validate entries and determinants, sort canonically, derive F."""
         arr = np.asarray(arr, dtype=np.int64).reshape(-1, 8)
-        if arr.shape[0]:
-            det_re = (
-                arr[:, 0] * arr[:, 6] - arr[:, 1] * arr[:, 7]
-                - arr[:, 2] * arr[:, 4] + arr[:, 3] * arr[:, 5]
-            )
-            det_im = (
-                arr[:, 0] * arr[:, 7] + arr[:, 1] * arr[:, 6]
-                - arr[:, 2] * arr[:, 5] - arr[:, 3] * arr[:, 4]
-            )
-            if np.any(det_re != 1) or np.any(det_im != 0):
-                bad = int(np.flatnonzero((det_re != 1) | (det_im != 0))[0])
-                raise InputError(f"row {bad}: determinant is not 1")
-        f = np.sum(arr * arr, axis=1) if arr.size else np.zeros(0, np.int64)
-        order = np.lexsort(tuple(arr[:, j] for j in range(7, -1, -1)) + (f,))
-        arr = arr[order]
+        if arr.shape[0] and (arr.max() > MAX_ENTRY or arr.min() < -MAX_ENTRY):
+            wide = ((arr > MAX_ENTRY) | (arr < -MAX_ENTRY)).any(axis=1)
+            raise InputError(f"row {int(np.argmax(wide))}: an entry exceeds 2^30 in absolute value")
+        bad = np.flatnonzero(
+            (arr[:, 0] * arr[:, 6] - arr[:, 1] * arr[:, 7]
+             - arr[:, 2] * arr[:, 4] + arr[:, 3] * arr[:, 5] != 1)
+            | (arr[:, 0] * arr[:, 7] + arr[:, 1] * arr[:, 6]
+               - arr[:, 2] * arr[:, 5] - arr[:, 3] * arr[:, 4] != 0)
+        )
+        if bad.size:
+            raise InputError(f"row {bad[0]}: determinant is not 1")
+        f = np.sum(arr * arr, axis=1)
+        order, same = _canonical_order(arr, f)
         f = f[order]
-        dup = np.flatnonzero((arr[1:] == arr[:-1]).all(axis=1))
+        arr = arr[order]
+        dup = np.flatnonzero(same)
         if dup.size:
             raise InputError(f"duplicate row {arr[dup[0]].tolist()}")
         if cutoff is None:
@@ -267,6 +270,33 @@ class Census:
             # cutoff, or it would have been enumerated).
             cutoff = float(np.exp(0.5 * np.arccosh(0.5 * float(f[-1])))) if f.size else 1.0
         return cls(rows=arr, fnorm=f, cutoff=float(cutoff))
+
+
+def _canonical_order(arr: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Permutation sorting rows by (F, re a, im a, ..., im d), and a mask of
+    the sorted rows equal to their successor.
+
+    Every census up to cutoff 32 fits the key into one int64 word: F in the
+    top bits, then each entry, shifted to start at 0, in the bit length of
+    the entries' observed range.  Equal words are equal rows.  Wider rows
+    are sorted on the 9 columns.
+    """
+    low = arr.min(initial=0)
+    bits = int(arr.max(initial=0) - low).bit_length()
+    if int(f.max(initial=0)).bit_length() + 8 * bits <= 63:
+        place = 1 << (bits * np.arange(7, -1, -1))
+        # (arr - low) @ place, without an (N, 8) temporary; no partial sum
+        # reaches 2^58, as 8 * bits <= 56
+        key = arr @ place
+        key -= low * place.sum()
+        key += f << (8 * bits)
+        keys = [key]
+        order = np.argsort(key)
+    else:
+        keys = [f, *arr.T]
+        order = np.lexsort(keys[::-1])
+    same = np.logical_and.reduce([s[1:] == s[:-1] for s in (k[order] for k in keys)])
+    return order, same
 
 
 def _read_csv_rows(path: str | Path) -> np.ndarray:
@@ -557,14 +587,10 @@ def _split(seq, parts: int):
 
 
 def compact_stabilizer_rows() -> np.ndarray:
-    """The 8 gauge-1 elements, in canonical order."""
+    """The 8 gauge-1 elements, in canonical order: diag(u, 1/u) and
+    antidiag(u, -1/u) for the four units u, where 1/u = conj(u)."""
     rows = []
-    for a, d in (((1, 0), (1, 0)), ((-1, 0), (-1, 0)), ((0, 1), (0, -1)), ((0, -1), (0, 1))):
-        rows.append([a[0], a[1], 0, 0, 0, 0, d[0], d[1]])
-    for b in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        c = gneg(gconj(b))
-        rows.append([0, 0, b[0], b[1], c[0], c[1], 0, 0])
-    arr = np.asarray(rows, dtype=np.int64)
-    f = np.full(arr.shape[0], 2, dtype=np.int64)
-    order = np.lexsort(tuple(arr[:, j] for j in range(7, -1, -1)) + (f,))
-    return arr[order]
+    for u in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        rows.append([*u, 0, 0, 0, 0, *gconj(u)])
+        rows.append([0, 0, *u, *gneg(gconj(u)), 0, 0])
+    return Census.from_rows(rows, cutoff=1.0).rows

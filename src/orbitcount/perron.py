@@ -97,7 +97,8 @@ def perron_contour_oracle(
     if sigma <= 0:
         raise InputError("Perron contour needs sigma > 0")
 
-    def integrand(z):
+    def integrand(zc, dz):
+        z = zc[:, None] + dz
         return np.exp(z * X) / (z * kernel_denominator(params, z))
 
     return vertical_line_integral(
@@ -116,13 +117,17 @@ def smoothing_contour_transform(
 ) -> LineIntegral:
     """(1/(2 pi i)) int f(z) e^{zX} / prod_m (z + m theta) dz on the line.
 
-    ``f_of_z`` is any vectorized complex function (e.g. a shell-summed
-    series evaluator); the pole at z = 0 must live inside f itself if it
-    has one (the series kernels do, via their 1/z).
+    ``f_of_z`` takes the quadrature's panel centres and shared node offsets,
+    ``f_of_z(zc, dz)``, and returns its values at ``zc[:, None] + dz`` (see
+    :mod:`orbitcount.quadrature`), as the factored series evaluator
+    :func:`orbitcount.poincare.series_evaluator_for_contour` does.  The pole
+    at z = 0 must live inside f itself if it has one (the series kernels do,
+    via their 1/z).
     """
 
-    def integrand(z):
-        return f_of_z(z) * np.exp(z * X) / kernel_denominator(params, z)
+    def integrand(zc, dz):
+        z = zc[:, None] + dz
+        return f_of_z(zc, dz) * np.exp(z * X) / kernel_denominator(params, z)
 
     return vertical_line_integral(
         integrand, sigma, height, abs_tol=abs_tol, panel_width=panel_width(X)

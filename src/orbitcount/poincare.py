@@ -246,12 +246,21 @@ def series_evaluator_for_contour(
     *,
     c_g: float = DEFAULT_C_G,
 ):
-    """Vectorized z -> series value (identity point) for contour transforms.
+    """Series value (identity point) on a contour-quadrature panel grid.
 
-    Precomputes shell radii/counts once; evaluates the whole z-array per
-    call as sum_shells count * C_G * pf(r) * e^{-z r} / z.  No abscissa
-    gate here: on a vertical line every z shares one Re z and the caller
-    certifies the tail once at that abscissa.
+    Returns ``f(zc, dz)``, the integrand form of
+    :func:`orbitcount.quadrature.vertical_line_integral`: the values at
+    z = zc[:, None] + dz, of shape (panels, nodes), of
+
+        sum_shells count * C_G * pf(r) * e^{-z r} / z.
+
+    Every node is a panel centre plus an offset shared by all panels, so
+    e^{-z r} = e^{-zc r} e^{-dz r} and one call is the matrix product
+    (weights * e^{-zc (x) r}) @ e^{-r (x) dz}: panels x shells plus
+    shells x nodes exponentials instead of one per (panel, node, shell).
+    Shell radii and weights are computed once.  No abscissa gate here: on a
+    vertical line every z shares one Re z and the caller certifies the tail
+    once at that abscissa.
     """
     radii_full = census.radii
     shells = census.shells()
@@ -259,10 +268,9 @@ def series_evaluator_for_contour(
     counts = np.array([e - s for _f, s, e in shells], dtype=float)
     weights = counts * c_g * product_factor(rads)
 
-    def f(zarr: np.ndarray) -> np.ndarray:
-        zarr = np.asarray(zarr, dtype=complex)
-        ex = np.exp(-np.outer(zarr.ravel(), rads))
-        vals = (ex @ weights) / zarr.ravel()
-        return vals.reshape(zarr.shape)
+    def f(zc: np.ndarray, dz: np.ndarray) -> np.ndarray:
+        panel = weights * np.exp(-np.outer(zc, rads))
+        node = np.exp(-np.outer(rads, dz))
+        return (panel @ node) / (zc[:, None] + dz)
 
     return f

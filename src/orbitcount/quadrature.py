@@ -2,13 +2,23 @@
 
 Two primitives:
 
-* :func:`vertical_line_integral` -- (1/(2 pi i)) times the integral of a
-  vectorized integrand along the segment sigma + i [-T, T], by composite
+* :func:`vertical_line_integral` -- (1/(2 pi i)) times the integral of an
+  integrand along the segment sigma + i [-T, T], by composite
   Gauss-Legendre panels with one level of adaptive bisection driven by a
   15-vs-31-node disagreement estimate.  Panel layout depends only on
-  (T, panel width), evaluation is batched per refinement level, and the
-  accepted panels are combined in ascending order with compensated
-  summation, so results are bit-reproducible for identical inputs.
+  (T, panel width), all panels of one refinement level share one width,
+  evaluation is batched per refinement level, and the accepted panels are
+  combined in ascending order with compensated summation, so results are
+  bit-reproducible for identical inputs.
+
+  Because the panels of a level share their width h, every node of that
+  level is z = zc_j + dz_k with panel centre zc_j = sigma + i mid_j and a
+  node offset dz_k = i h x_k common to all panels.  The integrand receives
+  the two factors, ``f(zc, dz)``, and returns the (panels, nodes) array of
+  values at ``zc[:, None] + dz``.  A pointwise integrand builds that sum
+  (bit for bit the node sigma + i t); a sum of exponentials can instead
+  factor e^{-z r} = e^{-zc r} e^{-dz r} and pay one exponential per
+  (panel, term) and per (term, node) rather than per (panel, node, term).
 
 * :func:`cauchy_circle_residue` -- trapezoid rule on a small circle around
   an isolated pole.  The trapezoid rule on a periodic analytic integrand
@@ -47,20 +57,20 @@ class LineIntegral:
     panels: int
 
 
-def _panel_values(f, sigma: float, lo: np.ndarray, hi: np.ndarray, n: int):
-    """Gauss-Legendre on each [lo_j, hi_j] panel, batched into one f call.
+def _panel_values(f, sigma: float, lo: np.ndarray, width: float, n: int):
+    """Gauss-Legendre on each [lo_j, lo_j + width] panel, batched into one f call.
 
     Returns (quadrature, L1 mass, evaluation count); the mass is the same
     rule applied to |f| and bounds the roundoff accumulated by the sum.
     """
     x, w = _gl_nodes(n)
-    mid = 0.5 * (lo + hi)[:, None]
-    half = 0.5 * (hi - lo)[:, None]
-    ts = mid + half * x[None, :]
-    vals = f(sigma + 1j * ts.ravel()).reshape(ts.shape)
-    quad = (vals * w[None, :]).sum(axis=1) * half[:, 0]
-    mass = (np.abs(vals) * w[None, :]).sum(axis=1) * half[:, 0]
-    return quad, mass, ts.size
+    half = 0.5 * width
+    zc = sigma + 1j * (lo + half)
+    dz = 1j * (half * x)
+    vals = f(zc, dz)
+    quad = (vals * w).sum(axis=1) * half
+    mass = (np.abs(vals) * w).sum(axis=1) * half
+    return quad, mass, zc.size * dz.size
 
 
 def vertical_line_integral(
@@ -74,7 +84,9 @@ def vertical_line_integral(
 ) -> LineIntegral:
     """(1/(2 pi i)) * integral of f over sigma + i[-height, height].
 
-    ``f`` must accept a complex ndarray and evaluate elementwise.  When
+    ``f(zc, dz)`` gets the panel centres ``zc`` (shape (panels,)) and the
+    node offsets ``dz`` (shape (nodes,), shared by every panel of the call)
+    and returns its values at ``zc[:, None] + dz``.  When
     ``conj_symmetric`` (f(conj z) = conj f(z), true for every kernel here
     with real parameters), only t >= 0 is integrated and the mirror half is
     folded in as the conjugate, halving the work.
@@ -90,21 +102,28 @@ def vertical_line_integral(
     t_lo = 0.0 if conj_symmetric else -height
     n_panels = int(np.ceil((height - t_lo) / width))
     edges = t_lo + (height - t_lo) * np.arange(n_panels + 1) / n_panels
-    lo = edges[:-1]
-    hi = edges[1:]
+    steps = np.diff(edges)
+    if np.all(steps == steps[0]):
+        # evenly spaced already (every whole-number width is): these edges
+        # keep the nodes, and so the results, of the edge layout to the bit
+        lo, width = edges[:-1], float(steps[0])
+    else:
+        # even by construction; the last panel may end an ulp off height
+        width = (height - t_lo) / n_panels
+        lo = t_lo + width * np.arange(n_panels)
 
     accepted: list[tuple[float, complex]] = []
     err_total = 0.0
     evals = 0
     for _level in range(_MAX_LEVELS):
-        coarse, _, e1 = _panel_values(f, sigma, lo, hi, 15)
-        fine, mass, e2 = _panel_values(f, sigma, lo, hi, 31)
+        coarse, _, e1 = _panel_values(f, sigma, lo, width, 15)
+        fine, mass, e2 = _panel_values(f, sigma, lo, width, 31)
         evals += e1 + e2
         err = np.abs(fine - coarse)
         # Per-panel budget proportional to panel length keeps the refinement
         # from chasing noise in short panels; the mass term is the roundoff
         # floor of the rule itself, below which bisection cannot help.
-        budget = abs_tol * (hi - lo) / (2.0 * height) * 0.5
+        budget = abs_tol * width / (2.0 * height) * 0.5
         floor = 64.0 * np.finfo(float).eps * mass
         ok = err <= np.maximum(budget, floor)
         for j in np.flatnonzero(ok):
@@ -113,16 +132,14 @@ def vertical_line_integral(
         if ok.all():
             break
         lo_bad = lo[~ok]
-        hi_bad = hi[~ok]
         if 2 * lo_bad.size > _MAX_WORKLIST:
             raise QuadratureError(
                 f"contour refinement exceeded {_MAX_WORKLIST} live panels "
                 f"at abs_tol={abs_tol:g}; the integrand is rougher than "
                 "this rule can resolve"
             )
-        mid = 0.5 * (lo_bad + hi_bad)
-        lo = np.concatenate([lo_bad, mid])
-        hi = np.concatenate([mid, hi_bad])
+        width *= 0.5
+        lo = np.concatenate([lo_bad, lo_bad + width])
     else:
         raise QuadratureError(
             f"contour panels failed to reach abs_tol={abs_tol:g} "

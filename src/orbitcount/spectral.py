@@ -35,7 +35,8 @@ every datum of a spectrum at one X, with loops only over the derivative
 orders (at most nu each) and the train index.  Each datum's value depends
 on that datum alone, and ``spectral_side_eval`` still adds the values in
 file order with compensated summation.  ``residue_pair`` and ``per_term``
-are the same code applied to one datum.
+are the same code applied to one datum; each computes only its own part
+(the residues, or the pole train), with the array pass's bits.
 """
 
 from __future__ import annotations
@@ -142,22 +143,21 @@ class Spectrum:
 
 def _check_collisions(z: np.ndarray, params: SmoothingParams) -> None:
     """Refuse the first z_xi, in array order, that sits on another pole of phi."""
-    mth = params.theta * np.arange(1, params.ell + 1)
-    at_zero = np.abs(z) < POLE_TOL
-    # Both (z - z_xi) and (z + z_xi) matter: collision whenever
-    # z_xi^2 is within tolerance of (m theta)^2.
-    zc = z[:, None]
-    on_train = np.minimum(np.abs(zc - mth), np.abs(zc + mth)) < POLE_TOL
-    bad = at_zero | on_train.any(axis=1)
+    ell = params.ell
+    mth = params.theta * np.arange(1, ell + 1)
+    # Both (z - z_xi) and (z + z_xi) matter: collision whenever z_xi is
+    # within tolerance of 0 (the two residue points meet) or of +/- m theta.
+    near = np.abs(z[:, None] - np.concatenate(([0.0], mth, -mth))) < POLE_TOL
+    bad = near.any(axis=1)
     if not bad.any():
         return
     k = int(np.argmax(bad))
     z_xi = complex(z[k])
-    if at_zero[k]:
+    if near[k, 0]:
         raise PoleCollisionError(
             f"z_xi = {z_xi}: the two residue points +/- z_xi collide at 0"
         )
-    m = int(np.argmax(on_train[k])) + 1
+    m = int(np.argmax(near[k, 1 : ell + 1] | near[k, ell + 1 :])) + 1
     raise PoleCollisionError(
         f"z_xi = {z_xi} collides with kernel pole at -{m}*theta "
         f"(theta = {params.theta}); shift theta"
@@ -191,7 +191,8 @@ def _pack(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 
 def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _pack(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    return _pack(ar * br - ai * bi, ar * bi + ai * br)
 
 
 def _cpow(x: np.ndarray, n: int) -> np.ndarray:
@@ -208,7 +209,11 @@ def _cpow(x: np.ndarray, n: int) -> np.ndarray:
 
 def _cdiv(a, b) -> np.ndarray:
     """a / b by Smith's algorithm, dividing by the scaled denominator; b != 0."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    a = np.asarray(a, dtype=complex)
+    if isinstance(b, float) and b > 0.0:
+        # the scalar b + 0i takes the first branch with ratio 0 and denominator b
+        return _pack((a.real + a.imag * 0.0) / b, (a.imag - a.real * 0.0) / b)
+    b = np.asarray(b, dtype=complex)
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     by_re = np.abs(br) >= np.abs(bi)
     big, small = np.where(by_re, br, bi), np.where(by_re, bi, br)
@@ -220,63 +225,100 @@ def _cdiv(a, b) -> np.ndarray:
     )
 
 
+def _kernel_exponent(nu) -> int:
+    """nu as an int: a positive integer, or an integral float such as 2.0."""
+    if nu < 1 or int(nu) != nu:
+        raise InputError(f"kernel exponent nu must be a positive integer, got {nu}")
+    return int(nu)
+
+
 def _datum_terms(
-    z: np.ndarray, X: float, params: SmoothingParams, nu: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    z: np.ndarray,
+    X: float,
+    params: SmoothingParams,
+    nu: int,
+    *,
+    residues: bool = True,
+    train: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
     """A, B and Per (module docstring) for every z_xi of a 1-D complex array.
 
-    The residues use the closed three-factor Leibniz rule on
-    (z -/+ z_xi)^{-nu} * e^{zX} * (1/q(z)); all derivatives are explicit:
+    ``residues=False`` skips A and B, ``train=False`` skips Per; a skipped
+    part is returned as None and costs nothing.  Every z_xi is checked for
+    collisions before any value is computed.
+    """
+    nu = _kernel_exponent(nu)
+    _check_collisions(z, params)
+    A = B = per = None
+    if residues:
+        AB = _full_residues(np.concatenate([z, -z]), X, params, nu)  # A and B in one pass
+        A, B = AB[: z.size], AB[z.size :]
+    if train:
+        per = _pole_train(z, X, params, nu)
+    return A, B, per
+
+
+def _full_residues(at: np.ndarray, X: float, params: SmoothingParams, nu: int) -> np.ndarray:
+    """Residue of (z + at)^{-nu} e^{zX} / q(z) at z = at, for every entry of
+    ``at``, where (z - at)^{nu} has been stripped: (1/(nu-1)!) d^{nu-1} at
+    ``at``, by the closed three-factor Leibniz rule with explicit derivatives
 
         d^i (z + s)^{-nu} = (-1)^i (nu)_i (z + s)^{-nu-i}
         d^j e^{zX}        = X^j e^{zX}
         d^k (1/q)         = sum_m w_m (-1)^k k! (z + m theta)^{-k-1}
 
-    The loops run over the derivative orders (i, j); the data and the train
-    index m are array axes.  Every z_xi is checked for collisions before any
-    value is computed.
+    Each derivative order is one row of a stacked array, and so is each
+    Leibniz term (i, j, k = nu-1-i-j); the entries and the train index m are
+    array axes.  The terms are added in the order of the nested (i, j) loop.
     """
-    if nu < 1 or int(nu) != nu:
-        raise InputError(f"kernel exponent nu must be a positive integer, got {nu}")
-    _check_collisions(z, params)
-    ell, theta = params.ell, params.theta
-    wm = _train_weights(params)
-    mth = theta * np.arange(1, ell + 1)
     n = nu - 1
+    mth, train_coef, signed_poch, coef, (i, j, k) = _leibniz_constants(params, nu)
+    gap = at + at  # at minus the other pole -at
+    shifted = at[:, None] + mth
+    # numpy's complex power, not _cpow: reports rest on its rounding
+    f3 = np.add.reduce(
+        train_coef * np.stack([shifted ** (-(d + 1.0)) for d in range(n + 1)]), axis=-1
+    )
+    f2 = np.array([[X**d] for d in range(n + 1)]) * np.exp(at * X)
+    f1 = signed_poch * _cdiv(1.0, np.stack([_cpow(gap, nu + d) for d in range(n + 1)]))
+    terms = _cmul(_cmul(coef * f1[i], f2[j]), f3[k])
+    total = np.zeros_like(at)
+    for term in terms:
+        total += term
+    return _cdiv(total, float(math.factorial(n)))
 
-    def full_residue(at: np.ndarray) -> np.ndarray:
-        # residue of (z + at)^{-nu} e^{zX} / q(z) at z = at, where
-        # (z - at)^{nu} has been stripped: (1/(nu-1)!) d^{nu-1} at `at`.
-        gap = at + at  # at minus the other pole -at
-        exp_at = np.exp(at * X)
-        shifted = at[:, None] + mth
-        total = np.zeros_like(at)
-        for i in range(n + 1):
-            poch = 1.0
-            for t in range(i):
-                poch *= nu + t
-            f1 = (-1.0) ** i * poch * _cdiv(1.0, _cpow(gap, nu + i))
-            for j in range(n - i + 1):
-                k = n - i - j
-                f2 = X**j * exp_at
-                # numpy's complex power, not _cpow: reports rest on its rounding
-                f3 = np.sum(wm * (-1.0) ** k * math.factorial(k) * shifted ** (-(k + 1.0)), axis=-1)
-                coef = math.factorial(n) / (
-                    math.factorial(i) * math.factorial(j) * math.factorial(k)
-                )
-                total += _cmul(_cmul(coef * f1, f2), f3)
-        return _cdiv(total, math.factorial(n))
 
-    # pole train as displayed: term m is (-1)^(m-1) e^{-m theta X} over
-    # (m-1)! (ell-m)! (z_xi^2 - m^2 theta^2)^nu
+@functools.lru_cache(maxsize=None)
+def _leibniz_constants(params: SmoothingParams, nu: int):
+    """The data-free factors of :func:`_full_residues` for one (params, nu):
+    the train m theta, w_m (-1)^k k! per order k, (-1)^i (nu)_i per order i,
+    and each Leibniz term's multinomial coefficient and orders (i, j, k).
+    Per-order and per-term factors are rows, broadcasting over the data."""
+    n = nu - 1
+    mth = params.theta * np.arange(1, params.ell + 1)
+    wm = _train_weights(params)
+    train_coef = np.array([wm * (-1.0) ** d * math.factorial(d) for d in range(n + 1)])[:, None]
+    # (nu)_i = nu (nu + 1) ... (nu + i - 1), the Pochhammer symbol
+    signed_poch = np.array([[(-1.0) ** d * math.prod(range(nu, nu + d))] for d in range(n + 1)])
+    orders = [(i, j, n - i - j) for i in range(n + 1) for j in range(n - i + 1)]
+    coef = np.array([
+        [math.factorial(n) / (math.factorial(i) * math.factorial(j) * math.factorial(k))]
+        for i, j, k in orders
+    ])
+    return mth, train_coef, signed_poch, coef, np.array(orders).T
+
+
+def _pole_train(z: np.ndarray, X: float, params: SmoothingParams, nu: int) -> np.ndarray:
+    """Per as displayed: term m is (-1)^(m-1) e^{-m theta X} over
+    (m-1)! (ell-m)! (z_xi^2 - m^2 theta^2)^nu, summed over m."""
+    ell, theta = params.ell, params.theta
+    mth = theta * np.arange(1, ell + 1)
     ms = range(1, ell + 1)
     decay = np.array([(-1.0) ** (m - 1) * cmath.exp(-m * theta * X) for m in ms])
     facts = np.array([math.factorial(m - 1) * math.factorial(ell - m) for m in ms], dtype=float)
     zc = z[:, None]
     den = facts * _cpow(_cmul(zc, zc) - mth**2, nu)
-    per = _cdiv(neumaier_sum_rows(_cdiv(decay, den)), theta ** (ell - 1))
-    AB = full_residue(np.concatenate([z, -z]))  # A and B in one pass
-    return AB[: z.size], AB[z.size :], per
+    return _cdiv(neumaier_sum_rows(_cdiv(decay, den)), float(theta ** (ell - 1)))
 
 
 def residue_pair(
@@ -287,7 +329,7 @@ def residue_pair(
 ) -> tuple[complex, complex]:
     """Full residues (A, B) of phi at z = +z_xi and z = -z_xi (see
     ``_datum_terms`` for the closed form)."""
-    A, B, _ = _datum_terms(np.array([complex(z_xi)]), X, params, nu)
+    A, B, _ = _datum_terms(np.array([complex(z_xi)]), X, params, nu, train=False)
     return complex(A[0]), complex(B[0])
 
 
@@ -303,7 +345,8 @@ def per_term(
     when nu is even (the model case); for odd nu the displayed denominator
     (z_xi^2 - m^2 theta^2)^nu differs from the residue sum by a global sign.
     """
-    return complex(_datum_terms(np.array([complex(z_xi)]), X, params, nu)[2][0])
+    per = _datum_terms(np.array([complex(z_xi)]), X, params, nu, residues=False)[2]
+    return complex(per[0])
 
 
 def convention_sign(nu: int) -> int:
@@ -333,6 +376,7 @@ def spectral_side_eval(
     """
     if X <= 0:
         raise InputError(f"count parameter X must be > 0, got {X}")
+    nu = _kernel_exponent(nu)
     data = spectrum.data
     z = np.array([d.z for d in data], dtype=complex)
     w = np.array([d.weight for d in data], dtype=float)
@@ -378,14 +422,15 @@ def global_contour_oracle(
     """
     if X <= 0:
         raise InputError("contour oracle needs X > 0 for left closure")
+    nu = _kernel_exponent(nu)
     zs = [d.z for d in spectrum]
     if sigma is None:
         sigma = max((abs(z.real) for z in zs), default=0.0) + 1.5
     ws = np.array([d.weight for d in spectrum])
     zarr = np.array(zs)
 
-    def integrand(z):
-        z = np.asarray(z, dtype=complex)
+    def integrand(zc, dz):
+        z = zc[:, None] + dz
         num = np.exp(z * X)
         den_q = kernel_denominator(params, z)
         zz = z[..., None]

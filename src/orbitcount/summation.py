@@ -56,13 +56,12 @@ def neumaier_sum_complex(xs: Iterable[complex]) -> complex:
 def neumaier_sum_rows(x: np.ndarray) -> np.ndarray:
     """Compensated sum of each row of a 2-D complex array, columns added left
     to right: entry k equals ``neumaier_sum_complex(x[k])`` bit for bit."""
-    out = np.empty(x.shape[0], dtype=complex)
-    for part, dest in ((x.real, out.real), (x.imag, out.imag)):
-        s = np.zeros(x.shape[0])
-        c = np.zeros(x.shape[0])
-        for col in part.T:
-            t = s + col
-            c += np.where(np.abs(s) >= np.abs(col), (s - t) + col, (col - t) + s)
-            s = t
-        dest[:] = s + c
-    return out
+    # (rows, columns, re/im): both parts carried side by side in one pass
+    parts = np.stack((x.real, x.imag), axis=-1)
+    s = np.zeros((x.shape[0], 2))
+    c = np.zeros_like(s)
+    for col in parts.transpose(1, 0, 2):
+        t = s + col
+        c += np.where(np.abs(s) >= np.abs(col), (s - t) + col, (col - t) + s)
+        s = t
+    return (s + c).view(complex)[:, 0]

@@ -117,6 +117,19 @@ def test_ten_column_census_is_refused(tmp_path, census2):
     assert "rebuild the census with `orbitcount enumerate`" in r.stderr
 
 
+def test_census_entry_beyond_int64_safe_range_exits_1(tmp_path, capsys, census4):
+    # [[1, 2^32], [0, 1]] is unimodular, but |2^32|^2 wraps int64 to 0: the
+    # row used to load with F = 2 as a ninth compact element
+    path = tmp_path / "wide.csv"
+    census4.to_csv(path)
+    with open(path, "a") as fh:
+        fh.write(f"1,0,{2**32},0,0,0,1,0\n")
+    with pytest.raises(InputError, match=f"row {census4.size}: an entry exceeds 2\\^30"):
+        Census.from_csv(path)
+    assert cli.main(["poincare", "--census", str(path), "--z", "6"]) == 1
+    assert "exceeds 2^30" in capsys.readouterr().err
+
+
 def test_poincare_report(census_csv):
     r = run_cli("poincare", "--census", str(census_csv), "--z", "6")
     assert r.returncode == 0, r.stderr

@@ -142,6 +142,48 @@ def test_from_rows_rejects_bad_determinant():
         Census.from_rows(row, cutoff=2.0)
 
 
+@pytest.mark.parametrize("cutoff", [4.0, 8.0, 12.0, 16.0])
+def test_from_rows_sorts_like_the_nine_column_key(cutoff):
+    # the packed one-word key orders rows as the lexicographic sort on
+    # (F, re a, ..., im d) does, for canonical and for shuffled input
+    census = enumerate_pruned(cutoff)
+    f = census.fnorm
+    ref = np.lexsort(tuple(census.rows[:, j] for j in range(7, -1, -1)) + (f,))
+    assert np.array_equal(ref, np.arange(census.size))
+    shuffled = census.rows[np.random.default_rng(int(cutoff)).permutation(census.size)]
+    for rows in (census.rows, shuffled):
+        got = Census.from_rows(rows, cutoff=cutoff)
+        assert np.array_equal(got.rows, census.rows)
+        assert np.array_equal(got.fnorm, f)
+
+
+def test_from_rows_sorts_wide_rows(census2):
+    # entries near 2^29 do not fit one packed word; the order is still
+    # lexicographic on (F, entries) and duplicates are still found
+    big = 1 << 29
+    extra = np.array(
+        [[1, 0, big, 0, 0, 0, 1, 0], [1, 0, -big, 1, 0, 0, 1, 0], [1, 0, 0, 0, big, -big, 1, 0]],
+        dtype=np.int64,
+    )
+    rows = np.concatenate([census2.rows, extra])[::-1]
+    got = Census.from_rows(rows, cutoff=None)
+    keys = [(sum(v * v for v in r), *r) for r in rows.tolist()]
+    assert [list(k[1:]) for k in sorted(keys)] == got.rows.tolist()
+    assert got.fnorm.tolist() == sorted(k[0] for k in keys)
+    with pytest.raises(InputError, match="duplicate row"):
+        Census.from_rows(np.concatenate([rows, extra[1:2]]), cutoff=None)
+
+
+def test_from_rows_refuses_entries_beyond_2_pow_30(census4):
+    for entry in (2**32, (1 << 30) + 1, -(1 << 30) - 1, -(2**63)):
+        row = np.array([[1, 0, entry, 0, 0, 0, 1, 0]], dtype=np.int64)
+        with pytest.raises(InputError, match=f"row {census4.size}: an entry exceeds"):
+            Census.from_rows(np.concatenate([census4.rows, row]), cutoff=None)
+    edge = np.array([[1, 0, 1 << 30, 0, 0, 0, 1, 0]], dtype=np.int64)
+    got = Census.from_rows(np.concatenate([census4.rows, edge]), cutoff=None)
+    assert got.size == census4.size + 1 and got.fnorm[-1] == 2 + (1 << 60)
+
+
 def test_from_rows_rejects_duplicates(census4):
     rows = np.concatenate([census4.rows, np.repeat(census4.rows[100:101], 5, axis=0)])
     with pytest.raises(InputError, match="duplicate row"):

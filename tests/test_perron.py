@@ -116,3 +116,13 @@ def test_transform_of_truncated_series_matches_direct_count(census2):
     li = smoothing_contour_transform(f, X, sm, sigma=7.0, height=1000.0)
     assert abs(li.value.real - direct.value) <= 1e-6
     assert abs(li.value.imag) <= 1e-9
+
+
+def test_bridge_at_height_4000(census8):
+    # acceptance criterion 6's bridge at the benchmark's largest height: the
+    # contour transform of the census series against the direct count
+    sm = SmoothingParams(ell=2, theta=1.0)
+    direct = smoothed_geometric_count(census8, 1.0, sm)
+    f = series_evaluator_for_contour(census8)
+    li = smoothing_contour_transform(f, 1.0, sm, sigma=7.0, height=4000.0)
+    assert abs(li.value.real - direct.value) <= 1e-6

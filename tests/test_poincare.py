@@ -124,10 +124,14 @@ def test_translated_point_must_be_unimodular(census8):
 
 
 def test_contour_evaluator_matches_series(census8):
+    # the factored evaluator on a (panel centre, node offset) grid agrees
+    # with the shell-by-shell series at every node z = zc + dz
     f = series_evaluator_for_contour(census8)
-    for z in (6.0 + 0j, 6.5 + 0j, 7.0 + 2.0j):
-        got = complex(f(np.array([z]))[0])
-        want = series_eval(census8, z).value
-        assert abs(got - want) <= 1e-12 * abs(want)
-    out = f(np.full((2, 3), 6.0 + 1j))
-    assert out.shape == (2, 3)
+    zc = np.array([6.0 + 0j, 6.5 + 0j, 7.0 + 2.0j])
+    dz = np.array([0.0j, 0.375j])
+    out = f(zc, dz)
+    assert out.shape == (3, 2)
+    for j in range(zc.size):
+        for k in range(dz.size):
+            want = series_eval(census8, zc[j] + dz[k]).value
+            assert abs(out[j, k] - want) <= 1e-12 * abs(want)

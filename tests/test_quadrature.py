@@ -10,8 +10,9 @@ from orbitcount.quadrature import cauchy_circle_residue, vertical_line_integral
 W1 = 0.19978820044686402  # (1 - e^{-1})^2 / 2, the closed-form transform at X=1
 
 
-def _bromwich_integrand(z):
+def _bromwich_integrand(zc, dz):
     # e^{zX} / (z (z+1) (z+2)) at X = 1; left closure sums to W1
+    z = zc[:, None] + dz
     return np.exp(z) / (z * (z + 1.0) * (z + 2.0))
 
 
@@ -45,7 +46,8 @@ def test_rejects_bad_height():
 
 def test_unresolvable_integrand_raises_not_hangs():
     # oscillation far below panel scale: refinement must give up cleanly
-    def rough(z):
+    def rough(zc, dz):
+        z = zc[:, None] + dz
         return np.sin(2e6 * z.imag) + 0j
 
     with pytest.raises(QuadratureError):
@@ -55,12 +57,52 @@ def test_unresolvable_integrand_raises_not_hangs():
 def test_roundoff_floor_accepts_converged_panels():
     # a large smooth integrand cannot hit an absurd absolute tolerance, but
     # the roundoff floor should let it terminate with an honest estimate
-    def big(z):
+    def big(zc, dz):
+        z = zc[:, None] + dz
         return 1e8 * np.exp(z) / (z * (z + 1.0) * (z + 2.0))
 
     li = vertical_line_integral(big, 1.0, 200.0, abs_tol=1e-30)
     assert abs(li.value.real / 1e8 - W1) <= 1e-6
     assert li.error_estimate > 1e-30  # honest: the target was unreachable
+
+
+def test_every_call_gets_one_shared_offset_row():
+    # A pole 0.03 left of the line forces several bisection levels.  Every
+    # call must get 1-D offsets dz = i h x on the Gauss-Legendre nodes x,
+    # with one half-width h per call that halves from level to level, and
+    # centres zc on the line; and nothing else may be evaluated.
+    pole = 0.97 + 3.3j
+    calls = []
+
+    def recording(zc, dz):
+        calls.append((zc.copy(), dz.copy()))
+        return 1.0 / ((zc[:, None] + dz) - pole)
+
+    height = 20.0
+    li = vertical_line_integral(
+        recording, 1.0, height, abs_tol=1e-10, panel_width=0.7, conj_symmetric=False
+    )
+    # Re(z - pole) > 0 on the line, so the principal log is continuous there
+    want = (np.log(1.0 + height * 1j - pole) - np.log(1.0 - height * 1j - pole)) / (2j * np.pi)
+    assert abs(li.value - want) <= 1e-9
+    assert li.evaluations == sum(zc.size * dz.size for zc, dz in calls)
+
+    halves = []
+    for (zc15, dz15), (zc31, dz31) in zip(calls[::2], calls[1::2]):
+        assert np.array_equal(zc15, zc31)  # both rules on the same panels
+        assert np.all(zc15.real == 1.0)
+        half = None
+        for dz in (dz15, dz31):
+            x = np.polynomial.legendre.leggauss(dz.size)[0]
+            assert dz.shape in ((15,), (31,)) and np.all(dz.real == 0.0)
+            h = dz.imag[-1] / x[-1]
+            assert np.allclose(dz.imag, h * x, rtol=1e-15, atol=0.0)
+            assert half is None or h == pytest.approx(half, rel=1e-15)
+            half = h
+        halves.append(half)
+    assert len(halves) >= 4  # the pole did force refinement
+    assert halves[0] == pytest.approx(height / np.ceil(2 * height / 0.7), rel=1e-15)
+    assert np.allclose(np.array(halves[1:]) / np.array(halves[:-1]), 0.5, rtol=1e-15)
 
 
 def test_circle_residue_simple_pole():

@@ -15,6 +15,7 @@ from orbitcount.spectral import (
     SpectralDatum,
     Spectrum,
     _cdiv,
+    _datum_terms,
     _cmul,
     _cpow,
     branch_z,
@@ -391,3 +392,55 @@ def test_complex_helpers_round_like_scalar_formulas():
                 p = _prod(p, p)
             want.append(r)
         assert _cpow(b, n).tolist() == want
+
+
+def _bits(x):
+    return np.atleast_1d(np.asarray(x, dtype=complex)).view(np.int64)
+
+
+def test_real_divisor_rounds_like_the_general_quotient():
+    # a positive float divisor skips Smith's branch selection; the bits,
+    # signed zeros and non-finite parts included, are the general path's
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=40) + 1j * rng.normal(size=40)
+    special = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]
+    a = np.concatenate([a, [complex(x, y) for x in special for y in special]])
+    with np.errstate(invalid="ignore", over="ignore"):
+        for b in (1.0, 2.0, 0.8**3, 1e-300, 7e300):
+            want = _cdiv(a, np.full(a.shape, b + 0j))
+            assert np.array_equal(_bits(_cdiv(a, b)), _bits(want))
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3])
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_single_datum_calls_match_the_array_pass(nu, ell):
+    # residue_pair and per_term compute only their own part of the array
+    # pass, and that part keeps the array pass's bits
+    sm = SmoothingParams(ell=ell, theta=0.8)
+    zs = np.array(GRID + [1.0 + 0j, 0.35 + 0j, 7.5j, 0.2 + 19.0j])
+    for X in (0.4, 1.7, 3.0):
+        A, B, per = _datum_terms(zs, X, sm, nu)
+        for k, z_xi in enumerate(zs.tolist()):
+            assert np.array_equal(_bits(residue_pair(z_xi, X, sm, nu)), _bits([A[k], B[k]]))
+            assert np.array_equal(_bits(per_term(z_xi, X, sm, nu)), _bits(per[k]))
+
+
+def test_integral_float_nu_is_the_integer():
+    sp = _spectrum()
+    want = spectral_side_eval(sp, 1.5, SM, 2)
+    got = spectral_side_eval(sp, 1.5, SM, 2.0)
+    assert got.nu == 2 and isinstance(got.nu, int) and got.sign == want.sign
+    assert np.array_equal(_bits(got.total), _bits(want.total))
+    assert np.array_equal(_bits([v for _, v in got.per_datum]), _bits([v for _, v in want.per_datum]))
+    assert residue_pair(0.6, 1.5, SM, 2.0) == residue_pair(0.6, 1.5, SM, 2)
+    assert per_term(0.6, 1.5, SM, 3.0) == per_term(0.6, 1.5, SM, 3)
+    assert global_contour_oracle(sp, 1.5, SM, 2.0) == global_contour_oracle(sp, 1.5, SM, 2)
+    for call in (
+        lambda: global_contour_oracle(sp, 1.5, SM, 2.5),
+        lambda: spectral_side_eval(sp, 1.5, SM, 2.5),
+        lambda: residue_pair(0.6, 1.5, SM, 2.5),
+        lambda: per_term(0.6, 1.5, SM, 2.5),
+    ):
+        with pytest.raises(InputError, match="nu must be a positive integer"):
+            call()
+
