@@ -19,9 +19,7 @@ from .group import (  # noqa: F401
     CartanFactors,
     cartan_decompose,
     gauge,
-    gauge_from_radius,
     radius,
-    radius_from_gauge,
 )
 from .lattice import Census, enumerate_naive, enumerate_pruned, shell_counts  # noqa: F401
 from .freespace import kernel, product_factor  # noqa: F401

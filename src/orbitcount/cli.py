@@ -14,6 +14,18 @@ Every subcommand emits a JSON report (stdout by default, ``--report PATH``
 to write a file).  Exit codes: 0 success, 1 invalid input/parameters,
 2 numeric-convergence failure (uncertifiable tail or quadrature).
 
+A subcommand accepts only the options it reads.  Besides its own inputs,
+each takes ``--config FILE`` and the flags of the RunConfig keys it reads
+(``meta.config`` records exactly those keys):
+
+enumerate      --workers --budget
+poincare       --c-g (and sigma0, growth_eps, growth_safety from --config)
+smoothed-count --ell --theta --c-g
+spectral-side  --ell --theta --nu --rho-norm
+compare        --ell --theta --nu --rho-norm --c-g
+perron-check   --ell --theta --quad-tol
+oracle-torus   no --config; its --nu (default 1) is a torus parameter
+
 Examples
 --------
     orbitcount enumerate --cutoff 4 --out census4.csv
@@ -29,6 +41,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -42,23 +55,35 @@ from .spectral import Spectrum, convention_sign, spectral_side_eval
 from .torus import TorusParams, torus_identity_check
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value config file")
+# RunConfig key -> (flag, help) for the keys a flag can set; sigma0,
+# growth_eps and growth_safety are set from a config file only.
+_FLAGS = {
+    "c_g": ("--c-g", "free-space constant"),
+    "rho_norm": ("--rho-norm", "spectral offset"),
+    "nu": ("--nu", "kernel exponent"),
+    "ell": ("--ell", "smoothing order"),
+    "theta": ("--theta", "smoothing step"),
+    "work_budget": ("--budget", "work budget"),
+    "workers": ("--workers", "worker threads"),
+    "quad_tol": ("--quad-tol", "contour tolerance"),
+}
+
+
+def _add_config(p: argparse.ArgumentParser, fn, keys: tuple[str, ...]) -> None:
+    """Add ``--report`` and, when the subcommand reads RunConfig ``keys``,
+    ``--config`` and the flags of those keys; ``main`` builds and records
+    the config from ``keys`` alone."""
     p.add_argument("--report", help="write the JSON report here (default: stdout)")
-    p.add_argument("--ell", type=int, help="smoothing order (default 2)")
-    p.add_argument("--theta", type=_finite_float, help="smoothing step (default 1.0)")
-    p.add_argument("--nu", type=int, help="kernel exponent (default 2)")
-    p.add_argument("--rho-norm", dest="rho_norm", type=_finite_float, help="spectral offset (default 1.0)")
-    p.add_argument("--c-g", dest="c_g", type=_finite_float, help="free-space constant (default 1.0)")
-    p.add_argument("--quad-tol", dest="quad_tol", type=_finite_float, help="contour tolerance")
-
-
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    keys = (
-        "ell", "theta", "nu", "rho_norm", "c_g", "workers", "work_budget", "quad_tol",
-    )
-    overrides = {k: getattr(args, k, None) for k in keys}
-    return build_config(getattr(args, "config", None), overrides)
+    if keys:
+        p.add_argument("--config", help="key=value config file")
+    for f in fields(RunConfig):
+        if f.name in keys and f.name in _FLAGS:
+            flag, text = _FLAGS[f.name]
+            p.add_argument(
+                flag, dest=f.name, type=int if f.type == "int" else _finite_float,
+                help=f"{text} (default {f.default})",
+            )
+    p.set_defaults(fn=fn, keys=keys)
 
 
 def _smoothing(cfg: RunConfig) -> SmoothingParams:
@@ -93,13 +118,11 @@ def _parse_floats(raw: str, what: str) -> list[float]:
 # subcommand bodies
 
 
-def _cmd_enumerate(args) -> dict:
-    cfg = _config_from(args)
+def _cmd_enumerate(args, cfg: RunConfig) -> dict:
     census = enumerate_pruned(args.cutoff, budget=cfg.work_budget, workers=cfg.workers)
     census.to_csv(args.out)
     bins = shell_counts(census, width=0.25)
     return {
-        "meta": base_meta("enumerate", cfg.as_dict()),
         "census": {
             "cutoff": args.cutoff,
             "path": args.out,
@@ -113,13 +136,11 @@ def _cmd_enumerate(args) -> dict:
     }
 
 
-def _cmd_poincare(args) -> dict:
-    cfg = _config_from(args)
+def _cmd_poincare(args, cfg: RunConfig) -> dict:
     census = Census.from_csv(args.census)
     model = GrowthModel(sigma0=cfg.sigma0, eps=cfg.growth_eps, safety=cfg.growth_safety)
     val = series_eval(census, complex(args.z, args.z_im), model=model, c_g=cfg.c_g)
     return {
-        "meta": base_meta("poincare", cfg.as_dict()),
         "series": {
             "z": complex_fields(val.z),
             "value": complex_fields(val.value),
@@ -140,13 +161,11 @@ def _cmd_poincare(args) -> dict:
     }
 
 
-def _cmd_smoothed_count(args) -> dict:
-    cfg = _config_from(args)
+def _cmd_smoothed_count(args, cfg: RunConfig) -> dict:
     census = Census.from_csv(args.census)
     sm = _smoothing(cfg)
     out = smoothed_geometric_count(census, args.x, sm, c_g=cfg.c_g)
     return {
-        "meta": base_meta("smoothed-count", cfg.as_dict()),
         "smoothed_count": {
             "x": out.X,
             "value": out.value,
@@ -160,8 +179,7 @@ def _cmd_smoothed_count(args) -> dict:
     }
 
 
-def _cmd_spectral_side(args) -> dict:
-    cfg = _config_from(args)
+def _cmd_spectral_side(args, cfg: RunConfig) -> dict:
     spectrum = Spectrum.from_csv(args.spectrum, rho_norm=cfg.rho_norm)
     sm = _smoothing(cfg)
     rows = []
@@ -179,7 +197,6 @@ def _cmd_spectral_side(args) -> dict:
             }
         )
     return {
-        "meta": base_meta("spectral-side", cfg.as_dict()),
         "spectral": {
             "nu": cfg.nu,
             "sign": convention_sign(cfg.nu),
@@ -190,8 +207,7 @@ def _cmd_spectral_side(args) -> dict:
     }
 
 
-def _cmd_compare(args) -> dict:
-    cfg = _config_from(args)
+def _cmd_compare(args, cfg: RunConfig) -> dict:
     census = Census.from_csv(args.census)
     spectrum = Spectrum.from_csv(args.spectrum, rho_norm=cfg.rho_norm)
     sm = _smoothing(cfg)
@@ -212,7 +228,6 @@ def _cmd_compare(args) -> dict:
             }
         )
     return {
-        "meta": base_meta("compare", cfg.as_dict()),
         "compare": {
             "nu": cfg.nu,
             "sign": sign,
@@ -224,11 +239,10 @@ def _cmd_compare(args) -> dict:
     }
 
 
-def _cmd_oracle_torus(args) -> dict:
-    cfg = _config_from(args)
+def _cmd_oracle_torus(args, _cfg: RunConfig) -> dict:
     params = TorusParams(
         n=args.n,
-        nu=args.nu if args.nu is not None else 1,
+        nu=args.nu,
         lam=args.lam,
         spectral_trunc=args.spectral_trunc,
         geom_trunc=args.geom_trunc,
@@ -236,7 +250,6 @@ def _cmd_oracle_torus(args) -> dict:
     point = _parse_floats(args.point, "point") if args.point else [0.0] * params.n
     cmp = torus_identity_check(params, np.asarray(point))
     return {
-        "meta": base_meta("oracle-torus", cfg.as_dict()),
         "torus": {
             "n": params.n,
             "nu": params.nu,
@@ -254,15 +267,13 @@ def _cmd_oracle_torus(args) -> dict:
     }
 
 
-def _cmd_perron_check(args) -> dict:
-    cfg = _config_from(args)
+def _cmd_perron_check(args, cfg: RunConfig) -> dict:
     sm = _smoothing(cfg)
     closed = float(smoothing_kernel(sm, args.u))
     contour = perron_contour_oracle(
         args.u, sm, sigma=args.sigma, height=args.height, abs_tol=cfg.quad_tol
     )
     return {
-        "meta": base_meta("perron-check", cfg.as_dict()),
         "perron": {
             "u": args.u,
             "ell": sm.ell,
@@ -295,36 +306,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="build a census CSV")
     p.add_argument("--cutoff", type=_finite_float, required=True, help="gauge cutoff >= 1")
     p.add_argument("--out", required=True, help="census CSV path")
-    p.add_argument("--workers", type=int, help="worker threads (default 1)")
-    p.add_argument("--budget", dest="work_budget", type=int, help="work budget")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_enumerate)
+    _add_config(p, _cmd_enumerate, ("workers", "work_budget"))
 
     p = sub.add_parser("poincare", help="kernel series over a census")
     p.add_argument("--census", required=True)
     p.add_argument("--z", type=_finite_float, required=True, help="Re z (must exceed the certified abscissa)")
     p.add_argument("--z-im", type=_finite_float, default=0.0, help="Im z (default 0)")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_poincare)
+    _add_config(p, _cmd_poincare, ("c_g", "sigma0", "growth_eps", "growth_safety"))
 
     p = sub.add_parser("smoothed-count", help="smoothed weighted count below radius X")
     p.add_argument("--census", required=True)
     p.add_argument("--x", type=_finite_float, required=True)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_smoothed_count)
+    _add_config(p, _cmd_smoothed_count, ("ell", "theta", "c_g"))
 
     p = sub.add_parser("spectral-side", help="evaluate a spectrum file at X values")
     p.add_argument("--spectrum", required=True)
     p.add_argument("--x", required=True, help="comma-separated X values")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_spectral_side)
+    _add_config(p, _cmd_spectral_side, ("ell", "theta", "nu", "rho_norm"))
 
     p = sub.add_parser("compare", help="geometric vs spectral columns (no verdict)")
     p.add_argument("--census", required=True)
     p.add_argument("--spectrum", required=True)
     p.add_argument("--x", required=True, help="comma-separated X values")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_compare)
+    _add_config(p, _cmd_compare, ("ell", "theta", "nu", "rho_norm", "c_g"))
 
     p = sub.add_parser("oracle-torus", help="flat-torus identity check")
     p.add_argument("--n", type=int, required=True)
@@ -332,30 +336,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", help="comma-separated coordinates (default origin)")
     p.add_argument("--spectral-trunc", dest="spectral_trunc", type=int)
     p.add_argument("--geom-trunc", dest="geom_trunc", type=int)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_oracle_torus)
+    p.add_argument("--nu", type=int, default=1, help="kernel power (default 1)")
+    _add_config(p, _cmd_oracle_torus, ())
 
     p = sub.add_parser("perron-check", help="smoothing kernel vs contour integral")
     p.add_argument("--u", type=_finite_float, required=True, help="kernel argument X - r")
     p.add_argument("--sigma", type=_finite_float, default=1.0)
     p.add_argument("--height", type=_finite_float, default=1000.0)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_perron_check)
+    _add_config(p, _cmd_perron_check, ("ell", "theta", "quad_tol"))
 
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        doc = args.fn(args)
+        overrides = {k: getattr(args, k, None) for k in args.keys}
+        cfg = build_config(getattr(args, "config", None), overrides)
+        doc = args.fn(args, cfg)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ConvergenceError as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
         return 2
+    doc["meta"] = base_meta(args.command, {k: getattr(cfg, k) for k in args.keys})
     write_json(doc, args.report)
     return 0
 

@@ -45,10 +45,9 @@ class RunConfig:
             raise InputError("workers must be >= 1")
         if self.work_budget < 1:
             raise InputError("work_budget must be >= 1")
+        if self.quad_tol <= 0:
+            raise InputError("quad_tol must be > 0")
         return self
-
-    def as_dict(self) -> dict[str, Any]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}

@@ -101,21 +101,6 @@ def radius(g, *, validate: bool = True) -> np.ndarray:
     return np.arccosh(0.5 * F)
 
 
-def radius_from_gauge(T) -> np.ndarray:
-    """radius = 2 log(gauge); inverse of :func:`gauge_from_radius`."""
-    T = np.asarray(T, dtype=float)
-    if np.any(T < 1.0 - 1e-12):
-        raise DomainError("gauge must be >= 1")
-    return 2.0 * np.log(np.maximum(T, 1.0))
-
-
-def gauge_from_radius(r) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise DomainError("radius must be >= 0")
-    return np.exp(0.5 * r)
-
-
 def exp_cartan(r) -> np.ndarray:
     """``exp(H)`` for Cartan vector ``[r]``: diag(e^{r/2}, e^{-r/2})."""
     r = np.asarray(r, dtype=float)
@@ -165,13 +150,6 @@ class CartanFactors:
     k1: np.ndarray
     cartan: np.ndarray  # Cartan vectors, shape (..., 1); first entry is r
     k2: np.ndarray
-
-    @property
-    def radii(self) -> np.ndarray:
-        return self.cartan[..., 0]
-
-    def reconstruct(self) -> np.ndarray:
-        return self.k1 @ exp_cartan(self.radii) @ self.k2
 
 
 def cartan_decompose(g, *, validate: bool = True) -> CartanFactors:

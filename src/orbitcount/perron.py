@@ -96,6 +96,8 @@ def perron_contour_oracle(
     """
     if sigma <= 0:
         raise InputError("Perron contour needs sigma > 0")
+    if height <= 0:
+        raise InputError("Perron contour needs height > 0")
 
     def integrand(zc, dz):
         z = zc[:, None] + dz

@@ -174,11 +174,6 @@ class SeriesValue:
     z: complex
     shells: tuple[tuple[int, int, complex], ...]  # (F, count, partial sum)
     c_ls: float
-    model: GrowthModel
-
-    @property
-    def partial_sums(self) -> tuple[complex, ...]:
-        return tuple(p for _, _, p in self.shells)
 
 
 def series_eval(
@@ -217,7 +212,6 @@ def series_eval(
             z=zc,
             shells=(),
             c_ls=1.0,
-            model=model,
         )
 
     if point is None:
@@ -238,7 +232,7 @@ def series_eval(
     c_ls = fit_prefactor(census, model)
     tail = tail_bound(census, zc, model, c_ls, c_g=c_g, shift=shift)
     total = complex(re_acc.value, im_acc.value)
-    return SeriesValue(value=total, tail=tail, z=zc, shells=tuple(shells), c_ls=c_ls, model=model)
+    return SeriesValue(value=total, tail=tail, z=zc, shells=tuple(shells), c_ls=c_ls)
 
 
 def series_evaluator_for_contour(

@@ -65,6 +65,10 @@ class TorusParams:
             raise InputError(f"torus dimension n must be 1, 2, or 3, got {self.n}")
         if self.nu not in (1, 2):
             raise InputError(f"kernel power nu must be 1 or 2, got {self.nu}")
+        for name in ("spectral_trunc", "geom_trunc"):
+            trunc = getattr(self, name)
+            if trunc is not None and trunc < 1:
+                raise InputError(f"{name} must be >= 1, got {trunc}")
         if not (self.lam < 0):
             raise InputError(f"lambda must be negative (below spectrum), got {self.lam}")
         if 2 * self.nu <= self.n:
@@ -80,11 +84,15 @@ class TorusParams:
 
     @property
     def k_spec(self) -> int:
-        return self.spectral_trunc if self.spectral_trunc else _SPECTRAL_TRUNC_DEFAULT[self.n]
+        if self.spectral_trunc is None:
+            return _SPECTRAL_TRUNC_DEFAULT[self.n]
+        return self.spectral_trunc
 
     @property
     def m_geom(self) -> int:
-        return self.geom_trunc if self.geom_trunc else _GEOM_TRUNC_DEFAULT[self.n]
+        if self.geom_trunc is None:
+            return _GEOM_TRUNC_DEFAULT[self.n]
+        return self.geom_trunc
 
 
 def torus_kernel(params: TorusParams, r) -> np.ndarray:
@@ -254,7 +262,6 @@ def torus_spectral_side(params: TorusParams, x) -> tuple[float, float, bool]:
 
 @dataclass(frozen=True)
 class TorusComparison:
-    params: TorusParams
     x: tuple[float, ...]
     geometric: float
     geometric_tail: float
@@ -276,7 +283,6 @@ def torus_identity_check(params: TorusParams, x) -> TorusComparison:
     s, s_tail, accel = torus_spectral_side(params, xa)
     budget = g_tail + s_tail + 5e-13 * (1.0 + abs(g) + abs(s))
     return TorusComparison(
-        params=params,
         x=tuple(float(v) for v in xa),
         geometric=g,
         geometric_tail=g_tail,

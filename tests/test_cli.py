@@ -1,8 +1,10 @@
 """End-to-end CLI runs through a subprocess, plus in-process exit-code
 mapping that is awkward to trigger from outside."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -80,13 +82,129 @@ def test_enumerate_workers_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_enumerate_only_options_are_refused_elsewhere(census_csv):
-    # --workers and --budget steer the enumerator and nothing else
-    for flag in ("--workers", "--budget"):
-        r = run_cli("poincare", "--census", str(census_csv), "--z", "6", flag, "2")
-        assert r.returncode == 1
-        assert "unrecognized arguments" in r.stderr
-        assert r.stdout == ""
+# the RunConfig keys each subcommand reads, and the flag of each key that has one
+READS = {
+    "enumerate": ("workers", "work_budget"),
+    "poincare": ("c_g", "sigma0", "growth_eps", "growth_safety"),
+    "smoothed-count": ("ell", "theta", "c_g"),
+    "spectral-side": ("ell", "theta", "nu", "rho_norm"),
+    "compare": ("ell", "theta", "nu", "rho_norm", "c_g"),
+    "perron-check": ("ell", "theta", "quad_tol"),
+    "oracle-torus": (),
+}
+FLAGS = {
+    "c_g": "--c-g", "rho_norm": "--rho-norm", "nu": "--nu", "ell": "--ell",
+    "theta": "--theta", "work_budget": "--budget", "workers": "--workers",
+    "quad_tol": "--quad-tol",
+}
+# enough of each subcommand's own inputs for argparse to reach the extras
+REQUIRED = {
+    "enumerate": ["--cutoff", "1", "--out", "{out}"],
+    "poincare": ["--census", "{census}", "--z", "6"],
+    "smoothed-count": ["--census", "{census}", "--x", "1"],
+    "spectral-side": ["--spectrum", "{spectrum}", "--x", "1"],
+    "compare": ["--census", "{census}", "--spectrum", "{spectrum}", "--x", "1"],
+    "perron-check": ["--u", "1"],
+    "oracle-torus": ["--n", "1", "--lam", "-1"],
+}
+# oracle-torus's own --nu is a torus parameter, not the RunConfig key
+UNREAD = [
+    (sub, flag)
+    for sub, keys in READS.items()
+    for key, flag in FLAGS.items()
+    if key not in keys and not (sub == "oracle-torus" and flag == "--nu")
+] + [("oracle-torus", "--config")]
+
+
+@pytest.mark.parametrize(
+    "sub, flag", UNREAD, ids=[f"{sub}:{flag[2:]}" for sub, flag in UNREAD]
+)
+def test_unread_options_are_refused(capsys, sub, flag):
+    # a flag whose value the subcommand would never read is a usage error
+    argv = [a.format(out="c.csv", census="c.csv", spectrum="s.csv") for a in REQUIRED[sub]]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([sub, *argv, flag, "2"])
+    assert exc.value.code == 1
+    out = capsys.readouterr()
+    assert f"unrecognized arguments: {flag} 2" in out.err
+    assert out.out == ""
+
+
+# a value other than the default for every RunConfig key
+CONFIG_FILE = {
+    "c_g": 2.0, "rho_norm": 2.0, "nu": 1, "ell": 3, "theta": 0.8,
+    "sigma0": 4.5, "growth_eps": 0.3, "growth_safety": 5.0,
+    "work_budget": 10**8, "workers": 2, "quad_tol": 1e-8,
+}
+
+
+def _report(capsys, argv):
+    assert cli.main(argv) == 0, capsys.readouterr().err
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("sub", [s for s in READS if s != "oracle-torus"])
+def test_meta_config_holds_the_keys_read(tmp_path, capsys, census_csv, spectrum_csv, sub):
+    argv = [sub] + [
+        a.format(out=tmp_path / "c.csv", census=census_csv, spectrum=spectrum_csv)
+        for a in REQUIRED[sub]
+    ]
+    if sub in ("spectral-side", "compare"):
+        argv += ["--theta", "0.8"]  # theta = 1 collides with the datum at z = 1
+    read = READS[sub]
+    full = tmp_path / "full.cfg"
+    full.write_text("".join(f"{k} = {v!r}\n" for k, v in CONFIG_FILE.items()))
+    only = tmp_path / "only.cfg"
+    only.write_text("".join(f"{k} = {CONFIG_FILE[k]!r}\n" for k in read))
+
+    default = _report(capsys, argv)
+    from_file = _report(capsys, argv + ["--config", str(full)])
+    from_own_keys = _report(capsys, argv + ["--config", str(only)])
+    from_flags = _report(capsys, argv + [
+        a for k in read if k in FLAGS for a in (FLAGS[k], repr(CONFIG_FILE[k]))
+    ])
+    # recorded: exactly the keys read, at the file's values
+    assert set(default["meta"]["config"]) == set(read)
+    assert from_file["meta"]["config"] == {k: CONFIG_FILE[k] for k in read}
+    # a key the subcommand does not read is neither applied nor recorded
+    for doc in (default, from_file, from_own_keys, from_flags):
+        doc["meta"].pop("generated_at")
+    assert from_file == from_own_keys
+    # the flags set the same values as the file (poincare's growth keys
+    # have no flag and stay at their defaults there)
+    if sub != "poincare":
+        assert from_flags == from_file
+    # workers and the work budget leave the census bit-identical
+    if sub != "enumerate":
+        assert {k: v for k, v in from_file.items() if k != "meta"} != {
+            k: v for k, v in default.items() if k != "meta"
+        }
+
+
+def test_oracle_torus_nu_is_a_torus_parameter(capsys):
+    base = ["oracle-torus", "--n", "1", "--lam", "-1"]
+    assert _report(capsys, base)["torus"]["nu"] == 1
+    doc = _report(capsys, base + ["--nu", "2"])
+    assert doc["torus"]["nu"] == 2
+    assert doc["meta"]["config"] == {}
+
+
+def test_readme_option_table_matches_parser():
+    # the README's subcommand table is the documented option surface
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = text.split("| subcommand ", 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+    table = {}
+    for row in rows:
+        sub, keys, flags = (re.findall(r"`([^`]+)`", cell) for cell in row.split("|")[1:4])
+        table[sub[0]] = (tuple(keys), set(flags))
+    subparsers = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    assert set(table) == set(subparsers) == set(READS)
+    for sub, p in subparsers.items():
+        accepted = {s for a in p._actions for s in a.option_strings}
+        assert table[sub][1] == accepted - {"-h", "--help", "--report"}, sub
+        assert table[sub][0] == p.get_default("keys") == READS[sub], sub
 
 
 def test_missing_required_option_exits_1():
@@ -238,6 +356,32 @@ def test_non_finite_numbers_exit_1(tmp_path, capsys, census_csv, spectrum_csv, a
     except SystemExit as exc:  # argparse refuses the value
         code = exc.code
     assert code == 1
+    out = capsys.readouterr()
+    assert message in out.err
+    assert out.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["perron-check", "--u", "1", "--height", "0"], "Perron contour needs height > 0"),
+        (["perron-check", "--u", "1", "--height", "-5"], "Perron contour needs height > 0"),
+        (["perron-check", "--u", "1", "--quad-tol", "0"], "quad_tol must be > 0"),
+        (["perron-check", "--u", "1", "--quad-tol", "-1"], "quad_tol must be > 0"),
+        (["oracle-torus", "--n", "1", "--lam", "-1", "--spectral-trunc", "0"],
+         "spectral_trunc must be >= 1, got 0"),
+        (["oracle-torus", "--n", "1", "--lam", "-1", "--spectral-trunc", "-4"],
+         "spectral_trunc must be >= 1, got -4"),
+        (["oracle-torus", "--n", "1", "--lam", "-1", "--geom-trunc", "0"],
+         "geom_trunc must be >= 1, got 0"),
+        (["oracle-torus", "--n", "1", "--lam", "-1", "--geom-trunc", "-3"],
+         "geom_trunc must be >= 1, got -3"),
+    ],
+    ids=["height-0", "height-neg", "quad-tol-0", "quad-tol-neg", "spectral-trunc-0",
+         "spectral-trunc-neg", "geom-trunc-0", "geom-trunc-neg"],
+)
+def test_out_of_range_parameters_exit_1(capsys, argv, message):
+    assert cli.main(argv) == 1
     out = capsys.readouterr()
     assert message in out.err
     assert out.out == ""

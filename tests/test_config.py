@@ -54,6 +54,9 @@ def test_validation():
         RunConfig(theta=-1.0).validate()
     with pytest.raises(InputError):
         RunConfig(work_budget=0).validate()
+    for tol in (0.0, -1.0):
+        with pytest.raises(InputError, match="quad_tol must be > 0"):
+            RunConfig(quad_tol=tol).validate()
 
 
 @pytest.mark.parametrize("line", ["c_g = nan", "theta = inf", "quad_tol = -inf"])
@@ -69,7 +72,7 @@ def test_complex_fields():
 
 
 def test_write_json_stdout_and_file(tmp_path, capsys):
-    doc = {"meta": base_meta("cmd", RunConfig().as_dict()), "x": 1.0}
+    doc = {"meta": base_meta("cmd", {"theta": 1.0}), "x": 1.0}
     write_json(doc, None)
     out = capsys.readouterr().out
     parsed = json.loads(out)

@@ -26,6 +26,15 @@ def test_params_validation():
         TorusParams(n=1, nu=1, lam=0.5)
     p = TorusParams(n=2, nu=2, lam=-4.0)
     assert p.kappa == pytest.approx(2.0)
+    # a given truncation is used as given; below 1 it is refused, not
+    # replaced by the default
+    for trunc in (0, -4):
+        with pytest.raises(InputError, match="spectral_trunc must be >= 1"):
+            TorusParams(n=1, nu=1, lam=-1.0, spectral_trunc=trunc)
+        with pytest.raises(InputError, match="geom_trunc must be >= 1"):
+            TorusParams(n=1, nu=1, lam=-1.0, geom_trunc=trunc)
+    one = TorusParams(n=1, nu=1, lam=-1.0, spectral_trunc=1, geom_trunc=1)
+    assert (one.k_spec, one.m_geom) == (1, 1)
 
 
 def test_divergent_cells_are_refused():
