@@ -18,13 +18,18 @@ A subcommand accepts only the options it reads.  Besides its own inputs,
 each takes ``--config FILE`` and the flags of the RunConfig keys it reads
 (``meta.config`` records exactly those keys):
 
-enumerate      --workers --budget
-poincare       --c-g (and sigma0, growth_eps, growth_safety from --config)
+enumerate      --budget
+poincare       --c-g
 smoothed-count --ell --theta --c-g
-spectral-side  --ell --theta --nu --rho-norm
-compare        --ell --theta --nu --rho-norm --c-g
+spectral-side  --ell --theta
+compare        --ell --theta --c-g
 perron-check   --ell --theta --quad-tol
 oracle-torus   no --config; its --nu (default 1) is a torus parameter
+
+The model space fixes the kernel exponent nu = 2 and |rho| = 1
+(``freespace.NU``, ``freespace.RHO_NORM``); ``spectral-side`` and
+``compare`` report them, and the growth constants of the tail certificate,
+which ``poincare`` reports, are fixed too.
 
 Examples
 --------
@@ -47,6 +52,7 @@ import numpy as np
 
 from .config import RunConfig, build_config
 from .errors import ConvergenceError, InputError
+from .freespace import NU, RHO_NORM
 from .lattice import Census, enumerate_pruned, shell_counts
 from .perron import SmoothingParams, perron_contour_oracle, smoothed_geometric_count, smoothing_kernel
 from .poincare import GrowthModel, series_eval
@@ -55,16 +61,12 @@ from .spectral import Spectrum, convention_sign, spectral_side_eval
 from .torus import TorusParams, torus_identity_check
 
 
-# RunConfig key -> (flag, help) for the keys a flag can set; sigma0,
-# growth_eps and growth_safety are set from a config file only.
+# RunConfig key -> (flag, help)
 _FLAGS = {
     "c_g": ("--c-g", "free-space constant"),
-    "rho_norm": ("--rho-norm", "spectral offset"),
-    "nu": ("--nu", "kernel exponent"),
     "ell": ("--ell", "smoothing order"),
     "theta": ("--theta", "smoothing step"),
     "work_budget": ("--budget", "work budget"),
-    "workers": ("--workers", "worker threads"),
     "quad_tol": ("--quad-tol", "contour tolerance"),
 }
 
@@ -77,7 +79,7 @@ def _add_config(p: argparse.ArgumentParser, fn, keys: tuple[str, ...]) -> None:
     if keys:
         p.add_argument("--config", help="key=value config file")
     for f in fields(RunConfig):
-        if f.name in keys and f.name in _FLAGS:
+        if f.name in keys:
             flag, text = _FLAGS[f.name]
             p.add_argument(
                 flag, dest=f.name, type=int if f.type == "int" else _finite_float,
@@ -119,7 +121,7 @@ def _parse_floats(raw: str, what: str) -> list[float]:
 
 
 def _cmd_enumerate(args, cfg: RunConfig) -> dict:
-    census = enumerate_pruned(args.cutoff, budget=cfg.work_budget, workers=cfg.workers)
+    census = enumerate_pruned(args.cutoff, budget=cfg.work_budget)
     census.to_csv(args.out)
     bins = shell_counts(census, width=0.25)
     return {
@@ -138,7 +140,7 @@ def _cmd_enumerate(args, cfg: RunConfig) -> dict:
 
 def _cmd_poincare(args, cfg: RunConfig) -> dict:
     census = Census.from_csv(args.census)
-    model = GrowthModel(sigma0=cfg.sigma0, eps=cfg.growth_eps, safety=cfg.growth_safety)
+    model = GrowthModel()
     val = series_eval(census, complex(args.z, args.z_im), model=model, c_g=cfg.c_g)
     return {
         "series": {
@@ -180,11 +182,11 @@ def _cmd_smoothed_count(args, cfg: RunConfig) -> dict:
 
 
 def _cmd_spectral_side(args, cfg: RunConfig) -> dict:
-    spectrum = Spectrum.from_csv(args.spectrum, rho_norm=cfg.rho_norm)
+    spectrum = Spectrum.from_csv(args.spectrum)
     sm = _smoothing(cfg)
     rows = []
     for x in _parse_floats(args.x, "X"):
-        val = spectral_side_eval(spectrum, x, sm, nu=cfg.nu)
+        val = spectral_side_eval(spectrum, x, sm)
         rows.append(
             {
                 "x": x,
@@ -198,9 +200,9 @@ def _cmd_spectral_side(args, cfg: RunConfig) -> dict:
         )
     return {
         "spectral": {
-            "nu": cfg.nu,
-            "sign": convention_sign(cfg.nu),
-            "rho_norm": cfg.rho_norm,
+            "nu": NU,
+            "sign": convention_sign(NU),
+            "rho_norm": RHO_NORM,
             "data_count": len(spectrum.data),
             "evaluations": rows,
         },
@@ -209,13 +211,13 @@ def _cmd_spectral_side(args, cfg: RunConfig) -> dict:
 
 def _cmd_compare(args, cfg: RunConfig) -> dict:
     census = Census.from_csv(args.census)
-    spectrum = Spectrum.from_csv(args.spectrum, rho_norm=cfg.rho_norm)
+    spectrum = Spectrum.from_csv(args.spectrum)
     sm = _smoothing(cfg)
-    sign = convention_sign(cfg.nu)
+    sign = convention_sign(NU)
     rows = []
     for x in _parse_floats(args.x, "X"):
         geo = smoothed_geometric_count(census, x, sm, c_g=cfg.c_g)
-        sp = spectral_side_eval(spectrum, x, sm, nu=cfg.nu)
+        sp = spectral_side_eval(spectrum, x, sm)
         geo_signed = sign * geo.value
         rows.append(
             {
@@ -229,7 +231,7 @@ def _cmd_compare(args, cfg: RunConfig) -> dict:
         )
     return {
         "compare": {
-            "nu": cfg.nu,
+            "nu": NU,
             "sign": sign,
             "ell": sm.ell,
             "theta": sm.theta,
@@ -306,13 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="build a census CSV")
     p.add_argument("--cutoff", type=_finite_float, required=True, help="gauge cutoff >= 1")
     p.add_argument("--out", required=True, help="census CSV path")
-    _add_config(p, _cmd_enumerate, ("workers", "work_budget"))
+    _add_config(p, _cmd_enumerate, ("work_budget",))
 
     p = sub.add_parser("poincare", help="kernel series over a census")
     p.add_argument("--census", required=True)
     p.add_argument("--z", type=_finite_float, required=True, help="Re z (must exceed the certified abscissa)")
     p.add_argument("--z-im", type=_finite_float, default=0.0, help="Im z (default 0)")
-    _add_config(p, _cmd_poincare, ("c_g", "sigma0", "growth_eps", "growth_safety"))
+    _add_config(p, _cmd_poincare, ("c_g",))
 
     p = sub.add_parser("smoothed-count", help="smoothed weighted count below radius X")
     p.add_argument("--census", required=True)
@@ -322,13 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectral-side", help="evaluate a spectrum file at X values")
     p.add_argument("--spectrum", required=True)
     p.add_argument("--x", required=True, help="comma-separated X values")
-    _add_config(p, _cmd_spectral_side, ("ell", "theta", "nu", "rho_norm"))
+    _add_config(p, _cmd_spectral_side, ("ell", "theta"))
 
     p = sub.add_parser("compare", help="geometric vs spectral columns (no verdict)")
     p.add_argument("--census", required=True)
     p.add_argument("--spectrum", required=True)
     p.add_argument("--x", required=True, help="comma-separated X values")
-    _add_config(p, _cmd_compare, ("ell", "theta", "nu", "rho_norm", "c_g"))
+    _add_config(p, _cmd_compare, ("ell", "theta", "c_g"))
 
     p = sub.add_parser("oracle-torus", help="flat-torus identity check")
     p.add_argument("--n", type=int, required=True)

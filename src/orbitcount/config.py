@@ -4,6 +4,12 @@ Config files are flat ``key = value`` lines ('#' comments, blank lines
 ignored).  Keys match the dataclass fields below; unknown keys are input
 errors so typos cannot silently fall back to defaults.  Precedence is
 defaults < file < explicit CLI flags.
+
+The fields are only what a run may vary.  Values that the model space or
+the tail certificate fix are constants where they are used: the kernel
+exponent nu = 2 and |rho| = 1 in :mod:`orbitcount.freespace`, the growth
+model in :class:`orbitcount.poincare.GrowthModel`; enumeration runs on
+one thread.
 """
 
 from __future__ import annotations
@@ -15,34 +21,21 @@ from typing import Any
 
 from .errors import InputError
 from .lattice import DEFAULT_WORK_BUDGET
-from .poincare import SIGMA0_DEFAULT
 
 
 @dataclass
 class RunConfig:
     c_g: float = 1.0            # free-space normalization constant
-    rho_norm: float = 1.0       # spectral offset: lambda_z = z^2 - rho_norm^2
-    nu: int = 2                 # kernel exponent of the model space
     ell: int = 2                # smoothing order
     theta: float = 1.0          # smoothing step
-    sigma0: float = SIGMA0_DEFAULT  # census growth exponent
-    growth_eps: float = 0.25    # exponent margin in tail certificates
-    growth_safety: float = 4.0  # prefactor safety in tail certificates
     work_budget: int = DEFAULT_WORK_BUDGET
-    workers: int = 1
     quad_tol: float = 1e-9      # contour quadrature absolute tolerance
 
     def validate(self) -> "RunConfig":
-        if self.nu < 1:
-            raise InputError("nu must be >= 1")
         if self.ell < 1:
             raise InputError("ell must be >= 1")
         if self.theta <= 0:
             raise InputError("theta must be > 0")
-        if self.rho_norm <= 0:
-            raise InputError("rho_norm must be > 0")
-        if self.workers < 1:
-            raise InputError("workers must be >= 1")
         if self.work_budget < 1:
             raise InputError("work_budget must be >= 1")
         if self.quad_tol <= 0:

@@ -1,8 +1,8 @@
 """The free-space kernel of the rank-one model space.
 
-The series are built from the fundamental solution of ``(Delta - lambda_z)^2``
-on the model space, ``lambda_z = z^2 - 1``.  It is radial, and at radius r
-it is the single closed form
+The series are built from the fundamental solution of ``(Delta - lambda_z)^nu``
+on the model space, with ``nu = 2`` and ``lambda_z = z^2 - |rho|^2``,
+``|rho| = 1``.  It is radial, and at radius r it is the single closed form
 
     u_z(r) = C_G * (r / sinh r) * e^{-z r} / z.
 
@@ -22,6 +22,13 @@ from .errors import PoleError
 #: free-space normalization constant; the model-space computations in this
 #: package are all carried out with C_G = 1 and the constant kept symbolic.
 DEFAULT_C_G = 1.0
+
+#: kernel exponent nu and half-sum norm |rho| of the model space.  The
+#: identity holds only when the spectral side uses the same two values:
+#: its eigenvalues are lambda = z^2 - RHO_NORM^2 and its residues are those
+#: of the NU-th power.
+NU = 2
+RHO_NORM = 1.0
 
 _TAYLOR_SWITCH = 5e-7
 

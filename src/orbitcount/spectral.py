@@ -2,8 +2,9 @@
 
 Each spectral datum carries a weight w and a parameter z_xi on the branch
 Re z_xi >= 0 (Im z_xi >= 0 when Re z_xi = 0), related to its eigenvalue by
-lambda_xi = z_xi^2 - rho_norm^2.  Its contribution to the smoothed count at
-X, for kernel exponent nu and smoothing (ell, theta), is
+lambda_xi = z_xi^2 - |rho|^2, where |rho| = 1 for the model space
+(``freespace.RHO_NORM``).  Its contribution to the smoothed count at X, for
+kernel exponent nu and smoothing (ell, theta), is
 
     w * (A + B + Per)
 
@@ -18,13 +19,15 @@ at z = z_xi and z = -z_xi respectively, and Per is the pole-train sum
           (-1)^{m-1} e^{-m theta X} / ((m-1)! (ell-m)! (z_xi^2 - m^2 theta^2)^nu).
 
 A carries e^{+z_xi X} times a degree-(nu-1) polynomial in X; B mirrors with
-e^{-z_xi X}.  The constant datum (lambda = 0, z_xi = rho_norm) contributes
+e^{-z_xi X}.  The constant datum (lambda = 0, z_xi = |rho|) contributes
 w * (A + B) with no pole-train part.
 
 The raw contour calculus equals (-1)^nu times this normalization (it is
 the power of (lambda_xi - lambda_z) = -(z - z_xi)(z + z_xi) that flips);
 ``SIGN = (-1)**nu`` is exported and reported so the geometric comparison
-can be made on matching conventions.  For the model space nu = 2, SIGN = +1.
+can be made on matching conventions.  The model space has nu = 2
+(``freespace.NU``), the default here, so SIGN = +1; other nu serve the
+residue-calculus checks.
 
 Residues are evaluated by a closed three-factor Leibniz expansion (never by
 numerical differentiation); an independent small-circle quadrature oracle
@@ -50,12 +53,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, PoleCollisionError
+from .freespace import NU, RHO_NORM
 from .perron import SmoothingParams, kernel_denominator, panel_width
 from .quadrature import LineIntegral, vertical_line_integral
 from .summation import neumaier_sum_complex, neumaier_sum_rows
-
-#: kernel exponent of the rank-one model space
-NU_DEFAULT = 2
 
 #: tolerance below which two poles are treated as collided
 POLE_TOL = 1e-8
@@ -72,19 +73,19 @@ def branch_z(z: complex) -> complex:
     return z
 
 
-def z_from_lambda(lam: complex, rho_norm: float) -> complex:
-    """Principal z_xi with z_xi^2 = lambda + rho_norm^2, on the branch."""
-    return branch_z(cmath.sqrt(complex(lam) + rho_norm * rho_norm))
+def z_from_lambda(lam: complex) -> complex:
+    """Principal z_xi with z_xi^2 = lambda + |rho|^2, on the branch."""
+    return branch_z(cmath.sqrt(complex(lam) + RHO_NORM * RHO_NORM))
 
 
-def lambda_from_z(z: complex, rho_norm: float) -> complex:
-    return complex(z) * complex(z) - rho_norm * rho_norm
+def lambda_from_z(z: complex) -> complex:
+    return complex(z) * complex(z) - RHO_NORM * RHO_NORM
 
 
 #: Spectrum file headers and each one's row fields -> z_xi conversion.
 _SPECTRUM_HEADERS = {
     ("label", "lambda", "weight"): z_from_lambda,
-    ("label", "z_re", "z_im", "weight"): lambda re, im, _rho: branch_z(complex(re, im)),
+    ("label", "z_re", "z_im", "weight"): lambda re, im: branch_z(complex(re, im)),
 }
 
 
@@ -96,23 +97,22 @@ class SpectralDatum:
     z: complex
     weight: float
 
-    def lam(self, rho_norm: float) -> complex:
-        return lambda_from_z(self.z, rho_norm)
+    def lam(self) -> complex:
+        return lambda_from_z(self.z)
 
-    def is_constant(self, rho_norm: float) -> bool:
-        return abs(self.lam(rho_norm)) <= CONSTANT_LAMBDA_TOL
+    def is_constant(self) -> bool:
+        return abs(self.lam()) <= CONSTANT_LAMBDA_TOL
 
 
 @dataclass(frozen=True)
 class Spectrum:
     data: tuple[SpectralDatum, ...]
-    rho_norm: float = 1.0
 
     def __iter__(self):
         return iter(self.data)
 
     @classmethod
-    def from_csv(cls, path: str | Path, rho_norm: float = 1.0) -> "Spectrum":
+    def from_csv(cls, path: str | Path) -> "Spectrum":
         """Load `label,lambda,weight` or `label,z_re,z_im,weight` files."""
         lines = Path(path).read_text().strip().splitlines()
         if not lines:
@@ -137,8 +137,8 @@ class Spectrum:
                 if not math.isfinite(v):
                     raise InputError(f"{path}:{ln}: non-finite field {p!r}")
             *z_fields, w = values
-            rows.append(SpectralDatum(parts[0], to_z(*z_fields, rho_norm), w))
-        return cls(data=tuple(rows), rho_norm=rho_norm)
+            rows.append(SpectralDatum(parts[0], to_z(*z_fields), w))
+        return cls(data=tuple(rows))
 
 
 def _check_collisions(z: np.ndarray, params: SmoothingParams) -> None:
@@ -233,29 +233,16 @@ def _kernel_exponent(nu) -> int:
 
 
 def _datum_terms(
-    z: np.ndarray,
-    X: float,
-    params: SmoothingParams,
-    nu: int,
-    *,
-    residues: bool = True,
-    train: bool = True,
-) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+    z: np.ndarray, X: float, params: SmoothingParams, nu: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A, B and Per (module docstring) for every z_xi of a 1-D complex array.
 
-    ``residues=False`` skips A and B, ``train=False`` skips Per; a skipped
-    part is returned as None and costs nothing.  Every z_xi is checked for
-    collisions before any value is computed.
+    Every z_xi is checked for collisions before any value is computed.
     """
     nu = _kernel_exponent(nu)
     _check_collisions(z, params)
-    A = B = per = None
-    if residues:
-        AB = _full_residues(np.concatenate([z, -z]), X, params, nu)  # A and B in one pass
-        A, B = AB[: z.size], AB[z.size :]
-    if train:
-        per = _pole_train(z, X, params, nu)
-    return A, B, per
+    AB = _full_residues(np.concatenate([z, -z]), X, params, nu)  # A and B in one pass
+    return AB[: z.size], AB[z.size :], _pole_train(z, X, params, nu)
 
 
 def _full_residues(at: np.ndarray, X: float, params: SmoothingParams, nu: int) -> np.ndarray:
@@ -325,19 +312,22 @@ def residue_pair(
     z_xi: complex,
     X: float,
     params: SmoothingParams,
-    nu: int = NU_DEFAULT,
+    nu: int = NU,
 ) -> tuple[complex, complex]:
     """Full residues (A, B) of phi at z = +z_xi and z = -z_xi (see
-    ``_datum_terms`` for the closed form)."""
-    A, B, _ = _datum_terms(np.array([complex(z_xi)]), X, params, nu, train=False)
-    return complex(A[0]), complex(B[0])
+    ``_full_residues`` for the closed form)."""
+    nu = _kernel_exponent(nu)
+    z = complex(z_xi)
+    _check_collisions(np.array([z]), params)
+    A, B = _full_residues(np.array([z, -z]), X, params, nu)
+    return complex(A), complex(B)
 
 
 def per_term(
     z_xi: complex,
     X: float,
     params: SmoothingParams,
-    nu: int = NU_DEFAULT,
+    nu: int = NU,
 ) -> complex:
     """Pole-train term, exactly as displayed (see module docstring).
 
@@ -345,8 +335,10 @@ def per_term(
     when nu is even (the model case); for odd nu the displayed denominator
     (z_xi^2 - m^2 theta^2)^nu differs from the residue sum by a global sign.
     """
-    per = _datum_terms(np.array([complex(z_xi)]), X, params, nu, residues=False)[2]
-    return complex(per[0])
+    nu = _kernel_exponent(nu)
+    z = np.array([complex(z_xi)])
+    _check_collisions(z, params)
+    return complex(_pole_train(z, X, params, nu)[0])
 
 
 def convention_sign(nu: int) -> int:
@@ -366,7 +358,7 @@ def spectral_side_eval(
     spectrum: Spectrum,
     X: float,
     params: SmoothingParams,
-    nu: int = NU_DEFAULT,
+    nu: int = NU,
 ) -> SpectralValue:
     """Sum of datum contributions w (A + B [+ Per]) at count parameter X.
 
@@ -380,7 +372,7 @@ def spectral_side_eval(
     data = spectrum.data
     z = np.array([d.z for d in data], dtype=complex)
     w = np.array([d.weight for d in data], dtype=float)
-    const = np.array([d.is_constant(spectrum.rho_norm) for d in data], dtype=bool)
+    const = np.array([d.is_constant() for d in data], dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         A, B, per = _datum_terms(z, X, params, nu)
         pair = A + B
@@ -406,7 +398,7 @@ def global_contour_oracle(
     spectrum: Spectrum,
     X: float,
     params: SmoothingParams,
-    nu: int = NU_DEFAULT,
+    nu: int = NU,
     *,
     sigma: float | None = None,
     height: float = 400.0,

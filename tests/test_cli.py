@@ -7,11 +7,13 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from orbitcount import cli
+from orbitcount.config import RunConfig
 from orbitcount.errors import InputError, QuadratureError
 from orbitcount.lattice import CSV_HEADER, Census
 
@@ -71,32 +73,23 @@ def test_enumerate_report_and_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_enumerate_workers_deterministic(tmp_path):
-    a = tmp_path / "w1.csv"
-    b = tmp_path / "w3.csv"
-    assert run_cli("enumerate", "--cutoff", "4", "--out", str(a)).returncode == 0
-    assert (
-        run_cli("enumerate", "--cutoff", "4", "--out", str(b), "--workers", "3").returncode
-        == 0
-    )
-    assert a.read_bytes() == b.read_bytes()
-
-
 # the RunConfig keys each subcommand reads, and the flag of each key that has one
 READS = {
-    "enumerate": ("workers", "work_budget"),
-    "poincare": ("c_g", "sigma0", "growth_eps", "growth_safety"),
+    "enumerate": ("work_budget",),
+    "poincare": ("c_g",),
     "smoothed-count": ("ell", "theta", "c_g"),
-    "spectral-side": ("ell", "theta", "nu", "rho_norm"),
-    "compare": ("ell", "theta", "nu", "rho_norm", "c_g"),
+    "spectral-side": ("ell", "theta"),
+    "compare": ("ell", "theta", "c_g"),
     "perron-check": ("ell", "theta", "quad_tol"),
     "oracle-torus": (),
 }
 FLAGS = {
-    "c_g": "--c-g", "rho_norm": "--rho-norm", "nu": "--nu", "ell": "--ell",
-    "theta": "--theta", "work_budget": "--budget", "workers": "--workers",
+    "c_g": "--c-g", "ell": "--ell", "theta": "--theta", "work_budget": "--budget",
     "quad_tol": "--quad-tol",
 }
+# flags of the keys the model space fixes (nu, rho_norm) or that did nothing
+# (workers): no subcommand accepts them
+DELETED_FLAGS = ("--rho-norm", "--nu", "--workers")
 # enough of each subcommand's own inputs for argparse to reach the extras
 REQUIRED = {
     "enumerate": ["--cutoff", "1", "--out", "{out}"],
@@ -107,12 +100,12 @@ REQUIRED = {
     "perron-check": ["--u", "1"],
     "oracle-torus": ["--n", "1", "--lam", "-1"],
 }
-# oracle-torus's own --nu is a torus parameter, not the RunConfig key
+# oracle-torus's own --nu is a torus parameter, not a deleted key's flag
 UNREAD = [
     (sub, flag)
     for sub, keys in READS.items()
-    for key, flag in FLAGS.items()
-    if key not in keys and not (sub == "oracle-torus" and flag == "--nu")
+    for flag in [f for k, f in FLAGS.items() if k not in keys] + list(DELETED_FLAGS)
+    if not (sub == "oracle-torus" and flag == "--nu")
 ] + [("oracle-torus", "--config")]
 
 
@@ -132,10 +125,20 @@ def test_unread_options_are_refused(capsys, sub, flag):
 
 # a value other than the default for every RunConfig key
 CONFIG_FILE = {
-    "c_g": 2.0, "rho_norm": 2.0, "nu": 1, "ell": 3, "theta": 0.8,
-    "sigma0": 4.5, "growth_eps": 0.3, "growth_safety": 5.0,
-    "work_budget": 10**8, "workers": 2, "quad_tol": 1e-8,
+    "c_g": 2.0, "ell": 3, "theta": 0.8, "work_budget": 10**8, "quad_tol": 1e-8,
 }
+
+
+def _subparsers():
+    return next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+
+
+def test_every_config_key_is_read():
+    # a key that no subcommand reads would be a knob that does nothing
+    read = {k for p in _subparsers().values() for k in p.get_default("keys")}
+    assert read == {f.name for f in fields(RunConfig)} == set(CONFIG_FILE)
 
 
 def _report(capsys, argv):
@@ -170,11 +173,9 @@ def test_meta_config_holds_the_keys_read(tmp_path, capsys, census_csv, spectrum_
     for doc in (default, from_file, from_own_keys, from_flags):
         doc["meta"].pop("generated_at")
     assert from_file == from_own_keys
-    # the flags set the same values as the file (poincare's growth keys
-    # have no flag and stay at their defaults there)
-    if sub != "poincare":
-        assert from_flags == from_file
-    # workers and the work budget leave the census bit-identical
+    # the flags set the same values as the file
+    assert from_flags == from_file
+    # the work budget leaves the census bit-identical
     if sub != "enumerate":
         assert {k: v for k, v in from_file.items() if k != "meta"} != {
             k: v for k, v in default.items() if k != "meta"
@@ -189,17 +190,25 @@ def test_oracle_torus_nu_is_a_torus_parameter(capsys):
     assert doc["meta"]["config"] == {}
 
 
+def _readme_table(text, first_column):
+    """The body rows of the README table whose header starts with
+    ``| first_column``, each split into its cells."""
+    rows = text.split(f"| {first_column} ", 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+    return [[cell.strip() for cell in row.split("|")[1:-1]] for row in rows]
+
+
 def test_readme_option_table_matches_parser():
-    # the README's subcommand table is the documented option surface
+    # the README's subcommand table is the documented option surface, and
+    # its key table documents RunConfig's fields at their defaults
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    rows = text.split("| subcommand ", 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+    keys = [(re.fullmatch(r"`(\w+)`", key)[1], float(default))
+            for key, default, _meaning in _readme_table(text, "key")]
+    assert keys == [(f.name, f.default) for f in fields(RunConfig)]
     table = {}
-    for row in rows:
-        sub, keys, flags = (re.findall(r"`([^`]+)`", cell) for cell in row.split("|")[1:4])
+    for row in _readme_table(text, "subcommand"):
+        sub, keys, flags = (re.findall(r"`([^`]+)`", cell) for cell in row)
         table[sub[0]] = (tuple(keys), set(flags))
-    subparsers = next(
-        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-    ).choices
+    subparsers = _subparsers()
     assert set(table) == set(subparsers) == set(READS)
     for sub, p in subparsers.items():
         accepted = {s for a in p._actions for s in a.option_strings}
@@ -255,6 +264,17 @@ def test_poincare_report(census_csv):
     assert doc["series"]["value"]["re"] == pytest.approx(1.366581211023292, rel=1e-12)
     assert doc["series"]["tail_bound"] < 1e-6
     assert doc["series"]["census_size"] == 42248
+
+
+def test_poincare_tiny_kernel_tail_is_finite(tmp_path, census4):
+    # with |z| = 1e300 every tail term is below 1e-300; the slab loop used
+    # to run until the growth count overflowed (OverflowError traceback)
+    path = tmp_path / "c4.csv"
+    census4.to_csv(path)
+    r = run_cli("poincare", "--census", str(path), "--z", "6", "--z-im", "1e300")
+    assert r.returncode == 0, r.stderr
+    tail = json.loads(r.stdout)["series"]["tail_bound"]
+    assert 0.0 < tail < 1e-300
 
 
 def test_poincare_below_abscissa_exits_1(census_csv):
@@ -425,6 +445,39 @@ def test_bad_config_key_exits_1(tmp_path, census_csv):
     )
     assert r.returncode == 1
     assert "unknown config key" in r.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["spectral-side", "--spectrum", "{spectrum}", "--x", "1", "--theta", "0.8"],
+         "rho_norm = 2.0\n"),
+        (["compare", "--census", "{census}", "--spectrum", "{spectrum}", "--x", "1",
+          "--theta", "0.8"], "nu = 3\n"),
+        (["poincare", "--census", "{census}", "--z", "6"], "sigma0 = 4.5\n"),
+        (["poincare", "--census", "{census}", "--z", "6"], "growth_eps = 0.3\n"),
+        (["poincare", "--census", "{census}", "--z", "6"], "growth_safety = 5.0\n"),
+        (["enumerate", "--cutoff", "1", "--out", "{out}"], "workers = 2\n"),
+        # these growth constants once certified a tail of 51.3 at z = 1.2 on
+        # the cutoff-4 census, whose cutoff-16 remainder is 169
+        (["poincare", "--census", "{census}", "--z", "1.2"],
+         "sigma0 = 0.1\ngrowth_eps = 0.01\ngrowth_safety = 1.0\n"),
+    ],
+    ids=["rho_norm", "nu", "sigma0", "growth_eps", "growth_safety", "workers",
+         "false-certificate"],
+)
+def test_deleted_config_keys_exit_1(tmp_path, capsys, census4, spectrum_csv, argv, text):
+    census = tmp_path / "c4.csv"
+    census4.to_csv(census)
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(text)
+    argv = [a.format(census=census, spectrum=spectrum_csv, out=tmp_path / "c.csv")
+            for a in argv]
+    assert cli.main(argv + ["--config", str(cfg)]) == 1
+    out = capsys.readouterr()
+    assert f"old.cfg:1: unknown config key {text.split(' ', 1)[0]!r}" in out.err
+    assert out.out == ""
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_convergence_failure_maps_to_exit_2(monkeypatch):

@@ -12,9 +12,8 @@ from orbitcount.reports import base_meta, complex_fields, write_json
 
 def test_defaults():
     cfg = RunConfig()
-    assert cfg.nu == 2 and cfg.ell == 2 and cfg.theta == 1.0
-    assert cfg.sigma0 == 4.0
-    assert cfg.workers == 1
+    assert cfg.c_g == 1.0 and cfg.ell == 2 and cfg.theta == 1.0
+    assert cfg.work_budget == 200_000_000 and cfg.quad_tol == 1e-9
 
 
 def test_config_file_parsing(tmp_path):
@@ -22,12 +21,12 @@ def test_config_file_parsing(tmp_path):
     p.write_text(
         "# comment line\n"
         "theta = 0.8\n"
-        "workers=4\n"
+        "work_budget=4000\n"
         "\n"
-        "nu = 1  # trailing comment\n"
+        "ell = 1  # trailing comment\n"
     )
     got = load_config_file(p)
-    assert got == {"theta": 0.8, "workers": 4, "nu": 1}
+    assert got == {"theta": 0.8, "work_budget": 4000, "ell": 1}
 
 
 def test_config_unknown_key(tmp_path):
@@ -39,17 +38,15 @@ def test_config_unknown_key(tmp_path):
 
 def test_override_precedence(tmp_path):
     p = tmp_path / "run.cfg"
-    p.write_text("theta = 0.8\nnu = 1\n")
-    cfg = build_config(str(p), {"nu": 2, "theta": None})
+    p.write_text("theta = 0.8\nell = 1\n")
+    cfg = build_config(str(p), {"ell": 2, "theta": None})
     assert cfg.theta == 0.8  # file wins over default
-    assert cfg.nu == 2  # explicit override wins over file
+    assert cfg.ell == 2  # explicit override wins over file
 
 
 def test_validation():
     with pytest.raises(InputError):
-        RunConfig(nu=0).validate()
-    with pytest.raises(InputError):
-        RunConfig(workers=0).validate()
+        RunConfig(ell=0).validate()
     with pytest.raises(InputError):
         RunConfig(theta=-1.0).validate()
     with pytest.raises(InputError):

@@ -7,7 +7,6 @@ from orbitcount.errors import InputError
 from orbitcount.group import exp_cartan
 from orbitcount.lattice import enumerate_pruned
 from orbitcount.poincare import (
-    SIGMA0_DEFAULT,
     GrowthModel,
     fit_growth,
     fit_prefactor,
@@ -23,19 +22,12 @@ def test_growth_model_defaults():
     assert m.required_abscissa == pytest.approx(5.25)
 
 
-def test_growth_model_validation():
-    with pytest.raises(InputError):
-        GrowthModel(sigma0=-1.0)
-    with pytest.raises(InputError):
-        GrowthModel(safety=0.5)
-
-
 def test_fit_growth_frozen(census8):
     slope, c_ls = fit_growth(census8, 2.0, 8.0)
     assert slope == pytest.approx(3.9530598545186773, rel=1e-12)
     assert c_ls == pytest.approx(11.517294846267395, rel=1e-12)
     # the frozen default exponent is the fit rounded to the model value
-    assert abs(slope - SIGMA0_DEFAULT) <= 0.3
+    assert abs(slope - GrowthModel.sigma0) <= 0.3
 
 
 def test_fit_prefactor_majorizes(census8):

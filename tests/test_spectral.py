@@ -56,9 +56,9 @@ def _spectrum(zs=GRID, ws=WEIGHTS):
 
 def test_branch_and_lambda_roundtrip():
     for lam in (-0.64, -3.0, 0.5):
-        z = z_from_lambda(lam, 1.0)
+        z = z_from_lambda(lam)
         assert z.real >= 0.0
-        assert lambda_from_z(z, 1.0) == pytest.approx(lam, rel=1e-14)
+        assert lambda_from_z(z) == pytest.approx(lam, rel=1e-14)
     assert branch_z(complex(-2.0, 1.0)) == complex(2.0, -1.0)
 
 
@@ -182,15 +182,15 @@ def test_sign_convention():
 def test_spectrum_csv_both_headers(tmp_path):
     p1 = tmp_path / "lam.csv"
     p1.write_text("label,lambda,weight\nc,0.0,1.0\nphi1,-2.25,2.0\n")
-    s1 = Spectrum.from_csv(p1, rho_norm=1.0)
+    s1 = Spectrum.from_csv(p1)
     assert s1.data[0].z == pytest.approx(1.0)
     assert s1.data[1].z == pytest.approx(np.sqrt(1.0 - 2.25 + 0j))
-    assert s1.data[0].is_constant(1.0)
-    assert not s1.data[1].is_constant(1.0)
+    assert s1.data[0].is_constant()
+    assert not s1.data[1].is_constant()
 
     p2 = tmp_path / "z.csv"
     p2.write_text("label,z_re,z_im,weight\na,0.5,0.0,1.5\nb,0.0,1.2,0.5\n")
-    s2 = Spectrum.from_csv(p2, rho_norm=1.0)
+    s2 = Spectrum.from_csv(p2)
     assert s2.data[1].z == complex(0.0, 1.2)
 
     bad = tmp_path / "bad.csv"
