@@ -15,21 +15,22 @@ to write a file).  Exit codes: 0 success, 1 invalid input/parameters,
 2 numeric-convergence failure (uncertifiable tail or quadrature).
 
 A subcommand accepts only the options it reads.  Besides its own inputs,
-each takes ``--config FILE`` and the flags of the RunConfig keys it reads
-(``meta.config`` records exactly those keys):
+these run options, whose defaults are the library's (``meta.config``
+records exactly the ones a subcommand takes):
 
 enumerate      --budget
-poincare       --c-g
-smoothed-count --ell --theta --c-g
+smoothed-count --ell --theta
 spectral-side  --ell --theta
-compare        --ell --theta --c-g
+compare        --ell --theta
 perron-check   --ell --theta --quad-tol
-oracle-torus   no --config; its --nu (default 1) is a torus parameter
 
-The model space fixes the kernel exponent nu = 2 and |rho| = 1
-(``freespace.NU``, ``freespace.RHO_NORM``); ``spectral-side`` and
-``compare`` report them, and the growth constants of the tail certificate,
-which ``poincare`` reports, are fixed too.
+``poincare`` and ``oracle-torus`` take none; the torus's ``--nu``
+(default 1) is a torus parameter.  The model space fixes the kernel
+exponent nu = 2, |rho| = 1 and the free-space normalization C_G = 1
+(``freespace.NU``, ``freespace.RHO_NORM``, ``freespace.C_G``);
+``spectral-side`` and ``compare`` report nu and |rho|, and the growth
+constants of the tail certificate, which ``poincare`` reports, are fixed
+too.
 
 Examples
 --------
@@ -46,50 +47,27 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import fields
 
 import numpy as np
 
-from .config import RunConfig, build_config
 from .errors import ConvergenceError, InputError
 from .freespace import NU, RHO_NORM
-from .lattice import Census, enumerate_pruned, shell_counts
-from .perron import SmoothingParams, perron_contour_oracle, smoothed_geometric_count, smoothing_kernel
+from .lattice import DEFAULT_WORK_BUDGET, Census, enumerate_pruned, shell_counts
+from .perron import (
+    DEFAULT_QUAD_TOL,
+    SmoothingParams,
+    perron_contour_oracle,
+    smoothed_geometric_count,
+    smoothing_kernel,
+)
 from .poincare import GrowthModel, series_eval
 from .reports import base_meta, complex_fields, write_json
 from .spectral import Spectrum, convention_sign, spectral_side_eval
 from .torus import TorusParams, torus_identity_check
 
 
-# RunConfig key -> (flag, help)
-_FLAGS = {
-    "c_g": ("--c-g", "free-space constant"),
-    "ell": ("--ell", "smoothing order"),
-    "theta": ("--theta", "smoothing step"),
-    "work_budget": ("--budget", "work budget"),
-    "quad_tol": ("--quad-tol", "contour tolerance"),
-}
-
-
-def _add_config(p: argparse.ArgumentParser, fn, keys: tuple[str, ...]) -> None:
-    """Add ``--report`` and, when the subcommand reads RunConfig ``keys``,
-    ``--config`` and the flags of those keys; ``main`` builds and records
-    the config from ``keys`` alone."""
-    p.add_argument("--report", help="write the JSON report here (default: stdout)")
-    if keys:
-        p.add_argument("--config", help="key=value config file")
-    for f in fields(RunConfig):
-        if f.name in keys:
-            flag, text = _FLAGS[f.name]
-            p.add_argument(
-                flag, dest=f.name, type=int if f.type == "int" else _finite_float,
-                help=f"{text} (default {f.default})",
-            )
-    p.set_defaults(fn=fn, keys=keys)
-
-
-def _smoothing(cfg: RunConfig) -> SmoothingParams:
-    return SmoothingParams(ell=cfg.ell, theta=cfg.theta)
+def _smoothing(args) -> SmoothingParams:
+    return SmoothingParams(ell=args.ell, theta=args.theta)
 
 
 def _finite_float(raw: str) -> float:
@@ -101,6 +79,27 @@ def _finite_float(raw: str) -> float:
     if not math.isfinite(x):
         raise argparse.ArgumentTypeError(f"not a finite number: {raw!r}")
     return x
+
+
+# run option key -> (flag, type, default, help); the defaults are the library's
+_OPTIONS = {
+    "work_budget": ("--budget", int, DEFAULT_WORK_BUDGET, "work budget"),
+    "ell": ("--ell", int, SmoothingParams.ell, "smoothing order"),
+    "theta": ("--theta", _finite_float, SmoothingParams.theta, "smoothing step"),
+    "quad_tol": ("--quad-tol", _finite_float, DEFAULT_QUAD_TOL, "contour tolerance"),
+}
+
+
+def _add_options(p: argparse.ArgumentParser, fn, keys: tuple[str, ...]) -> None:
+    """Add ``--report`` and the flags of the run options ``keys``; ``main``
+    records exactly those keys in ``meta.config``.  The library call that
+    reads an option refuses a bad value."""
+    p.add_argument("--report", help="write the JSON report here (default: stdout)")
+    for key in keys:
+        flag, kind, default, text = _OPTIONS[key]
+        p.add_argument(flag, dest=key, type=kind, default=default,
+                       help=f"{text} (default {default})")
+    p.set_defaults(fn=fn, keys=keys)
 
 
 def _parse_floats(raw: str, what: str) -> list[float]:
@@ -120,8 +119,8 @@ def _parse_floats(raw: str, what: str) -> list[float]:
 # subcommand bodies
 
 
-def _cmd_enumerate(args, cfg: RunConfig) -> dict:
-    census = enumerate_pruned(args.cutoff, budget=cfg.work_budget)
+def _cmd_enumerate(args) -> dict:
+    census = enumerate_pruned(args.cutoff, budget=args.work_budget)
     census.to_csv(args.out)
     bins = shell_counts(census, width=0.25)
     return {
@@ -138,10 +137,10 @@ def _cmd_enumerate(args, cfg: RunConfig) -> dict:
     }
 
 
-def _cmd_poincare(args, cfg: RunConfig) -> dict:
+def _cmd_poincare(args) -> dict:
     census = Census.from_csv(args.census)
     model = GrowthModel()
-    val = series_eval(census, complex(args.z, args.z_im), model=model, c_g=cfg.c_g)
+    val = series_eval(census, complex(args.z, args.z_im), model=model)
     return {
         "series": {
             "z": complex_fields(val.z),
@@ -163,10 +162,10 @@ def _cmd_poincare(args, cfg: RunConfig) -> dict:
     }
 
 
-def _cmd_smoothed_count(args, cfg: RunConfig) -> dict:
+def _cmd_smoothed_count(args) -> dict:
+    sm = _smoothing(args)
     census = Census.from_csv(args.census)
-    sm = _smoothing(cfg)
-    out = smoothed_geometric_count(census, args.x, sm, c_g=cfg.c_g)
+    out = smoothed_geometric_count(census, args.x, sm)
     return {
         "smoothed_count": {
             "x": out.X,
@@ -181,9 +180,9 @@ def _cmd_smoothed_count(args, cfg: RunConfig) -> dict:
     }
 
 
-def _cmd_spectral_side(args, cfg: RunConfig) -> dict:
+def _cmd_spectral_side(args) -> dict:
+    sm = _smoothing(args)
     spectrum = Spectrum.from_csv(args.spectrum)
-    sm = _smoothing(cfg)
     rows = []
     for x in _parse_floats(args.x, "X"):
         val = spectral_side_eval(spectrum, x, sm)
@@ -209,14 +208,14 @@ def _cmd_spectral_side(args, cfg: RunConfig) -> dict:
     }
 
 
-def _cmd_compare(args, cfg: RunConfig) -> dict:
+def _cmd_compare(args) -> dict:
+    sm = _smoothing(args)
     census = Census.from_csv(args.census)
     spectrum = Spectrum.from_csv(args.spectrum)
-    sm = _smoothing(cfg)
     sign = convention_sign(NU)
     rows = []
     for x in _parse_floats(args.x, "X"):
-        geo = smoothed_geometric_count(census, x, sm, c_g=cfg.c_g)
+        geo = smoothed_geometric_count(census, x, sm)
         sp = spectral_side_eval(spectrum, x, sm)
         geo_signed = sign * geo.value
         rows.append(
@@ -241,7 +240,7 @@ def _cmd_compare(args, cfg: RunConfig) -> dict:
     }
 
 
-def _cmd_oracle_torus(args, _cfg: RunConfig) -> dict:
+def _cmd_oracle_torus(args) -> dict:
     params = TorusParams(
         n=args.n,
         nu=args.nu,
@@ -269,11 +268,11 @@ def _cmd_oracle_torus(args, _cfg: RunConfig) -> dict:
     }
 
 
-def _cmd_perron_check(args, cfg: RunConfig) -> dict:
-    sm = _smoothing(cfg)
+def _cmd_perron_check(args) -> dict:
+    sm = _smoothing(args)
     closed = float(smoothing_kernel(sm, args.u))
     contour = perron_contour_oracle(
-        args.u, sm, sigma=args.sigma, height=args.height, abs_tol=cfg.quad_tol
+        args.u, sm, sigma=args.sigma, height=args.height, abs_tol=args.quad_tol
     )
     return {
         "perron": {
@@ -308,29 +307,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="build a census CSV")
     p.add_argument("--cutoff", type=_finite_float, required=True, help="gauge cutoff >= 1")
     p.add_argument("--out", required=True, help="census CSV path")
-    _add_config(p, _cmd_enumerate, ("work_budget",))
+    _add_options(p, _cmd_enumerate, ("work_budget",))
 
     p = sub.add_parser("poincare", help="kernel series over a census")
     p.add_argument("--census", required=True)
     p.add_argument("--z", type=_finite_float, required=True, help="Re z (must exceed the certified abscissa)")
     p.add_argument("--z-im", type=_finite_float, default=0.0, help="Im z (default 0)")
-    _add_config(p, _cmd_poincare, ("c_g",))
+    _add_options(p, _cmd_poincare, ())
 
     p = sub.add_parser("smoothed-count", help="smoothed weighted count below radius X")
     p.add_argument("--census", required=True)
     p.add_argument("--x", type=_finite_float, required=True)
-    _add_config(p, _cmd_smoothed_count, ("ell", "theta", "c_g"))
+    _add_options(p, _cmd_smoothed_count, ("ell", "theta"))
 
     p = sub.add_parser("spectral-side", help="evaluate a spectrum file at X values")
     p.add_argument("--spectrum", required=True)
     p.add_argument("--x", required=True, help="comma-separated X values")
-    _add_config(p, _cmd_spectral_side, ("ell", "theta"))
+    _add_options(p, _cmd_spectral_side, ("ell", "theta"))
 
     p = sub.add_parser("compare", help="geometric vs spectral columns (no verdict)")
     p.add_argument("--census", required=True)
     p.add_argument("--spectrum", required=True)
     p.add_argument("--x", required=True, help="comma-separated X values")
-    _add_config(p, _cmd_compare, ("ell", "theta", "c_g"))
+    _add_options(p, _cmd_compare, ("ell", "theta"))
 
     p = sub.add_parser("oracle-torus", help="flat-torus identity check")
     p.add_argument("--n", type=int, required=True)
@@ -339,13 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spectral-trunc", dest="spectral_trunc", type=int)
     p.add_argument("--geom-trunc", dest="geom_trunc", type=int)
     p.add_argument("--nu", type=int, default=1, help="kernel power (default 1)")
-    _add_config(p, _cmd_oracle_torus, ())
+    _add_options(p, _cmd_oracle_torus, ())
 
     p = sub.add_parser("perron-check", help="smoothing kernel vs contour integral")
     p.add_argument("--u", type=_finite_float, required=True, help="kernel argument X - r")
     p.add_argument("--sigma", type=_finite_float, default=1.0)
     p.add_argument("--height", type=_finite_float, default=1000.0)
-    _add_config(p, _cmd_perron_check, ("ell", "theta", "quad_tol"))
+    _add_options(p, _cmd_perron_check, ("ell", "theta", "quad_tol"))
 
     return ap
 
@@ -353,16 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        overrides = {k: getattr(args, k, None) for k in args.keys}
-        cfg = build_config(getattr(args, "config", None), overrides)
-        doc = args.fn(args, cfg)
+        doc = args.fn(args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ConvergenceError as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
         return 2
-    doc["meta"] = base_meta(args.command, {k: getattr(cfg, k) for k in args.keys})
+    doc["meta"] = base_meta(args.command, {k: getattr(args, k) for k in args.keys})
     write_json(doc, args.report)
     return 0
 

@@ -19,16 +19,15 @@ import numpy as np
 
 from .errors import PoleError
 
-#: free-space normalization constant; the model-space computations in this
-#: package are all carried out with C_G = 1 and the constant kept symbolic.
-DEFAULT_C_G = 1.0
-
-#: kernel exponent nu and half-sum norm |rho| of the model space.  The
-#: identity holds only when the spectral side uses the same two values:
-#: its eigenvalues are lambda = z^2 - RHO_NORM^2 and its residues are those
-#: of the NU-th power.
+#: kernel exponent nu, half-sum norm |rho| and free-space normalization
+#: C_G of the model space.  The identity holds only when the spectral side
+#: uses the same nu and |rho|: its eigenvalues are lambda = z^2 - RHO_NORM^2
+#: and its residues are those of the NU-th power.  C_G is the normalization
+#: that the harmonic analysis of bi-K-invariant functions fixes; it is 1
+#: here, as the spectral side assumes, and kept symbolic in the formulas.
 NU = 2
 RHO_NORM = 1.0
+C_G = 1.0
 
 _TAYLOR_SWITCH = 5e-7
 
@@ -45,7 +44,7 @@ def product_factor(r) -> np.ndarray:
     return np.where(small, 1.0 - r * r / 6.0, safe / np.sinh(safe))
 
 
-def kernel(z, r, c_g: float = DEFAULT_C_G):
+def kernel(z, r):
     """u_z(r) = C_G (r / sinh r) e^{-z r} / z at radii r >= 0.
 
     ``z`` may be complex with Re z > 0 (decay); z = 0 is a pole.
@@ -54,4 +53,4 @@ def kernel(z, r, c_g: float = DEFAULT_C_G):
     if abs(z) < 1e-12:
         raise PoleError("the free-space kernel has a pole at z = 0")
     r = np.asarray(r, dtype=float)
-    return c_g * product_factor(r) * np.exp(-z * r) / z
+    return C_G * product_factor(r) * np.exp(-z * r) / z

@@ -30,10 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverageError, InputError
-from .freespace import DEFAULT_C_G, product_factor
+from .freespace import C_G, product_factor
 from .lattice import Census
 from .quadrature import LineIntegral, vertical_line_integral
 from .summation import NeumaierSum
+
+#: absolute tolerance of the Perron contour quadratures
+DEFAULT_QUAD_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,7 @@ def perron_contour_oracle(
     *,
     sigma: float = 1.0,
     height: float = 1000.0,
-    abs_tol: float = 1e-9,
+    abs_tol: float = DEFAULT_QUAD_TOL,
 ) -> LineIntegral:
     """Finite-T vertical-line integral whose limit is smoothing_kernel(X).
 
@@ -98,6 +101,8 @@ def perron_contour_oracle(
         raise InputError("Perron contour needs sigma > 0")
     if height <= 0:
         raise InputError("Perron contour needs height > 0")
+    if abs_tol <= 0:
+        raise InputError(f"quad_tol must be > 0, got {abs_tol}")
 
     def integrand(zc, dz):
         z = zc[:, None] + dz
@@ -115,7 +120,7 @@ def smoothing_contour_transform(
     *,
     sigma: float,
     height: float,
-    abs_tol: float = 1e-9,
+    abs_tol: float = DEFAULT_QUAD_TOL,
 ) -> LineIntegral:
     """(1/(2 pi i)) int f(z) e^{zX} / prod_m (z + m theta) dz on the line.
 
@@ -150,8 +155,6 @@ def smoothed_geometric_count(
     census: Census,
     X: float,
     params: SmoothingParams,
-    *,
-    c_g: float = DEFAULT_C_G,
 ) -> SmoothedCount:
     """C_G * sum over census elements with r < X of prodfac(r) W(X - r).
 
@@ -161,7 +164,10 @@ def smoothed_geometric_count(
     """
     if X <= 0:
         raise InputError(f"count parameter X must be > 0, got {X}")
-    needed = math.exp(0.5 * X)
+    try:
+        needed = math.exp(0.5 * X)
+    except OverflowError:  # X above about 1419: beyond any census
+        needed = math.inf
     if census.cutoff < needed * (1.0 - 1e-12):
         raise CoverageError(
             f"census cutoff {census.cutoff:g} covers radii up to "
@@ -181,8 +187,8 @@ def smoothed_geometric_count(
         term = n * float(product_factor(r)) * float(
             smoothing_kernel(params, X - r)
         )
-        subtotals.append((fval, c_g * term))
-        acc.add(c_g * term)
+        subtotals.append((fval, C_G * term))
+        acc.add(C_G * term)
     return SmoothedCount(
         value=acc.value,
         X=X,

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError, TailError
-from .freespace import DEFAULT_C_G, kernel, product_factor
+from .freespace import C_G, kernel, product_factor
 from .group import check_unimodular, radius as group_radius
 from .lattice import Census
 from .summation import NeumaierSum
@@ -115,7 +115,6 @@ def tail_bound(
     model: GrowthModel,
     c_ls: float,
     *,
-    c_g: float = DEFAULT_C_G,
     shift: float = 0.0,
 ) -> float:
     """Certified bound on the series tail beyond the census radius.
@@ -146,7 +145,7 @@ def tail_bound(
         bot = max(lo, 0.0)
         count = c_safe * math.exp(0.5 * a * (lo + 0.5 + shift))
         pf = bot / math.sinh(bot) if bot > 0 else 1.0
-        term = count * (c_g / absz) * pf * math.exp(-rez * bot)
+        term = count * (C_G / absz) * pf * math.exp(-rez * bot)
         acc.add(term)
         j += 1
         # a term that underflows to 0 ends a tail too small for the
@@ -174,7 +173,6 @@ def series_eval(
     z: complex,
     *,
     model: GrowthModel | None = None,
-    c_g: float = DEFAULT_C_G,
     point: np.ndarray | None = None,
 ) -> SeriesValue:
     """Evaluate the kernel series over the census at ``point`` (default: id).
@@ -201,7 +199,7 @@ def series_eval(
     if census.size == 0:
         return SeriesValue(
             value=0.0 + 0.0j,
-            tail=tail_bound(census, zc, model, 1.0, c_g=c_g, shift=shift),
+            tail=tail_bound(census, zc, model, 1.0, shift=shift),
             z=zc,
             shells=(),
             c_ls=1.0,
@@ -211,7 +209,7 @@ def series_eval(
         radii = census.radii
     else:
         radii = group_radius(census.matrices() @ point, validate=False)
-    terms = kernel(zc, radii, c_g)
+    terms = kernel(zc, radii)
 
     re_acc = NeumaierSum()
     im_acc = NeumaierSum()
@@ -223,16 +221,12 @@ def series_eval(
         shells.append((fval, stop - start, complex(re_acc.value, im_acc.value)))
 
     c_ls = fit_prefactor(census, model)
-    tail = tail_bound(census, zc, model, c_ls, c_g=c_g, shift=shift)
+    tail = tail_bound(census, zc, model, c_ls, shift=shift)
     total = complex(re_acc.value, im_acc.value)
     return SeriesValue(value=total, tail=tail, z=zc, shells=tuple(shells), c_ls=c_ls)
 
 
-def series_evaluator_for_contour(
-    census: Census,
-    *,
-    c_g: float = DEFAULT_C_G,
-):
+def series_evaluator_for_contour(census: Census):
     """Series value (identity point) on a contour-quadrature panel grid.
 
     Returns ``f(zc, dz)``, the integrand form of
@@ -253,7 +247,7 @@ def series_evaluator_for_contour(
     shells = census.shells()
     rads = np.array([radii_full[s] for _f, s, _e in shells])
     counts = np.array([e - s for _f, s, e in shells], dtype=float)
-    weights = counts * c_g * product_factor(rads)
+    weights = counts * C_G * product_factor(rads)
 
     def f(zc: np.ndarray, dz: np.ndarray) -> np.ndarray:
         panel = weights * np.exp(-np.outer(zc, rads))

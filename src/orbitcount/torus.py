@@ -142,6 +142,8 @@ def torus_geometric_side(params: TorusParams, x) -> tuple[float, float]:
     if x.shape != (params.n,):
         raise InputError(f"point must have {params.n} coordinates, got {x.shape}")
     M = params.m_geom
+    if (2 * M + 1) ** params.n > _MAX_BOX_POINTS:
+        raise BudgetError((2 * M + 1) ** params.n, _MAX_BOX_POINTS, "geometric box")
     rng = np.arange(-M, M + 1, dtype=float)
     if params.n == 1:
         r = np.abs(x[0] + rng)

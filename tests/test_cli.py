@@ -7,15 +7,14 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from orbitcount import cli
-from orbitcount.config import RunConfig
 from orbitcount.errors import InputError, QuadratureError
-from orbitcount.lattice import CSV_HEADER, Census
+from orbitcount.lattice import CSV_HEADER, DEFAULT_WORK_BUDGET, Census
+from orbitcount.perron import DEFAULT_QUAD_TOL, SmoothingParams
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -73,23 +72,23 @@ def test_enumerate_report_and_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-# the RunConfig keys each subcommand reads, and the flag of each key that has one
+# the run options each subcommand reads, and the flag of each
 READS = {
     "enumerate": ("work_budget",),
-    "poincare": ("c_g",),
-    "smoothed-count": ("ell", "theta", "c_g"),
+    "poincare": (),
+    "smoothed-count": ("ell", "theta"),
     "spectral-side": ("ell", "theta"),
-    "compare": ("ell", "theta", "c_g"),
+    "compare": ("ell", "theta"),
     "perron-check": ("ell", "theta", "quad_tol"),
     "oracle-torus": (),
 }
 FLAGS = {
-    "c_g": "--c-g", "ell": "--ell", "theta": "--theta", "work_budget": "--budget",
-    "quad_tol": "--quad-tol",
+    "ell": "--ell", "theta": "--theta", "work_budget": "--budget", "quad_tol": "--quad-tol",
 }
-# flags of the keys the model space fixes (nu, rho_norm) or that did nothing
-# (workers): no subcommand accepts them
-DELETED_FLAGS = ("--rho-norm", "--nu", "--workers")
+# flags of the keys the model space fixes (nu, rho_norm, c_g), of a key that
+# did nothing (workers), and of the deleted key=value config file: no
+# subcommand accepts them
+DELETED_FLAGS = ("--rho-norm", "--nu", "--workers", "--c-g", "--config")
 # enough of each subcommand's own inputs for argparse to reach the extras
 REQUIRED = {
     "enumerate": ["--cutoff", "1", "--out", "{out}"],
@@ -106,7 +105,7 @@ UNREAD = [
     for sub, keys in READS.items()
     for flag in [f for k, f in FLAGS.items() if k not in keys] + list(DELETED_FLAGS)
     if not (sub == "oracle-torus" and flag == "--nu")
-] + [("oracle-torus", "--config")]
+]
 
 
 @pytest.mark.parametrize(
@@ -123,10 +122,12 @@ def test_unread_options_are_refused(capsys, sub, flag):
     assert out.out == ""
 
 
-# a value other than the default for every RunConfig key
-CONFIG_FILE = {
-    "c_g": 2.0, "ell": 3, "theta": 0.8, "work_budget": 10**8, "quad_tol": 1e-8,
+# the library defaults of the run options, and a value other than each
+DEFAULTS = {
+    "ell": SmoothingParams.ell, "theta": SmoothingParams.theta,
+    "work_budget": DEFAULT_WORK_BUDGET, "quad_tol": DEFAULT_QUAD_TOL,
 }
+OTHER = {"ell": 3, "theta": 0.8, "work_budget": 10**8, "quad_tol": 1e-8}
 
 
 def _subparsers():
@@ -138,7 +139,15 @@ def _subparsers():
 def test_every_config_key_is_read():
     # a key that no subcommand reads would be a knob that does nothing
     read = {k for p in _subparsers().values() for k in p.get_default("keys")}
-    assert read == {f.name for f in fields(RunConfig)} == set(CONFIG_FILE)
+    assert read == set(FLAGS) == set(DEFAULTS) == set(OTHER)
+
+
+def test_option_defaults_are_the_library_defaults():
+    assert DEFAULTS == {"ell": 2, "theta": 1.0, "work_budget": 200_000_000, "quad_tol": 1e-9}
+    for sub, p in _subparsers().items():
+        for key in READS[sub]:
+            assert p.get_default(key) == DEFAULTS[key], (sub, key)
+            assert type(p.get_default(key)) is type(DEFAULTS[key]), (sub, key)
 
 
 def _report(capsys, argv):
@@ -155,31 +164,21 @@ def test_meta_config_holds_the_keys_read(tmp_path, capsys, census_csv, spectrum_
     if sub in ("spectral-side", "compare"):
         argv += ["--theta", "0.8"]  # theta = 1 collides with the datum at z = 1
     read = READS[sub]
-    full = tmp_path / "full.cfg"
-    full.write_text("".join(f"{k} = {v!r}\n" for k, v in CONFIG_FILE.items()))
-    only = tmp_path / "only.cfg"
-    only.write_text("".join(f"{k} = {CONFIG_FILE[k]!r}\n" for k in read))
-
     default = _report(capsys, argv)
-    from_file = _report(capsys, argv + ["--config", str(full)])
-    from_own_keys = _report(capsys, argv + ["--config", str(only)])
     from_flags = _report(capsys, argv + [
-        a for k in read if k in FLAGS for a in (FLAGS[k], repr(CONFIG_FILE[k]))
+        a for k in read for a in (FLAGS[k], repr(OTHER[k]))
     ])
-    # recorded: exactly the keys read, at the file's values
-    assert set(default["meta"]["config"]) == set(read)
-    assert from_file["meta"]["config"] == {k: CONFIG_FILE[k] for k in read}
-    # a key the subcommand does not read is neither applied nor recorded
-    for doc in (default, from_file, from_own_keys, from_flags):
-        doc["meta"].pop("generated_at")
-    assert from_file == from_own_keys
-    # the flags set the same values as the file
-    assert from_flags == from_file
-    # the work budget leaves the census bit-identical
-    if sub != "enumerate":
-        assert {k: v for k, v in from_file.items() if k != "meta"} != {
-            k: v for k, v in default.items() if k != "meta"
-        }
+    # recorded: exactly the keys read, at the values used
+    theta = {"theta": 0.8} if sub in ("spectral-side", "compare") else {}
+    assert default["meta"]["config"] == {**{k: DEFAULTS[k] for k in read}, **theta}
+    assert from_flags["meta"]["config"] == {k: OTHER[k] for k in read}
+    # the options change the report, except that the work budget leaves the
+    # census bit-identical
+    body = {k: v for k, v in default.items() if k != "meta"}
+    if sub in ("enumerate", "poincare"):
+        assert {k: v for k, v in from_flags.items() if k != "meta"} == body
+    else:
+        assert {k: v for k, v in from_flags.items() if k != "meta"} != body
 
 
 def test_oracle_torus_nu_is_a_torus_parameter(capsys):
@@ -199,11 +198,11 @@ def _readme_table(text, first_column):
 
 def test_readme_option_table_matches_parser():
     # the README's subcommand table is the documented option surface, and
-    # its key table documents RunConfig's fields at their defaults
+    # its key table documents the run options at the parser's defaults
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    keys = [(re.fullmatch(r"`(\w+)`", key)[1], float(default))
-            for key, default, _meaning in _readme_table(text, "key")]
-    assert keys == [(f.name, f.default) for f in fields(RunConfig)]
+    keys = {re.fullmatch(r"`(\w+)`", key)[1]: float(default)
+            for key, default, _meaning in _readme_table(text, "key")}
+    assert keys == DEFAULTS
     table = {}
     for row in _readme_table(text, "subcommand"):
         sub, keys, flags = (re.findall(r"`([^`]+)`", cell) for cell in row)
@@ -396,15 +395,35 @@ def test_non_finite_numbers_exit_1(tmp_path, capsys, census_csv, spectrum_csv, a
          "geom_trunc must be >= 1, got 0"),
         (["oracle-torus", "--n", "1", "--lam", "-1", "--geom-trunc", "-3"],
          "geom_trunc must be >= 1, got -3"),
+        # refused before the (2M+1)^3 meshgrid, 56.8 PiB here, is allocated
+        (["oracle-torus", "--n", "3", "--nu", "2", "--lam", "-1", "--geom-trunc", "100000"],
+         "geometric box needs ~8000120000600001 candidate evaluations"),
+        # e^{X/2} overflows a float above X of about 1419
+        (["smoothed-count", "--census", "{census}", "--x", "2000"],
+         "X = 2000 needs cutoff >= inf"),
+        (["compare", "--census", "{census}", "--spectrum", "{spectrum}", "--x", "2000",
+          "--theta", "0.8"], "X = 2000 needs cutoff >= inf"),
+        (["smoothed-count", "--census", "{census}", "--x", "1", "--ell", "0"],
+         "smoothing order ell must be an integer >= 1, got 0"),
+        (["spectral-side", "--spectrum", "{spectrum}", "--x", "1", "--theta", "-1"],
+         "smoothing step theta must be > 0, got -1.0"),
+        (["enumerate", "--cutoff", "1", "--out", "{out}", "--budget", "0"],
+         "over the work budget of 0"),
     ],
     ids=["height-0", "height-neg", "quad-tol-0", "quad-tol-neg", "spectral-trunc-0",
-         "spectral-trunc-neg", "geom-trunc-0", "geom-trunc-neg"],
+         "spectral-trunc-neg", "geom-trunc-0", "geom-trunc-neg", "torus-geom-box",
+         "smoothed-x-2000", "compare-x-2000", "ell-0", "theta-neg", "budget-0"],
 )
-def test_out_of_range_parameters_exit_1(capsys, argv, message):
+def test_out_of_range_parameters_exit_1(
+    tmp_path, capsys, census_csv, spectrum_csv, argv, message
+):
+    out_csv = tmp_path / "c.csv"
+    argv = [a.format(census=census_csv, spectrum=spectrum_csv, out=out_csv) for a in argv]
     assert cli.main(argv) == 1
     out = capsys.readouterr()
     assert message in out.err
     assert out.out == ""
+    assert not out_csv.exists()
 
 
 def test_oracle_torus(tmp_path):
@@ -434,50 +453,6 @@ def test_perron_check():
         0.19978820044686402, rel=1e-15
     )
     assert doc["perron"]["abs_difference"] <= 1e-9
-
-
-def test_bad_config_key_exits_1(tmp_path, census_csv):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("not_a_key = 3\n")
-    r = run_cli(
-        "smoothed-count", "--census", str(census_csv), "--x", "1.0",
-        "--config", str(cfg),
-    )
-    assert r.returncode == 1
-    assert "unknown config key" in r.stderr
-
-
-@pytest.mark.parametrize(
-    "argv, text",
-    [
-        (["spectral-side", "--spectrum", "{spectrum}", "--x", "1", "--theta", "0.8"],
-         "rho_norm = 2.0\n"),
-        (["compare", "--census", "{census}", "--spectrum", "{spectrum}", "--x", "1",
-          "--theta", "0.8"], "nu = 3\n"),
-        (["poincare", "--census", "{census}", "--z", "6"], "sigma0 = 4.5\n"),
-        (["poincare", "--census", "{census}", "--z", "6"], "growth_eps = 0.3\n"),
-        (["poincare", "--census", "{census}", "--z", "6"], "growth_safety = 5.0\n"),
-        (["enumerate", "--cutoff", "1", "--out", "{out}"], "workers = 2\n"),
-        # these growth constants once certified a tail of 51.3 at z = 1.2 on
-        # the cutoff-4 census, whose cutoff-16 remainder is 169
-        (["poincare", "--census", "{census}", "--z", "1.2"],
-         "sigma0 = 0.1\ngrowth_eps = 0.01\ngrowth_safety = 1.0\n"),
-    ],
-    ids=["rho_norm", "nu", "sigma0", "growth_eps", "growth_safety", "workers",
-         "false-certificate"],
-)
-def test_deleted_config_keys_exit_1(tmp_path, capsys, census4, spectrum_csv, argv, text):
-    census = tmp_path / "c4.csv"
-    census4.to_csv(census)
-    cfg = tmp_path / "old.cfg"
-    cfg.write_text(text)
-    argv = [a.format(census=census, spectrum=spectrum_csv, out=tmp_path / "c.csv")
-            for a in argv]
-    assert cli.main(argv + ["--config", str(cfg)]) == 1
-    out = capsys.readouterr()
-    assert f"old.cfg:1: unknown config key {text.split(' ', 1)[0]!r}" in out.err
-    assert out.out == ""
-    assert not (tmp_path / "c.csv").exists()
 
 
 def test_convergence_failure_maps_to_exit_2(monkeypatch):

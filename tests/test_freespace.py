@@ -46,12 +46,6 @@ def test_kernel_origin_limit():
     assert complex(kernel(z, 1e-12)).real == pytest.approx(1.0 / z, rel=1e-9)
 
 
-def test_kernel_scales_with_c_g():
-    assert complex(kernel(2.0, 1.0, c_g=2.5)) == pytest.approx(
-        2.5 * complex(kernel(2.0, 1.0)), rel=1e-15
-    )
-
-
 def test_kernel_complex_z():
     z = complex(2.0, 0.7)
     r = 1.2

@@ -89,6 +89,12 @@ def test_contour_oracle_needs_positive_sigma():
         perron_contour_oracle(1.0, SmoothingParams(), sigma=0.0)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0])
+def test_contour_oracle_needs_positive_tolerance(tol):
+    with pytest.raises(InputError, match="quad_tol must be > 0"):
+        perron_contour_oracle(1.0, SmoothingParams(), abs_tol=tol)
+
+
 def test_smoothed_count_frozen_value(census8):
     sm = SmoothingParams(ell=2, theta=1.0)
     out = smoothed_geometric_count(census8, 1.0, sm)

@@ -70,8 +70,6 @@ def test_compact_census_closed_form(census1):
     # every element sits at radius 0, so the series is size * C_G / z
     sv = series_eval(census1, 6.0)
     assert sv.value == pytest.approx(8.0 / 6.0, rel=1e-15)
-    sv_cg = series_eval(census1, 6.0, c_g=2.0)
-    assert sv_cg.value == pytest.approx(16.0 / 6.0, rel=1e-15)
 
 
 def test_abscissa_gate(census8):
