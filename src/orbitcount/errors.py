@@ -35,14 +35,24 @@ class CoverageError(InputError):
 
 
 class BudgetError(InputError):
-    """Estimated work exceeds the configured work budget."""
+    """Estimated work exceeds a work budget.
 
-    def __init__(self, estimated: int, budget: int, what: str = "enumeration"):
+    ``remedy`` is the step that gets under it; the default names the
+    enumeration budget option.
+    """
+
+    def __init__(
+        self,
+        estimated: int,
+        budget: int,
+        what: str = "enumeration",
+        remedy: str = "raise work_budget",
+    ):
         self.estimated = int(estimated)
         self.budget = int(budget)
         super().__init__(
             f"{what} needs ~{estimated} candidate evaluations, over the "
-            f"work budget of {budget}; raise work_budget to proceed"
+            f"work budget of {budget}; {remedy} to proceed"
         )
 
 

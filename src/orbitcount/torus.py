@@ -143,7 +143,9 @@ def torus_geometric_side(params: TorusParams, x) -> tuple[float, float]:
         raise InputError(f"point must have {params.n} coordinates, got {x.shape}")
     M = params.m_geom
     if (2 * M + 1) ** params.n > _MAX_BOX_POINTS:
-        raise BudgetError((2 * M + 1) ** params.n, _MAX_BOX_POINTS, "geometric box")
+        raise BudgetError(
+            (2 * M + 1) ** params.n, _MAX_BOX_POINTS, "geometric box", "lower --geom-trunc"
+        )
     rng = np.arange(-M, M + 1, dtype=float)
     if params.n == 1:
         r = np.abs(x[0] + rng)
@@ -209,7 +211,9 @@ def torus_spectral_side(params: TorusParams, x) -> tuple[float, float, bool]:
         raise InputError(f"point must have {params.n} coordinates, got {x.shape}")
     K = params.k_spec
     if (2 * K + 1) ** params.n > _MAX_BOX_POINTS:
-        raise BudgetError((2 * K + 1) ** params.n, _MAX_BOX_POINTS, "spectral box")
+        raise BudgetError(
+            (2 * K + 1) ** params.n, _MAX_BOX_POINTS, "spectral box", "lower --spectral-trunc"
+        )
     kappa2 = params.kappa**2
     four_pi2 = 4.0 * math.pi**2
     rng = np.arange(-K, K + 1, dtype=float)

@@ -397,7 +397,8 @@ def test_non_finite_numbers_exit_1(tmp_path, capsys, census_csv, spectrum_csv, a
          "geom_trunc must be >= 1, got -3"),
         # refused before the (2M+1)^3 meshgrid, 56.8 PiB here, is allocated
         (["oracle-torus", "--n", "3", "--nu", "2", "--lam", "-1", "--geom-trunc", "100000"],
-         "geometric box needs ~8000120000600001 candidate evaluations"),
+         "geometric box needs ~8000120000600001 candidate evaluations, over the work budget"
+         " of 300000000; lower --geom-trunc to proceed"),
         # e^{X/2} overflows a float above X of about 1419
         (["smoothed-count", "--census", "{census}", "--x", "2000"],
          "X = 2000 needs cutoff >= inf"),

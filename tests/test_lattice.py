@@ -1,5 +1,6 @@
 """Exact census enumeration over the Gaussian-integer matrix group."""
 
+import hashlib
 import re
 
 import numpy as np
@@ -105,6 +106,18 @@ def test_naive_agrees_at_depth(census8):
     assert nai.row_set() == census8.row_set()
 
 
+@pytest.mark.parametrize("name", ["census2", "census8"])
+def test_census_invariant_under_unit_diagonals(name, request):
+    # diag(u, conj u) g = [[u a, u b], [conj(u) c, conj(u) d]]
+    rows = request.getfixturevalue(name).row_set()
+    for u in ((0, 1), (-1, 0), (0, -1)):
+        image = set()
+        for r in rows:
+            a, b, c, d = (r[0], r[1]), (r[2], r[3]), (r[4], r[5]), (r[6], r[7])
+            image.add((*gmul(u, a), *gmul(u, b), *gmul(gconj(u), c), *gmul(gconj(u), d)))
+        assert image == rows
+
+
 def test_censuses_nest(census1, census2, census8):
     assert census1.row_set() <= census2.row_set() <= census8.row_set()
 
@@ -197,6 +210,31 @@ def test_to_csv_matches_per_row_format(tmp_path, census8):
     text = path.read_text()
     assert text.endswith("\n")
     assert text[:-1].split("\n") == lines  # a list diff names the first bad row
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "1c998e701d28cf424fd9fcb494679f2a3bfa01de47c5b6a812b23cdf9c484a47"
+    assert path.stat().st_size == 813_200
+
+
+def test_to_csv_wide_and_negative_entries(tmp_path):
+    # one-, two-, three- and ten-digit entries of both signs in every column
+    rows = set()
+    for m in (0, 1, 9, 10, 99, 100, 999, 1 << 30):
+        for v in (m, -m):
+            for w in (0, 7, -v):
+                rows |= {
+                    (1, 0, v, w, 0, 0, 1, 0),  # [[1, b], [0, 1]]
+                    (-1, 0, w, v, 0, 0, -1, 0),  # [[-1, b], [0, -1]]
+                    (1, 0, 0, 0, v, w, 1, 0),  # [[1, 0], [c, 1]]
+                    (0, 0, -1, 0, 1, 0, v, w),  # [[0, -1], [1, d]]
+                    (v, w, 1, 0, -1, 0, 0, 0),  # [[a, 1], [-1, 0]]
+                }
+    census = Census.from_rows(sorted(rows), cutoff=None)
+    path = tmp_path / "wide.csv"
+    census.to_csv(path)
+    line = ",".join(["%d"] * 8) + "\n"
+    expected = CSV_HEADER + "\n" + "".join(line % tuple(r) for r in census.rows.tolist())
+    assert path.read_text() == expected
+    assert np.array_equal(Census.from_csv(path).rows, census.rows)
 
 
 @pytest.mark.parametrize(
@@ -255,6 +293,14 @@ def test_budget_error():
     for workers in (1, 2):
         with pytest.raises(BudgetError):
             enumerate_pruned(8.0, budget=100_000, workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_budget_counts_the_whole_census(workers):
+    # 252,720 = 38,808 column pairs + the t-square cells of a scan of every a
+    with pytest.raises(BudgetError):
+        enumerate_pruned(8.0, budget=252_719, workers=workers)
+    assert enumerate_pruned(8.0, budget=252_720, workers=workers).size == 42248
 
 
 def test_shell_counts_partition(census8):

@@ -129,5 +129,5 @@ def test_point_dimension_checked():
 
 def test_spectral_box_budget():
     p = TorusParams(n=3, nu=2, lam=-1.0, spectral_trunc=10_000)
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match="; lower --spectral-trunc to proceed$"):
         torus_spectral_side(p, (0.3, 0.0, 0.0))
