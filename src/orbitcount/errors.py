@@ -35,10 +35,11 @@ class CoverageError(InputError):
 
 
 class BudgetError(InputError):
-    """Estimated work exceeds a work budget.
+    """Work counted so far exceeds a work budget.
 
-    ``remedy`` is the step that gets under it; the default names the
-    enumeration budget option.
+    ``estimated`` is a lower bound: a check may stop counting at the first
+    step over the budget.  ``remedy`` is the step that gets under it; the
+    default names the enumeration budget flag.
     """
 
     def __init__(
@@ -46,12 +47,12 @@ class BudgetError(InputError):
         estimated: int,
         budget: int,
         what: str = "enumeration",
-        remedy: str = "raise work_budget",
+        remedy: str = "raise --budget",
     ):
         self.estimated = int(estimated)
         self.budget = int(budget)
         super().__init__(
-            f"{what} needs ~{estimated} candidate evaluations, over the "
+            f"{what} needs at least {estimated} candidate evaluations, over the "
             f"work budget of {budget}; {remedy} to proceed"
         )
 

@@ -17,6 +17,10 @@ sorted by the canonical key (F, re a, im a, re b, im b, re c, im c, re d,
 im d).  Its CSV file holds those 8 integers per row and nothing else;
 radius and gauge are derived from F.
 
+A census sum of a radial function is a sum over shells of constant F, which
+the sums read from :attr:`Census.shell_table`.  Shell sizes have a closed
+form (:func:`form_counts`); :meth:`Census.from_csv` refuses a file without them.
+
 Three enumerators are provided and cross-checked in the tests:
 
 * :func:`enumerate_pruned` -- the production path.  Scans coprime first
@@ -47,7 +51,9 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -183,6 +189,18 @@ def f_threshold(cutoff: float) -> int:
     return int(math.floor(b2 + 1.0 / b2 + 1e-9))
 
 
+class ShellTable(NamedTuple):
+    """Each run of constant F, in canonical order: F, row count, arccosh(F/2)."""
+
+    fnorm: np.ndarray
+    count: np.ndarray
+    radius: np.ndarray
+
+    @property
+    def start(self) -> np.ndarray:  # each shell's first census row
+        return np.cumsum(self.count) - self.count
+
+
 @dataclass(frozen=True)
 class Census:
     """All lattice elements with gauge <= cutoff, canonically sorted.
@@ -200,13 +218,11 @@ class Census:
     def size(self) -> int:
         return int(self.rows.shape[0])
 
-    @property
-    def radii(self) -> np.ndarray:
-        return np.arccosh(0.5 * self.fnorm.astype(float))
-
-    @property
-    def gauges(self) -> np.ndarray:
-        return np.exp(0.5 * self.radii)
+    @cached_property
+    def shell_table(self) -> ShellTable:
+        start = np.flatnonzero(np.diff(self.fnorm, prepend=-1))
+        f = self.fnorm[start]
+        return ShellTable(f, np.diff(start, append=self.size), np.arccosh(0.5 * f.astype(float)))
 
     def matrices(self) -> np.ndarray:
         """Census as a stacked (N, 2, 2) complex array."""
@@ -220,13 +236,8 @@ class Census:
 
     def shells(self) -> list[tuple[int, int, int]]:
         """Runs of constant F: list of (F, start, stop) in canonical order."""
-        if self.size == 0:
-            return []
-        f = self.fnorm
-        cuts = np.flatnonzero(np.diff(f)) + 1
-        starts = np.concatenate(([0], cuts))
-        stops = np.concatenate((cuts, [f.size]))
-        return [(int(f[s]), int(s), int(e)) for s, e in zip(starts, stops)]
+        t = self.shell_table
+        return list(zip(t.fnorm.tolist(), t.start.tolist(), np.cumsum(t.count).tolist()))
 
     def row_set(self) -> set[tuple[int, ...]]:
         return {tuple(int(v) for v in row) for row in self.rows}
@@ -244,7 +255,28 @@ class Census:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "Census":
-        return cls.from_rows(_read_csv_rows(path), cutoff=None)
+        """Load a census file, refused unless each shell up to its largest F
+        holds all :func:`form_counts` rows."""
+        census = cls.from_rows(_read_csv_rows(path), cutoff=None)
+        t = census.shell_table
+        fmax = int(t.fnorm[-1]) if census.size else 2  # F = 2: the compact part
+        # a complete census up to fmax holds 2.0 to 11.9 fmax^2 rows; this
+        # bound also keeps a huge F from sizing form_counts' tables
+        if census.size < 2 * fmax * fmax:
+            raise InputError(
+                f"{path}: {census.size} rows cannot be a complete census up to "
+                f"shell F = {fmax}, which holds at least {2 * fmax * fmax}"
+            )
+        want, got = form_counts(fmax), np.zeros(fmax + 1, np.int64)
+        got[t.fnorm] = t.count
+        bad = np.flatnonzero(got != want)
+        if bad.size:
+            f = bad[0]
+            raise InputError(
+                f"{path}: shell F = {f} holds {got[f]} rows, a complete census "
+                f"holds {want[f]}; rebuild it with `orbitcount enumerate`"
+            )
+        return census
 
     @classmethod
     def from_rows(cls, arr: np.ndarray, cutoff: float | None) -> "Census":
@@ -373,6 +405,27 @@ def _parse_csv_lines(lines: list[str]) -> np.ndarray:
     return rows
 
 
+def form_counts(fmax: int) -> np.ndarray:
+    """N(F), the number of lattice elements with that F, for F = 0, ..., fmax.
+
+    g -> g g* maps the lattice onto the binary Hermitian forms [[x, w],
+    [conj w, y]] over Z[i] with x y - |w|^2 = 1 and trace F, each form the
+    image of :data:`COMPACT_COUNT` elements (Elstrodt, Grunewald and
+    Mennicke, *Groups Acting on Hyperbolic Space*), so N(F) = 8 sum_{x=1}^{F-1}
+    r2(x (F - x) - 1), r2(m) the number of w in Z[i] with |w|^2 = m, here
+    4 times the count in the quarter disk {re w > 0, im w >= 0} for m > 0.
+    """
+    m_max = max(fmax * fmax // 4 - 1, 0)
+    side = np.arange(math.isqrt(m_max) + 1)
+    norms = (side[1:, None] ** 2 + side[None, :] ** 2).ravel()
+    r2 = 4 * np.bincount(norms[norms <= m_max], minlength=m_max + 1)
+    r2[0] = 1
+    f = np.arange(fmax + 1)[:, None]
+    x = np.arange(1, max(fmax, 1))[None, :]
+    m = np.where(x < f, x * (f - x) - 1, 0)  # x (F - x) - 1 >= F - 2 >= 0 there
+    return COMPACT_COUNT * np.where(x < f, r2[m], 0).sum(axis=1)
+
+
 def shell_counts(census: Census, width: float = 0.25) -> list[tuple[float, int]]:
     """Histogram of radii into [k w, (k+1) w) bins: list of (left edge, count).
 
@@ -383,10 +436,10 @@ def shell_counts(census: Census, width: float = 0.25) -> list[tuple[float, int]]
         raise InputError("bin width must be positive")
     if census.size == 0:
         return []
-    idx = np.floor(census.radii / width + 1e-12).astype(int)
-    top = int(idx.max())
-    counts = np.bincount(idx, minlength=top + 1)
-    return [(k * width, int(counts[k])) for k in range(top + 1)]
+    t = census.shell_table
+    idx = np.floor(t.radius / width + 1e-12).astype(int)
+    counts = np.bincount(idx, weights=t.count)
+    return [(k * width, int(n)) for k, n in enumerate(counts)]
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,10 @@ C^{ell-1} at u = 0: one-sided derivatives through order ell - 1 vanish and
 the order-ell derivative jumps by exactly 1.
 
 :func:`smoothed_geometric_count` applies W(X - r) with the free-space
-product factor to every census element below radius X; per-shell subtotals
-are combined in canonical shell order, so the result is reproducible and
-worker-count independent.
+product factor to every census shell below radius X, weighted by its row
+count from the census shell table; per-shell subtotals are combined in
+canonical shell order, so the result is reproducible and worker-count
+independent.
 """
 
 from __future__ import annotations
@@ -174,24 +175,16 @@ def smoothed_geometric_count(
             f"{2.0 * math.log(census.cutoff):g}; X = {X:g} needs cutoff >= {needed:g}"
         )
 
-    radii = census.radii
+    t = census.shell_table
+    inside = t.radius < X  # a prefix: radius grows with F
+    r, n = t.radius[inside], t.count[inside]
+    subtotals = C_G * (n * product_factor(r) * smoothing_kernel(params, X - r))
     acc = NeumaierSum()
-    subtotals: list[tuple[int, float]] = []
-    used = 0
-    for fval, start, stop in census.shells():
-        r = radii[start]
-        if r >= X:
-            break
-        n = stop - start
-        used += n
-        term = n * float(product_factor(r)) * float(
-            smoothing_kernel(params, X - r)
-        )
-        subtotals.append((fval, C_G * term))
-        acc.add(C_G * term)
+    for v in subtotals.tolist():
+        acc.add(v)
     return SmoothedCount(
         value=acc.value,
         X=X,
-        census_size_used=used,
-        shell_subtotals=tuple(subtotals),
+        census_size_used=int(n.sum()),
+        shell_subtotals=tuple(zip(t.fnorm[inside].tolist(), subtotals.tolist())),
     )

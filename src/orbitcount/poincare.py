@@ -7,7 +7,9 @@ enough, the series value at a base point g is
 
 accumulated shell by shell (shells = exact-F classes in canonical order),
 which makes the result deterministic and worker-count independent, and the
-last shell partial sum is bit-for-bit the reported total.
+last shell partial sum is bit-for-bit the reported total.  At the identity
+a shell adds count * u_z(radius) from the census shell table, as the growth
+fits read it; only a translated base point reads the rows.
 
 Tail certification.  The kernel magnitude obeys the exact majorant
 
@@ -64,23 +66,18 @@ def fit_growth(
     Sampled at the gauge of each census shell inside [t_lo, t_hi], using the
     cumulative count through that shell.
     """
-    gauges = census.gauges
-    shells = census.shells()
-    if not shells:
+    t = census.shell_table
+    if not t.count.size:
         raise InputError("cannot fit growth on an empty census")
-    pts_x = []
-    pts_y = []
-    for _f, start, stop in shells:
-        t = float(gauges[start])
-        if t_lo <= t <= t_hi:
-            pts_x.append(math.log(t))
-            pts_y.append(math.log(stop))  # cumulative count through shell
-    if len(pts_x) < 2:
+    gauges = np.exp(0.5 * t.radius)
+    inside = (t_lo <= gauges) & (gauges <= t_hi)
+    if inside.sum() < 2:
         raise InputError(
-            f"census has {len(pts_x)} shells with gauge in [{t_lo}, {t_hi}]; "
+            f"census has {inside.sum()} shells with gauge in [{t_lo}, {t_hi}]; "
             "need at least 2 to fit growth"
         )
-    slope, intercept = np.polyfit(np.asarray(pts_x), np.asarray(pts_y), 1)
+    cumulative = np.cumsum(t.count)[inside]
+    slope, intercept = np.polyfit(np.log(gauges[inside]), np.log(cumulative), 1)
     return float(slope), float(math.exp(intercept))
 
 
@@ -93,19 +90,13 @@ def fit_prefactor(census: Census, model: GrowthModel) -> float:
     the caller (and recorded in reports).
     """
     a = model.sigma0 + model.eps
-    shells = census.shells()
-    if not shells:
+    t = census.shell_table
+    if not t.count.size:
         return 1.0
-    gauges = census.gauges
-    resid = []
-    major = 0.0
-    for _f, start, stop in shells:
-        t = float(gauges[start])
-        n = float(stop)
-        major = max(major, n / t**a)
-        if t >= 1.0:
-            resid.append(math.log(n) - a * math.log(max(t, 1.0)))
-    c_ls = math.exp(sum(resid) / len(resid)) if resid else 1.0
+    gauges = np.exp(0.5 * t.radius)  # >= 1, as F >= 2
+    n = np.cumsum(t.count)
+    major = float(np.max(n / gauges**a))
+    c_ls = math.exp(float(np.mean(np.log(n) - a * np.log(gauges))))
     return max(c_ls, major)
 
 
@@ -144,8 +135,7 @@ def tail_bound(
         lo = r0 - shift + 0.5 * j  # slab bottom, translated radius
         bot = max(lo, 0.0)
         count = c_safe * math.exp(0.5 * a * (lo + 0.5 + shift))
-        pf = bot / math.sinh(bot) if bot > 0 else 1.0
-        term = count * (C_G / absz) * pf * math.exp(-rez * bot)
+        term = count * (C_G / absz) * float(product_factor(bot)) * math.exp(-rez * bot)
         acc.add(term)
         j += 1
         # a term that underflows to 0 ends a tail too small for the
@@ -177,11 +167,12 @@ def series_eval(
 ) -> SeriesValue:
     """Evaluate the kernel series over the census at ``point`` (default: id).
 
-    Shell-by-shell accumulation in canonical order.  The tail certificate
-    covers the translated series: it is the identity-point bound with every
-    kernel majorant moved in by the radius of ``point`` (see
-    :func:`tail_bound`), so a far-off base point needs a deeper census for
-    the same tail.
+    Shell-by-shell accumulation in canonical order: at the identity each
+    shell sum is count * kernel at the shell radius; at ``point`` it is the
+    sum of the shell's row kernels.  The tail certificate covers the
+    translated series: it is the identity-point bound with every kernel
+    majorant moved in by the radius of ``point`` (see :func:`tail_bound`),
+    so a far-off base point needs a deeper census for the same tail.
     """
     model = model or GrowthModel()
     zc = complex(z)
@@ -205,20 +196,20 @@ def series_eval(
             c_ls=1.0,
         )
 
+    t = census.shell_table
     if point is None:
-        radii = census.radii
+        sums = t.count * kernel(zc, t.radius)
     else:
         radii = group_radius(census.matrices() @ point, validate=False)
-    terms = kernel(zc, radii)
+        sums = np.add.reduceat(kernel(zc, radii), t.start)
 
     re_acc = NeumaierSum()
     im_acc = NeumaierSum()
     shells: list[tuple[int, int, complex]] = []
-    for fval, start, stop in census.shells():
-        sub = complex(np.sum(terms[start:stop]))
+    for fval, n, sub in zip(t.fnorm.tolist(), t.count.tolist(), sums.tolist()):
         re_acc.add(sub.real)
         im_acc.add(sub.imag)
-        shells.append((fval, stop - start, complex(re_acc.value, im_acc.value)))
+        shells.append((fval, n, complex(re_acc.value, im_acc.value)))
 
     c_ls = fit_prefactor(census, model)
     tail = tail_bound(census, zc, model, c_ls, shift=shift)
@@ -239,15 +230,12 @@ def series_evaluator_for_contour(census: Census):
     e^{-z r} = e^{-zc r} e^{-dz r} and one call is the matrix product
     (weights * e^{-zc (x) r}) @ e^{-r (x) dz}: panels x shells plus
     shells x nodes exponentials instead of one per (panel, node, shell).
-    Shell radii and weights are computed once.  No abscissa gate here: on a
-    vertical line every z shares one Re z and the caller certifies the tail
-    once at that abscissa.
+    Shell weights are computed once.  No abscissa gate here: on a vertical
+    line every z shares one Re z and the caller certifies the tail once at
+    that abscissa.
     """
-    radii_full = census.radii
-    shells = census.shells()
-    rads = np.array([radii_full[s] for _f, s, _e in shells])
-    counts = np.array([e - s for _f, s, e in shells], dtype=float)
-    weights = counts * C_G * product_factor(rads)
+    rads = census.shell_table.radius
+    weights = census.shell_table.count * C_G * product_factor(rads)
 
     def f(zc: np.ndarray, dz: np.ndarray) -> np.ndarray:
         panel = weights * np.exp(-np.outer(zc, rads))

@@ -104,26 +104,17 @@ def torus_kernel(params: TorusParams, r) -> np.ndarray:
     if np.any(r < 0):
         raise InputError("radius must be >= 0")
     n, nu = params.n, params.nu
-    out = np.empty_like(r)
-    if n == 1 and nu == 1:
+    # TorusParams refuses 2 nu <= n: (n, nu) is (1, 1), (1, 2), (2, 2) or (3, 2)
+    if nu == 1:
         out = np.exp(-k * r) / (2.0 * k)
-    elif n == 1 and nu == 2:
+    elif n == 1:
         out = np.exp(-k * r) * (1.0 + k * r) / (4.0 * k**3)
-    elif n == 2 and nu == 2:
+    elif n == 2:
         pos = r > 0
-        out = np.where(pos, 1.0, 0.0)
-        rp = r[pos]
-        vals = rp * bessel_k1(k * rp) / (4.0 * math.pi * k)
-        out[pos] = vals
-        out[~pos] = 1.0 / (4.0 * math.pi * k * k)
-    elif n == 3 and nu == 1:
-        if np.any(r == 0):
-            raise InputError("(3,1) kernel is singular at r = 0")
-        out = np.exp(-k * r) / (4.0 * math.pi * r)
-    elif n == 3 and nu == 2:
+        out = np.full_like(r, 1.0 / (4.0 * math.pi * k * k))  # the r = 0 limit
+        out[pos] = r[pos] * bessel_k1(k * r[pos]) / (4.0 * math.pi * k)
+    else:
         out = np.exp(-k * r) / (8.0 * math.pi * k)
-    else:  # pragma: no cover - excluded by validation
-        raise InputError(f"no kernel for (n, nu) = ({n}, {nu})")
     return float(out[0]) if scalar else out
 
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from orbitcount import cli
@@ -231,9 +232,11 @@ def test_help_exits_0():
 def test_ten_column_census_is_refused(tmp_path, census2):
     # the former row format: the 8 integers, then radius and gauge as floats
     old = tmp_path / "old.csv"
+    shells = census2.shell_table
+    radii = np.repeat(shells.radius, shells.count)
     lines = [CSV_HEADER + ",radius,gauge"] + [
-        ",".join(str(int(v)) for v in ints) + f",{rad:.17g},{gau:.17g}"
-        for ints, rad, gau in zip(census2.rows, census2.radii, census2.gauges)
+        ",".join(str(int(v)) for v in ints) + f",{rad:.17g},{np.exp(0.5 * rad):.17g}"
+        for ints, rad in zip(census2.rows, radii)
     ]
     old.write_text("\n".join(lines) + "\n")
     with pytest.raises(InputError, match="orbitcount enumerate"):
@@ -254,6 +257,23 @@ def test_census_entry_beyond_int64_safe_range_exits_1(tmp_path, capsys, census4)
         Census.from_csv(path)
     assert cli.main(["poincare", "--census", str(path), "--z", "6"]) == 1
     assert "exceeds 2^30" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub", ["poincare", "smoothed-count", "compare"])
+def test_census_missing_a_shell_exits_1(tmp_path, capsys, census4, spectrum_csv, sub):
+    # without its 128 F = 5 rows the cutoff-4 census used to load, and
+    # poincare printed 1.36537 with tail 2.05e-4 where the series is 1.36658
+    path = tmp_path / "c4-no-f5.csv"
+    Census.from_rows(census4.rows[census4.fnorm != 5], cutoff=None).to_csv(path)
+    argv = {
+        "poincare": ["--z", "6"],
+        "smoothed-count": ["--x", "1"],
+        "compare": ["--spectrum", str(spectrum_csv), "--x", "1"],
+    }[sub]
+    assert cli.main([sub, "--census", str(path), *argv]) == 1
+    out = capsys.readouterr()
+    assert "shell F = 5 holds 0 rows, a complete census holds 128" in out.err
+    assert out.out == ""
 
 
 def test_poincare_report(census_csv):
@@ -397,8 +417,8 @@ def test_non_finite_numbers_exit_1(tmp_path, capsys, census_csv, spectrum_csv, a
          "geom_trunc must be >= 1, got -3"),
         # refused before the (2M+1)^3 meshgrid, 56.8 PiB here, is allocated
         (["oracle-torus", "--n", "3", "--nu", "2", "--lam", "-1", "--geom-trunc", "100000"],
-         "geometric box needs ~8000120000600001 candidate evaluations, over the work budget"
-         " of 300000000; lower --geom-trunc to proceed"),
+         "geometric box needs at least 8000120000600001 candidate evaluations, over the work"
+         " budget of 300000000; lower --geom-trunc to proceed"),
         # e^{X/2} overflows a float above X of about 1419
         (["smoothed-count", "--census", "{census}", "--x", "2000"],
          "X = 2000 needs cutoff >= inf"),
@@ -409,7 +429,7 @@ def test_non_finite_numbers_exit_1(tmp_path, capsys, census_csv, spectrum_csv, a
         (["spectral-side", "--spectrum", "{spectrum}", "--x", "1", "--theta", "-1"],
          "smoothing step theta must be > 0, got -1.0"),
         (["enumerate", "--cutoff", "1", "--out", "{out}", "--budget", "0"],
-         "over the work budget of 0"),
+         "over the work budget of 0; raise --budget to proceed"),
     ],
     ids=["height-0", "height-neg", "quad-tol-0", "quad-tol-neg", "spectral-trunc-0",
          "spectral-trunc-neg", "geom-trunc-0", "geom-trunc-neg", "torus-geom-box",

@@ -13,11 +13,13 @@ from orbitcount.lattice import (
     CSV_HEADER,
     Census,
     _gxgcd_arrays,
+    _read_csv_rows,
     compact_stabilizer_rows,
     enumerate_literal,
     enumerate_naive,
     enumerate_pruned,
     f_threshold,
+    form_counts,
     gconj,
     gdivmod,
     gmul,
@@ -128,15 +130,43 @@ def test_compact_part_is_the_stabilizer(census2):
     assert compact.shape[0] == 8
 
 
+def _row_radii(census):
+    """Each row's radius, from its shell's."""
+    shells = census.shell_table
+    return np.repeat(shells.radius, shells.count)
+
+
 def test_compact_elements_have_radius_zero(census1):
-    assert np.allclose(census1.radii, 0.0)
-    assert np.allclose(census1.gauges, 1.0)
+    assert np.allclose(_row_radii(census1), 0.0)
+    assert np.allclose(np.exp(0.5 * _row_radii(census1)), 1.0)
 
 
 def test_columns_match_group_functions(census2):
     mats = census2.matrices()
-    assert np.allclose(census2.gauges, gauge(mats), rtol=1e-12)
-    assert np.allclose(census2.radii, radius(mats), atol=1e-12)
+    assert np.allclose(np.exp(0.5 * _row_radii(census2)), gauge(mats), rtol=1e-12)
+    assert np.allclose(_row_radii(census2), radius(mats), atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["census1", "census2", "census8"])
+def test_shell_table_matches_rows(name, request):
+    census = request.getfixturevalue(name)
+    shells = census.shell_table
+    starts = np.flatnonzero(np.diff(census.fnorm, prepend=-1))
+    assert np.array_equal(shells.start, starts)
+    assert np.array_equal(shells.fnorm, census.fnorm[starts])
+    assert shells.count.sum() == census.size
+    assert census.shell_table is shells  # built once
+    for s, n, r in zip(shells.start, shells.count, shells.radius):
+        assert np.allclose(radius(census.matrices()[s : s + n]), r, atol=1e-12)
+    assert census.shells() == [
+        (f, s, s + n) for f, s, n in zip(shells.fnorm, shells.start, shells.count)
+    ]
+
+
+def test_shell_table_of_empty_census():
+    shells = Census.from_rows(np.zeros((0, 8), np.int64), cutoff=None).shell_table
+    assert [col.size for col in shells] == [0, 0, 0]
+    assert shells.start.size == 0
 
 
 def test_rows_canonically_sorted(census2):
@@ -234,7 +264,8 @@ def test_to_csv_wide_and_negative_entries(tmp_path):
     line = ",".join(["%d"] * 8) + "\n"
     expected = CSV_HEADER + "\n" + "".join(line % tuple(r) for r in census.rows.tolist())
     assert path.read_text() == expected
-    assert np.array_equal(Census.from_csv(path).rows, census.rows)
+    # not a complete census, so read back through the row reader
+    assert np.array_equal(_read_csv_rows(path), census.rows)
 
 
 @pytest.mark.parametrize(
@@ -295,6 +326,14 @@ def test_budget_error():
             enumerate_pruned(8.0, budget=100_000, workers=workers)
 
 
+def test_budget_error_names_a_lower_bound_and_the_flag():
+    # the check stops counting at the first block over the budget, so the
+    # figure is a lower bound on the 252,720 the run needs
+    with pytest.raises(BudgetError, match=r"needs at least \d+ .*; raise --budget to proceed$") as exc:
+        enumerate_pruned(8.0, budget=100_000)
+    assert 100_000 < exc.value.estimated <= 252_720
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_budget_counts_the_whole_census(workers):
     # 252,720 = 38,808 column pairs + the t-square cells of a scan of every a
@@ -306,3 +345,54 @@ def test_budget_counts_the_whole_census(workers):
 def test_shell_counts_partition(census8):
     bins = shell_counts(census8)
     assert sum(n for _left, n in bins) == census8.size
+
+
+@pytest.mark.parametrize("cutoff", [8.0, 16.0])
+def test_form_counts_match_the_enumerator(cutoff):
+    fmax = f_threshold(cutoff)
+    counts = np.bincount(enumerate_pruned(cutoff).fnorm, minlength=fmax + 1)
+    assert np.array_equal(form_counts(fmax), counts)
+
+
+def test_complete_census_bound():
+    # from_csv refuses fewer than 2 fmax^2 rows before tabulating: a
+    # complete census ending at shell fmax always holds at least that many
+    n = form_counts(255)
+    total = np.cumsum(n)
+    for fmax in range(2, 256):
+        if n[fmax]:
+            assert total[fmax] >= 2 * fmax * fmax, fmax
+
+
+def test_from_csv_refuses_a_missing_shell(tmp_path, census4):
+    path = tmp_path / "c4.csv"
+    Census.from_rows(census4.rows[census4.fnorm != 5], cutoff=None).to_csv(path)
+    with pytest.raises(InputError, match="shell F = 5 holds 0 rows, a complete census holds 128"):
+        Census.from_csv(path)
+
+
+def test_from_csv_refuses_a_missing_row(tmp_path, census4):
+    for drop in (0, 1000, census4.size - 1):
+        path = tmp_path / f"c4-{drop}.csv"
+        Census.from_rows(np.delete(census4.rows, drop, axis=0), cutoff=None).to_csv(path)
+        f = int(census4.fnorm[drop])
+        with pytest.raises(InputError, match=f"shell F = {f} holds"):
+            Census.from_csv(path)
+
+
+def test_from_csv_refuses_an_empty_census(tmp_path):
+    # every census holds the 8 compact elements
+    path = tmp_path / "empty.csv"
+    path.write_text(CSV_HEADER + "\n")
+    with pytest.raises(InputError, match="0 rows cannot be a complete census up to shell F = 2"):
+        Census.from_csv(path)
+
+
+def test_from_csv_refuses_too_few_rows_before_tabulating(tmp_path, monkeypatch):
+    # [[1, b], [0, 1]] with |b|^2 = 2^40: F near 2^40 would need a huge table
+    path = tmp_path / "far.csv"
+    rows = np.concatenate([compact_stabilizer_rows(), [[1, 0, 1 << 20, 0, 0, 0, 1, 0]]])
+    Census.from_rows(rows, cutoff=None).to_csv(path)
+    monkeypatch.setattr("orbitcount.lattice.form_counts", None)  # never reached
+    with pytest.raises(InputError, match=f"9 rows cannot be a complete census up to shell F = {2 + (1 << 40)}"):
+        Census.from_csv(path)

@@ -34,7 +34,8 @@ def test_fit_prefactor_majorizes(census8):
     model = GrowthModel()
     c = fit_prefactor(census8, model)
     assert c == pytest.approx(9.454593656181222, rel=1e-12)
-    gauges = census8.gauges
+    shells = census8.shell_table
+    gauges = np.repeat(np.exp(0.5 * shells.radius), shells.count)
     for t in (1.5, 2.0, 3.0, 5.0, 8.0):
         count = int(np.sum(gauges <= t))
         assert count <= c * t ** (model.sigma0 + model.eps) + 1e-9
@@ -90,6 +91,10 @@ def test_translated_base_point(census8):
     sv_id = series_eval(census8, 6.0)
     sv_eye = series_eval(census8, 6.0, point=np.eye(2, dtype=complex))
     assert sv_eye.value == pytest.approx(sv_id.value, rel=1e-15)
+    # count * kernel per shell against the sum of the shell's row kernels
+    for (f, n, p), (f_eye, n_eye, p_eye) in zip(sv_id.shells, sv_eye.shells, strict=True):
+        assert (f, n) == (f_eye, n_eye)
+        assert p_eye == pytest.approx(p, rel=1e-14)
     moved = series_eval(census8, 6.0, point=exp_cartan(0.3))
     assert moved.value != sv_id.value
     assert np.isfinite(moved.value.real)
