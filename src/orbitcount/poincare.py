@@ -112,8 +112,11 @@ def tail_bound(
 
     Half-unit slabs [R0 + j/2, R0 + (j+1)/2) of element radius: per slab,
     count is bounded by the model at the slab top and each term by the
-    kernel majorant at the slab bottom.  Terms decay like
-    e^{-(Re z - (sigma0+eps)/2) j / 2}.
+    kernel majorant at the slab bottom.  Once a slab bottom is >= 0 each
+    term is at most q = e^{(sigma0+eps)/4 - Re z/2} times the one before,
+    as r / sinh r decreases; the slabs are summed down to 1e-30 of the
+    first such term and the rest is bounded by last * q / (1 - q), so the
+    bound covers the whole tail.
 
     ``shift`` is the radius of the base point g the series is evaluated at.
     A missing element gamma has radius(gamma) > R0 and, by the triangle
@@ -127,21 +130,19 @@ def tail_bound(
             f"Re z = {rez:g} cannot certify a tail against growth exponent {a:g}"
         )
     r0 = 2.0 * math.log(census.cutoff)
-    c_safe = model.safety * c_ls
-    absz = abs(complex(z))
+    log_q = a / 4.0 - rez / 2.0
+    clamped = max(0, math.ceil(2.0 * (shift - r0)))
+    lo = r0 - shift + 0.5 * np.arange(clamped + math.ceil(math.log(1e-30) / log_q))
+    bot = np.maximum(lo, 0.0)  # slab bottom, translated radius
+    terms = (
+        model.safety * c_ls * np.exp(0.5 * a * (lo + 0.5 + shift) - rez * bot)
+        * (C_G / abs(complex(z))) * product_factor(bot)
+    )
     acc = NeumaierSum()
-    j = 0
-    while True:
-        lo = r0 - shift + 0.5 * j  # slab bottom, translated radius
-        bot = max(lo, 0.0)
-        count = c_safe * math.exp(0.5 * a * (lo + 0.5 + shift))
-        term = count * (C_G / absz) * float(product_factor(bot)) * math.exp(-rez * bot)
+    for term in terms.tolist():
         acc.add(term)
-        j += 1
-        # a term that underflows to 0 ends a tail too small for the
-        # relative test, whose threshold then underflows too
-        if term < 1e-30 * acc.value or term == 0.0 or j > 100000:
-            break
+    q = math.exp(log_q)
+    acc.add(float(terms[-1]) * q / (1.0 - q))
     if not math.isfinite(acc.value):
         raise TailError("tail bound diverged; abscissa too small for the model")
     return acc.value

@@ -18,13 +18,33 @@ which in particular *refuses* (n, nu) = (2, 1): its Fourier sum diverges
 logarithmically and its kernel K_0(kappa r)/(2 pi) is singular on the
 lattice.  (3, 1) is refused for the same reason.
 
-Truncation certificates:
+Each side is one n-dimensional box sum for every n.  The geometric side
+sums the kernel over |m|_inf <= M.  The Fourier profile
+f(|k|^2) = (4 pi^2 |k|^2 + kappa^2)^{-nu} is even in every k_j, so its box
+|k|_inf <= K folds to the octant,
 
-* geometric: sup-norm shells s > M contribute at most
-  [(2s+1)^n - (2s-1)^n] * k_{n,nu}(s - 1/2) for |x|_inf <= 1/2 (points are
-  folded); kernels are positive decreasing.
-* spectral: |cos| <= 1 and min |k|_2 on the sup-norm shell s is s, so the
-  shell is bounded by the count times (4 pi^2 s^2 + kappa^2)^{-nu}.
+    sum_k e^{2 pi i k.x} f(|k|^2)
+        = sum_{k in [0, K]^n} f(|k|^2) prod_j w_{k_j} cos(2 pi k_j x_j),
+
+with w_0 = 1 and w_k = 2, contracted one axis at a time and each axis
+summed from k = K down to 0 (small terms first).
+
+Truncation certificates, with count(s) = (2s+1)^n - (2s-1)^n points on the
+sup-norm shell s:
+
+* geometric: for |x|_inf <= 1/2 (points are folded) shell s > M is at most
+  t_s = count(s) k_{n,nu}(s - 1/2), as the kernels are positive and
+  decreasing.  t_{s+1}/t_s <= q(s) = [count(s+1)/count(s)] e^{-kappa} p(s),
+  with p = 1 for the e^{-kappa r} kernels, (1 + kappa(s+1/2))/(1 +
+  kappa(s-1/2)) for (1, 2) and (s+1/2)/(s-1/2) for (2, 2), since e^x K_1(x)
+  decreases.  Each factor is nonincreasing in s, so with S the first shell
+  where q(S) <= 1/2 (else the first where q(S) < 1) the tail is at most
+  t_{M+1} + ... + t_S + t_S q(S)/(1 - q(S)).  A lambda so close to 0 that
+  q >= 1 on the first 200,000 shells is refused.
+* spectral: |cos| <= 1 and min |k|_2 on shell s is s, so the shell is at
+  most count(s) (4 pi^2 s^2 + kappa^2)^{-nu}.  Shells K+1 .. s1 = K+64 are
+  summed and the rest is at most the integral c_n s1^{n-2nu} /
+  ((2nu - n) (4 pi^2)^nu), where c_n = 3^n - 1 >= count(s)/s^{n-1}.
 * for n = 1 at x = 0 the spectral tail is instead summed by
   Euler-Maclaurin through the f''' term with the closed-form integral,
   remainder <= (2 zeta(4)/(2 pi)^4) |f'''| ~ 0.0014 |f'''|; this is what
@@ -36,6 +56,8 @@ geom_tail + spec_tail + 5e-13 * (1 + |G| + |S|) (rounding slack).
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,6 +69,7 @@ from .special import bessel_k1
 _SPECTRAL_TRUNC_DEFAULT = {1: 20000, 2: 300, 3: 60}
 _GEOM_TRUNC_DEFAULT = {1: 40, 2: 25, 3: 18}
 _MAX_BOX_POINTS = 300_000_000
+_GEOM_SHELL_CAP = 200_000
 _EM_ZETA4_FACTOR = 2.0 * (math.pi**4 / 90.0) / (2.0 * math.pi) ** 4  # ~0.00139
 
 
@@ -99,8 +122,6 @@ def torus_kernel(params: TorusParams, r) -> np.ndarray:
     """Free-space kernel k_{n,nu}(r), elementwise, with exact r = 0 limits."""
     k = params.kappa
     r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
     if np.any(r < 0):
         raise InputError("radius must be >= 0")
     n, nu = params.n, params.nu
@@ -115,143 +136,114 @@ def torus_kernel(params: TorusParams, r) -> np.ndarray:
         out[pos] = r[pos] * bessel_k1(k * r[pos]) / (4.0 * math.pi * k)
     else:
         out = np.exp(-k * r) / (8.0 * math.pi * k)
-    return float(out[0]) if scalar else out
+    return out
 
 
-def _fold(x: np.ndarray) -> np.ndarray:
-    """Fold coordinates to [-1/2, 1/2]; the lattice sums are periodic."""
+def _folded_point(params: TorusParams, x, trunc: int, box: str, flag: str) -> np.ndarray:
+    """x folded to [-1/2, 1/2]^n, as both sides are periodic, once its shape
+    and the (2 trunc + 1)^n points of the box are checked."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (params.n,):
+        raise InputError(f"point must have {params.n} coordinates, got {x.shape}")
+    if (2 * trunc + 1) ** params.n > _MAX_BOX_POINTS:
+        raise BudgetError((2 * trunc + 1) ** params.n, _MAX_BOX_POINTS, box, f"lower {flag}")
     return x - np.round(x)
 
 
-def _shell_count(n: int, s: int) -> int:
+def _shell_count(n: int, s):
+    """Points of Z^n on the sup-norm shell s >= 1 (broadcasts over arrays)."""
     return (2 * s + 1) ** n - (2 * s - 1) ** n
 
 
 def torus_geometric_side(params: TorusParams, x) -> tuple[float, float]:
     """(value, certified tail bound) of the periodized kernel at x."""
-    x = _fold(np.atleast_1d(np.asarray(x, dtype=float)))
-    if x.shape != (params.n,):
-        raise InputError(f"point must have {params.n} coordinates, got {x.shape}")
     M = params.m_geom
-    if (2 * M + 1) ** params.n > _MAX_BOX_POINTS:
-        raise BudgetError(
-            (2 * M + 1) ** params.n, _MAX_BOX_POINTS, "geometric box", "lower --geom-trunc"
-        )
+    x = _folded_point(params, x, M, "geometric box", "--geom-trunc")
     rng = np.arange(-M, M + 1, dtype=float)
-    if params.n == 1:
-        r = np.abs(x[0] + rng)
-    elif params.n == 2:
-        g0, g1 = np.meshgrid(rng, rng, indexing="ij")
-        r = np.sqrt((x[0] + g0) ** 2 + (x[1] + g1) ** 2).ravel()
-    else:
-        g0, g1, g2 = np.meshgrid(rng, rng, rng, indexing="ij")
-        r = np.sqrt((x[0] + g0) ** 2 + (x[1] + g1) ** 2 + (x[2] + g2) ** 2).ravel()
+    r = np.sqrt(functools.reduce(np.add.outer, [(xj + rng) ** 2 for xj in x])).ravel()
     value = float(np.sum(torus_kernel(params, r)))
-
-    tail = 0.0
-    s = M + 1
-    while True:
-        term = _shell_count(params.n, s) * float(torus_kernel(params, s - 0.5))
-        tail += term
-        if term < 1e-22 * max(abs(value), 1e-30) or term == 0.0:
-            break
-        s += 1
-        if s > M + 200000:
-            raise InputError("geometric tail failed to close; increase geom_trunc")
-    return value, tail
+    return value, _geometric_tail(params, M)
 
 
-def _spectral_f(params: TorusParams, t: np.ndarray) -> np.ndarray:
-    """f(t) = 2 (4 pi^2 t^2 + kappa^2)^{-nu}: the two-sided term profile."""
-    return 2.0 * (4.0 * math.pi**2 * t * t + params.kappa**2) ** (-params.nu)
+def _geometric_tail(params: TorusParams, M: int) -> float:
+    """t_{M+1} + ... + t_S + t_S q(S) / (1 - q(S)), the module docstring's
+    bound on the shells s > M; S is found by bisection, as q decreases."""
+    n, kappa = params.n, params.kappa
+
+    def q(s: int) -> float:
+        if params.nu == 1 or n == 3:  # e^{-kappa r} times a constant
+            p = 1.0
+        elif n == 1:
+            p = (1.0 + kappa * (s + 0.5)) / (1.0 + kappa * (s - 0.5))
+        else:  # r K_1(kappa r)
+            p = (s + 0.5) / (s - 0.5)
+        return _shell_count(n, s + 1) / _shell_count(n, s) * math.exp(-kappa) * p
+
+    shells = range(M + 1, M + _GEOM_SHELL_CAP + 1)
+    i = bisect.bisect_left(shells, True, key=lambda s: q(s) <= 0.5)
+    if i == len(shells):
+        i = bisect.bisect_left(shells, True, key=lambda s: q(s) < 1.0)
+    if i == len(shells):
+        raise InputError(
+            f"lambda = {params.lam:g} is too close to 0: the geometric tail "
+            f"does not close within {_GEOM_SHELL_CAP} shells"
+        )
+    s = np.arange(M + 1, shells[i] + 1)
+    t = _shell_count(n, s) * torus_kernel(params, s - 0.5)
+    return float(np.sum(t)) + float(t[-1]) * q(shells[i]) / (1.0 - q(shells[i]))
 
 
-def _spectral_fprime(params: TorusParams, t: float) -> float:
-    nu, k2 = params.nu, params.kappa**2
-    u = 4.0 * math.pi**2 * t * t + k2
-    return -16.0 * nu * math.pi**2 * t * u ** (-nu - 1.0)
-
-
-def _spectral_f3(params: TorusParams, t: float) -> float:
-    """Third derivative of f; closed form, cross-checked by finite differences."""
-    nu, k2 = params.nu, params.kappa**2
-    u = 4.0 * math.pi**2 * t * t + k2
-    return (
-        128.0 * nu * (nu + 1.0) * math.pi**4 * t * u ** (-nu - 3.0)
-        * (3.0 * u - 8.0 * (nu + 2.0) * math.pi**2 * t * t)
+def _euler_maclaurin_tail(params: TorusParams, a: float) -> tuple[float, float]:
+    """Euler-Maclaurin sum over t >= a of the two-sided term profile
+    f(t) = 2 (4 pi^2 t^2 + kappa^2)^{-nu} through f''', and its remainder
+    bound; the integral, f' and f''' are closed forms (nu in {1, 2})."""
+    nu, k = params.nu, params.kappa
+    u = 4.0 * math.pi**2 * a * a + k**2
+    f1 = -16.0 * nu * math.pi**2 * a * u ** (-nu - 1.0)
+    f3 = (
+        128.0 * nu * (nu + 1.0) * math.pi**4 * a * u ** (-nu - 3.0)
+        * (3.0 * u - 8.0 * (nu + 2.0) * math.pi**2 * a * a)
     )
-
-
-def _spectral_integral(params: TorusParams, a: float) -> float:
-    """Closed form of int_a^inf f(t) dt for nu in {1, 2}."""
-    k = params.kappa
     w = 2.0 * math.pi * a
-    if params.nu == 1:
-        return (math.pi / 2.0 - math.atan(w / k)) / (math.pi * k)
-    # nu = 2: 2 * (1/(2 pi)) * [F(inf) - F(w)],
-    # F(u) = u/(2 k^2 (u^2 + k^2)) + atan(u/k)/(2 k^3)
-    f_at = w / (2.0 * k * k * (w * w + k * k)) + math.atan(w / k) / (2.0 * k**3)
-    f_inf = math.pi / (4.0 * k**3)
-    return (f_inf - f_at) / math.pi
+    if nu == 1:
+        integral = (math.pi / 2.0 - math.atan(w / k)) / (math.pi * k)
+    else:
+        # 2 * (1/(2 pi)) * [F(inf) - F(w)],
+        # F(u) = u/(2 k^2 (u^2 + k^2)) + atan(u/k)/(2 k^3)
+        f_at = w / (2.0 * k * k * (w * w + k * k)) + math.atan(w / k) / (2.0 * k**3)
+        integral = (math.pi / (4.0 * k**3) - f_at) / math.pi
+    em = integral + u ** (-nu) - f1 / 12.0 + f3 / 720.0  # u^-nu = f(a) / 2
+    return em, _EM_ZETA4_FACTOR * abs(f3)
 
 
 def torus_spectral_side(params: TorusParams, x) -> tuple[float, float, bool]:
     """(value, certified tail bound, accelerated?) of the Fourier sum at x."""
-    x = _fold(np.atleast_1d(np.asarray(x, dtype=float)))
-    if x.shape != (params.n,):
-        raise InputError(f"point must have {params.n} coordinates, got {x.shape}")
     K = params.k_spec
-    if (2 * K + 1) ** params.n > _MAX_BOX_POINTS:
-        raise BudgetError(
-            (2 * K + 1) ** params.n, _MAX_BOX_POINTS, "spectral box", "lower --spectral-trunc"
-        )
+    x = _folded_point(params, x, K, "spectral box", "--spectral-trunc")
     kappa2 = params.kappa**2
     four_pi2 = 4.0 * math.pi**2
-    rng = np.arange(-K, K + 1, dtype=float)
 
-    at_zero = bool(np.all(np.abs(x) < 1e-15))
-    if params.n == 1:
-        den = (four_pi2 * rng * rng + kappa2) ** params.nu
-        value = float(np.sum(np.cos(2.0 * math.pi * rng * x[0]) / den))
-    elif params.n == 2:
-        g0, g1 = np.meshgrid(rng, rng, indexing="ij")
-        den = (four_pi2 * (g0 * g0 + g1 * g1) + kappa2) ** params.nu
-        value = float(np.sum(np.cos(2.0 * math.pi * (g0 * x[0] + g1 * x[1])) / den))
-    else:
-        # chunk over the third axis to keep memory flat
-        g0, g1 = np.meshgrid(rng, rng, indexing="ij")
-        base = g0 * g0 + g1 * g1
-        phase = g0 * x[0] + g1 * x[1]
-        acc = 0.0
-        for k3 in rng:
-            den = (four_pi2 * (base + k3 * k3) + kappa2) ** params.nu
-            acc += float(np.sum(np.cos(2.0 * math.pi * (phase + k3 * x[2])) / den))
-        value = acc
+    # the octant identity of the module docstring, one axis at a time
+    k = np.arange(K + 1, dtype=float)
+    prof = (four_pi2 * functools.reduce(np.add.outer, [k * k] * params.n) + kappa2) ** (
+        -params.nu
+    )
+    weight = np.where(k > 0, 2.0, 1.0)
+    for xj in x[::-1]:
+        prof = (prof * (weight * np.cos(2.0 * math.pi * k * xj)))[..., ::-1].sum(-1)
+    value = float(prof)
 
-    if params.n == 1 and at_zero:
+    if params.n == 1 and bool(np.all(np.abs(x) < 1e-15)):
         # Euler-Maclaurin acceleration of the exact (positive) tail.
-        a = float(K + 1)
-        em = (
-            _spectral_integral(params, a)
-            + 0.5 * float(_spectral_f(params, np.asarray(a)))
-            - _spectral_fprime(params, a) / 12.0
-            + _spectral_f3(params, a) / 720.0
-        )
+        em, remainder = _euler_maclaurin_tail(params, float(K + 1))
         value += em
-        tail = _EM_ZETA4_FACTOR * abs(_spectral_f3(params, a)) + 1e-16 * abs(value)
-        return value, tail, True
+        return value, remainder + 1e-16 * abs(value), True
 
-    # Shell bound: |cos| <= 1, min |k|_2 on sup-norm shell s is s.  Sum 64
-    # shells explicitly, then close with the integral bound
-    # sum_{s > s1} c_n s^{n-1-2nu} <= c_n s1^{n-2nu}/(2nu - n), where
-    # c_n in {2, 8, 26} dominates the shell count.
-    tail = 0.0
-    for s in range(K + 1, K + 65):
-        tail += _shell_count(params.n, s) * (four_pi2 * s * s + kappa2) ** (-params.nu)
-    c_n = {1: 2.0, 2: 8.0, 3: 26.0}[params.n]
-    s1 = float(K + 64)
+    # shells K+1 .. K+64, then the integral bound (module docstring)
+    s = np.arange(K + 1, K + 65, dtype=float)
+    tail = float(np.sum(_shell_count(params.n, s) * (four_pi2 * s * s + kappa2) ** (-params.nu)))
     tail += (
-        c_n / four_pi2**params.nu * s1 ** (params.n - 2 * params.nu)
+        (3**params.n - 1) / four_pi2**params.nu * (K + 64.0) ** (params.n - 2 * params.nu)
         / (2 * params.nu - params.n)
     )
     return value, tail, False

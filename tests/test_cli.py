@@ -460,6 +460,15 @@ def test_oracle_torus(tmp_path):
     assert doc["torus"]["budget"] <= 1e-10
 
 
+def test_oracle_torus_near_zero_lambda_closes_its_tail(tmp_path):
+    # lambda = -1e-8 needs ~1e8 shells before a term falls below 1e-22 of the
+    # value; the geometric remainder closes the tail after one shell instead
+    report = tmp_path / "torus.json"
+    r = run_cli("oracle-torus", "--n", "1", "--nu", "1", "--lam=-1e-8", "--report", str(report))
+    assert r.returncode == 0, r.stderr
+    assert json.loads(report.read_text())["torus"]["within_budget"] is True
+
+
 def test_oracle_torus_divergent_exits_1():
     r = run_cli("oracle-torus", "--n", "2", "--nu", "1", "--lam", "-1")
     assert r.returncode == 1

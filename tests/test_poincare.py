@@ -1,9 +1,13 @@
 """Census-driven kernel series with certified tails."""
 
+import math
+
+import mpmath as mp
 import numpy as np
 import pytest
 
 from orbitcount.errors import InputError
+from orbitcount.freespace import C_G
 from orbitcount.group import exp_cartan
 from orbitcount.lattice import enumerate_pruned
 from orbitcount.poincare import (
@@ -58,6 +62,28 @@ def test_tail_monotone_in_abscissa(census8):
     c = fit_prefactor(census8, model)
     tails = [tail_bound(census8, z, model, c) for z in (6.0, 6.5, 7.0)]
     assert tails[0] > tails[1] > tails[2] > 0.0
+
+
+def test_tail_bound_covers_the_whole_slab_series(census8):
+    # the slab series of tail_bound's docstring, summed to infinity in mpmath;
+    # near the abscissa gate (Re z = 2.3) and with clamped slabs (shift 6)
+    model = GrowthModel()
+    c = fit_prefactor(census8, model)
+    a = model.sigma0 + model.eps
+    r0 = 2.0 * math.log(census8.cutoff)
+    for z, shift in ((2.3, 0.0), (6.0, 6.0)):
+        with mp.workdps(40):
+
+            def term(j):
+                lo = mp.mpf(r0) - shift + mp.mpf(j) / 2
+                bot = max(lo, 0)
+                pf = 1 if bot == 0 else bot / mp.sinh(bot)
+                count = model.safety * c * mp.exp(a / 2 * (lo + mp.mpf(0.5) + shift))
+                return count * C_G / abs(z) * pf * mp.exp(-z * bot)
+
+            exact = float(mp.nsum(term, [0, mp.inf]))
+        # the bound sums rounded doubles, so it may sit a few ulps under
+        assert tail_bound(census8, z, model, c, shift=shift) >= exact * (1 - 1e-14)
 
 
 def test_doubling_consistency(census4, census8):

@@ -1,20 +1,9 @@
 """The report serializers, and a golden-report check of every subcommand.
 
-The golden reports in ``tests/data/reports/`` were written once by these
-commands, run in one directory holding the three-datum spectrum of
-``tests/test_cli.py`` as ``spectrum.csv``:
-
-    orbitcount enumerate --cutoff 4 --out census4.csv --report enumerate.json
-    orbitcount poincare --census census4.csv --z 6 --report poincare.json
-    orbitcount smoothed-count --census census4.csv --x 1 --report smoothed-count.json
-    orbitcount spectral-side --spectrum spectrum.csv --x 1,1.5 --theta 0.8 \\
-        --report spectral-side.json
-    orbitcount compare --census census4.csv --spectrum spectrum.csv --x 1,1.5 \\
-        --theta 0.8 --report compare.json
-    orbitcount perron-check --u 1 --report perron-check.json
-    orbitcount oracle-torus --n 1 --nu 1 --lam -1 --report oracle-torus-n1.json
-    orbitcount oracle-torus --n 2 --nu 2 --lam -1 --point 0.1,0.2 \\
-        --report oracle-torus-n2.json
+The golden reports in ``tests/data/reports/`` are the reports of the
+``RUNS`` commands below, run in one directory holding the three-datum
+spectrum ``SPECTRUM`` as ``spectrum.csv`` and the census of the ``enumerate``
+run.  ``python3 tools/freeze_reports.py NAME...`` writes them.
 
 A rerun must reproduce every field except ``meta`` and ``census.path``:
 ints, strings and booleans exactly, floats to 1e-14 relative, and an exact

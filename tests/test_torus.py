@@ -1,6 +1,7 @@
 """Flat-torus two-sided identity: the fully independent cross-check of the
 smoothing/spectral machinery on a space where both sides are elementary."""
 
+import itertools
 import math
 
 import numpy as np
@@ -131,3 +132,44 @@ def test_spectral_box_budget():
     p = TorusParams(n=3, nu=2, lam=-1.0, spectral_trunc=10_000)
     with pytest.raises(BudgetError, match="; lower --spectral-trunc to proceed$"):
         torus_spectral_side(p, (0.3, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("n,nu", [(1, 1), (1, 2), (2, 2), (3, 2)])
+def test_spectral_side_equals_the_full_box(n, nu):
+    # the octant contraction against sum_{|k|_inf <= K} cos(2 pi k.x) / den
+    K = 8
+    rng = np.random.default_rng(20261018 + n)
+    p = TorusParams(n=n, nu=nu, lam=-1.7, spectral_trunc=K)
+    box = np.array(list(itertools.product(range(-K, K + 1), repeat=n)), dtype=float)
+    den = (4.0 * math.pi**2 * np.sum(box * box, axis=1) + p.kappa**2) ** nu
+    for x in rng.uniform(-0.5, 0.5, size=(3, n)):
+        brute = math.fsum(np.cos(2.0 * math.pi * (box @ x)) / den)
+        value, _tail, accelerated = torus_spectral_side(p, x)
+        assert not accelerated
+        assert value == pytest.approx(brute, rel=1e-14)
+
+
+def test_geometric_side_equals_a_per_point_loop():
+    M = 3
+    p = TorusParams(n=3, nu=2, lam=-2.0, geom_trunc=M)
+    x = np.array([0.31, -0.12, 0.44])
+    radii = [
+        math.sqrt(((x[0] + a) ** 2 + (x[1] + b) ** 2) + (x[2] + c) ** 2)
+        for a, b, c in itertools.product(range(-M, M + 1), repeat=3)
+    ]
+    value, _tail = torus_geometric_side(p, x)
+    assert value == float(np.sum(torus_kernel(p, np.array(radii))))
+
+
+@pytest.mark.parametrize("n,nu", [(1, 1), (1, 2), (2, 2), (3, 2)])
+def test_geometric_tail_covers_the_dropped_shells(n, nu):
+    x = (0.2,) * n
+    for lam in (-0.05, -1.0):
+        value, tail = torus_geometric_side(TorusParams(n=n, nu=nu, lam=lam, geom_trunc=4), x)
+        deep, _ = torus_geometric_side(TorusParams(n=n, nu=nu, lam=lam, geom_trunc=12), x)
+        assert 0.0 < deep - value <= tail
+
+
+def test_geometric_tail_refuses_lambda_too_close_to_0():
+    with pytest.raises(InputError, match="too close to 0"):
+        torus_geometric_side(TorusParams(n=1, nu=1, lam=-1e-40), (0.0,))
