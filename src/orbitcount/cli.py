@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 import numpy as np
@@ -294,7 +295,18 @@ def _cmd_perron_check(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
+_NUMBER = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads a token that starts with "-" as an option unless it
+        # matches this pattern.  Its own (-1, -.5) has no exponent form and
+        # would make ``--lam -1e-8`` "expect one argument"; this one takes
+        # every negative float and float list (``--point -0.3,0.1``).
+        self._negative_number_matcher = re.compile(rf"^-{_NUMBER}(,\s*[-+]?{_NUMBER})*$")
+
     def error(self, message):
         # A usage error is bad input (exit 1); exit 2 means "not certified".
         self.print_usage(sys.stderr)

@@ -34,7 +34,7 @@ from .errors import CoverageError, InputError
 from .freespace import C_G, product_factor
 from .lattice import Census
 from .quadrature import LineIntegral, vertical_line_integral
-from .summation import NeumaierSum
+from .summation import neumaier_sum
 
 #: absolute tolerance of the Perron contour quadratures
 DEFAULT_QUAD_TOL = 1e-9
@@ -179,11 +179,8 @@ def smoothed_geometric_count(
     inside = t.radius < X  # a prefix: radius grows with F
     r, n = t.radius[inside], t.count[inside]
     subtotals = C_G * (n * product_factor(r) * smoothing_kernel(params, X - r))
-    acc = NeumaierSum()
-    for v in subtotals.tolist():
-        acc.add(v)
     return SmoothedCount(
-        value=acc.value,
+        value=neumaier_sum(subtotals.tolist()),
         X=X,
         census_size_used=int(n.sum()),
         shell_subtotals=tuple(zip(t.fnorm[inside].tolist(), subtotals.tolist())),

@@ -38,7 +38,9 @@ from .errors import DomainError, InputError, TailError
 from .freespace import C_G, kernel, product_factor
 from .group import check_unimodular, radius as group_radius
 from .lattice import Census
-from .summation import NeumaierSum
+from .summation import NeumaierSum, neumaier_sum
+
+_EPS = float(np.finfo(float).eps)
 
 
 class GrowthModel:
@@ -122,6 +124,15 @@ def tail_bound(
     A missing element gamma has radius(gamma) > R0 and, by the triangle
     inequality, radius(gamma g) >= radius(gamma) - shift, so each slab's
     kernel majorant is taken ``shift`` lower (clamped at radius 0).
+
+    The terms and their sum are rounded doubles, so the bound adds an
+    explicit slack to stay above the exact slab series.  Every intermediate
+    of slab j's exponent is at most reach_j = R0 + shift + (j + 1)/2 in
+    magnitude, so the exponent is off by at most 6 eps (a/2 + Re z) reach_j
+    and the term by that much relative, plus 16 eps for its other factors;
+    the compensated sum of n + 1 nonnegative terms is off by at most
+    (n + 2) eps relative.  The slack is eps * sum_j term_j (n + 18
+    + 6 (a/2 + Re z) reach_j), about 5e-14 of the bound at z = 6.
     """
     rez = complex(z).real
     a = model.sigma0 + model.eps
@@ -132,20 +143,21 @@ def tail_bound(
     r0 = 2.0 * math.log(census.cutoff)
     log_q = a / 4.0 - rez / 2.0
     clamped = max(0, math.ceil(2.0 * (shift - r0)))
-    lo = r0 - shift + 0.5 * np.arange(clamped + math.ceil(math.log(1e-30) / log_q))
+    j = np.arange(clamped + math.ceil(math.log(1e-30) / log_q))
+    lo = r0 - shift + 0.5 * j
     bot = np.maximum(lo, 0.0)  # slab bottom, translated radius
     terms = (
         model.safety * c_ls * np.exp(0.5 * a * (lo + 0.5 + shift) - rez * bot)
         * (C_G / abs(complex(z))) * product_factor(bot)
     )
-    acc = NeumaierSum()
-    for term in terms.tolist():
-        acc.add(term)
     q = math.exp(log_q)
-    acc.add(float(terms[-1]) * q / (1.0 - q))
-    if not math.isfinite(acc.value):
+    total = neumaier_sum(terms.tolist() + [float(terms[-1]) * q / (1.0 - q)])
+    # rounding slack (docstring): |exponent error| <= 6 eps (a/2 + Re z) reach
+    reach = r0 + shift + 0.5 * (j + 1)
+    total += _EPS * float(terms @ (j.size + 18 + 6.0 * (0.5 * a + rez) * reach))
+    if not math.isfinite(total):
         raise TailError("tail bound diverged; abscissa too small for the model")
-    return acc.value
+    return total
 
 
 @dataclass(frozen=True)

@@ -112,8 +112,8 @@ def vertical_line_integral(
         width = (height - t_lo) / n_panels
         lo = t_lo + width * np.arange(n_panels)
 
-    accepted: list[tuple[float, complex]] = []
-    err_total = 0.0
+    # per level, the accepted panels' left ends, values and error estimates
+    acc_lo, acc_val, acc_err = [], [], []
     evals = 0
     for _level in range(_MAX_LEVELS):
         coarse, _, e1 = _panel_values(f, sigma, lo, width, 15)
@@ -126,9 +126,9 @@ def vertical_line_integral(
         budget = abs_tol * width / (2.0 * height) * 0.5
         floor = 64.0 * np.finfo(float).eps * mass
         ok = err <= np.maximum(budget, floor)
-        for j in np.flatnonzero(ok):
-            accepted.append((float(lo[j]), complex(fine[j])))
-            err_total += float(err[j])
+        acc_lo.append(lo[ok])
+        acc_val.append(fine[ok])
+        acc_err.append(err[ok])
         if ok.all():
             break
         lo_bad = lo[~ok]
@@ -146,8 +146,11 @@ def vertical_line_integral(
             f"after {_MAX_LEVELS} refinement levels"
         )
 
-    accepted.sort(key=lambda p: p[0])
-    raw = neumaier_sum_complex(v for _, v in accepted)
+    # errors add in acceptance order (cumsum is sequential); values add in
+    # ascending panel order, which a stable argsort of the left ends gives
+    err_total = float(np.cumsum(np.concatenate(acc_err))[-1])
+    lo_all = np.concatenate(acc_lo)
+    raw = neumaier_sum_complex(np.concatenate(acc_val)[np.argsort(lo_all, kind="stable")])
     # (1/(2 pi i)) * integral f dz with dz = i dt is (1/(2 pi)) * integral f dt.
     if conj_symmetric:
         # The [-T, 0] half mirrors to the conjugate, so the t-integral over
@@ -160,7 +163,7 @@ def vertical_line_integral(
         value=complex(value),
         error_estimate=err_total / (2.0 * np.pi),
         evaluations=evals,
-        panels=len(accepted),
+        panels=lo_all.size,
     )
 
 

@@ -42,15 +42,25 @@ class NeumaierSum:
         return self._s + self._c
 
 
-def neumaier_sum_complex(xs: Iterable[complex]) -> complex:
-    """Compensated sum for complex terms (independent real/imag carries)."""
-    re = NeumaierSum()
-    im = NeumaierSum()
+def neumaier_sum(xs: Iterable[float]) -> float:
+    """Compensated sum of floats added left to right: bit for bit the value
+    of a :class:`NeumaierSum` fed the same terms, as one plain-float loop."""
+    s = c = 0.0
     for x in xs:
-        xc = complex(x)
-        re.add(xc.real)
-        im.add(xc.imag)
-    return complex(re.value, im.value)
+        t = s + x
+        if abs(s) >= abs(x):
+            c += (s - t) + x
+        else:
+            c += (x - t) + s
+        s = t
+    return s + c
+
+
+def neumaier_sum_complex(xs) -> complex:
+    """Compensated sum of a sequence or array of complex terms (independent
+    real/imag carries)."""
+    z = np.asarray(xs, dtype=complex)
+    return complex(neumaier_sum(z.real.tolist()), neumaier_sum(z.imag.tolist()))
 
 
 def neumaier_sum_rows(x: np.ndarray) -> np.ndarray:

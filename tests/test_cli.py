@@ -469,6 +469,30 @@ def test_oracle_torus_near_zero_lambda_closes_its_tail(tmp_path):
     assert json.loads(report.read_text())["torus"]["within_budget"] is True
 
 
+@pytest.mark.parametrize(
+    "argv, field, want",
+    [
+        (["oracle-torus", "--n", "1", "--nu", "1", "--lam", "-1e-8"], ("torus", "lambda"), -1e-8),
+        (["poincare", "--census", "{census}", "--z", "6", "--z-im", "-1e-3"],
+         ("series", "z", "im"), -1e-3),
+        (["oracle-torus", "--n", "2", "--nu", "2", "--lam", "-1", "--point", "-0.3,-1E-2"],
+         ("torus", "point"), [-0.3, -0.01]),
+    ],
+    ids=["oracle-torus-lam", "poincare-z-im", "oracle-torus-point"],
+)
+def test_negative_exponent_form_is_a_value(tmp_path, census4, argv, field, want):
+    # argparse's own negative-number pattern has no exponent form: without
+    # the parser's wider one these values read as options (exit 1)
+    path = tmp_path / "c4.csv"
+    census4.to_csv(path)
+    r = run_cli(*(a.format(census=path) for a in argv))
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    for key in field:
+        doc = doc[key]
+    assert doc == want
+
+
 def test_oracle_torus_divergent_exits_1():
     r = run_cli("oracle-torus", "--n", "2", "--nu", "1", "--lam", "-1")
     assert r.returncode == 1

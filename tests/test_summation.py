@@ -5,7 +5,7 @@ import math
 import numpy as np
 from hypothesis import given, strategies as st
 
-from orbitcount.summation import NeumaierSum, neumaier_sum_complex, neumaier_sum_rows
+from orbitcount.summation import NeumaierSum, neumaier_sum, neumaier_sum_complex, neumaier_sum_rows
 
 finite = st.floats(
     allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12
@@ -59,10 +59,18 @@ def test_incremental_equals_batch():
     assert started.value == nsum(xs)
 
 
+@given(st.lists(finite, max_size=60))
+def test_plain_loop_equals_the_running_sum(xs):
+    # both Neumaier branches taken: large terms against a small running sum
+    xs = xs + [1e16, 1.0, -1e16, 0.5]
+    assert neumaier_sum(xs) == nsum(xs)
+
+
 def test_complex_parts_are_independent():
     zs = [complex(1e16, 1.0), complex(1.0, -1e16), complex(-1e16, 1e16)]
     got = neumaier_sum_complex(zs)
     assert got == complex(1.0, 1.0)
+    assert neumaier_sum_complex(np.array(zs)) == got
 
 
 @given(st.lists(st.tuples(finite, finite), min_size=0, max_size=5), st.integers(1, 6))
