@@ -366,14 +366,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         doc = args.fn(args)
+        doc["meta"] = base_meta(args.command, {k: getattr(args, k) for k in args.keys})
+        write_json(doc, args.report)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ConvergenceError as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
         return 2
-    doc["meta"] = base_meta(args.command, {k: getattr(args, k) for k in args.keys})
-    write_json(doc, args.report)
     return 0
 
 

@@ -369,7 +369,10 @@ def _read_csv_rows(path: str | Path) -> np.ndarray:
     Any row that is not 8 integers, and any blank line between rows, is an
     InputError naming the file and line.
     """
-    lines = Path(path).read_text().strip().splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text at byte {exc.start}") from None
     if not lines or lines[0].strip() != CSV_HEADER:
         raise InputError(
             f"{path}: expected census header '{CSV_HEADER}'; "

@@ -18,9 +18,8 @@ the order-ell derivative jumps by exactly 1.
 
 :func:`smoothed_geometric_count` applies W(X - r) with the free-space
 product factor to every census shell below radius X, weighted by its row
-count from the census shell table; per-shell subtotals are combined in
-canonical shell order, so the result is reproducible and worker-count
-independent.
+count from the census shell table; the total is the correctly rounded sum
+(``math.fsum``) of the per-shell subtotals.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .errors import CoverageError, InputError
 from .freespace import C_G, product_factor
 from .lattice import Census
 from .quadrature import LineIntegral, vertical_line_integral
-from .summation import neumaier_sum
 
 #: absolute tolerance of the Perron contour quadratures
 DEFAULT_QUAD_TOL = 1e-9
@@ -180,7 +178,7 @@ def smoothed_geometric_count(
     r, n = t.radius[inside], t.count[inside]
     subtotals = C_G * (n * product_factor(r) * smoothing_kernel(params, X - r))
     return SmoothedCount(
-        value=neumaier_sum(subtotals.tolist()),
+        value=math.fsum(subtotals.tolist()),
         X=X,
         census_size_used=int(n.sum()),
         shell_subtotals=tuple(zip(t.fnorm[inside].tolist(), subtotals.tolist())),

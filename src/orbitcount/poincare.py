@@ -5,11 +5,11 @@ enough, the series value at a base point g is
 
     P_z(g) = sum_{gamma in census} u_z(cartan radius of gamma g),
 
-accumulated shell by shell (shells = exact-F classes in canonical order),
-which makes the result deterministic and worker-count independent, and the
-last shell partial sum is bit-for-bit the reported total.  At the identity
-a shell adds count * u_z(radius) from the census shell table, as the growth
-fits read it; only a translated base point reads the rows.
+accumulated shell by shell (shells = exact-F classes in canonical order).
+Each shell partial sum is the correctly rounded sum (``math.fsum``) of the
+shell sums through it, and the last one is the reported total.  At the
+identity a shell adds count * u_z(radius) from the census shell table, as
+the growth fits read it; only a translated base point reads the rows.
 
 Tail certification.  The kernel magnitude obeys the exact majorant
 
@@ -38,7 +38,6 @@ from .errors import DomainError, InputError, TailError
 from .freespace import C_G, kernel, product_factor
 from .group import check_unimodular, radius as group_radius
 from .lattice import Census
-from .summation import NeumaierSum, neumaier_sum
 
 _EPS = float(np.finfo(float).eps)
 
@@ -130,8 +129,8 @@ def tail_bound(
     of slab j's exponent is at most reach_j = R0 + shift + (j + 1)/2 in
     magnitude, so the exponent is off by at most 6 eps (a/2 + Re z) reach_j
     and the term by that much relative, plus 16 eps for its other factors;
-    the compensated sum of n + 1 nonnegative terms is off by at most
-    (n + 2) eps relative.  The slack is eps * sum_j term_j (n + 18
+    their sum is correctly rounded, so the (n + 2) eps allowed for it is a
+    conservative over-count.  The slack is eps * sum_j term_j (n + 18
     + 6 (a/2 + Re z) reach_j), about 5e-14 of the bound at z = 6.
     """
     rez = complex(z).real
@@ -151,7 +150,7 @@ def tail_bound(
         * (C_G / abs(complex(z))) * product_factor(bot)
     )
     q = math.exp(log_q)
-    total = neumaier_sum(terms.tolist() + [float(terms[-1]) * q / (1.0 - q)])
+    total = math.fsum(terms.tolist() + [float(terms[-1]) * q / (1.0 - q)])
     # rounding slack (docstring): |exponent error| <= 6 eps (a/2 + Re z) reach
     reach = r0 + shift + 0.5 * (j + 1)
     total += _EPS * float(terms @ (j.size + 18 + 6.0 * (0.5 * a + rez) * reach))
@@ -180,7 +179,7 @@ def series_eval(
 ) -> SeriesValue:
     """Evaluate the kernel series over the census at ``point`` (default: id).
 
-    Shell-by-shell accumulation in canonical order: at the identity each
+    Shell-by-shell partial sums in canonical order: at the identity each
     shell sum is count * kernel at the shell radius; at ``point`` it is the
     sum of the shell's row kernels.  The tail certificate covers the
     translated series: it is the identity-point bound with every kernel
@@ -216,18 +215,13 @@ def series_eval(
         radii = group_radius(census.matrices() @ point, validate=False)
         sums = np.add.reduceat(kernel(zc, radii), t.start)
 
-    re_acc = NeumaierSum()
-    im_acc = NeumaierSum()
-    shells: list[tuple[int, int, complex]] = []
-    for fval, n, sub in zip(t.fnorm.tolist(), t.count.tolist(), sums.tolist()):
-        re_acc.add(sub.real)
-        im_acc.add(sub.imag)
-        shells.append((fval, n, complex(re_acc.value, im_acc.value)))
+    re, im = sums.real.tolist(), sums.imag.tolist()
+    partials = [complex(math.fsum(re[:k]), math.fsum(im[:k])) for k in range(1, len(re) + 1)]
+    shells = tuple(zip(t.fnorm.tolist(), t.count.tolist(), partials))
 
     c_ls = fit_prefactor(census, model)
     tail = tail_bound(census, zc, model, c_ls, shift=shift)
-    total = complex(re_acc.value, im_acc.value)
-    return SeriesValue(value=total, tail=tail, z=zc, shells=tuple(shells), c_ls=c_ls)
+    return SeriesValue(value=partials[-1], tail=tail, z=zc, shells=shells, c_ls=c_ls)
 
 
 def series_evaluator_for_contour(census: Census):

@@ -7,9 +7,9 @@ Two primitives:
   Gauss-Legendre panels with one level of adaptive bisection driven by a
   15-vs-31-node disagreement estimate.  Panel layout depends only on
   (T, panel width), all panels of one refinement level share one width,
-  evaluation is batched per refinement level, and the accepted panels are
-  combined in ascending order with compensated summation, so results are
-  bit-reproducible for identical inputs.
+  evaluation is batched per refinement level, and the accepted panels'
+  values and error estimates are each summed with :func:`fsum_complex` /
+  ``math.fsum``, correctly rounded whatever order they were accepted in.
 
   Because the panels of a level share their width h, every node of that
   level is z = zc_j + dz_k with panel centre zc_j = sigma + i mid_j and a
@@ -29,16 +29,22 @@ Two primitives:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import QuadratureError
-from .summation import neumaier_sum_complex
 
 _MAX_LEVELS = 24
 _MAX_WORKLIST = 1 << 17
+
+
+def fsum_complex(xs) -> complex:
+    """Correctly rounded sum of complex terms: ``math.fsum`` of each part."""
+    z = np.asarray(xs, dtype=complex)
+    return complex(math.fsum(z.real.tolist()), math.fsum(z.imag.tolist()))
 
 
 @lru_cache(maxsize=8)
@@ -101,19 +107,12 @@ def vertical_line_integral(
 
     t_lo = 0.0 if conj_symmetric else -height
     n_panels = int(np.ceil((height - t_lo) / width))
-    edges = t_lo + (height - t_lo) * np.arange(n_panels + 1) / n_panels
-    steps = np.diff(edges)
-    if np.all(steps == steps[0]):
-        # evenly spaced already (every whole-number width is): these edges
-        # keep the nodes, and so the results, of the edge layout to the bit
-        lo, width = edges[:-1], float(steps[0])
-    else:
-        # even by construction; the last panel may end an ulp off height
-        width = (height - t_lo) / n_panels
-        lo = t_lo + width * np.arange(n_panels)
+    # even by construction; the last panel may end an ulp off height
+    width = (height - t_lo) / n_panels
+    lo = t_lo + width * np.arange(n_panels)
 
-    # per level, the accepted panels' left ends, values and error estimates
-    acc_lo, acc_val, acc_err = [], [], []
+    # per level, the accepted panels' values and error estimates
+    acc_val, acc_err = [], []
     evals = 0
     for _level in range(_MAX_LEVELS):
         coarse, _, e1 = _panel_values(f, sigma, lo, width, 15)
@@ -126,7 +125,6 @@ def vertical_line_integral(
         budget = abs_tol * width / (2.0 * height) * 0.5
         floor = 64.0 * np.finfo(float).eps * mass
         ok = err <= np.maximum(budget, floor)
-        acc_lo.append(lo[ok])
         acc_val.append(fine[ok])
         acc_err.append(err[ok])
         if ok.all():
@@ -146,11 +144,9 @@ def vertical_line_integral(
             f"after {_MAX_LEVELS} refinement levels"
         )
 
-    # errors add in acceptance order (cumsum is sequential); values add in
-    # ascending panel order, which a stable argsort of the left ends gives
-    err_total = float(np.cumsum(np.concatenate(acc_err))[-1])
-    lo_all = np.concatenate(acc_lo)
-    raw = neumaier_sum_complex(np.concatenate(acc_val)[np.argsort(lo_all, kind="stable")])
+    vals = np.concatenate(acc_val)
+    err_total = math.fsum(np.concatenate(acc_err).tolist())
+    raw = fsum_complex(vals)
     # (1/(2 pi i)) * integral f dz with dz = i dt is (1/(2 pi)) * integral f dt.
     if conj_symmetric:
         # The [-T, 0] half mirrors to the conjugate, so the t-integral over
@@ -163,7 +159,7 @@ def vertical_line_integral(
         value=complex(value),
         error_estimate=err_total / (2.0 * np.pi),
         evaluations=evals,
-        panels=lo_all.size,
+        panels=vals.size,
     )
 
 

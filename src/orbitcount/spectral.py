@@ -36,8 +36,8 @@ in the test suite validates them.
 The formula is evaluated over arrays: one pass computes A, B and Per for
 every datum of a spectrum at one X, with loops only over the derivative
 orders (at most nu each) and the train index.  Each datum's value depends
-on that datum alone, and ``spectral_side_eval`` still adds the values in
-file order with compensated summation.  ``residue_pair`` and ``per_term``
+on that datum alone, and ``spectral_side_eval``'s total is their correctly
+rounded sum (``math.fsum`` per part).  ``residue_pair`` and ``per_term``
 are the same code applied to one datum; each computes only its own part
 (the residues, or the pole train), with the array pass's bits.
 """
@@ -55,8 +55,7 @@ import numpy as np
 from .errors import InputError, PoleCollisionError
 from .freespace import NU, RHO_NORM
 from .perron import SmoothingParams, kernel_denominator, panel_width
-from .quadrature import LineIntegral, vertical_line_integral
-from .summation import neumaier_sum_complex, neumaier_sum_rows
+from .quadrature import LineIntegral, fsum_complex, vertical_line_integral
 
 #: tolerance below which two poles are treated as collided
 POLE_TOL = 1e-8
@@ -114,7 +113,10 @@ class Spectrum:
     @classmethod
     def from_csv(cls, path: str | Path) -> "Spectrum":
         """Load `label,lambda,weight` or `label,z_re,z_im,weight` files."""
-        lines = Path(path).read_text().strip().splitlines()
+        try:
+            lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text at byte {exc.start}") from None
         if not lines:
             raise InputError(f"{path}: empty spectrum file")
         header = tuple(h.strip() for h in lines[0].split(","))
@@ -305,7 +307,10 @@ def _pole_train(z: np.ndarray, X: float, params: SmoothingParams, nu: int) -> np
     facts = np.array([math.factorial(m - 1) * math.factorial(ell - m) for m in ms], dtype=float)
     zc = z[:, None]
     den = facts * _cpow(_cmul(zc, zc) - mth**2, nu)
-    return _cdiv(neumaier_sum_rows(_cdiv(decay, den)), float(theta ** (ell - 1)))
+    terms = _cdiv(decay, den)
+    rows = [complex(math.fsum(re), math.fsum(im))
+            for re, im in zip(terms.real.tolist(), terms.imag.tolist())]
+    return _cdiv(np.array(rows, dtype=complex), float(theta ** (ell - 1)))
 
 
 def residue_pair(
@@ -363,8 +368,8 @@ def spectral_side_eval(
     """Sum of datum contributions w (A + B [+ Per]) at count parameter X.
 
     The constant datum (lambda = 0) omits Per.  Every datum's contribution
-    comes from one array evaluation over the whole spectrum; the total adds
-    them in file order with compensated summation.
+    comes from one array evaluation over the whole spectrum; the total is
+    their correctly rounded sum.
     """
     if X <= 0:
         raise InputError(f"count parameter X must be > 0, got {X}")
@@ -386,7 +391,7 @@ def spectral_side_eval(
         )
     values = contrib.tolist()
     return SpectralValue(
-        total=neumaier_sum_complex(values),
+        total=fsum_complex(values),
         per_datum=tuple(zip((d.label for d in data), values)),
         nu=nu,
         sign=convention_sign(nu),

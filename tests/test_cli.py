@@ -521,3 +521,24 @@ def test_convergence_failure_maps_to_exit_2(monkeypatch):
 def test_missing_census_file_exits_1(tmp_path):
     r = run_cli("poincare", "--census", str(tmp_path / "nope.csv"), "--z", "6")
     assert r.returncode == 1
+
+
+@pytest.mark.parametrize("sub, flag", [("poincare", "--census"), ("spectral-side", "--spectrum")])
+def test_binary_input_file_exits_1(tmp_path, sub, flag):
+    # random bytes are not UTF-8: reading them used to end in a
+    # UnicodeDecodeError traceback
+    path = tmp_path / "noise.csv"
+    path.write_bytes(np.random.default_rng(5).bytes(2048))
+    r = run_cli(sub, flag, str(path), *(["--z", "6"] if sub == "poincare" else ["--x", "1"]))
+    assert r.returncode == 1
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: not UTF-8 text")
+    assert r.stdout == ""
+
+
+def test_unwritable_report_path_exits_1(tmp_path):
+    # the report used to be written outside main's error handling, so a
+    # missing directory ended in a FileNotFoundError traceback
+    r = run_cli("perron-check", "--u", "1", "--report", str(tmp_path / "no" / "r.json"))
+    assert r.returncode == 1
+    assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("error: ")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from orbitcount.errors import QuadratureError
-from orbitcount.quadrature import cauchy_circle_residue, vertical_line_integral
+from orbitcount.quadrature import cauchy_circle_residue, fsum_complex, vertical_line_integral
 
 W1 = 0.19978820044686402  # (1 - e^{-1})^2 / 2, the closed-form transform at X=1
 
@@ -103,6 +103,39 @@ def test_every_call_gets_one_shared_offset_row():
     assert len(halves) >= 4  # the pole did force refinement
     assert halves[0] == pytest.approx(height / np.ceil(2 * height / 0.7), rel=1e-15)
     assert np.allclose(np.array(halves[1:]) / np.array(halves[:-1]), 0.5, rtol=1e-15)
+
+
+def test_value_is_the_fsum_of_the_accepted_panels():
+    # Refinement accepts panels level by level, so out of position order.
+    # Rebuild each level's 31-node panel values from the integrand calls; a
+    # panel is accepted unless the next level bisects it.  The value must be
+    # the correctly rounded sum of the accepted ones, in any order.
+    pole = 0.97 + 3.3j
+    calls = []
+
+    def recording(zc, dz):
+        vals = 1.0 / ((zc[:, None] + dz) - pole)
+        if dz.size == 31:
+            calls.append((zc.imag.copy(), vals))
+        return vals
+
+    height, n_panels = 20.0, np.ceil(2 * 20.0 / 0.7)
+    li = vertical_line_integral(
+        recording, 1.0, height, abs_tol=1e-10, panel_width=0.7, conj_symmetric=False
+    )
+    w = np.polynomial.legendre.leggauss(31)[1]
+    half = 0.5 * (2 * height / n_panels)
+    accepted = []
+    for level, (mid, vals) in enumerate(calls):
+        nxt = calls[level + 1][0] if level + 1 < len(calls) else np.array([])
+        bisected = (np.abs(nxt[:, None] - mid) < half).any(axis=0)
+        accepted.append(((vals * w).sum(axis=1) * half)[~bisected])
+        half *= 0.5
+    assert len(accepted) >= 4 and any(a.size for a in accepted[1:-1])
+    panels = np.concatenate(accepted)
+    assert panels.size == li.panels
+    for order in (panels, panels[::-1], np.random.default_rng(3).permutation(panels)):
+        assert li.value == fsum_complex(order) / (2.0 * np.pi)
 
 
 def test_circle_residue_simple_pole():

@@ -5,9 +5,9 @@ The golden reports in ``tests/data/reports/`` are the reports of the
 spectrum ``SPECTRUM`` as ``spectrum.csv`` and the census of the ``enumerate``
 run.  ``python3 tools/freeze_reports.py NAME...`` writes them.
 
-A rerun must reproduce every field except ``meta`` and ``census.path``:
-ints, strings and booleans exactly, floats to 1e-14 relative, and an exact
-zero exactly.
+A rerun must reproduce every field except ``meta.generated_at`` and
+``census.path``: ints, strings and booleans exactly, floats to 1e-14
+relative, and an exact zero exactly.
 """
 
 import json
@@ -106,5 +106,6 @@ def test_reports_match_golden(rundir, monkeypatch, capsys, name):
     assert cli.main(RUNS[name]) == 0, capsys.readouterr().err
     got = json.loads(capsys.readouterr().out)
     want = json.loads((GOLDEN / f"{name}.json").read_text())
-    assert got["meta"]["command"] == want["meta"]["command"]
+    for key in ("command", "config", "tool", "version"):
+        _assert_same(got["meta"][key], want["meta"][key], f"{name}.meta.{key}")
     _assert_same(_body(got), _body(want), name)

@@ -294,6 +294,19 @@ def test_per_datum_values_do_not_depend_on_neighbours():
             assert one.per_datum == fwd.per_datum[123:124]
 
 
+def test_total_is_the_fsum_of_cancelling_data():
+    # weights 1e16, 1, -1e16 on one z_xi: the outer values cancel exactly,
+    # and a left-to-right sum would round the middle one away to a multiple of 2
+    z = z_from_lambda(-3.0)
+    sp = Spectrum(tuple(
+        SpectralDatum(f"d{i}", z, w) for i, w in enumerate((1e16, 1.0, -1e16))
+    ))
+    val = spectral_side_eval(sp, 1.0, SmoothingParams(ell=2, theta=0.8), NU)
+    values = [v for _label, v in val.per_datum]
+    assert val.total == complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
+    assert val.total == values[1]
+
+
 def test_collision_inside_a_large_spectrum_names_the_datum():
     sm = SmoothingParams(ell=2, theta=0.8)
     data = [SpectralDatum(f"t{k}", complex(0.0, y), 1.0)

@@ -4,7 +4,8 @@ Runs the ``RUNS`` entries of tests/test_reports.py for the named reports, in
 a temporary directory that holds the test spectrum as ``spectrum.csv`` and
 the cutoff-4 census the census-reading runs use, and writes each report to
 tests/data/reports/NAME.json.  Re-freeze a report only for a change that is
-intended and declared: the golden check compares every field but ``meta``.
+intended and declared: the golden check compares every field but
+``meta.generated_at``.
 
 Usage: python3 tools/freeze_reports.py NAME [NAME ...]
 """
