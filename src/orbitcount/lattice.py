@@ -48,6 +48,7 @@ All must produce identical censuses.
 
 from __future__ import annotations
 
+import io
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -60,6 +61,10 @@ import numpy as np
 from .errors import BudgetError, InputError
 
 CSV_HEADER = "re_a,im_a,re_b,im_b,re_c,im_c,re_d,im_d"
+
+#: The bytes a census file may hold for the stream reader of
+#: :func:`_read_csv_rows`: printable ASCII, tab, CR and LF.
+_PLAIN_BYTES = bytes(range(32, 127)) + b"\t\r\n"
 
 #: Census rows formatted per write by :meth:`Census.to_csv`.
 _CSV_BLOCK = 8192
@@ -280,7 +285,11 @@ class Census:
 
     @classmethod
     def from_rows(cls, arr: np.ndarray, cutoff: float | None) -> "Census":
-        """Validate entries and determinants, sort canonically, derive F."""
+        """Validate entries and determinants, derive F, sort canonically.
+
+        Rows already in canonical order (every file :meth:`to_csv` writes)
+        are kept as given: no permutation and no gathered copy.
+        """
         arr = np.asarray(arr, dtype=np.int64).reshape(-1, 8)
         if arr.shape[0] and (arr.max() > MAX_ENTRY or arr.min() < -MAX_ENTRY):
             wide = ((arr > MAX_ENTRY) | (arr < -MAX_ENTRY)).any(axis=1)
@@ -293,10 +302,11 @@ class Census:
         )
         if bad.size:
             raise InputError(f"row {bad[0]}: determinant is not 1")
-        f = np.sum(arr * arr, axis=1)
+        f = np.einsum("ij,ij->i", arr, arr)  # row sums of squares, no (N, 8) temporary
         order, same = _canonical_order(arr, f)
-        f = f[order]
-        arr = arr[order]
+        if order is not None:
+            f = f[order]
+            arr = arr[order]
         dup = np.flatnonzero(same)
         if dup.size:
             raise InputError(f"duplicate row {arr[dup[0]].tolist()}")
@@ -336,14 +346,16 @@ def _csv_bytes(rows: np.ndarray) -> np.ndarray:
     return grid[keep]
 
 
-def _canonical_order(arr: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _canonical_order(arr: np.ndarray, f: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
     """Permutation sorting rows by (F, re a, im a, ..., im d), and a mask of
     the sorted rows equal to their successor.
 
     Every census up to cutoff 32 fits the key into one int64 word: F in the
     top bits, then each entry, shifted to start at 0, in the bit length of
-    the entries' observed range.  Equal words are equal rows.  Wider rows
-    are sorted on the 9 columns.
+    the entries' observed range.  Equal words are equal rows, so words that
+    already strictly increase mean rows in canonical order without
+    duplicates: the permutation is then None and the mask all False.  Wider
+    rows are sorted on the 9 columns.
     """
     low = arr.min(initial=0)
     bits = int(arr.max(initial=0) - low).bit_length()
@@ -354,6 +366,9 @@ def _canonical_order(arr: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.nda
         key = arr @ place
         key -= low * place.sum()
         key += f << (8 * bits)
+        rise = key[1:] > key[:-1]
+        if rise.all():
+            return None, ~rise
         keys = [key]
         order = np.argsort(key)
     else:
@@ -367,10 +382,60 @@ def _read_csv_rows(path: str | Path) -> np.ndarray:
     """A census CSV as an (N, 8) int64 array.
 
     Any row that is not 8 integers, and any blank line between rows, is an
-    InputError naming the file and line.
+    InputError naming the file and line.  Text is what ``str.strip`` and
+    ``str.splitlines`` make of the UTF-8 file: outer whitespace is dropped
+    and CR, LF and CRLF all end a line.
+
+    The file's bytes are read once.  When they are printable ASCII, tab, CR
+    and LF only, start with the header and hold no blank line, loadtxt
+    parses the rows from them as a text stream, which holds no copy of the
+    text and no list of its lines.  Any other file, or rows loadtxt refuses,
+    go through the list of lines: it names the bad line, and it reads the
+    rare sound file with other line breaks or whitespace (form feed,
+    Unicode spaces) as ``str.splitlines`` and ``str.strip`` do.
     """
+    data = Path(path).read_bytes()
+    plain = _plain_body(data)
+    if plain is not None:
+        offset, n_rows = plain
+        raw = io.BytesIO(data)  # shares data's buffer
+        raw.seek(offset)
+        try:
+            return _parse_csv(io.TextIOWrapper(raw, encoding="ascii", newline=None), n_rows)
+        except ValueError:
+            pass
+    return _read_csv_lines(path, data)
+
+
+def _plain_body(data: bytes) -> tuple[int, int] | None:
+    """Offset and line count of the rows of a census file that holds only
+    :data:`_PLAIN_BYTES`, starts with the header (after outer whitespace)
+    and has no blank line; None for any other file."""
+    if data.translate(None, _PLAIN_BYTES):
+        return None
+    start, end = 0, len(data)
+    while start < end and data[start] in b" \t\r\n":
+        start += 1
+    while end > start and data[end - 1] in b" \t\r\n":
+        end -= 1
+    # CR, LF and CRLF each end a line, so a blank line is LF LF, LF CR or CR CR
+    if any(data.find(pair, start, end) >= 0 for pair in (b"\n\n", b"\n\r", b"\r\r")):
+        return None
+    breaks = [i for i in (data.find(b"\n", start, end), data.find(b"\r", start, end)) if i >= 0]
+    eol = min(breaks, default=end)  # the header line's end
+    if data[start:eol].strip() != CSV_HEADER.encode():
+        return None
+    if eol == end:
+        return end, 0
+    body = eol + 1 + (data[eol : eol + 2] == b"\r\n")
+    lf, cr, crlf = (data.count(brk, body, end) for brk in (b"\n", b"\r", b"\r\n"))
+    return body, lf + cr - crlf + 1
+
+
+def _read_csv_lines(path: str | Path, data: bytes) -> np.ndarray:
+    """:func:`_read_csv_rows` through a list of the text's lines."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+        lines = data.decode("utf-8").strip().splitlines()
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text at byte {exc.start}") from None
     if not lines or lines[0].strip() != CSV_HEADER:
@@ -382,13 +447,13 @@ def _read_csv_rows(path: str | Path) -> np.ndarray:
         # loadtxt would skip it; inside a census a blank line means damage.
         raise InputError(f"{path}:{lines.index('') + 1}: blank line inside the census")
     try:
-        return _parse_csv_lines(lines[1:])
+        return _parse_csv(lines[1:], len(lines) - 1)
     except ValueError:
         lo, hi = 1, len(lines)  # lines[lo:hi] holds the first bad line
         while hi - lo > 1:
             mid = (lo + hi) // 2
             try:
-                _parse_csv_lines(lines[lo:mid])
+                _parse_csv(lines[lo:mid], mid - lo)
             except ValueError:
                 hi = mid
             else:
@@ -396,15 +461,18 @@ def _read_csv_rows(path: str | Path) -> np.ndarray:
         raise InputError(f"{path}:{lo + 1}: expected 8 integers, got {lines[lo]!r}") from None
 
 
-def _parse_csv_lines(lines: list[str]) -> np.ndarray:
-    if not lines:
+def _parse_csv(source, n_rows: int) -> np.ndarray:
+    """n_rows lines of 8 integers from a list of lines or a text stream;
+    ValueError otherwise."""
+    if not n_rows:
         return np.zeros((0, 8), dtype=np.int64)
     # max_rows lets loadtxt size its output once instead of growing it.
     rows = np.loadtxt(
-        lines, dtype=np.int64, delimiter=",", comments=None, ndmin=2, max_rows=len(lines)
+        source, dtype=np.int64, delimiter=",", comments=None, ndmin=2, max_rows=n_rows
     )
-    if rows.shape[1] != 8:  # loadtxt accepts any width that every row shares
-        raise ValueError(f"{rows.shape[1]} columns")
+    # loadtxt accepts any width that every row shares
+    if rows.shape != (n_rows, 8):
+        raise ValueError(f"{rows.shape[0]} rows of {rows.shape[1]} columns")
     return rows
 
 
@@ -561,7 +629,9 @@ def enumerate_pruned(
     where a pair with a in Q stands for its 4 rotations (same cell count).
     It is checked against the budget before a block's candidates are
     allocated, so a budget stops the same cutoffs as a full scan would.
-    :meth:`Census.from_rows` still checks every row.  Blocks are shared out to
+    :meth:`Census.from_rows` still checks every row.  The blocks are joined
+    and freed before it sorts, so at most two copies of the rows are alive:
+    the joined ones and their canonical gather.  Blocks are shared out to
     ``workers`` threads; the census is the same for any count.  Threads do
     not pay: at cutoff 12 on a 2-core x86 VM, 2 threads take 0.83-1.12x
     (median 0.98x) the 1-thread time, so the CLI always runs one.
@@ -656,8 +726,9 @@ def enumerate_pruned(
     # Each chunk checked only its own share; the total decides.
     _check_budget(n_pairs + sum(w for _, w in results), budget, "pruned enumeration")
 
-    pieces = [rows for res, _ in results for rows in res]
-    return Census.from_rows(np.concatenate(pieces), cutoff=cutoff)
+    rows = np.concatenate([rows for res, _ in results for rows in res])
+    del results  # free the blocks: sorting gathers a second copy of the rows
+    return Census.from_rows(rows, cutoff=cutoff)
 
 
 def enumerate_literal(cutoff: float, *, budget: int = DEFAULT_WORK_BUDGET) -> Census:

@@ -215,13 +215,31 @@ def series_eval(
         radii = group_radius(census.matrices() @ point, validate=False)
         sums = np.add.reduceat(kernel(zc, radii), t.start)
 
-    re, im = sums.real.tolist(), sums.imag.tolist()
-    partials = [complex(math.fsum(re[:k]), math.fsum(im[:k])) for k in range(1, len(re) + 1)]
+    re, im = (_prefix_fsums(part.tolist()) for part in (sums.real, sums.imag))
+    partials = [complex(x, y) for x, y in zip(re, im)]
     shells = tuple(zip(t.fnorm.tolist(), t.count.tolist(), partials))
 
     c_ls = fit_prefactor(census, model)
     tail = tail_bound(census, zc, model, c_ls, shift=shift)
     return SeriesValue(value=partials[-1], tail=tail, z=zc, shells=shells, c_ls=c_ls)
+
+
+def _prefix_fsums(xs: list[float]) -> list[float]:
+    """``math.fsum(xs[:k])`` for k = 1, ..., len(xs), from one exact running sum.
+
+    Each finite x is num / den with den a power of two, so every prefix sum
+    is an integer over the largest den, and integer true division rounds it
+    correctly.  Non-finite input keeps fsum's rules.
+    """
+    if not all(map(math.isfinite, xs)):
+        return [math.fsum(xs[:k]) for k in range(1, len(xs) + 1)]
+    ratios = [x.as_integer_ratio() for x in xs]
+    scale = max((den for _num, den in ratios), default=1)
+    acc, out = 0, []
+    for num, den in ratios:
+        acc += num * (scale // den)
+        out.append(acc / scale)
+    return out
 
 
 def series_evaluator_for_contour(census: Census):

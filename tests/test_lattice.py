@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,7 +189,8 @@ def test_from_rows_rejects_bad_determinant():
 @pytest.mark.parametrize("cutoff", [4.0, 8.0, 12.0, 16.0])
 def test_from_rows_sorts_like_the_nine_column_key(cutoff):
     # the packed one-word key orders rows as the lexicographic sort on
-    # (F, re a, ..., im d) does, for canonical and for shuffled input
+    # (F, re a, ..., im d) does, for canonical and for shuffled input;
+    # canonical rows are kept in place, not gathered into a copy
     census = enumerate_pruned(cutoff)
     f = census.fnorm
     ref = np.lexsort(tuple(census.rows[:, j] for j in range(7, -1, -1)) + (f,))
@@ -198,6 +200,8 @@ def test_from_rows_sorts_like_the_nine_column_key(cutoff):
         got = Census.from_rows(rows, cutoff=cutoff)
         assert np.array_equal(got.rows, census.rows)
         assert np.array_equal(got.fnorm, f)
+        assert got.cutoff == census.cutoff
+        assert np.shares_memory(got.rows, rows) == (rows is census.rows)
 
 
 def test_from_rows_sorts_wide_rows(census2):
@@ -215,6 +219,25 @@ def test_from_rows_sorts_wide_rows(census2):
     assert got.fnorm.tolist() == sorted(k[0] for k in keys)
     with pytest.raises(InputError, match="duplicate row"):
         Census.from_rows(np.concatenate([rows, extra[1:2]]), cutoff=None)
+
+
+def test_from_rows_finds_a_duplicate_in_sorted_rows(census4):
+    for k in (0, 1000, census4.size - 1):
+        rows = np.insert(census4.rows, k, census4.rows[k], axis=0)  # still sorted
+        with pytest.raises(InputError, match=re.escape(f"duplicate row {census4.rows[k].tolist()}")):
+            Census.from_rows(rows, cutoff=4.0)
+
+
+def test_wide_rows_sort_through_lexsort_even_when_sorted(census2, monkeypatch):
+    big = 1 << 29
+    rows = np.concatenate([census2.rows, [[1, 0, big, 0, 0, 0, 1, 0]]])  # canonical order
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+    got = Census.from_rows(rows, cutoff=None)
+    assert calls and np.array_equal(got.rows, rows)
+    with pytest.raises(InputError, match="duplicate row"):
+        Census.from_rows(np.concatenate([rows, rows[-1:]]), cutoff=None)
 
 
 def test_from_rows_refuses_entries_beyond_2_pow_30(census4):
@@ -396,3 +419,89 @@ def test_from_csv_refuses_too_few_rows_before_tabulating(tmp_path, monkeypatch):
     monkeypatch.setattr("orbitcount.lattice.form_counts", None)  # never reached
     with pytest.raises(InputError, match=f"9 rows cannot be a complete census up to shell F = {2 + (1 << 40)}"):
         Census.from_csv(path)
+
+
+def _lines(header, rows, end=b"\n", last=b"\n"):
+    return end.join([header, *rows]) + last
+
+
+def _line_4(header, rows, row):
+    return _lines(header, [*rows[:2], row, *rows[3:]])
+
+
+_HEADER_MESSAGE = "expected census header"
+
+# (name, edit of the file's header, rows and bytes, answer): None where the
+# file loads as the census, else the error message
+_EDGE_FILES = [
+    ("crlf", lambda h, r, t: _lines(h, r, b"\r\n", b"\r\n"), None),
+    ("cr", lambda h, r, t: _lines(h, r, b"\r", b"\r"), None),
+    ("no-final-newline", lambda h, r, t: _lines(h, r, last=b""), None),
+    ("extra-final-newlines", lambda h, r, t: _lines(h, r, last=b"\n\n\n"), None),
+    ("leading-blank-line", lambda h, r, t: b"\n" + t, None),
+    ("spaces-after-the-header", lambda h, r, t: t.replace(b"\n", b"   \n", 1), None),
+    ("spaces-around-fields", lambda h, r, t: _lines(h, [b" , ".join(x.split(b",")) for x in r]), None),
+    ("leading-plus", lambda h, r, t: _lines(h, [re.sub(rb"(^|,)(\d)", rb"\1+\2", x) for x in r]), None),
+    ("whitespace-only-line", lambda h, r, t: _line_4(h, r, b"   "), ":4: expected 8 integers, got '   '"),
+    ("blank-line-lf", lambda h, r, t: _lines(h, [*r[:2], b"", *r[2:]]), ":4: blank line inside the census"),
+    (
+        "blank-line-crlf",
+        lambda h, r, t: _lines(h, [*r[:2], b"", *r[2:]], b"\r\n", b"\r\n"),
+        ":4: blank line inside the census",
+    ),
+    (
+        "blank-line-cr",
+        lambda h, r, t: _lines(h, [*r[:2], b"", *r[2:]], b"\r", b"\r"),
+        ":4: blank line inside the census",
+    ),
+    ("tab-separator", lambda h, r, t: _line_4(h, r, r[2].replace(b",", b"\t", 1)), ":4: expected 8 integers"),
+    ("trailing-comma", lambda h, r, t: _line_4(h, r, r[2] + b","), ":4: expected 8 integers"),
+    ("comment", lambda h, r, t: _line_4(h, r, r[2] + b" # note"), ":4: expected 8 integers"),
+    ("nul-byte", lambda h, r, t: _line_4(h, r, r[2] + b"\x00"), ":4: expected 8 integers"),
+    ("latin-1-byte", lambda h, r, t: t[:50] + b"\xe9" + t[50:], ": not UTF-8 text at byte 50"),
+    ("bom-before-the-header", lambda h, r, t: b"\xef\xbb\xbf" + t, _HEADER_MESSAGE),
+    ("empty-file", lambda h, r, t: b"", _HEADER_MESSAGE),
+    ("header-only", lambda h, r, t: h + b"\n", "0 rows cannot be a complete census up to shell F = 2"),
+]
+
+
+@pytest.mark.parametrize("edit, answer", [e[1:] for e in _EDGE_FILES], ids=[e[0] for e in _EDGE_FILES])
+def test_from_csv_edge_files(tmp_path, census4, edit, answer):
+    # line ends, outer whitespace and field padding that loadtxt takes are
+    # accepted; any other damage is refused, naming the line where it can
+    good = tmp_path / "good.csv"
+    census4.to_csv(good)
+    text = good.read_bytes()
+    header, *rows = text.split(b"\n")[:-1]
+    path = tmp_path / "edge.csv"
+    path.write_bytes(edit(header, rows, text))
+    if answer is None:
+        assert np.array_equal(Census.from_csv(path).rows, census4.rows)
+    else:
+        with pytest.raises(InputError, match=re.escape(answer)) as exc:
+            Census.from_csv(path)
+        assert str(exc.value).startswith(f"{path}")
+
+
+def _peak_bytes(fn) -> int:
+    # numpy reports its buffers to tracemalloc, so this counts them too
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_from_csv_holds_the_rows_once(tmp_path, census8):
+    # the file's bytes, one (N, 8) array and vectors of length N; a reader
+    # that also held the text, its lines or a sorted copy peaked at 2.31
+    path = tmp_path / "c8.csv"
+    census8.to_csv(path)
+    assert _peak_bytes(lambda: Census.from_csv(path)) <= 1.8 * census8.rows.nbytes
+
+
+def test_enumerate_pruned_frees_its_blocks(census8):
+    # the joined rows and their sorted copy; keeping the scan blocks alive
+    # through the sort peaked at 3.27
+    assert _peak_bytes(lambda: enumerate_pruned(8.0)) <= 2.6 * census8.rows.nbytes

@@ -5,13 +5,15 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from orbitcount.errors import InputError
-from orbitcount.freespace import C_G
+from orbitcount.freespace import C_G, kernel
 from orbitcount.group import exp_cartan
 from orbitcount.lattice import enumerate_pruned
 from orbitcount.poincare import (
     GrowthModel,
+    _prefix_fsums,
     fit_growth,
     fit_prefactor,
     series_eval,
@@ -111,6 +113,37 @@ def test_partial_sums_telescope(census8):
     assert sv.shells[-1][2] == sv.value  # last running partial IS the total
     counts = [n for _f, n, _p in sv.shells]
     assert sum(counts) == census8.size
+
+
+@pytest.mark.parametrize("z", [6.0, complex(6.5, 3.0)])
+def test_partial_sums_are_prefix_fsums(z):
+    # each shell partial is math.fsum of the shell sums through it, bit for
+    # bit and sign of zero included, as when every prefix was fsummed anew
+    census = enumerate_pruned(12.0)
+    t = census.shell_table
+    sums = t.count * kernel(complex(z), t.radius)
+    re, im = sums.real.tolist(), sums.imag.tolist()
+    want = [(math.fsum(re[:k]), math.fsum(im[:k])) for k in range(1, len(re) + 1)]
+    got = [(p.real, p.imag) for _f, _n, p in series_eval(census, z).shells]
+    assert [(x.hex(), y.hex()) for x, y in got] == [(x.hex(), y.hex()) for x, y in want]
+
+
+finite = st.floats(min_value=-1e300, max_value=1e300) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324])
+
+
+@given(st.lists(finite, min_size=1, max_size=40), st.randoms(use_true_random=False))
+def test_prefix_fsums_match_fsum(xs, rnd):
+    xs = xs + [-x for x in rnd.sample(xs, len(xs) // 2)]  # cancellation
+    want = [math.fsum(xs[:k]).hex() for k in range(1, len(xs) + 1)]
+    assert [x.hex() for x in _prefix_fsums(xs)] == want
+
+
+def test_prefix_fsums_keep_fsum_for_non_finite():
+    inf, nan = float("inf"), float("nan")
+    assert _prefix_fsums([1.0, inf, 2.0]) == [1.0, inf, inf]
+    assert math.isnan(_prefix_fsums([nan, 1.0])[1])
+    with pytest.raises(ValueError, match="-inf \\+ inf in fsum"):
+        _prefix_fsums([inf, -inf])
 
 
 def test_translated_base_point(census8):
