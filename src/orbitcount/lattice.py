@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import io
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -61,10 +62,6 @@ import numpy as np
 from .errors import BudgetError, InputError
 
 CSV_HEADER = "re_a,im_a,re_b,im_b,re_c,im_c,re_d,im_d"
-
-#: The bytes a census file may hold for the stream reader of
-#: :func:`_read_csv_rows`: printable ASCII, tab, CR and LF.
-_PLAIN_BYTES = bytes(range(32, 127)) + b"\t\r\n"
 
 #: Census rows formatted per write by :meth:`Census.to_csv`.
 _CSV_BLOCK = 8192
@@ -190,8 +187,11 @@ def f_threshold(cutoff: float) -> int:
             f"cutoff {cutoff} is below 1.0, the gauge of the {COMPACT_COUNT} "
             "compact-stabilizer elements; censuses start at cutoff 1.0"
         )
-    b2 = float(cutoff) ** 2
-    return int(math.floor(b2 + 1.0 / b2 + 1e-9))
+    try:
+        b2 = float(cutoff) ** 2
+        return int(math.floor(b2 + 1.0 / b2 + 1e-9))
+    except OverflowError:
+        raise InputError(f"cutoff {cutoff} is too large: its square overflows a float") from None
 
 
 class ShellTable(NamedTuple):
@@ -228,16 +228,6 @@ class Census:
         start = np.flatnonzero(np.diff(self.fnorm, prepend=-1))
         f = self.fnorm[start]
         return ShellTable(f, np.diff(start, append=self.size), np.arccosh(0.5 * f.astype(float)))
-
-    def matrices(self) -> np.ndarray:
-        """Census as a stacked (N, 2, 2) complex array."""
-        r = self.rows
-        out = np.empty((self.size, 2, 2), dtype=complex)
-        out[:, 0, 0] = r[:, 0] + 1j * r[:, 1]
-        out[:, 0, 1] = r[:, 2] + 1j * r[:, 3]
-        out[:, 1, 0] = r[:, 4] + 1j * r[:, 5]
-        out[:, 1, 1] = r[:, 6] + 1j * r[:, 7]
-        return out
 
     def shells(self) -> list[tuple[int, int, int]]:
         """Runs of constant F: list of (F, start, stop) in canonical order."""
@@ -382,94 +372,75 @@ def _read_csv_rows(path: str | Path) -> np.ndarray:
     """A census CSV as an (N, 8) int64 array.
 
     Any row that is not 8 integers, and any blank line between rows, is an
-    InputError naming the file and line.  Text is what ``str.strip`` and
-    ``str.splitlines`` make of the UTF-8 file: outer whitespace is dropped
-    and CR, LF and CRLF all end a line.
+    InputError naming the file and line.  The file is UTF-8 text whose lines
+    end in LF, CRLF or CR; spaces, tabs and line ends around it are dropped.
 
-    The file's bytes are read once.  When they are printable ASCII, tab, CR
-    and LF only, start with the header and hold no blank line, loadtxt
-    parses the rows from them as a text stream, which holds no copy of the
-    text and no list of its lines.  Any other file, or rows loadtxt refuses,
-    go through the list of lines: it names the bad line, and it reads the
-    rare sound file with other line breaks or whitespace (form feed,
-    Unicode spaces) as ``str.splitlines`` and ``str.strip`` do.
+    The file's bytes are read once, and loadtxt parses the rows from them as
+    one text stream, which holds no copy of the text and no list of its
+    lines; the line count sizes its output.  Only a file it refuses, or one
+    that yields fewer rows than lines (a blank line), goes on to
+    :func:`_bad_line`.
     """
     data = Path(path).read_bytes()
-    plain = _plain_body(data)
-    if plain is not None:
-        offset, n_rows = plain
-        raw = io.BytesIO(data)  # shares data's buffer
-        raw.seek(offset)
-        try:
-            return _parse_csv(io.TextIOWrapper(raw, encoding="ascii", newline=None), n_rows)
-        except ValueError:
-            pass
-    return _read_csv_lines(path, data)
-
-
-def _plain_body(data: bytes) -> tuple[int, int] | None:
-    """Offset and line count of the rows of a census file that holds only
-    :data:`_PLAIN_BYTES`, starts with the header (after outer whitespace)
-    and has no blank line; None for any other file."""
-    if data.translate(None, _PLAIN_BYTES):
-        return None
     start, end = 0, len(data)
     while start < end and data[start] in b" \t\r\n":
         start += 1
     while end > start and data[end - 1] in b" \t\r\n":
         end -= 1
-    # CR, LF and CRLF each end a line, so a blank line is LF LF, LF CR or CR CR
-    if any(data.find(pair, start, end) >= 0 for pair in (b"\n\n", b"\n\r", b"\r\r")):
-        return None
-    breaks = [i for i in (data.find(b"\n", start, end), data.find(b"\r", start, end)) if i >= 0]
-    eol = min(breaks, default=end)  # the header line's end
-    if data[start:eol].strip() != CSV_HEADER.encode():
-        return None
-    if eol == end:
-        return end, 0
-    body = eol + 1 + (data[eol : eol + 2] == b"\r\n")
-    lf, cr, crlf = (data.count(brk, body, end) for brk in (b"\n", b"\r", b"\r\n"))
-    return body, lf + cr - crlf + 1
-
-
-def _read_csv_lines(path: str | Path, data: bytes) -> np.ndarray:
-    """:func:`_read_csv_rows` through a list of the text's lines."""
+    lf, cr, crlf = (data.count(brk, start, end) for brk in (b"\n", b"\r", b"\r\n"))
+    raw = io.BytesIO(data)  # shares data's buffer
+    raw.seek(start)
+    text = io.TextIOWrapper(raw, encoding="utf-8", newline=None)
     try:
-        lines = data.decode("utf-8").strip().splitlines()
+        if text.readline().strip() == CSV_HEADER:
+            return _parse_csv(text, lf + cr - crlf)
+    except (ValueError, Warning):
+        pass
+    raise _bad_line(path, data)
+
+
+def _bad_line(path: str | Path, data: bytes) -> InputError:
+    """The error for a census file :func:`_read_csv_rows` refused: a byte
+    that is not UTF-8, the header, or the first line that is blank or does
+    not parse as 8 integers, found by bisecting the rows with the same
+    parse.  Lines are numbered from the header."""
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+        return InputError(f"{path}: not UTF-8 text at byte {exc.start}")
+    lines = [line.rstrip("\n") for line in io.StringIO(text.strip(" \t\r\n"), newline=None)]
     if not lines or lines[0].strip() != CSV_HEADER:
-        raise InputError(
+        return InputError(
             f"{path}: expected census header '{CSV_HEADER}'; "
             "rebuild the census with `orbitcount enumerate`"
         )
-    if "" in lines:
-        # loadtxt would skip it; inside a census a blank line means damage.
-        raise InputError(f"{path}:{lines.index('') + 1}: blank line inside the census")
-    try:
-        return _parse_csv(lines[1:], len(lines) - 1)
-    except ValueError:
-        lo, hi = 1, len(lines)  # lines[lo:hi] holds the first bad line
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            try:
-                _parse_csv(lines[lo:mid], mid - lo)
-            except ValueError:
-                hi = mid
-            else:
-                lo = mid
-        raise InputError(f"{path}:{lo + 1}: expected 8 integers, got {lines[lo]!r}") from None
+    lo, hi = 1, len(lines)  # lines[lo:hi] holds the first bad line
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _parse_csv(lines[lo:mid], mid - lo)
+        except (ValueError, Warning):
+            hi = mid
+        else:
+            lo = mid
+    if not lines[lo]:
+        return InputError(f"{path}:{lo + 1}: blank line inside the census")
+    return InputError(f"{path}:{lo + 1}: expected 8 integers, got {lines[lo]!r}")
 
 
 def _parse_csv(source, n_rows: int) -> np.ndarray:
-    """n_rows lines of 8 integers from a list of lines or a text stream;
-    ValueError otherwise."""
+    """n_rows lines of 8 integers from a text stream or a list of lines;
+    ValueError or Warning otherwise."""
     if not n_rows:
         return np.zeros((0, 8), dtype=np.int64)
-    # max_rows lets loadtxt size its output once instead of growing it.
-    rows = np.loadtxt(
-        source, dtype=np.int64, delimiter=",", comments=None, ndmin=2, max_rows=n_rows
-    )
+    with warnings.catch_warnings():
+        # loadtxt only warns at a blank line and, on older numpy, at an
+        # integer written as a float; both are damage
+        warnings.simplefilter("error")
+        # max_rows lets loadtxt size its output once instead of growing it.
+        rows = np.loadtxt(
+            source, dtype=np.int64, delimiter=",", comments=None, ndmin=2, max_rows=n_rows
+        )
     # loadtxt accepts any width that every row shares
     if rows.shape != (n_rows, 8):
         raise ValueError(f"{rows.shape[0]} rows of {rows.shape[1]} columns")
@@ -531,6 +502,22 @@ def _check_budget(estimate: int, budget: int, what: str) -> None:
         raise BudgetError(estimate, budget, what)
 
 
+def _entry_box(cutoff: float, budget: int, work, what: str) -> tuple[int, np.ndarray]:
+    """The bound entry_sq on |entry|^2 at this cutoff and the box of Gaussian
+    integers within it, for a scan of ``work(k)`` candidates over k box points.
+
+    The budget is checked first on the (2 isqrt(entry_sq // 2) + 1)^2 points
+    of the box's inscribed square, so a box too large to scan is refused
+    before it is built, then on the box's exact size.
+    """
+    entry_sq = int(math.floor(float(cutoff) ** 2 + 1e-9))
+    side = 2 * math.isqrt(entry_sq // 2) + 1
+    _check_budget(work(side * side), budget, what)
+    box = _gaussian_box(entry_sq)
+    _check_budget(work(box.shape[0]), budget, what)
+    return entry_sq, box
+
+
 def enumerate_naive(cutoff: float, *, budget: int = DEFAULT_WORK_BUDGET) -> Census:
     """Box-scan enumeration: exhaustive over (a, b, c), d forced by det = 1.
 
@@ -539,10 +526,7 @@ def enumerate_naive(cutoff: float, *, budget: int = DEFAULT_WORK_BUDGET) -> Cens
     """
     fmax = f_threshold(cutoff)
     # |entry| <= gauge <= cutoff, so a box scan is a superset; F filters exactly.
-    entry_sq = int(math.floor(float(cutoff) ** 2 + 1e-9))
-    box = _gaussian_box(entry_sq)
-    k = box.shape[0]
-    _check_budget(k * k * k, budget, "naive enumeration")
+    entry_sq, box = _entry_box(cutoff, budget, lambda k: k**3, "naive enumeration")
 
     bre = box[:, 0][:, None]
     bim = box[:, 1][:, None]
@@ -637,11 +621,9 @@ def enumerate_pruned(
     (median 0.98x) the 1-thread time, so the CLI always runs one.
     """
     fmax = f_threshold(cutoff)
-    entry_sq = int(math.floor(float(cutoff) ** 2 + 1e-9))
-    box = _gaussian_box(entry_sq)
+    _entry_sq, box = _entry_box(cutoff, budget, lambda k: k * k - 1, "pruned enumeration (column scan)")
     k = box.shape[0]
     n_pairs = k * k - 1
-    _check_budget(n_pairs, budget, "pruned enumeration (column scan)")
 
     bound = float(cutoff) + 1e-12
     # a = 0 and the quadrant Q = {re a > 0, im a >= 0}; rotation fills the rest.
@@ -734,10 +716,8 @@ def enumerate_pruned(
 def enumerate_literal(cutoff: float, *, budget: int = DEFAULT_WORK_BUDGET) -> Census:
     """Four-entry literal box scan.  Test oracle; O(box^4), tiny cutoffs only."""
     fmax = f_threshold(cutoff)
-    entry_sq = int(math.floor(float(cutoff) ** 2 + 1e-9))
-    box = [tuple(v) for v in _gaussian_box(entry_sq).tolist()]
-    k = len(box)
-    _check_budget(k ** 4, budget, "literal enumeration")
+    _entry_sq, box = _entry_box(cutoff, budget, lambda k: k**4, "literal enumeration")
+    box = [tuple(v) for v in box.tolist()]
     rows = []
     for a in box:
         for b in box:

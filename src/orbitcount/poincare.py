@@ -1,15 +1,15 @@
 """Census-truncated series of free-space kernels, with certified tails.
 
 For a census Gamma_B (all lattice elements with gauge <= B) and Re z large
-enough, the series value at a base point g is
+enough, the series value at the identity is
 
-    P_z(g) = sum_{gamma in census} u_z(cartan radius of gamma g),
+    P_z = sum_{gamma in census} u_z(cartan radius of gamma),
 
-accumulated shell by shell (shells = exact-F classes in canonical order).
-Each shell partial sum is the correctly rounded sum (``math.fsum``) of the
-shell sums through it, and the last one is the reported total.  At the
-identity a shell adds count * u_z(radius) from the census shell table, as
-the growth fits read it; only a translated base point reads the rows.
+accumulated shell by shell (shells = exact-F classes in canonical order):
+a shell adds count * u_z(radius) from the census shell table, as the growth
+fits read it.  Each shell partial sum is the correctly rounded sum
+(``math.fsum``) of the shell sums through it, and the last one is the
+reported total.
 
 Tail certification.  The kernel magnitude obeys the exact majorant
 
@@ -21,8 +21,7 @@ safety factor; sigma0 = 4, eps = 0.25 and safety = 4 are fixed
 (:class:`GrowthModel`) and recorded in reports.  In radius form
 N(r) <= c_safe e^{(sigma0+eps) r/2}, so the tail beyond the census radius
 R0 is bounded by summing count-bound(top of slab) * |u_z|(bottom of slab)
-over half-unit slabs; at a translated base point g each slab bottom moves
-in by radius(g).
+over half-unit slabs.
 This converges iff Re z > (sigma0 + eps)/2; the stricter documented
 precondition Re z > sigma0 + 1 (+ margin) is enforced.
 """
@@ -34,9 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError, TailError
+from .errors import InputError, TailError
 from .freespace import C_G, kernel, product_factor
-from .group import check_unimodular, radius as group_radius
 from .lattice import Census
 
 _EPS = float(np.finfo(float).eps)
@@ -101,33 +99,21 @@ def fit_prefactor(census: Census, model: GrowthModel) -> float:
     return max(c_ls, major)
 
 
-def tail_bound(
-    census: Census,
-    z: complex,
-    model: GrowthModel,
-    c_ls: float,
-    *,
-    shift: float = 0.0,
-) -> float:
+def tail_bound(census: Census, z: complex, model: GrowthModel, c_ls: float) -> float:
     """Certified bound on the series tail beyond the census radius.
 
     Half-unit slabs [R0 + j/2, R0 + (j+1)/2) of element radius: per slab,
     count is bounded by the model at the slab top and each term by the
-    kernel majorant at the slab bottom.  Once a slab bottom is >= 0 each
-    term is at most q = e^{(sigma0+eps)/4 - Re z/2} times the one before,
-    as r / sinh r decreases; the slabs are summed down to 1e-30 of the
-    first such term and the rest is bounded by last * q / (1 - q), so the
-    bound covers the whole tail.
-
-    ``shift`` is the radius of the base point g the series is evaluated at.
-    A missing element gamma has radius(gamma) > R0 and, by the triangle
-    inequality, radius(gamma g) >= radius(gamma) - shift, so each slab's
-    kernel majorant is taken ``shift`` lower (clamped at radius 0).
+    kernel majorant at the slab bottom, R0 + j/2 >= 0.  Each term is at most
+    q = e^{(sigma0+eps)/4 - Re z/2} times the one before, as r / sinh r
+    decreases; the slabs are summed down to 1e-30 of the first term and the
+    rest is bounded by last * q / (1 - q), so the bound covers the whole
+    tail.
 
     The terms and their sum are rounded doubles, so the bound adds an
     explicit slack to stay above the exact slab series.  Every intermediate
-    of slab j's exponent is at most reach_j = R0 + shift + (j + 1)/2 in
-    magnitude, so the exponent is off by at most 6 eps (a/2 + Re z) reach_j
+    of slab j's exponent is at most reach_j = R0 + (j + 1)/2 in magnitude,
+    so the exponent is off by at most 6 eps (a/2 + Re z) reach_j
     and the term by that much relative, plus 16 eps for its other factors;
     their sum is correctly rounded, so the (n + 2) eps allowed for it is a
     conservative over-count.  The slack is eps * sum_j term_j (n + 18
@@ -141,18 +127,16 @@ def tail_bound(
         )
     r0 = 2.0 * math.log(census.cutoff)
     log_q = a / 4.0 - rez / 2.0
-    clamped = max(0, math.ceil(2.0 * (shift - r0)))
-    j = np.arange(clamped + math.ceil(math.log(1e-30) / log_q))
-    lo = r0 - shift + 0.5 * j
-    bot = np.maximum(lo, 0.0)  # slab bottom, translated radius
+    j = np.arange(math.ceil(math.log(1e-30) / log_q))
+    lo = r0 + 0.5 * j  # slab bottom
     terms = (
-        model.safety * c_ls * np.exp(0.5 * a * (lo + 0.5 + shift) - rez * bot)
-        * (C_G / abs(complex(z))) * product_factor(bot)
+        model.safety * c_ls * np.exp(0.5 * a * (lo + 0.5) - rez * lo)
+        * (C_G / abs(complex(z))) * product_factor(lo)
     )
     q = math.exp(log_q)
     total = math.fsum(terms.tolist() + [float(terms[-1]) * q / (1.0 - q)])
     # rounding slack (docstring): |exponent error| <= 6 eps (a/2 + Re z) reach
-    reach = r0 + shift + 0.5 * (j + 1)
+    reach = r0 + 0.5 * (j + 1)
     total += _EPS * float(terms @ (j.size + 18 + 6.0 * (0.5 * a + rez) * reach))
     if not math.isfinite(total):
         raise TailError("tail bound diverged; abscissa too small for the model")
@@ -175,16 +159,12 @@ def series_eval(
     z: complex,
     *,
     model: GrowthModel | None = None,
-    point: np.ndarray | None = None,
 ) -> SeriesValue:
-    """Evaluate the kernel series over the census at ``point`` (default: id).
+    """Evaluate the kernel series over the census at the identity.
 
-    Shell-by-shell partial sums in canonical order: at the identity each
-    shell sum is count * kernel at the shell radius; at ``point`` it is the
-    sum of the shell's row kernels.  The tail certificate covers the
-    translated series: it is the identity-point bound with every kernel
-    majorant moved in by the radius of ``point`` (see :func:`tail_bound`),
-    so a far-off base point needs a deeper census for the same tail.
+    Shell-by-shell partial sums in canonical order, each shell sum count *
+    kernel at the shell radius, with the tail certificate of
+    :func:`tail_bound`.
     """
     model = model or GrowthModel()
     zc = complex(z)
@@ -193,34 +173,24 @@ def series_eval(
             f"Re z = {zc.real:g} is below the certified abscissa "
             f"{model.required_abscissa:g} (sigma0 + 1 + margin)"
         )
-    shift = 0.0
-    if point is not None:
-        point = check_unimodular(point)
-        if point.shape != (2, 2):
-            raise DomainError("base point must be a single 2x2 matrix")
-        shift = float(group_radius(point, validate=False))
     if census.size == 0:
         return SeriesValue(
             value=0.0 + 0.0j,
-            tail=tail_bound(census, zc, model, 1.0, shift=shift),
+            tail=tail_bound(census, zc, model, 1.0),
             z=zc,
             shells=(),
             c_ls=1.0,
         )
 
     t = census.shell_table
-    if point is None:
-        sums = t.count * kernel(zc, t.radius)
-    else:
-        radii = group_radius(census.matrices() @ point, validate=False)
-        sums = np.add.reduceat(kernel(zc, radii), t.start)
+    sums = t.count * kernel(zc, t.radius)
 
     re, im = (_prefix_fsums(part.tolist()) for part in (sums.real, sums.imag))
     partials = [complex(x, y) for x, y in zip(re, im)]
     shells = tuple(zip(t.fnorm.tolist(), t.count.tolist(), partials))
 
     c_ls = fit_prefactor(census, model)
-    tail = tail_bound(census, zc, model, c_ls, shift=shift)
+    tail = tail_bound(census, zc, model, c_ls)
     return SeriesValue(value=partials[-1], tail=tail, z=zc, shells=shells, c_ls=c_ls)
 
 

@@ -246,6 +246,18 @@ def test_ten_column_census_is_refused(tmp_path, census2):
     assert "rebuild the census with `orbitcount enumerate`" in r.stderr
 
 
+def test_blank_line_in_census_prints_one_error_line(tmp_path, census4):
+    # loadtxt warns when max_rows meets a blank line; the warning must not
+    # reach stderr in a run without warning filters
+    path = tmp_path / "blank.csv"
+    census4.to_csv(path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([*lines[:5], "", *lines[5:]]) + "\n")
+    r = run_cli("poincare", "--census", str(path), "--z", "6")
+    assert r.returncode == 1
+    assert r.stderr.splitlines() == [f"error: {path}:6: blank line inside the census"]
+
+
 def test_census_entry_beyond_int64_safe_range_exits_1(tmp_path, capsys, census4):
     # [[1, 2^32], [0, 1]] is unimodular, but |2^32|^2 wraps int64 to 0: the
     # row used to load with F = 2 as a ninth compact element
@@ -430,10 +442,16 @@ def test_non_finite_numbers_exit_1(tmp_path, capsys, census_csv, spectrum_csv, a
          "smoothing step theta must be > 0, got -1.0"),
         (["enumerate", "--cutoff", "1", "--out", "{out}", "--budget", "0"],
          "over the work budget of 0; raise --budget to proceed"),
+        # refused before the entry box, 10^300 points, is built
+        (["enumerate", "--cutoff", "1e150", "--out", "{out}"],
+         "over the work budget of 200000000; raise --budget to proceed"),
+        (["enumerate", "--cutoff", "1e200", "--out", "{out}"],
+         "cutoff 1e+200 is too large: its square overflows a float"),
     ],
     ids=["height-0", "height-neg", "quad-tol-0", "quad-tol-neg", "spectral-trunc-0",
          "spectral-trunc-neg", "geom-trunc-0", "geom-trunc-neg", "torus-geom-box",
-         "smoothed-x-2000", "compare-x-2000", "ell-0", "theta-neg", "budget-0"],
+         "smoothed-x-2000", "compare-x-2000", "ell-0", "theta-neg", "budget-0",
+         "cutoff-1e150", "cutoff-1e200"],
 )
 def test_out_of_range_parameters_exit_1(
     tmp_path, capsys, census_csv, spectrum_csv, argv, message

@@ -142,8 +142,13 @@ def test_compact_elements_have_radius_zero(census1):
     assert np.allclose(np.exp(0.5 * _row_radii(census1)), 1.0)
 
 
+def _matrices(census):
+    """The census rows as a stacked (N, 2, 2) complex array."""
+    return (census.rows[:, 0::2] + 1j * census.rows[:, 1::2]).reshape(-1, 2, 2)
+
+
 def test_columns_match_group_functions(census2):
-    mats = census2.matrices()
+    mats = _matrices(census2)
     assert np.allclose(np.exp(0.5 * _row_radii(census2)), gauge(mats), rtol=1e-12)
     assert np.allclose(_row_radii(census2), radius(mats), atol=1e-12)
 
@@ -158,7 +163,7 @@ def test_shell_table_matches_rows(name, request):
     assert shells.count.sum() == census.size
     assert census.shell_table is shells  # built once
     for s, n, r in zip(shells.start, shells.count, shells.radius):
-        assert np.allclose(radius(census.matrices()[s : s + n]), r, atol=1e-12)
+        assert np.allclose(radius(_matrices(census)[s : s + n]), r, atol=1e-12)
     assert census.shells() == [
         (f, s, s + n) for f, s, n in zip(shells.fnorm, shells.start, shells.count)
     ]
@@ -365,6 +370,17 @@ def test_budget_counts_the_whole_census(workers):
     assert enumerate_pruned(8.0, budget=252_720, workers=workers).size == 42248
 
 
+@pytest.mark.parametrize("enumerate_", [enumerate_literal, enumerate_naive, enumerate_pruned])
+def test_budget_refuses_before_the_entry_box(enumerate_):
+    # cutoff 2000's box holds 12.6 million Gaussian integers; building it
+    # first peaked at 674 MB
+    def refuse():
+        with pytest.raises(BudgetError):
+            enumerate_(2000.0)
+
+    assert _peak_bytes(refuse) < 1 << 20
+
+
 def test_shell_counts_partition(census8):
     bins = shell_counts(census8)
     assert sum(n for _left, n in bins) == census8.size
@@ -458,6 +474,14 @@ _EDGE_FILES = [
     ("trailing-comma", lambda h, r, t: _line_4(h, r, r[2] + b","), ":4: expected 8 integers"),
     ("comment", lambda h, r, t: _line_4(h, r, r[2] + b" # note"), ":4: expected 8 integers"),
     ("nul-byte", lambda h, r, t: _line_4(h, r, r[2] + b"\x00"), ":4: expected 8 integers"),
+    # a form feed does not end a line
+    ("form-feed-between-rows", lambda h, r, t: _line_4(h, r, r[2] + b"\x0c" + r[3]), ":4: expected 8 integers"),
+    ("damaged-last-row", lambda h, r, t: _lines(h, [*r[:-1], r[-1] + b",0"]), ":2537: expected 8 integers"),
+    (
+        "blank-line-before-the-last-row",
+        lambda h, r, t: _lines(h, [*r[:-1], b"", r[-1]]),
+        ":2537: blank line inside the census",
+    ),
     ("latin-1-byte", lambda h, r, t: t[:50] + b"\xe9" + t[50:], ": not UTF-8 text at byte 50"),
     ("bom-before-the-header", lambda h, r, t: b"\xef\xbb\xbf" + t, _HEADER_MESSAGE),
     ("empty-file", lambda h, r, t: b"", _HEADER_MESSAGE),

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from orbitcount.errors import InputError
 from orbitcount.freespace import C_G, kernel
-from orbitcount.group import exp_cartan
 from orbitcount.lattice import enumerate_pruned
 from orbitcount.poincare import (
     GrowthModel,
@@ -68,24 +67,23 @@ def test_tail_monotone_in_abscissa(census8):
 
 def test_tail_bound_covers_the_whole_slab_series(census8):
     # the slab series of tail_bound's docstring, summed to infinity in mpmath;
-    # near the abscissa gate (Re z = 2.3) and with clamped slabs (shift 6)
+    # near the abscissa gate (Re z = 2.3) and at z = 6
     model = GrowthModel()
     c = fit_prefactor(census8, model)
     a = model.sigma0 + model.eps
     r0 = 2.0 * math.log(census8.cutoff)
-    for z, shift in ((2.3, 0.0), (6.0, 6.0)):
+    for z in (2.3, 6.0):
         with mp.workdps(40):
 
             def term(j):
-                lo = mp.mpf(r0) - shift + mp.mpf(j) / 2
-                bot = max(lo, 0)
-                pf = 1 if bot == 0 else bot / mp.sinh(bot)
-                count = model.safety * c * mp.exp(a / 2 * (lo + mp.mpf(0.5) + shift))
-                return count * C_G / abs(z) * pf * mp.exp(-z * bot)
+                lo = mp.mpf(r0) + mp.mpf(j) / 2
+                pf = 1 if lo == 0 else lo / mp.sinh(lo)
+                count = model.safety * c * mp.exp(a / 2 * (lo + mp.mpf(0.5)))
+                return count * C_G / abs(z) * pf * mp.exp(-z * lo)
 
             exact = float(mp.nsum(term, [0, mp.inf]))
         # the bound sums rounded doubles; its rounding slack keeps it above
-        assert tail_bound(census8, z, model, c, shift=shift) >= exact
+        assert tail_bound(census8, z, model, c) >= exact
 
 
 def test_doubling_consistency(census4, census8):
@@ -144,37 +142,6 @@ def test_prefix_fsums_keep_fsum_for_non_finite():
     assert math.isnan(_prefix_fsums([nan, 1.0])[1])
     with pytest.raises(ValueError, match="-inf \\+ inf in fsum"):
         _prefix_fsums([inf, -inf])
-
-
-def test_translated_base_point(census8):
-    sv_id = series_eval(census8, 6.0)
-    sv_eye = series_eval(census8, 6.0, point=np.eye(2, dtype=complex))
-    assert sv_eye.value == pytest.approx(sv_id.value, rel=1e-15)
-    # count * kernel per shell against the sum of the shell's row kernels
-    for (f, n, p), (f_eye, n_eye, p_eye) in zip(sv_id.shells, sv_eye.shells, strict=True):
-        assert (f, n) == (f_eye, n_eye)
-        assert p_eye == pytest.approx(p, rel=1e-14)
-    moved = series_eval(census8, 6.0, point=exp_cartan(0.3))
-    assert moved.value != sv_id.value
-    assert np.isfinite(moved.value.real)
-
-
-def test_translated_tail_covers_deeper_census(census8):
-    # At a base point of radius 2 the identity-point tail (2.6e-7) is below
-    # the change to a cutoff-12 census (2.1e-6); the shifted tail covers it.
-    g = exp_cartan(2.0)
-    shallow = series_eval(census8, 6.0, point=g)
-    deep = series_eval(enumerate_pruned(12.0), 6.0, point=g)
-    assert abs(deep.value - shallow.value) <= shallow.tail
-    # at the identity the certificate is unchanged to the bit
-    assert (
-        series_eval(census8, 6.0, point=np.eye(2)).tail == series_eval(census8, 6.0).tail
-    )
-
-
-def test_translated_point_must_be_unimodular(census8):
-    with pytest.raises(InputError):
-        series_eval(census8, 6.0, point=2.0 * np.eye(2))
 
 
 def test_contour_evaluator_matches_series(census8):
