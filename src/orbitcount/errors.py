@@ -38,8 +38,9 @@ class BudgetError(InputError):
     """Work counted so far exceeds a work budget.
 
     ``estimated`` is a lower bound: a check may stop counting at the first
-    step over the budget.  ``remedy`` is the step that gets under it; the
-    default names the enumeration budget flag.
+    step over the budget.  It stays exact; the message gives its leading
+    digits past 20 (every int64 is shown in full).  ``remedy`` is the step
+    that gets under it; the default names the enumeration budget flag.
     """
 
     def __init__(
@@ -51,8 +52,11 @@ class BudgetError(InputError):
     ):
         self.estimated = int(estimated)
         self.budget = int(budget)
+        shown = str(self.estimated)  # not float(): it overflows past 1e308
+        if len(shown) > 20:  # leading digits, truncated, so "at least" holds
+            shown = f"{shown[0]}.{shown[1]}e+{len(shown) - 1}"
         super().__init__(
-            f"{what} needs at least {estimated} candidate evaluations, over the "
+            f"{what} needs at least {shown} candidate evaluations, over the "
             f"work budget of {budget}; {remedy} to proceed"
         )
 

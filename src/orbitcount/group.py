@@ -15,6 +15,8 @@ length at curvature -1.  Concretely, with ``g = k1 exp(H) k2``:
 
 Everything is written against stacked arrays: a "matrix" argument is any
 ``(..., 2, 2)`` complex array, and the batch dimensions broadcast through.
+``gauge``, ``radius`` and ``cartan_decompose`` always check that their
+input is unimodular (:func:`check_unimodular`) and refuse it otherwise.
 
 The singular-value machinery never calls a general SVD.  For unimodular
 ``g`` the Gram matrix ``h = g^H g`` has determinant one, so both singular
@@ -54,19 +56,17 @@ def _det(g: np.ndarray) -> np.ndarray:
     return g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
 
 
-def check_unimodular(g, tol: float = UNIMODULAR_TOL) -> np.ndarray:
-    """Validate ``det g == 1`` within ``tol`` and return the matrix array.
+def check_unimodular(g) -> np.ndarray:
+    """Validate ``det g == 1`` within ``UNIMODULAR_TOL``; return the matrices.
 
     The products inside a float determinant carry roundoff of order
     ``eps * F`` for entries of squared norm F, so the gate is the maximum
-    of ``tol`` and that floor; otherwise every legitimately constructed
-    large-radius element would be rejected.
+    of ``UNIMODULAR_TOL`` and that floor; otherwise every legitimately
+    constructed large-radius element would be rejected.
     """
     g = _as_matrices(g)
     err = np.abs(_det(g) - 1.0)
-    allowed = np.maximum(
-        tol, 64.0 * np.finfo(float).eps * (1.0 + np.sum(np.abs(g) ** 2, axis=(-2, -1)))
-    )
+    allowed = np.maximum(UNIMODULAR_TOL, 64.0 * np.finfo(float).eps * (1.0 + frobenius_sq(g)))
     if np.any(err > allowed):
         raise DomainError(
             f"matrix is not unimodular: |det - 1| reaches {float(np.max(err)):.3e}"
@@ -80,23 +80,21 @@ def frobenius_sq(g) -> np.ndarray:
     return np.sum(np.abs(g) ** 2, axis=(-2, -1))
 
 
-def gauge(g, *, validate: bool = True) -> np.ndarray:
+def gauge(g) -> np.ndarray:
     """Largest singular value of a unimodular matrix (stacked).
 
     Satisfies gauge >= 1, gauge(g) = gauge(g^{-1}) = gauge(g^H), and
     submultiplicativity; the minimum 1 is attained exactly on the compact
     subgroup.
     """
-    if validate:
-        g = check_unimodular(g)
+    g = check_unimodular(g)
     F = np.maximum(frobenius_sq(g), 2.0)
     return np.sqrt(0.5 * (F + np.sqrt(np.maximum(F * F - 4.0, 0.0))))
 
 
-def radius(g, *, validate: bool = True) -> np.ndarray:
+def radius(g) -> np.ndarray:
     """Hyperbolic distance from the basepoint to ``g`` (curvature -1)."""
-    if validate:
-        g = check_unimodular(g)
+    g = check_unimodular(g)
     F = np.maximum(frobenius_sq(g), 2.0)
     return np.arccosh(0.5 * F)
 
@@ -152,7 +150,7 @@ class CartanFactors:
     k2: np.ndarray
 
 
-def cartan_decompose(g, *, validate: bool = True) -> CartanFactors:
+def cartan_decompose(g) -> CartanFactors:
     """Split unimodular matrices as ``k1 exp(H) k2`` with ``k1, k2`` in SU(2).
 
     ``H = [r]`` with ``r = radius(g) >= 0``.  Output is deterministic: the
@@ -160,7 +158,7 @@ def cartan_decompose(g, *, validate: bool = True) -> CartanFactors:
     component real positive) and at radius 0 the convention is
     ``(k1, H, k2) = (g, [0], I)``.
     """
-    g = check_unimodular(g) if validate else _as_matrices(g)
+    g = check_unimodular(g)
     F = np.maximum(frobenius_sq(g), 2.0)
     disc = np.sqrt(np.maximum(F * F - 4.0, 0.0))
     s1sq = 0.5 * (F + disc)

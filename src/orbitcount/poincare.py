@@ -28,6 +28,7 @@ precondition Re z > sigma0 + 1 (+ margin) is enforced.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -118,8 +119,13 @@ def tail_bound(census: Census, z: complex, model: GrowthModel, c_ls: float) -> f
     their sum is correctly rounded, so the (n + 2) eps allowed for it is a
     conservative over-count.  The slack is eps * sum_j term_j (n + 18
     + 6 (a/2 + Re z) reach_j), about 5e-14 of the bound at z = 6.
+
+    A z with an infinite or nan part is refused: no bound certifies it.
     """
-    rez = complex(z).real
+    zc = complex(z)
+    if not cmath.isfinite(zc):
+        raise InputError(f"z = {zc} is not finite; no tail bound can be certified")
+    rez = zc.real
     a = model.sigma0 + model.eps
     if rez <= a / 2.0 + 0.1:
         raise InputError(
@@ -131,7 +137,7 @@ def tail_bound(census: Census, z: complex, model: GrowthModel, c_ls: float) -> f
     lo = r0 + 0.5 * j  # slab bottom
     terms = (
         model.safety * c_ls * np.exp(0.5 * a * (lo + 0.5) - rez * lo)
-        * (C_G / abs(complex(z))) * product_factor(lo)
+        * (C_G / abs(zc)) * product_factor(lo)
     )
     q = math.exp(log_q)
     total = math.fsum(terms.tolist() + [float(terms[-1]) * q / (1.0 - q)])
@@ -164,7 +170,8 @@ def series_eval(
 
     Shell-by-shell partial sums in canonical order, each shell sum count *
     kernel at the shell radius, with the tail certificate of
-    :func:`tail_bound`.
+    :func:`tail_bound`.  The certificate is computed first, so a
+    non-finite z is refused before any kernel is evaluated.
     """
     model = model or GrowthModel()
     zc = complex(z)
@@ -173,36 +180,25 @@ def series_eval(
             f"Re z = {zc.real:g} is below the certified abscissa "
             f"{model.required_abscissa:g} (sigma0 + 1 + margin)"
         )
-    if census.size == 0:
-        return SeriesValue(
-            value=0.0 + 0.0j,
-            tail=tail_bound(census, zc, model, 1.0),
-            z=zc,
-            shells=(),
-            c_ls=1.0,
-        )
-
+    c_ls = fit_prefactor(census, model)
+    tail = tail_bound(census, zc, model, c_ls)
     t = census.shell_table
     sums = t.count * kernel(zc, t.radius)
 
     re, im = (_prefix_fsums(part.tolist()) for part in (sums.real, sums.imag))
     partials = [complex(x, y) for x, y in zip(re, im)]
     shells = tuple(zip(t.fnorm.tolist(), t.count.tolist(), partials))
-
-    c_ls = fit_prefactor(census, model)
-    tail = tail_bound(census, zc, model, c_ls)
-    return SeriesValue(value=partials[-1], tail=tail, z=zc, shells=shells, c_ls=c_ls)
+    value = partials[-1] if partials else 0j
+    return SeriesValue(value=value, tail=tail, z=zc, shells=shells, c_ls=c_ls)
 
 
 def _prefix_fsums(xs: list[float]) -> list[float]:
     """``math.fsum(xs[:k])`` for k = 1, ..., len(xs), from one exact running sum.
 
-    Each finite x is num / den with den a power of two, so every prefix sum
-    is an integer over the largest den, and integer true division rounds it
-    correctly.  Non-finite input keeps fsum's rules.
+    Each x is finite, num / den with den a power of two, so every prefix
+    sum is an integer over the largest den, and integer true division rounds
+    it correctly.
     """
-    if not all(map(math.isfinite, xs)):
-        return [math.fsum(xs[:k]) for k in range(1, len(xs) + 1)]
     ratios = [x.as_integer_ratio() for x in xs]
     scale = max((den for _num, den in ratios), default=1)
     acc, out = 0, []

@@ -24,10 +24,10 @@ w * (A + B) with no pole-train part.
 
 The raw contour calculus equals (-1)^nu times this normalization (it is
 the power of (lambda_xi - lambda_z) = -(z - z_xi)(z + z_xi) that flips);
-``SIGN = (-1)**nu`` is exported and reported so the geometric comparison
+``convention_sign(nu) = (-1)**nu`` is reported so the geometric comparison
 can be made on matching conventions.  The model space has nu = 2
-(``freespace.NU``), the default here, so SIGN = +1; other nu serve the
-residue-calculus checks.
+(``freespace.NU``), the default here, so the sign is +1; other nu serve
+the residue-calculus checks.
 
 Residues are evaluated by a closed three-factor Leibniz expansion (never by
 numerical differentiation); an independent small-circle quadrature oracle
@@ -40,6 +40,10 @@ on that datum alone, and ``spectral_side_eval``'s total is their correctly
 rounded sum (``math.fsum`` per part).  ``residue_pair`` and ``per_term``
 are the same code applied to one datum; each computes only its own part
 (the residues, or the pole train), with the array pass's bits.
+
+``global_contour_oracle`` checks the total independently: it integrates the
+assembled kernel along a vertical line, folded onto the upper half only
+when every z_xi is real or purely imaginary.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +66,11 @@ POLE_TOL = 1e-8
 
 #: treat |lambda| below this as the constant datum
 CONSTANT_LAMBDA_TOL = 1e-12
+
+#: global contour oracle: abscissa margin, half-height and tolerance of its line
+ORACLE_SIGMA_MARGIN = 1.5
+ORACLE_HEIGHT = 400.0
+ORACLE_ABS_TOL = 1e-10
 
 
 def branch_z(z: complex) -> complex:
@@ -166,19 +175,6 @@ def _check_collisions(z: np.ndarray, params: SmoothingParams) -> None:
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _train_weights(params: SmoothingParams) -> np.ndarray:
-    """Partial fractions of 1/q(z): w_m = (-1)^(m-1)/(theta^(ell-1) (m-1)! (ell-m)!)."""
-    ell, theta = params.ell, params.theta
-    return np.array(
-        [
-            (-1.0) ** (m - 1)
-            / (theta ** (ell - 1) * math.factorial(m - 1) * math.factorial(ell - m))
-            for m in range(1, ell + 1)
-        ]
-    )
-
-
 # Complex products, powers and quotients over arrays, spelled out in real
 # arithmetic as Python's complex type computes them (CPython's c_prod, c_powu
 # and c_quot).  numpy's own complex multiply fuses multiply-adds where the CPU
@@ -211,11 +207,7 @@ def _cpow(x: np.ndarray, n: int) -> np.ndarray:
 
 def _cdiv(a, b) -> np.ndarray:
     """a / b by Smith's algorithm, dividing by the scaled denominator; b != 0."""
-    a = np.asarray(a, dtype=complex)
-    if isinstance(b, float) and b > 0.0:
-        # the scalar b + 0i takes the first branch with ratio 0 and denominator b
-        return _pack((a.real + a.imag * 0.0) / b, (a.imag - a.real * 0.0) / b)
-    b = np.asarray(b, dtype=complex)
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     by_re = np.abs(br) >= np.abs(bi)
     big, small = np.where(by_re, br, bi), np.where(by_re, bi, br)
@@ -284,8 +276,14 @@ def _leibniz_constants(params: SmoothingParams, nu: int):
     and each Leibniz term's multinomial coefficient and orders (i, j, k).
     Per-order and per-term factors are rows, broadcasting over the data."""
     n = nu - 1
-    mth = params.theta * np.arange(1, params.ell + 1)
-    wm = _train_weights(params)
+    ell, theta = params.ell, params.theta
+    mth = theta * np.arange(1, ell + 1)
+    # partial fractions of 1/q(z): w_m = (-1)^(m-1)/(theta^(ell-1) (m-1)! (ell-m)!)
+    wm = np.array([
+        (-1.0) ** (m - 1)
+        / (theta ** (ell - 1) * math.factorial(m - 1) * math.factorial(ell - m))
+        for m in range(1, ell + 1)
+    ])
     train_coef = np.array([wm * (-1.0) ** d * math.factorial(d) for d in range(n + 1)])[:, None]
     # (nu)_i = nu (nu + 1) ... (nu + i - 1), the Pochhammer symbol
     signed_poch = np.array([[(-1.0) ** d * math.prod(range(nu, nu + d))] for d in range(n + 1)])
@@ -354,9 +352,7 @@ def convention_sign(nu: int) -> int:
 class SpectralValue:
     total: complex
     per_datum: tuple[tuple[str, complex], ...]
-    nu: int
-    sign: int
-    constant_labels: tuple[str, ...] = field(default=())
+    constant_labels: tuple[str, ...] = ()
 
 
 def spectral_side_eval(
@@ -393,8 +389,6 @@ def spectral_side_eval(
     return SpectralValue(
         total=fsum_complex(values),
         per_datum=tuple(zip((d.label for d in data), values)),
-        nu=nu,
-        sign=convention_sign(nu),
         constant_labels=tuple(d.label for d, c in zip(data, const) if c),
     )
 
@@ -404,27 +398,26 @@ def global_contour_oracle(
     X: float,
     params: SmoothingParams,
     nu: int = NU,
-    *,
-    sigma: float | None = None,
-    height: float = 400.0,
-    abs_tol: float = 1e-10,
 ) -> LineIntegral:
     """Numeric vertical-line integral of the assembled spectral kernel.
 
     Integrates sum_xi w_xi e^{zX} / ((z - z_xi)^nu (z + z_xi)^nu q(z)) on
-    Re z = sigma with sigma right of every pole.  Closing left picks up
+    Re z = sigma, ``ORACLE_SIGMA_MARGIN`` right of every pole, up to height
+    ``ORACLE_HEIGHT`` at tolerance ``ORACLE_ABS_TOL``.  Closing left picks up
     A + B + (pole-train) for every datum, so for non-constant spectra and
     even nu this converges (fast: the integrand decays like |z|^{-2 nu - ell})
     to the spectral_side_eval total as the height grows.
+
+    When every z_xi is real or purely imaginary, each z_xi^2 is real, so
+    with real weights f(conj z) = conj f(z) and only the upper half of the
+    line is integrated; any other spectrum is integrated on the whole line.
     """
     if X <= 0:
         raise InputError("contour oracle needs X > 0 for left closure")
     nu = _kernel_exponent(nu)
-    zs = [d.z for d in spectrum]
-    if sigma is None:
-        sigma = max((abs(z.real) for z in zs), default=0.0) + 1.5
+    zarr = np.array([d.z for d in spectrum], dtype=complex)
     ws = np.array([d.weight for d in spectrum])
-    zarr = np.array(zs)
+    sigma = float(np.max(np.abs(zarr.real), initial=0.0)) + ORACLE_SIGMA_MARGIN
 
     def integrand(zc, dz):
         z = zc[:, None] + dz
@@ -435,35 +428,7 @@ def global_contour_oracle(
         return num * np.sum(ws / quad, axis=-1) / den_q
 
     return vertical_line_integral(
-        integrand, float(sigma), height, abs_tol=abs_tol,
+        integrand, sigma, ORACLE_HEIGHT, abs_tol=ORACLE_ABS_TOL,
         panel_width=panel_width(X),
-        conj_symmetric=_schwarz_symmetric(zarr, ws),
+        conj_symmetric=bool(np.all((zarr.real == 0) | (zarr.imag == 0))),
     )
-
-
-def _schwarz_symmetric(zarr: np.ndarray, ws: np.ndarray) -> bool:
-    """Whether the assembled kernel satisfies f(conj z) = conj f(z).
-
-    Each datum enters through w / (z^2 - z_xi^2)^nu with a real weight, so
-    the reflection symmetry holds exactly when the weighted multiset
-    {(z_xi^2, w_xi)} is closed under conjugation.  Real spectral parameters
-    (z real or purely imaginary) always qualify; only synthetic test data
-    can fail.
-    """
-    z2 = np.asarray(zarr, dtype=complex) ** 2
-    used = np.zeros(z2.size, dtype=bool)
-    for k in range(z2.size):
-        target = np.conj(z2[k])
-        hit = -1
-        for j in range(z2.size):
-            if (
-                not used[j]
-                and abs(z2[j] - target) <= 1e-12 * (1.0 + abs(target))
-                and abs(ws[j] - ws[k]) <= 1e-12 * (1.0 + abs(ws[k]))
-            ):
-                hit = j
-                break
-        if hit < 0:
-            return False
-        used[hit] = True
-    return True

@@ -442,9 +442,11 @@ def test_non_finite_numbers_exit_1(tmp_path, capsys, census_csv, spectrum_csv, a
          "smoothing step theta must be > 0, got -1.0"),
         (["enumerate", "--cutoff", "1", "--out", "{out}", "--budget", "0"],
          "over the work budget of 0; raise --budget to proceed"),
-        # refused before the entry box, 10^300 points, is built
+        # refused before the entry box, 10^300 points, is built; the
+        # 601-digit estimate is printed by its leading digits
         (["enumerate", "--cutoff", "1e150", "--out", "{out}"],
-         "over the work budget of 200000000; raise --budget to proceed"),
+         "needs at least 3.9e+600 candidate evaluations, over the work budget of 200000000;"
+         " raise --budget to proceed"),
         (["enumerate", "--cutoff", "1e200", "--out", "{out}"],
          "cutoff 1e+200 is too large: its square overflows a float"),
     ],
@@ -461,6 +463,7 @@ def test_out_of_range_parameters_exit_1(
     assert cli.main(argv) == 1
     out = capsys.readouterr()
     assert message in out.err
+    assert len(out.err) < 200  # one readable line
     assert out.out == ""
     assert not out_csv.exists()
 

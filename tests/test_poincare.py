@@ -136,12 +136,18 @@ def test_prefix_fsums_match_fsum(xs, rnd):
     assert [x.hex() for x in _prefix_fsums(xs)] == want
 
 
-def test_prefix_fsums_keep_fsum_for_non_finite():
-    inf, nan = float("inf"), float("nan")
-    assert _prefix_fsums([1.0, inf, 2.0]) == [1.0, inf, inf]
-    assert math.isnan(_prefix_fsums([nan, 1.0])[1])
-    with pytest.raises(ValueError, match="-inf \\+ inf in fsum"):
-        _prefix_fsums([inf, -inf])
+@pytest.mark.parametrize(
+    "z", [complex(6.0, math.inf), complex(math.inf, 0.0), complex(math.nan, 0.0)],
+    ids=["im-inf", "inf", "nan"],
+)
+def test_non_finite_z_is_refused(census4, z):
+    # no finite tail bound holds there, and series_eval refuses before any
+    # kernel runs (a RuntimeWarning would fail the test)
+    c_ls = fit_prefactor(census4, GrowthModel())
+    with pytest.raises(InputError, match="is not finite"):
+        tail_bound(census4, z, GrowthModel(), c_ls)
+    with pytest.raises(InputError, match="is not finite"):
+        series_eval(census4, z)
 
 
 def test_contour_evaluator_matches_series(census8):
