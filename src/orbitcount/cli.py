@@ -56,6 +56,7 @@ from .freespace import NU, RHO_NORM
 from .lattice import DEFAULT_WORK_BUDGET, Census, enumerate_pruned, shell_counts
 from .perron import (
     DEFAULT_QUAD_TOL,
+    PERRON_SIGMA,
     SmoothingParams,
     perron_contour_oracle,
     smoothed_geometric_count,
@@ -243,13 +244,7 @@ def _cmd_compare(args) -> dict:
 
 
 def _cmd_oracle_torus(args) -> dict:
-    params = TorusParams(
-        n=args.n,
-        nu=args.nu,
-        lam=args.lam,
-        spectral_trunc=args.spectral_trunc,
-        geom_trunc=args.geom_trunc,
-    )
+    params = TorusParams(n=args.n, nu=args.nu, lam=args.lam)
     point = _parse_floats(args.point, "point") if args.point else [0.0] * params.n
     cmp = torus_identity_check(params, np.asarray(point))
     return {
@@ -273,15 +268,13 @@ def _cmd_oracle_torus(args) -> dict:
 def _cmd_perron_check(args) -> dict:
     sm = _smoothing(args)
     closed = float(smoothing_kernel(sm, args.u))
-    contour = perron_contour_oracle(
-        args.u, sm, sigma=args.sigma, height=args.height, abs_tol=args.quad_tol
-    )
+    contour = perron_contour_oracle(args.u, sm, height=args.height, abs_tol=args.quad_tol)
     return {
         "perron": {
             "u": args.u,
             "ell": sm.ell,
             "theta": sm.theta,
-            "sigma": args.sigma,
+            "sigma": PERRON_SIGMA,
             "height": args.height,
             "closed_form": closed,
             "contour": complex_fields(contour.value),
@@ -348,14 +341,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lam", "--lambda", dest="lam", type=_finite_float, required=True)
     p.add_argument("--point", help="comma-separated coordinates (default origin)")
-    p.add_argument("--spectral-trunc", dest="spectral_trunc", type=int)
-    p.add_argument("--geom-trunc", dest="geom_trunc", type=int)
     p.add_argument("--nu", type=int, default=1, help="kernel power (default 1)")
     _add_options(p, _cmd_oracle_torus, ())
 
     p = sub.add_parser("perron-check", help="smoothing kernel vs contour integral")
     p.add_argument("--u", type=_finite_float, required=True, help="kernel argument X - r")
-    p.add_argument("--sigma", type=_finite_float, default=1.0)
     p.add_argument("--height", type=_finite_float, default=1000.0)
     _add_options(p, _cmd_perron_check, ("ell", "theta", "quad_tol"))
 

@@ -35,21 +35,15 @@ class CoverageError(InputError):
 
 
 class BudgetError(InputError):
-    """Work counted so far exceeds a work budget.
+    """Work counted so far exceeds the enumeration work budget.
 
     ``estimated`` is a lower bound: a check may stop counting at the first
     step over the budget.  It stays exact; the message gives its leading
-    digits past 20 (every int64 is shown in full).  ``remedy`` is the step
-    that gets under it; the default names the enumeration budget flag.
+    digits past 20 (every int64 is shown in full), and names the budget
+    flag as the remedy.
     """
 
-    def __init__(
-        self,
-        estimated: int,
-        budget: int,
-        what: str = "enumeration",
-        remedy: str = "raise --budget",
-    ):
+    def __init__(self, estimated: int, budget: int, what: str = "enumeration"):
         self.estimated = int(estimated)
         self.budget = int(budget)
         shown = str(self.estimated)  # not float(): it overflows past 1e308
@@ -57,7 +51,7 @@ class BudgetError(InputError):
             shown = f"{shown[0]}.{shown[1]}e+{len(shown) - 1}"
         super().__init__(
             f"{what} needs at least {shown} candidate evaluations, over the "
-            f"work budget of {budget}; {remedy} to proceed"
+            f"work budget of {budget}; raise --budget to proceed"
         )
 
 

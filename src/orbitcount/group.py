@@ -57,7 +57,8 @@ def _det(g: np.ndarray) -> np.ndarray:
 
 
 def check_unimodular(g) -> np.ndarray:
-    """Validate ``det g == 1`` within ``UNIMODULAR_TOL``; return the matrices.
+    """Validate finite entries and ``det g == 1`` within ``UNIMODULAR_TOL``;
+    return the matrices.
 
     The products inside a float determinant carry roundoff of order
     ``eps * F`` for entries of squared norm F, so the gate is the maximum
@@ -65,6 +66,8 @@ def check_unimodular(g) -> np.ndarray:
     constructed large-radius element would be rejected.
     """
     g = _as_matrices(g)
+    if not np.all(np.isfinite(g)):
+        raise DomainError("matrix is not unimodular: it has a non-finite entry")
     err = np.abs(_det(g) - 1.0)
     allowed = np.maximum(UNIMODULAR_TOL, 64.0 * np.finfo(float).eps * (1.0 + frobenius_sq(g)))
     if np.any(err > allowed):

@@ -36,6 +36,8 @@ from .quadrature import LineIntegral, vertical_line_integral
 
 #: absolute tolerance of the Perron contour quadratures
 DEFAULT_QUAD_TOL = 1e-9
+#: abscissa of the contour oracle's line, right of the kernel's pole at 0
+PERRON_SIGMA = 1.0
 
 
 @dataclass(frozen=True)
@@ -88,16 +90,13 @@ def perron_contour_oracle(
     X: float,
     params: SmoothingParams,
     *,
-    sigma: float = 1.0,
     height: float = 1000.0,
     abs_tol: float = DEFAULT_QUAD_TOL,
 ) -> LineIntegral:
-    """Finite-T vertical-line integral whose limit is smoothing_kernel(X).
+    """Finite-T integral on Re z = ``PERRON_SIGMA``; its limit is smoothing_kernel(X).
 
     For X < 0 the limit is 0 and the finite-T value is O(e^{sigma X}/T^{ell+1}).
     """
-    if sigma <= 0:
-        raise InputError("Perron contour needs sigma > 0")
     if height <= 0:
         raise InputError("Perron contour needs height > 0")
     if abs_tol <= 0:
@@ -108,7 +107,7 @@ def perron_contour_oracle(
         return np.exp(z * X) / (z * kernel_denominator(params, z))
 
     return vertical_line_integral(
-        integrand, sigma, height, abs_tol=abs_tol, panel_width=panel_width(X)
+        integrand, PERRON_SIGMA, height, abs_tol=abs_tol, panel_width=panel_width(X)
     )
 
 

@@ -98,7 +98,8 @@ def vertical_line_integral(
     folded in as the conjugate, halving the work.
 
     abs_tol is the target on the *result*; panels are refined until the sum
-    of 15-vs-31 node disagreements is below it, else QuadratureError.
+    of 15-vs-31 node disagreements is below it, else QuadratureError, as
+    for a first level over ``_MAX_WORKLIST`` panels (before f is called).
     """
     if height <= 0:
         raise QuadratureError("contour height must be positive")
@@ -107,6 +108,9 @@ def vertical_line_integral(
 
     t_lo = 0.0 if conj_symmetric else -height
     n_panels = int(np.ceil((height - t_lo) / width))
+    if n_panels > _MAX_WORKLIST:  # ~2 KB per panel, before f is called
+        raise QuadratureError(f"contour height {height:g} needs {n_panels} panels of "
+                              f"width {width:g}, over the cap of {_MAX_WORKLIST}")
     # even by construction; the last panel may end an ulp off height
     width = (height - t_lo) / n_panels
     lo = t_lo + width * np.arange(n_panels)

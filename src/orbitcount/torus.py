@@ -18,8 +18,9 @@ which in particular *refuses* (n, nu) = (2, 1): its Fourier sum diverges
 logarithmically and its kernel K_0(kappa r)/(2 pi) is singular on the
 lattice.  (3, 1) is refused for the same reason.
 
-Each side is one n-dimensional box sum for every n.  The geometric side
-sums the kernel over |m|_inf <= M.  The Fourier profile
+Each side is one n-dimensional box sum, its truncation K or M fixed by n
+(``SPECTRAL_TRUNC``, ``GEOM_TRUNC``; the largest box has 121^3 points).
+The geometric side sums the kernel over |m|_inf <= M.  The Fourier profile
 f(|k|^2) = (4 pi^2 |k|^2 + kappa^2)^{-nu} is even in every k_j, so its box
 |k|_inf <= K folds to the octant,
 
@@ -63,35 +64,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, InputError
+from .errors import InputError
 from .special import bessel_k1
 
-_SPECTRAL_TRUNC_DEFAULT = {1: 20000, 2: 300, 3: 60}
-_GEOM_TRUNC_DEFAULT = {1: 40, 2: 25, 3: 18}
-_MAX_BOX_POINTS = 300_000_000
+#: per dimension n, the spectral box |k|_inf <= K and geometric box |m|_inf <= M
+SPECTRAL_TRUNC = {1: 20000, 2: 300, 3: 60}
+GEOM_TRUNC = {1: 40, 2: 25, 3: 18}
 _GEOM_SHELL_CAP = 200_000
 _EM_ZETA4_FACTOR = 2.0 * (math.pi**4 / 90.0) / (2.0 * math.pi) ** 4  # ~0.00139
 
 
 @dataclass(frozen=True)
 class TorusParams:
-    """Dimension n, kernel power nu, eigenvalue lambda < 0, truncations."""
+    """Dimension n (which fixes the truncations), kernel power nu, lambda < 0."""
 
     n: int
     nu: int
     lam: float
-    spectral_trunc: int | None = None
-    geom_trunc: int | None = None
 
     def __post_init__(self):
         if self.n not in (1, 2, 3):
             raise InputError(f"torus dimension n must be 1, 2, or 3, got {self.n}")
         if self.nu not in (1, 2):
             raise InputError(f"kernel power nu must be 1 or 2, got {self.nu}")
-        for name in ("spectral_trunc", "geom_trunc"):
-            trunc = getattr(self, name)
-            if trunc is not None and trunc < 1:
-                raise InputError(f"{name} must be >= 1, got {trunc}")
         if not (self.lam < 0):
             raise InputError(f"lambda must be negative (below spectrum), got {self.lam}")
         if 2 * self.nu <= self.n:
@@ -104,18 +99,6 @@ class TorusParams:
     @property
     def kappa(self) -> float:
         return math.sqrt(-self.lam)
-
-    @property
-    def k_spec(self) -> int:
-        if self.spectral_trunc is None:
-            return _SPECTRAL_TRUNC_DEFAULT[self.n]
-        return self.spectral_trunc
-
-    @property
-    def m_geom(self) -> int:
-        if self.geom_trunc is None:
-            return _GEOM_TRUNC_DEFAULT[self.n]
-        return self.geom_trunc
 
 
 def torus_kernel(params: TorusParams, r) -> np.ndarray:
@@ -139,14 +122,12 @@ def torus_kernel(params: TorusParams, r) -> np.ndarray:
     return out
 
 
-def _folded_point(params: TorusParams, x, trunc: int, box: str, flag: str) -> np.ndarray:
+def _folded_point(params: TorusParams, x) -> np.ndarray:
     """x folded to [-1/2, 1/2]^n, as both sides are periodic, once its shape
-    and the (2 trunc + 1)^n points of the box are checked."""
+    is checked."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (params.n,):
         raise InputError(f"point must have {params.n} coordinates, got {x.shape}")
-    if (2 * trunc + 1) ** params.n > _MAX_BOX_POINTS:
-        raise BudgetError((2 * trunc + 1) ** params.n, _MAX_BOX_POINTS, box, f"lower {flag}")
     return x - np.round(x)
 
 
@@ -157,8 +138,8 @@ def _shell_count(n: int, s):
 
 def torus_geometric_side(params: TorusParams, x) -> tuple[float, float]:
     """(value, certified tail bound) of the periodized kernel at x."""
-    M = params.m_geom
-    x = _folded_point(params, x, M, "geometric box", "--geom-trunc")
+    M = GEOM_TRUNC[params.n]
+    x = _folded_point(params, x)
     rng = np.arange(-M, M + 1, dtype=float)
     r = np.sqrt(functools.reduce(np.add.outer, [(xj + rng) ** 2 for xj in x])).ravel()
     value = float(np.sum(torus_kernel(params, r)))
@@ -218,8 +199,8 @@ def _euler_maclaurin_tail(params: TorusParams, a: float) -> tuple[float, float]:
 
 def torus_spectral_side(params: TorusParams, x) -> tuple[float, float, bool]:
     """(value, certified tail bound, accelerated?) of the Fourier sum at x."""
-    K = params.k_spec
-    x = _folded_point(params, x, K, "spectral box", "--spectral-trunc")
+    K = SPECTRAL_TRUNC[params.n]
+    x = _folded_point(params, x)
     kappa2 = params.kappa**2
     four_pi2 = 4.0 * math.pi**2
 

@@ -87,9 +87,12 @@ FLAGS = {
     "ell": "--ell", "theta": "--theta", "work_budget": "--budget", "quad_tol": "--quad-tol",
 }
 # flags of the keys the model space fixes (nu, rho_norm, c_g), of a key that
-# did nothing (workers), and of the deleted key=value config file: no
-# subcommand accepts them
-DELETED_FLAGS = ("--rho-norm", "--nu", "--workers", "--c-g", "--config")
+# did nothing (workers), of the deleted key=value config file, and of the
+# oracles' fixed truncations and Perron abscissa: no subcommand accepts them
+DELETED_FLAGS = (
+    "--rho-norm", "--nu", "--workers", "--c-g", "--config",
+    "--spectral-trunc", "--geom-trunc", "--sigma",
+)
 # enough of each subcommand's own inputs for argparse to reach the extras
 REQUIRED = {
     "enumerate": ["--cutoff", "1", "--out", "{out}"],
@@ -419,18 +422,6 @@ def test_non_finite_numbers_exit_1(tmp_path, capsys, census_csv, spectrum_csv, a
         (["perron-check", "--u", "1", "--height", "-5"], "Perron contour needs height > 0"),
         (["perron-check", "--u", "1", "--quad-tol", "0"], "quad_tol must be > 0"),
         (["perron-check", "--u", "1", "--quad-tol", "-1"], "quad_tol must be > 0"),
-        (["oracle-torus", "--n", "1", "--lam", "-1", "--spectral-trunc", "0"],
-         "spectral_trunc must be >= 1, got 0"),
-        (["oracle-torus", "--n", "1", "--lam", "-1", "--spectral-trunc", "-4"],
-         "spectral_trunc must be >= 1, got -4"),
-        (["oracle-torus", "--n", "1", "--lam", "-1", "--geom-trunc", "0"],
-         "geom_trunc must be >= 1, got 0"),
-        (["oracle-torus", "--n", "1", "--lam", "-1", "--geom-trunc", "-3"],
-         "geom_trunc must be >= 1, got -3"),
-        # refused before the (2M+1)^3 meshgrid, 56.8 PiB here, is allocated
-        (["oracle-torus", "--n", "3", "--nu", "2", "--lam", "-1", "--geom-trunc", "100000"],
-         "geometric box needs at least 8000120000600001 candidate evaluations, over the work"
-         " budget of 300000000; lower --geom-trunc to proceed"),
         # e^{X/2} overflows a float above X of about 1419
         (["smoothed-count", "--census", "{census}", "--x", "2000"],
          "X = 2000 needs cutoff >= inf"),
@@ -450,10 +441,8 @@ def test_non_finite_numbers_exit_1(tmp_path, capsys, census_csv, spectrum_csv, a
         (["enumerate", "--cutoff", "1e200", "--out", "{out}"],
          "cutoff 1e+200 is too large: its square overflows a float"),
     ],
-    ids=["height-0", "height-neg", "quad-tol-0", "quad-tol-neg", "spectral-trunc-0",
-         "spectral-trunc-neg", "geom-trunc-0", "geom-trunc-neg", "torus-geom-box",
-         "smoothed-x-2000", "compare-x-2000", "ell-0", "theta-neg", "budget-0",
-         "cutoff-1e150", "cutoff-1e200"],
+    ids=["height-0", "height-neg", "quad-tol-0", "quad-tol-neg", "smoothed-x-2000",
+         "compare-x-2000", "ell-0", "theta-neg", "budget-0", "cutoff-1e150", "cutoff-1e200"],
 )
 def test_out_of_range_parameters_exit_1(
     tmp_path, capsys, census_csv, spectrum_csv, argv, message
@@ -528,6 +517,17 @@ def test_perron_check():
         0.19978820044686402, rel=1e-15
     )
     assert doc["perron"]["abs_difference"] <= 1e-9
+
+
+@pytest.mark.parametrize("u, height", [("1", "1e8"), ("-800", "1000")])
+def test_perron_check_too_many_panels_exits_2(capsys, u, height):
+    # refused before any panel is built: 1e8 panels would need about 200 GB
+    assert cli.main(["perron-check", "--u", u, "--height", height]) == 2
+    out = capsys.readouterr()
+    lines = out.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("convergence error: contour height")
+    assert "over the cap of 131072" in lines[0]
+    assert out.out == ""
 
 
 def test_convergence_failure_maps_to_exit_2(monkeypatch):

@@ -54,6 +54,17 @@ def test_check_unimodular_rejects():
         check_unimodular(g)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("fn", [radius, gauge, cartan_decompose])
+def test_non_finite_entry_is_refused(fn, bad):
+    # nan used to pass the determinant gate (nan > tol is False), and inf
+    # failed only on a numpy RuntimeWarning
+    g = np.eye(2, dtype=complex)
+    g[0, 1] = bad
+    with pytest.raises(DomainError, match="non-finite entry"):
+        fn(g)
+
+
 def test_random_su2_is_unitary_unimodular(rng):
     u = random_su2(256, rng)
     eye = np.eye(2)

@@ -84,11 +84,6 @@ def test_contour_oracle_negative_argument_vanishes():
         assert abs(li.value) <= 1e-8
 
 
-def test_contour_oracle_needs_positive_sigma():
-    with pytest.raises(InputError):
-        perron_contour_oracle(1.0, SmoothingParams(), sigma=0.0)
-
-
 @pytest.mark.parametrize("tol", [0.0, -1.0])
 def test_contour_oracle_needs_positive_tolerance(tol):
     with pytest.raises(InputError, match="quad_tol must be > 0"):

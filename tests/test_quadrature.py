@@ -44,6 +44,15 @@ def test_rejects_bad_height():
         vertical_line_integral(_bromwich_integrand, 1.0, 0.0)
 
 
+def test_too_many_first_level_panels_are_refused_before_f_is_called():
+    # height 1e8 at width 1 would be 1e8 panels, about 200 GB of node values
+    def never(zc, dz):
+        raise AssertionError("integrand called")
+
+    with pytest.raises(QuadratureError, match="needs 100000000 panels .* cap of 131072"):
+        vertical_line_integral(never, 1.0, 1e8)
+
+
 def test_unresolvable_integrand_raises_not_hangs():
     # oscillation far below panel scale: refinement must give up cleanly
     def rough(zc, dz):

@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from orbitcount.errors import BudgetError, InputError
+from orbitcount.errors import InputError
 from orbitcount.special import bessel_k1
 from orbitcount.torus import (
+    GEOM_TRUNC,
+    SPECTRAL_TRUNC,
     TorusParams,
     torus_geometric_side,
     torus_identity_check,
@@ -27,15 +29,6 @@ def test_params_validation():
         TorusParams(n=1, nu=1, lam=0.5)
     p = TorusParams(n=2, nu=2, lam=-4.0)
     assert p.kappa == pytest.approx(2.0)
-    # a given truncation is used as given; below 1 it is refused, not
-    # replaced by the default
-    for trunc in (0, -4):
-        with pytest.raises(InputError, match="spectral_trunc must be >= 1"):
-            TorusParams(n=1, nu=1, lam=-1.0, spectral_trunc=trunc)
-        with pytest.raises(InputError, match="geom_trunc must be >= 1"):
-            TorusParams(n=1, nu=1, lam=-1.0, geom_trunc=trunc)
-    one = TorusParams(n=1, nu=1, lam=-1.0, spectral_trunc=1, geom_trunc=1)
-    assert (one.k_spec, one.m_geom) == (1, 1)
 
 
 def test_divergent_cells_are_refused():
@@ -91,6 +84,13 @@ def test_grid_within_budget():
                 assert cmp.within_budget, (n, nu, lam, x)
 
 
+def _brute_spectral_side(nu: int, K: int, x):
+    """The n = 1 spectral side at x with the box widened to |k| <= K."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setitem(SPECTRAL_TRUNC, 1, K)
+        return torus_spectral_side(TorusParams(n=1, nu=nu, lam=-2.0), x)
+
+
 def test_acceleration_matches_brute_force():
     # the accelerated x = 0 path against a straight heavy truncation; the
     # two certified tails must cover the gap between them
@@ -99,17 +99,13 @@ def test_acceleration_matches_brute_force():
     near_zero = (1e-12,)
     for nu in (1, 2):
         fast = torus_spectral_side(TorusParams(n=1, nu=nu, lam=-2.0), (0.0,))
-        brute = torus_spectral_side(
-            TorusParams(n=1, nu=nu, lam=-2.0, spectral_trunc=2_000_000), near_zero
-        )
+        brute = _brute_spectral_side(nu, 2_000_000, near_zero)
         assert fast[2] is True  # accelerated
         assert brute[2] is False
         assert abs(fast[0] - brute[0]) <= fast[1] + brute[1] + 1e-12
     # at nu = 2 the k^-4 truncation tail is negligible, so the values agree
     fast2 = torus_spectral_side(TorusParams(n=1, nu=2, lam=-2.0), (0.0,))
-    brute2 = torus_spectral_side(
-        TorusParams(n=1, nu=2, lam=-2.0, spectral_trunc=200_000), near_zero
-    )
+    brute2 = _brute_spectral_side(2, 200_000, near_zero)
     assert fast2[0] == pytest.approx(brute2[0], rel=1e-12)
 
 
@@ -128,18 +124,13 @@ def test_point_dimension_checked():
         torus_identity_check(p, (0.0,))
 
 
-def test_spectral_box_budget():
-    p = TorusParams(n=3, nu=2, lam=-1.0, spectral_trunc=10_000)
-    with pytest.raises(BudgetError, match="; lower --spectral-trunc to proceed$"):
-        torus_spectral_side(p, (0.3, 0.0, 0.0))
-
-
 @pytest.mark.parametrize("n,nu", [(1, 1), (1, 2), (2, 2), (3, 2)])
-def test_spectral_side_equals_the_full_box(n, nu):
+def test_spectral_side_equals_the_full_box(monkeypatch, n, nu):
     # the octant contraction against sum_{|k|_inf <= K} cos(2 pi k.x) / den
     K = 8
+    monkeypatch.setitem(SPECTRAL_TRUNC, n, K)
     rng = np.random.default_rng(20261018 + n)
-    p = TorusParams(n=n, nu=nu, lam=-1.7, spectral_trunc=K)
+    p = TorusParams(n=n, nu=nu, lam=-1.7)
     box = np.array(list(itertools.product(range(-K, K + 1), repeat=n)), dtype=float)
     den = (4.0 * math.pi**2 * np.sum(box * box, axis=1) + p.kappa**2) ** nu
     for x in rng.uniform(-0.5, 0.5, size=(3, n)):
@@ -149,9 +140,10 @@ def test_spectral_side_equals_the_full_box(n, nu):
         assert value == pytest.approx(brute, rel=1e-14)
 
 
-def test_geometric_side_equals_a_per_point_loop():
+def test_geometric_side_equals_a_per_point_loop(monkeypatch):
     M = 3
-    p = TorusParams(n=3, nu=2, lam=-2.0, geom_trunc=M)
+    monkeypatch.setitem(GEOM_TRUNC, 3, M)
+    p = TorusParams(n=3, nu=2, lam=-2.0)
     x = np.array([0.31, -0.12, 0.44])
     radii = [
         math.sqrt(((x[0] + a) ** 2 + (x[1] + b) ** 2) + (x[2] + c) ** 2)
@@ -162,11 +154,14 @@ def test_geometric_side_equals_a_per_point_loop():
 
 
 @pytest.mark.parametrize("n,nu", [(1, 1), (1, 2), (2, 2), (3, 2)])
-def test_geometric_tail_covers_the_dropped_shells(n, nu):
+def test_geometric_tail_covers_the_dropped_shells(monkeypatch, n, nu):
     x = (0.2,) * n
     for lam in (-0.05, -1.0):
-        value, tail = torus_geometric_side(TorusParams(n=n, nu=nu, lam=lam, geom_trunc=4), x)
-        deep, _ = torus_geometric_side(TorusParams(n=n, nu=nu, lam=lam, geom_trunc=12), x)
+        p = TorusParams(n=n, nu=nu, lam=lam)
+        monkeypatch.setitem(GEOM_TRUNC, n, 4)
+        value, tail = torus_geometric_side(p, x)
+        monkeypatch.setitem(GEOM_TRUNC, n, 12)
+        deep, _ = torus_geometric_side(p, x)
         assert 0.0 < deep - value <= tail
 
 
