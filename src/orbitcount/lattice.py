@@ -387,7 +387,10 @@ def _read_csv_rows(path: str | Path) -> np.ndarray:
         start += 1
     while end > start and data[end - 1] in b" \t\r\n":
         end -= 1
-    lf, cr, crlf = (data.count(brk, start, end) for brk in (b"\n", b"\r", b"\r\n"))
+    lf = data.count(b"\n", start, end)
+    cr = crlf = 0
+    if data.find(b"\r", start, end) >= 0:  # an LF-only file pays one count pass
+        cr, crlf = data.count(b"\r", start, end), data.count(b"\r\n", start, end)
     raw = io.BytesIO(data)  # shares data's buffer
     raw.seek(start)
     text = io.TextIOWrapper(raw, encoding="utf-8", newline=None)

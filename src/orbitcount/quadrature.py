@@ -7,9 +7,9 @@ Two primitives:
   Gauss-Legendre panels with one level of adaptive bisection driven by a
   15-vs-31-node disagreement estimate.  Panel layout depends only on
   (T, panel width), all panels of one refinement level share one width,
-  evaluation is batched per refinement level, and the accepted panels'
-  values and error estimates are each summed with :func:`fsum_complex` /
-  ``math.fsum``, correctly rounded whatever order they were accepted in.
+  and the accepted panels' values and error estimates are each summed
+  with :func:`fsum_complex` / ``math.fsum``, correctly rounded whatever
+  order they were accepted in.
 
   Because the panels of a level share their width h, every node of that
   level is z = zc_j + dz_k with panel centre zc_j = sigma + i mid_j and a
@@ -19,6 +19,14 @@ Two primitives:
   (bit for bit the node sigma + i t); a sum of exponentials can instead
   factor e^{-z r} = e^{-zc r} e^{-dz r} and pay one exponential per
   (panel, term) and per (term, node) rather than per (panel, node, term).
+
+  Each level is one pass over its panels: one ``f`` call per block of at
+  most ``_PANEL_BLOCK`` panels, on the 46 offsets of both rules (the 15
+  nodes, then the 31), whose columns are then split.  One call gives both
+  rules, so a factored integrand builds its per-panel factors once per
+  level, not once per rule; and a block bounds every (panels, nodes)
+  temporary of the integrand and of the sums, so memory does not grow
+  with the height.
 
 * :func:`cauchy_circle_residue` -- trapezoid rule on a small circle around
   an isolated pole.  The trapezoid rule on a periodic analytic integrand
@@ -39,6 +47,7 @@ from .errors import QuadratureError
 
 _MAX_LEVELS = 24
 _MAX_WORKLIST = 1 << 17
+_PANEL_BLOCK = 512  # panels per integrand call
 
 
 def fsum_complex(xs) -> complex:
@@ -50,6 +59,9 @@ def fsum_complex(xs) -> complex:
 @lru_cache(maxsize=8)
 def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(n)
+    # every call shares these arrays: an integrand that wrote into them
+    # would corrupt every later integral
+    x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
@@ -63,20 +75,29 @@ class LineIntegral:
     panels: int
 
 
-def _panel_values(f, sigma: float, lo: np.ndarray, width: float, n: int):
-    """Gauss-Legendre on each [lo_j, lo_j + width] panel, batched into one f call.
+def _panel_values(f, sigma: float, lo: np.ndarray, width: float):
+    """15- and 31-node Gauss-Legendre on each [lo_j, lo_j + width] panel.
 
-    Returns (quadrature, L1 mass, evaluation count); the mass is the same
+    One f call per block of at most ``_PANEL_BLOCK`` panels, on the 15-node
+    offsets followed by the 31-node ones.  Returns (15-node quadrature,
+    31-node quadrature, L1 mass, evaluation count); the mass is the 31-node
     rule applied to |f| and bounds the roundoff accumulated by the sum.
     """
-    x, w = _gl_nodes(n)
+    x15, w15 = _gl_nodes(15)
+    x31, w31 = _gl_nodes(31)
     half = 0.5 * width
-    zc = sigma + 1j * (lo + half)
-    dz = 1j * (half * x)
-    vals = f(zc, dz)
-    quad = (vals * w).sum(axis=1) * half
-    mass = (np.abs(vals) * w).sum(axis=1) * half
-    return quad, mass, zc.size * dz.size
+    mid = lo + half
+    dz = 1j * (half * np.concatenate((x15, x31)))
+    coarse = np.empty(lo.size, dtype=complex)
+    fine = np.empty(lo.size, dtype=complex)
+    mass = np.empty(lo.size)
+    for s in range(0, lo.size, _PANEL_BLOCK):
+        block = slice(s, s + _PANEL_BLOCK)
+        vals = f(sigma + 1j * mid[block], dz)
+        coarse[block] = (vals[:, :15] * w15).sum(axis=1)
+        fine[block] = (vals[:, 15:] * w31).sum(axis=1)
+        mass[block] = (np.abs(vals[:, 15:]) * w31).sum(axis=1)
+    return coarse * half, fine * half, mass * half, lo.size * dz.size
 
 
 def vertical_line_integral(
@@ -119,9 +140,8 @@ def vertical_line_integral(
     acc_val, acc_err = [], []
     evals = 0
     for _level in range(_MAX_LEVELS):
-        coarse, _, e1 = _panel_values(f, sigma, lo, width, 15)
-        fine, mass, e2 = _panel_values(f, sigma, lo, width, 31)
-        evals += e1 + e2
+        coarse, fine, mass, n_evals = _panel_values(f, sigma, lo, width)
+        evals += n_evals
         err = np.abs(fine - coarse)
         # Per-panel budget proportional to panel length keeps the refinement
         # from chasing noise in short panels; the mass term is the roundoff

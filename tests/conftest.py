@@ -1,5 +1,7 @@
 """Shared fixtures: small censuses are cheap enough to build per session."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,22 @@ def census4():
 @pytest.fixture(scope="session")
 def census8():
     return enumerate_pruned(8.0)
+
+
+@pytest.fixture
+def peak_bytes():
+    """The peak traced allocation of a call ``fn()``."""
+
+    def measure(fn) -> int:
+        # numpy reports its buffers to tracemalloc, so this counts them too
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return measure
 
 
 @pytest.fixture

@@ -2,7 +2,6 @@
 
 import hashlib
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -371,14 +370,14 @@ def test_budget_counts_the_whole_census(workers):
 
 
 @pytest.mark.parametrize("enumerate_", [enumerate_literal, enumerate_naive, enumerate_pruned])
-def test_budget_refuses_before_the_entry_box(enumerate_):
+def test_budget_refuses_before_the_entry_box(enumerate_, peak_bytes):
     # cutoff 2000's box holds 12.6 million Gaussian integers; building it
     # first peaked at 674 MB
     def refuse():
         with pytest.raises(BudgetError):
             enumerate_(2000.0)
 
-    assert _peak_bytes(refuse) < 1 << 20
+    assert peak_bytes(refuse) < 1 << 20
 
 
 def test_shell_counts_partition(census8):
@@ -507,25 +506,15 @@ def test_from_csv_edge_files(tmp_path, census4, edit, answer):
         assert str(exc.value).startswith(f"{path}")
 
 
-def _peak_bytes(fn) -> int:
-    # numpy reports its buffers to tracemalloc, so this counts them too
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_from_csv_holds_the_rows_once(tmp_path, census8):
+def test_from_csv_holds_the_rows_once(tmp_path, census8, peak_bytes):
     # the file's bytes, one (N, 8) array and vectors of length N; a reader
     # that also held the text, its lines or a sorted copy peaked at 2.31
     path = tmp_path / "c8.csv"
     census8.to_csv(path)
-    assert _peak_bytes(lambda: Census.from_csv(path)) <= 1.8 * census8.rows.nbytes
+    assert peak_bytes(lambda: Census.from_csv(path)) <= 1.8 * census8.rows.nbytes
 
 
-def test_enumerate_pruned_frees_its_blocks(census8):
+def test_enumerate_pruned_frees_its_blocks(census8, peak_bytes):
     # the joined rows and their sorted copy; keeping the scan blocks alive
     # through the sort peaked at 3.27
-    assert _peak_bytes(lambda: enumerate_pruned(8.0)) <= 2.6 * census8.rows.nbytes
+    assert peak_bytes(lambda: enumerate_pruned(8.0)) <= 2.6 * census8.rows.nbytes

@@ -125,3 +125,16 @@ def test_bridge_at_height_4000(census8):
     f = series_evaluator_for_contour(census8)
     li = smoothing_contour_transform(f, 1.0, sm, sigma=7.0, height=4000.0)
     assert abs(li.value.real - direct.value) <= 1e-6
+
+
+def test_bridge_memory_does_not_grow_with_height(census8, peak_bytes):
+    # the quadrature evaluates a level in blocks of panels, so the series
+    # evaluator's (panels, shells) and (panels, nodes) temporaries have a
+    # fixed size; a whole level per call peaked 5.7 times higher at 8000
+    sm = SmoothingParams(ell=2, theta=1.0)
+    f = series_evaluator_for_contour(census8)
+    peak = {
+        h: peak_bytes(lambda h=h: smoothing_contour_transform(f, 1.0, sm, sigma=7.0, height=h))
+        for h in (1000.0, 8000.0)
+    }
+    assert peak[8000.0] <= 1.5 * peak[1000.0]

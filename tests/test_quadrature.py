@@ -4,6 +4,7 @@ residue rule that serves as the independent oracle elsewhere."""
 import numpy as np
 import pytest
 
+from orbitcount import quadrature
 from orbitcount.errors import QuadratureError
 from orbitcount.quadrature import cauchy_circle_residue, fsum_complex, vertical_line_integral
 
@@ -75,68 +76,82 @@ def test_roundoff_floor_accepts_converged_panels():
     assert li.error_estimate > 1e-30  # honest: the target was unreachable
 
 
-def test_every_call_gets_one_shared_offset_row():
-    # A pole 0.03 left of the line forces several bisection levels.  Every
-    # call must get 1-D offsets dz = i h x on the Gauss-Legendre nodes x,
-    # with one half-width h per call that halves from level to level, and
-    # centres zc on the line; and nothing else may be evaluated.
+def _levels(calls):
+    # consecutive calls with the same offsets are the blocks of one level
+    out = []
+    for zc, dz, vals in calls:
+        if out and np.array_equal(out[-1][1], dz):
+            out[-1][0].append(zc)
+            out[-1][2].append(vals)
+        else:
+            out.append(([zc], dz, [vals]))
+    return [(np.concatenate(zc), dz, np.concatenate(v)) for zc, dz, v in out]
+
+
+def _record_pole_line(monkeypatch, height=20.0, block=16):
+    # A pole 0.03 left of the line forces several bisection levels, and a
+    # small block splits every level into several calls.
+    monkeypatch.setattr(quadrature, "_PANEL_BLOCK", block)
     pole = 0.97 + 3.3j
     calls = []
 
     def recording(zc, dz):
-        calls.append((zc.copy(), dz.copy()))
-        return 1.0 / ((zc[:, None] + dz) - pole)
+        vals = 1.0 / ((zc[:, None] + dz) - pole)
+        calls.append((zc.copy(), dz.copy(), vals))
+        return vals
 
-    height = 20.0
     li = vertical_line_integral(
         recording, 1.0, height, abs_tol=1e-10, panel_width=0.7, conj_symmetric=False
     )
     # Re(z - pole) > 0 on the line, so the principal log is continuous there
     want = (np.log(1.0 + height * 1j - pole) - np.log(1.0 - height * 1j - pole)) / (2j * np.pi)
     assert abs(li.value - want) <= 1e-9
-    assert li.evaluations == sum(zc.size * dz.size for zc, dz in calls)
+    return li, calls
 
+
+def test_every_call_gets_one_shared_offset_row(monkeypatch):
+    # Every call must get 1-D offsets dz = i h [x15, x31] on the 15- and then
+    # the 31-node Gauss-Legendre nodes, one half-width h per level that
+    # halves from level to level, and at most a block of centres zc on the
+    # line, all blocks full but a level's last; and nothing else may be
+    # evaluated.
+    height, block = 20.0, 16
+    li, calls = _record_pole_line(monkeypatch, height, block)
+    assert li.evaluations == sum(zc.size * dz.size for zc, dz, _ in calls)
+
+    x = np.concatenate([np.polynomial.legendre.leggauss(n)[0] for n in (15, 31)])
     halves = []
-    for (zc15, dz15), (zc31, dz31) in zip(calls[::2], calls[1::2]):
-        assert np.array_equal(zc15, zc31)  # both rules on the same panels
-        assert np.all(zc15.real == 1.0)
-        half = None
-        for dz in (dz15, dz31):
-            x = np.polynomial.legendre.leggauss(dz.size)[0]
-            assert dz.shape in ((15,), (31,)) and np.all(dz.real == 0.0)
-            h = dz.imag[-1] / x[-1]
-            assert np.allclose(dz.imag, h * x, rtol=1e-15, atol=0.0)
-            assert half is None or h == pytest.approx(half, rel=1e-15)
-            half = h
-        halves.append(half)
+    for zc, dz, _ in calls:
+        assert 1 <= zc.size <= block and np.all(zc.real == 1.0)
+        assert dz.shape == (46,) and np.all(dz.real == 0.0)
+        h = dz.imag[-1] / x[-1]
+        assert np.allclose(dz.imag, h * x, rtol=1e-15, atol=0.0)
+        if halves and h == halves[-1][0]:
+            halves[-1][1].append(zc.size)
+        else:
+            halves.append((h, [zc.size]))
+    for _h, sizes in halves:
+        assert all(n == block for n in sizes[:-1])
     assert len(halves) >= 4  # the pole did force refinement
-    assert halves[0] == pytest.approx(height / np.ceil(2 * height / 0.7), rel=1e-15)
-    assert np.allclose(np.array(halves[1:]) / np.array(halves[:-1]), 0.5, rtol=1e-15)
+    assert max(len(sizes) for _h, sizes in halves) >= 3  # levels did split into blocks
+    h = np.array([h for h, _sizes in halves])
+    assert h[0] == pytest.approx(height / np.ceil(2 * height / 0.7), rel=1e-15)
+    assert np.allclose(h[1:] / h[:-1], 0.5, rtol=1e-15)
 
 
-def test_value_is_the_fsum_of_the_accepted_panels():
+def test_value_is_the_fsum_of_the_accepted_panels(monkeypatch):
     # Refinement accepts panels level by level, so out of position order.
     # Rebuild each level's 31-node panel values from the integrand calls; a
     # panel is accepted unless the next level bisects it.  The value must be
     # the correctly rounded sum of the accepted ones, in any order.
-    pole = 0.97 + 3.3j
-    calls = []
-
-    def recording(zc, dz):
-        vals = 1.0 / ((zc[:, None] + dz) - pole)
-        if dz.size == 31:
-            calls.append((zc.imag.copy(), vals))
-        return vals
-
     height, n_panels = 20.0, np.ceil(2 * 20.0 / 0.7)
-    li = vertical_line_integral(
-        recording, 1.0, height, abs_tol=1e-10, panel_width=0.7, conj_symmetric=False
-    )
+    li, calls = _record_pole_line(monkeypatch, height)
+    levels = [(zc.imag, vals[:, 15:]) for zc, _dz, vals in _levels(calls)]
     w = np.polynomial.legendre.leggauss(31)[1]
     half = 0.5 * (2 * height / n_panels)
     accepted = []
-    for level, (mid, vals) in enumerate(calls):
-        nxt = calls[level + 1][0] if level + 1 < len(calls) else np.array([])
+    for level, (mid, vals) in enumerate(levels):
+        nxt = levels[level + 1][0] if level + 1 < len(levels) else np.array([])
         bisected = (np.abs(nxt[:, None] - mid) < half).any(axis=0)
         accepted.append(((vals * w).sum(axis=1) * half)[~bisected])
         half *= 0.5
@@ -145,6 +160,14 @@ def test_value_is_the_fsum_of_the_accepted_panels():
     assert panels.size == li.panels
     for order in (panels, panels[::-1], np.random.default_rng(3).permutation(panels)):
         assert li.value == fsum_complex(order) / (2.0 * np.pi)
+
+
+def test_cached_nodes_are_read_only():
+    # every integral shares them, so a write must fail, not corrupt the rest
+    for n in (15, 31):
+        for arr in quadrature._gl_nodes(n):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 def test_circle_residue_simple_pole():

@@ -136,6 +136,32 @@ def test_global_oracle_on_conjugate_pairs():
         assert abs(oracle.value.imag) < 1e-8
 
 
+@pytest.mark.parametrize("nu", [1, 2, 3])
+def test_global_oracle_integrand_is_the_factored_kernel(monkeypatch, nu):
+    # the oracle adds w / (z^2 - z_xi^2)^nu per datum; on its line that must
+    # be the factored w / ((z - z_xi)^nu (z + z_xi)^nu) to roundoff, for
+    # real, purely imaginary and conjugate-pair z_xi
+    zs = [0.6, 2.6, 0.7j, 3.0j, 0.45 + 1.1j, 0.45 - 1.1j, 1.4 + 0.8j, 1.4 - 0.8j]
+    ws = [1.3, 0.25, 0.5, 2.0, 0.9, 0.9, 0.4, 0.4]
+    X = 1.5
+    seen = {}
+
+    def record(f, sigma, height, **kw):
+        seen.update(f=f, sigma=sigma)
+
+    monkeypatch.setattr("orbitcount.spectral.vertical_line_integral", record)
+    global_contour_oracle(_spectrum(zs, ws), X, SM, nu)
+    zc = seen["sigma"] + 1j * np.linspace(-400.0, 400.0, 161)
+    dz = 1j * np.array([-0.4, -0.1, 0.0, 0.05, 0.3, 0.45])
+    got = seen["f"](zc, dz)
+    z = zc[:, None] + dz
+    want = np.exp(z * X) * sum(
+        w / ((z - z_xi) ** nu * (z + z_xi) ** nu) for z_xi, w in zip(zs, ws)
+    ) / kernel_denominator(SM, z)
+    assert got.shape == z.shape
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+
 def test_annihilation_of_residue_profile():
     # A(X) e^{-z_xi X} must be constant in X (the residue is a pure
     # exponential times a polynomial-free coefficient at even nu)
