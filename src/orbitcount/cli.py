@@ -22,7 +22,7 @@ enumerate      --budget
 smoothed-count --ell --theta
 spectral-side  --ell --theta
 compare        --ell --theta
-perron-check   --ell --theta --quad-tol
+perron-check   --ell --theta
 
 ``poincare`` and ``oracle-torus`` take none; the torus's ``--nu``
 (default 1) is a torus parameter.  The model space fixes the kernel
@@ -55,7 +55,6 @@ from .errors import ConvergenceError, InputError
 from .freespace import NU, RHO_NORM
 from .lattice import DEFAULT_WORK_BUDGET, Census, enumerate_pruned, shell_counts
 from .perron import (
-    DEFAULT_QUAD_TOL,
     PERRON_SIGMA,
     SmoothingParams,
     perron_contour_oracle,
@@ -88,7 +87,6 @@ _OPTIONS = {
     "work_budget": ("--budget", int, DEFAULT_WORK_BUDGET, "work budget"),
     "ell": ("--ell", int, SmoothingParams.ell, "smoothing order"),
     "theta": ("--theta", _finite_float, SmoothingParams.theta, "smoothing step"),
-    "quad_tol": ("--quad-tol", _finite_float, DEFAULT_QUAD_TOL, "contour tolerance"),
 }
 
 
@@ -268,7 +266,7 @@ def _cmd_oracle_torus(args) -> dict:
 def _cmd_perron_check(args) -> dict:
     sm = _smoothing(args)
     closed = float(smoothing_kernel(sm, args.u))
-    contour = perron_contour_oracle(args.u, sm, height=args.height, abs_tol=args.quad_tol)
+    contour = perron_contour_oracle(args.u, sm, height=args.height)
     return {
         "perron": {
             "u": args.u,
@@ -347,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("perron-check", help="smoothing kernel vs contour integral")
     p.add_argument("--u", type=_finite_float, required=True, help="kernel argument X - r")
     p.add_argument("--height", type=_finite_float, default=1000.0)
-    _add_options(p, _cmd_perron_check, ("ell", "theta", "quad_tol"))
+    _add_options(p, _cmd_perron_check, ("ell", "theta"))
 
     return ap
 

@@ -34,8 +34,6 @@ from .freespace import C_G, product_factor
 from .lattice import Census
 from .quadrature import LineIntegral, vertical_line_integral
 
-#: absolute tolerance of the Perron contour quadratures
-DEFAULT_QUAD_TOL = 1e-9
 #: abscissa of the contour oracle's line, right of the kernel's pole at 0
 PERRON_SIGMA = 1.0
 
@@ -81,33 +79,19 @@ def kernel_denominator(params: SmoothingParams, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def panel_width(X: float) -> float:
-    """Contour panel height for an e^{zX} integrand: a quarter period, at most 1."""
-    return min(1.0, 2.0 * math.pi / (4.0 * max(abs(X), 1e-2)))
-
-
 def perron_contour_oracle(
     X: float,
     params: SmoothingParams,
     *,
     height: float = 1000.0,
-    abs_tol: float = DEFAULT_QUAD_TOL,
 ) -> LineIntegral:
     """Finite-T integral on Re z = ``PERRON_SIGMA``; its limit is smoothing_kernel(X).
 
-    For X < 0 the limit is 0 and the finite-T value is O(e^{sigma X}/T^{ell+1}).
+    The contour transform of f(z) = 1/z.  For X < 0 the limit is 0 and the
+    finite-T value is O(e^{sigma X}/T^{ell+1}).
     """
-    if height <= 0:
-        raise InputError("Perron contour needs height > 0")
-    if abs_tol <= 0:
-        raise InputError(f"quad_tol must be > 0, got {abs_tol}")
-
-    def integrand(zc, dz):
-        z = zc[:, None] + dz
-        return np.exp(z * X) / (z * kernel_denominator(params, z))
-
-    return vertical_line_integral(
-        integrand, PERRON_SIGMA, height, abs_tol=abs_tol, panel_width=panel_width(X)
+    return smoothing_contour_transform(
+        lambda zc, dz: 1.0 / (zc[:, None] + dz), X, params, sigma=PERRON_SIGMA, height=height
     )
 
 
@@ -118,7 +102,7 @@ def smoothing_contour_transform(
     *,
     sigma: float,
     height: float,
-    abs_tol: float = DEFAULT_QUAD_TOL,
+    conj_symmetric: bool = True,
 ) -> LineIntegral:
     """(1/(2 pi i)) int f(z) e^{zX} / prod_m (z + m theta) dz on the line.
 
@@ -127,15 +111,23 @@ def smoothing_contour_transform(
     :mod:`orbitcount.quadrature`), as the factored series evaluator
     :func:`orbitcount.poincare.series_evaluator_for_contour` does.  The pole
     at z = 0 must live inside f itself if it has one (the series kernels do,
-    via their 1/z).
+    via their 1/z); ``conj_symmetric`` (f(conj z) = conj f(z)) folds the
+    line onto its upper half.  The Perron factor is factored, e^{zX} =
+    e^{zc X} e^{dz X}, so the phase roundoff of e^{itX} at large |tX| is
+    common to a panel's nodes and cancels out of their 15-vs-31-node
+    disagreement.  The tolerance is ``quadrature.RESULT_TOL``.
     """
+    if not (math.isfinite(X) and math.isfinite(sigma) and 0 < height < math.inf):
+        raise InputError(f"Perron contour needs height > 0 and finite X, sigma and "
+                         f"height; got X = {X}, sigma = {sigma}, height = {height}")
 
     def integrand(zc, dz):
-        z = zc[:, None] + dz
-        return f_of_z(zc, dz) * np.exp(z * X) / kernel_denominator(params, z)
+        perron = np.exp(zc * X)[:, None] * np.exp(dz * X)
+        return f_of_z(zc, dz) * perron / kernel_denominator(params, zc[:, None] + dz)
 
+    width = min(1.0, 2.0 * math.pi / (4.0 * max(abs(X), 1e-2)))  # a quarter period of e^{itX}
     return vertical_line_integral(
-        integrand, sigma, height, abs_tol=abs_tol, panel_width=panel_width(X)
+        integrand, sigma, height, panel_width=width, conj_symmetric=conj_symmetric
     )
 
 

@@ -19,6 +19,9 @@ Two primitives:
   (bit for bit the node sigma + i t); a sum of exponentials can instead
   factor e^{-z r} = e^{-zc r} e^{-dz r} and pay one exponential per
   (panel, term) and per (term, node) rather than per (panel, node, term).
+  Its one caller, :func:`orbitcount.perron.smoothing_contour_transform`,
+  factors the Perron factor e^{zX} so too.  Every line integral has one
+  absolute target on its result, ``RESULT_TOL``.
 
   Each level is one pass over its panels: one ``f`` call per block of at
   most ``_PANEL_BLOCK`` panels, on the 46 offsets of both rules (the 15
@@ -45,6 +48,7 @@ import numpy as np
 
 from .errors import QuadratureError
 
+RESULT_TOL = 1e-9  # absolute target on the result of every line integral
 _MAX_LEVELS = 24
 _MAX_WORKLIST = 1 << 17
 _PANEL_BLOCK = 512  # panels per integrand call
@@ -105,8 +109,7 @@ def vertical_line_integral(
     sigma: float,
     height: float,
     *,
-    abs_tol: float = 1e-9,
-    panel_width: float | None = None,
+    panel_width: float,
     conj_symmetric: bool = True,
 ) -> LineIntegral:
     """(1/(2 pi i)) * integral of f over sigma + i[-height, height].
@@ -118,14 +121,14 @@ def vertical_line_integral(
     with real parameters), only t >= 0 is integrated and the mirror half is
     folded in as the conjugate, halving the work.
 
-    abs_tol is the target on the *result*; panels are refined until the sum
-    of 15-vs-31 node disagreements is below it, else QuadratureError, as
-    for a first level over ``_MAX_WORKLIST`` panels (before f is called).
+    RESULT_TOL is the target on the *result*; panels of at most panel_width
+    are refined until the sum of 15-vs-31 node disagreements is below it,
+    else QuadratureError, as for a first level over ``_MAX_WORKLIST``
+    panels (before f is called).
     """
     if height <= 0:
         raise QuadratureError("contour height must be positive")
-    width = panel_width if panel_width else 1.0
-    width = min(max(width, 1e-3), height)
+    width = min(max(panel_width, 1e-3), height)
 
     t_lo = 0.0 if conj_symmetric else -height
     n_panels = int(np.ceil((height - t_lo) / width))
@@ -146,7 +149,7 @@ def vertical_line_integral(
         # Per-panel budget proportional to panel length keeps the refinement
         # from chasing noise in short panels; the mass term is the roundoff
         # floor of the rule itself, below which bisection cannot help.
-        budget = abs_tol * width / (2.0 * height) * 0.5
+        budget = RESULT_TOL * width / (2.0 * height) * 0.5
         floor = 64.0 * np.finfo(float).eps * mass
         ok = err <= np.maximum(budget, floor)
         acc_val.append(fine[ok])
@@ -157,14 +160,14 @@ def vertical_line_integral(
         if 2 * lo_bad.size > _MAX_WORKLIST:
             raise QuadratureError(
                 f"contour refinement exceeded {_MAX_WORKLIST} live panels "
-                f"at abs_tol={abs_tol:g}; the integrand is rougher than "
+                f"at tolerance {RESULT_TOL:g}; the integrand is rougher than "
                 "this rule can resolve"
             )
         width *= 0.5
         lo = np.concatenate([lo_bad, lo_bad + width])
     else:
         raise QuadratureError(
-            f"contour panels failed to reach abs_tol={abs_tol:g} "
+            f"contour panels failed to reach tolerance {RESULT_TOL:g} "
             f"after {_MAX_LEVELS} refinement levels"
         )
 

@@ -43,7 +43,8 @@ are the same code applied to one datum; each computes only its own part
 
 ``global_contour_oracle`` checks the total independently: it integrates the
 assembled kernel along a vertical line, folded onto the upper half only
-when every z_xi is real or purely imaginary.
+when every z_xi is real or purely imaginary: the Perron contour transform
+of the kernel sum, at the package's one tolerance ``quadrature.RESULT_TOL``.
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ import numpy as np
 
 from .errors import InputError, PoleCollisionError
 from .freespace import NU, RHO_NORM
-from .perron import SmoothingParams, kernel_denominator, panel_width
-from .quadrature import LineIntegral, fsum_complex, vertical_line_integral
+from .perron import SmoothingParams, smoothing_contour_transform
+from .quadrature import LineIntegral, fsum_complex
 
 #: tolerance below which two poles are treated as collided
 POLE_TOL = 1e-8
@@ -67,10 +68,9 @@ POLE_TOL = 1e-8
 #: treat |lambda| below this as the constant datum
 CONSTANT_LAMBDA_TOL = 1e-12
 
-#: global contour oracle: abscissa margin, half-height and tolerance of its line
+#: global contour oracle: abscissa margin and half-height of its line
 ORACLE_SIGMA_MARGIN = 1.5
 ORACLE_HEIGHT = 400.0
-ORACLE_ABS_TOL = 1e-10
 
 
 def branch_z(z: complex) -> complex:
@@ -403,12 +403,13 @@ def global_contour_oracle(
 
     Integrates sum_xi w_xi e^{zX} / ((z - z_xi)^nu (z + z_xi)^nu q(z)) on
     Re z = sigma, ``ORACLE_SIGMA_MARGIN`` right of every pole, up to height
-    ``ORACLE_HEIGHT`` at tolerance ``ORACLE_ABS_TOL``.  Closing left picks up
-    A + B + (pole-train) for every datum, so for non-constant spectra and
-    even nu this converges (fast: the integrand decays like |z|^{-2 nu - ell})
-    to the spectral_side_eval total as the height grows.
+    ``ORACLE_HEIGHT``, by :func:`orbitcount.perron.smoothing_contour_transform`
+    of the kernel sum.  Closing left picks up A + B + (pole-train) for every
+    datum, so for non-constant spectra and even nu this converges (fast: the
+    integrand decays like |z|^{-2 nu - ell}) to the spectral_side_eval total
+    as the height grows.
 
-    The integrand adds one datum at a time, each as w_xi / (z^2 - z_xi^2)^nu,
+    The kernel sum adds one datum at a time, each as w_xi / (z^2 - z_xi^2)^nu,
     since (z - z_xi)^nu (z + z_xi)^nu = (z^2 - z_xi^2)^nu: one power per
     datum and no (panels, nodes, data) array.  On the line both factors
     are at least ``ORACLE_SIGMA_MARGIN`` from zero, so z^2 - z_xi^2 loses
@@ -428,16 +429,15 @@ def global_contour_oracle(
 
     data = tuple(zip(ws.tolist(), (zarr * zarr).tolist()))
 
-    def integrand(zc, dz):
+    def kernel_sum(zc, dz):
         z = zc[:, None] + dz
         zz = z * z
         total = np.zeros_like(z)
         for w, zxi2 in data:
             total += w / (zz - zxi2) ** nu
-        return np.exp(z * X) * total / kernel_denominator(params, z)
+        return total
 
-    return vertical_line_integral(
-        integrand, sigma, ORACLE_HEIGHT, abs_tol=ORACLE_ABS_TOL,
-        panel_width=panel_width(X),
+    return smoothing_contour_transform(
+        kernel_sum, X, params, sigma=sigma, height=ORACLE_HEIGHT,
         conj_symmetric=bool(np.all((zarr.real == 0) | (zarr.imag == 0))),
     )

@@ -16,6 +16,7 @@ from orbitcount.perron import (
     smoothing_kernel,
 )
 from orbitcount.poincare import series_evaluator_for_contour
+from orbitcount.spectral import SpectralDatum, Spectrum, global_contour_oracle
 
 W1 = 0.19978820044686402  # (1 - e^{-1})^2 / 2! at ell = 2, theta = 1
 
@@ -84,10 +85,64 @@ def test_contour_oracle_negative_argument_vanishes():
         assert abs(li.value) <= 1e-8
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0])
-def test_contour_oracle_needs_positive_tolerance(tol):
-    with pytest.raises(InputError, match="quad_tol must be > 0"):
-        perron_contour_oracle(1.0, SmoothingParams(), abs_tol=tol)
+@pytest.mark.parametrize("X", [1.0, 20.0])
+def test_transform_integrand_is_the_pointwise_perron_factor(monkeypatch, X):
+    # the transform builds e^{zX} as e^{zc X} e^{dz X}; on the first-level
+    # panel grid of height 1000 that is f e^{zX} / q(z) at every node, up to
+    # the phase roundoff of e^{itX}: the two sides round t, tX and
+    # mid X, each by up to |tX| eps / 2 (at X = 20, 0.4% of the nodes
+    # exceed |tX| eps, by up to 1.25 times)
+    sm = SmoothingParams(ell=2, theta=1.0)
+    seen = {}
+    monkeypatch.setattr(
+        "orbitcount.perron.vertical_line_integral", lambda f, *_a, **_k: seen.update(f=f)
+    )
+
+    def f(zc, dz):
+        return 1.0 / (zc[:, None] + dz)
+
+    smoothing_contour_transform(f, X, sm, sigma=1.0, height=1000.0)
+    n = math.ceil(1000.0 / min(1.0, math.pi / (2.0 * X)))
+    half = 0.5 * 1000.0 / n
+    zc = 1.0 + 1j * (2.0 * half * np.arange(n) + half)
+    dz = 1j * half * np.concatenate([np.polynomial.legendre.leggauss(k)[0] for k in (15, 31)])
+    got = seen["f"](zc, dz)
+    z = zc[:, None] + dz
+    want = f(zc, dz) * np.exp(z * X) / kernel_denominator(sm, z)
+    rel = np.abs(got - want) / np.abs(want)
+    if X == 1.0:
+        assert rel.max() <= 1e-13
+    else:
+        assert np.all(rel <= (64.0 + 2.0 * np.abs(z.imag * X)) * np.finfo(float).eps)
+
+
+def _never(*_a, **_k):
+    raise AssertionError("integrand called")
+
+
+BAD_CONTOURS = {
+    "oracle-X": lambda v: perron_contour_oracle(v, SmoothingParams()),
+    "oracle-height": lambda v: perron_contour_oracle(1.0, SmoothingParams(), height=v),
+    "transform-X": lambda v: smoothing_contour_transform(
+        _never, v, SmoothingParams(), sigma=7.0, height=100.0),
+    "transform-sigma": lambda v: smoothing_contour_transform(
+        _never, 1.0, SmoothingParams(), sigma=v, height=100.0),
+    "transform-height": lambda v: smoothing_contour_transform(
+        _never, 1.0, SmoothingParams(), sigma=7.0, height=v),
+    "global-X": lambda v: global_contour_oracle(
+        Spectrum((SpectralDatum("low", 0.6 + 0j, 1.0),)), v, SmoothingParams(theta=0.8)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", BAD_CONTOURS)
+def test_contour_refuses_bad_input_before_the_integrand(monkeypatch, where, value):
+    # a nan X used to run to the 131,072-panel cap and end as "not
+    # certified", and a non-finite height leaked a ValueError or
+    # OverflowError
+    monkeypatch.setattr("orbitcount.perron.vertical_line_integral", _never)
+    with pytest.raises(InputError):
+        BAD_CONTOURS[where](value)
 
 
 def test_smoothed_count_frozen_value(census8):

@@ -18,7 +18,7 @@ def _bromwich_integrand(zc, dz):
 
 
 def test_vertical_line_matches_closed_form():
-    li = vertical_line_integral(_bromwich_integrand, 1.0, 1000.0, abs_tol=1e-9)
+    li = vertical_line_integral(_bromwich_integrand, 1.0, 1000.0, panel_width=1.0)
     assert li.value.imag == 0.0
     assert abs(li.value.real - W1) <= 1e-9
     assert li.error_estimate >= 0.0
@@ -26,23 +26,25 @@ def test_vertical_line_matches_closed_form():
 
 
 def test_folded_equals_two_sided():
-    a = vertical_line_integral(_bromwich_integrand, 1.0, 300.0, conj_symmetric=True)
-    b = vertical_line_integral(_bromwich_integrand, 1.0, 300.0, conj_symmetric=False)
+    a = vertical_line_integral(_bromwich_integrand, 1.0, 300.0, panel_width=1.0)
+    b = vertical_line_integral(
+        _bromwich_integrand, 1.0, 300.0, panel_width=1.0, conj_symmetric=False
+    )
     assert abs(a.value - b.value) <= 1e-12
     # the fold halves the integrand evaluations
     assert a.evaluations * 2 == b.evaluations
 
 
 def test_bitwise_deterministic():
-    a = vertical_line_integral(_bromwich_integrand, 1.0, 200.0)
-    b = vertical_line_integral(_bromwich_integrand, 1.0, 200.0)
+    a = vertical_line_integral(_bromwich_integrand, 1.0, 200.0, panel_width=1.0)
+    b = vertical_line_integral(_bromwich_integrand, 1.0, 200.0, panel_width=1.0)
     assert a.value == b.value
     assert a.evaluations == b.evaluations
 
 
 def test_rejects_bad_height():
     with pytest.raises(QuadratureError):
-        vertical_line_integral(_bromwich_integrand, 1.0, 0.0)
+        vertical_line_integral(_bromwich_integrand, 1.0, 0.0, panel_width=1.0)
 
 
 def test_too_many_first_level_panels_are_refused_before_f_is_called():
@@ -51,27 +53,31 @@ def test_too_many_first_level_panels_are_refused_before_f_is_called():
         raise AssertionError("integrand called")
 
     with pytest.raises(QuadratureError, match="needs 100000000 panels .* cap of 131072"):
-        vertical_line_integral(never, 1.0, 1e8)
+        vertical_line_integral(never, 1.0, 1e8, panel_width=1.0)
 
 
-def test_unresolvable_integrand_raises_not_hangs():
+def test_unresolvable_integrand_raises_not_hangs(monkeypatch):
     # oscillation far below panel scale: refinement must give up cleanly
+    monkeypatch.setattr(quadrature, "RESULT_TOL", 1e-12)
+
     def rough(zc, dz):
         z = zc[:, None] + dz
         return np.sin(2e6 * z.imag) + 0j
 
     with pytest.raises(QuadratureError):
-        vertical_line_integral(rough, 1.0, 10.0, abs_tol=1e-12)
+        vertical_line_integral(rough, 1.0, 10.0, panel_width=1.0)
 
 
-def test_roundoff_floor_accepts_converged_panels():
+def test_roundoff_floor_accepts_converged_panels(monkeypatch):
     # a large smooth integrand cannot hit an absurd absolute tolerance, but
     # the roundoff floor should let it terminate with an honest estimate
+    monkeypatch.setattr(quadrature, "RESULT_TOL", 1e-30)
+
     def big(zc, dz):
         z = zc[:, None] + dz
         return 1e8 * np.exp(z) / (z * (z + 1.0) * (z + 2.0))
 
-    li = vertical_line_integral(big, 1.0, 200.0, abs_tol=1e-30)
+    li = vertical_line_integral(big, 1.0, 200.0, panel_width=1.0)
     assert abs(li.value.real / 1e8 - W1) <= 1e-6
     assert li.error_estimate > 1e-30  # honest: the target was unreachable
 
@@ -92,6 +98,7 @@ def _record_pole_line(monkeypatch, height=20.0, block=16):
     # A pole 0.03 left of the line forces several bisection levels, and a
     # small block splits every level into several calls.
     monkeypatch.setattr(quadrature, "_PANEL_BLOCK", block)
+    monkeypatch.setattr(quadrature, "RESULT_TOL", 1e-10)
     pole = 0.97 + 3.3j
     calls = []
 
@@ -101,7 +108,7 @@ def _record_pole_line(monkeypatch, height=20.0, block=16):
         return vals
 
     li = vertical_line_integral(
-        recording, 1.0, height, abs_tol=1e-10, panel_width=0.7, conj_symmetric=False
+        recording, 1.0, height, panel_width=0.7, conj_symmetric=False
     )
     # Re(z - pole) > 0 on the line, so the principal log is continuous there
     want = (np.log(1.0 + height * 1j - pole) - np.log(1.0 - height * 1j - pole)) / (2j * np.pi)

@@ -149,7 +149,7 @@ def test_global_oracle_integrand_is_the_factored_kernel(monkeypatch, nu):
     def record(f, sigma, height, **kw):
         seen.update(f=f, sigma=sigma)
 
-    monkeypatch.setattr("orbitcount.spectral.vertical_line_integral", record)
+    monkeypatch.setattr("orbitcount.perron.vertical_line_integral", record)
     global_contour_oracle(_spectrum(zs, ws), X, SM, nu)
     zc = seen["sigma"] + 1j * np.linspace(-400.0, 400.0, 161)
     dz = 1j * np.array([-0.4, -0.1, 0.0, 0.05, 0.3, 0.45])
