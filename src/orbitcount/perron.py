@@ -50,6 +50,13 @@ class SmoothingParams:
             raise InputError(f"smoothing order ell must be an integer >= 1, got {self.ell}")
         if not (self.theta > 0):
             raise InputError(f"smoothing step theta must be > 0, got {self.theta}")
+        try:
+            norm = self.normalization
+        except OverflowError:  # ell! or theta^ell beyond a float
+            norm = math.inf
+        if not (0 < norm < math.inf):  # W(u) divides by it
+            raise InputError(f"smoothing needs ell! theta^ell to be a finite positive float, "
+                             f"got ell = {self.ell}, theta = {self.theta:g}")
 
     @property
     def normalization(self) -> float:
@@ -115,7 +122,7 @@ def smoothing_contour_transform(
     line onto its upper half.  The Perron factor is factored, e^{zX} =
     e^{zc X} e^{dz X}, so the phase roundoff of e^{itX} at large |tX| is
     common to a panel's nodes and cancels out of their 15-vs-31-node
-    disagreement.  The tolerance is ``quadrature.RESULT_TOL``.
+    disagreement.  An error estimate over ``quadrature.RESULT_TOL`` is refused.
     """
     if not (math.isfinite(X) and math.isfinite(sigma) and 0 < height < math.inf):
         raise InputError(f"Perron contour needs height > 0 and finite X, sigma and "

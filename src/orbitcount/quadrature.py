@@ -3,33 +3,30 @@
 Two primitives:
 
 * :func:`vertical_line_integral` -- (1/(2 pi i)) times the integral of an
-  integrand along the segment sigma + i [-T, T], by composite
-  Gauss-Legendre panels with one level of adaptive bisection driven by a
-  15-vs-31-node disagreement estimate.  Panel layout depends only on
-  (T, panel width), all panels of one refinement level share one width,
-  and the accepted panels' values and error estimates are each summed
-  with :func:`fsum_complex` / ``math.fsum``, correctly rounded whatever
-  order they were accepted in.
+  integrand along the segment sigma + i [-T, T], in one pass of composite
+  Gauss-Legendre panels of one width, laid out from (T, panel width) alone.
+  The value sums each panel's 31-node rule and the error estimate its
+  15-vs-31-node disagreement (:func:`fsum_complex` / ``math.fsum``).  Nothing
+  is refined: a result whose estimate exceeds ``RESULT_TOL``, the one
+  absolute tolerance, raises :class:`~orbitcount.errors.QuadratureError`.
 
-  Because the panels of a level share their width h, every node of that
-  level is z = zc_j + dz_k with panel centre zc_j = sigma + i mid_j and a
-  node offset dz_k = i h x_k common to all panels.  The integrand receives
-  the two factors, ``f(zc, dz)``, and returns the (panels, nodes) array of
-  values at ``zc[:, None] + dz``.  A pointwise integrand builds that sum
-  (bit for bit the node sigma + i t); a sum of exponentials can instead
-  factor e^{-z r} = e^{-zc r} e^{-dz r} and pay one exponential per
-  (panel, term) and per (term, node) rather than per (panel, node, term).
-  Its one caller, :func:`orbitcount.perron.smoothing_contour_transform`,
-  factors the Perron factor e^{zX} so too.  Every line integral has one
-  absolute target on its result, ``RESULT_TOL``.
+  Because the panels share their width h, every node is z = zc_j + dz_k
+  with panel centre zc_j = sigma + i mid_j and a node offset dz_k = i h x_k
+  common to all panels.  The integrand receives the two factors,
+  ``f(zc, dz)``, and returns the (panels, nodes) array of values at
+  ``zc[:, None] + dz``.  A pointwise integrand builds that sum (bit for bit
+  the node sigma + i t); a sum of exponentials can instead factor
+  e^{-z r} = e^{-zc r} e^{-dz r} and pay one exponential per (panel, term)
+  and per (term, node) rather than per (panel, node, term).  Its one
+  caller, :func:`orbitcount.perron.smoothing_contour_transform`, factors
+  the Perron factor e^{zX} so too.
 
-  Each level is one pass over its panels: one ``f`` call per block of at
-  most ``_PANEL_BLOCK`` panels, on the 46 offsets of both rules (the 15
-  nodes, then the 31), whose columns are then split.  One call gives both
-  rules, so a factored integrand builds its per-panel factors once per
-  level, not once per rule; and a block bounds every (panels, nodes)
-  temporary of the integrand and of the sums, so memory does not grow
-  with the height.
+  The pass makes one ``f`` call per block of at most ``_PANEL_BLOCK``
+  panels, on the 46 offsets of both rules (the 15 nodes, then the 31),
+  whose columns are then split.  One call gives both rules, so a factored
+  integrand builds its per-panel factors once, not once per rule; and a
+  block bounds every (panels, nodes) temporary of the integrand and of the
+  sums, so memory does not grow with the height.
 
 * :func:`cauchy_circle_residue` -- trapezoid rule on a small circle around
   an isolated pole.  The trapezoid rule on a periodic analytic integrand
@@ -49,8 +46,7 @@ import numpy as np
 from .errors import QuadratureError
 
 RESULT_TOL = 1e-9  # absolute target on the result of every line integral
-_MAX_LEVELS = 24
-_MAX_WORKLIST = 1 << 17
+_MAX_PANELS = 1 << 17
 _PANEL_BLOCK = 512  # panels per integrand call
 
 
@@ -84,8 +80,7 @@ def _panel_values(f, sigma: float, lo: np.ndarray, width: float):
 
     One f call per block of at most ``_PANEL_BLOCK`` panels, on the 15-node
     offsets followed by the 31-node ones.  Returns (15-node quadrature,
-    31-node quadrature, L1 mass, evaluation count); the mass is the 31-node
-    rule applied to |f| and bounds the roundoff accumulated by the sum.
+    31-node quadrature, evaluation count).
     """
     x15, w15 = _gl_nodes(15)
     x31, w31 = _gl_nodes(31)
@@ -94,14 +89,12 @@ def _panel_values(f, sigma: float, lo: np.ndarray, width: float):
     dz = 1j * (half * np.concatenate((x15, x31)))
     coarse = np.empty(lo.size, dtype=complex)
     fine = np.empty(lo.size, dtype=complex)
-    mass = np.empty(lo.size)
     for s in range(0, lo.size, _PANEL_BLOCK):
         block = slice(s, s + _PANEL_BLOCK)
         vals = f(sigma + 1j * mid[block], dz)
         coarse[block] = (vals[:, :15] * w15).sum(axis=1)
         fine[block] = (vals[:, 15:] * w31).sum(axis=1)
-        mass[block] = (np.abs(vals[:, 15:]) * w31).sum(axis=1)
-    return coarse * half, fine * half, mass * half, lo.size * dz.size
+    return coarse * half, fine * half, lo.size * dz.size
 
 
 def vertical_line_integral(
@@ -121,10 +114,10 @@ def vertical_line_integral(
     with real parameters), only t >= 0 is integrated and the mirror half is
     folded in as the conjugate, halving the work.
 
-    RESULT_TOL is the target on the *result*; panels of at most panel_width
-    are refined until the sum of 15-vs-31 node disagreements is below it,
-    else QuadratureError, as for a first level over ``_MAX_WORKLIST``
-    panels (before f is called).
+    One pass over panels of at most panel_width; the error estimate is the
+    summed 15-vs-31 node disagreement.  QuadratureError when that estimate
+    exceeds RESULT_TOL, or when the line needs over ``_MAX_PANELS`` panels
+    (before f is called).
     """
     if height <= 0:
         raise QuadratureError("contour height must be positive")
@@ -132,48 +125,16 @@ def vertical_line_integral(
 
     t_lo = 0.0 if conj_symmetric else -height
     n_panels = int(np.ceil((height - t_lo) / width))
-    if n_panels > _MAX_WORKLIST:  # ~2 KB per panel, before f is called
+    if n_panels > _MAX_PANELS:  # ~2 KB per panel, before f is called
         raise QuadratureError(f"contour height {height:g} needs {n_panels} panels of "
-                              f"width {width:g}, over the cap of {_MAX_WORKLIST}")
+                              f"width {width:g}, over the cap of {_MAX_PANELS}")
     # even by construction; the last panel may end an ulp off height
     width = (height - t_lo) / n_panels
     lo = t_lo + width * np.arange(n_panels)
 
-    # per level, the accepted panels' values and error estimates
-    acc_val, acc_err = [], []
-    evals = 0
-    for _level in range(_MAX_LEVELS):
-        coarse, fine, mass, n_evals = _panel_values(f, sigma, lo, width)
-        evals += n_evals
-        err = np.abs(fine - coarse)
-        # Per-panel budget proportional to panel length keeps the refinement
-        # from chasing noise in short panels; the mass term is the roundoff
-        # floor of the rule itself, below which bisection cannot help.
-        budget = RESULT_TOL * width / (2.0 * height) * 0.5
-        floor = 64.0 * np.finfo(float).eps * mass
-        ok = err <= np.maximum(budget, floor)
-        acc_val.append(fine[ok])
-        acc_err.append(err[ok])
-        if ok.all():
-            break
-        lo_bad = lo[~ok]
-        if 2 * lo_bad.size > _MAX_WORKLIST:
-            raise QuadratureError(
-                f"contour refinement exceeded {_MAX_WORKLIST} live panels "
-                f"at tolerance {RESULT_TOL:g}; the integrand is rougher than "
-                "this rule can resolve"
-            )
-        width *= 0.5
-        lo = np.concatenate([lo_bad, lo_bad + width])
-    else:
-        raise QuadratureError(
-            f"contour panels failed to reach tolerance {RESULT_TOL:g} "
-            f"after {_MAX_LEVELS} refinement levels"
-        )
-
-    vals = np.concatenate(acc_val)
-    err_total = math.fsum(np.concatenate(acc_err).tolist())
-    raw = fsum_complex(vals)
+    coarse, fine, evals = _panel_values(f, sigma, lo, width)
+    err_total = math.fsum(np.abs(fine - coarse).tolist())
+    raw = fsum_complex(fine)
     # (1/(2 pi i)) * integral f dz with dz = i dt is (1/(2 pi)) * integral f dt.
     if conj_symmetric:
         # The [-T, 0] half mirrors to the conjugate, so the t-integral over
@@ -182,11 +143,17 @@ def vertical_line_integral(
         err_total *= 2.0
     else:
         value = raw / (2.0 * np.pi)
+    error_estimate = err_total / (2.0 * np.pi)
+    if not error_estimate <= RESULT_TOL:  # a nan estimate too
+        raise QuadratureError(
+            f"contour error estimate {error_estimate:.2g} exceeds the tolerance "
+            f"{RESULT_TOL:g} on {n_panels} panels of width {width:.3g}"
+        )
     return LineIntegral(
         value=complex(value),
-        error_estimate=err_total / (2.0 * np.pi),
+        error_estimate=error_estimate,
         evaluations=evals,
-        panels=vals.size,
+        panels=n_panels,
     )
 
 

@@ -438,9 +438,21 @@ def test_non_finite_numbers_exit_1(tmp_path, capsys, census_csv, spectrum_csv, a
          " raise --budget to proceed"),
         (["enumerate", "--cutoff", "1e200", "--out", "{out}"],
          "cutoff 1e+200 is too large: its square overflows a float"),
+        # ell! theta^ell underflows to 0 or overflows: W(u) is undefined
+        (["perron-check", "--u", "1", "--theta", "1e-200"],
+         "ell! theta^ell to be a finite positive float, got ell = 2, theta = 1e-200"),
+        (["smoothed-count", "--census", "{census}", "--x", "1", "--theta", "1e-200"],
+         "ell! theta^ell to be a finite positive float, got ell = 2, theta = 1e-200"),
+        (["perron-check", "--u", "1", "--theta", "1e300"],
+         "ell! theta^ell to be a finite positive float, got ell = 2, theta = 1e+300"),
+        (["compare", "--census", "{census}", "--spectrum", "{spectrum}", "--x", "1",
+          "--ell", "400"],
+         "ell! theta^ell to be a finite positive float, got ell = 400, theta = 1"),
     ],
     ids=["height-0", "height-neg", "smoothed-x-2000",
-         "compare-x-2000", "ell-0", "theta-neg", "budget-0", "cutoff-1e150", "cutoff-1e200"],
+         "compare-x-2000", "ell-0", "theta-neg", "budget-0", "cutoff-1e150", "cutoff-1e200",
+         "perron-theta-1e-200", "smoothed-theta-1e-200", "perron-theta-1e300",
+         "compare-ell-400"],
 )
 def test_out_of_range_parameters_exit_1(
     tmp_path, capsys, census_csv, spectrum_csv, argv, message
@@ -517,14 +529,20 @@ def test_perron_check():
     assert doc["perron"]["abs_difference"] <= 1e-9
 
 
-def test_perron_check_at_u_20_is_certified(capsys):
-    # exited 2 after the 131,072-panel cap: at t ~ 1000 the phase roundoff
-    # of a pointwise e^{itX} differed from node to node, 2.2e-14 against a
-    # 2.0e-14 panel budget; factored per panel it cancels.  The difference
-    # from the closed form is the height truncation, O(e^{sigma u} / (T^3 u))
-    doc = _report(capsys, ["perron-check", "--u", "20"])["perron"]
-    assert doc["quadrature_error_estimate"] <= 1e-7
-    assert doc["abs_difference"] <= math.exp(20.0) / (1000.0**3 * 20.0)
+def test_perron_check_refuses_an_estimate_over_the_tolerance(capsys):
+    # The integrand grows like e^{sigma u}, and so does its roundoff: at the
+    # default height 1000 the 15-vs-31 estimate passes 1e-9 near u = 17.5.
+    # u = 20, 30 and 50 used to exit 0 with estimates 1.8e-8, 4.3e-4 and
+    # 2.1e5, the last with a contour of -3.9e8 against a closed form of 0.5.
+    doc = _report(capsys, ["perron-check", "--u", "15"])["perron"]
+    assert doc["quadrature_error_estimate"] <= 1e-9
+    for u in ("20", "30", "50"):
+        assert cli.main(["perron-check", "--u", u]) == 2
+        out = capsys.readouterr()
+        lines = out.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("convergence error:"), out.err
+        assert "exceeds the tolerance 1e-09" in lines[0]
+        assert out.out == ""
 
 
 @pytest.mark.parametrize("u, height", [("1", "1e8"), ("-800", "1000")])

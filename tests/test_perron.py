@@ -26,6 +26,9 @@ def test_params_validation():
         SmoothingParams(ell=0)
     with pytest.raises(InputError):
         SmoothingParams(theta=0.0)
+    # W(u) divides by ell! theta^ell, which must be a finite positive float
+    with pytest.raises(InputError):
+        SmoothingParams(theta=math.inf)
     sm = SmoothingParams(ell=3, theta=0.5)
     assert sm.normalization == pytest.approx(math.factorial(3) * 0.5**3)
     assert sm.pole_train == (-0.5, -1.0, -1.5)
@@ -70,6 +73,7 @@ def test_contour_oracle_converges_cubically():
     for T in (250.0, 500.0, 1000.0, 2000.0):
         li = perron_contour_oracle(1.0, sm, height=T)
         errs[T] = abs(li.value.real - W1)
+        assert li.error_estimate <= 1e-12  # headroom under RESULT_TOL
     # frozen from the first validated run; the rule is deterministic
     assert errs[250.0] == pytest.approx(1.398713e-08, rel=1e-3)
     assert errs[1000.0] == pytest.approx(4.844492e-10, rel=1e-3)
@@ -87,7 +91,7 @@ def test_contour_oracle_negative_argument_vanishes():
 
 @pytest.mark.parametrize("X", [1.0, 20.0])
 def test_transform_integrand_is_the_pointwise_perron_factor(monkeypatch, X):
-    # the transform builds e^{zX} as e^{zc X} e^{dz X}; on the first-level
+    # the transform builds e^{zX} as e^{zc X} e^{dz X}; on the quadrature's
     # panel grid of height 1000 that is f e^{zX} / q(z) at every node, up to
     # the phase roundoff of e^{itX}: the two sides round t, tX and
     # mid X, each by up to |tX| eps / 2 (at X = 20, 0.4% of the nodes
@@ -180,12 +184,14 @@ def test_bridge_at_height_4000(census8):
     f = series_evaluator_for_contour(census8)
     li = smoothing_contour_transform(f, 1.0, sm, sigma=7.0, height=4000.0)
     assert abs(li.value.real - direct.value) <= 1e-6
+    # the benchmark runs this contour: keep it far under RESULT_TOL
+    assert li.error_estimate <= 1e-12
 
 
 def test_bridge_memory_does_not_grow_with_height(census8, peak_bytes):
-    # the quadrature evaluates a level in blocks of panels, so the series
+    # the quadrature evaluates its panels in blocks, so the series
     # evaluator's (panels, shells) and (panels, nodes) temporaries have a
-    # fixed size; a whole level per call peaked 5.7 times higher at 8000
+    # fixed size; all panels in one call peaked 5.7 times higher at 8000
     sm = SmoothingParams(ell=2, theta=1.0)
     f = series_evaluator_for_contour(census8)
     peak = {

@@ -1,4 +1,4 @@
-"""Contour quadrature primitives: the adaptive vertical line and the circle
+"""Contour quadrature primitives: the one-pass vertical line and the circle
 residue rule that serves as the independent oracle elsewhere."""
 
 import numpy as np
@@ -57,7 +57,7 @@ def test_too_many_first_level_panels_are_refused_before_f_is_called():
 
 
 def test_unresolvable_integrand_raises_not_hangs(monkeypatch):
-    # oscillation far below panel scale: refinement must give up cleanly
+    # oscillation far below panel scale: the estimate must refuse it cleanly
     monkeypatch.setattr(quadrature, "RESULT_TOL", 1e-12)
 
     def rough(zc, dz):
@@ -68,38 +68,31 @@ def test_unresolvable_integrand_raises_not_hangs(monkeypatch):
         vertical_line_integral(rough, 1.0, 10.0, panel_width=1.0)
 
 
-def test_roundoff_floor_accepts_converged_panels(monkeypatch):
-    # a large smooth integrand cannot hit an absurd absolute tolerance, but
-    # the roundoff floor should let it terminate with an honest estimate
-    monkeypatch.setattr(quadrature, "RESULT_TOL", 1e-30)
-
+def test_estimate_over_the_tolerance_is_refused(monkeypatch):
+    # Nothing is refined, so the summed 15-vs-31 estimate is the only
+    # acceptance rule: a result is refused exactly when it exceeds
+    # RESULT_TOL, however large and smooth the integrand.
     def big(zc, dz):
         z = zc[:, None] + dz
         return 1e8 * np.exp(z) / (z * (z + 1.0) * (z + 2.0))
 
+    monkeypatch.setattr(quadrature, "RESULT_TOL", 1.0)
     li = vertical_line_integral(big, 1.0, 200.0, panel_width=1.0)
     assert abs(li.value.real / 1e8 - W1) <= 1e-6
-    assert li.error_estimate > 1e-30  # honest: the target was unreachable
+    assert li.error_estimate > 0.0
 
-
-def _levels(calls):
-    # consecutive calls with the same offsets are the blocks of one level
-    out = []
-    for zc, dz, vals in calls:
-        if out and np.array_equal(out[-1][1], dz):
-            out[-1][0].append(zc)
-            out[-1][2].append(vals)
-        else:
-            out.append(([zc], dz, [vals]))
-    return [(np.concatenate(zc), dz, np.concatenate(v)) for zc, dz, v in out]
+    monkeypatch.setattr(quadrature, "RESULT_TOL", li.error_estimate)
+    assert vertical_line_integral(big, 1.0, 200.0, panel_width=1.0) == li
+    monkeypatch.setattr(quadrature, "RESULT_TOL", np.nextafter(li.error_estimate, 0.0))
+    with pytest.raises(QuadratureError, match="exceeds the tolerance"):
+        vertical_line_integral(big, 1.0, 200.0, panel_width=1.0)
 
 
 def _record_pole_line(monkeypatch, height=20.0, block=16):
-    # A pole 0.03 left of the line forces several bisection levels, and a
-    # small block splits every level into several calls.
+    # A pole 1.0 left of the line, which one pass of width-0.7 panels
+    # resolves, and a small block that splits the pass into several calls.
     monkeypatch.setattr(quadrature, "_PANEL_BLOCK", block)
-    monkeypatch.setattr(quadrature, "RESULT_TOL", 1e-10)
-    pole = 0.97 + 3.3j
+    pole = 0.0 + 3.3j
     calls = []
 
     def recording(zc, dz):
@@ -117,54 +110,35 @@ def _record_pole_line(monkeypatch, height=20.0, block=16):
 
 
 def test_every_call_gets_one_shared_offset_row(monkeypatch):
-    # Every call must get 1-D offsets dz = i h [x15, x31] on the 15- and then
-    # the 31-node Gauss-Legendre nodes, one half-width h per level that
-    # halves from level to level, and at most a block of centres zc on the
-    # line, all blocks full but a level's last; and nothing else may be
-    # evaluated.
+    # Every call must get the same 1-D offsets dz = i h [x15, x31] on the 15-
+    # and then the 31-node Gauss-Legendre nodes, with h the half-width of the
+    # one panel grid, and at most a block of centres zc on the line, all
+    # blocks full but the last; and nothing else may be evaluated.
     height, block = 20.0, 16
     li, calls = _record_pole_line(monkeypatch, height, block)
     assert li.evaluations == sum(zc.size * dz.size for zc, dz, _ in calls)
 
     x = np.concatenate([np.polynomial.legendre.leggauss(n)[0] for n in (15, 31)])
-    halves = []
+    h = height / np.ceil(2 * height / 0.7)
     for zc, dz, _ in calls:
         assert 1 <= zc.size <= block and np.all(zc.real == 1.0)
+        assert np.array_equal(dz, calls[0][1])
         assert dz.shape == (46,) and np.all(dz.real == 0.0)
-        h = dz.imag[-1] / x[-1]
         assert np.allclose(dz.imag, h * x, rtol=1e-15, atol=0.0)
-        if halves and h == halves[-1][0]:
-            halves[-1][1].append(zc.size)
-        else:
-            halves.append((h, [zc.size]))
-    for _h, sizes in halves:
-        assert all(n == block for n in sizes[:-1])
-    assert len(halves) >= 4  # the pole did force refinement
-    assert max(len(sizes) for _h, sizes in halves) >= 3  # levels did split into blocks
-    h = np.array([h for h, _sizes in halves])
-    assert h[0] == pytest.approx(height / np.ceil(2 * height / 0.7), rel=1e-15)
-    assert np.allclose(h[1:] / h[:-1], 0.5, rtol=1e-15)
+    assert all(zc.size == block for zc, _dz, _ in calls[:-1])
+    assert len(calls) >= 3  # the pass did split into blocks
+    assert sum(zc.size for zc, _dz, _ in calls) == li.panels
 
 
 def test_value_is_the_fsum_of_the_accepted_panels(monkeypatch):
-    # Refinement accepts panels level by level, so out of position order.
-    # Rebuild each level's 31-node panel values from the integrand calls; a
-    # panel is accepted unless the next level bisects it.  The value must be
-    # the correctly rounded sum of the accepted ones, in any order.
+    # Rebuild every panel's 31-node value from the integrand calls.  The
+    # value must be the correctly rounded sum of them, in any order.
     height, n_panels = 20.0, np.ceil(2 * 20.0 / 0.7)
     li, calls = _record_pole_line(monkeypatch, height)
-    levels = [(zc.imag, vals[:, 15:]) for zc, _dz, vals in _levels(calls)]
     w = np.polynomial.legendre.leggauss(31)[1]
     half = 0.5 * (2 * height / n_panels)
-    accepted = []
-    for level, (mid, vals) in enumerate(levels):
-        nxt = levels[level + 1][0] if level + 1 < len(levels) else np.array([])
-        bisected = (np.abs(nxt[:, None] - mid) < half).any(axis=0)
-        accepted.append(((vals * w).sum(axis=1) * half)[~bisected])
-        half *= 0.5
-    assert len(accepted) >= 4 and any(a.size for a in accepted[1:-1])
-    panels = np.concatenate(accepted)
-    assert panels.size == li.panels
+    panels = np.concatenate([(vals[:, 15:] * w).sum(axis=1) * half for _zc, _dz, vals in calls])
+    assert panels.size == li.panels == n_panels
     for order in (panels, panels[::-1], np.random.default_rng(3).permutation(panels)):
         assert li.value == fsum_complex(order) / (2.0 * np.pi)
 
