@@ -51,6 +51,7 @@ import sys
 
 import numpy as np
 
+from . import perron
 from .errors import ConvergenceError, InputError
 from .freespace import NU, RHO_NORM
 from .lattice import DEFAULT_WORK_BUDGET, Census, enumerate_pruned, shell_counts
@@ -152,7 +153,7 @@ def _cmd_poincare(args) -> dict:
                 "sigma0": model.sigma0,
                 "eps": model.eps,
                 "safety": model.safety,
-                "c_fit": val.c_ls,
+                "c_fit": val.prefactor,
             },
             "census_size": census.size,
             "shell_partial_sums": [
@@ -344,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("perron-check", help="smoothing kernel vs contour integral")
     p.add_argument("--u", type=_finite_float, required=True, help="kernel argument X - r")
-    p.add_argument("--height", type=_finite_float, default=1000.0)
+    p.add_argument("--height", type=_finite_float,
+                   default=perron.perron_contour_oracle.__kwdefaults__["height"])
     _add_options(p, _cmd_perron_check, ("ell", "theta"))
 
     return ap

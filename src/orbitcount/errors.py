@@ -8,7 +8,8 @@ Two families matter to callers (and to the CLI exit-code mapping):
   configured budget.  CLI exit code 1.
 * :class:`ConvergenceError` -- the request is well formed but the numeric
   machinery cannot certify the asked-for accuracy: uncertifiable tails,
-  quadrature panels that refuse to converge.  CLI exit code 2.
+  line integrals whose error estimate exceeds the tolerance.  CLI exit
+  code 2.
 """
 
 from __future__ import annotations
@@ -64,4 +65,5 @@ class TailError(ConvergenceError):
 
 
 class QuadratureError(ConvergenceError):
-    """Adaptive quadrature failed to meet its panel tolerance."""
+    """A line integral's one-pass error estimate exceeds ``RESULT_TOL``, or
+    the line needs more than ``_MAX_PANELS`` panels (see :mod:`orbitcount.quadrature`)."""

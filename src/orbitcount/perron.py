@@ -46,7 +46,7 @@ class SmoothingParams:
     theta: float = 1.0
 
     def __post_init__(self):
-        if int(self.ell) != self.ell or self.ell < 1:
+        if not (1 <= self.ell < math.inf and int(self.ell) == self.ell):  # inf, nan too
             raise InputError(f"smoothing order ell must be an integer >= 1, got {self.ell}")
         if not (self.theta > 0):
             raise InputError(f"smoothing step theta must be > 0, got {self.theta}")
@@ -133,9 +133,12 @@ def smoothing_contour_transform(
         return f_of_z(zc, dz) * perron / kernel_denominator(params, zc[:, None] + dz)
 
     width = min(1.0, 2.0 * math.pi / (4.0 * max(abs(X), 1e-2)))  # a quarter period of e^{itX}
-    return vertical_line_integral(
-        integrand, sigma, height, panel_width=width, conj_symmetric=conj_symmetric
-    )
+    # a denominator past the largest float (large ell) makes a nan estimate,
+    # which the quadrature refuses; numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        return vertical_line_integral(
+            integrand, sigma, height, panel_width=width, conj_symmetric=conj_symmetric
+        )
 
 
 @dataclass(frozen=True)

@@ -15,20 +15,25 @@ Tail certification.  The kernel magnitude obeys the exact majorant
 
     |u_z(r)| <= (C_G / |z|) * (r / sinh r) * e^{-Re z * r},
 
-and the census growth is modelled by N(gauge <= T) <= c * T^{sigma0 + eps}
-with c fitted by least squares on the observed shells and multiplied by a
-safety factor; sigma0 = 4, eps = 0.25 and safety = 4 are fixed
-(:class:`GrowthModel`) and recorded in reports.  In radius form
-N(r) <= c_safe e^{(sigma0+eps) r/2}, so the tail beyond the census radius
-R0 is bounded by summing count-bound(top of slab) * |u_z|(bottom of slab)
-over half-unit slabs.
+and the census count is modelled by
+
+    N(gauge <= T) <= safety * c * T^{sigma0 + eps}.
+
+The prefactor c is the census's largest shell ratio max_j N(T_j) /
+T_j^{sigma0 + eps}, so the model holds on every observed shell; beyond the
+census it is extrapolated, an assumption that an unconditional packing
+bound would remove.  The exponent sigma0 = 4 is the e^{2r} = gauge^4
+volume growth of hyperbolic 3-space, not a fit; eps = 0.25 and safety = 4
+are fixed margins (:class:`GrowthModel`), recorded in reports.  In radius
+form N(r) <= safety * c * e^{(sigma0+eps) r/2}, so the tail beyond the
+census radius R0 is bounded by summing count-bound(top of slab) *
+|u_z|(bottom of slab) over half-unit slabs.
 This converges iff Re z > (sigma0 + eps)/2; the stricter documented
 precondition Re z > sigma0 + 1 (+ margin) is enforced.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -42,11 +47,10 @@ _EPS = float(np.finfo(float).eps)
 
 
 class GrowthModel:
-    """Counting model N(gauge <= T) <= safety * c_ls * T^(sigma0 + eps)."""
+    """Counting model N(gauge <= T) <= safety * prefactor * T^(sigma0 + eps)."""
 
-    #: growth exponent of the census lattice.  Least squares on log N(T)
-    #: vs log T over T in [2, 8] lands near 4 (see fit_growth and the
-    #: tests); volume heuristics for this lattice predict the same exponent.
+    #: growth exponent of the census lattice: a ball of radius r in
+    #: hyperbolic 3-space has volume growing like e^{2r} = gauge^4
     sigma0 = 4.0
     #: exponent margin and prefactor safety of the certificate
     eps = 0.25
@@ -58,49 +62,23 @@ class GrowthModel:
         return self.sigma0 + 1.0 + self.eps
 
 
-def fit_growth(
-    census: Census, t_lo: float = 2.0, t_hi: float = 8.0
-) -> tuple[float, float]:
-    """Least-squares (exponent, prefactor) of log N(T) ~ log c + s log T.
-
-    Sampled at the gauge of each census shell inside [t_lo, t_hi], using the
-    cumulative count through that shell.
-    """
-    t = census.shell_table
-    if not t.count.size:
-        raise InputError("cannot fit growth on an empty census")
-    gauges = np.exp(0.5 * t.radius)
-    inside = (t_lo <= gauges) & (gauges <= t_hi)
-    if inside.sum() < 2:
-        raise InputError(
-            f"census has {inside.sum()} shells with gauge in [{t_lo}, {t_hi}]; "
-            "need at least 2 to fit growth"
-        )
-    cumulative = np.cumsum(t.count)[inside]
-    slope, intercept = np.polyfit(np.log(gauges[inside]), np.log(cumulative), 1)
-    return float(slope), float(math.exp(intercept))
-
-
 def fit_prefactor(census: Census, model: GrowthModel) -> float:
-    """Prefactor c for N(T) <= c T^(sigma0+eps), from the observed shells.
+    """Prefactor c for N(T) <= c T^(sigma0+eps): the observed majorant.
 
-    Least squares at the model's fixed exponent, floored by the observed
-    majorant max_j N_j / T_j^(sigma0+eps) so the certificate can never
-    undercut the data it was fitted on.  The safety factor is applied by
-    the caller (and recorded in reports).
+    max_j N_j / T_j^(sigma0+eps) over the census shells, with N_j the
+    cumulative count through shell j at gauge T_j, so the model holds on
+    every observed shell; an empty census gets 1.  The safety factor is
+    applied by the caller (and recorded in reports).
     """
     a = model.sigma0 + model.eps
     t = census.shell_table
     if not t.count.size:
         return 1.0
     gauges = np.exp(0.5 * t.radius)  # >= 1, as F >= 2
-    n = np.cumsum(t.count)
-    major = float(np.max(n / gauges**a))
-    c_ls = math.exp(float(np.mean(np.log(n) - a * np.log(gauges))))
-    return max(c_ls, major)
+    return float(np.max(np.cumsum(t.count) / gauges**a))
 
 
-def tail_bound(census: Census, z: complex, model: GrowthModel, c_ls: float) -> float:
+def tail_bound(census: Census, z: complex, model: GrowthModel, prefactor: float) -> float:
     """Certified bound on the series tail beyond the census radius.
 
     Half-unit slabs [R0 + j/2, R0 + (j+1)/2) of element radius: per slab,
@@ -120,11 +98,19 @@ def tail_bound(census: Census, z: complex, model: GrowthModel, c_ls: float) -> f
     conservative over-count.  The slack is eps * sum_j term_j (n + 18
     + 6 (a/2 + Re z) reach_j), about 5e-14 of the bound at z = 6.
 
-    A z with an infinite or nan part is refused: no bound certifies it.
+    eps is a power of two, so it is applied inside the weights: that changes
+    no bit unless a product is subnormal, and keeps every weight finite up
+    to the largest Re z, where the terms underflow to 0.
+
+    A z whose modulus is infinite or nan is refused: no bound certifies it.
     """
     zc = complex(z)
-    if not cmath.isfinite(zc):
-        raise InputError(f"z = {zc} is not finite; no tail bound can be certified")
+    try:
+        modulus = abs(zc)
+    except OverflowError:  # both parts finite, |z| beyond the largest float
+        modulus = math.inf
+    if not modulus < math.inf:
+        raise InputError(f"|z| for z = {zc} is not finite; no tail bound can be certified")
     rez = zc.real
     a = model.sigma0 + model.eps
     if rez <= a / 2.0 + 0.1:
@@ -135,15 +121,17 @@ def tail_bound(census: Census, z: complex, model: GrowthModel, c_ls: float) -> f
     log_q = a / 4.0 - rez / 2.0
     j = np.arange(math.ceil(math.log(1e-30) / log_q))
     lo = r0 + 0.5 * j  # slab bottom
+    with np.errstate(over="ignore"):  # Re z * lo past the largest float: a term of 0
+        exponent = 0.5 * a * (lo + 0.5) - rez * lo
     terms = (
-        model.safety * c_ls * np.exp(0.5 * a * (lo + 0.5) - rez * lo)
-        * (C_G / abs(zc)) * product_factor(lo)
+        model.safety * prefactor * np.exp(exponent)
+        * (C_G / modulus) * product_factor(lo)
     )
     q = math.exp(log_q)
     total = math.fsum(terms.tolist() + [float(terms[-1]) * q / (1.0 - q)])
     # rounding slack (docstring): |exponent error| <= 6 eps (a/2 + Re z) reach
     reach = r0 + 0.5 * (j + 1)
-    total += _EPS * float(terms @ (j.size + 18 + 6.0 * (0.5 * a + rez) * reach))
+    total += float(terms @ (_EPS * (j.size + 18) + 6.0 * _EPS * (0.5 * a + rez) * reach))
     if not math.isfinite(total):
         raise TailError("tail bound diverged; abscissa too small for the model")
     return total
@@ -157,7 +145,7 @@ class SeriesValue:
     tail: float
     z: complex
     shells: tuple[tuple[int, int, complex], ...]  # (F, count, partial sum)
-    c_ls: float
+    prefactor: float
 
 
 def series_eval(
@@ -170,8 +158,9 @@ def series_eval(
 
     Shell-by-shell partial sums in canonical order, each shell sum count *
     kernel at the shell radius, with the tail certificate of
-    :func:`tail_bound`.  The certificate is computed first, so a
-    non-finite z is refused before any kernel is evaluated.
+    :func:`tail_bound`.  The certificate is computed first, so a z of
+    non-finite modulus is refused before any kernel is evaluated; a z at
+    which a shell sum overflows is refused too.
     """
     model = model or GrowthModel()
     zc = complex(z)
@@ -180,16 +169,19 @@ def series_eval(
             f"Re z = {zc.real:g} is below the certified abscissa "
             f"{model.required_abscissa:g} (sigma0 + 1 + margin)"
         )
-    c_ls = fit_prefactor(census, model)
-    tail = tail_bound(census, zc, model, c_ls)
+    prefactor = fit_prefactor(census, model)
+    tail = tail_bound(census, zc, model, prefactor)
     t = census.shell_table
-    sums = t.count * kernel(zc, t.radius)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = t.count * kernel(zc, t.radius)
+    if not np.isfinite(sums).all():  # e^{-z r} past the largest float
+        raise InputError(f"z = {zc} overflows the kernel: a shell sum is not a finite number")
 
     re, im = (_prefix_fsums(part.tolist()) for part in (sums.real, sums.imag))
     partials = [complex(x, y) for x, y in zip(re, im)]
     shells = tuple(zip(t.fnorm.tolist(), t.count.tolist(), partials))
     value = partials[-1] if partials else 0j
-    return SeriesValue(value=value, tail=tail, z=zc, shells=shells, c_ls=c_ls)
+    return SeriesValue(value=value, tail=tail, z=zc, shells=shells, prefactor=prefactor)
 
 
 def _prefix_fsums(xs: list[float]) -> list[float]:

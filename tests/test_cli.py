@@ -16,7 +16,7 @@ import pytest
 from orbitcount import cli
 from orbitcount.errors import InputError, QuadratureError
 from orbitcount.lattice import CSV_HEADER, DEFAULT_WORK_BUDGET, Census
-from orbitcount.perron import SmoothingParams
+from orbitcount.perron import SmoothingParams, perron_contour_oracle
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -152,6 +152,8 @@ def test_option_defaults_are_the_library_defaults():
         for key in READS[sub]:
             assert p.get_default(key) == DEFAULTS[key], (sub, key)
             assert type(p.get_default(key)) is type(DEFAULTS[key]), (sub, key)
+    height = _subparsers()["perron-check"].get_default("height")
+    assert height == perron_contour_oracle.__kwdefaults__["height"] == 1000.0
 
 
 def _report(capsys, argv):
@@ -309,6 +311,31 @@ def test_poincare_tiny_kernel_tail_is_finite(tmp_path, census4):
     assert r.returncode == 0, r.stderr
     tail = json.loads(r.stdout)["series"]["tail_bound"]
     assert 0.0 < tail < 1e-300
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(("--z", "1e307"), (0, 0)), (("--z", "1.7e308"), (0, 0)),
+     (("--z", "6", "--z-im", "1e308"), (0, 1))],
+    ids=["re-1e307", "re-1.7e308", "im-1e308"],
+)
+def test_poincare_extreme_z(tmp_path, census1, census4, argv, code):
+    # exit 0 with a finite value and tail, or 1 with one error line naming
+    # z; no warning, traceback, or "tail bound diverged" exit 2
+    for census, want in zip((census1, census4), code):
+        path = tmp_path / f"c{census.cutoff:g}.csv"
+        census.to_csv(path)
+        r = run_cli("poincare", "--census", str(path), *argv)
+        assert r.returncode == want, r.stderr
+        if want == 0:
+            assert r.stderr == ""
+            series = json.loads(r.stdout)["series"]
+            assert all(math.isfinite(v) for v in series["value"].values())
+            assert math.isfinite(series["tail_bound"])
+        else:
+            lines = r.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: z = (6+1e+308j)"), r.stderr
+            assert r.stdout == ""
 
 
 def test_poincare_below_abscissa_exits_1(census_csv):
@@ -543,6 +570,17 @@ def test_perron_check_refuses_an_estimate_over_the_tolerance(capsys):
         assert len(lines) == 1 and lines[0].startswith("convergence error:"), out.err
         assert "exceeds the tolerance 1e-09" in lines[0]
         assert out.out == ""
+
+
+def test_perron_check_overflowing_denominator_prints_one_line():
+    # prod (z + m theta) over 170 factors overflows on the line; under the
+    # default warning filter numpy's RuntimeWarnings used to precede the
+    # refusal of the nan estimate
+    r = run_cli("perron-check", "--u", "1", "--ell", "170")
+    assert r.returncode == 2
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("convergence error:"), r.stderr
+    assert r.stdout == ""
 
 
 @pytest.mark.parametrize("u, height", [("1", "1e8"), ("-800", "1000")])

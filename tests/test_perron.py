@@ -24,6 +24,9 @@ W1 = 0.19978820044686402  # (1 - e^{-1})^2 / 2! at ell = 2, theta = 1
 def test_params_validation():
     with pytest.raises(InputError):
         SmoothingParams(ell=0)
+    for ell in (math.inf, math.nan):  # int(ell) would raise a bare error
+        with pytest.raises(InputError, match="ell must be an integer"):
+            SmoothingParams(ell=ell)
     with pytest.raises(InputError):
         SmoothingParams(theta=0.0)
     # W(u) divides by ell! theta^ell, which must be a finite positive float

@@ -13,7 +13,6 @@ from orbitcount.lattice import enumerate_pruned
 from orbitcount.poincare import (
     GrowthModel,
     _prefix_fsums,
-    fit_growth,
     fit_prefactor,
     series_eval,
     series_evaluator_for_contour,
@@ -27,18 +26,20 @@ def test_growth_model_defaults():
     assert m.required_abscissa == pytest.approx(5.25)
 
 
-def test_fit_growth_frozen(census8):
-    slope, c_ls = fit_growth(census8, 2.0, 8.0)
-    assert slope == pytest.approx(3.9530598545186773, rel=1e-12)
-    assert c_ls == pytest.approx(11.517294846267395, rel=1e-12)
-    # the frozen default exponent is the fit rounded to the model value
-    assert abs(slope - GrowthModel.sigma0) <= 0.3
+def test_fit_prefactor_is_the_largest_shell_ratio(census1, census8):
+    # every cutoff-1 element sits at gauge 1, so the one shell ratio is 8
+    model = GrowthModel()
+    assert fit_prefactor(census1, model) == 8.0
+    c = fit_prefactor(census8, model)
+    assert c == pytest.approx(9.454593656181222, rel=1e-12)
+    t = census8.shell_table
+    ratios = np.cumsum(t.count) / np.exp(0.5 * t.radius) ** (model.sigma0 + model.eps)
+    assert c == ratios.max()
 
 
 def test_fit_prefactor_majorizes(census8):
     model = GrowthModel()
     c = fit_prefactor(census8, model)
-    assert c == pytest.approx(9.454593656181222, rel=1e-12)
     shells = census8.shell_table
     gauges = np.repeat(np.exp(0.5 * shells.radius), shells.count)
     for t in (1.5, 2.0, 3.0, 5.0, 8.0):
@@ -59,7 +60,6 @@ def test_series_values_and_tails_frozen(census8):
 
 def test_tail_monotone_in_abscissa(census8):
     model = GrowthModel()
-    _slope, c_ls = fit_growth(census8)
     c = fit_prefactor(census8, model)
     tails = [tail_bound(census8, z, model, c) for z in (6.0, 6.5, 7.0)]
     assert tails[0] > tails[1] > tails[2] > 0.0
@@ -137,17 +137,41 @@ def test_prefix_fsums_match_fsum(xs, rnd):
 
 
 @pytest.mark.parametrize(
-    "z", [complex(6.0, math.inf), complex(math.inf, 0.0), complex(math.nan, 0.0)],
-    ids=["im-inf", "inf", "nan"],
+    "z",
+    [complex(6.0, math.inf), complex(math.inf, 0.0), complex(math.nan, 0.0),
+     complex(1.7e308, 1.7e308)],
+    ids=["im-inf", "inf", "nan", "modulus-overflows"],
 )
 def test_non_finite_z_is_refused(census4, z):
     # no finite tail bound holds there, and series_eval refuses before any
     # kernel runs (a RuntimeWarning would fail the test)
-    c_ls = fit_prefactor(census4, GrowthModel())
+    prefactor = fit_prefactor(census4, GrowthModel())
     with pytest.raises(InputError, match="is not finite"):
-        tail_bound(census4, z, GrowthModel(), c_ls)
+        tail_bound(census4, z, GrowthModel(), prefactor)
     with pytest.raises(InputError, match="is not finite"):
         series_eval(census4, z)
+
+
+@pytest.mark.parametrize("z", [1e307, 1.7e308])
+def test_extreme_abscissa_is_certified(census1, census4, z):
+    # Re z * radius overflows: the terms past the first underflow to 0, and
+    # the rounding slack stays finite (a RuntimeWarning would fail the test).
+    # On the cutoff-1 census the first slab starts at radius 0.
+    for census in (census1, census4):
+        sv = series_eval(census, z)
+        assert math.isfinite(sv.tail) and sv.tail >= 0.0
+        assert sv.value == pytest.approx(8.0 / z, rel=1e-15)  # the 8 compact elements
+    assert series_eval(census1, z).tail > 0.0
+
+
+def test_kernel_overflow_is_refused(census1, census4):
+    # e^{-z r} overflows for |Im z| r past the largest float: refused with z
+    # named, not a nan partial sum; at radius 0 alone (cutoff 1) it is finite
+    z = complex(6.0, 1e308)
+    with pytest.raises(InputError, match=r"z = \(6\+1e\+308j\) overflows the kernel"):
+        series_eval(census4, z)
+    sv = series_eval(census1, z)
+    assert math.isfinite(sv.value.imag) and math.isfinite(sv.tail)
 
 
 def test_contour_evaluator_matches_series(census8):
