@@ -7,9 +7,8 @@ Two families matter to callers (and to the CLI exit-code mapping):
   that cannot cover the requested range, or work that would blow the
   configured budget.  CLI exit code 1.
 * :class:`ConvergenceError` -- the request is well formed but the numeric
-  machinery cannot certify the asked-for accuracy: uncertifiable tails,
-  line integrals whose error estimate exceeds the tolerance.  CLI exit
-  code 2.
+  machinery cannot certify the asked-for accuracy: line integrals whose
+  error estimate exceeds the tolerance.  CLI exit code 2.
 """
 
 from __future__ import annotations
@@ -58,10 +57,6 @@ class BudgetError(InputError):
 
 class ConvergenceError(RuntimeError):
     """Requested accuracy cannot be certified.  Maps to CLI exit code 2."""
-
-
-class TailError(ConvergenceError):
-    """A truncation-tail certificate came out above the allowed bound."""
 
 
 class QuadratureError(ConvergenceError):

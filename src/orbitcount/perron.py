@@ -25,6 +25,7 @@ count from the census shell table; the total is the correctly rounded sum
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,7 @@ import numpy as np
 from .errors import CoverageError, InputError
 from .freespace import C_G, product_factor
 from .lattice import Census
-from .quadrature import LineIntegral, vertical_line_integral
+from .quadrature import LineIntegral, pointwise, vertical_line_integral
 
 #: abscissa of the contour oracle's line, right of the kernel's pole at 0
 PERRON_SIGMA = 1.0
@@ -40,14 +41,16 @@ PERRON_SIGMA = 1.0
 
 @dataclass(frozen=True)
 class SmoothingParams:
-    """Perron smoothing order ell >= 1 and step theta > 0."""
+    """Perron smoothing order ell >= 1 (of an integral type, not bool) and
+    step theta > 0."""
 
     ell: int = 2
     theta: float = 1.0
 
     def __post_init__(self):
-        if not (1 <= self.ell < math.inf and int(self.ell) == self.ell):  # inf, nan too
-            raise InputError(f"smoothing order ell must be an integer >= 1, got {self.ell}")
+        ell = self.ell  # math.factorial takes no float, even a whole one
+        if isinstance(ell, bool) or not isinstance(ell, numbers.Integral) or ell < 1:
+            raise InputError(f"smoothing order ell must be an integer >= 1, got {ell!r}")
         if not (self.theta > 0):
             raise InputError(f"smoothing step theta must be > 0, got {self.theta}")
         try:
@@ -98,7 +101,7 @@ def perron_contour_oracle(
     finite-T value is O(e^{sigma X}/T^{ell+1}).
     """
     return smoothing_contour_transform(
-        lambda zc, dz: 1.0 / (zc[:, None] + dz), X, params, sigma=PERRON_SIGMA, height=height
+        pointwise(lambda z: 1.0 / z), X, params, sigma=PERRON_SIGMA, height=height
     )
 
 
@@ -113,24 +116,34 @@ def smoothing_contour_transform(
 ) -> LineIntegral:
     """(1/(2 pi i)) int f(z) e^{zX} / prod_m (z + m theta) dz on the line.
 
-    ``f_of_z`` takes the quadrature's panel centres and shared node offsets,
-    ``f_of_z(zc, dz)``, and returns its values at ``zc[:, None] + dz`` (see
-    :mod:`orbitcount.quadrature`), as the factored series evaluator
+    ``f_of_z`` is a block integrand of :mod:`orbitcount.quadrature`:
+    ``f_of_z(dp, dz)`` takes the line's panel-centre and node offset tables
+    and returns ``block(z0, n)``, the values at ``z0 + dp[:n, None] + dz``,
+    as the factored series evaluator
     :func:`orbitcount.poincare.series_evaluator_for_contour` does.  The pole
     at z = 0 must live inside f itself if it has one (the series kernels do,
     via their 1/z); ``conj_symmetric`` (f(conj z) = conj f(z)) folds the
     line onto its upper half.  The Perron factor is factored, e^{zX} =
-    e^{zc X} e^{dz X}, so the phase roundoff of e^{itX} at large |tX| is
-    common to a panel's nodes and cancels out of their 15-vs-31-node
-    disagreement.  An error estimate over ``quadrature.RESULT_TOL`` is refused.
+    e^{z0 X} e^{dp X} e^{dz X}, with the last two built once per line, so a
+    block pays one exponential for it, and the phase roundoff of e^{itX} at
+    large |tX| is common to a panel's nodes and cancels out of their
+    15-vs-31-node disagreement.  An error estimate over
+    ``quadrature.RESULT_TOL`` is refused.
     """
     if not (math.isfinite(X) and math.isfinite(sigma) and 0 < height < math.inf):
         raise InputError(f"Perron contour needs height > 0 and finite X, sigma and "
                          f"height; got X = {X}, sigma = {sigma}, height = {height}")
 
-    def integrand(zc, dz):
-        perron = np.exp(zc * X)[:, None] * np.exp(dz * X)
-        return f_of_z(zc, dz) * perron / kernel_denominator(params, zc[:, None] + dz)
+    def integrand(dp, dz):
+        perron_dp, perron_dz = np.exp(dp * X), np.exp(dz * X)
+        f_block = f_of_z(dp, dz)
+
+        def block(z0, n):
+            perron = (np.exp(z0 * X) * perron_dp[:n])[:, None] * perron_dz
+            z = (z0 + dp[:n])[:, None] + dz
+            return f_block(z0, n) * perron / kernel_denominator(params, z)
+
+        return block
 
     width = min(1.0, 2.0 * math.pi / (4.0 * max(abs(X), 1e-2)))  # a quarter period of e^{itX}
     # a denominator past the largest float (large ell) makes a nan estimate,

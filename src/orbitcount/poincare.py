@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, TailError
+from .errors import InputError
 from .freespace import C_G, kernel, product_factor
 from .lattice import Census
 
@@ -100,9 +100,15 @@ def tail_bound(census: Census, z: complex, model: GrowthModel, prefactor: float)
 
     eps is a power of two, so it is applied inside the weights: that changes
     no bit unless a product is subnormal, and keeps every weight finite up
-    to the largest Re z, where the terms underflow to 0.
+    to the largest Re z, where the terms underflow to 0.  A term that
+    underflows is off by up to ``math.ulp(0.0)`` absolute, not relative, so
+    the slack has an absolute floor of (n + 2) ulp(0.0): one per term, two
+    for the remainder and the sum.  It changes the bits only of a bound that
+    is 0 or near the subnormal range, and no bound is 0.
 
     A z whose modulus is infinite or nan is refused: no bound certifies it.
+    So is a prefactor that is not a finite positive float, or one so large
+    that the bound overflows.
     """
     zc = complex(z)
     try:
@@ -111,6 +117,8 @@ def tail_bound(census: Census, z: complex, model: GrowthModel, prefactor: float)
         modulus = math.inf
     if not modulus < math.inf:
         raise InputError(f"|z| for z = {zc} is not finite; no tail bound can be certified")
+    if not 0.0 < prefactor < math.inf:
+        raise InputError(f"tail bound needs a finite positive prefactor, got {prefactor}")
     rez = zc.real
     a = model.sigma0 + model.eps
     if rez <= a / 2.0 + 0.1:
@@ -121,19 +129,25 @@ def tail_bound(census: Census, z: complex, model: GrowthModel, prefactor: float)
     log_q = a / 4.0 - rez / 2.0
     j = np.arange(math.ceil(math.log(1e-30) / log_q))
     lo = r0 + 0.5 * j  # slab bottom
-    with np.errstate(over="ignore"):  # Re z * lo past the largest float: a term of 0
+    # Re z * lo past the largest float is a term of 0; a prefactor past
+    # about 1e306 can make a term inf or nan, which the check below refuses
+    with np.errstate(over="ignore", invalid="ignore"):
         exponent = 0.5 * a * (lo + 0.5) - rez * lo
-    terms = (
-        model.safety * prefactor * np.exp(exponent)
-        * (C_G / modulus) * product_factor(lo)
-    )
+        terms = (
+            model.safety * prefactor * np.exp(exponent)
+            * (C_G / modulus) * product_factor(lo)
+        )
     q = math.exp(log_q)
-    total = math.fsum(terms.tolist() + [float(terms[-1]) * q / (1.0 - q)])
+    try:
+        total = math.fsum(terms.tolist() + [float(terms[-1]) * q / (1.0 - q)])
+    except OverflowError:  # finite terms whose sum passes the largest float
+        total = math.inf
     # rounding slack (docstring): |exponent error| <= 6 eps (a/2 + Re z) reach
     reach = r0 + 0.5 * (j + 1)
-    total += float(terms @ (_EPS * (j.size + 18) + 6.0 * _EPS * (0.5 * a + rez) * reach))
-    if not math.isfinite(total):
-        raise TailError("tail bound diverged; abscissa too small for the model")
+    total += (float(terms @ (_EPS * (j.size + 18) + 6.0 * _EPS * (0.5 * a + rez) * reach))
+              + (j.size + 2) * math.ulp(0.0))
+    if not total < math.inf:
+        raise InputError(f"prefactor {prefactor:g} overflows the tail bound at z = {zc}")
     return total
 
 
@@ -201,28 +215,34 @@ def _prefix_fsums(xs: list[float]) -> list[float]:
 
 
 def series_evaluator_for_contour(census: Census):
-    """Series value (identity point) on a contour-quadrature panel grid.
+    """Series value (identity point) as a contour-quadrature block integrand.
 
-    Returns ``f(zc, dz)``, the integrand form of
-    :func:`orbitcount.quadrature.vertical_line_integral`: the values at
-    z = zc[:, None] + dz, of shape (panels, nodes), of
+    Returns ``f(dp, dz)``, the integrand form of
+    :func:`orbitcount.quadrature.vertical_line_integral`, whose
+    ``block(z0, n)`` gives the values at z = z0 + dp[:n, None] + dz, of
+    shape (n, nodes), of
 
         sum_shells count * C_G * pf(r) * e^{-z r} / z.
 
-    Every node is a panel centre plus an offset shared by all panels, so
-    e^{-z r} = e^{-zc r} e^{-dz r} and one call is the matrix product
-    (weights * e^{-zc (x) r}) @ e^{-r (x) dz}: panels x shells plus
-    shells x nodes exponentials instead of one per (panel, node, shell).
-    Shell weights are computed once.  No abscissa gate here: on a vertical
-    line every z shares one Re z and the caller certifies the tail once at
-    that abscissa.
+    Every node is a block start plus a panel offset plus a node offset,
+    the last two shared by every block, so e^{-z r} = e^{-z0 r} e^{-dp r}
+    e^{-dz r}.  ``f`` builds weights * e^{-dp (x) r} and e^{-r (x) dz} once
+    per line; a block is then shells exponentials, one (n, shells) scaling
+    and the matrix product with the node table.  No abscissa gate here: on
+    a vertical line every z shares one Re z and the caller certifies the
+    tail once at that abscissa.
     """
     rads = census.shell_table.radius
     weights = census.shell_table.count * C_G * product_factor(rads)
 
-    def f(zc: np.ndarray, dz: np.ndarray) -> np.ndarray:
-        panel = weights * np.exp(-np.outer(zc, rads))
+    def f(dp: np.ndarray, dz: np.ndarray):
+        panel = weights * np.exp(-np.outer(dp, rads))
         node = np.exp(-np.outer(rads, dz))
-        return (panel @ node) / (zc[:, None] + dz)
+
+        def block(z0: complex, n: int) -> np.ndarray:
+            z = (z0 + dp[:n])[:, None] + dz
+            return ((panel[:n] * np.exp(-z0 * rads)) @ node) / z
+
+        return block
 
     return f

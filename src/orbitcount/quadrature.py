@@ -10,23 +10,28 @@ Two primitives:
   is refined: a result whose estimate exceeds ``RESULT_TOL``, the one
   absolute tolerance, raises :class:`~orbitcount.errors.QuadratureError`.
 
-  Because the panels share their width h, every node is z = zc_j + dz_k
-  with panel centre zc_j = sigma + i mid_j and a node offset dz_k = i h x_k
-  common to all panels.  The integrand receives the two factors,
-  ``f(zc, dz)``, and returns the (panels, nodes) array of values at
-  ``zc[:, None] + dz``.  A pointwise integrand builds that sum (bit for bit
-  the node sigma + i t); a sum of exponentials can instead factor
-  e^{-z r} = e^{-zc r} e^{-dz r} and pay one exponential per (panel, term)
-  and per (term, node) rather than per (panel, node, term).  Its one
-  caller, :func:`orbitcount.perron.smoothing_contour_transform`, factors
-  the Perron factor e^{zX} so too.
+  Because the panels share their width h, every node is
+  z = z0 + dp_j + dz_k: the block start z0 = sigma + i lo_s, a panel-centre
+  offset dp_j = i (j h + h/2) and a node offset dz_k = i (h/2) x_k, the last
+  two the same for every block.  The integrand is called once per line on
+  the two offset tables, ``f(dp, dz)``, and returns a block function;
+  ``block(z0, n)`` returns the (n, nodes) array of values at
+  ``z0 + dp[:n, None] + dz``.  A pointwise integrand (:func:`pointwise`)
+  evaluates at the nodes (z0 + dp[:n])[:, None] + dz, one broadcast add
+  per block with no (panels, nodes) table kept per line; a sum of
+  exponentials can instead factor e^{-z r} = e^{-z0 r} e^{-dp r} e^{-dz r},
+  build the last two tables once per line and pay one exponential per term
+  per block.  Its one caller,
+  :func:`orbitcount.perron.smoothing_contour_transform`, factors the
+  Perron factor e^{zX} so too.
 
-  The pass makes one ``f`` call per block of at most ``_PANEL_BLOCK``
-  panels, on the 46 offsets of both rules (the 15 nodes, then the 31),
-  whose columns are then split.  One call gives both rules, so a factored
-  integrand builds its per-panel factors once, not once per rule; and a
-  block bounds every (panels, nodes) temporary of the integrand and of the
-  sums, so memory does not grow with the height.
+  The pass calls the block function once per block of at most
+  ``_PANEL_BLOCK`` panels, on the 46 offsets of both rules (the 15 nodes,
+  then the 31), whose columns are then split; a partial last block
+  evaluates only its own rows.  One call gives both rules, so a factored
+  integrand scales its tables once, not once per rule; and a block bounds
+  every (panels, nodes) temporary of the integrand and of the sums, so
+  memory does not grow with the height.
 
 * :func:`cauchy_circle_residue` -- trapezoid rule on a small circle around
   an isolated pole.  The trapezoid rule on a periodic analytic integrand
@@ -75,25 +80,37 @@ class LineIntegral:
     panels: int
 
 
+def pointwise(g):
+    """The block integrand of ``g``, a function of an array of nodes z."""
+
+    def f(dp: np.ndarray, dz: np.ndarray):
+        return lambda z0, n: g((z0 + dp[:n])[:, None] + dz)
+
+    return f
+
+
 def _panel_values(f, sigma: float, lo: np.ndarray, width: float):
     """15- and 31-node Gauss-Legendre on each [lo_j, lo_j + width] panel.
 
-    One f call per block of at most ``_PANEL_BLOCK`` panels, on the 15-node
-    offsets followed by the 31-node ones.  Returns (15-node quadrature,
-    31-node quadrature, evaluation count).
+    One ``f(dp, dz)`` call for the line, then one block call per block of
+    at most ``_PANEL_BLOCK`` panels, on the 15-node offsets followed by the
+    31-node ones.  Returns (15-node quadrature, 31-node quadrature,
+    evaluation count).
     """
     x15, w15 = _gl_nodes(15)
     x31, w31 = _gl_nodes(31)
     half = 0.5 * width
-    mid = lo + half
+    rows = min(lo.size, _PANEL_BLOCK)
+    dp = 1j * (width * np.arange(rows) + half)
     dz = 1j * (half * np.concatenate((x15, x31)))
+    block = f(dp, dz)
     coarse = np.empty(lo.size, dtype=complex)
     fine = np.empty(lo.size, dtype=complex)
-    for s in range(0, lo.size, _PANEL_BLOCK):
-        block = slice(s, s + _PANEL_BLOCK)
-        vals = f(sigma + 1j * mid[block], dz)
-        coarse[block] = (vals[:, :15] * w15).sum(axis=1)
-        fine[block] = (vals[:, 15:] * w31).sum(axis=1)
+    for s in range(0, lo.size, rows):
+        n = min(rows, lo.size - s)
+        vals = block(complex(sigma, lo[s]), n)
+        coarse[s:s + n] = (vals[:, :15] * w15).sum(axis=1)
+        fine[s:s + n] = (vals[:, 15:] * w31).sum(axis=1)
     return coarse * half, fine * half, lo.size * dz.size
 
 
@@ -107,9 +124,10 @@ def vertical_line_integral(
 ) -> LineIntegral:
     """(1/(2 pi i)) * integral of f over sigma + i[-height, height].
 
-    ``f(zc, dz)`` gets the panel centres ``zc`` (shape (panels,)) and the
-    node offsets ``dz`` (shape (nodes,), shared by every panel of the call)
-    and returns its values at ``zc[:, None] + dz``.  When
+    ``f(dp, dz)`` gets the panel-centre offsets ``dp`` (shape (rows,)) and
+    the node offsets ``dz`` (shape (nodes,)), shared by every block, and
+    returns ``block(z0, n)``, the values at ``z0 + dp[:n, None] + dz`` for a
+    block that starts at z0 (see the module docstring).  When
     ``conj_symmetric`` (f(conj z) = conj f(z), true for every kernel here
     with real parameters), only t >= 0 is integrated and the mirror half is
     folded in as the conjugate, halving the work.

@@ -60,7 +60,7 @@ import numpy as np
 from .errors import InputError, PoleCollisionError
 from .freespace import NU, RHO_NORM
 from .perron import SmoothingParams, smoothing_contour_transform
-from .quadrature import LineIntegral, fsum_complex
+from .quadrature import LineIntegral, fsum_complex, pointwise
 
 #: tolerance below which two poles are treated as collided
 POLE_TOL = 1e-8
@@ -429,8 +429,7 @@ def global_contour_oracle(
 
     data = tuple(zip(ws.tolist(), (zarr * zarr).tolist()))
 
-    def kernel_sum(zc, dz):
-        z = zc[:, None] + dz
+    def kernel_sum(z):
         zz = z * z
         total = np.zeros_like(z)
         for w, zxi2 in data:
@@ -438,6 +437,6 @@ def global_contour_oracle(
         return total
 
     return smoothing_contour_transform(
-        kernel_sum, X, params, sigma=sigma, height=ORACLE_HEIGHT,
+        pointwise(kernel_sum), X, params, sigma=sigma, height=ORACLE_HEIGHT,
         conj_symmetric=bool(np.all((zarr.real == 0) | (zarr.imag == 0))),
     )

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from orbitcount import quadrature
 from orbitcount.errors import CoverageError, InputError
+from orbitcount.freespace import C_G, product_factor
 from orbitcount.perron import (
     SmoothingParams,
     kernel_denominator,
@@ -16,6 +18,7 @@ from orbitcount.perron import (
     smoothing_kernel,
 )
 from orbitcount.poincare import series_evaluator_for_contour
+from orbitcount.quadrature import pointwise
 from orbitcount.spectral import SpectralDatum, Spectrum, global_contour_oracle
 
 W1 = 0.19978820044686402  # (1 - e^{-1})^2 / 2! at ell = 2, theta = 1
@@ -24,9 +27,12 @@ W1 = 0.19978820044686402  # (1 - e^{-1})^2 / 2! at ell = 2, theta = 1
 def test_params_validation():
     with pytest.raises(InputError):
         SmoothingParams(ell=0)
-    for ell in (math.inf, math.nan):  # int(ell) would raise a bare error
+    # int(ell) would raise a bare error for inf and nan, and math.factorial
+    # for a whole float; bool is an Integral but not an order
+    for ell in (math.inf, math.nan, 2.0, np.float64(2.0), True):
         with pytest.raises(InputError, match="ell must be an integer"):
             SmoothingParams(ell=ell)
+    assert SmoothingParams(ell=np.int64(3)).normalization == 6.0
     with pytest.raises(InputError):
         SmoothingParams(theta=0.0)
     # W(u) divides by ell! theta^ell, which must be a finite positive float
@@ -94,33 +100,37 @@ def test_contour_oracle_negative_argument_vanishes():
 
 @pytest.mark.parametrize("X", [1.0, 20.0])
 def test_transform_integrand_is_the_pointwise_perron_factor(monkeypatch, X):
-    # the transform builds e^{zX} as e^{zc X} e^{dz X}; on the quadrature's
-    # panel grid of height 1000 that is f e^{zX} / q(z) at every node, up to
-    # the phase roundoff of e^{itX}: the two sides round t, tX and
-    # mid X, each by up to |tX| eps / 2 (at X = 20, 0.4% of the nodes
-    # exceed |tX| eps, by up to 1.25 times)
+    # the transform builds e^{zX} as e^{z0 X} e^{dp X} e^{dz X}; on the
+    # quadrature's blocks of a line of height 1000 that is f e^{zX} / q(z) at
+    # every node z = (z0 + dp) + dz, up to the phase roundoff of e^{itX}: the
+    # two sides round tX, lo X, dp X and dz X, each by up to |tX| eps / 2
     sm = SmoothingParams(ell=2, theta=1.0)
     seen = {}
     monkeypatch.setattr(
         "orbitcount.perron.vertical_line_integral", lambda f, *_a, **_k: seen.update(f=f)
     )
-
-    def f(zc, dz):
-        return 1.0 / (zc[:, None] + dz)
+    f = pointwise(lambda z: 1.0 / z)
 
     smoothing_contour_transform(f, X, sm, sigma=1.0, height=1000.0)
     n = math.ceil(1000.0 / min(1.0, math.pi / (2.0 * X)))
-    half = 0.5 * 1000.0 / n
-    zc = 1.0 + 1j * (2.0 * half * np.arange(n) + half)
-    dz = 1j * half * np.concatenate([np.polynomial.legendre.leggauss(k)[0] for k in (15, 31)])
-    got = seen["f"](zc, dz)
-    z = zc[:, None] + dz
-    want = f(zc, dz) * np.exp(z * X) / kernel_denominator(sm, z)
-    rel = np.abs(got - want) / np.abs(want)
-    if X == 1.0:
-        assert rel.max() <= 1e-13
-    else:
-        assert np.all(rel <= (64.0 + 2.0 * np.abs(z.imag * X)) * np.finfo(float).eps)
+    width = 1000.0 / n
+    rows = min(n, quadrature._PANEL_BLOCK)
+    dp = 1j * (width * np.arange(rows) + 0.5 * width)
+    dz = 1j * (0.5 * width) * np.concatenate(
+        [np.polynomial.legendre.leggauss(k)[0] for k in (15, 31)]
+    )
+    block, f_block = seen["f"](dp, dz), f(dp, dz)
+    for s in range(0, n, rows):
+        m = min(rows, n - s)
+        z0 = complex(1.0, width * s)
+        got = block(z0, m)
+        z = (z0 + dp[:m])[:, None] + dz
+        want = f_block(z0, m) * np.exp(z * X) / kernel_denominator(sm, z)
+        rel = np.abs(got - want) / np.abs(want)
+        if X == 1.0:
+            assert rel.max() <= 1e-13
+        else:
+            assert np.all(rel <= (64.0 + 2.0 * np.abs(z.imag * X)) * np.finfo(float).eps)
 
 
 def _never(*_a, **_k):
@@ -189,6 +199,43 @@ def test_bridge_at_height_4000(census8):
     assert abs(li.value.real - direct.value) <= 1e-6
     # the benchmark runs this contour: keep it far under RESULT_TOL
     assert li.error_estimate <= 1e-12
+
+
+def test_factored_bridge_integrand_is_pointwise(census8, monkeypatch):
+    # The series evaluator and the Perron factor split every node into a
+    # block start, a panel offset and a node offset.  On a line of 2.5
+    # blocks, the transform's values must still be the pointwise
+    # sum count pf(r) e^{-zr} / z * e^{zX} / q(z) at every node, and the
+    # partial last block must carry only its own rows.
+    monkeypatch.setattr(quadrature, "_PANEL_BLOCK", 8)
+    sm, X = SmoothingParams(ell=2, theta=1.0), 1.0
+    blocks = []
+
+    def spy(f, *args, **kwargs):
+        def recording(dp, dz):
+            values = f(dp, dz)
+
+            def block(z0, n):
+                vals = values(z0, n)
+                blocks.append(((z0 + dp[:n])[:, None] + dz, vals))
+                return vals
+
+            return block
+
+        return quadrature.vertical_line_integral(recording, *args, **kwargs)
+
+    monkeypatch.setattr("orbitcount.perron.vertical_line_integral", spy)
+    f = series_evaluator_for_contour(census8)
+    li = smoothing_contour_transform(f, X, sm, sigma=7.0, height=20.0)
+    assert [vals.shape for _z, vals in blocks] == [(8, 46), (8, 46), (4, 46)]
+    assert li.panels == 20
+
+    t = census8.shell_table
+    weights = t.count * C_G * product_factor(t.radius)
+    for z, vals in blocks:
+        series = np.exp(-z[..., None] * t.radius) @ weights / z
+        want = series * np.exp(z * X) / kernel_denominator(sm, z)
+        assert np.max(np.abs(vals - want) / np.abs(want)) <= 1e-13
 
 
 def test_bridge_memory_does_not_grow_with_height(census8, peak_bytes):

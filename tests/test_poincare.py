@@ -152,16 +152,33 @@ def test_non_finite_z_is_refused(census4, z):
         series_eval(census4, z)
 
 
-@pytest.mark.parametrize("z", [1e307, 1.7e308])
+@pytest.mark.parametrize("z", [1e6, 1e307, 1.7e308])
 def test_extreme_abscissa_is_certified(census1, census4, z):
-    # Re z * radius overflows: the terms past the first underflow to 0, and
-    # the rounding slack stays finite (a RuntimeWarning would fail the test).
-    # On the cutoff-1 census the first slab starts at radius 0.
+    # Re z * radius overflows or underflows: the terms past the first (all
+    # of them on the cutoff-4 census) underflow to 0, and the rounding slack
+    # stays finite (a RuntimeWarning would fail the test).  Every true term
+    # is positive, so the bound keeps its absolute floor above 0.  On the
+    # cutoff-1 census the first slab starts at radius 0.
     for census in (census1, census4):
         sv = series_eval(census, z)
-        assert math.isfinite(sv.tail) and sv.tail >= 0.0
+        assert math.isfinite(sv.tail) and sv.tail > 0.0
         assert sv.value == pytest.approx(8.0 / z, rel=1e-15)  # the 8 compact elements
-    assert series_eval(census1, z).tail > 0.0
+
+
+@pytest.mark.parametrize("prefactor", [math.inf, math.nan, 0.0, -1.0])
+def test_prefactor_must_be_finite_and_positive(census4, prefactor):
+    with pytest.raises(InputError, match="finite positive prefactor"):
+        tail_bound(census4, 6.0, GrowthModel(), prefactor)
+
+
+def test_prefactor_that_overflows_the_bound_is_refused(census1, census4):
+    # finite, but the slab terms overflow (1e308) or their sum does (1e307
+    # near the least abscissa, where the cutoff-1 slabs start at radius 0):
+    # refused, not a bare OverflowError or an infinite bound
+    for census, prefactor, z in ((census4, 1e308, 6.0), (census4, 1e308, 1e307),
+                                 (census1, 1e307, 2.2251)):
+        with pytest.raises(InputError, match="overflows the tail bound"):
+            tail_bound(census, z, GrowthModel(), prefactor)
 
 
 def test_kernel_overflow_is_refused(census1, census4):
@@ -175,14 +192,15 @@ def test_kernel_overflow_is_refused(census1, census4):
 
 
 def test_contour_evaluator_matches_series(census8):
-    # the factored evaluator on a (panel centre, node offset) grid agrees
-    # with the shell-by-shell series at every node z = zc + dz
-    f = series_evaluator_for_contour(census8)
-    zc = np.array([6.0 + 0j, 6.5 + 0j, 7.0 + 2.0j])
-    dz = np.array([0.0j, 0.375j])
-    out = f(zc, dz)
-    assert out.shape == (3, 2)
-    for j in range(zc.size):
-        for k in range(dz.size):
-            want = series_eval(census8, zc[j] + dz[k]).value
-            assert abs(out[j, k] - want) <= 1e-12 * abs(want)
+    # the factored evaluator on (block start, panel offset, node offset)
+    # agrees with the shell-by-shell series at every node z0 + dp + dz, on
+    # full blocks and on a partial one that evaluates its first rows only
+    dp, dz = np.array([0.5j, 1.5j, 2.5j]), np.array([0.0j, 0.375j])
+    block = series_evaluator_for_contour(census8)(dp, dz)
+    for z0, n in ((6.0 + 0j, 3), (6.5 - 2.0j, 3), (7.0 + 2.0j, 2)):
+        out = block(z0, n)
+        assert out.shape == (n, 2)
+        for j in range(n):
+            for k in range(dz.size):
+                want = series_eval(census8, z0 + dp[j] + dz[k]).value
+                assert abs(out[j, k] - want) <= 1e-12 * abs(want)

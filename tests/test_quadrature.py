@@ -6,14 +6,19 @@ import pytest
 
 from orbitcount import quadrature
 from orbitcount.errors import QuadratureError
-from orbitcount.quadrature import cauchy_circle_residue, fsum_complex, vertical_line_integral
+from orbitcount.quadrature import (
+    cauchy_circle_residue,
+    fsum_complex,
+    pointwise,
+    vertical_line_integral,
+)
 
 W1 = 0.19978820044686402  # (1 - e^{-1})^2 / 2, the closed-form transform at X=1
 
 
-def _bromwich_integrand(zc, dz):
+@pointwise
+def _bromwich_integrand(z):
     # e^{zX} / (z (z+1) (z+2)) at X = 1; left closure sums to W1
-    z = zc[:, None] + dz
     return np.exp(z) / (z * (z + 1.0) * (z + 2.0))
 
 
@@ -49,7 +54,7 @@ def test_rejects_bad_height():
 
 def test_too_many_first_level_panels_are_refused_before_f_is_called():
     # height 1e8 at width 1 would be 1e8 panels, about 200 GB of node values
-    def never(zc, dz):
+    def never(dp, dz):
         raise AssertionError("integrand called")
 
     with pytest.raises(QuadratureError, match="needs 100000000 panels .* cap of 131072"):
@@ -60,8 +65,8 @@ def test_unresolvable_integrand_raises_not_hangs(monkeypatch):
     # oscillation far below panel scale: the estimate must refuse it cleanly
     monkeypatch.setattr(quadrature, "RESULT_TOL", 1e-12)
 
-    def rough(zc, dz):
-        z = zc[:, None] + dz
+    @pointwise
+    def rough(z):
         return np.sin(2e6 * z.imag) + 0j
 
     with pytest.raises(QuadratureError):
@@ -72,8 +77,8 @@ def test_estimate_over_the_tolerance_is_refused(monkeypatch):
     # Nothing is refined, so the summed 15-vs-31 estimate is the only
     # acceptance rule: a result is refused exactly when it exceeds
     # RESULT_TOL, however large and smooth the integrand.
-    def big(zc, dz):
-        z = zc[:, None] + dz
+    @pointwise
+    def big(z):
         return 1e8 * np.exp(z) / (z * (z + 1.0) * (z + 2.0))
 
     monkeypatch.setattr(quadrature, "RESULT_TOL", 1.0)
@@ -93,12 +98,17 @@ def _record_pole_line(monkeypatch, height=20.0, block=16):
     # resolves, and a small block that splits the pass into several calls.
     monkeypatch.setattr(quadrature, "_PANEL_BLOCK", block)
     pole = 0.0 + 3.3j
-    calls = []
+    tables, calls = [], []
 
-    def recording(zc, dz):
-        vals = 1.0 / ((zc[:, None] + dz) - pole)
-        calls.append((zc.copy(), dz.copy(), vals))
-        return vals
+    def recording(dp, dz):
+        tables.append((dp.copy(), dz.copy()))
+
+        def values(z0, n):
+            vals = 1.0 / (z0 + dp[:n, None] + dz - pole)
+            calls.append((z0, n, vals))
+            return vals
+
+        return values
 
     li = vertical_line_integral(
         recording, 1.0, height, panel_width=0.7, conj_symmetric=False
@@ -106,41 +116,75 @@ def _record_pole_line(monkeypatch, height=20.0, block=16):
     # Re(z - pole) > 0 on the line, so the principal log is continuous there
     want = (np.log(1.0 + height * 1j - pole) - np.log(1.0 - height * 1j - pole)) / (2j * np.pi)
     assert abs(li.value - want) <= 1e-9
-    return li, calls
+    return li, tables, calls
 
 
 def test_every_call_gets_one_shared_offset_row(monkeypatch):
-    # Every call must get the same 1-D offsets dz = i h [x15, x31] on the 15-
-    # and then the 31-node Gauss-Legendre nodes, with h the half-width of the
-    # one panel grid, and at most a block of centres zc on the line, all
-    # blocks full but the last; and nothing else may be evaluated.
+    # f is called once per line, on the panel-centre offsets dp = i (j w +
+    # w/2) of one block and the 1-D node offsets dz = i h [x15, x31] on the
+    # 15- and then the 31-node Gauss-Legendre nodes, with w = 2h the width
+    # of the one panel grid.  Each block starts at sigma + i lo_s, the
+    # lower edge of its first panel, and covers at most a block of rows,
+    # all blocks full but the last; nothing else may be evaluated.
     height, block = 20.0, 16
-    li, calls = _record_pole_line(monkeypatch, height, block)
-    assert li.evaluations == sum(zc.size * dz.size for zc, dz, _ in calls)
+    li, tables, calls = _record_pole_line(monkeypatch, height, block)
+    assert len(tables) == 1
+    dp, dz = tables[0]
+    assert li.evaluations == sum(n * dz.size for _z0, n, _v in calls)
 
     x = np.concatenate([np.polynomial.legendre.leggauss(n)[0] for n in (15, 31)])
-    h = height / np.ceil(2 * height / 0.7)
-    for zc, dz, _ in calls:
-        assert 1 <= zc.size <= block and np.all(zc.real == 1.0)
-        assert np.array_equal(dz, calls[0][1])
-        assert dz.shape == (46,) and np.all(dz.real == 0.0)
-        assert np.allclose(dz.imag, h * x, rtol=1e-15, atol=0.0)
-    assert all(zc.size == block for zc, _dz, _ in calls[:-1])
+    n_panels = np.ceil(2 * height / 0.7)
+    w = 2 * height / n_panels
+    assert dz.shape == (46,) and np.all(dz.real == 0.0)
+    assert np.allclose(dz.imag, 0.5 * w * x, rtol=1e-15, atol=0.0)
+    assert dp.shape == (block,) and np.all(dp.real == 0.0)
+    assert np.allclose(dp.imag, w * (np.arange(block) + 0.5), rtol=1e-15, atol=0.0)
+    start = 0
+    for z0, n, vals in calls:
+        assert 1 <= n <= block and vals.shape == (n, 46)
+        assert z0.real == 1.0 and z0.imag == pytest.approx(-height + start * w, abs=1e-12)
+        start += n
+    assert all(n == block for _z0, n, _v in calls[:-1])
     assert len(calls) >= 3  # the pass did split into blocks
-    assert sum(zc.size for zc, _dz, _ in calls) == li.panels
+    assert start == li.panels == n_panels
 
 
 def test_value_is_the_fsum_of_the_accepted_panels(monkeypatch):
-    # Rebuild every panel's 31-node value from the integrand calls.  The
+    # Rebuild every panel's 31-node value from the block values.  The
     # value must be the correctly rounded sum of them, in any order.
     height, n_panels = 20.0, np.ceil(2 * 20.0 / 0.7)
-    li, calls = _record_pole_line(monkeypatch, height)
+    li, _tables, calls = _record_pole_line(monkeypatch, height)
     w = np.polynomial.legendre.leggauss(31)[1]
     half = 0.5 * (2 * height / n_panels)
-    panels = np.concatenate([(vals[:, 15:] * w).sum(axis=1) * half for _zc, _dz, vals in calls])
+    panels = np.concatenate([(vals[:, 15:] * w).sum(axis=1) * half for _z0, _n, vals in calls])
     assert panels.size == li.panels == n_panels
     for order in (panels, panels[::-1], np.random.default_rng(3).permutation(panels)):
         assert li.value == fsum_complex(order) / (2.0 * np.pi)
+
+
+def test_blocks_cover_exactly_the_line(monkeypatch):
+    # A line of 2.5 blocks: the blocks abut, cover li.panels panels between
+    # them, and the partial last block evaluates only the rows that are on
+    # the line, none past its top.
+    monkeypatch.setattr(quadrature, "_PANEL_BLOCK", 8)
+    blocks = []
+
+    def recording(dp, dz):
+        width = 2.0 * dp[0].imag
+        inner = _bromwich_integrand(dp, dz)
+
+        def values(z0, n):
+            blocks.append((z0.imag, z0.imag + n * width, n))
+            return inner(z0, n)
+
+        return values
+
+    li = vertical_line_integral(recording, 1.0, 20.0, panel_width=1.0)
+    assert li.panels == 20 and [n for _lo, _hi, n in blocks] == [8, 8, 4]
+    assert sum(n for _lo, _hi, n in blocks) == li.panels
+    assert blocks[0][0] == 0.0 and blocks[-1][1] == pytest.approx(20.0, rel=1e-15)
+    for (_lo, hi, _n), (lo, _hi, _m) in zip(blocks, blocks[1:]):
+        assert lo == pytest.approx(hi, rel=1e-15)
 
 
 def test_cached_nodes_are_read_only():

@@ -153,10 +153,11 @@ def test_global_oracle_integrand_is_the_factored_kernel(monkeypatch, nu):
 
     monkeypatch.setattr("orbitcount.perron.vertical_line_integral", record)
     global_contour_oracle(_spectrum(zs, ws), X, SM, nu)
-    zc = seen["sigma"] + 1j * np.linspace(-400.0, 400.0, 161)
+    z0 = complex(seen["sigma"], -400.0)
+    dp = 1j * np.linspace(0.0, 800.0, 161)
     dz = 1j * np.array([-0.4, -0.1, 0.0, 0.05, 0.3, 0.45])
-    got = seen["f"](zc, dz)
-    z = zc[:, None] + dz
+    got = seen["f"](dp, dz)(z0, dp.size)
+    z = (z0 + dp)[:, None] + dz
     want = np.exp(z * X) * sum(
         w / ((z - z_xi) ** nu * (z + z_xi) ** nu) for z_xi, w in zip(zs, ws)
     ) / kernel_denominator(SM, z)
