@@ -127,7 +127,7 @@ def smoothing_contour_transform(
     e^{z0 X} e^{dp X} e^{dz X}, with the last two built once per line, so a
     block pays one exponential for it, and the phase roundoff of e^{itX} at
     large |tX| is common to a panel's nodes and cancels out of their
-    15-vs-31-node disagreement.  An error estimate over
+    K31-vs-G15 disagreement.  An error estimate over
     ``quadrature.RESULT_TOL`` is refused.
     """
     if not (math.isfinite(X) and math.isfinite(sigma) and 0 < height < math.inf):

@@ -4,11 +4,14 @@ Two primitives:
 
 * :func:`vertical_line_integral` -- (1/(2 pi i)) times the integral of an
   integrand along the segment sigma + i [-T, T], in one pass of composite
-  Gauss-Legendre panels of one width, laid out from (T, panel width) alone.
-  The value sums each panel's 31-node rule and the error estimate its
-  15-vs-31-node disagreement (:func:`fsum_complex` / ``math.fsum``).  Nothing
-  is refined: a result whose estimate exceeds ``RESULT_TOL``, the one
-  absolute tolerance, raises :class:`~orbitcount.errors.QuadratureError`.
+  Gauss-Kronrod panels of one width, laid out from (T, panel width) alone.
+  Each panel carries the nested pair of QUADPACK's ``qk31``: the 31-node
+  Kronrod rule K31, exact to degree 47, whose odd nodes are those of the
+  15-node Gauss-Legendre rule G15, so one set of 31 values serves both.
+  The value sums each panel's K31 rule and the error estimate its
+  |K31 - G15| (:func:`fsum_complex` / ``math.fsum``).  Nothing is refined:
+  a result whose estimate exceeds ``RESULT_TOL``, the one absolute
+  tolerance, raises :class:`~orbitcount.errors.QuadratureError`.
 
   Because the panels share their width h, every node is
   z = z0 + dp_j + dz_k: the block start z0 = sigma + i lo_s, a panel-centre
@@ -26,8 +29,8 @@ Two primitives:
   Perron factor e^{zX} so too.
 
   The pass calls the block function once per block of at most
-  ``_PANEL_BLOCK`` panels, on the 46 offsets of both rules (the 15 nodes,
-  then the 31), whose columns are then split; a partial last block
+  ``_PANEL_BLOCK`` panels, on the 31 Kronrod node offsets, sorted and
+  exactly symmetric; G15 reads the odd columns.  A partial last block
   evaluates only its own rows.  One call gives both rules, so a factored
   integrand scales its tables once, not once per rule; and a block bounds
   every (panels, nodes) temporary of the integrand and of the sums, so
@@ -44,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -61,13 +63,42 @@ def fsum_complex(xs) -> complex:
     return complex(math.fsum(z.real.tolist()), math.fsum(z.imag.tolist()))
 
 
-@lru_cache(maxsize=8)
-def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    # every call shares these arrays: an integrand that wrote into them
-    # would corrupt every later integral
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+# The 15-point Gauss-Legendre rule and its 31-point Kronrod extension on
+# [-1, 1] (Kronrod 1965; QUADPACK's qk31 table), rounded from 60-digit
+# values: the nodes x >= 0 in increasing order with their K31 weights, and
+# the G15 weights of the Gauss nodes among them, x = 0 and every second
+# node after it.
+_X_HALF = (
+    0.0, 0.1011420669187175, 0.20119409399743451, 0.29918000715316884,
+    0.3941513470775634, 0.4850818636402397, 0.5709721726085388, 0.650996741297417,
+    0.7244177313601701, 0.790418501442466, 0.8482065834104272, 0.8972645323440819,
+    0.937273392400706, 0.9677390756791391, 0.9879925180204854, 0.9980022986933971,
+)
+_K31_HALF = (
+    0.10133000701479154, 0.10076984552387559, 0.09917359872179196, 0.09664272698362368,
+    0.09312659817082532, 0.08856444305621176, 0.08308050282313302, 0.07684968075772038,
+    0.06985412131872826, 0.06200956780067064, 0.05348152469092809, 0.04458975132476488,
+    0.03534636079137585, 0.02546084732671532, 0.015007947329316122, 0.005377479872923349,
+)
+_G15_HALF = (
+    0.2025782419255613, 0.19843148532711158, 0.1861610000155622, 0.16626920581699392,
+    0.13957067792615432, 0.10715922046717194, 0.07036604748810812, 0.03075324199611727,
+)
+
+
+def _mirrored(half, sign: float) -> np.ndarray:
+    """The whole rule's column from its x >= 0 half, read-only: every line
+    shares it, so an integrand that wrote into it would corrupt every later
+    integral."""
+    h = np.array(half)
+    full = np.concatenate((sign * h[:0:-1], h))
+    full.flags.writeable = False
+    return full
+
+
+_NODES = _mirrored(_X_HALF, -1.0)  # sorted; x[30 - k] == -x[k]
+_K31_WEIGHTS = _mirrored(_K31_HALF, 1.0)
+_G15_WEIGHTS = _mirrored(_G15_HALF, 1.0)  # of the Gauss nodes _NODES[1::2]
 
 
 @dataclass(frozen=True)
@@ -90,28 +121,26 @@ def pointwise(g):
 
 
 def _panel_values(f, sigma: float, lo: np.ndarray, width: float):
-    """15- and 31-node Gauss-Legendre on each [lo_j, lo_j + width] panel.
+    """The nested G15/K31 pair on each [lo_j, lo_j + width] panel.
 
     One ``f(dp, dz)`` call for the line, then one block call per block of
-    at most ``_PANEL_BLOCK`` panels, on the 15-node offsets followed by the
-    31-node ones.  Returns (15-node quadrature, 31-node quadrature,
-    evaluation count).
+    at most ``_PANEL_BLOCK`` panels, on the 31 Kronrod node offsets; the
+    odd columns are the Gauss nodes.  Returns (G15 quadrature, K31
+    quadrature, evaluation count).
     """
-    x15, w15 = _gl_nodes(15)
-    x31, w31 = _gl_nodes(31)
     half = 0.5 * width
     rows = min(lo.size, _PANEL_BLOCK)
     dp = 1j * (width * np.arange(rows) + half)
-    dz = 1j * (half * np.concatenate((x15, x31)))
+    dz = 1j * (half * _NODES)
     block = f(dp, dz)
-    coarse = np.empty(lo.size, dtype=complex)
-    fine = np.empty(lo.size, dtype=complex)
+    gauss = np.empty(lo.size, dtype=complex)
+    kronrod = np.empty(lo.size, dtype=complex)
     for s in range(0, lo.size, rows):
         n = min(rows, lo.size - s)
         vals = block(complex(sigma, lo[s]), n)
-        coarse[s:s + n] = (vals[:, :15] * w15).sum(axis=1)
-        fine[s:s + n] = (vals[:, 15:] * w31).sum(axis=1)
-    return coarse * half, fine * half, lo.size * dz.size
+        gauss[s:s + n] = (vals[:, 1::2] * _G15_WEIGHTS).sum(axis=1)
+        kronrod[s:s + n] = (vals * _K31_WEIGHTS).sum(axis=1)
+    return gauss * half, kronrod * half, lo.size * dz.size
 
 
 def vertical_line_integral(
@@ -132,10 +161,10 @@ def vertical_line_integral(
     with real parameters), only t >= 0 is integrated and the mirror half is
     folded in as the conjugate, halving the work.
 
-    One pass over panels of at most panel_width; the error estimate is the
-    summed 15-vs-31 node disagreement.  QuadratureError when that estimate
-    exceeds RESULT_TOL, or when the line needs over ``_MAX_PANELS`` panels
-    (before f is called).
+    One pass over panels of at most panel_width; the value is the sum of
+    the K31 panels and the error estimate the summed |K31 - G15| of the
+    nested pair.  QuadratureError when that estimate exceeds RESULT_TOL, or
+    when the line needs over ``_MAX_PANELS`` panels (before f is called).
     """
     if height <= 0:
         raise QuadratureError("contour height must be positive")
@@ -150,9 +179,9 @@ def vertical_line_integral(
     width = (height - t_lo) / n_panels
     lo = t_lo + width * np.arange(n_panels)
 
-    coarse, fine, evals = _panel_values(f, sigma, lo, width)
-    err_total = math.fsum(np.abs(fine - coarse).tolist())
-    raw = fsum_complex(fine)
+    gauss, kronrod, evals = _panel_values(f, sigma, lo, width)
+    err_total = math.fsum(np.abs(kronrod - gauss).tolist())
+    raw = fsum_complex(kronrod)
     # (1/(2 pi i)) * integral f dz with dz = i dt is (1/(2 pi)) * integral f dt.
     if conj_symmetric:
         # The [-T, 0] half mirrors to the conjugate, so the t-integral over

@@ -108,17 +108,22 @@ def torus_kernel(params: TorusParams, r) -> np.ndarray:
     if np.any(r < 0):
         raise InputError("radius must be >= 0")
     n, nu = params.n, params.nu
-    # TorusParams refuses 2 nu <= n: (n, nu) is (1, 1), (1, 2), (2, 2) or (3, 2)
-    if nu == 1:
-        out = np.exp(-k * r) / (2.0 * k)
+    # TorusParams refuses 2 nu <= n: (n, nu) is (1, 1), (1, 2), (2, 2) or (3, 2).
+    # The kernel is e^{-kappa r} (or r K_1) over this constant, and for n = 2
+    # its r = 0 limit is 1 / (4 pi kappa^2)
+    const = {(1, 1): 2.0 * k, (1, 2): 4.0 * k * k * k,
+             (2, 2): 4.0 * math.pi * k * k, (3, 2): 8.0 * math.pi * k}[n, nu]
+    if not const < math.inf:
+        raise InputError(f"lambda = {params.lam:g} is out of range: the kernel "
+                         f"constant of (n, nu) = ({n}, {nu}) overflows")
+    if nu == 1 or n == 3:
+        out = np.exp(-k * r) / const
     elif n == 1:
-        out = np.exp(-k * r) * (1.0 + k * r) / (4.0 * k**3)
-    elif n == 2:
-        pos = r > 0
-        out = np.full_like(r, 1.0 / (4.0 * math.pi * k * k))  # the r = 0 limit
-        out[pos] = r[pos] * bessel_k1(k * r[pos]) / (4.0 * math.pi * k)
+        out = np.exp(-k * r) * (1.0 + k * r) / const
     else:
-        out = np.exp(-k * r) / (8.0 * math.pi * k)
+        pos = r > 0
+        out = np.full_like(r, 1.0 / const)
+        out[pos] = r[pos] * bessel_k1(k * r[pos]) / (4.0 * math.pi * k)
     return out
 
 
@@ -171,7 +176,11 @@ def _geometric_tail(params: TorusParams, M: int) -> float:
         )
     s = np.arange(M + 1, shells[i] + 1)
     t = _shell_count(n, s) * torus_kernel(params, s - 0.5)
-    return float(np.sum(t)) + float(t[-1]) * q(shells[i]) / (1.0 - q(shells[i]))
+    # every t_s is positive, but underflows to 0 at a large kappa: each
+    # term and the remainder are off by up to ulp(0.0) absolute, so no
+    # bound is 0
+    return (float(np.sum(t)) + float(t[-1]) * q(shells[i]) / (1.0 - q(shells[i]))
+            + (t.size + 2) * math.ulp(0.0))
 
 
 def _euler_maclaurin_tail(params: TorusParams, a: float) -> tuple[float, float]:
@@ -191,8 +200,9 @@ def _euler_maclaurin_tail(params: TorusParams, a: float) -> tuple[float, float]:
     else:
         # 2 * (1/(2 pi)) * [F(inf) - F(w)],
         # F(u) = u/(2 k^2 (u^2 + k^2)) + atan(u/k)/(2 k^3)
-        f_at = w / (2.0 * k * k * (w * w + k * k)) + math.atan(w / k) / (2.0 * k**3)
-        integral = (math.pi / (4.0 * k**3) - f_at) / math.pi
+        k3 = k * k * k  # inf, not OverflowError, past the float range
+        f_at = w / (2.0 * k * k * (w * w + k * k)) + math.atan(w / k) / (2.0 * k3)
+        integral = (math.pi / (4.0 * k3) - f_at) / math.pi
     em = integral + u ** (-nu) - f1 / 12.0 + f3 / 720.0  # u^-nu = f(a) / 2
     return em, _EM_ZETA4_FACTOR * abs(f3)
 
@@ -252,6 +262,10 @@ def torus_identity_check(params: TorusParams, x) -> TorusComparison:
     g, g_tail = torus_geometric_side(params, xa)
     s, s_tail, accel = torus_spectral_side(params, xa)
     budget = g_tail + s_tail + 5e-13 * (1.0 + abs(g) + abs(s))
+    if not all(math.isfinite(v) for v in (g, g_tail, s, s_tail, budget)):
+        # e.g. 3u overflows while u^{-4} underflows in the Euler-Maclaurin f'''
+        raise InputError(f"lambda = {params.lam:g} is out of range: a side, tail or "
+                         f"budget of (n, nu) = ({params.n}, {params.nu}) is not finite")
     return TorusComparison(
         x=tuple(float(v) for v in xa),
         geometric=g,

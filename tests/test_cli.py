@@ -546,6 +546,32 @@ def test_oracle_torus_divergent_exits_1():
     assert "convergent" in r.stderr
 
 
+@pytest.mark.parametrize("n,nu", [("1", "1"), ("1", "2"), ("2", "2"), ("3", "2")])
+def test_oracle_torus_extreme_lambda_exits_0_or_1(capsys, n, nu):
+    # a nan side used to die in json.dumps, and an overflowing kernel
+    # constant in an OverflowError, each with a traceback
+    for lam in ("-1e10", "-1e205", "-1e300", "-1e308"):
+        code = cli.main(["oracle-torus", "--n", n, "--nu", nu, "--lam", lam])
+        out = capsys.readouterr()
+        assert code in (0, 1), (lam, out.err)
+        if code == 0:
+            assert "NaN" not in out.out and out.err == ""
+            assert json.loads(out.out)["torus"]["geometric_tail"] > 0.0
+        else:
+            lines = out.err.splitlines()
+            assert len(lines) == 1 and f"lambda = {float(lam):g} is out of range" in lines[0]
+            assert out.out == ""
+
+
+def test_oracle_torus_out_of_range_lambda_prints_no_traceback():
+    r = run_cli("oracle-torus", "--n", "1", "--nu", "1", "--lam", "-1e308")
+    assert r.returncode == 1
+    assert r.stderr.splitlines() == [
+        "error: lambda = -1e+308 is out of range: a side, tail or budget of "
+        "(n, nu) = (1, 1) is not finite"
+    ]
+
+
 def test_perron_check():
     r = run_cli("perron-check", "--u", "1.0")
     assert r.returncode == 0, r.stderr
@@ -558,7 +584,8 @@ def test_perron_check():
 
 def test_perron_check_refuses_an_estimate_over_the_tolerance(capsys):
     # The integrand grows like e^{sigma u}, and so does its roundoff: at the
-    # default height 1000 the 15-vs-31 estimate passes 1e-9 near u = 17.5.
+    # default height 1000 the G15-vs-K31 estimate passes 1e-9 between
+    # u = 18 (8.6e-10) and 18.5 (1.1e-9).
     # u = 20, 30 and 50 used to exit 0 with estimates 1.8e-8, 4.3e-4 and
     # 2.1e5, the last with a contour of -3.9e8 against a closed form of 0.5.
     doc = _report(capsys, ["perron-check", "--u", "15"])["perron"]

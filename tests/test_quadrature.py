@@ -74,7 +74,7 @@ def test_unresolvable_integrand_raises_not_hangs(monkeypatch):
 
 
 def test_estimate_over_the_tolerance_is_refused(monkeypatch):
-    # Nothing is refined, so the summed 15-vs-31 estimate is the only
+    # Nothing is refined, so the summed G15-vs-K31 estimate is the only
     # acceptance rule: a result is refused exactly when it exceeds
     # RESULT_TOL, however large and smooth the integrand.
     @pointwise
@@ -121,27 +121,29 @@ def _record_pole_line(monkeypatch, height=20.0, block=16):
 
 def test_every_call_gets_one_shared_offset_row(monkeypatch):
     # f is called once per line, on the panel-centre offsets dp = i (j w +
-    # w/2) of one block and the 1-D node offsets dz = i h [x15, x31] on the
-    # 15- and then the 31-node Gauss-Legendre nodes, with w = 2h the width
-    # of the one panel grid.  Each block starts at sigma + i lo_s, the
-    # lower edge of its first panel, and covers at most a block of rows,
-    # all blocks full but the last; nothing else may be evaluated.
+    # w/2) of one block and the 1-D node offsets dz = i h x on the 31
+    # Kronrod nodes, whose odd entries are the 15 Gauss nodes, with w = 2h
+    # the width of the one panel grid.  Each block starts at sigma + i lo_s,
+    # the lower edge of its first panel, and covers at most a block of
+    # rows, all blocks full but the last; nothing else may be evaluated.
     height, block = 20.0, 16
     li, tables, calls = _record_pole_line(monkeypatch, height, block)
     assert len(tables) == 1
     dp, dz = tables[0]
     assert li.evaluations == sum(n * dz.size for _z0, n, _v in calls)
 
-    x = np.concatenate([np.polynomial.legendre.leggauss(n)[0] for n in (15, 31)])
     n_panels = np.ceil(2 * height / 0.7)
     w = 2 * height / n_panels
-    assert dz.shape == (46,) and np.all(dz.real == 0.0)
-    assert np.allclose(dz.imag, 0.5 * w * x, rtol=1e-15, atol=0.0)
+    assert dz.shape == (31,) and np.all(dz.real == 0.0)
+    assert np.all(np.diff(dz.imag) > 0.0) and np.all(dz.imag[::-1] == -dz.imag)
+    assert np.allclose(dz.imag, 0.5 * w * quadrature._NODES, rtol=1e-15, atol=0.0)
+    assert np.allclose(dz.imag[1::2], 0.5 * w * np.polynomial.legendre.leggauss(15)[0],
+                       rtol=1e-15, atol=1e-17)
     assert dp.shape == (block,) and np.all(dp.real == 0.0)
     assert np.allclose(dp.imag, w * (np.arange(block) + 0.5), rtol=1e-15, atol=0.0)
     start = 0
     for z0, n, vals in calls:
-        assert 1 <= n <= block and vals.shape == (n, 46)
+        assert 1 <= n <= block and vals.shape == (n, 31)
         assert z0.real == 1.0 and z0.imag == pytest.approx(-height + start * w, abs=1e-12)
         start += n
     assert all(n == block for _z0, n, _v in calls[:-1])
@@ -150,13 +152,14 @@ def test_every_call_gets_one_shared_offset_row(monkeypatch):
 
 
 def test_value_is_the_fsum_of_the_accepted_panels(monkeypatch):
-    # Rebuild every panel's 31-node value from the block values.  The
-    # value must be the correctly rounded sum of them, in any order.
+    # Rebuild every panel's K31 value from the block values.  The value
+    # must be the correctly rounded sum of them, in any order.
     height, n_panels = 20.0, np.ceil(2 * 20.0 / 0.7)
     li, _tables, calls = _record_pole_line(monkeypatch, height)
-    w = np.polynomial.legendre.leggauss(31)[1]
     half = 0.5 * (2 * height / n_panels)
-    panels = np.concatenate([(vals[:, 15:] * w).sum(axis=1) * half for _z0, _n, vals in calls])
+    panels = np.concatenate(
+        [(vals * quadrature._K31_WEIGHTS).sum(axis=1) * half for _z0, _n, vals in calls]
+    )
     assert panels.size == li.panels == n_panels
     for order in (panels, panels[::-1], np.random.default_rng(3).permutation(panels)):
         assert li.value == fsum_complex(order) / (2.0 * np.pi)
@@ -187,12 +190,41 @@ def test_blocks_cover_exactly_the_line(monkeypatch):
         assert lo == pytest.approx(hi, rel=1e-15)
 
 
-def test_cached_nodes_are_read_only():
-    # every integral shares them, so a write must fail, not corrupt the rest
-    for n in (15, 31):
-        for arr in quadrature._gl_nodes(n):
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
+def test_node_table_is_read_only():
+    # every line shares it, so a write must fail, not corrupt the rest
+    for arr in (quadrature._NODES, quadrature._K31_WEIGHTS, quadrature._G15_WEIGHTS):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def _ulps(got, want):
+    return np.abs(got - want) / np.spacing(np.abs(want))
+
+
+def test_nested_rule_table():
+    x, wk, wg = quadrature._NODES, quadrature._K31_WEIGHTS, quadrature._G15_WEIGHTS
+    assert x.shape == wk.shape == (31,) and wg.shape == (15,)
+    assert np.all(np.diff(x) > 0.0) and x[0] > -1.0 and x[-1] < 1.0
+    assert np.all(x[::-1] == -x) and np.all(wk[::-1] == wk) and np.all(wg[::-1] == wg)
+    # the odd entries are the 15-point Gauss rule.  leggauss's weights sit
+    # up to 38 ulp from the 60-digit values that the table rounds, so they
+    # are held only to 64 ulp; G15's exactness below checks them sharply.
+    gx, gw = np.polynomial.legendre.leggauss(15)
+    assert np.all(_ulps(x[1::2], gx) <= 2.0) and x[15] == gx[7] == 0.0
+    assert np.all(_ulps(wg, gw) <= 64.0)
+    for w in (wk, wg):
+        assert np.all(w > 0.0)
+        assert abs(np.sum(w) - 2.0) <= 4 * np.spacing(2.0)
+    # K31 is exact to degree 47 and G15 to degree 29; in doubles both hold
+    # to roundoff, relative to 2/(k+1), the scale of x^k's integral, and
+    # G15 misses degree 30 by far more than that
+    def miss(w, nodes, k):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        return abs(np.sum(w * nodes**k) - exact) / (2.0 / (k + 1))
+
+    assert max(miss(wk, x, k) for k in range(47)) <= 1e-14
+    assert max(miss(wg, x[1::2], k) for k in range(30)) <= 1e-14
+    assert miss(wg, x[1::2], 30) > 1e-9
 
 
 def test_circle_residue_simple_pole():

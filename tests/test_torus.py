@@ -3,6 +3,7 @@ smoothing/spectral machinery on a space where both sides are elementary."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -168,3 +169,32 @@ def test_geometric_tail_covers_the_dropped_shells(monkeypatch, n, nu):
 def test_geometric_tail_refuses_lambda_too_close_to_0():
     with pytest.raises(InputError, match="too close to 0"):
         torus_geometric_side(TorusParams(n=1, nu=1, lam=-1e-40), (0.0,))
+
+
+@pytest.mark.parametrize("n,nu,lam", [(1, 1, -400.0), (2, 2, -1000.0), (3, 2, -2000.0)])
+def test_geometric_tail_is_never_zero(n, nu, lam):
+    # every shell term is positive, but once e^{-kappa (M + 1/2)} underflowed
+    # their sum, and so the certified tail, was exactly 0.0
+    _value, tail = torus_geometric_side(TorusParams(n=n, nu=nu, lam=lam), (0.0,) * n)
+    assert tail >= 3 * math.ulp(0.0)
+
+
+# (n, nu, lambda) whose kernel constant (4 kappa^3 for (1, 2), 4 pi kappa^2
+# for (2, 2)) or Euler-Maclaurin f''' (3u * u^{-4} = inf * 0 for (1, 1))
+# leaves the float range; every other cell of the grid is finite
+OUT_OF_RANGE = {(1, 1, -1e308), (1, 2, -1e300), (1, 2, -1e308), (2, 2, -1e308)}
+
+
+@pytest.mark.parametrize("lam", [-1e10, -1e205, -1e300, -1e308])
+@pytest.mark.parametrize("n,nu", [(1, 1), (1, 2), (2, 2), (3, 2)])
+def test_extreme_lambda_is_finite_or_refused(n, nu, lam):
+    # (1, 1) at -1e308 gave a nan spectral side, and (1, 2) at -1e300 an
+    # OverflowError from 4 kappa**3
+    p = TorusParams(n=n, nu=nu, lam=lam)
+    if (n, nu, lam) in OUT_OF_RANGE:
+        with pytest.raises(InputError, match=re.escape(f"lambda = {lam:g} is out of range")):
+            torus_identity_check(p, (0.0,) * n)
+        return
+    c = torus_identity_check(p, (0.0,) * n)
+    assert all(math.isfinite(v) for v in (c.geometric, c.spectral, c.spectral_tail, c.budget))
+    assert 0.0 < c.geometric_tail < math.inf
