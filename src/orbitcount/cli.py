@@ -64,7 +64,7 @@ from .perron import (
 )
 from .poincare import GrowthModel, series_eval
 from .reports import base_meta, complex_fields, write_json
-from .spectral import Spectrum, convention_sign, spectral_side_eval
+from .spectral import Spectrum, spectral_side_eval
 from .torus import TorusParams, torus_identity_check
 
 
@@ -202,7 +202,7 @@ def _cmd_spectral_side(args) -> dict:
     return {
         "spectral": {
             "nu": NU,
-            "sign": convention_sign(NU),
+            "sign": 1,  # (-1)^nu at nu = 2 (see orbitcount.spectral)
             "rho_norm": RHO_NORM,
             "data_count": len(spectrum.data),
             "evaluations": rows,
@@ -214,26 +214,24 @@ def _cmd_compare(args) -> dict:
     sm = _smoothing(args)
     census = Census.from_csv(args.census)
     spectrum = Spectrum.from_csv(args.spectrum)
-    sign = convention_sign(NU)
     rows = []
     for x in _parse_floats(args.x, "X"):
         geo = smoothed_geometric_count(census, x, sm)
         sp = spectral_side_eval(spectrum, x, sm)
-        geo_signed = sign * geo.value
         rows.append(
             {
                 "x": x,
                 "geometric": geo.value,
-                "geometric_signed": geo_signed,
+                "geometric_signed": geo.value,  # times the sign, +1
                 "spectral": complex_fields(sp.total),
-                "difference": geo_signed - sp.total.real,
+                "difference": geo.value - sp.total.real,
                 "census_size_used": geo.census_size_used,
             }
         )
     return {
         "compare": {
             "nu": NU,
-            "sign": sign,
+            "sign": 1,
             "ell": sm.ell,
             "theta": sm.theta,
             "rows": rows,

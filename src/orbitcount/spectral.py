@@ -4,42 +4,42 @@ Each spectral datum carries a weight w and a parameter z_xi on the branch
 Re z_xi >= 0 (Im z_xi >= 0 when Re z_xi = 0), related to its eigenvalue by
 lambda_xi = z_xi^2 - |rho|^2, where |rho| = 1 for the model space
 (``freespace.RHO_NORM``).  Its contribution to the smoothed count at X, for
-kernel exponent nu and smoothing (ell, theta), is
+the model's kernel exponent nu = 2 (``freespace.NU``) and smoothing
+(ell, theta), is
 
     w * (A + B + Per)
 
 where A and B are the full residues (exponential included) of
 
-    phi(z) = e^{zX} / ((z - z_xi)^nu (z + z_xi)^nu q(z)),
+    phi(z) = e^{zX} / ((z - z_xi)^2 (z + z_xi)^2 q(z)),
     q(z)   = prod_{m=1}^{ell} (z + m theta),
 
 at z = z_xi and z = -z_xi respectively, and Per is the pole-train sum
 
     Per = (1/theta^{ell-1}) sum_{m=1}^{ell}
-          (-1)^{m-1} e^{-m theta X} / ((m-1)! (ell-m)! (z_xi^2 - m^2 theta^2)^nu).
+          (-1)^{m-1} e^{-m theta X} / ((m-1)! (ell-m)! (z_xi^2 - m^2 theta^2)^2).
 
-A carries e^{+z_xi X} times a degree-(nu-1) polynomial in X; B mirrors with
+A carries e^{+z_xi X} times a degree-1 polynomial in X; B mirrors with
 e^{-z_xi X}.  The constant datum (lambda = 0, z_xi = |rho|) contributes
 w * (A + B) with no pole-train part.
 
 The raw contour calculus equals (-1)^nu times this normalization (it is
 the power of (lambda_xi - lambda_z) = -(z - z_xi)(z + z_xi) that flips);
-``convention_sign(nu) = (-1)**nu`` is reported so the geometric comparison
-can be made on matching conventions.  The model space has nu = 2
-(``freespace.NU``), the default here, so the sign is +1; other nu serve
-the residue-calculus checks.
+at nu = 2 that sign is +1, and the reports state it.  The ``nu`` arguments
+accept only the model's value.
 
-Residues are evaluated by a closed three-factor Leibniz expansion (never by
-numerical differentiation); an independent small-circle quadrature oracle
-in the test suite validates them.
+Each double-pole residue is the derivative of (z + z_xi)^{-2} e^{zX} / q(z)
+at the pole, taken by the product rule in closed form (never by numerical
+differentiation); an independent small-circle quadrature oracle in the test
+suite validates them.
 
 The formula is evaluated over arrays: one pass computes A, B and Per for
-every datum of a spectrum at one X, with loops only over the derivative
-orders (at most nu each) and the train index.  Each datum's value depends
-on that datum alone, and ``spectral_side_eval``'s total is their correctly
-rounded sum (``math.fsum`` per part).  ``residue_pair`` and ``per_term``
-are the same code applied to one datum; each computes only its own part
-(the residues, or the pole train), with the array pass's bits.
+every datum of a spectrum at one X, with a loop only over the train index.
+Each datum's value depends on that datum alone, and ``spectral_side_eval``'s
+total is their correctly rounded sum (``math.fsum`` per part).
+``residue_pair`` and ``per_term`` are the same code applied to one datum;
+each computes only its own part (the residues, or the pole train), with the
+array pass's bits.
 
 ``global_contour_oracle`` checks the total independently: it integrates the
 assembled kernel along a vertical line, folded onto the upper half only
@@ -50,7 +50,6 @@ of the kernel sum, at the package's one tolerance ``quadrature.RESULT_TOL``.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -175,11 +174,11 @@ def _check_collisions(z: np.ndarray, params: SmoothingParams) -> None:
     )
 
 
-# Complex products, powers and quotients over arrays, spelled out in real
-# arithmetic as Python's complex type computes them (CPython's c_prod, c_powu
-# and c_quot).  numpy's own complex multiply fuses multiply-adds where the CPU
-# has them and its divide multiplies by a reciprocal; A + B + Per cancels by
-# up to four digits, which magnifies one such rounding to ~1e-12 relative.
+# Complex products and quotients over arrays, spelled out in real arithmetic
+# as Python's complex type computes them (CPython's c_prod and c_quot).
+# numpy's own complex multiply fuses multiply-adds where the CPU has them and
+# its divide multiplies by a reciprocal; A + B + Per cancels by up to four
+# digits, which magnifies one such rounding to ~1e-12 relative.
 
 
 def _pack(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -193,16 +192,11 @@ def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _pack(ar * br - ai * bi, ar * bi + ai * br)
 
 
-def _cpow(x: np.ndarray, n: int) -> np.ndarray:
-    """x**n for an integer n >= 1, by Python's square-and-multiply."""
-    r = np.ones_like(x)
-    while True:
-        if n & 1:
-            r = _cmul(r, x)
-        n >>= 1
-        if not n:
-            return r
-        x = _cmul(x, x)
+def _square(x: np.ndarray) -> np.ndarray:
+    """x**2 as CPython's square-and-multiply computes it, 1 * (x * x), with
+    its bits: the product by 1 is not the identity on signed zeros and
+    infinities (1 * (inf + 0j) has a nan part)."""
+    return _cmul(np.ones_like(x), _cmul(x, x))
 
 
 def _cdiv(a, b) -> np.ndarray:
@@ -219,63 +213,37 @@ def _cdiv(a, b) -> np.ndarray:
     )
 
 
-def _kernel_exponent(nu) -> int:
-    """nu as an int: a positive integer, or an integral float such as 2.0."""
-    if nu < 1 or int(nu) != nu:
-        raise InputError(f"kernel exponent nu must be a positive integer, got {nu}")
-    return int(nu)
+def _check_nu(nu) -> None:
+    """Refuse any kernel exponent but the model's; 2.0 is 2."""
+    if nu != NU:
+        raise InputError(f"kernel exponent nu must be {NU}, the model's, got {nu}")
 
 
 def _datum_terms(
-    z: np.ndarray, X: float, params: SmoothingParams, nu: int
+    z: np.ndarray, X: float, params: SmoothingParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A, B and Per (module docstring) for every z_xi of a 1-D complex array.
 
     Every z_xi is checked for collisions before any value is computed.
     """
-    nu = _kernel_exponent(nu)
     _check_collisions(z, params)
-    AB = _full_residues(np.concatenate([z, -z]), X, params, nu)  # A and B in one pass
-    return AB[: z.size], AB[z.size :], _pole_train(z, X, params, nu)
+    AB = _residues(np.concatenate([z, -z]), X, params)  # A and B in one pass
+    return AB[: z.size], AB[z.size :], _pole_train(z, X, params)
 
 
-def _full_residues(at: np.ndarray, X: float, params: SmoothingParams, nu: int) -> np.ndarray:
-    """Residue of (z + at)^{-nu} e^{zX} / q(z) at z = at, for every entry of
-    ``at``, where (z - at)^{nu} has been stripped: (1/(nu-1)!) d^{nu-1} at
-    ``at``, by the closed three-factor Leibniz rule with explicit derivatives
+def _residues(at: np.ndarray, X: float, params: SmoothingParams) -> np.ndarray:
+    """Residue of phi at z = at, for every entry of ``at``: the derivative at
+    ``at`` of g(z) = u v w, with u = (z + at)^{-2}, v = e^{zX} and w = 1/q(z),
+    by the product rule g' = u v w' + u v' w + u' v w, where
 
-        d^i (z + s)^{-nu} = (-1)^i (nu)_i (z + s)^{-nu-i}
-        d^j e^{zX}        = X^j e^{zX}
-        d^k (1/q)         = sum_m w_m (-1)^k k! (z + m theta)^{-k-1}
+        u  = (2 at)^{-2},          u' = -2 (2 at)^{-3},
+        v' = X e^{at X},
+        w  = sum_m w_m (at + m theta)^{-1},
+        w' = -sum_m w_m (at + m theta)^{-2},
 
-    Each derivative order is one row of a stacked array, and so is each
-    Leibniz term (i, j, k = nu-1-i-j); the entries and the train index m are
-    array axes.  The terms are added in the order of the nested (i, j) loop.
+    and w_m are the partial-fraction weights of 1/q.  The entries and the
+    train index m are array axes.
     """
-    n = nu - 1
-    mth, train_coef, signed_poch, coef, (i, j, k) = _leibniz_constants(params, nu)
-    gap = at + at  # at minus the other pole -at
-    shifted = at[:, None] + mth
-    # numpy's complex power, not _cpow: reports rest on its rounding
-    f3 = np.add.reduce(
-        train_coef * np.stack([shifted ** (-(d + 1.0)) for d in range(n + 1)]), axis=-1
-    )
-    f2 = np.array([[X**d] for d in range(n + 1)]) * np.exp(at * X)
-    f1 = signed_poch * _cdiv(1.0, np.stack([_cpow(gap, nu + d) for d in range(n + 1)]))
-    terms = _cmul(_cmul(coef * f1[i], f2[j]), f3[k])
-    total = np.zeros_like(at)
-    for term in terms:
-        total += term
-    return _cdiv(total, float(math.factorial(n)))
-
-
-@functools.lru_cache(maxsize=None)
-def _leibniz_constants(params: SmoothingParams, nu: int):
-    """The data-free factors of :func:`_full_residues` for one (params, nu):
-    the train m theta, w_m (-1)^k k! per order k, (-1)^i (nu)_i per order i,
-    and each Leibniz term's multinomial coefficient and orders (i, j, k).
-    Per-order and per-term factors are rows, broadcasting over the data."""
-    n = nu - 1
     ell, theta = params.ell, params.theta
     mth = theta * np.arange(1, ell + 1)
     # partial fractions of 1/q(z): w_m = (-1)^(m-1)/(theta^(ell-1) (m-1)! (ell-m)!)
@@ -284,27 +252,32 @@ def _leibniz_constants(params: SmoothingParams, nu: int):
         / (theta ** (ell - 1) * math.factorial(m - 1) * math.factorial(ell - m))
         for m in range(1, ell + 1)
     ])
-    train_coef = np.array([wm * (-1.0) ** d * math.factorial(d) for d in range(n + 1)])[:, None]
-    # (nu)_i = nu (nu + 1) ... (nu + i - 1), the Pochhammer symbol
-    signed_poch = np.array([[(-1.0) ** d * math.prod(range(nu, nu + d))] for d in range(n + 1)])
-    orders = [(i, j, n - i - j) for i in range(n + 1) for j in range(n - i + 1)]
-    coef = np.array([
-        [math.factorial(n) / (math.factorial(i) * math.factorial(j) * math.factorial(k))]
-        for i, j, k in orders
-    ])
-    return mth, train_coef, signed_poch, coef, np.array(orders).T
+    gap = at + at  # at minus the other pole -at
+    gap3 = _cmul(_cmul(np.ones_like(gap), gap), _cmul(gap, gap))  # gap**3, likewise
+    u, du = _cdiv(1.0, _square(gap)), -2.0 * _cdiv(1.0, gap3)
+    v = np.exp(at * X)
+    dv = X * v
+    shifted = at[:, None] + mth
+    # numpy's complex power: reports rest on its rounding
+    w = np.add.reduce(wm * shifted**-1.0, axis=-1)
+    dw = np.add.reduce(-wm * shifted**-2.0, axis=-1)
+    total = np.zeros_like(at)
+    total += _cmul(_cmul(u, v), dw)
+    total += _cmul(_cmul(u, dv), w)
+    total += _cmul(_cmul(du, v), w)
+    return _cdiv(total, 1.0)  # as complex / 1.0, which sets non-finite parts' bits
 
 
-def _pole_train(z: np.ndarray, X: float, params: SmoothingParams, nu: int) -> np.ndarray:
+def _pole_train(z: np.ndarray, X: float, params: SmoothingParams) -> np.ndarray:
     """Per as displayed: term m is (-1)^(m-1) e^{-m theta X} over
-    (m-1)! (ell-m)! (z_xi^2 - m^2 theta^2)^nu, summed over m."""
+    (m-1)! (ell-m)! (z_xi^2 - m^2 theta^2)^2, summed over m."""
     ell, theta = params.ell, params.theta
     mth = theta * np.arange(1, ell + 1)
     ms = range(1, ell + 1)
     decay = np.array([(-1.0) ** (m - 1) * cmath.exp(-m * theta * X) for m in ms])
     facts = np.array([math.factorial(m - 1) * math.factorial(ell - m) for m in ms], dtype=float)
     zc = z[:, None]
-    den = facts * _cpow(_cmul(zc, zc) - mth**2, nu)
+    den = facts * _square(_cmul(zc, zc) - mth**2)
     terms = _cdiv(decay, den)
     rows = [complex(math.fsum(re), math.fsum(im))
             for re, im in zip(terms.real.tolist(), terms.imag.tolist())]
@@ -318,11 +291,11 @@ def residue_pair(
     nu: int = NU,
 ) -> tuple[complex, complex]:
     """Full residues (A, B) of phi at z = +z_xi and z = -z_xi (see
-    ``_full_residues`` for the closed form)."""
-    nu = _kernel_exponent(nu)
+    ``_residues`` for the closed form)."""
+    _check_nu(nu)
     z = complex(z_xi)
     _check_collisions(np.array([z]), params)
-    A, B = _full_residues(np.array([z, -z]), X, params, nu)
+    A, B = _residues(np.array([z, -z]), X, params)
     return complex(A), complex(B)
 
 
@@ -332,20 +305,12 @@ def per_term(
     params: SmoothingParams,
     nu: int = NU,
 ) -> complex:
-    """Pole-train term, exactly as displayed (see module docstring).
-
-    Matches the residue sum of phi over the kernel poles -theta..-ell theta
-    when nu is even (the model case); for odd nu the displayed denominator
-    (z_xi^2 - m^2 theta^2)^nu differs from the residue sum by a global sign.
-    """
-    nu = _kernel_exponent(nu)
+    """Pole-train term, exactly as displayed (see module docstring): the
+    residue sum of phi over the kernel poles -theta..-ell theta."""
+    _check_nu(nu)
     z = np.array([complex(z_xi)])
     _check_collisions(z, params)
-    return complex(_pole_train(z, X, params, nu)[0])
-
-
-def convention_sign(nu: int) -> int:
-    return 1 if nu % 2 == 0 else -1
+    return complex(_pole_train(z, X, params)[0])
 
 
 @dataclass(frozen=True)
@@ -369,13 +334,13 @@ def spectral_side_eval(
     """
     if X <= 0:
         raise InputError(f"count parameter X must be > 0, got {X}")
-    nu = _kernel_exponent(nu)
+    _check_nu(nu)
     data = spectrum.data
     z = np.array([d.z for d in data], dtype=complex)
     w = np.array([d.weight for d in data], dtype=float)
     const = np.array([d.is_constant() for d in data], dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        A, B, per = _datum_terms(z, X, params, nu)
+        A, B, per = _datum_terms(z, X, params)
         pair = A + B
         contrib = w * np.where(const, pair, pair + per)
     finite = np.isfinite(contrib)
@@ -401,20 +366,19 @@ def global_contour_oracle(
 ) -> LineIntegral:
     """Numeric vertical-line integral of the assembled spectral kernel.
 
-    Integrates sum_xi w_xi e^{zX} / ((z - z_xi)^nu (z + z_xi)^nu q(z)) on
+    Integrates sum_xi w_xi e^{zX} / ((z - z_xi)^2 (z + z_xi)^2 q(z)) on
     Re z = sigma, ``ORACLE_SIGMA_MARGIN`` right of every pole, up to height
     ``ORACLE_HEIGHT``, by :func:`orbitcount.perron.smoothing_contour_transform`
     of the kernel sum.  Closing left picks up A + B + (pole-train) for every
-    datum, so for non-constant spectra and even nu this converges (fast: the
-    integrand decays like |z|^{-2 nu - ell}) to the spectral_side_eval total
-    as the height grows.
+    datum, so for non-constant spectra this converges (fast: the integrand
+    decays like |z|^{-4 - ell}) to the spectral_side_eval total as the
+    height grows.
 
-    The kernel sum adds one datum at a time, each as w_xi / (z^2 - z_xi^2)^nu,
-    since (z - z_xi)^nu (z + z_xi)^nu = (z^2 - z_xi^2)^nu: one power per
-    datum and no (panels, nodes, data) array.  On the line both factors
-    are at least ``ORACLE_SIGMA_MARGIN`` from zero, so z^2 - z_xi^2 loses
-    little to cancellation: the values stay within a few ulps of the
-    factored form's.
+    The kernel sum adds one datum at a time, each as w_xi / (z^2 - z_xi^2)^2,
+    since (z - z_xi)^2 (z + z_xi)^2 = (z^2 - z_xi^2)^2: one power per datum
+    and no (panels, nodes, data) array.  On the line both factors are at
+    least ``ORACLE_SIGMA_MARGIN`` from zero, so z^2 - z_xi^2 loses little to
+    cancellation: the values stay within a few ulps of the factored form's.
 
     When every z_xi is real or purely imaginary, each z_xi^2 is real, so
     with real weights f(conj z) = conj f(z) and only the upper half of the
@@ -422,7 +386,7 @@ def global_contour_oracle(
     """
     if X <= 0:
         raise InputError("contour oracle needs X > 0 for left closure")
-    nu = _kernel_exponent(nu)
+    _check_nu(nu)
     zarr = np.array([d.z for d in spectrum], dtype=complex)
     ws = np.array([d.weight for d in spectrum])
     sigma = float(np.max(np.abs(zarr.real), initial=0.0)) + ORACLE_SIGMA_MARGIN
@@ -433,7 +397,7 @@ def global_contour_oracle(
         zz = z * z
         total = np.zeros_like(z)
         for w, zxi2 in data:
-            total += w / (zz - zxi2) ** nu
+            total += w / (zz - zxi2) ** NU
         return total
 
     return smoothing_contour_transform(

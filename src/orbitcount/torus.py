@@ -228,7 +228,10 @@ def torus_spectral_side(params: TorusParams, x) -> tuple[float, float, bool]:
         # Euler-Maclaurin acceleration of the exact (positive) tail.
         em, remainder = _euler_maclaurin_tail(params, float(K + 1))
         value += em
-        return value, remainder + 1e-16 * abs(value), True
+        # |f'''| and the value underflow at a large kappa: the four pieces
+        # of em, the remainder and the slack are each off by up to ulp(0.0)
+        # absolute, so no bound is 0
+        return value, remainder + 1e-16 * abs(value) + (4 + 2) * math.ulp(0.0), True
 
     # shells K+1 .. K+64, then the integral bound (module docstring)
     s = np.arange(K + 1, K + 65, dtype=float)
@@ -237,7 +240,9 @@ def torus_spectral_side(params: TorusParams, x) -> tuple[float, float, bool]:
         (3**params.n - 1) / four_pi2**params.nu * (K + 64.0) ** (params.n - 2 * params.nu)
         / (2 * params.nu - params.n)
     )
-    return value, tail, False
+    # as in _geometric_tail: each shell and the integral are off by up to
+    # ulp(0.0) absolute once they underflow, so no bound is 0
+    return value, tail + (s.size + 2) * math.ulp(0.0), False
 
 
 @dataclass(frozen=True)

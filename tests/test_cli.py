@@ -549,14 +549,17 @@ def test_oracle_torus_divergent_exits_1():
 @pytest.mark.parametrize("n,nu", [("1", "1"), ("1", "2"), ("2", "2"), ("3", "2")])
 def test_oracle_torus_extreme_lambda_exits_0_or_1(capsys, n, nu):
     # a nan side used to die in json.dumps, and an overflowing kernel
-    # constant in an OverflowError, each with a traceback
+    # constant in an OverflowError, each with a traceback; every true tail
+    # is positive, also where its terms underflow (n = 1 at -1e205)
     for lam in ("-1e10", "-1e205", "-1e300", "-1e308"):
         code = cli.main(["oracle-torus", "--n", n, "--nu", nu, "--lam", lam])
         out = capsys.readouterr()
         assert code in (0, 1), (lam, out.err)
         if code == 0:
             assert "NaN" not in out.out and out.err == ""
-            assert json.loads(out.out)["torus"]["geometric_tail"] > 0.0
+            torus = json.loads(out.out)["torus"]
+            assert torus["geometric_tail"] > 0.0 and torus["spectral_tail"] > 0.0
+            assert abs(torus["discrepancy"]) <= torus["budget"]
         else:
             lines = out.err.splitlines()
             assert len(lines) == 1 and f"lambda = {float(lam):g} is out of range" in lines[0]

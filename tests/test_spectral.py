@@ -17,9 +17,8 @@ from orbitcount.spectral import (
     _cdiv,
     _datum_terms,
     _cmul,
-    _cpow,
+    _square,
     branch_z,
-    convention_sign,
     global_contour_oracle,
     lambda_from_z,
     per_term,
@@ -34,18 +33,14 @@ GRID = [0.6 + 0j, 1.25 + 0j, 2.6 + 0j, 0.45 + 1.1j, 1.4 + 0.8j]
 WEIGHTS = [1.3, 0.7, 0.25, 0.9, 0.4]
 
 
-def _phi_general(z_xi, X, sm, nu):
+def _phi(z_xi, X, sm=SM):
     def f(z):
         z = np.asarray(z, dtype=complex)
         return np.exp(z * X) / (
-            (z - z_xi) ** nu * (z + z_xi) ** nu * kernel_denominator(sm, z)
+            (z - z_xi) ** NU * (z + z_xi) ** NU * kernel_denominator(sm, z)
         )
 
     return f
-
-
-def _phi(z_xi, X):
-    return _phi_general(z_xi, X, SM, NU)
 
 
 def _spectrum(zs=GRID, ws=WEIGHTS):
@@ -138,10 +133,10 @@ def test_global_oracle_on_conjugate_pairs():
         assert abs(oracle.value.imag) < 1e-8
 
 
-@pytest.mark.parametrize("nu", [1, 2, 3])
+@pytest.mark.parametrize("nu", [NU])
 def test_global_oracle_integrand_is_the_factored_kernel(monkeypatch, nu):
-    # the oracle adds w / (z^2 - z_xi^2)^nu per datum; on its line that must
-    # be the factored w / ((z - z_xi)^nu (z + z_xi)^nu) to roundoff, for
+    # the oracle adds w / (z^2 - z_xi^2)^2 per datum; on its line that must
+    # be the factored w / ((z - z_xi)^2 (z + z_xi)^2) to roundoff, for
     # real, purely imaginary and conjugate-pair z_xi
     zs = [0.6, 2.6, 0.7j, 3.0j, 0.45 + 1.1j, 0.45 - 1.1j, 1.4 + 0.8j, 1.4 - 0.8j]
     ws = [1.3, 0.25, 0.5, 2.0, 0.9, 0.9, 0.4, 0.4]
@@ -166,8 +161,8 @@ def test_global_oracle_integrand_is_the_factored_kernel(monkeypatch, nu):
 
 
 def test_annihilation_of_residue_profile():
-    # A(X) e^{-z_xi X} must be constant in X (the residue is a pure
-    # exponential times a polynomial-free coefficient at even nu)
+    # A(X) e^{-z_xi X} is linear in X (A is e^{z_xi X} times a degree-1
+    # polynomial at nu = 2), so its second difference vanishes
     for z_xi in (0.6 + 0j, 1.4 + 0.8j):
         g = [
             residue_pair(z_xi, X, SM, NU)[0] * np.exp(-z_xi * X)
@@ -177,15 +172,24 @@ def test_annihilation_of_residue_profile():
         assert second <= 1e-9
 
 
-def test_nu1_closed_form():
-    th, ell = SM.theta, SM.ell
-    for z_xi in (0.6 + 0j, 1.25 + 0j, 0.45 + 1.1j):
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_nu2_closed_form(ell):
+    # the residue of e^{zX} / ((z - a)^2 (z + a)^2 q(z)) at a is g(a) times
+    # the logarithmic derivative of g(z) = e^{zX} / ((z + a)^2 q(z)) there:
+    # e^{aX} / (4 a^2 q(a)) (X - 1/a - sum_m 1/(a + m theta)); B is it at -a
+    sm = SmoothingParams(ell=ell, theta=SM.theta)
+    ms = range(1, ell + 1)
+
+    def check(got, a, X):
+        pref = np.exp(a * X) / (4 * a * a * np.prod([a + m * sm.theta for m in ms]))
+        terms = [X, -1 / a] + [-1 / (a + m * sm.theta) for m in ms]
+        assert abs(got - pref * sum(terms)) <= 1e-12 * sum(abs(pref * t) for t in terms)
+
+    for z_xi in GRID:
         for X in (0.8, 1.7):
-            A, B = residue_pair(z_xi, X, SM, nu=1)
-            q_pos = np.prod([z_xi + m * th for m in range(1, ell + 1)])
-            q_neg = np.prod([-z_xi + m * th for m in range(1, ell + 1)])
-            assert abs(A - np.exp(z_xi * X) / (2 * z_xi * q_pos)) <= 1e-12 * abs(A)
-            assert abs(B + np.exp(-z_xi * X) / (2 * z_xi * q_neg)) <= 1e-12 * abs(B)
+            A, B = residue_pair(z_xi, X, sm, NU)
+            check(A, z_xi, X)
+            check(B, -z_xi, X)
 
 
 def test_constant_datum_omits_train():
@@ -215,11 +219,6 @@ def test_side_eval_refuses_overflow():
     # e^{z_xi X} passes the float range for z_xi = 0.6 at X = 1200
     with pytest.raises(InputError, match=r"datum 'd0' \(z_xi = \(0.6\+0j\)\) overflows at X = 1200"):
         spectral_side_eval(_spectrum(), 1200.0, SM, NU)
-
-
-def test_sign_convention():
-    assert convention_sign(2) == 1
-    assert convention_sign(1) == -1
 
 
 def test_spectrum_csv_both_headers(tmp_path):
@@ -281,23 +280,14 @@ MIXED = Spectrum(
 )
 
 
-def _displayed_per(z_xi, X, sm, nu):
-    th, ell = sm.theta, sm.ell
-    return sum(
-        (-1) ** (m - 1) * np.exp(-m * th * X)
-        / (math.factorial(m - 1) * math.factorial(ell - m) * (z_xi**2 - (m * th) ** 2) ** nu)
-        for m in range(1, ell + 1)
-    ) / th ** (ell - 1)
-
-
-@pytest.mark.parametrize("nu", [1, 2, 3])
+@pytest.mark.parametrize("nu", [NU])
 @pytest.mark.parametrize("ell", [1, 2, 3])
 def test_array_evaluator_matches_circle_oracle(nu, ell):
     sm = SmoothingParams(ell=ell, theta=0.7)
 
     def res(f, at):
         # radius 0.1: every other pole is >= 0.3 away; the larger circle
-        # keeps the third-order poles' rounding near 1e-14 of the addends
+        # keeps the double poles' rounding near 1e-14 of the addends
         return cauchy_circle_residue(f, complex(at), radius=0.1)
 
     for X in (0.8, 2.3):
@@ -305,13 +295,10 @@ def test_array_evaluator_matches_circle_oracle(nu, ell):
         assert val.constant_labels == ("const",)
         assert [lab for lab, _ in val.per_datum] == [d.label for d in MIXED]
         for d, (_, got) in zip(MIXED, val.per_datum):
-            f = _phi_general(d.z, X, sm, nu)
+            f = _phi(d.z, X, sm)
             parts = [res(f, d.z), res(f, -d.z)]
             if d.label != "const":
-                if nu % 2 == 0:
-                    parts.append(sum(res(f, p) for p in sm.pole_train))
-                else:
-                    parts.append(_displayed_per(d.z, X, sm, nu))
+                parts.append(sum(res(f, p) for p in sm.pole_train))
             want = d.weight * sum(parts)
             scale = d.weight * sum(abs(t) for t in parts)
             assert abs(got - want) <= 1e-12 * scale, (d.label, got, want)
@@ -372,10 +359,13 @@ def test_header_only_spectrum(tmp_path):
     assert val.constant_labels == ()
 
 
-@pytest.mark.parametrize("nu", [0, 1.5])
+BAD_NU = [0, 1, 1.5, 2.5, 3]
+
+
+@pytest.mark.parametrize("nu", BAD_NU)
 @pytest.mark.parametrize("spectrum", [_spectrum(), Spectrum(())], ids=["five", "empty"])
 def test_side_eval_rejects_bad_nu(spectrum, nu):
-    with pytest.raises(InputError, match="nu must be a positive integer"):
+    with pytest.raises(InputError, match=re.escape(f"nu must be 2, the model's, got {nu}")):
         spectral_side_eval(spectrum, 1.0, SM, nu)
 
 
@@ -428,6 +418,10 @@ def _quot(a, b):
     return complex((a.real * ratio + a.imag) / denom, (a.imag * ratio - a.real) / denom)
 
 
+def _bits(x):
+    return np.atleast_1d(np.asarray(x, dtype=complex)).view(np.int64)
+
+
 def test_complex_helpers_round_like_scalar_formulas():
     rng = np.random.default_rng(11)
     scale = 10.0 ** rng.uniform(-3, 3, (2, 400))
@@ -436,25 +430,11 @@ def test_complex_helpers_round_like_scalar_formulas():
     b[:4] = [2.5, -1.5j, 3.0 + 1e-300j, 1e-300 - 4.0j]  # real, imaginary, lopsided
     assert _cmul(a, b).tolist() == [_prod(x, y) for x, y in zip(a.tolist(), b.tolist())]
     assert _cdiv(a, b).tolist() == [_quot(x, y) for x, y in zip(a.tolist(), b.tolist())]
-    for n in range(1, 7):
-        want = []
-        for x in b.tolist():
-            # square-and-multiply, the order of CPython's c_powu
-            r, p, k = 1 + 0j, x, n
-            while k:
-                if k & 1:
-                    r = _prod(r, p)
-                k >>= 1
-                p = _prod(p, p)
-            want.append(r)
-        assert _cpow(b, n).tolist() == want
+    b[4] = -2.5  # x * x has imaginary part -0.0; the product by 1 makes it +0.0
+    assert np.array_equal(_bits(_square(b)), _bits([x**2 for x in b.tolist()]))
 
 
-def _bits(x):
-    return np.atleast_1d(np.asarray(x, dtype=complex)).view(np.int64)
-
-
-@pytest.mark.parametrize("nu", [1, 2, 3])
+@pytest.mark.parametrize("nu", [NU])
 @pytest.mark.parametrize("ell", [1, 2, 3])
 def test_single_datum_calls_match_the_array_pass(nu, ell):
     # residue_pair and per_term compute only their own part of the array
@@ -462,7 +442,7 @@ def test_single_datum_calls_match_the_array_pass(nu, ell):
     sm = SmoothingParams(ell=ell, theta=0.8)
     zs = np.array(GRID + [1.0 + 0j, 0.35 + 0j, 7.5j, 0.2 + 19.0j])
     for X in (0.4, 1.7, 3.0):
-        A, B, per = _datum_terms(zs, X, sm, nu)
+        A, B, per = _datum_terms(zs, X, sm)
         for k, z_xi in enumerate(zs.tolist()):
             assert np.array_equal(_bits(residue_pair(z_xi, X, sm, nu)), _bits([A[k], B[k]]))
             assert np.array_equal(_bits(per_term(z_xi, X, sm, nu)), _bits(per[k]))
@@ -475,14 +455,13 @@ def test_integral_float_nu_is_the_integer():
     assert np.array_equal(_bits(got.total), _bits(want.total))
     assert np.array_equal(_bits([v for _, v in got.per_datum]), _bits([v for _, v in want.per_datum]))
     assert residue_pair(0.6, 1.5, SM, 2.0) == residue_pair(0.6, 1.5, SM, 2)
-    assert per_term(0.6, 1.5, SM, 3.0) == per_term(0.6, 1.5, SM, 3)
+    assert per_term(0.6, 1.5, SM, 2.0) == per_term(0.6, 1.5, SM, 2)
     assert global_contour_oracle(sp, 1.5, SM, 2.0) == global_contour_oracle(sp, 1.5, SM, 2)
-    for call in (
-        lambda: global_contour_oracle(sp, 1.5, SM, 2.5),
-        lambda: spectral_side_eval(sp, 1.5, SM, 2.5),
-        lambda: residue_pair(0.6, 1.5, SM, 2.5),
-        lambda: per_term(0.6, 1.5, SM, 2.5),
-    ):
-        with pytest.raises(InputError, match="nu must be a positive integer"):
-            call()
+    for nu in BAD_NU:
+        for call in (global_contour_oracle, spectral_side_eval):
+            with pytest.raises(InputError, match=re.escape(f"nu must be 2, the model's, got {nu}")):
+                call(sp, 1.5, SM, nu)
+        for call in (residue_pair, per_term):
+            with pytest.raises(InputError, match=re.escape(f"nu must be 2, the model's, got {nu}")):
+                call(0.6, 1.5, SM, nu)
 
