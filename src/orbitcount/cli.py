@@ -56,9 +56,9 @@ from .errors import ConvergenceError, InputError
 from .freespace import NU, RHO_NORM
 from .lattice import DEFAULT_WORK_BUDGET, Census, enumerate_pruned, shell_counts
 from .perron import (
-    PERRON_SIGMA,
     SmoothingParams,
     perron_contour_oracle,
+    perron_sigma,
     smoothed_geometric_count,
     smoothing_kernel,
 )
@@ -271,7 +271,7 @@ def _cmd_perron_check(args) -> dict:
             "u": args.u,
             "ell": sm.ell,
             "theta": sm.theta,
-            "sigma": PERRON_SIGMA,
+            "sigma": perron_sigma(args.u),
             "height": args.height,
             "closed_form": closed,
             "contour": complex_fields(contour.value),

@@ -1,14 +1,16 @@
-"""Exception hierarchy shared by the whole package.
+"""Exception classes shared by the whole package.
 
-Two families matter to callers (and to the CLI exit-code mapping):
+Two families, one per CLI exit code:
 
 * :class:`InputError` -- the request itself is invalid: bad parameter
   domains, malformed files, poles sitting on evaluation points, censuses
-  that cannot cover the requested range, or work that would blow the
-  configured budget.  CLI exit code 1.
+  that cannot cover the requested range.  CLI exit code 1.
+  :class:`BudgetError` is the one subclass: work that would blow the
+  configured budget, with a message built from the counted work.
 * :class:`ConvergenceError` -- the request is well formed but the numeric
   machinery cannot certify the asked-for accuracy: line integrals whose
-  error estimate exceeds the tolerance.  CLI exit code 2.
+  error estimate exceeds the tolerance, or that need too many panels.
+  CLI exit code 2.
 """
 
 from __future__ import annotations
@@ -16,22 +18,6 @@ from __future__ import annotations
 
 class InputError(ValueError):
     """Invalid parameters, files, or domains.  Maps to CLI exit code 1."""
-
-
-class DomainError(InputError):
-    """A numeric argument is outside the documented domain of an operation."""
-
-
-class PoleError(InputError):
-    """An evaluation point sits on (or within tolerance of) a pole."""
-
-
-class PoleCollisionError(PoleError):
-    """Two poles that the residue calculus needs distinct have collided."""
-
-
-class CoverageError(InputError):
-    """The census on hand cannot cover the requested geometric range."""
 
 
 class BudgetError(InputError):
@@ -57,8 +43,3 @@ class BudgetError(InputError):
 
 class ConvergenceError(RuntimeError):
     """Requested accuracy cannot be certified.  Maps to CLI exit code 2."""
-
-
-class QuadratureError(ConvergenceError):
-    """A line integral's one-pass error estimate exceeds ``RESULT_TOL``, or
-    the line needs more than ``_MAX_PANELS`` panels (see :mod:`orbitcount.quadrature`)."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import PoleError
+from .errors import InputError
 
 #: kernel exponent nu, half-sum norm |rho| and free-space normalization
 #: C_G of the model space.  The identity holds only when the spectral side
@@ -51,6 +51,6 @@ def kernel(z, r):
     """
     z = complex(z)
     if abs(z) < 1e-12:
-        raise PoleError("the free-space kernel has a pole at z = 0")
+        raise InputError("the free-space kernel has a pole at z = 0")
     r = np.asarray(r, dtype=float)
     return C_G * product_factor(r) * np.exp(-z * r) / z

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import InputError
 
 # Tolerance used when checking that an input matrix is actually unimodular.
 UNIMODULAR_TOL = 1e-9
@@ -48,7 +48,7 @@ UNIMODULAR_TOL = 1e-9
 def _as_matrices(g) -> np.ndarray:
     g = np.asarray(g, dtype=complex)
     if g.shape[-2:] != (2, 2):
-        raise DomainError(f"expected (..., 2, 2) matrices, got shape {g.shape}")
+        raise InputError(f"expected (..., 2, 2) matrices, got shape {g.shape}")
     return g
 
 
@@ -67,11 +67,11 @@ def check_unimodular(g) -> np.ndarray:
     """
     g = _as_matrices(g)
     if not np.all(np.isfinite(g)):
-        raise DomainError("matrix is not unimodular: it has a non-finite entry")
+        raise InputError("matrix is not unimodular: it has a non-finite entry")
     err = np.abs(_det(g) - 1.0)
     allowed = np.maximum(UNIMODULAR_TOL, 64.0 * np.finfo(float).eps * (1.0 + frobenius_sq(g)))
     if np.any(err > allowed):
-        raise DomainError(
+        raise InputError(
             f"matrix is not unimodular: |det - 1| reaches {float(np.max(err)):.3e}"
         )
     return g

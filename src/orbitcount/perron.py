@@ -30,13 +30,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoverageError, InputError
+from .errors import InputError
 from .freespace import C_G, product_factor
 from .lattice import Census
 from .quadrature import LineIntegral, pointwise, vertical_line_integral
 
-#: abscissa of the contour oracle's line, right of the kernel's pole at 0
-PERRON_SIGMA = 1.0
+
+def perron_sigma(u: float) -> float:
+    """Abscissa of the contour oracle's line at u, right of the kernel's pole
+    at 0: 1 for u <= 1 and 1/u above, so e^{sigma u}, the growth of the
+    integrand, its roundoff and its truncation bound, stays at most e."""
+    return 1.0 / u if u > 1 else 1.0
 
 
 @dataclass(frozen=True)
@@ -65,11 +69,6 @@ class SmoothingParams:
     def normalization(self) -> float:
         return math.factorial(self.ell) * self.theta**self.ell
 
-    @property
-    def pole_train(self) -> tuple[float, ...]:
-        """Kernel poles -theta, ..., -ell theta (excluding the one at 0)."""
-        return tuple(-self.theta * m for m in range(1, self.ell + 1))
-
 
 def smoothing_kernel(params: SmoothingParams, u) -> np.ndarray:
     """W(u) as above; vectorized, exactly 0 for u <= 0."""
@@ -95,13 +94,13 @@ def perron_contour_oracle(
     *,
     height: float = 1000.0,
 ) -> LineIntegral:
-    """Finite-T integral on Re z = ``PERRON_SIGMA``; its limit is smoothing_kernel(X).
+    """Finite-T integral on Re z = ``perron_sigma(X)``; its limit is smoothing_kernel(X).
 
     The contour transform of f(z) = 1/z.  For X < 0 the limit is 0 and the
     finite-T value is O(e^{sigma X}/T^{ell+1}).
     """
     return smoothing_contour_transform(
-        pointwise(lambda z: 1.0 / z), X, params, sigma=PERRON_SIGMA, height=height
+        pointwise(lambda z: 1.0 / z), X, params, sigma=perron_sigma(X), height=height
     )
 
 
@@ -172,7 +171,7 @@ def smoothed_geometric_count(
     """C_G * sum over census elements with r < X of prodfac(r) W(X - r).
 
     Requires the census to cover radius X (cutoff gauge >= e^{X/2}); raises
-    CoverageError otherwise, since missing elements would silently bias the
+    InputError otherwise, since missing elements would silently bias the
     count.
     """
     if X <= 0:
@@ -182,7 +181,7 @@ def smoothed_geometric_count(
     except OverflowError:  # X above about 1419: beyond any census
         needed = math.inf
     if census.cutoff < needed * (1.0 - 1e-12):
-        raise CoverageError(
+        raise InputError(
             f"census cutoff {census.cutoff:g} covers radii up to "
             f"{2.0 * math.log(census.cutoff):g}; X = {X:g} needs cutoff >= {needed:g}"
         )

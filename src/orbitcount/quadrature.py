@@ -11,7 +11,7 @@ Two primitives:
   The value sums each panel's K31 rule and the error estimate its
   |K31 - G15| (:func:`fsum_complex` / ``math.fsum``).  Nothing is refined:
   a result whose estimate exceeds ``RESULT_TOL``, the one absolute
-  tolerance, raises :class:`~orbitcount.errors.QuadratureError`.
+  tolerance, raises :class:`~orbitcount.errors.ConvergenceError`.
 
   Because the panels share their width h, every node is
   z = z0 + dp_j + dz_k: the block start z0 = sigma + i lo_s, a panel-centre
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import ConvergenceError, InputError
 
 RESULT_TOL = 1e-9  # absolute target on the result of every line integral
 _MAX_PANELS = 1 << 17
@@ -163,18 +163,19 @@ def vertical_line_integral(
 
     One pass over panels of at most panel_width; the value is the sum of
     the K31 panels and the error estimate the summed |K31 - G15| of the
-    nested pair.  QuadratureError when that estimate exceeds RESULT_TOL, or
-    when the line needs over ``_MAX_PANELS`` panels (before f is called).
+    nested pair.  ConvergenceError when that estimate exceeds RESULT_TOL, or
+    when the line needs over ``_MAX_PANELS`` panels (before f is called);
+    InputError for a height that is not positive.
     """
     if height <= 0:
-        raise QuadratureError("contour height must be positive")
+        raise InputError("contour height must be positive")
     width = min(max(panel_width, 1e-3), height)
 
     t_lo = 0.0 if conj_symmetric else -height
     n_panels = int(np.ceil((height - t_lo) / width))
     if n_panels > _MAX_PANELS:  # ~2 KB per panel, before f is called
-        raise QuadratureError(f"contour height {height:g} needs {n_panels} panels of "
-                              f"width {width:g}, over the cap of {_MAX_PANELS}")
+        raise ConvergenceError(f"contour height {height:g} needs {n_panels} panels of "
+                               f"width {width:g}, over the cap of {_MAX_PANELS}")
     # even by construction; the last panel may end an ulp off height
     width = (height - t_lo) / n_panels
     lo = t_lo + width * np.arange(n_panels)
@@ -192,7 +193,7 @@ def vertical_line_integral(
         value = raw / (2.0 * np.pi)
     error_estimate = err_total / (2.0 * np.pi)
     if not error_estimate <= RESULT_TOL:  # a nan estimate too
-        raise QuadratureError(
+        raise ConvergenceError(
             f"contour error estimate {error_estimate:.2g} exceeds the tolerance "
             f"{RESULT_TOL:g} on {n_panels} panels of width {width:.3g}"
         )

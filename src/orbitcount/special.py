@@ -45,7 +45,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import InputError
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -154,7 +154,7 @@ def bessel_k1(x):
     """
     arr = np.asarray(x, dtype=float)
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise DomainError("bessel_k1 needs finite x > 0")
+        raise InputError("bessel_k1 needs finite x > 0")
     flat = arr.ravel()
     out = np.zeros_like(flat)  # past K1_HARD_UNDERFLOW, e^{-x} is 0
     series = flat <= K1_CROSSOVER

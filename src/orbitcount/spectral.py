@@ -56,7 +56,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, PoleCollisionError
+from .errors import InputError
 from .freespace import NU, RHO_NORM
 from .perron import SmoothingParams, smoothing_contour_transform
 from .quadrature import LineIntegral, fsum_complex, pointwise
@@ -164,11 +164,11 @@ def _check_collisions(z: np.ndarray, params: SmoothingParams) -> None:
     k = int(np.argmax(bad))
     z_xi = complex(z[k])
     if near[k, 0]:
-        raise PoleCollisionError(
+        raise InputError(
             f"z_xi = {z_xi}: the two residue points +/- z_xi collide at 0"
         )
     m = int(np.argmax(near[k, 1 : ell + 1] | near[k, ell + 1 :])) + 1
-    raise PoleCollisionError(
+    raise InputError(
         f"z_xi = {z_xi} collides with kernel pole at -{m}*theta "
         f"(theta = {params.theta}); shift theta"
     )
@@ -219,16 +219,17 @@ def _check_nu(nu) -> None:
         raise InputError(f"kernel exponent nu must be {NU}, the model's, got {nu}")
 
 
-def _datum_terms(
-    z: np.ndarray, X: float, params: SmoothingParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A, B and Per (module docstring) for every z_xi of a 1-D complex array.
-
-    Every z_xi is checked for collisions before any value is computed.
-    """
-    _check_collisions(z, params)
-    AB = _residues(np.concatenate([z, -z]), X, params)  # A and B in one pass
-    return AB[: z.size], AB[z.size :], _pole_train(z, X, params)
+def _check_finite(values: np.ndarray, z: np.ndarray, X: float, labels=None) -> None:
+    """Refuse the first value past the float range, naming its z_xi:
+    ``values`` holds one value per z_xi, or A then B, each in array order."""
+    finite = np.isfinite(values)
+    if finite.all():
+        return
+    k = int(np.argmin(finite)) % z.size
+    datum = f"z_xi = {complex(z[k])}"
+    if labels is not None:
+        datum = f"datum {labels[k]!r} ({datum})"
+    raise InputError(f"{datum} overflows at X = {X}: its contribution is not a finite number")
 
 
 def _residues(at: np.ndarray, X: float, params: SmoothingParams) -> np.ndarray:
@@ -293,10 +294,13 @@ def residue_pair(
     """Full residues (A, B) of phi at z = +z_xi and z = -z_xi (see
     ``_residues`` for the closed form)."""
     _check_nu(nu)
-    z = complex(z_xi)
-    _check_collisions(np.array([z]), params)
-    A, B = _residues(np.array([z, -z]), X, params)
-    return complex(A), complex(B)
+    z = np.array([complex(z_xi)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        _check_collisions(z, params)
+        AB = _residues(np.concatenate([z, -z]), X, params)
+    _check_finite(AB, z, X)
+    A, B = AB.tolist()
+    return A, B
 
 
 def per_term(
@@ -309,8 +313,11 @@ def per_term(
     residue sum of phi over the kernel poles -theta..-ell theta."""
     _check_nu(nu)
     z = np.array([complex(z_xi)])
-    _check_collisions(z, params)
-    return complex(_pole_train(z, X, params)[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        _check_collisions(z, params)
+        per = _pole_train(z, X, params)
+    _check_finite(per, z, X)
+    return complex(per[0])
 
 
 @dataclass(frozen=True)
@@ -339,21 +346,17 @@ def spectral_side_eval(
     z = np.array([d.z for d in data], dtype=complex)
     w = np.array([d.weight for d in data], dtype=float)
     const = np.array([d.is_constant() for d in data], dtype=bool)
+    labels = [d.label for d in data]
     with np.errstate(over="ignore", invalid="ignore"):
-        A, B, per = _datum_terms(z, X, params)
-        pair = A + B
-        contrib = w * np.where(const, pair, pair + per)
-    finite = np.isfinite(contrib)
-    if not finite.all():
-        d = data[int(np.argmin(finite))]
-        raise InputError(
-            f"datum {d.label!r} (z_xi = {d.z}) overflows at X = {X}: "
-            "its contribution is not a finite number"
-        )
+        _check_collisions(z, params)  # before any value is computed
+        AB = _residues(np.concatenate([z, -z]), X, params)  # A and B in one pass
+        pair = AB[: z.size] + AB[z.size :]
+        contrib = w * np.where(const, pair, pair + _pole_train(z, X, params))
+    _check_finite(contrib, z, X, labels)
     values = contrib.tolist()
     return SpectralValue(
         total=fsum_complex(values),
-        per_datum=tuple(zip((d.label for d in data), values)),
+        per_datum=tuple(zip(labels, values)),
         constant_labels=tuple(d.label for d, c in zip(data, const) if c),
     )
 

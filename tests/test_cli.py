@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from orbitcount import cli
-from orbitcount.errors import InputError, QuadratureError
+from orbitcount.errors import ConvergenceError, InputError
 from orbitcount.lattice import CSV_HEADER, DEFAULT_WORK_BUDGET, Census
 from orbitcount.perron import SmoothingParams, perron_contour_oracle
 
@@ -585,21 +585,15 @@ def test_perron_check():
     assert doc["perron"]["abs_difference"] <= 1e-9
 
 
-def test_perron_check_refuses_an_estimate_over_the_tolerance(capsys):
-    # The integrand grows like e^{sigma u}, and so does its roundoff: at the
-    # default height 1000 the G15-vs-K31 estimate passes 1e-9 between
-    # u = 18 (8.6e-10) and 18.5 (1.1e-9).
-    # u = 20, 30 and 50 used to exit 0 with estimates 1.8e-8, 4.3e-4 and
-    # 2.1e5, the last with a contour of -3.9e8 against a closed form of 0.5.
-    doc = _report(capsys, ["perron-check", "--u", "15"])["perron"]
-    assert doc["quadrature_error_estimate"] <= 1e-9
-    for u in ("20", "30", "50"):
-        assert cli.main(["perron-check", "--u", u]) == 2
-        out = capsys.readouterr()
-        lines = out.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("convergence error:"), out.err
-        assert "exceeds the tolerance 1e-09" in lines[0]
-        assert out.out == ""
+def test_perron_check_certifies_large_u(capsys):
+    # The integrand, its roundoff and its truncation bound grow like
+    # e^{sigma u}.  On Re z = 1 the estimate passed 1e-9 at the default
+    # height from about u = 18.5; on Re z = 1/u the factor stays e.
+    for u in (20.0, 30.0, 50.0):
+        doc = _report(capsys, ["perron-check", "--u", str(u)])["perron"]
+        assert doc["sigma"] == 1.0 / u
+        assert doc["quadrature_error_estimate"] <= 1e-9
+        assert doc["abs_difference"] <= 1e-9
 
 
 def test_perron_check_overflowing_denominator_prints_one_line():
@@ -613,7 +607,7 @@ def test_perron_check_overflowing_denominator_prints_one_line():
     assert r.stdout == ""
 
 
-@pytest.mark.parametrize("u, height", [("1", "1e8"), ("-800", "1000")])
+@pytest.mark.parametrize("u, height", [("1", "1e8"), ("-800", "1000"), ("210", "1000")])
 def test_perron_check_too_many_panels_exits_2(capsys, u, height):
     # refused before any panel is built: 1e8 panels would need about 200 GB
     assert cli.main(["perron-check", "--u", u, "--height", height]) == 2
@@ -626,7 +620,7 @@ def test_perron_check_too_many_panels_exits_2(capsys, u, height):
 
 def test_convergence_failure_maps_to_exit_2(monkeypatch):
     def boom(*_a, **_k):
-        raise QuadratureError("synthetic convergence failure")
+        raise ConvergenceError("synthetic convergence failure")
 
     monkeypatch.setattr(cli, "perron_contour_oracle", boom)
     code = cli.main(["perron-check", "--u", "1.0"])

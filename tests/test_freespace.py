@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from orbitcount.errors import PoleError
+from orbitcount.errors import InputError
 from orbitcount.freespace import kernel, product_factor
 
 
@@ -55,5 +55,5 @@ def test_kernel_complex_z():
 
 
 def test_kernel_pole():
-    with pytest.raises(PoleError):
+    with pytest.raises(InputError, match="has a pole at z = 0"):
         kernel(0.0, 1.0)

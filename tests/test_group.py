@@ -4,7 +4,7 @@ matrices.  The split is the geometric primitive behind every census column."""
 import numpy as np
 import pytest
 
-from orbitcount.errors import DomainError
+from orbitcount.errors import InputError
 from orbitcount.group import (
     cartan_decompose,
     check_unimodular,
@@ -50,7 +50,7 @@ def test_frobenius_clamp_near_identity():
 
 def test_check_unimodular_rejects():
     g = np.diag([2.0 + 0j, 1.0 + 0j])
-    with pytest.raises(DomainError):
+    with pytest.raises(InputError, match="matrix is not unimodular"):
         check_unimodular(g)
 
 
@@ -61,7 +61,7 @@ def test_non_finite_entry_is_refused(fn, bad):
     # failed only on a numpy RuntimeWarning
     g = np.eye(2, dtype=complex)
     g[0, 1] = bad
-    with pytest.raises(DomainError, match="non-finite entry"):
+    with pytest.raises(InputError, match="non-finite entry"):
         fn(g)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from orbitcount import quadrature
-from orbitcount.errors import CoverageError, InputError
+from orbitcount.errors import InputError
 from orbitcount.freespace import C_G, product_factor
 from orbitcount.perron import (
     SmoothingParams,
@@ -40,7 +40,6 @@ def test_params_validation():
         SmoothingParams(theta=math.inf)
     sm = SmoothingParams(ell=3, theta=0.5)
     assert sm.normalization == pytest.approx(math.factorial(3) * 0.5**3)
-    assert sm.pole_train == (-0.5, -1.0, -1.5)
 
 
 def test_kernel_zero_left_of_origin():
@@ -172,7 +171,7 @@ def test_smoothed_count_frozen_value(census8):
 def test_smoothed_count_coverage_gate(census2):
     sm = SmoothingParams()
     # census2 certifies radii up to 2 log 2; X beyond that is refused
-    with pytest.raises(CoverageError):
+    with pytest.raises(InputError, match="census cutoff 2 covers radii up to"):
         smoothed_geometric_count(census2, 2.0 * math.log(2.0) + 0.1, sm)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from orbitcount import quadrature
-from orbitcount.errors import QuadratureError
+from orbitcount.errors import ConvergenceError, InputError
 from orbitcount.quadrature import (
     cauchy_circle_residue,
     fsum_complex,
@@ -48,7 +48,7 @@ def test_bitwise_deterministic():
 
 
 def test_rejects_bad_height():
-    with pytest.raises(QuadratureError):
+    with pytest.raises(InputError, match="contour height must be positive"):
         vertical_line_integral(_bromwich_integrand, 1.0, 0.0, panel_width=1.0)
 
 
@@ -57,7 +57,7 @@ def test_too_many_first_level_panels_are_refused_before_f_is_called():
     def never(dp, dz):
         raise AssertionError("integrand called")
 
-    with pytest.raises(QuadratureError, match="needs 100000000 panels .* cap of 131072"):
+    with pytest.raises(ConvergenceError, match="needs 100000000 panels .* cap of 131072"):
         vertical_line_integral(never, 1.0, 1e8, panel_width=1.0)
 
 
@@ -69,7 +69,7 @@ def test_unresolvable_integrand_raises_not_hangs(monkeypatch):
     def rough(z):
         return np.sin(2e6 * z.imag) + 0j
 
-    with pytest.raises(QuadratureError):
+    with pytest.raises(ConvergenceError, match="exceeds the tolerance"):
         vertical_line_integral(rough, 1.0, 10.0, panel_width=1.0)
 
 
@@ -89,7 +89,7 @@ def test_estimate_over_the_tolerance_is_refused(monkeypatch):
     monkeypatch.setattr(quadrature, "RESULT_TOL", li.error_estimate)
     assert vertical_line_integral(big, 1.0, 200.0, panel_width=1.0) == li
     monkeypatch.setattr(quadrature, "RESULT_TOL", np.nextafter(li.error_estimate, 0.0))
-    with pytest.raises(QuadratureError, match="exceeds the tolerance"):
+    with pytest.raises(ConvergenceError, match="exceeds the tolerance"):
         vertical_line_integral(big, 1.0, 200.0, panel_width=1.0)
 
 

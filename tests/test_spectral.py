@@ -8,15 +8,16 @@ import mpmath
 import numpy as np
 import pytest
 
-from orbitcount.errors import InputError, PoleCollisionError
+from orbitcount.errors import InputError
 from orbitcount.perron import SmoothingParams, kernel_denominator
 from orbitcount.quadrature import cauchy_circle_residue
 from orbitcount.spectral import (
     SpectralDatum,
     Spectrum,
     _cdiv,
-    _datum_terms,
     _cmul,
+    _pole_train,
+    _residues,
     _square,
     branch_z,
     global_contour_oracle,
@@ -58,11 +59,11 @@ def test_branch_and_lambda_roundtrip():
 
 
 def test_collision_detection():
-    with pytest.raises(PoleCollisionError):
+    with pytest.raises(InputError, match=r"collides with kernel pole at -1\*theta"):
         residue_pair(1.0 + 0j, 1.0, SM, NU)  # hits the m=1 train pole
-    with pytest.raises(PoleCollisionError):
+    with pytest.raises(InputError, match=r"collides with kernel pole at -2\*theta"):
         residue_pair(2.0 + 1e-10j, 1.0, SM, NU)
-    with pytest.raises(PoleCollisionError):
+    with pytest.raises(InputError, match="the two residue points"):
         residue_pair(1e-9 + 0j, 1.0, SM, NU)  # the two families collide at 0
     # theta = 0.8 moves the train off the integers and clears z = 1
     residue_pair(1.0 + 0j, 1.0, SmoothingParams(ell=2, theta=0.8), NU)
@@ -94,7 +95,7 @@ def test_per_term_equals_train_residues():
     X = 0.9
     for z_xi in (0.6 + 0j, 1.4 + 0.8j):
         f = _phi(z_xi, X)
-        train = sum(cauchy_circle_residue(f, complex(p)) for p in SM.pole_train)
+        train = sum(cauchy_circle_residue(f, -m * SM.theta + 0j) for m in range(1, SM.ell + 1))
         assert abs(per_term(z_xi, X, SM, NU) - train) <= 1e-12
 
 
@@ -221,6 +222,17 @@ def test_side_eval_refuses_overflow():
         spectral_side_eval(_spectrum(), 1200.0, SM, NU)
 
 
+@pytest.mark.parametrize("call, z_xi, X", [
+    (residue_pair, 0.6 + 0j, 1200.0),  # e^{z_xi X} passes the float range
+    (residue_pair, 1e160j, 1.0),  # z_xi^2 does
+    (per_term, 1e160j, 1.0),
+])
+def test_single_datum_calls_refuse_overflow(call, z_xi, X):
+    # under filterwarnings = error, a numpy warning before the refusal fails
+    with pytest.raises(InputError, match=re.escape(f"z_xi = {z_xi} overflows at X = {X}: its")):
+        call(z_xi, X, SmoothingParams(ell=2, theta=0.8), NU)
+
+
 def test_spectrum_csv_both_headers(tmp_path):
     p1 = tmp_path / "lam.csv"
     p1.write_text("label,lambda,weight\nc,0.0,1.0\nphi1,-2.25,2.0\n")
@@ -298,7 +310,7 @@ def test_array_evaluator_matches_circle_oracle(nu, ell):
             f = _phi(d.z, X, sm)
             parts = [res(f, d.z), res(f, -d.z)]
             if d.label != "const":
-                parts.append(sum(res(f, p) for p in sm.pole_train))
+                parts.append(sum(res(f, -m * sm.theta) for m in range(1, sm.ell + 1)))
             want = d.weight * sum(parts)
             scale = d.weight * sum(abs(t) for t in parts)
             assert abs(got - want) <= 1e-12 * scale, (d.label, got, want)
@@ -343,7 +355,7 @@ def test_collision_inside_a_large_spectrum_names_the_datum():
             for k, y in enumerate(np.linspace(1.5, 20.0, 2000))]
     data[1000] = SpectralDatum("bad", 1.6 + 0j, 1.0)  # z_xi = 2 theta
     data[1500] = SpectralDatum("zero", 1e-9 + 0j, 1.0)  # a later collision
-    with pytest.raises(PoleCollisionError) as info:
+    with pytest.raises(InputError) as info:
         spectral_side_eval(Spectrum(tuple(data)), 1.0, sm, NU)
     assert str(info.value) == (
         "z_xi = (1.6+0j) collides with kernel pole at -2*theta (theta = 0.8); shift theta"
@@ -442,9 +454,9 @@ def test_single_datum_calls_match_the_array_pass(nu, ell):
     sm = SmoothingParams(ell=ell, theta=0.8)
     zs = np.array(GRID + [1.0 + 0j, 0.35 + 0j, 7.5j, 0.2 + 19.0j])
     for X in (0.4, 1.7, 3.0):
-        A, B, per = _datum_terms(zs, X, sm)
+        AB, per = _residues(np.concatenate([zs, -zs]), X, sm), _pole_train(zs, X, sm)
         for k, z_xi in enumerate(zs.tolist()):
-            assert np.array_equal(_bits(residue_pair(z_xi, X, sm, nu)), _bits([A[k], B[k]]))
+            assert np.array_equal(_bits(residue_pair(z_xi, X, sm, nu)), _bits([AB[k], AB[zs.size + k]]))
             assert np.array_equal(_bits(per_term(z_xi, X, sm, nu)), _bits(per[k]))
 
 
