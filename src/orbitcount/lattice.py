@@ -19,7 +19,8 @@ radius and gauge are derived from F.
 
 A census sum of a radial function is a sum over shells of constant F, which
 the sums read from :attr:`Census.shell_table`.  Shell sizes have a closed
-form (:func:`form_counts`); :meth:`Census.from_csv` refuses a file without them.
+form (:func:`form_counts`); :meth:`Census.from_csv` refuses a file without them,
+and :func:`enumerate_pruned` a census it built.
 
 Three enumerators are provided and cross-checked in the tests:
 
@@ -59,7 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetError, InputError
+from .errors import BudgetError, ConvergenceError, InputError
 
 CSV_HEADER = "re_a,im_a,re_b,im_b,re_c,im_c,re_d,im_d"
 
@@ -182,9 +183,9 @@ def f_threshold(cutoff: float) -> int:
     are themselves exact gauges (golden ratio and friends) inside the
     census, per the boundary-inclusive convention.
     """
-    if cutoff < 1.0:
+    if not cutoff >= 1.0:  # nan too
         raise InputError(
-            f"cutoff {cutoff} is below 1.0, the gauge of the {COMPACT_COUNT} "
+            f"cutoff {cutoff} is not a number >= 1.0, the gauge of the {COMPACT_COUNT} "
             "compact-stabilizer elements; censuses start at cutoff 1.0"
         )
     try:
@@ -262,16 +263,22 @@ class Census:
                 f"{path}: {census.size} rows cannot be a complete census up to "
                 f"shell F = {fmax}, which holds at least {2 * fmax * fmax}"
             )
-        want, got = form_counts(fmax), np.zeros(fmax + 1, np.int64)
-        got[t.fnorm] = t.count
-        bad = np.flatnonzero(got != want)
-        if bad.size:
-            f = bad[0]
-            raise InputError(
-                f"{path}: shell F = {f} holds {got[f]} rows, a complete census "
-                f"holds {want[f]}; rebuild it with `orbitcount enumerate`"
-            )
+        wrong = census._wrong_shell(fmax)
+        if wrong:
+            raise InputError(f"{path}: {wrong}; rebuild it with `orbitcount enumerate`")
         return census
+
+    def _wrong_shell(self, fmax: int) -> str | None:
+        """The first shell whose row count is not :func:`form_counts`' (0
+        above fmax), described, or None when every shell is complete."""
+        got = np.bincount(self.fnorm, minlength=fmax + 1)
+        want = np.zeros_like(got)
+        want[: fmax + 1] = form_counts(fmax)
+        bad = np.flatnonzero(got != want)
+        if not bad.size:
+            return None
+        f = bad[0]
+        return f"shell F = {f} holds {got[f]} rows, a complete census holds {want[f]}"
 
     @classmethod
     def from_rows(cls, arr: np.ndarray, cutoff: float | None) -> "Census":
@@ -477,8 +484,8 @@ def shell_counts(census: Census, width: float = 0.25) -> list[tuple[float, int]]
     Bins are emitted for every k from 0 through the last occupied bin, so
     the counts always sum to census.size.
     """
-    if width <= 0:
-        raise InputError("bin width must be positive")
+    if not 0 < width < math.inf:  # nan too
+        raise InputError(f"bin width must be finite and positive, got {width}")
     if census.size == 0:
         return []
     t = census.shell_table
@@ -616,7 +623,9 @@ def enumerate_pruned(
     where a pair with a in Q stands for its 4 rotations (same cell count).
     It is checked against the budget before a block's candidates are
     allocated, so a budget stops the same cutoffs as a full scan would.
-    :meth:`Census.from_rows` still checks every row.  The blocks are joined
+    :meth:`Census.from_rows` still checks every row, and every shell's
+    count is checked against :func:`form_counts`: a wrong one is a census
+    that cannot be certified (``ConvergenceError``).  The blocks are joined
     and freed before it sorts, so at most two copies of the rows are alive:
     the joined ones and their canonical gather.  Blocks are shared out to
     ``workers`` threads; the census is the same for any count.  Threads do
@@ -713,7 +722,11 @@ def enumerate_pruned(
 
     rows = np.concatenate([rows for res, _ in results for rows in res])
     del results  # free the blocks: sorting gathers a second copy of the rows
-    return Census.from_rows(rows, cutoff=cutoff)
+    census = Census.from_rows(rows, cutoff=cutoff)
+    wrong = census._wrong_shell(fmax)
+    if wrong:  # a census that misses or repeats a row is not certified
+        raise ConvergenceError(f"enumeration at cutoff {cutoff}: {wrong}")
+    return census
 
 
 def enumerate_literal(cutoff: float, *, budget: int = DEFAULT_WORK_BUDGET) -> Census:

@@ -36,6 +36,12 @@ from .lattice import Census
 from .quadrature import LineIntegral, pointwise, vertical_line_integral
 
 
+def check_count_parameter(X: float) -> None:
+    """Refuse a count parameter X that is not a finite number > 0."""
+    if not 0 < X < math.inf:  # nan too
+        raise InputError(f"count parameter X must be finite and > 0, got {X}")
+
+
 def perron_sigma(u: float) -> float:
     """Abscissa of the contour oracle's line at u, right of the kernel's pole
     at 0: 1 for u <= 1 and 1/u above, so e^{sigma u}, the growth of the
@@ -174,8 +180,7 @@ def smoothed_geometric_count(
     InputError otherwise, since missing elements would silently bias the
     count.
     """
-    if X <= 0:
-        raise InputError(f"count parameter X must be > 0, got {X}")
+    check_count_parameter(X)
     try:
         needed = math.exp(0.5 * X)
     except OverflowError:  # X above about 1419: beyond any census

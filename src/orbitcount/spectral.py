@@ -37,9 +37,11 @@ The formula is evaluated over arrays: one pass computes A, B and Per for
 every datum of a spectrum at one X, with a loop only over the train index.
 Each datum's value depends on that datum alone, and ``spectral_side_eval``'s
 total is their correctly rounded sum (``math.fsum`` per part).
-``residue_pair`` and ``per_term`` are the same code applied to one datum;
-each computes only its own part (the residues, or the pole train), with the
-array pass's bits.
+``residue_pair`` is the same code applied to one datum: it computes only
+the residues, with the array pass's bits.  Both refuse, before any value
+is computed, an X that is not finite and > 0
+(``perron.check_count_parameter``), a nu other than 2 and a z_xi on
+another pole of phi.
 
 ``global_contour_oracle`` checks the total independently: it integrates the
 assembled kernel along a vertical line, folded onto the upper half only
@@ -58,7 +60,7 @@ import numpy as np
 
 from .errors import InputError
 from .freespace import NU, RHO_NORM
-from .perron import SmoothingParams, smoothing_contour_transform
+from .perron import SmoothingParams, check_count_parameter, smoothing_contour_transform
 from .quadrature import LineIntegral, fsum_complex, pointwise
 
 #: tolerance below which two poles are treated as collided
@@ -151,8 +153,18 @@ class Spectrum:
         return cls(data=tuple(rows))
 
 
-def _check_collisions(z: np.ndarray, params: SmoothingParams) -> None:
-    """Refuse the first z_xi, in array order, that sits on another pole of phi."""
+def _check_nu(nu) -> None:
+    """Refuse any kernel exponent but the model's; 2.0 is 2."""
+    if nu != NU:
+        raise InputError(f"kernel exponent nu must be {NU}, the model's, got {nu}")
+
+
+def _check_request(z: np.ndarray, X: float, params: SmoothingParams, nu) -> None:
+    """Refuse a request before any value is computed: an X that is not
+    finite and > 0, a kernel exponent but the model's, and the first z_xi,
+    in array order, that sits on another pole of phi."""
+    check_count_parameter(X)
+    _check_nu(nu)
     ell = params.ell
     mth = params.theta * np.arange(1, ell + 1)
     # Both (z - z_xi) and (z + z_xi) matter: collision whenever z_xi is
@@ -192,13 +204,6 @@ def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _pack(ar * br - ai * bi, ar * bi + ai * br)
 
 
-def _square(x: np.ndarray) -> np.ndarray:
-    """x**2 as CPython's square-and-multiply computes it, 1 * (x * x), with
-    its bits: the product by 1 is not the identity on signed zeros and
-    infinities (1 * (inf + 0j) has a nan part)."""
-    return _cmul(np.ones_like(x), _cmul(x, x))
-
-
 def _cdiv(a, b) -> np.ndarray:
     """a / b by Smith's algorithm, dividing by the scaled denominator; b != 0."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
@@ -211,12 +216,6 @@ def _cdiv(a, b) -> np.ndarray:
         np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom,
         np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom,
     )
-
-
-def _check_nu(nu) -> None:
-    """Refuse any kernel exponent but the model's; 2.0 is 2."""
-    if nu != NU:
-        raise InputError(f"kernel exponent nu must be {NU}, the model's, got {nu}")
 
 
 def _check_finite(values: np.ndarray, z: np.ndarray, X: float, labels=None) -> None:
@@ -254,8 +253,8 @@ def _residues(at: np.ndarray, X: float, params: SmoothingParams) -> np.ndarray:
         for m in range(1, ell + 1)
     ])
     gap = at + at  # at minus the other pole -at
-    gap3 = _cmul(_cmul(np.ones_like(gap), gap), _cmul(gap, gap))  # gap**3, likewise
-    u, du = _cdiv(1.0, _square(gap)), -2.0 * _cdiv(1.0, gap3)
+    gap2 = _cmul(gap, gap)
+    u, du = _cdiv(1.0, gap2), -2.0 * _cdiv(1.0, _cmul(gap, gap2))
     v = np.exp(at * X)
     dv = X * v
     shifted = at[:, None] + mth
@@ -266,7 +265,7 @@ def _residues(at: np.ndarray, X: float, params: SmoothingParams) -> np.ndarray:
     total += _cmul(_cmul(u, v), dw)
     total += _cmul(_cmul(u, dv), w)
     total += _cmul(_cmul(du, v), w)
-    return _cdiv(total, 1.0)  # as complex / 1.0, which sets non-finite parts' bits
+    return total
 
 
 def _pole_train(z: np.ndarray, X: float, params: SmoothingParams) -> np.ndarray:
@@ -278,7 +277,8 @@ def _pole_train(z: np.ndarray, X: float, params: SmoothingParams) -> np.ndarray:
     decay = np.array([(-1.0) ** (m - 1) * cmath.exp(-m * theta * X) for m in ms])
     facts = np.array([math.factorial(m - 1) * math.factorial(ell - m) for m in ms], dtype=float)
     zc = z[:, None]
-    den = facts * _square(_cmul(zc, zc) - mth**2)
+    diff = _cmul(zc, zc) - mth**2
+    den = facts * _cmul(diff, diff)
     terms = _cdiv(decay, den)
     rows = [complex(math.fsum(re), math.fsum(im))
             for re, im in zip(terms.real.tolist(), terms.imag.tolist())]
@@ -293,31 +293,13 @@ def residue_pair(
 ) -> tuple[complex, complex]:
     """Full residues (A, B) of phi at z = +z_xi and z = -z_xi (see
     ``_residues`` for the closed form)."""
-    _check_nu(nu)
     z = np.array([complex(z_xi)])
     with np.errstate(over="ignore", invalid="ignore"):
-        _check_collisions(z, params)
+        _check_request(z, X, params, nu)
         AB = _residues(np.concatenate([z, -z]), X, params)
     _check_finite(AB, z, X)
     A, B = AB.tolist()
     return A, B
-
-
-def per_term(
-    z_xi: complex,
-    X: float,
-    params: SmoothingParams,
-    nu: int = NU,
-) -> complex:
-    """Pole-train term, exactly as displayed (see module docstring): the
-    residue sum of phi over the kernel poles -theta..-ell theta."""
-    _check_nu(nu)
-    z = np.array([complex(z_xi)])
-    with np.errstate(over="ignore", invalid="ignore"):
-        _check_collisions(z, params)
-        per = _pole_train(z, X, params)
-    _check_finite(per, z, X)
-    return complex(per[0])
 
 
 @dataclass(frozen=True)
@@ -339,16 +321,13 @@ def spectral_side_eval(
     comes from one array evaluation over the whole spectrum; the total is
     their correctly rounded sum.
     """
-    if X <= 0:
-        raise InputError(f"count parameter X must be > 0, got {X}")
-    _check_nu(nu)
     data = spectrum.data
     z = np.array([d.z for d in data], dtype=complex)
     w = np.array([d.weight for d in data], dtype=float)
     const = np.array([d.is_constant() for d in data], dtype=bool)
     labels = [d.label for d in data]
     with np.errstate(over="ignore", invalid="ignore"):
-        _check_collisions(z, params)  # before any value is computed
+        _check_request(z, X, params, nu)
         AB = _residues(np.concatenate([z, -z]), X, params)  # A and B in one pass
         pair = AB[: z.size] + AB[z.size :]
         contrib = w * np.where(const, pair, pair + _pole_train(z, X, params))
@@ -387,8 +366,7 @@ def global_contour_oracle(
     with real weights f(conj z) = conj f(z) and only the upper half of the
     line is integrated; any other spectrum is integrated on the whole line.
     """
-    if X <= 0:
-        raise InputError("contour oracle needs X > 0 for left closure")
+    check_count_parameter(X)  # closing the line to the left needs X > 0
     _check_nu(nu)
     zarr = np.array([d.z for d in spectrum], dtype=complex)
     ws = np.array([d.weight for d in spectrum])

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orbitcount import cli
+from orbitcount import cli, lattice
 from orbitcount.errors import ConvergenceError, InputError
 from orbitcount.lattice import CSV_HEADER, DEFAULT_WORK_BUDGET, Census
 from orbitcount.perron import SmoothingParams, perron_contour_oracle
@@ -625,6 +625,26 @@ def test_convergence_failure_maps_to_exit_2(monkeypatch):
     monkeypatch.setattr(cli, "perron_contour_oracle", boom)
     code = cli.main(["perron-check", "--u", "1.0"])
     assert code == 2
+
+
+def test_enumerate_refuses_a_census_its_shell_counts_do_not_certify(tmp_path, capsys, monkeypatch):
+    real = lattice.form_counts
+
+    def one_row_off(fmax):
+        n = real(fmax)
+        n[5] += 1
+        return n
+
+    monkeypatch.setattr(lattice, "form_counts", one_row_off)
+    want = "shell F = 5 holds 128 rows, a complete census holds 129"
+    with pytest.raises(ConvergenceError, match=f"enumeration at cutoff 4.0: {want}"):
+        lattice.enumerate_pruned(4.0)
+    path = tmp_path / "c4.csv"
+    assert cli.main(["enumerate", "--cutoff", "4", "--out", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and want in out.err
+    assert not path.exists()
 
 
 def test_missing_census_file_exits_1(tmp_path):

@@ -1,6 +1,7 @@
 """Exact census enumeration over the Gaussian-integer matrix group."""
 
 import hashlib
+import math
 import re
 
 import numpy as np
@@ -82,6 +83,10 @@ def test_f_threshold_values():
     assert f_threshold(GOLDEN) == 3
     with pytest.raises(InputError):
         f_threshold(0.9)
+    # nan used to reach int(floor(nan)), a bare ValueError
+    for call in (f_threshold, enumerate_pruned):
+        with pytest.raises(InputError, match="cutoff nan is not a number >= 1.0"):
+            call(math.nan)
 
 
 def test_enumerators_agree_small():
@@ -383,6 +388,11 @@ def test_budget_refuses_before_the_entry_box(enumerate_, peak_bytes):
 def test_shell_counts_partition(census8):
     bins = shell_counts(census8)
     assert sum(n for _left, n in bins) == census8.size
+    # a nan width used to warn in the cast to int and then raise a bare
+    # ValueError; an infinite one made a bin whose left edge was nan
+    for width in (0.0, -0.25, math.nan, math.inf):
+        with pytest.raises(InputError, match=f"bin width must be finite and positive, got {width}"):
+            shell_counts(census8, width)
 
 
 @pytest.mark.parametrize("cutoff", [8.0, 16.0])

@@ -2,6 +2,7 @@
 count built from them."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -173,6 +174,13 @@ def test_smoothed_count_coverage_gate(census2):
     # census2 certifies radii up to 2 log 2; X beyond that is refused
     with pytest.raises(InputError, match="census cutoff 2 covers radii up to"):
         smoothed_geometric_count(census2, 2.0 * math.log(2.0) + 0.1, sm)
+
+
+@pytest.mark.parametrize("X", [0.0, math.nan, math.inf])
+def test_smoothed_count_refuses_bad_x(census8, X):
+    # nan X used to return value 0.0 from 0 census elements: nan <= 0 is false
+    with pytest.raises(InputError, match=re.escape(f"count parameter X must be finite and > 0, got {X}")):
+        smoothed_geometric_count(census8, X, SmoothingParams())
 
 
 def test_transform_of_truncated_series_matches_direct_count(census2):

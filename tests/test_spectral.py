@@ -18,11 +18,9 @@ from orbitcount.spectral import (
     _cmul,
     _pole_train,
     _residues,
-    _square,
     branch_z,
     global_contour_oracle,
     lambda_from_z,
-    per_term,
     residue_pair,
     spectral_side_eval,
     z_from_lambda,
@@ -42,6 +40,11 @@ def _phi(z_xi, X, sm=SM):
         )
 
     return f
+
+
+def _per(z_xi, X, sm=SM):
+    """The pole-train term Per of one datum, as spectral_side_eval computes it."""
+    return complex(_pole_train(np.array([complex(z_xi)]), X, sm)[0])
 
 
 def _spectrum(zs=GRID, ws=WEIGHTS):
@@ -88,7 +91,7 @@ def test_per_term_closed_form_ell2():
             np.exp(-th * X) / (z2 - th**2) ** NU
             - np.exp(-2 * th * X) / (z2 - (2 * th) ** 2) ** NU
         ) / th
-        assert abs(per_term(z_xi, X, SM, NU) - want) <= 1e-14 * abs(want)
+        assert abs(_per(z_xi, X) - want) <= 1e-14 * abs(want)
 
 
 def test_per_term_equals_train_residues():
@@ -96,7 +99,7 @@ def test_per_term_equals_train_residues():
     for z_xi in (0.6 + 0j, 1.4 + 0.8j):
         f = _phi(z_xi, X)
         train = sum(cauchy_circle_residue(f, -m * SM.theta + 0j) for m in range(1, SM.ell + 1))
-        assert abs(per_term(z_xi, X, SM, NU) - train) <= 1e-12
+        assert abs(_per(z_xi, X) - train) <= 1e-12
 
 
 def test_per_term_decay_envelope():
@@ -104,8 +107,8 @@ def test_per_term_decay_envelope():
     # prefactors; C = 5 covers every |z_xi| in the grid with margin
     for z_xi in GRID:
         for X in np.arange(5.0, 41.0, 1.0):
-            a = abs(per_term(z_xi, X, SM, NU))
-            b = abs(per_term(z_xi, X + 1.0, SM, NU))
+            a = abs(_per(z_xi, X))
+            b = abs(_per(z_xi, X + 1.0))
             env = np.exp(-SM.theta) * (1.0 + 5.0 * np.exp(-SM.theta * X)) + 1e-9
             assert b <= a * env
 
@@ -203,17 +206,33 @@ def test_constant_datum_omits_train():
     assert val.constant_labels == ("c",)
     a_c, b_c = residue_pair(1.0 + 0j, X, sm, NU)
     a_r, b_r = residue_pair(0.35 + 0j, X, sm, NU)
-    want = 1.0 * (a_c + b_c) + 2.0 * (a_r + b_r + per_term(0.35 + 0j, X, sm, NU))
+    want = 1.0 * (a_c + b_c) + 2.0 * (a_r + b_r + _per(0.35 + 0j, X, sm))
     assert abs(val.total - want) <= 1e-14 * abs(want)
     # adding the constant datum's train back reproduces the full contour
     oracle = global_contour_oracle(sp, X, sm, NU)
-    full = val.total + 1.0 * per_term(1.0 + 0j, X, sm, NU)
+    full = val.total + 1.0 * _per(1.0 + 0j, X, sm)
     assert abs(full - oracle.value) <= 1e-6
 
 
 def test_side_eval_rejects_nonpositive_x():
     with pytest.raises(InputError):
         spectral_side_eval(_spectrum(), 0.0, SM, NU)
+
+
+@pytest.mark.parametrize("call, X", [
+    *((residue_pair, X) for X in (0.0, -1.0, -1000.0, math.nan, math.inf)),
+    (spectral_side_eval, math.nan),
+    (spectral_side_eval, math.inf),
+    (global_contour_oracle, 0.0),
+    (global_contour_oracle, math.nan),
+])
+def test_bad_x_is_refused_before_any_value(call, X):
+    # residue_pair took any X, and spectral_side_eval refused nan and inf
+    # only as an overflow "at X = nan"; no numpy warning may come first
+    sm = SmoothingParams(ell=2, theta=0.8)
+    first = 0.6 if call is residue_pair else _spectrum()
+    with pytest.raises(InputError, match=re.escape(f"count parameter X must be finite and > 0, got {X}")):
+        call(first, X, sm, NU)
 
 
 def test_side_eval_refuses_overflow():
@@ -225,7 +244,6 @@ def test_side_eval_refuses_overflow():
 @pytest.mark.parametrize("call, z_xi, X", [
     (residue_pair, 0.6 + 0j, 1200.0),  # e^{z_xi X} passes the float range
     (residue_pair, 1e160j, 1.0),  # z_xi^2 does
-    (per_term, 1e160j, 1.0),
 ])
 def test_single_datum_calls_refuse_overflow(call, z_xi, X):
     # under filterwarnings = error, a numpy warning before the refusal fails
@@ -442,22 +460,19 @@ def test_complex_helpers_round_like_scalar_formulas():
     b[:4] = [2.5, -1.5j, 3.0 + 1e-300j, 1e-300 - 4.0j]  # real, imaginary, lopsided
     assert _cmul(a, b).tolist() == [_prod(x, y) for x, y in zip(a.tolist(), b.tolist())]
     assert _cdiv(a, b).tolist() == [_quot(x, y) for x, y in zip(a.tolist(), b.tolist())]
-    b[4] = -2.5  # x * x has imaginary part -0.0; the product by 1 makes it +0.0
-    assert np.array_equal(_bits(_square(b)), _bits([x**2 for x in b.tolist()]))
 
 
 @pytest.mark.parametrize("nu", [NU])
 @pytest.mark.parametrize("ell", [1, 2, 3])
 def test_single_datum_calls_match_the_array_pass(nu, ell):
-    # residue_pair and per_term compute only their own part of the array
-    # pass, and that part keeps the array pass's bits
+    # residue_pair computes only the residues of the array pass, with the
+    # array pass's bits
     sm = SmoothingParams(ell=ell, theta=0.8)
     zs = np.array(GRID + [1.0 + 0j, 0.35 + 0j, 7.5j, 0.2 + 19.0j])
     for X in (0.4, 1.7, 3.0):
-        AB, per = _residues(np.concatenate([zs, -zs]), X, sm), _pole_train(zs, X, sm)
+        AB = _residues(np.concatenate([zs, -zs]), X, sm)
         for k, z_xi in enumerate(zs.tolist()):
             assert np.array_equal(_bits(residue_pair(z_xi, X, sm, nu)), _bits([AB[k], AB[zs.size + k]]))
-            assert np.array_equal(_bits(per_term(z_xi, X, sm, nu)), _bits(per[k]))
 
 
 def test_integral_float_nu_is_the_integer():
@@ -467,13 +482,11 @@ def test_integral_float_nu_is_the_integer():
     assert np.array_equal(_bits(got.total), _bits(want.total))
     assert np.array_equal(_bits([v for _, v in got.per_datum]), _bits([v for _, v in want.per_datum]))
     assert residue_pair(0.6, 1.5, SM, 2.0) == residue_pair(0.6, 1.5, SM, 2)
-    assert per_term(0.6, 1.5, SM, 2.0) == per_term(0.6, 1.5, SM, 2)
     assert global_contour_oracle(sp, 1.5, SM, 2.0) == global_contour_oracle(sp, 1.5, SM, 2)
     for nu in BAD_NU:
         for call in (global_contour_oracle, spectral_side_eval):
             with pytest.raises(InputError, match=re.escape(f"nu must be 2, the model's, got {nu}")):
                 call(sp, 1.5, SM, nu)
-        for call in (residue_pair, per_term):
-            with pytest.raises(InputError, match=re.escape(f"nu must be 2, the model's, got {nu}")):
-                call(0.6, 1.5, SM, nu)
+        with pytest.raises(InputError, match=re.escape(f"nu must be 2, the model's, got {nu}")):
+            residue_pair(0.6, 1.5, SM, nu)
 
