@@ -16,8 +16,8 @@ where A and B are the full residues (exponential included) of
 
 at z = z_xi and z = -z_xi respectively, and Per is the pole-train sum
 
-    Per = (1/theta^{ell-1}) sum_{m=1}^{ell}
-          (-1)^{m-1} e^{-m theta X} / ((m-1)! (ell-m)! (z_xi^2 - m^2 theta^2)^2).
+    Per = sum_{m=1}^{ell} c_m (1/(m theta + z_xi) * 1/(m theta - z_xi))^2,
+    c_m = (-1)^{m-1} e^{-m theta X} / ((m-1)! (ell-m)! theta^{ell-1}).
 
 A carries e^{+z_xi X} times a degree-1 polynomial in X; B mirrors with
 e^{-z_xi X}.  The constant datum (lambda = 0, z_xi = |rho|) contributes
@@ -28,10 +28,11 @@ the power of (lambda_xi - lambda_z) = -(z - z_xi)(z + z_xi) that flips);
 at nu = 2 that sign is +1, and the reports state it.  The ``nu`` arguments
 accept only the model's value.
 
-Each double-pole residue is the derivative of (z + z_xi)^{-2} e^{zX} / q(z)
-at the pole, taken by the product rule in closed form (never by numerical
-differentiation); an independent small-circle quadrature oracle in the test
-suite validates them.
+A is g'(z_xi) for g(z) = e^{zX} / ((z + z_xi)^2 q(z)), in closed form as g
+times its logarithmic derivative (never by numerical differentiation), and
+B is the same at -z_xi.  ``_residues`` takes A, B and Per from one table of
+reciprocals, whose products underflow where z_xi^2 or q would overflow.  An
+independent small-circle quadrature oracle in the test suite validates them.
 
 The formula is evaluated over arrays: one pass computes A, B and Per for
 every datum of a spectrum at one X, with a loop only over the train index.
@@ -231,58 +232,30 @@ def _check_finite(values: np.ndarray, z: np.ndarray, X: float, labels=None) -> N
     raise InputError(f"{datum} overflows at X = {X}: its contribution is not a finite number")
 
 
-def _residues(at: np.ndarray, X: float, params: SmoothingParams) -> np.ndarray:
-    """Residue of phi at z = at, for every entry of ``at``: the derivative at
-    ``at`` of g(z) = u v w, with u = (z + at)^{-2}, v = e^{zX} and w = 1/q(z),
-    by the product rule g' = u v w' + u v' w + u' v w, where
+def _residues(z: np.ndarray, X: float, params: SmoothingParams):
+    """(A, B, Per) of every z_xi in ``z``, from the reciprocals
+    r_m(a) = 1/(a + m theta), m = 0, ..., ell, at a = +/- z_xi:
 
-        u  = (2 at)^{-2},          u' = -2 (2 at)^{-3},
-        v' = X e^{at X},
-        w  = sum_m w_m (at + m theta)^{-1},
-        w' = -sum_m w_m (at + m theta)^{-2},
+        A   = e^{aX} r_0(a)^2/4 prod_{m>=1} r_m(a) (X - sum_{m>=0} r_m(a)), a = z_xi,
+        B   = the same at a = -z_xi,
+        Per = sum_{m>=1} c_m (r_m(z_xi) r_m(-z_xi))^2,
 
-    and w_m are the partial-fraction weights of 1/q.  The entries and the
-    train index m are array axes.
+    as 1/(2a) = r_0(a)/2 and r_m(z_xi) r_m(-z_xi) = 1/(m^2 theta^2 - z_xi^2).
     """
     ell, theta = params.ell, params.theta
-    mth = theta * np.arange(1, ell + 1)
-    # partial fractions of 1/q(z): w_m = (-1)^(m-1)/(theta^(ell-1) (m-1)! (ell-m)!)
-    wm = np.array([
-        (-1.0) ** (m - 1)
-        / (theta ** (ell - 1) * math.factorial(m - 1) * math.factorial(ell - m))
+    at = np.concatenate([z, -z])
+    r = _cdiv(1.0, at[:, None] + theta * np.arange(ell + 1))
+    g = 0.25 * r[:, 0]
+    for m in range(ell + 1):
+        g = _cmul(g, r[:, m])
+    AB = _cmul(_cmul(g, np.exp(at * X)), X - np.add.reduce(r, axis=-1))
+    c = np.array([
+        (-1.0) ** (m - 1) * math.exp(-m * theta * X)
+        / (math.factorial(m - 1) * math.factorial(ell - m) * theta ** (ell - 1))
         for m in range(1, ell + 1)
     ])
-    gap = at + at  # at minus the other pole -at
-    gap2 = _cmul(gap, gap)
-    u, du = _cdiv(1.0, gap2), -2.0 * _cdiv(1.0, _cmul(gap, gap2))
-    v = np.exp(at * X)
-    dv = X * v
-    shifted = at[:, None] + mth
-    # numpy's complex power: reports rest on its rounding
-    w = np.add.reduce(wm * shifted**-1.0, axis=-1)
-    dw = np.add.reduce(-wm * shifted**-2.0, axis=-1)
-    total = np.zeros_like(at)
-    total += _cmul(_cmul(u, v), dw)
-    total += _cmul(_cmul(u, dv), w)
-    total += _cmul(_cmul(du, v), w)
-    return total
-
-
-def _pole_train(z: np.ndarray, X: float, params: SmoothingParams) -> np.ndarray:
-    """Per as displayed: term m is (-1)^(m-1) e^{-m theta X} over
-    (m-1)! (ell-m)! (z_xi^2 - m^2 theta^2)^2, summed over m."""
-    ell, theta = params.ell, params.theta
-    mth = theta * np.arange(1, ell + 1)
-    ms = range(1, ell + 1)
-    decay = np.array([(-1.0) ** (m - 1) * cmath.exp(-m * theta * X) for m in ms])
-    facts = np.array([math.factorial(m - 1) * math.factorial(ell - m) for m in ms], dtype=float)
-    zc = z[:, None]
-    diff = _cmul(zc, zc) - mth**2
-    den = facts * _cmul(diff, diff)
-    terms = _cdiv(decay, den)
-    rows = [complex(math.fsum(re), math.fsum(im))
-            for re, im in zip(terms.real.tolist(), terms.imag.tolist())]
-    return _cdiv(np.array(rows, dtype=complex), float(theta ** (ell - 1)))
+    pair = _cmul(r[: z.size, 1:], r[z.size :, 1:])
+    return AB[: z.size], AB[z.size :], np.add.reduce(c * _cmul(pair, pair), axis=-1)
 
 
 def residue_pair(
@@ -291,15 +264,15 @@ def residue_pair(
     params: SmoothingParams,
     nu: int = NU,
 ) -> tuple[complex, complex]:
-    """Full residues (A, B) of phi at z = +z_xi and z = -z_xi (see
-    ``_residues`` for the closed form)."""
+    """Full residues (A, B) of phi at z = +z_xi and z = -z_xi, with the
+    array pass's bits (see ``_residues`` for the closed form).  For a far
+    z_xi they underflow to 0 instead of being refused."""
     z = np.array([complex(z_xi)])
     with np.errstate(over="ignore", invalid="ignore"):
         _check_request(z, X, params, nu)
-        AB = _residues(np.concatenate([z, -z]), X, params)
+        AB = np.concatenate(_residues(z, X, params)[:2])
     _check_finite(AB, z, X)
-    A, B = AB.tolist()
-    return A, B
+    return tuple(AB.tolist())
 
 
 @dataclass(frozen=True)
@@ -328,9 +301,9 @@ def spectral_side_eval(
     labels = [d.label for d in data]
     with np.errstate(over="ignore", invalid="ignore"):
         _check_request(z, X, params, nu)
-        AB = _residues(np.concatenate([z, -z]), X, params)  # A and B in one pass
-        pair = AB[: z.size] + AB[z.size :]
-        contrib = w * np.where(const, pair, pair + _pole_train(z, X, params))
+        A, B, per = _residues(z, X, params)
+        pair = A + B
+        contrib = w * np.where(const, pair, pair + per)
     _check_finite(contrib, z, X, labels)
     values = contrib.tolist()
     return SpectralValue(
