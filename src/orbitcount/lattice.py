@@ -34,9 +34,8 @@ Three enumerators are provided and cross-checked in the tests:
   turns that quarter into the rest.  Vectorized: each block of
   first-column values a is one numpy pass (Euclid on int64 pair arrays,
   t-disks expanded into candidate arrays, exact F filter, rotation).  It
-  is the fastest of the three at every cutoff from 2 up (cutoff 12: about
-  0.15 s against 3.5 s for the box scan, on a 2-core x86 VM); below that
-  all take under a millisecond.
+  is the fastest of the three at every cutoff from 2 up; below that all
+  take under a millisecond.
 * :func:`enumerate_naive` -- box scan over (a, b, c) with the determinant
   forcing d exactly (conjugate-multiply then divisibility by |a|^2; the
   a = 0 branch is handled separately).  Vectorized; the work budget is the
@@ -67,8 +66,9 @@ CSV_HEADER = "re_a,im_a,re_b,im_b,re_c,im_c,re_d,im_d"
 #: Census rows formatted per write by :meth:`Census.to_csv`.
 _CSV_BLOCK = 8192
 
-#: Default cap on candidate tuples examined by an enumeration call.
-DEFAULT_WORK_BUDGET = 200_000_000
+#: Default cap on candidate tuples examined by an enumeration call: the
+#: pruned scan admits cutoff 42 (71,396,840) and refuses 42.5 (75,164,168).
+DEFAULT_WORK_BUDGET = 74_000_000
 
 #: First-column values a per numpy pass of :func:`enumerate_pruned`.  Keeps
 #: the per-pass arrays to a few MB at the cutoffs the work budget admits.
@@ -466,6 +466,7 @@ def form_counts(fmax: int) -> np.ndarray:
     Mennicke, *Groups Acting on Hyperbolic Space*), so N(F) = 8 sum_{x=1}^{F-1}
     r2(x (F - x) - 1), r2(m) the number of w in Z[i] with |w|^2 = m, here
     4 times the count in the quarter disk {re w > 0, im w >= 0} for m > 0.
+    Equivalently N(F) = 8 r3(F^2 - 4) for even F and (8/3) r3(F^2 - 4) for odd F.
     """
     m_max = max(fmax * fmax // 4 - 1, 0)
     side = np.arange(math.isqrt(m_max) + 1)
@@ -512,20 +513,20 @@ def _check_budget(estimate: int, budget: int, what: str) -> None:
         raise BudgetError(estimate, budget, what)
 
 
-def _entry_box(cutoff: float, budget: int, work, what: str) -> tuple[int, np.ndarray]:
-    """The bound entry_sq on |entry|^2 at this cutoff and the box of Gaussian
-    integers within it, for a scan of ``work(k)`` candidates over k box points.
+def _entry_box(fmax: int, budget: int, work, what: str) -> np.ndarray:
+    """The Gaussian integers v with |v|^2 <= fmax - 1, which hold every entry
+    of an element with F <= fmax (an entry with |v|^2 = F leaves the other
+    three 0, and det 0), for a scan of ``work(k)`` candidates over k of them.
 
-    The budget is checked first on the (2 isqrt(entry_sq // 2) + 1)^2 points
-    of the box's inscribed square, so a box too large to scan is refused
-    before it is built, then on the box's exact size.
+    The budget is checked first on the (2 isqrt((fmax - 1) // 2) + 1)^2
+    points of the box's inscribed square, so a box too large to scan is
+    refused before it is built, then on the box's exact size.
     """
-    entry_sq = int(math.floor(float(cutoff) ** 2 + 1e-9))
-    side = 2 * math.isqrt(entry_sq // 2) + 1
+    side = 2 * math.isqrt((fmax - 1) // 2) + 1
     _check_budget(work(side * side), budget, what)
-    box = _gaussian_box(entry_sq)
+    box = _gaussian_box(fmax - 1)
     _check_budget(work(box.shape[0]), budget, what)
-    return entry_sq, box
+    return box
 
 
 def enumerate_naive(cutoff: float, *, budget: int = DEFAULT_WORK_BUDGET) -> Census:
@@ -535,8 +536,8 @@ def enumerate_naive(cutoff: float, *, budget: int = DEFAULT_WORK_BUDGET) -> Cens
     before anything is allocated, so oversized cutoffs fail fast.
     """
     fmax = f_threshold(cutoff)
-    # |entry| <= gauge <= cutoff, so a box scan is a superset; F filters exactly.
-    entry_sq, box = _entry_box(cutoff, budget, lambda k: k**3, "naive enumeration")
+    # the entry box holds every entry, so a box scan is a superset; F filters exactly.
+    box = _entry_box(fmax, budget, lambda k: k**3, "naive enumeration")
 
     bre = box[:, 0][:, None]
     bim = box[:, 1][:, None]
@@ -563,7 +564,7 @@ def enumerate_naive(cutoff: float, *, budget: int = DEFAULT_WORK_BUDGET) -> Cens
         nc = (np.zeros_like(bre) + cre * cre + cim * cim)[ok]
         nd = dre * dre + dim * dim
         f = na + nb + nc + nd
-        keep = (nd <= entry_sq) & (f <= fmax)
+        keep = f <= fmax
         if not keep.any():
             continue
         bidx, cidx = np.nonzero(ok)
@@ -603,9 +604,11 @@ def enumerate_pruned(
     A pair (a, c) extends to a unimodular matrix iff gcd(a, c) is a unit in
     Z[i]; the extended Euclid identity u a + v c = 1 yields one completion
     (b0, d0) = (-v, u), and every completion is (b0 + t a, d0 + t c) for a
-    Gaussian integer t.  The admissible t live in a disk of radius
-    cutoff/max(|a|, |c|), so each column contributes O(cutoff^2 / |a|^2)
-    candidates.
+    Gaussian integer t.  With s = |a|^2 + |c|^2, w = a conj(b0) + c conj(d0)
+    and F0 the F at t = 0, F(t) = F0 + s |t|^2 + 2 Re(t w), so the
+    admissible t fill the disk (s t_re + w_re)^2 + (s t_im - w_im)^2 <= D =
+    |w|^2 - s (F0 - fmax), of radius at most sqrt(fmax / s): each column
+    contributes O(fmax / s) candidates.
 
     The map g -> diag(u, conj u) g, for a unit u, sends [[a, b], [c, d]] to
     [[u a, u b], [conj(u) c, conj(u) d]]; it keeps det = 1 and F, so it maps
@@ -615,12 +618,12 @@ def enumerate_pruned(
     are the whole a = 0 set as scanned, and no row is found twice.
 
     Each block of :data:`_PRUNED_BLOCK` scanned values a is one numpy
-    pass: Euclid on all its (a, c) pairs at once, then each row of every
-    pair's t-disk bounding square narrowed to the t_im where F can be small
-    enough, expanded into candidate (b, d) arrays, filtered by the exact
-    F and rotated.  Work counts what a scan of every a would meet: all
-    (a, c) pairs of the entry box, plus the t-square cells of every pair,
-    where a pair with a in Q stands for its 4 rotations (same cell count).
+    pass: Euclid on all its (a, c) pairs at once, then every whole t in
+    the square around each pair's disk, filtered by the exact F, expanded
+    into (b, d) arrays and rotated.  Work counts the candidates a scan of
+    every a evaluates: all (a, c) pairs of the entry box, plus the square
+    cells of every coprime pair, where a pair with a in Q stands for its 4
+    rotations (same cell count).
     It is checked against the budget before a block's candidates are
     allocated, so a budget stops the same cutoffs as a full scan would.
     :meth:`Census.from_rows` still checks every row, and every shell's
@@ -633,11 +636,10 @@ def enumerate_pruned(
     (median 0.98x) the 1-thread time, so the CLI always runs one.
     """
     fmax = f_threshold(cutoff)
-    _entry_sq, box = _entry_box(cutoff, budget, lambda k: k * k - 1, "pruned enumeration (column scan)")
+    box = _entry_box(fmax, budget, lambda k: k * k - 1, "pruned enumeration (column scan)")
     k = box.shape[0]
     n_pairs = k * k - 1
 
-    bound = float(cutoff) + 1e-12
     # a = 0 and the quadrant Q = {re a > 0, im a >= 0}; rotation fills the rest.
     scanned = box[(box[:, 0] > 0) & (box[:, 1] >= 0) | (box[:, 0] == 0) & (box[:, 1] == 0)]
 
@@ -654,44 +656,29 @@ def enumerate_pruned(
         ginv = gconj(g)  # inverse of a unit
         b0 = np.array(gneg(gmul(v, ginv)))
         d0 = np.array(gmul(u, ginv))
-        # Pivot on the larger column entry for the tightest t-disk.
-        na, nc = gnorm(a), gnorm(c)
-        on_a = na >= nc
-        piv = np.where(on_a, a, c)
-        off = np.where(on_a, b0, d0)
-        azf = (off[0] + 1j * off[1]) / (piv[0] + 1j * piv[1])
-        rad = bound / np.sqrt(np.maximum(na, nc))
-        lo_re = np.ceil(-azf.real - rad - 1e-9).astype(np.int64)
-        lo_im = np.ceil(-azf.imag - rad - 1e-9).astype(np.int64)
-        n_re = np.floor(-azf.real + rad + 1e-9).astype(np.int64) - lo_re + 1
-        n_im = np.floor(-azf.imag + rad + 1e-9).astype(np.int64) - lo_im + 1
-        # A pair with a != 0 stands for its 4 rotations; their t-squares
-        # differ by an integer shift of the centre, so have the same cells.
-        cells = n_re * n_im
+        # F(t) = F0 + s |t|^2 + 2 Re(t w) <= fmax is the disk
+        # (s t_re + w_re)^2 + (s t_im - w_im)^2 <= D; root > sqrt(D) bounds
+        # its square of whole t (float(D) is exact below 2^53, a cutoff of
+        # about 8000).
+        na = gnorm(a)
+        s = na + gnorm(c)
+        w = gadd(gmul(a, gconj(b0)), gmul(c, gconj(d0)))
+        f0 = s + gnorm(b0) + gnorm(d0)
+        disc = gnorm(w) - s * (f0 - fmax)
+        root = np.floor(np.sqrt(np.maximum(disc, 0))).astype(np.int64) + (disc >= 0)
+        lo_re, lo_im = -((w[0] + root) // s), -((root - w[1]) // s)
+        n_im = (w[1] + root) // s - lo_im + 1
+        # A pair with a != 0 stands for its 4 rotations: (u b0, conj(u) d0)
+        # completes the rotated pair, and its disk is this one moved by a
+        # Gaussian integer, so has the same cells.
+        cells = ((root - w[0]) // s - lo_re + 1) * n_im
         work += int(4 * cells.sum() - 3 * cells[na == 0].sum())
         _check_budget(n_pairs + work, budget, "pruned enumeration")
 
-        # Along each row t_re of a pair's t-square, F(t) = c0 + s |t|^2
-        # + 2 Re(t w) <= fmax is an interval of t_im.  Bounds from
-        # floor(sqrt(disc)) + 1 > sqrt(disc) make it a superset; clipped to
-        # the square, it is then filtered by the exact F.
-        s = na + nc
-        w = gadd(gmul(a, gconj(b0)), gmul(c, gconj(d0)))
-        c0 = s + gnorm(b0) + gnorm(d0)
-        pair, step = _runs(n_re)
-        tr = lo_re[pair] + step
-        s, wi = s[pair], w[1][pair]
-        rest = c0[pair] + s * tr * tr + 2 * tr * w[0][pair] - fmax
-        disc = wi * wi - s * rest
-        root = np.floor(np.sqrt(np.maximum(disc, 0))).astype(np.int64) + 1
-        ti_lo = np.maximum(-((root - wi) // s), lo_im[pair])
-        ti_hi = np.minimum((wi + root) // s, lo_im[pair] + n_im[pair] - 1)
-        n_ti = np.where(disc >= 0, np.maximum(ti_hi - ti_lo + 1, 0), 0)
-        row, step = _runs(n_ti)
-        ti = ti_lo[row] + step
-        keep = s[row] * ti * ti - 2 * wi[row] * ti + rest[row] <= 0
-        row, ti = row[keep], ti[keep]
-        t, sel = (tr[row], ti), pair[row]
+        pair, step = _runs(cells)
+        t = (lo_re[pair] + step // n_im[pair], lo_im[pair] + step % n_im[pair])
+        keep = s[pair] * gnorm(t) + 2 * (t[0] * w[0][pair] - t[1] * w[1][pair]) + f0[pair] <= fmax
+        t, sel = (t[0][keep], t[1][keep]), pair[keep]
         a, c = a[:, sel], c[:, sel]
         b = gadd(b0[:, sel], gmul(t, a))
         d = gadd(d0[:, sel], gmul(t, c))
@@ -711,7 +698,7 @@ def enumerate_pruned(
 
     blocks = [scanned[i : i + _PRUNED_BLOCK] for i in range(0, len(scanned), _PRUNED_BLOCK)]
     chunks = _split(blocks, workers)
-    if workers > 1:
+    if workers > 1:  # not for one: the pool thread's malloc arena adds 3 MB peak RSS
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(scan_chunk, chunks))
     else:
@@ -732,7 +719,7 @@ def enumerate_pruned(
 def enumerate_literal(cutoff: float, *, budget: int = DEFAULT_WORK_BUDGET) -> Census:
     """Four-entry literal box scan.  Test oracle; O(box^4), tiny cutoffs only."""
     fmax = f_threshold(cutoff)
-    _entry_sq, box = _entry_box(cutoff, budget, lambda k: k**4, "literal enumeration")
+    box = _entry_box(fmax, budget, lambda k: k**4, "literal enumeration")
     box = [tuple(v) for v in box.tolist()]
     rows = []
     for a in box:

@@ -80,7 +80,8 @@ def smoothing_kernel(params: SmoothingParams, u) -> np.ndarray:
     """W(u) as above; vectorized, exactly 0 for u <= 0."""
     u = np.asarray(u, dtype=float)
     pos = u > 0
-    base = -np.expm1(-params.theta * np.where(pos, u, 0.0))  # 1 - e^{-theta u}
+    with np.errstate(over="ignore"):  # theta u past the float range: base is 1
+        base = -np.expm1(-params.theta * np.where(pos, u, 0.0))  # 1 - e^{-theta u}
     out = np.where(pos, base**params.ell / params.normalization, 0.0)
     return out if out.ndim else float(out)
 

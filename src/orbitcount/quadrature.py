@@ -172,10 +172,11 @@ def vertical_line_integral(
     width = min(max(panel_width, 1e-3), height)
 
     t_lo = 0.0 if conj_symmetric else -height
-    n_panels = int(np.ceil((height - t_lo) / width))
-    if n_panels > _MAX_PANELS:  # ~2 KB per panel, before f is called
-        raise ConvergenceError(f"contour height {height:g} needs {n_panels} panels of "
+    panels = np.ceil((height - t_lo) / width)  # inf past the float range
+    if panels > _MAX_PANELS:  # ~2 KB per panel, before f is called
+        raise ConvergenceError(f"contour height {height:g} needs {panels:.0f} panels of "
                                f"width {width:g}, over the cap of {_MAX_PANELS}")
+    n_panels = int(panels)
     # even by construction; the last panel may end an ulp off height
     width = (height - t_lo) / n_panels
     lo = t_lo + width * np.arange(n_panels)

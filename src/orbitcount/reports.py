@@ -3,8 +3,14 @@
 Floats go through Python's shortest-round-trip ``repr``, which preserves
 the exact same bits on parse.
 
-Reruns with identical inputs and configuration produce byte-identical
-documents except for the single ``meta.generated_at`` timestamp field.
+Reruns with identical inputs and configuration on one machine produce
+byte-identical documents except for the single ``meta.generated_at``
+timestamp field.  Across machines a float may move in its last bits: numpy's
+SIMD paths (AVX-512 on x86) round ``exp``, ``sinh``, ``arccosh`` and
+``expm1`` unlike libm on some inputs.  With and without them, ``poincare
+--z 6`` on the cutoff-4 census differs in 1 float (1.3e-16 relative) and
+``compare`` in 3 (at most 3.9e-16); the golden-report check's 1e-14
+relative tolerance absorbs both.
 """
 
 from __future__ import annotations

@@ -116,14 +116,18 @@ def torus_kernel(params: TorusParams, r) -> np.ndarray:
     if not const < math.inf:
         raise InputError(f"lambda = {params.lam:g} is out of range: the kernel "
                          f"constant of (n, nu) = ({n}, {nu}) overflows")
-    if nu == 1 or n == 3:
-        out = np.exp(-k * r) / const
-    elif n == 1:
-        out = np.exp(-k * r) * (1.0 + k * r) / const
-    else:
-        pos = r > 0
-        out = np.full_like(r, 1.0 / const)
-        out[pos] = r[pos] * bessel_k1(k * r[pos]) / (4.0 * math.pi * k)
+    # A kappa so small that the kernel overflows (4 kappa^3 underflows to 0
+    # below |lambda| of about 1e-216) makes it inf, and the geometric tail
+    # then refuses lambda as too close to 0.
+    with np.errstate(divide="ignore", over="ignore"):
+        if nu == 1 or n == 3:
+            out = np.exp(-k * r) / const
+        elif n == 1:
+            out = np.exp(-k * r) * (1.0 + k * r) / const
+        else:
+            pos = r > 0
+            out = np.full_like(r, 1.0 / const)
+            out[pos] = r[pos] * bessel_k1(k * r[pos]) / (4.0 * math.pi * k)
     return out
 
 

@@ -147,7 +147,7 @@ def test_every_config_key_is_read():
 
 
 def test_option_defaults_are_the_library_defaults():
-    assert DEFAULTS == {"ell": 2, "theta": 1.0, "work_budget": 200_000_000}
+    assert DEFAULTS == {"ell": 2, "theta": 1.0, "work_budget": 74_000_000}
     for sub, p in _subparsers().items():
         for key in READS[sub]:
             assert p.get_default(key) == DEFAULTS[key], (sub, key)
@@ -461,7 +461,7 @@ def test_non_finite_numbers_exit_1(tmp_path, capsys, census_csv, spectrum_csv, a
         # refused before the entry box, 10^300 points, is built; the
         # 601-digit estimate is printed by its leading digits
         (["enumerate", "--cutoff", "1e150", "--out", "{out}"],
-         "needs at least 3.9e+600 candidate evaluations, over the work budget of 200000000;"
+         "needs at least 3.9e+600 candidate evaluations, over the work budget of 74000000;"
          " raise --budget to proceed"),
         (["enumerate", "--cutoff", "1e200", "--out", "{out}"],
          "cutoff 1e+200 is too large: its square overflows a float"),

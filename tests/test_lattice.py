@@ -111,6 +111,9 @@ def test_census_sizes_frozen(census1, census2, census8):
 def test_naive_agrees_at_depth(census8):
     nai = enumerate_naive(8.0)
     assert nai.row_set() == census8.row_set()
+    # cutoffs where the entry box's bound fmax - 1 and floor(cutoff^2) differ
+    for cutoff in (4.999999, 5.000001, 7.999999999, 8.000000001):
+        assert np.array_equal(enumerate_naive(cutoff).rows, enumerate_pruned(cutoff).rows), cutoff
 
 
 @pytest.mark.parametrize("name", ["census2", "census8"])
@@ -352,26 +355,26 @@ def test_budget_error():
         enumerate_naive(8.0, budget=1000)
     with pytest.raises(BudgetError):
         enumerate_pruned(8.0, budget=1000)
-    # Past the 38,808-pair column scan: the t-disk cells exceed the budget.
+    # Past the 37,248-pair column scan: the t-disk cells exceed the budget.
     for workers in (1, 2):
         with pytest.raises(BudgetError):
-            enumerate_pruned(8.0, budget=100_000, workers=workers)
+            enumerate_pruned(8.0, budget=50_000, workers=workers)
 
 
 def test_budget_error_names_a_lower_bound_and_the_flag():
     # the check stops counting at the first block over the budget, so the
-    # figure is a lower bound on the 252,720 the run needs
+    # figure is a lower bound on the 96,712 the run needs
     with pytest.raises(BudgetError, match=r"needs at least \d+ .*; raise --budget to proceed$") as exc:
-        enumerate_pruned(8.0, budget=100_000)
-    assert 100_000 < exc.value.estimated <= 252_720
+        enumerate_pruned(8.0, budget=50_000)
+    assert 50_000 < exc.value.estimated <= 96_712
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_budget_counts_the_whole_census(workers):
-    # 252,720 = 38,808 column pairs + the t-square cells of a scan of every a
+    # 96,712 = 37,248 column pairs + the t-square cells of a scan of every a
     with pytest.raises(BudgetError):
-        enumerate_pruned(8.0, budget=252_719, workers=workers)
-    assert enumerate_pruned(8.0, budget=252_720, workers=workers).size == 42248
+        enumerate_pruned(8.0, budget=96_711, workers=workers)
+    assert enumerate_pruned(8.0, budget=96_712, workers=workers).size == 42248
 
 
 @pytest.mark.parametrize("enumerate_", [enumerate_literal, enumerate_naive, enumerate_pruned])
@@ -400,6 +403,36 @@ def test_form_counts_match_the_enumerator(cutoff):
     fmax = f_threshold(cutoff)
     counts = np.bincount(enumerate_pruned(cutoff).fnorm, minlength=fmax + 1)
     assert np.array_equal(form_counts(fmax), counts)
+
+
+def _r3(ns: np.ndarray) -> np.ndarray:
+    """r3(n), the points of Z^3 with |v|^2 = n, as sums of r2(n - z^2) over
+    z, from a table of r2 over the whole disk."""
+    m = math.isqrt(int(ns.max()))
+    sq = np.arange(-m, m + 1) ** 2
+    r2 = np.bincount((sq[:, None] + sq[None, :]).ravel())
+    return np.array([r2[n - sq[sq <= n]].sum() for n in ns.tolist()])
+
+
+def _legendre_excluded(n: int) -> bool:
+    """n = 4^a (8 b + 7): not a sum of three squares."""
+    while n and n % 4 == 0:
+        n //= 4
+    return n % 8 == 7
+
+
+def test_form_counts_are_sums_of_three_squares():
+    # N(F) = 8 r3(F^2 - 4) for even F and (8/3) r3(F^2 - 4) for odd F, far
+    # past the cutoffs the enumerator reaches
+    f = np.arange(2, 1025)
+    n = form_counts(1024)[2:]
+    r3 = _r3(f * f - 4)
+    assert np.array_equal(np.where(f % 2, 3, 1) * n, 8 * r3)
+    # so by Legendre's three-square theorem N(F) = 0 exactly when
+    # F^2 - 4 = 4^a (8 b + 7): 150 shells up to 1024, the first F = 8
+    empty = [_legendre_excluded(int(x) ** 2 - 4) for x in f]
+    assert np.array_equal(n == 0, empty)
+    assert sum(empty) == 150 and f[empty.index(True)] == 8
 
 
 def test_complete_census_bound():
