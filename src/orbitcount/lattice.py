@@ -483,13 +483,16 @@ def shell_counts(census: Census, width: float = 0.25) -> list[tuple[float, int]]
     """Histogram of radii into [k w, (k+1) w) bins: list of (left edge, count).
 
     Bins are emitted for every k from 0 through the last occupied bin, so
-    the counts always sum to census.size.
+    the counts always sum to census.size, and a width that would make more
+    bins than the census has rows is refused before any array is made.
     """
     if not 0 < width < math.inf:  # nan too
         raise InputError(f"bin width must be finite and positive, got {width}")
     if census.size == 0:
         return []
     t = census.shell_table
+    if float(t.radius.max()) / width + 1e-12 >= census.size:  # the last bin's k
+        raise InputError(f"bin width {width} makes more bins than the census's {census.size} rows")
     idx = np.floor(t.radius / width + 1e-12).astype(int)
     counts = np.bincount(idx, weights=t.count)
     return [(k * width, int(n)) for k, n in enumerate(counts)]

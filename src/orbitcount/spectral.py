@@ -39,10 +39,11 @@ every datum of a spectrum at one X, with a loop only over the train index.
 Each datum's value depends on that datum alone, and ``spectral_side_eval``'s
 total is their correctly rounded sum (``math.fsum`` per part).
 ``residue_pair`` is the same code applied to one datum: it computes only
-the residues, with the array pass's bits.  Both refuse, before any value
-is computed, an X that is not finite and > 0
-(``perron.check_count_parameter``), a nu other than 2 and a z_xi on
-another pole of phi.
+the residues, with the array pass's bits.  All three entry points refuse
+an X that is not finite and > 0 (``perron.check_count_parameter``) and a
+nu other than 2.  Before any reciprocal or exponential, ``_residues``
+refuses the first z_xi on another pole of phi: one with a denominator
++/- z_xi + m theta within ``POLE_TOL`` of 0.
 
 ``global_contour_oracle`` checks the total independently: it integrates the
 assembled kernel along a vertical line, folded onto the upper half only
@@ -154,37 +155,11 @@ class Spectrum:
         return cls(data=tuple(rows))
 
 
-def _check_nu(nu) -> None:
-    """Refuse any kernel exponent but the model's; 2.0 is 2."""
+def _check_request(X: float, nu) -> None:
+    """Refuse an X not finite and > 0, and a nu but the model's (2.0 is 2)."""
+    check_count_parameter(X)
     if nu != NU:
         raise InputError(f"kernel exponent nu must be {NU}, the model's, got {nu}")
-
-
-def _check_request(z: np.ndarray, X: float, params: SmoothingParams, nu) -> None:
-    """Refuse a request before any value is computed: an X that is not
-    finite and > 0, a kernel exponent but the model's, and the first z_xi,
-    in array order, that sits on another pole of phi."""
-    check_count_parameter(X)
-    _check_nu(nu)
-    ell = params.ell
-    mth = params.theta * np.arange(1, ell + 1)
-    # Both (z - z_xi) and (z + z_xi) matter: collision whenever z_xi is
-    # within tolerance of 0 (the two residue points meet) or of +/- m theta.
-    near = np.abs(z[:, None] - np.concatenate(([0.0], mth, -mth))) < POLE_TOL
-    bad = near.any(axis=1)
-    if not bad.any():
-        return
-    k = int(np.argmax(bad))
-    z_xi = complex(z[k])
-    if near[k, 0]:
-        raise InputError(
-            f"z_xi = {z_xi}: the two residue points +/- z_xi collide at 0"
-        )
-    m = int(np.argmax(near[k, 1 : ell + 1] | near[k, ell + 1 :])) + 1
-    raise InputError(
-        f"z_xi = {z_xi} collides with kernel pole at -{m}*theta "
-        f"(theta = {params.theta}); shift theta"
-    )
 
 
 # Complex products and quotients over arrays, spelled out in real arithmetic
@@ -241,10 +216,24 @@ def _residues(z: np.ndarray, X: float, params: SmoothingParams):
         Per = sum_{m>=1} c_m (r_m(z_xi) r_m(-z_xi))^2,
 
     as 1/(2a) = r_0(a)/2 and r_m(z_xi) r_m(-z_xi) = 1/(m^2 theta^2 - z_xi^2).
+    First it refuses the first z_xi, in array order, with a denominator
+    a + m theta within ``POLE_TOL`` of 0: at m = 0 the two residue points
+    meet, and otherwise z_xi or -z_xi sits on the train pole -m theta.
     """
     ell, theta = params.ell, params.theta
     at = np.concatenate([z, -z])
-    r = _cdiv(1.0, at[:, None] + theta * np.arange(ell + 1))
+    den = at[:, None] + theta * np.arange(ell + 1)
+    near = (np.abs(den) < POLE_TOL).reshape(2, z.size, ell + 1).any(axis=0)
+    if near.any():
+        k = int(np.argmax(near.any(axis=1)))
+        m, z_xi = int(np.argmax(near[k])), complex(z[k])
+        if m == 0:
+            raise InputError(f"z_xi = {z_xi}: the two residue points +/- z_xi collide at 0")
+        raise InputError(
+            f"z_xi = {z_xi} collides with kernel pole at -{m}*theta "
+            f"(theta = {theta}); shift theta"
+        )
+    r = _cdiv(1.0, den)
     g = 0.25 * r[:, 0]
     for m in range(ell + 1):
         g = _cmul(g, r[:, m])
@@ -269,7 +258,7 @@ def residue_pair(
     z_xi they underflow to 0 instead of being refused."""
     z = np.array([complex(z_xi)])
     with np.errstate(over="ignore", invalid="ignore"):
-        _check_request(z, X, params, nu)
+        _check_request(X, nu)
         AB = np.concatenate(_residues(z, X, params)[:2])
     _check_finite(AB, z, X)
     return tuple(AB.tolist())
@@ -300,7 +289,7 @@ def spectral_side_eval(
     const = np.array([d.is_constant() for d in data], dtype=bool)
     labels = [d.label for d in data]
     with np.errstate(over="ignore", invalid="ignore"):
-        _check_request(z, X, params, nu)
+        _check_request(X, nu)
         A, B, per = _residues(z, X, params)
         pair = A + B
         contrib = w * np.where(const, pair, pair + per)
@@ -339,8 +328,7 @@ def global_contour_oracle(
     with real weights f(conj z) = conj f(z) and only the upper half of the
     line is integrated; any other spectrum is integrated on the whole line.
     """
-    check_count_parameter(X)  # closing the line to the left needs X > 0
-    _check_nu(nu)
+    _check_request(X, nu)  # closing the line to the left needs X > 0
     zarr = np.array([d.z for d in spectrum], dtype=complex)
     ws = np.array([d.weight for d in spectrum])
     sigma = float(np.max(np.abs(zarr.real), initial=0.0)) + ORACLE_SIGMA_MARGIN

@@ -388,7 +388,7 @@ def test_budget_refuses_before_the_entry_box(enumerate_, peak_bytes):
     assert peak_bytes(refuse) < 1 << 20
 
 
-def test_shell_counts_partition(census8):
+def test_shell_counts_partition(census2, census8):
     bins = shell_counts(census8)
     assert sum(n for _left, n in bins) == census8.size
     # a nan width used to warn in the cast to int and then raise a bare
@@ -396,6 +396,17 @@ def test_shell_counts_partition(census8):
     for width in (0.0, -0.25, math.nan, math.inf):
         with pytest.raises(InputError, match=f"bin width must be finite and positive, got {width}"):
             shell_counts(census8, width)
+    # a width with more bins than rows used to allocate 98 GiB (1e-10), warn
+    # in the cast to int (1e-300) or warn on overflow (5e-324)
+    for width in (1e-10, 1e-300, 5e-324):
+        with pytest.raises(InputError, match="makes more bins than the census's 136 rows"):
+            shell_counts(census2, width)
+    # the bound is exact: 136 bins for 136 rows pass, 137 do not
+    r_max = float(census2.shell_table.radius.max())
+    assert len(shell_counts(census2, r_max / 135.5)) == 136
+    with pytest.raises(InputError, match="more bins"):
+        shell_counts(census2, r_max / 136.5)
+    assert shell_counts(census2, 1e308) == [(0.0, census2.size)]
 
 
 @pytest.mark.parametrize("cutoff", [8.0, 16.0])

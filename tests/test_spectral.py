@@ -65,6 +65,11 @@ def test_collision_detection():
         residue_pair(1.0 + 0j, 1.0, SM, NU)  # hits the m=1 train pole
     with pytest.raises(InputError, match=r"collides with kernel pole at -2\*theta"):
         residue_pair(2.0 + 1e-10j, 1.0, SM, NU)
+    # off the branch: z_xi itself on the train pole -m theta
+    with pytest.raises(InputError, match=r"collides with kernel pole at -1\*theta"):
+        residue_pair(-1.0 + 0j, 1.0, SM, NU)
+    with pytest.raises(InputError, match=r"collides with kernel pole at -2\*theta"):
+        residue_pair(-2.0 + 1e-10j, 1.0, SM, NU)
     with pytest.raises(InputError, match="the two residue points"):
         residue_pair(1e-9 + 0j, 1.0, SM, NU)  # the two families collide at 0
     # theta = 0.8 moves the train off the integers and clears z = 1
