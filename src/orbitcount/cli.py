@@ -123,17 +123,16 @@ def _parse_floats(raw: str, what: str) -> list[float]:
 def _cmd_enumerate(args) -> dict:
     census = enumerate_pruned(args.cutoff, budget=args.work_budget)
     census.to_csv(args.out)
-    bins = shell_counts(census, width=0.25)
     shells = census.shell_table
     return {
         "census": {
             "cutoff": args.cutoff,
             "path": args.out,
             "size": census.size,
-            "compact_count": int(census.compact_part().shape[0]),
-            "max_gauge": float(np.exp(0.5 * shells.radius[-1])) if census.size else None,
+            "compact_count": int(shells.count[0]),
+            "max_gauge": float(np.exp(0.5 * shells.radius[-1])),
             "distinct_shells": len(shells.fnorm),
-            "radius_histogram": [[left, n] for left, n in bins],
+            "radius_histogram": [[left, n] for left, n in shell_counts(census, width=0.25)],
             "enumerator": "pruned",
         },
     }

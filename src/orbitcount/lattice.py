@@ -211,6 +211,10 @@ class ShellTable(NamedTuple):
 class Census:
     """All lattice elements with gauge <= cutoff, canonically sorted.
 
+    A census that reaches a consumer is certified: :meth:`from_csv` and
+    :func:`enumerate_pruned` refuse it unless every shell holds its
+    :func:`form_counts` rows.  So its first shell is F = 2, the 8 gauge-1 rows.
+
     rows: int64 array (N, 8), columns re_a, im_a, ..., re_d, im_d.
     fnorm: int64 array (N,), the exact F of each row (nondecreasing).
     cutoff: enumeration cutoff (or max observed gauge for loaded files).
@@ -238,10 +242,6 @@ class Census:
     def row_set(self) -> set[tuple[int, ...]]:
         return {tuple(int(v) for v in row) for row in self.rows}
 
-    def compact_part(self) -> np.ndarray:
-        """Rows with gauge exactly 1 (F == 2)."""
-        return self.rows[self.fnorm == 2]
-
     def to_csv(self, path: str | Path) -> None:
         # Blocks of rows, so the formatted bytes never hold the whole census.
         with open(path, "wb") as fh:
@@ -252,8 +252,12 @@ class Census:
     @classmethod
     def from_csv(cls, path: str | Path) -> "Census":
         """Load a census file, refused unless each shell up to its largest F
-        holds all :func:`form_counts` rows."""
-        census = cls.from_rows(_read_csv_rows(path), cutoff=None)
+        holds all :func:`form_counts` rows.  Every refusal names the file."""
+        rows = _read_csv_rows(path)
+        try:
+            census = cls.from_rows(rows, cutoff=None)
+        except InputError as exc:  # a row check
+            raise InputError(f"{path}: {exc}") from None
         t = census.shell_table
         fmax = int(t.fnorm[-1]) if census.size else 2  # F = 2: the compact part
         # a complete census up to fmax holds 2.0 to 11.9 fmax^2 rows; this
@@ -488,8 +492,6 @@ def shell_counts(census: Census, width: float = 0.25) -> list[tuple[float, int]]
     """
     if not 0 < width < math.inf:  # nan too
         raise InputError(f"bin width must be finite and positive, got {width}")
-    if census.size == 0:
-        return []
     t = census.shell_table
     if float(t.radius.max()) / width + 1e-12 >= census.size:  # the last bin's k
         raise InputError(f"bin width {width} makes more bins than the census's {census.size} rows")
@@ -589,11 +591,9 @@ def enumerate_naive(cutoff: float, *, budget: int = DEFAULT_WORK_BUDGET) -> Cens
             f = 2 + d[0] * d[0] + d[1] * d[1]
             if f <= fmax:
                 zero_rows.append([0, 0, b[0], b[1], c[0], c[1], d[0], d[1]])
-    if zero_rows:
-        pieces.append(np.asarray(zero_rows, dtype=np.int64))
+    pieces.append(np.asarray(zero_rows, dtype=np.int64))  # never empty: d = 0 has F = 2
 
-    all_rows = np.concatenate(pieces, axis=0) if pieces else np.zeros((0, 8), np.int64)
-    return Census.from_rows(all_rows, cutoff=cutoff)
+    return Census.from_rows(np.concatenate(pieces), cutoff=cutoff)
 
 
 def enumerate_pruned(
@@ -736,8 +736,7 @@ def enumerate_literal(cutoff: float, *, budget: int = DEFAULT_WORK_BUDGET) -> Ce
                     f = gnorm(a) + gnorm(b) + gnorm(c) + gnorm(d)
                     if f <= fmax:
                         rows.append([*a, *b, *c, *d])
-    arr = np.asarray(rows, dtype=np.int64) if rows else np.zeros((0, 8), np.int64)
-    return Census.from_rows(arr, cutoff=cutoff)
+    return Census.from_rows(rows, cutoff=cutoff)
 
 
 def _runs(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -748,11 +747,11 @@ def _runs(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _split(seq, parts: int):
-    """Contiguous near-even split; chunk boundaries depend only on len(seq)."""
+    """Contiguous near-even split of a nonempty seq, by len(seq) alone."""
     parts = max(1, int(parts))
     n = len(seq)
-    step = (n + parts - 1) // parts if n else 1
-    return [seq[i : i + step] for i in range(0, n, step)] or [seq]
+    step = (n + parts - 1) // parts
+    return [seq[i : i + step] for i in range(0, n, step)]
 
 
 def compact_stabilizer_rows() -> np.ndarray:

@@ -67,13 +67,11 @@ def fit_prefactor(census: Census, model: GrowthModel) -> float:
 
     max_j N_j / T_j^(sigma0+eps) over the census shells, with N_j the
     cumulative count through shell j at gauge T_j, so the model holds on
-    every observed shell; an empty census gets 1.  The safety factor is
-    applied by the caller (and recorded in reports).
+    every observed shell.  The safety factor is applied by the caller (and
+    recorded in reports).
     """
     a = model.sigma0 + model.eps
     t = census.shell_table
-    if not t.count.size:
-        return 1.0
     gauges = np.exp(0.5 * t.radius)  # >= 1, as F >= 2
     return float(np.max(np.cumsum(t.count) / gauges**a))
 
@@ -194,8 +192,7 @@ def series_eval(
     re, im = (_prefix_fsums(part.tolist()) for part in (sums.real, sums.imag))
     partials = [complex(x, y) for x, y in zip(re, im)]
     shells = tuple(zip(t.fnorm.tolist(), t.count.tolist(), partials))
-    value = partials[-1] if partials else 0j
-    return SeriesValue(value=value, tail=tail, z=zc, shells=shells, prefactor=prefactor)
+    return SeriesValue(value=partials[-1], tail=tail, z=zc, shells=shells, prefactor=prefactor)
 
 
 def _prefix_fsums(xs: list[float]) -> list[float]:

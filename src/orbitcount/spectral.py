@@ -43,7 +43,7 @@ the residues, with the array pass's bits.  All three entry points refuse
 an X that is not finite and > 0 (``perron.check_count_parameter``) and a
 nu other than 2.  Before any reciprocal or exponential, ``_residues``
 refuses the first z_xi on another pole of phi: one with a denominator
-+/- z_xi + m theta within ``POLE_TOL`` of 0.
++/- z_xi + m theta within ``POLE_TOL`` of 0.  Refusals name the datum.
 
 ``global_contour_oracle`` checks the total independently: it integrates the
 assembled kernel along a vertical line, folded onto the upper half only
@@ -194,20 +194,23 @@ def _cdiv(a, b) -> np.ndarray:
     )
 
 
+def _datum(z: np.ndarray, k: int, labels) -> str:
+    """The refused datum k: its z_xi, inside its label when labels are known."""
+    datum = f"z_xi = {complex(z[k])}"
+    return datum if labels is None else f"datum {labels[k]!r} ({datum})"
+
+
 def _check_finite(values: np.ndarray, z: np.ndarray, X: float, labels=None) -> None:
-    """Refuse the first value past the float range, naming its z_xi:
+    """Refuse the first value past the float range, naming its datum:
     ``values`` holds one value per z_xi, or A then B, each in array order."""
     finite = np.isfinite(values)
     if finite.all():
         return
-    k = int(np.argmin(finite)) % z.size
-    datum = f"z_xi = {complex(z[k])}"
-    if labels is not None:
-        datum = f"datum {labels[k]!r} ({datum})"
+    datum = _datum(z, int(np.argmin(finite)) % z.size, labels)
     raise InputError(f"{datum} overflows at X = {X}: its contribution is not a finite number")
 
 
-def _residues(z: np.ndarray, X: float, params: SmoothingParams):
+def _residues(z: np.ndarray, X: float, params: SmoothingParams, labels=None):
     """(A, B, Per) of every z_xi in ``z``, from the reciprocals
     r_m(a) = 1/(a + m theta), m = 0, ..., ell, at a = +/- z_xi:
 
@@ -226,12 +229,11 @@ def _residues(z: np.ndarray, X: float, params: SmoothingParams):
     near = (np.abs(den) < POLE_TOL).reshape(2, z.size, ell + 1).any(axis=0)
     if near.any():
         k = int(np.argmax(near.any(axis=1)))
-        m, z_xi = int(np.argmax(near[k])), complex(z[k])
+        m, datum = int(np.argmax(near[k])), _datum(z, k, labels)
         if m == 0:
-            raise InputError(f"z_xi = {z_xi}: the two residue points +/- z_xi collide at 0")
+            raise InputError(f"{datum}: the two residue points +/- z_xi collide at 0")
         raise InputError(
-            f"z_xi = {z_xi} collides with kernel pole at -{m}*theta "
-            f"(theta = {theta}); shift theta"
+            f"{datum} collides with kernel pole at -{m}*theta (theta = {theta}); shift theta"
         )
     r = _cdiv(1.0, den)
     g = 0.25 * r[:, 0]
@@ -290,7 +292,7 @@ def spectral_side_eval(
     labels = [d.label for d in data]
     with np.errstate(over="ignore", invalid="ignore"):
         _check_request(X, nu)
-        A, B, per = _residues(z, X, params)
+        A, B, per = _residues(z, X, params, labels)
         pair = A + B
         contrib = w * np.where(const, pair, pair + per)
     _check_finite(contrib, z, X, labels)

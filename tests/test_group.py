@@ -1,6 +1,8 @@
 """Gauge, radius, and the closed-form singular-value split of 2x2 unimodular
 matrices.  The split is the geometric primitive behind every census column."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,9 @@ def test_check_unimodular_rejects():
     g = np.diag([2.0 + 0j, 1.0 + 0j])
     with pytest.raises(InputError, match="matrix is not unimodular"):
         check_unimodular(g)
+    for fn in (radius, gauge):
+        with pytest.raises(InputError, match=re.escape("expected (..., 2, 2) matrices, got shape (3, 3)")):
+            fn(np.eye(3))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

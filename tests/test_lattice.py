@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from orbitcount.errors import BudgetError, InputError
 from orbitcount.group import gauge, radius
@@ -66,8 +66,11 @@ def test_gxgcd_arrays_match_scalar(pairs):
 
 
 @given(gint, gint)
+@example((3, 1), (0, 0))
 def test_gdivmod_nearest(x, y):
     if y == (0, 0):
+        with pytest.raises(ZeroDivisionError, match="Gaussian division by zero"):
+            gdivmod(x, y)
         return
     q, r = gdivmod(x, y)
     assert tuple(a + b for a, b in zip(gmul(q, y), r)) == x
@@ -133,7 +136,7 @@ def test_censuses_nest(census1, census2, census8):
 
 
 def test_compact_part_is_the_stabilizer(census2):
-    compact = census2.compact_part()
+    compact = census2.rows[census2.fnorm == 2]
     assert np.array_equal(compact, compact_stabilizer_rows())
     assert compact.shape[0] == 8
 
@@ -539,6 +542,13 @@ _EDGE_FILES = [
     ("bom-before-the-header", lambda h, r, t: b"\xef\xbb\xbf" + t, _HEADER_MESSAGE),
     ("empty-file", lambda h, r, t: b"", _HEADER_MESSAGE),
     ("header-only", lambda h, r, t: h + b"\n", "0 rows cannot be a complete census up to shell F = 2"),
+    # the row checks of Census.from_rows; rows count from 0 below the header
+    ("wrong-determinant", lambda h, r, t: _lines(h, [b"-1,0,0,0,0,0,-2,0", *r[1:]]),
+     ": row 0: determinant is not 1"),
+    ("duplicate-row", lambda h, r, t: _lines(h, [r[0], *r]),
+     ": duplicate row [-1, 0, 0, 0, 0, 0, -1, 0]"),
+    ("entry-past-2^30", lambda h, r, t: _lines(h, [*r, b"1,0,1073741825,0,0,0,1,0"]),
+     ": row 2536: an entry exceeds 2^30 in absolute value"),
 ]
 
 

@@ -104,6 +104,11 @@ def test_abscissa_gate(census8):
         series_eval(census8, 5.0)
     with pytest.raises(InputError):
         series_eval(census8, complex(5.25, 3.0))
+    # tail_bound's own gate, (sigma0 + eps)/2 + 0.1 = 2.225, below series_eval's
+    for z in (2.225, complex(1.0, 50.0)):
+        with pytest.raises(InputError, match="cannot certify a tail against growth exponent 4.25"):
+            tail_bound(census8, z, GrowthModel(), 1.0)
+    assert tail_bound(census8, 2.3, GrowthModel(), 1.0) > 0.0
 
 
 def test_partial_sums_telescope(census8):

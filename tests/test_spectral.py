@@ -306,6 +306,22 @@ def test_spectrum_csv_rejects_malformed_rows(tmp_path, header, bad, message):
         Spectrum.from_csv(path)
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"", "empty spectrum file"),
+        (b" \n\n", "empty spectrum file"),
+        (b"label,lambda,weight\nb\xe9,-1.0,1.0\n", "not UTF-8 text at byte 21"),
+    ],
+    ids=["empty", "blank-lines", "latin-1-byte"],
+)
+def test_spectrum_csv_rejects_unreadable_files(tmp_path, data, message):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    with pytest.raises(InputError, match=re.escape(f"{path}: {message}")):
+        Spectrum.from_csv(path)
+
+
 # A mixed spectrum for the array evaluator: the constant datum (z = 1), real,
 # purely imaginary and complex parameters.  theta = 0.7 keeps every +/- z_xi
 # at least 0.3 from the train -0.7, -1.4, -2.1, far outside the 1e-2 circles.
@@ -387,7 +403,7 @@ def test_collision_inside_a_large_spectrum_names_the_datum():
     with pytest.raises(InputError) as info:
         spectral_side_eval(Spectrum(tuple(data)), 1.0, sm, NU)
     assert str(info.value) == (
-        "z_xi = (1.6+0j) collides with kernel pole at -2*theta (theta = 0.8); shift theta"
+        "datum 'bad' (z_xi = (1.6+0j)) collides with kernel pole at -2*theta (theta = 0.8); shift theta"
     )
 
 

@@ -30,6 +30,8 @@ def test_params_validation():
         TorusParams(n=1, nu=1, lam=0.5)
     p = TorusParams(n=2, nu=2, lam=-4.0)
     assert p.kappa == pytest.approx(2.0)
+    with pytest.raises(InputError, match="radius must be >= 0"):
+        torus_kernel(p, [0.5, -1e-300])
 
 
 def test_divergent_cells_are_refused():
