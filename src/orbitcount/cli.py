@@ -241,7 +241,7 @@ def _cmd_compare(args) -> dict:
 
 def _cmd_oracle_torus(args) -> dict:
     params = TorusParams(n=args.n, nu=args.nu, lam=args.lam)
-    point = _parse_floats(args.point, "point") if args.point else [0.0] * params.n
+    point = _parse_floats(args.point, "point") if args.point is not None else [0.0] * params.n
     cmp = torus_identity_check(params, np.asarray(point))
     return {
         "torus": {

@@ -18,15 +18,12 @@ Everything is written against stacked arrays: a "matrix" argument is any
 ``gauge``, ``radius`` and ``cartan_decompose`` always check that their
 input is unimodular (:func:`check_unimodular`) and refuse it otherwise.
 
-The singular-value machinery never calls a general SVD.  For unimodular
-``g`` the Gram matrix ``h = g^H g`` has determinant one, so both singular
-values come from the single scalar ``F = sum |g_ij|^2`` via
-``sigma1^2 = (F + sqrt(F^2 - 4)) / 2``, and the singular vectors admit a
-closed form with a free phase that we fix deterministically.  Crucially the
-second left singular vector is obtained by the quaternionic conjugation
-``J(a, b) = (-conj(b), conj(a))`` rather than by dividing ``g v2`` by the
-tiny ``sigma2``; with ``det g = 1`` the identity ``g v2 = sigma2 J(u1)``
-is exact, so no cancellation occurs even at radius 20.
+The singular values and vectors come from LAPACK's SVD (``np.linalg.svd``),
+which is backward stable: it returns the largest singular value to relative
+accuracy of a few ulps, so ``radius = 2 log(gauge)`` is accurate to about
+1e-16 absolute at every radius, the identity's neighbourhood included.  A
+formula in ``F = sum |g_ij|^2`` would lose every radius below about 1e-8,
+where ``F - 2 = r^2 + O(r^4)`` drops under the rounding of ``F``.
 """
 
 from __future__ import annotations
@@ -78,7 +75,7 @@ def check_unimodular(g) -> np.ndarray:
 
 
 def frobenius_sq(g) -> np.ndarray:
-    """``F = sum_ij |g_ij|^2``, the scalar driving all gauge formulas."""
+    """``F = sum_ij |g_ij|^2``, which equals ``2 cosh(radius)`` for unimodular g."""
     g = _as_matrices(g)
     return np.sum(np.abs(g) ** 2, axis=(-2, -1))
 
@@ -88,18 +85,15 @@ def gauge(g) -> np.ndarray:
 
     Satisfies gauge >= 1, gauge(g) = gauge(g^{-1}) = gauge(g^H), and
     submultiplicativity; the minimum 1 is attained exactly on the compact
-    subgroup.
+    subgroup.  The clamp at 1 absorbs LAPACK returning ``1 - ulp`` there.
     """
-    g = check_unimodular(g)
-    F = np.maximum(frobenius_sq(g), 2.0)
-    return np.sqrt(0.5 * (F + np.sqrt(np.maximum(F * F - 4.0, 0.0))))
+    sigma = np.linalg.svd(check_unimodular(g), compute_uv=False)
+    return np.maximum(sigma[..., 0], 1.0)
 
 
 def radius(g) -> np.ndarray:
     """Hyperbolic distance from the basepoint to ``g`` (curvature -1)."""
-    g = check_unimodular(g)
-    F = np.maximum(frobenius_sq(g), 2.0)
-    return np.arccosh(0.5 * F)
+    return 2.0 * np.log(gauge(g))
 
 
 def exp_cartan(r) -> np.ndarray:
@@ -112,36 +106,7 @@ def exp_cartan(r) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Cartan decomposition via the closed-form unimodular SVD
-
-
-def _j_conjugate(v: np.ndarray) -> np.ndarray:
-    """The quaternionic partner ``J(a, b) = (-conj(b), conj(a))``.
-
-    For any unit vector ``v`` the pair ``(v, J v)`` is an orthonormal basis
-    and the matrix ``[v, J v]`` has determinant exactly ``|a|^2 + |b|^2 = 1``.
-    """
-    out = np.empty_like(v)
-    out[..., 0] = -np.conj(v[..., 1])
-    out[..., 1] = np.conj(v[..., 0])
-    return out
-
-
-def _canonical_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate each vector so its larger-magnitude component is real > 0.
-
-    Ties (equal magnitudes) fall back to the first component, which keeps
-    the choice deterministic for any fixed float input.
-    """
-    a0 = np.abs(v[..., 0])
-    a1 = np.abs(v[..., 1])
-    pick = np.where(a1 > a0 * (1.0 + 1e-14), 1, 0)
-    lead = np.take_along_axis(v, pick[..., None], axis=-1)[..., 0]
-    mag = np.abs(lead)
-    # A singular vector always has norm 1, so the leading magnitude is
-    # bounded below by 1/sqrt(2); the guard only dodges 0/0 warnings.
-    phase = np.where(mag > 0, np.conj(lead) / np.where(mag > 0, mag, 1.0), 1.0)
-    return v * phase[..., None]
+# Cartan decomposition
 
 
 @dataclass(frozen=True)
@@ -156,56 +121,18 @@ class CartanFactors:
 def cartan_decompose(g) -> CartanFactors:
     """Split unimodular matrices as ``k1 exp(H) k2`` with ``k1, k2`` in SU(2).
 
-    ``H = [r]`` with ``r = radius(g) >= 0``.  Output is deterministic: the
-    right factor's singular vectors carry a canonical phase (leading
-    component real positive) and at radius 0 the convention is
-    ``(k1, H, k2) = (g, [0], I)``.
+    ``H = [r]`` with ``r = 2 log max(sigma1, 1) >= 0``.  LAPACK's SVD gives
+    ``g = U diag(sigma1, sigma2) Vh`` with U, Vh unitary; scaling U's second
+    column by ``conj(det U)`` and Vh's second row by ``conj(det Vh)`` puts
+    both in SU(2), and since ``det g = 1`` the two phases cancel on the
+    ``sigma2 = e^{-r/2}`` entry.  The singular vectors' phases are LAPACK's,
+    so one input gives the same factors on every call.
     """
-    g = check_unimodular(g)
-    F = np.maximum(frobenius_sq(g), 2.0)
-    disc = np.sqrt(np.maximum(F * F - 4.0, 0.0))
-    s1sq = 0.5 * (F + disc)
-    sigma1 = np.sqrt(s1sq)
-    r = np.arccosh(0.5 * F)
-
-    # Gram matrix h = g^H g = [[p, w], [conj(w), q]].
-    h = np.conj(np.swapaxes(g, -1, -2)) @ g
-    p = h[..., 0, 0].real
-    q = h[..., 1, 1].real
-    w = h[..., 0, 1]
-
-    # Two algebraically equivalent eigenvector candidates for sigma1^2; pick
-    # per matrix whichever has the larger norm (the other may cancel to 0).
-    cand_a = np.stack([w, (s1sq - p).astype(complex)], axis=-1)
-    cand_b = np.stack([(s1sq - q).astype(complex), np.conj(w)], axis=-1)
-    na = np.sum(np.abs(cand_a) ** 2, axis=-1)
-    nb = np.sum(np.abs(cand_b) ** 2, axis=-1)
-    v1 = np.where((na >= nb)[..., None], cand_a, cand_b)
-
-    # Degenerate case sigma1 == sigma2 (h == I): any unit vector works; take e1.
-    norm = np.sqrt(np.sum(np.abs(v1) ** 2, axis=-1))
-    tiny = norm < 1e-30
-    if np.any(tiny):
-        v1 = np.where(tiny[..., None], np.array([1.0 + 0j, 0.0 + 0j]), v1)
-        norm = np.where(tiny, 1.0, norm)
-    v1 = _canonical_phase(v1 / norm[..., None])
-
-    u1 = (g @ v1[..., None])[..., 0] / sigma1[..., None]
-    V = np.stack([v1, _j_conjugate(v1)], axis=-1)
-    U = np.stack([u1, _j_conjugate(u1)], axis=-1)
-
-    k1 = U
-    k2 = np.conj(np.swapaxes(V, -1, -2))
-
-    # Radius-0 convention: k1 = g itself (it is already unitary), k2 = I.
-    at_zero = r <= 1e-15
-    if np.any(at_zero):
-        eye = np.broadcast_to(np.eye(2, dtype=complex), g.shape)
-        k1 = np.where(at_zero[..., None, None], g, k1)
-        k2 = np.where(at_zero[..., None, None], eye, k2)
-        r = np.where(at_zero, 0.0, r)
-
-    return CartanFactors(k1=k1, cartan=r[..., None], k2=k2)
+    U, sigma, Vh = np.linalg.svd(check_unimodular(g))
+    U[..., :, 1] *= np.conj(_det(U))[..., None]
+    Vh[..., 1, :] *= np.conj(_det(Vh))[..., None]
+    r = 2.0 * np.log(np.maximum(sigma[..., 0], 1.0))
+    return CartanFactors(k1=U, cartan=r[..., None], k2=Vh)
 
 
 # ---------------------------------------------------------------------------

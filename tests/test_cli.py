@@ -425,10 +425,13 @@ def test_compare_emits_rows_without_verdict(census_csv, spectrum_csv):
         (["spectral-side", "--spectrum", "{spectrum}", "--x", ",", "--theta", "0.8"],
          "empty X list"),
         (["oracle-torus", "--n", "1", "--lam", "-1", "--point", ","], "empty point list"),
+        # a blank --point is an empty list too, not the origin
+        (["oracle-torus", "--n", "1", "--lam", "-1", "--point", ""], "empty point list"),
     ],
     ids=["spectral-x-nan", "spectral-x-inf", "smoothed-x-nan", "compare-x-nan",
          "poincare-z-inf", "poincare-z-im-nan", "spectrum-row-nan", "torus-point-nan",
-         "torus-point-text", "poincare-z-text", "spectral-x-empty", "torus-point-empty"],
+         "torus-point-text", "poincare-z-text", "spectral-x-empty", "torus-point-empty",
+         "torus-point-blank"],
 )
 def test_non_finite_numbers_exit_1(tmp_path, capsys, census_csv, spectrum_csv, argv, message):
     nan_spectrum = tmp_path / "nan.csv"

@@ -1,5 +1,5 @@
-"""Gauge, radius, and the closed-form singular-value split of 2x2 unimodular
-matrices.  The split is the geometric primitive behind every census column."""
+"""Gauge, radius, and the singular-value (Cartan) split of 2x2 unimodular
+matrices, all read from LAPACK's SVD."""
 
 import re
 
@@ -19,11 +19,18 @@ from orbitcount.group import (
 )
 
 
-def test_exp_cartan_roundtrip():
+def test_exp_cartan_roundtrip(rng):
     r = np.linspace(0.0, 40.0, 81)
     g = exp_cartan(r)
     assert np.allclose(radius(g), r, atol=1e-12, rtol=1e-12)
     assert np.allclose(gauge(g), np.exp(r / 2.0), rtol=1e-13)
+    # near the identity F = 2 cosh r rounds to 2 below r ~ 1e-8; the
+    # largest singular value keeps r to about an ulp, conjugated or not
+    r = np.array([1e-12, 1e-8, 1e-6])
+    g = exp_cartan(r)
+    k = random_su2(2 * len(r), rng)
+    for m in (g, k[: len(r)] @ g @ k[len(r) :]):
+        assert np.allclose(radius(m), r, atol=1e-14, rtol=0.0)
 
 
 def test_scalar_relations():
@@ -48,6 +55,8 @@ def test_frobenius_clamp_near_identity():
     g = np.eye(2, dtype=complex) * np.nextafter(1.0, 0.0)
     assert float(frobenius_sq(g)) < 2.0
     assert float(radius(g)) == 0.0
+    # the largest singular value is 1 - ulp too; gauge is clamped at 1
+    assert float(gauge(g)) == 1.0
 
 
 def test_check_unimodular_rejects():
@@ -80,15 +89,17 @@ def test_random_su2_is_unitary_unimodular(rng):
 
 
 def test_decompose_reconstructs(rng):
-    g = random_elements(512, rng, radius_low=0.0, radius_high=20.0)
-    fac = cartan_decompose(g)
-    rebuilt = fac.k1 @ exp_cartan(fac.cartan[..., 0]) @ fac.k2
-    assert np.max(np.abs(rebuilt - g)) <= 1e-10
-    # unitary factors stay unitary
-    for k in (fac.k1, fac.k2):
-        err = k @ np.conj(np.swapaxes(k, -1, -2)) - np.eye(2)
-        assert np.max(np.abs(err)) <= 1e-10
-    assert np.all(fac.cartan[..., 0] >= 0.0)
+    # the two small windows sit where F = 2 cosh r carries no radius
+    for radius_high in (20.0, 1e-3, 1e-8):
+        g = random_elements(512, rng, radius_low=0.0, radius_high=radius_high)
+        fac = cartan_decompose(g)
+        rebuilt = fac.k1 @ exp_cartan(fac.cartan[..., 0]) @ fac.k2
+        assert np.max(np.abs(rebuilt - g)) <= 1e-10
+        # unitary factors stay unitary
+        for k in (fac.k1, fac.k2):
+            err = k @ np.conj(np.swapaxes(k, -1, -2)) - np.eye(2)
+            assert np.max(np.abs(err)) <= 1e-10
+        assert np.all(fac.cartan[..., 0] >= 0.0)
 
 
 def test_decompose_radius_matches_gauge(rng):
