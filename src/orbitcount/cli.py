@@ -105,12 +105,15 @@ def _add_options(p: argparse.ArgumentParser, fn, keys: tuple[str, ...]) -> None:
 
 def _parse_floats(raw: str, what: str) -> list[float]:
     """A comma-separated list of finite floats (X values, a torus point)."""
+    blank = [not s.strip() for s in raw.split(",")]
+    if all(blank):
+        raise InputError(f"empty {what} list")
+    if any(blank):
+        raise InputError(f"bad {what} list {raw!r}: entry {blank.index(True) + 1} is blank")
     try:
-        xs = [float(s) for s in raw.split(",") if s.strip()]
+        xs = [float(s) for s in raw.split(",")]
     except ValueError as exc:
         raise InputError(f"bad {what} list {raw!r}: {exc}") from None
-    if not xs:
-        raise InputError(f"empty {what} list")
     if not all(math.isfinite(x) for x in xs):
         raise InputError(f"bad {what} list {raw!r}: every entry must be finite")
     return xs
@@ -361,6 +364,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: the run is out of memory", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -59,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetError, ConvergenceError, InputError
+from .errors import ConvergenceError, InputError
 
 CSV_HEADER = "re_a,im_a,re_b,im_b,re_c,im_c,re_d,im_d"
 
@@ -182,17 +182,21 @@ def f_threshold(cutoff: float) -> int:
     gauge <= B  <=>  F <= B^2 + B^{-2}; the 1e-9 guard keeps cutoffs that
     are themselves exact gauges (golden ratio and friends) inside the
     census, per the boundary-inclusive convention.
+
+    A cutoff above n = MAX_ENTRY + 1 is refused before it is squared: its
+    census holds [[1, n], [0, 1]] (gauge < n + 1/n, and the next float above
+    n is n + 2^-22), a row :meth:`Census.from_rows` refuses at any budget.
     """
     if not cutoff >= 1.0:  # nan too
         raise InputError(
             f"cutoff {cutoff} is not a number >= 1.0, the gauge of the {COMPACT_COUNT} "
             "compact-stabilizer elements; censuses start at cutoff 1.0"
         )
-    try:
-        b2 = float(cutoff) ** 2
-        return int(math.floor(b2 + 1.0 / b2 + 1e-9))
-    except OverflowError:
-        raise InputError(f"cutoff {cutoff} is too large: its square overflows a float") from None
+    if cutoff > MAX_ENTRY + 1:
+        raise InputError(f"cutoff {cutoff} is above {MAX_ENTRY + 1}: its census would hold "
+                         "an entry that exceeds 2^30 in absolute value, the bound on a census row")
+    b2 = float(cutoff) ** 2
+    return int(math.floor(b2 + 1.0 / b2 + 1e-9))
 
 
 class ShellTable(NamedTuple):
@@ -514,8 +518,16 @@ def _gaussian_box(radius_sq: int) -> np.ndarray:
 
 
 def _check_budget(estimate: int, budget: int, what: str) -> None:
+    """Refuse a budget outside [0, 2^63), then an estimate over the budget: a
+    lower bound, as a check may stop counting at the first step over it."""
+    if not 0 <= budget < 1 << 63:  # then numpy can size every entry box
+        raise InputError("work budget must be in [0, 2^63); set --budget within it")
     if estimate > budget:
-        raise BudgetError(estimate, budget, what)
+        shown = str(estimate)  # not float(): it overflows past 1e308
+        if len(shown) > 20:  # leading digits, truncated, so "at least" holds
+            shown = f"{shown[0]}.{shown[1]}e+{len(shown) - 1}"
+        raise InputError(f"{what} needs at least {shown} candidate evaluations, over the "
+                         f"work budget of {budget}; raise --budget to proceed")
 
 
 def _entry_box(fmax: int, budget: int, work, what: str) -> np.ndarray:

@@ -28,8 +28,8 @@ are fixed margins (:class:`GrowthModel`), recorded in reports.  In radius
 form N(r) <= safety * c * e^{(sigma0+eps) r/2}, so the tail beyond the
 census radius R0 is bounded by summing count-bound(top of slab) *
 |u_z|(bottom of slab) over half-unit slabs.
-This converges iff Re z > (sigma0 + eps)/2; the stricter documented
-precondition Re z > sigma0 + 1 (+ margin) is enforced.
+This converges iff Re z > (sigma0 + eps)/2; the one abscissa gate,
+in :func:`tail_bound`, refuses Re z <= sigma0 + 1 + eps = 5.25.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class GrowthModel:
 
     @property
     def required_abscissa(self) -> float:
-        """Documented series precondition: Re z must exceed this."""
+        """The series' one abscissa gate: :func:`tail_bound` refuses Re z <= this."""
         return self.sigma0 + 1.0 + self.eps
 
 
@@ -104,11 +104,17 @@ def tail_bound(census: Census, z: complex, model: GrowthModel, prefactor: float)
     for the remainder and the sum.  It changes the bits only of a bound that
     is 0 or near the subnormal range, and no bound is 0.
 
-    A z whose modulus is infinite or nan is refused: no bound certifies it.
-    So is a prefactor that is not a finite positive float, or one so large
-    that the bound overflows.
+    Re z <= ``model.required_abscissa`` is refused first, then a z of
+    infinite or nan modulus and a prefactor that is not a finite positive
+    float.  Above the abscissa q < 0.21, so the terms and remainder sum to
+    under 1.54 times the first term, itself below the largest float / 5.25
+    or inf: the fsum cannot overflow, and an inf or nan bound is refused.
     """
     zc = complex(z)
+    rez = zc.real
+    if rez <= model.required_abscissa:
+        raise InputError(f"Re z = {rez:g} is below the certified abscissa "
+                         f"{model.required_abscissa:g} (sigma0 + 1 + margin)")
     try:
         modulus = abs(zc)
     except OverflowError:  # both parts finite, |z| beyond the largest float
@@ -117,12 +123,7 @@ def tail_bound(census: Census, z: complex, model: GrowthModel, prefactor: float)
         raise InputError(f"|z| for z = {zc} is not finite; no tail bound can be certified")
     if not 0.0 < prefactor < math.inf:
         raise InputError(f"tail bound needs a finite positive prefactor, got {prefactor}")
-    rez = zc.real
     a = model.sigma0 + model.eps
-    if rez <= a / 2.0 + 0.1:
-        raise InputError(
-            f"Re z = {rez:g} cannot certify a tail against growth exponent {a:g}"
-        )
     r0 = 2.0 * math.log(census.cutoff)
     log_q = a / 4.0 - rez / 2.0
     j = np.arange(math.ceil(math.log(1e-30) / log_q))
@@ -136,10 +137,7 @@ def tail_bound(census: Census, z: complex, model: GrowthModel, prefactor: float)
             * (C_G / modulus) * product_factor(lo)
         )
     q = math.exp(log_q)
-    try:
-        total = math.fsum(terms.tolist() + [float(terms[-1]) * q / (1.0 - q)])
-    except OverflowError:  # finite terms whose sum passes the largest float
-        total = math.inf
+    total = math.fsum(terms.tolist() + [float(terms[-1]) * q / (1.0 - q)])
     # rounding slack (docstring): |exponent error| <= 6 eps (a/2 + Re z) reach
     reach = r0 + 0.5 * (j + 1)
     total += (float(terms @ (_EPS * (j.size + 18) + 6.0 * _EPS * (0.5 * a + rez) * reach))
@@ -170,17 +168,12 @@ def series_eval(
 
     Shell-by-shell partial sums in canonical order, each shell sum count *
     kernel at the shell radius, with the tail certificate of
-    :func:`tail_bound`.  The certificate is computed first, so a z of
-    non-finite modulus is refused before any kernel is evaluated; a z at
-    which a shell sum overflows is refused too.
+    :func:`tail_bound`.  The certificate is computed first, so a z below
+    the abscissa or of non-finite modulus is refused before any kernel is
+    evaluated; a z at which a shell sum overflows is refused too.
     """
     model = model or GrowthModel()
     zc = complex(z)
-    if zc.real <= model.required_abscissa:
-        raise InputError(
-            f"Re z = {zc.real:g} is below the certified abscissa "
-            f"{model.required_abscissa:g} (sigma0 + 1 + margin)"
-        )
     prefactor = fit_prefactor(census, model)
     tail = tail_bound(census, zc, model, prefactor)
     t = census.shell_table

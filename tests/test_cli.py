@@ -427,11 +427,19 @@ def test_compare_emits_rows_without_verdict(census_csv, spectrum_csv):
         (["oracle-torus", "--n", "1", "--lam", "-1", "--point", ","], "empty point list"),
         # a blank --point is an empty list too, not the origin
         (["oracle-torus", "--n", "1", "--lam", "-1", "--point", ""], "empty point list"),
+        # a blank entry was dropped: 1,,2 read as [1, 2], and 0.1,,0.2 as a 2-D point
+        (["spectral-side", "--spectrum", "{spectrum}", "--x", "1,,2", "--theta", "0.8"],
+         "bad X list '1,,2': entry 2 is blank"),
+        (["oracle-torus", "--n", "2", "--nu", "2", "--lam", "-1", "--point", "0.1,,0.2"],
+         "bad point list '0.1,,0.2': entry 2 is blank"),
+        (["spectral-side", "--spectrum", "{spectrum}", "--x", "1, ", "--theta", "0.8"],
+         "bad X list '1, ': entry 2 is blank"),
     ],
     ids=["spectral-x-nan", "spectral-x-inf", "smoothed-x-nan", "compare-x-nan",
          "poincare-z-inf", "poincare-z-im-nan", "spectrum-row-nan", "torus-point-nan",
          "torus-point-text", "poincare-z-text", "spectral-x-empty", "torus-point-empty",
-         "torus-point-blank"],
+         "torus-point-blank", "spectral-x-blank-entry", "torus-point-blank-entry",
+         "spectral-x-trailing-comma"],
 )
 def test_non_finite_numbers_exit_1(tmp_path, capsys, census_csv, spectrum_csv, argv, message):
     nan_spectrum = tmp_path / "nan.csv"
@@ -466,13 +474,24 @@ def test_non_finite_numbers_exit_1(tmp_path, capsys, census_csv, spectrum_csv, a
          "smoothing step theta must be > 0, got -1.0"),
         (["enumerate", "--cutoff", "1", "--out", "{out}", "--budget", "0"],
          "over the work budget of 0; raise --budget to proceed"),
-        # refused before the entry box, 10^300 points, is built; the
-        # 601-digit estimate is printed by its leading digits
-        (["enumerate", "--cutoff", "1e150", "--out", "{out}"],
-         "needs at least 3.9e+600 candidate evaluations, over the work budget of 74000000;"
+        # refused before the entry box, about 2e18 points, is built; the
+        # 37-digit estimate is printed by its leading digits
+        (["enumerate", "--cutoff", "1e9", "--out", "{out}"],
+         "needs at least 4.0e+36 candidate evaluations, over the work budget of 74000000;"
          " raise --budget to proceed"),
+        # past the entry bound, refused before the cutoff is squared
+        (["enumerate", "--cutoff", "1e150", "--out", "{out}"],
+         "cutoff 1e+150 is above 1073741825: its census would hold an entry that exceeds 2^30"),
         (["enumerate", "--cutoff", "1e200", "--out", "{out}"],
-         "cutoff 1e+200 is too large: its square overflows a float"),
+         "cutoff 1e+200 is above 1073741825: its census would hold an entry that exceeds 2^30"),
+        # a budget past int64 is refused before any estimate: the entry box
+        # was sized by it (a bare ValueError at 1e20, a 298 GiB array at 1e5)
+        (["enumerate", "--cutoff", "1e20", "--out", "{out}", "--budget", str(10**100)],
+         "cutoff 1e+20 is above 1073741825"),
+        (["enumerate", "--cutoff", "1e5", "--out", "{out}", "--budget", str(10**26)],
+         "work budget must be in [0, 2^63); set --budget within it"),
+        (["enumerate", "--cutoff", "1", "--out", "{out}", "--budget", "-1"],
+         "work budget must be in [0, 2^63); set --budget within it"),
         # ell! theta^ell underflows to 0 or overflows: W(u) is undefined
         (["perron-check", "--u", "1", "--theta", "1e-200"],
          "ell! theta^ell to be a finite positive float, got ell = 2, theta = 1e-200"),
@@ -485,7 +504,8 @@ def test_non_finite_numbers_exit_1(tmp_path, capsys, census_csv, spectrum_csv, a
          "ell! theta^ell to be a finite positive float, got ell = 400, theta = 1"),
     ],
     ids=["height-0", "height-neg", "smoothed-x-2000",
-         "compare-x-2000", "ell-0", "theta-neg", "budget-0", "cutoff-1e150", "cutoff-1e200",
+         "compare-x-2000", "ell-0", "theta-neg", "budget-0", "cutoff-1e9", "cutoff-1e150",
+         "cutoff-1e200", "cutoff-1e20-budget-1e100", "cutoff-1e5-budget-1e26", "budget-neg",
          "perron-theta-1e-200", "smoothed-theta-1e-200", "perron-theta-1e300",
          "compare-ell-400"],
 )
@@ -633,6 +653,17 @@ def test_convergence_failure_maps_to_exit_2(monkeypatch):
     monkeypatch.setattr(cli, "perron_contour_oracle", boom)
     code = cli.main(["perron-check", "--u", "1.0"])
     assert code == 2
+
+
+def test_out_of_memory_maps_to_exit_1(monkeypatch, capsys):
+    def boom(*_a, **_k):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "perron_contour_oracle", boom)
+    assert cli.main(["perron-check", "--u", "1.0"]) == 1
+    out = capsys.readouterr()
+    assert out.err == "error: the run is out of memory\n"
+    assert out.out == ""
 
 
 def test_enumerate_refuses_a_census_its_shell_counts_do_not_certify(tmp_path, capsys, monkeypatch):

@@ -118,6 +118,8 @@ def _positive_fields(doc):
                "--theta", "1e300"])
 # height / width past the float range: the panel count was a bare OverflowError
 @example(argv=["perron-check", "--u", "2", "--height", "1.7e308"])
+# a budget past int64 sized the entry box: numpy's 298 GiB array error escaped
+@example(argv=["enumerate", "--cutoff", "1e5", "--out", "{out}", "--budget", str(10**26)])
 def test_exit_code_contract(files, argv):
     argv = [a.format(**files) for a in argv]
     out, err = io.StringIO(), io.StringIO()

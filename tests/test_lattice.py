@@ -3,15 +3,17 @@
 import hashlib
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from orbitcount.errors import BudgetError, InputError
+from orbitcount.errors import InputError
 from orbitcount.group import gauge, radius
 from orbitcount.lattice import (
     CSV_HEADER,
+    MAX_ENTRY,
     Census,
     _gxgcd_arrays,
     _read_csv_rows,
@@ -90,6 +92,30 @@ def test_f_threshold_values():
     for call in (f_threshold, enumerate_pruned):
         with pytest.raises(InputError, match="cutoff nan is not a number >= 1.0"):
             call(math.nan)
+
+
+def test_f_threshold_refuses_a_cutoff_past_the_entry_bound():
+    # above n = MAX_ENTRY + 1 the census holds [[1, n], [0, 1]], F = n^2 + 2,
+    # even at the next float, and from_rows refuses its entry n
+    n = MAX_ENTRY + 1
+    above = math.nextafter(float(n), math.inf)
+    b2 = Fraction(above) ** 2
+    assert n * n + 2 <= b2 + 1 / b2
+    with pytest.raises(InputError, match="an entry exceeds 2\\^30"):
+        Census.from_rows([[1, 0, n, 0, 0, 0, 1, 0]], cutoff=None)
+    for cutoff in (above, 1e200, 10**400):
+        with pytest.raises(InputError, match=re.escape(
+                f"cutoff {cutoff} is above {n}: its census would hold an entry that exceeds "
+                "2^30 in absolute value, the bound on a census row")):
+            f_threshold(cutoff)
+    assert f_threshold(float(n)) == math.floor(float(n) ** 2)
+
+
+def test_budget_outside_int64_is_refused_before_any_estimate():
+    for budget in (-1, 1 << 63, 10**100, -(10**100)):
+        with pytest.raises(InputError, match=r"^work budget must be in \[0, 2\^63\); set --budget"):
+            enumerate_pruned(1.0, budget=budget)
+    assert enumerate_pruned(1.0, budget=(1 << 63) - 1).size == 8
 
 
 def test_enumerators_agree_small():
@@ -354,28 +380,29 @@ def test_worker_determinism():
 
 
 def test_budget_error():
-    with pytest.raises(BudgetError):
+    with pytest.raises(InputError, match="work budget"):
         enumerate_naive(8.0, budget=1000)
-    with pytest.raises(BudgetError):
+    with pytest.raises(InputError, match="work budget"):
         enumerate_pruned(8.0, budget=1000)
     # Past the 37,248-pair column scan: the t-disk cells exceed the budget.
     for workers in (1, 2):
-        with pytest.raises(BudgetError):
+        with pytest.raises(InputError, match="work budget"):
             enumerate_pruned(8.0, budget=50_000, workers=workers)
 
 
 def test_budget_error_names_a_lower_bound_and_the_flag():
     # the check stops counting at the first block over the budget, so the
     # figure is a lower bound on the 96,712 the run needs
-    with pytest.raises(BudgetError, match=r"needs at least \d+ .*; raise --budget to proceed$") as exc:
+    with pytest.raises(InputError, match=r"needs at least \d+ .*; raise --budget to proceed$") as exc:
         enumerate_pruned(8.0, budget=50_000)
-    assert 50_000 < exc.value.estimated <= 96_712
+    estimated = int(re.search(r"needs at least (\d+) ", str(exc.value)).group(1))
+    assert 50_000 < estimated <= 96_712
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_budget_counts_the_whole_census(workers):
     # 96,712 = 37,248 column pairs + the t-square cells of a scan of every a
-    with pytest.raises(BudgetError):
+    with pytest.raises(InputError, match="work budget"):
         enumerate_pruned(8.0, budget=96_711, workers=workers)
     assert enumerate_pruned(8.0, budget=96_712, workers=workers).size == 42248
 
@@ -385,7 +412,7 @@ def test_budget_refuses_before_the_entry_box(enumerate_, peak_bytes):
     # cutoff 2000's box holds 12.6 million Gaussian integers; building it
     # first peaked at 674 MB
     def refuse():
-        with pytest.raises(BudgetError):
+        with pytest.raises(InputError, match="work budget"):
             enumerate_(2000.0)
 
     assert peak_bytes(refuse) < 1 << 20

@@ -67,12 +67,12 @@ def test_tail_monotone_in_abscissa(census8):
 
 def test_tail_bound_covers_the_whole_slab_series(census8):
     # the slab series of tail_bound's docstring, summed to infinity in mpmath;
-    # near the abscissa gate (Re z = 2.3) and at z = 6
+    # just above the abscissa gate (Re z = 5.2501) and at z = 6
     model = GrowthModel()
     c = fit_prefactor(census8, model)
     a = model.sigma0 + model.eps
     r0 = 2.0 * math.log(census8.cutoff)
-    for z in (2.3, 6.0):
+    for z in (5.2501, 6.0):
         with mp.workdps(40):
 
             def term(j):
@@ -104,11 +104,14 @@ def test_abscissa_gate(census8):
         series_eval(census8, 5.0)
     with pytest.raises(InputError):
         series_eval(census8, complex(5.25, 3.0))
-    # tail_bound's own gate, (sigma0 + eps)/2 + 0.1 = 2.225, below series_eval's
-    for z in (2.225, complex(1.0, 50.0)):
-        with pytest.raises(InputError, match="cannot certify a tail against growth exponent 4.25"):
-            tail_bound(census8, z, GrowthModel(), 1.0)
-    assert tail_bound(census8, 2.3, GrowthModel(), 1.0) > 0.0
+    # tail_bound holds the one gate, with series_eval's words; (2.225, 5.25]
+    # passed its old gate of (sigma0 + eps)/2 + 0.1
+    c = fit_prefactor(census8, GrowthModel())
+    for z in (2.225, complex(1.0, 50.0), 2.2251, 2.3, 5.0, 5.25, complex(5.25, 1.0)):
+        with pytest.raises(InputError, match=r"^Re z = \S+ is below the certified abscissa 5.25 "
+                           r"\(sigma0 \+ 1 \+ margin\)$"):
+            tail_bound(census8, z, GrowthModel(), c)
+    assert tail_bound(census8, 5.2501, GrowthModel(), c) > 0.0
 
 
 def test_partial_sums_telescope(census8):
@@ -176,12 +179,11 @@ def test_prefactor_must_be_finite_and_positive(census4, prefactor):
         tail_bound(census4, 6.0, GrowthModel(), prefactor)
 
 
-def test_prefactor_that_overflows_the_bound_is_refused(census1, census4):
-    # finite, but the slab terms overflow (1e308) or their sum does (1e307
-    # near the least abscissa, where the cutoff-1 slabs start at radius 0):
-    # refused, not a bare OverflowError or an infinite bound
-    for census, prefactor, z in ((census4, 1e308, 6.0), (census4, 1e308, 1e307),
-                                 (census1, 1e307, 2.2251)):
+def test_prefactor_that_overflows_the_bound_is_refused(census4):
+    # finite, but a slab term overflows: refused, not an infinite bound.
+    # Above the abscissa the terms and remainder sum to under 1.54 times
+    # the first term, so their sum cannot overflow while every term is finite
+    for census, prefactor, z in ((census4, 1e308, 6.0), (census4, 1e308, 1e307)):
         with pytest.raises(InputError, match="overflows the tail bound"):
             tail_bound(census, z, GrowthModel(), prefactor)
 
