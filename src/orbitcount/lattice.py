@@ -51,7 +51,6 @@ from __future__ import annotations
 import io
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -714,6 +713,9 @@ def enumerate_pruned(
     blocks = [scanned[i : i + _PRUNED_BLOCK] for i in range(0, len(scanned), _PRUNED_BLOCK)]
     chunks = _split(blocks, workers)
     if workers > 1:  # not for one: the pool thread's malloc arena adds 3 MB peak RSS
+        # imported here: concurrent.futures costs each one-worker CLI run ~5 ms
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(scan_chunk, chunks))
     else:

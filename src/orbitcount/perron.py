@@ -119,6 +119,7 @@ def smoothing_contour_transform(
     sigma: float,
     height: float,
     conj_symmetric: bool = True,
+    pole_gap: float | None = None,
 ) -> LineIntegral:
     """(1/(2 pi i)) int f(z) e^{zX} / prod_m (z + m theta) dz on the line.
 
@@ -135,10 +136,27 @@ def smoothing_contour_transform(
     large |tX| is common to a panel's nodes and cancels out of their
     K31-vs-G15 disagreement.  An error estimate over
     ``quadrature.RESULT_TOL`` is refused.
+
+    Panels are h = min(2 g, pi / max(|X|, 1)) wide, g (``pole_gap``,
+    default ``sigma``) being the distance from the line to the integrand's
+    nearest pole (the kernel's lie at -m theta, f's at 0).  At h = 2 g that
+    pole maps to +-i in a panel's [-1, 1] frame, on the Bernstein ellipse
+    rho = 1 + sqrt(2) (Trefethen, SIAM Review 50, 2008), so G15 is good to
+    about rho^-30 ~ 3e-12 and K31 to rho^-62 ~ 2e-24; h = pi / |X| is half
+    a period of e^{itX}, a phase of pi/2 per half-panel.  The refusal above
+    ``RESULT_TOL`` still guards every result.  No panel is narrower than
+    the quarter period min(1, pi / (2 max(|X|, 0.01))) the rule replaced
+    when g >= 1/2 or the line is ``perron_sigma(X)``, as for every caller
+    here: for |X| >= pi/2, pi / |X| is twice pi / (2|X|); for |X| < pi/2
+    the old width is at most 1 < pi / max(|X|, 1); and 2 g >= 1, or, for
+    X = u > 1 on sigma = 1/u, 2/u > pi / (2u).
     """
-    if not (math.isfinite(X) and math.isfinite(sigma) and 0 < height < math.inf):
-        raise InputError(f"Perron contour needs height > 0 and finite X, sigma and "
-                         f"height; got X = {X}, sigma = {sigma}, height = {height}")
+    gap = sigma if pole_gap is None else pole_gap
+    if not (math.isfinite(X) and 0 < gap < math.inf and math.isfinite(sigma)
+            and 0 < height < math.inf):
+        raise InputError(f"Perron contour needs height > 0, pole gap > 0 and finite X, "
+                         f"sigma, pole gap and height; got X = {X}, sigma = {sigma}, "
+                         f"pole gap = {gap}, height = {height}")
 
     def integrand(dp, dz):
         perron_dp, perron_dz = np.exp(dp * X), np.exp(dz * X)
@@ -151,7 +169,7 @@ def smoothing_contour_transform(
 
         return block
 
-    width = min(1.0, 2.0 * math.pi / (4.0 * max(abs(X), 1e-2)))  # a quarter period of e^{itX}
+    width = min(2.0 * gap, math.pi / max(abs(X), 1.0))  # see the docstring
     # a denominator past the largest float (large ell) makes a nan estimate,
     # which the quadrature refuses; numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):

@@ -4,7 +4,10 @@ Two primitives:
 
 * :func:`vertical_line_integral` -- (1/(2 pi i)) times the integral of an
   integrand along the segment sigma + i [-T, T], in one pass of composite
-  Gauss-Kronrod panels of one width, laid out from (T, panel width) alone.
+  Gauss-Kronrod panels of one width, laid out from (T, panel width) alone;
+  the caller picks the width (the contour transform's rule, min(2 g,
+  pi / max(|X|, 1)) for a pole g from the line, is derived in
+  :func:`orbitcount.perron.smoothing_contour_transform`).
   Each panel carries the nested pair of QUADPACK's ``qk31``: the 31-node
   Kronrod rule K31, exact to degree 47, whose odd nodes are those of the
   15-node Gauss-Legendre rule G15, so one set of 31 values serves both.

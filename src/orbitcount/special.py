@@ -29,11 +29,14 @@ on a dense log grid; anywhere in [2, 3.5] meets 1e-12 relative, and 2.7
 minimized the worst-case disagreement.
 
 Both branches are one array evaluation over all of their lanes at once, a
-0-d input included.  Each iteration updates only the lanes that have not
-converged yet; a lane that meets its stopping test is frozen with the values
-of that iteration and leaves the working arrays.  So every lane runs exactly
-the iterations and the operations, in the same order, of a one-point loop,
-and its value does not depend on the other elements of the input.  The
+0-d input included.  A lane that meets its stopping test is frozen with the
+values of that iteration.  The series drops it from its working arrays at
+once; CF2 keeps iterating it, unread, until at most half of the working
+lanes are live, and then drops all the frozen ones, so its nine arrays are
+compacted about log2(lanes) times rather than at every iteration.  So every
+lane's result comes from exactly the iterations and the operations, in the
+same order, of a one-point loop, and its value does not depend on the other
+elements of the input.  The
 arithmetic is IEEE +, -, *, / (correctly rounded in numpy as in Python);
 log(x/2), sqrt(pi/(2x)) and e^{-x} are taken per element with ``math``,
 since numpy's vectorized log and exp may round differently in the last bit.
@@ -110,7 +113,10 @@ def _cf2(x: np.ndarray) -> np.ndarray:
     a = -a1
     s = 1.0 + a1 * delh
     h_end, s_end = np.empty_like(x), np.empty_like(x)
+    if not x.size:  # no lane would ever converge
+        return h_end
     live = np.arange(x.size)
+    active = np.ones(x.size, dtype=bool)  # not converged yet
     for i in range(2, _MAXIT + 1):
         a -= 2.0 * (i - 1)
         c = -a * c / i
@@ -124,15 +130,17 @@ def _cf2(x: np.ndarray) -> np.ndarray:
         h = h + delh
         dels = q * delh
         s = s + dels
-        done = np.abs(dels / s) <= _EPS
+        done = active & (np.abs(dels / s) <= _EPS)
         h_end[live[done]] = h[done]
         s_end[live[done]] = s[done]
-        keep = ~done
-        live, b, d, delh, h, q1, q2, q, s = (
-            v[keep] for v in (live, b, d, delh, h, q1, q2, q, s)
-        )
-        if not live.size:
+        active &= ~done
+        n_active = np.count_nonzero(active)
+        if not n_active:
             break
+        if 2 * n_active <= live.size:  # shrink by halves, not every iteration
+            live, b, d, delh, h, q1, q2, q, s, active = (
+                v[active] for v in (live, b, d, delh, h, q1, q2, q, s, active)
+            )
     else:  # pragma: no cover - CF2 converges in tens of iterations
         raise RuntimeError("K_1 continued fraction failed to converge")
     h_end = a1 * h_end

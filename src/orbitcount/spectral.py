@@ -315,7 +315,8 @@ def global_contour_oracle(
     Integrates sum_xi w_xi e^{zX} / ((z - z_xi)^2 (z + z_xi)^2 q(z)) on
     Re z = sigma, ``ORACLE_SIGMA_MARGIN`` right of every pole, up to height
     ``ORACLE_HEIGHT``, by :func:`orbitcount.perron.smoothing_contour_transform`
-    of the kernel sum.  Closing left picks up A + B + (pole-train) for every
+    of the kernel sum, whose panels it sizes from that margin, the distance
+    to the nearest pole.  Closing left picks up A + B + (pole-train) for every
     datum, so for non-constant spectra this converges (fast: the integrand
     decays like |z|^{-4 - ell}) to the spectral_side_eval total as the
     height grows.
@@ -347,4 +348,5 @@ def global_contour_oracle(
     return smoothing_contour_transform(
         pointwise(kernel_sum), X, params, sigma=sigma, height=ORACLE_HEIGHT,
         conj_symmetric=bool(np.all((zarr.real == 0) | (zarr.imag == 0))),
+        pole_gap=ORACLE_SIGMA_MARGIN,
     )

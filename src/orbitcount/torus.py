@@ -220,9 +220,13 @@ def torus_spectral_side(params: TorusParams, x) -> tuple[float, float, bool]:
 
     # the octant identity of the module docstring, one axis at a time
     k = np.arange(K + 1, dtype=float)
-    prof = (four_pi2 * functools.reduce(np.add.outer, [k * k] * params.n) + kappa2) ** (
-        -params.nu
-    )
+    norms = functools.reduce(np.add.outer, [np.arange(K + 1) ** 2] * params.n)
+    if params.n * K * K + 1 < norms.size:
+        # f takes one value per integer |k|^2 <= n K^2: tabulate it (n = 3),
+        # with the same float operations on the same exact integers
+        prof = ((four_pi2 * np.arange(params.n * K * K + 1) + kappa2) ** -params.nu)[norms]
+    else:
+        prof = (four_pi2 * norms + kappa2) ** -params.nu
     weight = np.where(k > 0, 2.0, 1.0)
     for xj in x[::-1]:
         prof = (prof * (weight * np.cos(2.0 * math.pi * k * xj)))[..., ::-1].sum(-1)

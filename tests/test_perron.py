@@ -112,7 +112,8 @@ def test_transform_integrand_is_the_pointwise_perron_factor(monkeypatch, X):
     f = pointwise(lambda z: 1.0 / z)
 
     smoothing_contour_transform(f, X, sm, sigma=1.0, height=1000.0)
-    n = math.ceil(1000.0 / min(1.0, math.pi / (2.0 * X)))
+    # the width rule min(2 g, pi / max(|X|, 1)) with the pole gap g = sigma = 1
+    n = math.ceil(1000.0 / min(2.0, math.pi / max(X, 1.0)))
     width = 1000.0 / n
     rows = min(n, quadrature._PANEL_BLOCK)
     dp = 1j * (width * np.arange(rows) + 0.5 * width)
@@ -144,6 +145,8 @@ BAD_CONTOURS = {
         _never, 1.0, SmoothingParams(), sigma=v, height=100.0),
     "transform-height": lambda v: smoothing_contour_transform(
         _never, 1.0, SmoothingParams(), sigma=7.0, height=v),
+    "transform-pole-gap": lambda v: smoothing_contour_transform(
+        _never, 1.0, SmoothingParams(), sigma=7.0, height=100.0, pole_gap=v),
     "global-X": lambda v: global_contour_oracle(
         Spectrum((SpectralDatum("low", 0.6 + 0j, 1.0),)), v, SmoothingParams(theta=0.8)),
 }
@@ -209,8 +212,9 @@ def test_bridge_at_height_4000(census8):
 def test_factored_bridge_integrand_is_pointwise(census8, monkeypatch):
     # The series evaluator and the Perron factor split every node into a
     # block start, a panel offset and a node offset.  On a line of 2.5
-    # blocks, the transform's values must still be the pointwise
-    # sum count pf(r) e^{-zr} / z * e^{zX} / q(z) at every node, and the
+    # blocks (20 panels of width pi, half a period of e^{itX} at X = 1),
+    # the transform's values must still be the pointwise sum
+    # count pf(r) e^{-zr} / z * e^{zX} / q(z) at every node, and the
     # partial last block must carry only its own rows.
     monkeypatch.setattr(quadrature, "_PANEL_BLOCK", 8)
     sm, X = SmoothingParams(ell=2, theta=1.0), 1.0
@@ -231,7 +235,7 @@ def test_factored_bridge_integrand_is_pointwise(census8, monkeypatch):
 
     monkeypatch.setattr("orbitcount.perron.vertical_line_integral", spy)
     f = series_evaluator_for_contour(census8)
-    li = smoothing_contour_transform(f, X, sm, sigma=7.0, height=20.0)
+    li = smoothing_contour_transform(f, X, sm, sigma=7.0, height=62.8)
     assert [vals.shape for _z, vals in blocks] == [(8, 31), (8, 31), (4, 31)]
     assert li.panels == 20
 
@@ -246,11 +250,51 @@ def test_factored_bridge_integrand_is_pointwise(census8, monkeypatch):
 def test_bridge_memory_does_not_grow_with_height(census8, peak_bytes):
     # the quadrature evaluates its panels in blocks, so the series
     # evaluator's (panels, shells) and (panels, nodes) temporaries have a
-    # fixed size; all panels in one call peaked 5.7 times higher at 8000
+    # fixed size; all panels in one call peaked 5.7 times higher at the
+    # larger height.  At X = 1 the panels are pi wide, so both heights span
+    # several 512-panel blocks (1,000 and 8,000 panels)
     sm = SmoothingParams(ell=2, theta=1.0)
     f = series_evaluator_for_contour(census8)
+    low, high = 1000.0 * math.pi, 8000.0 * math.pi
     peak = {
         h: peak_bytes(lambda h=h: smoothing_contour_transform(f, 1.0, sm, sigma=7.0, height=h))
-        for h in (1000.0, 8000.0)
+        for h in (low, high)
     }
-    assert peak[8000.0] <= 1.5 * peak[1000.0]
+    assert peak[high] <= 1.5 * peak[low]
+
+
+def test_crosscheck_panel_counts(census8):
+    # the panels are min(2 g, pi / max(|X|, 1)) wide: pi for the bridge
+    # (X = 1, sigma = 7) and min(3, pi / max(X, 1)) for the global oracle,
+    # 1.5 from its poles, on its whole line of height 400
+    sm = SmoothingParams(ell=2, theta=1.0)
+    f = series_evaluator_for_contour(census8)
+    bridge = [smoothing_contour_transform(f, 1.0, sm, sigma=7.0, height=h).panels
+              for h in (500.0, 1000.0, 2000.0, 4000.0)]
+    assert bridge == [160, 319, 637, 1274]
+    grid = [0.6 + 0j, 1.25 + 0j, 2.6 + 0j, 0.45 + 1.1j, 1.4 + 0.8j]
+    sp = Spectrum(tuple(SpectralDatum(f"d{i}", z, 1.0) for i, z in enumerate(grid)))
+    oracle = [global_contour_oracle(sp, X, sm).panels for X in (0.5, 1.0, 1.5, 2.0, 3.0)]
+    assert oracle == [267, 267, 382, 510, 764]
+
+
+def test_panel_width_is_never_narrower_than_a_quarter_period(monkeypatch):
+    # every caller has a pole gap g >= 1/2 (the bridge's sigma, the global
+    # oracle's margin 1.5) or is the perron oracle on sigma = perron_sigma(u)
+    widths = []
+    monkeypatch.setattr("orbitcount.perron.vertical_line_integral",
+                        lambda *_a, panel_width, **_k: widths.append(panel_width))
+    sm = SmoothingParams()
+    xs = [s * x for s in (1.0, -1.0) for x in
+          (1e-3, 0.01, 0.1, 0.5, 1.0, 1.5, math.pi / 2, 1.6, 2.0, 3.0, 5.0, 20.0, 262.0, 1e4)]
+    for X in xs:
+        quarter_period = min(1.0, math.pi / (2.0 * max(abs(X), 0.01)))  # the old width
+        for sigma in (0.5, 1.0, 1.5, 3.0, 7.0, 50.0):
+            smoothing_contour_transform(_never, X, sm, sigma=sigma, height=100.0)
+            assert widths.pop() >= quarter_period, (X, sigma)
+            for gap in (0.5, 1.5):
+                smoothing_contour_transform(_never, X, sm, sigma=sigma + 2.0, height=100.0,
+                                            pole_gap=gap)
+                assert widths.pop() >= quarter_period, (X, sigma, gap)
+        perron_contour_oracle(X, sm)
+        assert widths.pop() >= quarter_period, X
