@@ -65,7 +65,6 @@ from .perron import (
 from .poincare import GrowthModel, series_eval
 from .reports import base_meta, complex_fields, write_json
 from .spectral import Spectrum, spectral_side_eval
-from .torus import TorusParams, torus_identity_check
 
 
 def _smoothing(args) -> SmoothingParams:
@@ -243,6 +242,9 @@ def _cmd_compare(args) -> dict:
 
 
 def _cmd_oracle_torus(args) -> dict:
+    # imported here: no other command needs torus or special
+    from .torus import TorusParams, torus_identity_check
+
     params = TorusParams(n=args.n, nu=args.nu, lam=args.lam)
     point = _parse_floats(args.point, "point") if args.point is not None else [0.0] * params.n
     cmp = torus_identity_check(params, np.asarray(point))

@@ -22,7 +22,7 @@ the sums read from :attr:`Census.shell_table`.  Shell sizes have a closed
 form (:func:`form_counts`); :meth:`Census.from_csv` refuses a file without them,
 and :func:`enumerate_pruned` a census it built.
 
-Three enumerators are provided and cross-checked in the tests:
+Two enumerators are provided and cross-checked in the tests:
 
 * :func:`enumerate_pruned` -- the production path.  Scans coprime first
   columns (a, c) (Euclid in Z[i] with nearest-rounding division),
@@ -34,16 +34,16 @@ Three enumerators are provided and cross-checked in the tests:
   turns that quarter into the rest.  Vectorized: each block of
   first-column values a is one numpy pass (Euclid on int64 pair arrays,
   t-disks expanded into candidate arrays, exact F filter, rotation).  It
-  is the fastest of the three at every cutoff from 2 up; below that all
+  is the faster of the two at every cutoff from 2 up; below that both
   take under a millisecond.
 * :func:`enumerate_naive` -- box scan over (a, b, c) with the determinant
   forcing d exactly (conjugate-multiply then divisibility by |a|^2; the
   a = 0 branch is handled separately).  Vectorized; the work budget is the
   cube of the box size and is checked before any allocation.  Test oracle.
-* :func:`enumerate_literal` -- four-entry box scan in pure Python.  Test
-  oracle for tiny cutoffs.
 
-All must produce identical censuses.
+Both must produce identical censuses.  tests/lattice_oracles.py holds the
+pure-Python oracles only tests need: a four-entry literal box scan and the
+scalar extended Euclid that ``_gxgcd_arrays`` vectorizes.
 """
 
 from __future__ import annotations
@@ -117,39 +117,13 @@ def _round_nearest(p: int, n: int) -> int:
     return (2 * p + n) // (2 * n)
 
 
-def gdivmod(x: Gint, y: Gint) -> tuple[Gint, Gint]:
-    """Nearest-rounding division: q with |x - q y| minimal-ish, r = x - q y.
-
-    Guarantees gnorm(r) <= gnorm(y) / 2, which makes the Euclid loop below
-    terminate fast.
-    """
-    if y == (0, 0):
-        raise ZeroDivisionError("Gaussian division by zero")
-    n = gnorm(y)
-    p = gmul(x, gconj(y))
-    q = (_round_nearest(p[0], n), _round_nearest(p[1], n))
-    return q, gsub(x, gmul(q, y))
-
-
-def gxgcd(x: Gint, y: Gint) -> tuple[Gint, Gint, Gint]:
-    """Extended Euclid in Z[i]: returns (g, u, v) with u x + v y = g."""
-    r0, r1 = x, y
-    u0, u1 = (1, 0), (0, 0)
-    v0, v1 = (0, 0), (1, 0)
-    while r1 != (0, 0):
-        q, r = gdivmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, gsub(u0, gmul(q, u1))
-        v0, v1 = v1, gsub(v0, gmul(q, v1))
-    return r0, u0, v0
-
-
 def _gxgcd_arrays(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`gxgcd` on many pairs at once.
+    """Extended Euclid in Z[i] on many pairs at once.
 
-    x, y are (2, N) int64 arrays of (re, im) rows.  Every pair takes the
-    same nearest-rounding steps as the scalar loop; a pair leaves the
-    working set once its remainder is zero.  Returns (g, u, v), each (2, N),
+    x, y are (2, N) int64 arrays of (re, im) rows.  Each step divides with
+    nearest rounding, q = round(r0 conj(r1) / |r1|^2), so |r|^2 <= |r1|^2 / 2
+    and the loop ends fast; a pair leaves the working set once its
+    remainder is zero.  Returns (g, u, v), each (2, N),
     with u x + v y = g.
     """
     n = x.shape[1]
@@ -731,26 +705,6 @@ def enumerate_pruned(
     if wrong:  # a census that misses or repeats a row is not certified
         raise ConvergenceError(f"enumeration at cutoff {cutoff}: {wrong}")
     return census
-
-
-def enumerate_literal(cutoff: float, *, budget: int = DEFAULT_WORK_BUDGET) -> Census:
-    """Four-entry literal box scan.  Test oracle; O(box^4), tiny cutoffs only."""
-    fmax = f_threshold(cutoff)
-    box = _entry_box(fmax, budget, lambda k: k**4, "literal enumeration")
-    box = [tuple(v) for v in box.tolist()]
-    rows = []
-    for a in box:
-        for b in box:
-            for c in box:
-                bc = gmul(b, c)
-                for d in box:
-                    det = gsub(gmul(a, d), bc)
-                    if det != (1, 0):
-                        continue
-                    f = gnorm(a) + gnorm(b) + gnorm(c) + gnorm(d)
-                    if f <= fmax:
-                        rows.append([*a, *b, *c, *d])
-    return Census.from_rows(rows, cutoff=cutoff)
 
 
 def _runs(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,32 +14,28 @@ delegated:
   terms cancel against the series only mildly on this range (worst case
   ~x = crossover, losing < 2 digits), so doubles deliver ~1e-14 relative.
 
-* ``x > K1_CROSSOVER``: the steed/Lentz-style continued fraction for the
-  confluent second solution (the classic CF2 of Temme's algorithm, as used
-  by the standard special-function libraries), which yields K_0 and the
-  ratio to K_1 simultaneously:
-
-      K_0(x) = sqrt(pi/(2x)) e^{-x} / S,     K_1(x) = K_0(x) (x + 1/2 - h)/x.
+* ``x > K1_CROSSOVER``: K_1(x) = g(u) e^{-x} / sqrt(x) with u = 2.7/x in
+  (0, 1], where g = sqrt(x) e^x K_1(x) >= sqrt(pi/2) is smooth in u.  g is
+  the 22-term Chebyshev series c_0/2 + sum c_j T_j(2u - 1), evaluated by
+  Clenshaw's recurrence (a fixed number of array passes); the dropped
+  terms sum to under 2.5e-18.  The table is the 64-node cosine transform
+  of g at 40 digits, rounded to doubles (tools/gen_k1_chebyshev.py).
 
 The crossover was tuned against the quadrature oracle of
 
     K_1(x) = integral_0^infty e^{-x cosh t} cosh(t) dt
 
-on a dense log grid; anywhere in [2, 3.5] meets 1e-12 relative, and 2.7
-minimized the worst-case disagreement.
+on a dense log grid; anywhere in [2, 3.5] meets 1e-12 relative.
 
 Both branches are one array evaluation over all of their lanes at once, a
-0-d input included.  A lane that meets its stopping test is frozen with the
-values of that iteration.  The series drops it from its working arrays at
-once; CF2 keeps iterating it, unread, until at most half of the working
-lanes are live, and then drops all the frozen ones, so its nine arrays are
-compacted about log2(lanes) times rather than at every iteration.  So every
-lane's result comes from exactly the iterations and the operations, in the
-same order, of a one-point loop, and its value does not depend on the other
-elements of the input.  The
-arithmetic is IEEE +, -, *, / (correctly rounded in numpy as in Python);
-log(x/2), sqrt(pi/(2x)) and e^{-x} are taken per element with ``math``,
-since numpy's vectorized log and exp may round differently in the last bit.
+0-d input included.  A series lane that meets its stopping test is frozen
+with the values of that iteration and dropped from the working arrays, so
+every lane's result comes from exactly the operations, in the same order,
+of a one-point loop, and its value does not depend on the other elements
+of the input.  The arithmetic is IEEE +, -, *, / and sqrt (correctly
+rounded in numpy as in Python); log(x/2) and e^{-x} are taken per element
+with ``math``, since numpy's vectorized log and exp may round differently
+in the last bit on some CPUs.  So no bit depends on the CPU.
 """
 
 from __future__ import annotations
@@ -52,7 +48,7 @@ from .errors import InputError
 
 EULER_GAMMA = 0.5772156649015328606
 
-#: series/continued-fraction switch point (tuned against the oracle grid)
+#: series/Chebyshev switch point (tuned against the oracle grid)
 K1_CROSSOVER = 2.7
 
 #: beyond this, e^{-x} is a hard zero even in denormals
@@ -95,68 +91,39 @@ def _series(x: np.ndarray) -> np.ndarray:
     return 1.0 / x + _per_element(math.log, 0.5 * x) * i1 - 0.25 * x * sum_psi
 
 
-def _cf2(x: np.ndarray) -> np.ndarray:
-    """CF2 on lanes x >= 2, down to the hard-underflow point.
+# c_0 .. c_21 of g(u) = sqrt(x) e^x K_1(x), u = K1_CROSSOVER / x, in
+# T_j(2u - 1) (module docstring); c_22 is -1.8e-18
+_K1_CHEB = (
+    2.6684914436895015, 0.07909504184298946, -0.001731856866666664,
+    9.593838798634923e-05, -7.824165884988163e-06, 8.084042622951765e-07,
+    -9.867098483570571e-08, 1.366941479721908e-08, -2.0949214757962363e-09,
+    3.4893554496930074e-10, -6.235608479105494e-11, 1.1839342607195151e-11,
+    -2.37018938634843e-12, 4.972801850592892e-13, -1.0879939549719525e-13,
+    2.4721375470188264e-14, -5.813505822130686e-15, 1.4107355069656445e-15,
+    -3.5236844208720046e-16, 9.039400585922135e-17, -2.377060036955223e-17,
+    6.3968233068418166e-18,
+)
 
-    The core yields K_0(x) e^x and K_1(x) e^x, so it stays finite; e^{-x}
-    is applied last.  The recurrence coefficients a and c depend on the
-    iteration only and are one float for every lane.
-    """
-    b = 2.0 * (1.0 + x)
-    d = 1.0 / b
-    h = delh = d
-    q1 = np.zeros_like(x)
-    q2 = np.ones_like(x)
-    a1 = 0.25
-    q = np.full_like(x, a1)
-    c = a1
-    a = -a1
-    s = 1.0 + a1 * delh
-    h_end, s_end = np.empty_like(x), np.empty_like(x)
-    if not x.size:  # no lane would ever converge
-        return h_end
-    live = np.arange(x.size)
-    active = np.ones(x.size, dtype=bool)  # not converged yet
-    for i in range(2, _MAXIT + 1):
-        a -= 2.0 * (i - 1)
-        c = -a * c / i
-        qnew = (q1 - b * q2) / a
-        q1 = q2
-        q2 = qnew
-        q = q + c * qnew
-        b = b + 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h = h + delh
-        dels = q * delh
-        s = s + dels
-        done = active & (np.abs(dels / s) <= _EPS)
-        h_end[live[done]] = h[done]
-        s_end[live[done]] = s[done]
-        active &= ~done
-        n_active = np.count_nonzero(active)
-        if not n_active:
-            break
-        if 2 * n_active <= live.size:  # shrink by halves, not every iteration
-            live, b, d, delh, h, q1, q2, q, s, active = (
-                v[active] for v in (live, b, d, delh, h, q1, q2, q, s, active)
-            )
-    else:  # pragma: no cover - CF2 converges in tens of iterations
-        raise RuntimeError("K_1 continued fraction failed to converge")
-    h_end = a1 * h_end
-    k0_scaled = _per_element(math.sqrt, math.pi / (2.0 * x)) / s_end
-    k1_scaled = k0_scaled * (x + 0.5 - h_end) / x
-    return k1_scaled * _per_element(math.exp, -x)
+
+def _chebyshev(x: np.ndarray) -> np.ndarray:
+    """Clenshaw's recurrence for g on lanes x > K1_CROSSOVER, then
+    K_1 = g e^{-x} / sqrt(x)."""
+    t = 2.0 * (K1_CROSSOVER / x) - 1.0
+    t2 = t + t
+    b1 = b2 = 0.0
+    for c in _K1_CHEB[:0:-1]:
+        b1, b2 = t2 * b1 - b2 + c, b1
+    g = t * b1 - b2 + 0.5 * _K1_CHEB[0]
+    return g / np.sqrt(x) * _per_element(math.exp, -x)
 
 
 def bessel_k1(x):
     """K_1(x) for real x > 0, elementwise; the output has the input's shape,
     and a scalar or 0-d input gives a 0-d value (a numpy float).
 
-    One array path: the series lanes (x <= K1_CROSSOVER) and the CF2 lanes
-    (up to K1_HARD_UNDERFLOW) each run together, with converged lanes frozen
-    (module docstring), so each element is bit for bit what a one-point call
-    gives.  Certified relative accuracy 1e-12 on [1e-6, 700] (checked
+    One array path: the series lanes (x <= K1_CROSSOVER) and the Chebyshev
+    lanes (up to K1_HARD_UNDERFLOW) each run together (module docstring), so
+    each element is bit for bit what a one-point call gives.  Certified relative accuracy 1e-12 on [1e-6, 700] (checked
     against the quadrature oracle in the test suite); graceful underflow to
     0 past ~x = 746.
     """
@@ -166,7 +133,7 @@ def bessel_k1(x):
     flat = arr.ravel()
     out = np.zeros_like(flat)  # past K1_HARD_UNDERFLOW, e^{-x} is 0
     series = flat <= K1_CROSSOVER
-    cf2 = ~series & (flat <= K1_HARD_UNDERFLOW)
+    cheb = ~series & (flat <= K1_HARD_UNDERFLOW)
     out[series] = _series(flat[series])
-    out[cf2] = _cf2(flat[cf2])
+    out[cheb] = _chebyshev(flat[cheb])
     return out.reshape(arr.shape)[()]

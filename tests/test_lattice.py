@@ -18,18 +18,17 @@ from orbitcount.lattice import (
     _gxgcd_arrays,
     _read_csv_rows,
     compact_stabilizer_rows,
-    enumerate_literal,
     enumerate_naive,
     enumerate_pruned,
     f_threshold,
     form_counts,
     gconj,
-    gdivmod,
     gmul,
     gnorm,
-    gxgcd,
     shell_counts,
 )
+
+from lattice_oracles import enumerate_literal, gdivmod, gxgcd
 
 GOLDEN = (1.0 + 5.0**0.5) / 2.0
 

@@ -3,19 +3,39 @@
 tests/data/k1_reference.csv is generated by tools/gen_k1_reference.py from
 the integral representation at 30 significant digits, cross-checked there
 against an independent implementation.  Production code never reads it.
+
+The table cannot hold K_1 tighter than its 1e-12 gate shows: its x are
+decimal strings, and rounding one to a double moves K_1 by about
+|x K_1'(x) / K_1(x)| ~ x times the rounding, so on (2.7, 700] both the
+Chebyshev branch and the continued fraction before it read up to 5.5e-14
+against it.  The Chebyshev branch is therefore checked against mpmath at
+the float x itself (at x ~ 645 it is 9.8e-17 from it), and its embedded
+coefficients against tools/gen_k1_chebyshev.py.
 """
 
+import sys
 from pathlib import Path
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from orbitcount.errors import InputError
-from orbitcount.special import EULER_GAMMA, K1_CROSSOVER, K1_HARD_UNDERFLOW, bessel_k1
+from orbitcount.special import (
+    _K1_CHEB,
+    EULER_GAMMA,
+    K1_CROSSOVER,
+    K1_HARD_UNDERFLOW,
+    bessel_k1,
+)
 
 REFERENCE = Path(__file__).parent / "data" / "k1_reference.csv"
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+import gen_k1_chebyshev  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -66,8 +86,8 @@ def test_shapes():
 
 
 def _mixed_lanes():
-    # series, CF2 and underflow lanes, both switch points exactly and their
-    # neighbours, shuffled so converged lanes sit between live ones
+    # series, Chebyshev and underflow lanes, both switch points exactly and
+    # their neighbours, shuffled so converged lanes sit between live ones
     x = np.concatenate([
         np.geomspace(1e-6, 900.0, 400),
         [K1_CROSSOVER, np.nextafter(K1_CROSSOVER, 0.0), np.nextafter(K1_CROSSOVER, 9.0)],
@@ -86,8 +106,8 @@ def test_lanes_are_independent():
 
 
 def _one_point_k1(x: float) -> float:
-    """The same series and CF2 as a plain-float loop on one point: the test
-    oracle for the array path's operation order."""
+    """The same series and Chebyshev sum as a plain-float loop on one point:
+    the test oracle for the array path's operation order."""
     eps = 2.2204460492503131e-16
     if x > K1_HARD_UNDERFLOW:
         return 0.0
@@ -102,25 +122,11 @@ def _one_point_k1(x: float) -> float:
             s_psi += h * term
             if term * max(h, 1.0) < eps * (abs(s_psi) + abs(s_i1)):
                 return 1.0 / x + math.log(0.5 * x) * (0.5 * x * s_i1) - 0.25 * x * s_psi
-    b = 2.0 * (1.0 + x)
-    d = h = delh = 1.0 / b
-    q1, q2, q, c, a = 0.0, 1.0, 0.25, 0.25, -0.25
-    s = 1.0 + q * delh
-    for i in range(2, 20001):
-        a -= 2.0 * (i - 1)
-        c = -a * c / i
-        q1, q2 = q2, (q1 - b * q2) / a
-        q += c * q2
-        b += 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h += delh
-        dels = q * delh
-        s += dels
-        if abs(dels / s) <= eps:
-            break
-    k0 = math.sqrt(math.pi / (2.0 * x)) / s
-    return k0 * (x + 0.5 - 0.25 * h) / x * math.exp(-x)
+    t = 2.0 * (K1_CROSSOVER / x) - 1.0
+    b1 = b2 = 0.0
+    for c in _K1_CHEB[:0:-1]:
+        b1, b2 = (t + t) * b1 - b2 + c, b1
+    return (t * b1 - b2 + 0.5 * _K1_CHEB[0]) / math.sqrt(x) * math.exp(-x)
 
 
 def test_array_path_equals_a_one_point_loop():
@@ -143,3 +149,26 @@ def test_monotone_decreasing(table):
     x, _ = table
     vals = bessel_k1(x)
     assert np.all(np.diff(vals) < 0)
+
+
+def test_chebyshev_table_is_the_generated_one():
+    # about 1 s: 64 besselk values and the cosine transform at 40 digits
+    assert gen_k1_chebyshev.CROSSOVER == K1_CROSSOVER
+    coef = gen_k1_chebyshev.coefficients()
+    assert len(_K1_CHEB) == gen_k1_chebyshev.TERMS
+    assert tuple(float(c) for c in coef[:len(_K1_CHEB)]) == _K1_CHEB
+    # the first dropped term is far below half an ulp of g >= sqrt(pi/2)
+    assert abs(float(coef[len(_K1_CHEB)])) < 2.5e-18
+
+
+def test_chebyshev_branch_against_mpmath_at_the_float_x():
+    rng = np.random.default_rng(38)
+    x = np.concatenate([
+        np.geomspace(np.nextafter(K1_CROSSOVER, 9.0), 700.0, 200),
+        rng.uniform(K1_CROSSOVER, 10.0, 100), rng.uniform(10.0, 700.0, 100),
+    ])
+    got = bessel_k1(x)
+    with mp.workdps(30):
+        worst = max(abs(mp.mpf(float(v)) / mp.besselk(1, mp.mpf(float(t))) - 1)
+                    for t, v in zip(x, got))
+    assert worst <= 1e-15
