@@ -21,11 +21,13 @@ delegated:
   terms sum to under 2.5e-18.  The table is the 64-node cosine transform
   of g at 40 digits, rounded to doubles (tools/gen_k1_chebyshev.py).
 
-The crossover was tuned against the quadrature oracle of
+Both branches meet 1e-12 relative against the quadrature oracle of
 
     K_1(x) = integral_0^infty e^{-x cosh t} cosh(t) dt
 
-on a dense log grid; anywhere in [2, 3.5] meets 1e-12 relative.
+on a dense log grid.  K1_CROSSOVER is fixed into _K1_CHEB: the table is
+the expansion in u = K1_CROSSOVER / x, so changing the crossover means
+rerunning tools/gen_k1_chebyshev.py and pasting its output.
 
 Both branches are one array evaluation over all of their lanes at once, a
 0-d input included.  A series lane that meets its stopping test is frozen
@@ -48,7 +50,7 @@ from .errors import InputError
 
 EULER_GAMMA = 0.5772156649015328606
 
-#: series/Chebyshev switch point (tuned against the oracle grid)
+#: series/Chebyshev switch point; fixed into _K1_CHEB (module docstring)
 K1_CROSSOVER = 2.7
 
 #: beyond this, e^{-x} is a hard zero even in denormals
@@ -123,9 +125,9 @@ def bessel_k1(x):
 
     One array path: the series lanes (x <= K1_CROSSOVER) and the Chebyshev
     lanes (up to K1_HARD_UNDERFLOW) each run together (module docstring), so
-    each element is bit for bit what a one-point call gives.  Certified relative accuracy 1e-12 on [1e-6, 700] (checked
-    against the quadrature oracle in the test suite); graceful underflow to
-    0 past ~x = 746.
+    each element is bit for bit what a one-point call gives.  Certified
+    relative accuracy 1e-12 on [1e-6, 700] (checked against the quadrature
+    oracle in the test suite); graceful underflow to 0 past ~x = 746.
     """
     arr = np.asarray(x, dtype=float)
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):

@@ -153,7 +153,6 @@ def test_monotone_decreasing(table):
 
 def test_chebyshev_table_is_the_generated_one():
     # about 1 s: 64 besselk values and the cosine transform at 40 digits
-    assert gen_k1_chebyshev.CROSSOVER == K1_CROSSOVER
     coef = gen_k1_chebyshev.coefficients()
     assert len(_K1_CHEB) == gen_k1_chebyshev.TERMS
     assert tuple(float(c) for c in coef[:len(_K1_CHEB)]) == _K1_CHEB

@@ -1,6 +1,6 @@
 """Print the Chebyshev table of K_1 that src/orbitcount/special.py embeds.
 
-Above the crossover c = 2.7, special.bessel_k1 writes
+Above the crossover c = special.K1_CROSSOVER (2.7), special.bessel_k1 writes
 
     K_1(x) = g(u) e^{-x} / sqrt(x),   g = sqrt(x) e^x K_1(x),   u = c / x,
 
@@ -22,25 +22,33 @@ asserts that it equals the embedded one bit for bit.
 Usage: python3 tools/gen_k1_chebyshev.py
 """
 
+import sys
+from pathlib import Path
+
 import mpmath as mp
 
-CROSSOVER = 2.7  # special.K1_CROSSOVER
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from orbitcount.special import K1_CROSSOVER  # noqa: E402
+
 NODES = 64
 TERMS = 22
 DIGITS = 40
 
 
-def coefficients(n_coef: int = TERMS + 1) -> list:
-    """The first n_coef Chebyshev coefficients of g, as mpmath numbers."""
+def coefficients() -> list:
+    """c_0 .. c_TERMS of g, as mpmath numbers: the embedded table and the
+    first dropped coefficient."""
     with mp.workdps(DIGITS):
-        c = mp.mpf(CROSSOVER)
+        c = mp.mpf(K1_CROSSOVER)
         theta = [mp.pi * (k + mp.mpf(1) / 2) / NODES for k in range(NODES)]
         g = []
         for th in theta:
             x = c / ((mp.cos(th) + 1) / 2)
             g.append(mp.sqrt(x) * mp.exp(x) * mp.besselk(1, x))
-        return [2 * mp.fsum(gk * mp.cos(j * th) for gk, th in zip(g, theta)) / NODES
-                for j in range(n_coef)]
+        return [2 * mp.fsum(gk * mp.cos(j * th)
+                            for gk, th in zip(g, theta)) / NODES
+                for j in range(TERMS + 1)]
 
 
 def main() -> int:
