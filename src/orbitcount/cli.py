@@ -135,7 +135,6 @@ def _cmd_enumerate(args) -> dict:
             "max_gauge": float(np.exp(0.5 * shells.radius[-1])),
             "distinct_shells": len(shells.fnorm),
             "radius_histogram": [[left, n] for left, n in shell_counts(census, width=0.25)],
-            "enumerator": "pruned",
         },
     }
 

@@ -130,12 +130,16 @@ def smoothing_contour_transform(
     :func:`orbitcount.poincare.series_evaluator_for_contour` does.  The pole
     at z = 0 must live inside f itself if it has one (the series kernels do,
     via their 1/z); ``conj_symmetric`` (f(conj z) = conj f(z)) folds the
-    line onto its upper half.  The Perron factor is factored, e^{zX} =
-    e^{z0 X} e^{dp X} e^{dz X}, with the last two built once per line, so a
-    block pays one exponential for it, and the phase roundoff of e^{itX} at
-    large |tX| is common to a panel's nodes and cancels out of their
-    K31-vs-G15 disagreement.  An error estimate over
-    ``quadrature.RESULT_TOL`` is refused.
+    line onto its upper half.  The Perron factor is taken per panel,
+    e^{zX} = e^{(z0 + dp) X} e^{dz X}, from the same rounded panel centre
+    z0 + dp the denominator uses, with the node table e^{dz X} built once
+    per line, so a block pays one exponential per panel.  Its phase
+    roundoff is then about |tX| eps at the panel's own height t.  Factored
+    further, as e^{z0 X} e^{dp X}, it would be about (|z0| + |dp|) X eps:
+    on a line integrated whole, whose first block starts at -height, that
+    puts height X eps on the panels near t = 0, where the integrand peaks,
+    and being common to a panel's nodes it is invisible to |K31 - G15|.
+    An error estimate over ``quadrature.RESULT_TOL`` is refused.
 
     Panels are h = min(2 g, pi / max(|X|, 1)) wide, g (``pole_gap``,
     default ``sigma``) being the distance from the line to the integrand's
@@ -159,12 +163,13 @@ def smoothing_contour_transform(
                          f"pole gap = {gap}, height = {height}")
 
     def integrand(dp, dz):
-        perron_dp, perron_dz = np.exp(dp * X), np.exp(dz * X)
+        perron_dz = np.exp(dz * X)
         f_block = f_of_z(dp, dz)
 
         def block(z0, n):
-            perron = (np.exp(z0 * X) * perron_dp[:n])[:, None] * perron_dz
-            z = (z0 + dp[:n])[:, None] + dz
+            centre = z0 + dp[:n]
+            perron = np.exp(centre * X)[:, None] * perron_dz
+            z = centre[:, None] + dz
             return f_block(z0, n) * perron / kernel_denominator(params, z)
 
         return block

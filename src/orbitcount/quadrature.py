@@ -28,8 +28,13 @@ Two primitives:
   exponentials can instead factor e^{-z r} = e^{-z0 r} e^{-dp r} e^{-dz r},
   build the last two tables once per line and pay one exponential per term
   per block.  Its one caller,
-  :func:`orbitcount.perron.smoothing_contour_transform`, factors the
-  Perron factor e^{zX} so too.
+  :func:`orbitcount.perron.smoothing_contour_transform`, splits the Perron
+  factor e^{zX} only once, e^{(z0 + dp) X} e^{dz X}: one exponential per
+  panel, from the rounded panel centre, so its phase roundoff is that of
+  the panel's own height t.  Split further, e^{z0 X} e^{dp X} would round
+  the phase by about (|z0| + |dp|) X eps, far more than |tX| eps where a
+  block's panels pass t = 0, and |K31 - G15| cannot see an error common to
+  a panel's nodes.
 
   The pass calls the block function once per block of at most
   ``_PANEL_BLOCK`` panels, on the 31 Kronrod node offsets, sorted and

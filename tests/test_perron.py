@@ -20,7 +20,13 @@ from orbitcount.perron import (
 )
 from orbitcount.poincare import series_evaluator_for_contour
 from orbitcount.quadrature import pointwise
-from orbitcount.spectral import SpectralDatum, Spectrum, global_contour_oracle
+from orbitcount.spectral import (
+    ORACLE_HEIGHT,
+    ORACLE_SIGMA_MARGIN,
+    SpectralDatum,
+    Spectrum,
+    global_contour_oracle,
+)
 
 W1 = 0.19978820044686402  # (1 - e^{-1})^2 / 2! at ell = 2, theta = 1
 
@@ -100,10 +106,10 @@ def test_contour_oracle_negative_argument_vanishes():
 
 @pytest.mark.parametrize("X", [1.0, 20.0])
 def test_transform_integrand_is_the_pointwise_perron_factor(monkeypatch, X):
-    # the transform builds e^{zX} as e^{z0 X} e^{dp X} e^{dz X}; on the
+    # the transform builds e^{zX} as e^{(z0 + dp) X} e^{dz X}; on the
     # quadrature's blocks of a line of height 1000 that is f e^{zX} / q(z) at
     # every node z = (z0 + dp) + dz, up to the phase roundoff of e^{itX}: the
-    # two sides round tX, lo X, dp X and dz X, each by up to |tX| eps / 2
+    # two sides round tX, (z0 + dp) X and dz X, each by up to |tX| eps / 2
     sm = SmoothingParams(ell=2, theta=1.0)
     seen = {}
     monkeypatch.setattr(
@@ -276,6 +282,31 @@ def test_crosscheck_panel_counts(census8):
     sp = Spectrum(tuple(SpectralDatum(f"d{i}", z, 1.0) for i, z in enumerate(grid)))
     oracle = [global_contour_oracle(sp, X, sm).panels for X in (0.5, 1.0, 1.5, 2.0, 3.0)]
     assert oracle == [267, 267, 382, 510, 764]
+
+
+def test_global_oracle_takes_the_perron_factor_per_panel():
+    # criterion 3's spectrum holds z_xi off both axes, so the global oracle
+    # integrates its whole line, and its first block starts at t = -400.  A
+    # Perron factor split as e^{z0 X} e^{dp X} carried that start's phase
+    # roundoff, about 400 X eps, onto the panels near t = 0, where the
+    # integrand peaks: at ell = 1, X = 3 it read 5.9e-12 from the line with
+    # e^{zX} taken at each node, while |K31 - G15| estimated 5.6e-14
+    grid = [0.6 + 0j, 1.25 + 0j, 2.6 + 0j, 0.45 + 1.1j, 1.4 + 0.8j]
+    weights = [1.3, 0.7, 0.25, 0.9, 0.4]
+    sp = Spectrum(tuple(SpectralDatum(f"d{i}", z, w)
+                        for i, (z, w) in enumerate(zip(grid, weights))))
+    sm, X = SmoothingParams(ell=1, theta=1.0), 3.0
+
+    def pointwise_line(z):
+        kernel = sum(w / (z * z - zx * zx) ** 2 for zx, w in zip(grid, weights))
+        return kernel * np.exp(z * X) / kernel_denominator(sm, z)
+
+    want = quadrature.vertical_line_integral(
+        pointwise(pointwise_line), 2.6 + ORACLE_SIGMA_MARGIN, ORACLE_HEIGHT,
+        panel_width=min(2.0 * ORACLE_SIGMA_MARGIN, math.pi / X), conj_symmetric=False)
+    got = global_contour_oracle(sp, X, sm)
+    assert got.panels == want.panels == 764
+    assert abs(got.value - want.value) <= 1e-12
 
 
 def test_panel_width_is_never_narrower_than_a_quarter_period(monkeypatch):

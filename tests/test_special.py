@@ -25,7 +25,7 @@ import pytest
 from orbitcount.errors import InputError
 from orbitcount.special import (
     _K1_CHEB,
-    EULER_GAMMA,
+    _SERIES,
     K1_CROSSOVER,
     K1_HARD_UNDERFLOW,
     bessel_k1,
@@ -87,7 +87,7 @@ def test_shapes():
 
 def _mixed_lanes():
     # series, Chebyshev and underflow lanes, both switch points exactly and
-    # their neighbours, shuffled so converged lanes sit between live ones
+    # their neighbours, shuffled so the branches' lanes interleave
     x = np.concatenate([
         np.geomspace(1e-6, 900.0, 400),
         [K1_CROSSOVER, np.nextafter(K1_CROSSOVER, 0.0), np.nextafter(K1_CROSSOVER, 9.0)],
@@ -106,22 +106,15 @@ def test_lanes_are_independent():
 
 
 def _one_point_k1(x: float) -> float:
-    """The same series and Chebyshev sum as a plain-float loop on one point:
+    """The same Horner and Clenshaw sums as a plain-float loop on one point:
     the test oracle for the array path's operation order."""
-    eps = 2.2204460492503131e-16
     if x > K1_HARD_UNDERFLOW:
         return 0.0
     if x <= K1_CROSSOVER:
-        q, term, h = 0.25 * x * x, 1.0, 1.0 - 2.0 * EULER_GAMMA
-        s_i1, s_psi, k = term, h * term, 0
-        while True:
-            k += 1
-            term *= q / (k * (k + 1))
-            h += 1.0 / k + 1.0 / (k + 1)
-            s_i1 += term
-            s_psi += h * term
-            if term * max(h, 1.0) < eps * (abs(s_psi) + abs(s_i1)):
-                return 1.0 / x + math.log(0.5 * x) * (0.5 * x * s_i1) - 0.25 * x * s_psi
+        q, p, s = 0.25 * x * x, 0.0, 0.0
+        for a, b in _SERIES:
+            p, s = p * q + a, s * q + b
+        return 1.0 / x + math.log(0.5 * x) * (0.5 * x * p) - 0.25 * x * s
     t = 2.0 * (K1_CROSSOVER / x) - 1.0
     b1 = b2 = 0.0
     for c in _K1_CHEB[:0:-1]:
@@ -171,3 +164,29 @@ def test_chebyshev_branch_against_mpmath_at_the_float_x():
         worst = max(abs(mp.mpf(float(v)) / mp.besselk(1, mp.mpf(float(t))) - 1)
                     for t, v in zip(x, got))
     assert worst <= 1e-15
+
+
+def test_series_branch_against_mpmath_at_the_float_x():
+    x = np.concatenate([np.linspace(0.0, K1_CROSSOVER, 1000)[1:],
+                        [np.nextafter(K1_CROSSOVER, 0.0), 1e-6, 1e-3]])
+    got = bessel_k1(x)
+    with mp.workdps(30):
+        worst = max(abs(mp.mpf(float(v)) / mp.besselk(1, mp.mpf(float(t))) - 1)
+                    for t, v in zip(x, got))
+    assert worst <= 1e-14
+
+
+def test_series_pairs_are_the_ascending_coefficients():
+    # a_k = 1/(k! (k+1)!) and h_k = psi(k+1) + psi(k+2), to a few ulps of the
+    # float recurrences, k = 16 .. 0; the first dropped term is negligible
+    assert len(_SERIES) == 17
+    with mp.workdps(30):
+        for k, (a, b) in zip(range(16, -1, -1), _SERIES):
+            ak = 1 / (mp.factorial(k) * mp.factorial(k + 1))
+            assert abs(a / ak - 1) < 1e-15
+            assert abs(b / (ak * (mp.digamma(k + 1) + mp.digamma(k + 2))) - 1) < 1e-14
+        x = mp.mpf(K1_CROSSOVER)
+        q, k = x * x / 4, 17
+        ak = q**k / (mp.factorial(k) * mp.factorial(k + 1))
+        dropped = x / 2 * mp.log(x / 2) * ak - x / 4 * (mp.digamma(k + 1) + mp.digamma(k + 2)) * ak
+        assert abs(dropped / mp.besselk(1, x)) < 1e-24
