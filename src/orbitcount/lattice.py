@@ -269,7 +269,8 @@ class Census:
         are kept as given: no permutation and no gathered copy.
         """
         arr = np.asarray(arr, dtype=np.int64).reshape(-1, 8)
-        if arr.shape[0] and (arr.max() > MAX_ENTRY or arr.min() < -MAX_ENTRY):
+        low, high = arr.min(initial=0), arr.max(initial=0)  # the sort key reads them too
+        if high > MAX_ENTRY or low < -MAX_ENTRY:
             wide = ((arr > MAX_ENTRY) | (arr < -MAX_ENTRY)).any(axis=1)
             raise InputError(f"row {int(np.argmax(wide))}: an entry exceeds 2^30 in absolute value")
         bad = np.flatnonzero(
@@ -281,7 +282,7 @@ class Census:
         if bad.size:
             raise InputError(f"row {bad[0]}: determinant is not 1")
         f = np.einsum("ij,ij->i", arr, arr)  # row sums of squares, no (N, 8) temporary
-        order, same = _canonical_order(arr, f)
+        order, same = _canonical_order(arr, f, low, high)
         if order is not None:
             f = f[order]
             arr = arr[order]
@@ -324,9 +325,11 @@ def _csv_bytes(rows: np.ndarray) -> np.ndarray:
     return grid[keep]
 
 
-def _canonical_order(arr: np.ndarray, f: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+def _canonical_order(arr: np.ndarray, f: np.ndarray, low: int,
+                     high: int) -> tuple[np.ndarray | None, np.ndarray]:
     """Permutation sorting rows by (F, re a, im a, ..., im d), and a mask of
-    the sorted rows equal to their successor.
+    the sorted rows equal to their successor; ``low`` and ``high`` are the
+    smallest and largest entry, 0 included.
 
     Every census up to cutoff 32 fits the key into one int64 word: F in the
     top bits, then each entry, shifted to start at 0, in the bit length of
@@ -335,8 +338,7 @@ def _canonical_order(arr: np.ndarray, f: np.ndarray) -> tuple[np.ndarray | None,
     duplicates: the permutation is then None and the mask all False.  Wider
     rows are sorted on the 9 columns.
     """
-    low = arr.min(initial=0)
-    bits = int(arr.max(initial=0) - low).bit_length()
+    bits = int(high - low).bit_length()
     if int(f.max(initial=0)).bit_length() + 8 * bits <= 63:
         place = 1 << (bits * np.arange(7, -1, -1))
         # (arr - low) @ place, without an (N, 8) temporary; no partial sum

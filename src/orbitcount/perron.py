@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import InputError
 from .freespace import C_G, product_factor
-from .lattice import Census
+from .lattice import Census, f_threshold
 from .quadrature import LineIntegral, pointwise, vertical_line_integral
 
 
@@ -200,20 +200,18 @@ def smoothed_geometric_count(
 ) -> SmoothedCount:
     """C_G * sum over census elements with r < X of prodfac(r) W(X - r).
 
-    Requires the census to cover radius X (cutoff gauge >= e^{X/2}); raises
-    InputError otherwise, since missing elements would silently bias the
-    count.
+    The census holds every shell F <= f_threshold(cutoff).  X up to the
+    radius arccosh((F + 1)/2) of the first shell it may lack, computed as
+    the shell table computes radii, needs no missing element; beyond it
+    InputError, since missing elements would silently bias the count.
     """
     check_count_parameter(X)
-    try:
-        needed = math.exp(0.5 * X)
-    except OverflowError:  # X above about 1419: beyond any census
-        needed = math.inf
-    if census.cutoff < needed * (1.0 - 1e-12):
-        raise InputError(
-            f"census cutoff {census.cutoff:g} covers radii up to "
-            f"{2.0 * math.log(census.cutoff):g}; X = {X:g} needs cutoff >= {needed:g}"
-        )
+    fmax = f_threshold(census.cutoff)
+    edge = float(np.arccosh(0.5 * (fmax + 1)))
+    if edge < X:
+        raise InputError(f"census cutoff {census.cutoff:g} holds the shells F <= {fmax}, up to "
+                         f"X = {edge!r} (the radius of shell F = {fmax + 1}); X = {float(X)!r} "
+                         "needs a deeper census")
 
     t = census.shell_table
     inside = t.radius < X  # a prefix: radius grows with F

@@ -5,8 +5,8 @@ Two primitives:
 * :func:`vertical_line_integral` -- (1/(2 pi i)) times the integral of an
   integrand along the segment sigma + i [-T, T], in one pass of composite
   Gauss-Kronrod panels of one width, laid out from (T, panel width) alone;
-  the caller picks the width (the contour transform's rule, min(2 g,
-  pi / max(|X|, 1)) for a pole g from the line, is derived in
+  the width is the caller's, used as given (the contour transform's rule,
+  min(2 g, pi / max(|X|, 1)) for a pole g from the line, is derived in
   :func:`orbitcount.perron.smoothing_contour_transform`).
   Each panel carries the nested pair of QUADPACK's ``qk31``: the 31-node
   Kronrod rule K31, exact to degree 47, whose odd nodes are those of the
@@ -169,21 +169,19 @@ def vertical_line_integral(
     with real parameters), only t >= 0 is integrated and the mirror half is
     folded in as the conjugate, halving the work.
 
-    One pass over panels of at most panel_width; the value is the sum of
-    the K31 panels and the error estimate the summed |K31 - G15| of the
-    nested pair.  ConvergenceError when that estimate exceeds RESULT_TOL, or
-    when the line needs over ``_MAX_PANELS`` panels (before f is called);
-    InputError for a height that is not positive.
+    One pass over ceil(length / panel_width) panels, which share the length
+    evenly; the value is the sum of the K31 panels and the error estimate
+    the summed |K31 - G15|.  ConvergenceError when that estimate exceeds
+    RESULT_TOL, or when the line needs over ``_MAX_PANELS`` panels (before
+    f is called); InputError for a height that is not positive.
     """
     if height <= 0:
         raise InputError("contour height must be positive")
-    width = min(max(panel_width, 1e-3), height)
-
     t_lo = 0.0 if conj_symmetric else -height
-    panels = np.ceil((height - t_lo) / width)  # inf past the float range
+    panels = np.ceil((height - t_lo) / panel_width)  # inf past the float range
     if panels > _MAX_PANELS:  # ~2 KB per panel, before f is called
         raise ConvergenceError(f"contour height {height:g} needs {panels:.0f} panels of "
-                               f"width {width:g}, over the cap of {_MAX_PANELS}")
+                               f"width {panel_width:g}, over the cap of {_MAX_PANELS}")
     n_panels = int(panels)
     # even by construction; the last panel may end an ulp off height
     width = (height - t_lo) / n_panels
@@ -214,12 +212,11 @@ def vertical_line_integral(
     )
 
 
-def cauchy_circle_residue(f, center: complex, radius: float = 1e-2, nodes: int = 256) -> complex:
+def cauchy_circle_residue(f, center: complex, radius: float = 1e-2) -> complex:
     """Residue of f at an isolated pole via the trapezoid rule on a circle.
 
     res = (1/(2 pi i)) closed-integral f = (rho/N) sum_j f(c + rho e^{i phi_j}) e^{i phi_j}.
     """
-    j = np.arange(nodes)
-    phase = np.exp(2j * np.pi * j / nodes)
+    phase = np.exp(2j * np.pi * np.arange(256) / 256)  # N = 256 (module docstring)
     vals = f(center + radius * phase)
-    return complex(radius / nodes * np.sum(vals * phase))
+    return complex(radius / 256 * np.sum(vals * phase))

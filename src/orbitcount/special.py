@@ -19,7 +19,8 @@ delegated:
   terms cancel against the sums only mildly on this range (worst near the
   crossover, losing < 2 digits): against 30-digit mpmath at the float x,
   the test suite's 1,002 points of (0, 2.7], 2.7 and its lower neighbour
-  included, read at most 6.0e-15 relative.
+  included, read at most 6.0e-15 relative.  Where 1/x overflows (x below
+  about 5.6e-309) a lane is +inf and skips the sums.
 
 * ``x > K1_CROSSOVER``: K_1(x) = g(u) e^{-x} / sqrt(x) with u = 2.7/x in
   (0, 1], where g = sqrt(x) e^x K_1(x) >= sqrt(pi/2) is smooth in u.  g is
@@ -27,6 +28,7 @@ delegated:
   Clenshaw's recurrence (a fixed number of array passes); the dropped
   terms sum to under 2.5e-18.  The table is the 64-node cosine transform
   of g at 40 digits, rounded to doubles (tools/gen_k1_chebyshev.py).
+  Past about 745.13, e^{-x} and so the lane are exactly 0.0.
 
 Both branches meet 1e-12 relative against the quadrature oracle of
 
@@ -58,9 +60,6 @@ EULER_GAMMA = 0.5772156649015328606
 
 #: series/Chebyshev switch point; fixed into _K1_CHEB (module docstring)
 K1_CROSSOVER = 2.7
-
-#: beyond this, e^{-x} is a hard zero even in denormals
-K1_HARD_UNDERFLOW = 746.0
 
 
 def _series_pairs() -> tuple[tuple[float, float], ...]:
@@ -121,18 +120,20 @@ def bessel_k1(x):
     and a scalar or 0-d input gives a 0-d value (a numpy float).
 
     One array path: the series lanes (x <= K1_CROSSOVER) and the Chebyshev
-    lanes (up to K1_HARD_UNDERFLOW) each run together (module docstring), so
-    each element is bit for bit what a one-point call gives.  Certified
-    relative accuracy 1e-12 on [1e-6, 700] (checked against the quadrature
-    oracle in the test suite); graceful underflow to 0 past ~x = 746.
+    lanes (every larger x) each run together (module docstring), so each
+    element is bit for bit what a one-point call gives.  Certified relative
+    accuracy 1e-12 on [1e-6, 700] (checked against the quadrature oracle in
+    the test suite); +inf where 1/x overflows, below about 5.6e-309, and
+    0.0 where e^{-x} underflows, past about 745.13.
     """
     arr = np.asarray(x, dtype=float)
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
         raise InputError("bessel_k1 needs finite x > 0")
     flat = arr.ravel()
-    out = np.zeros_like(flat)  # past K1_HARD_UNDERFLOW, e^{-x} is 0
-    series = flat <= K1_CROSSOVER
-    cheb = ~series & (flat <= K1_HARD_UNDERFLOW)
+    with np.errstate(over="ignore"):
+        out = 1.0 / flat  # +inf where K_1 ~ 1/x is past the float range
+    series = (flat <= K1_CROSSOVER) & (out < np.inf)
+    cheb = flat > K1_CROSSOVER
     out[series] = _series(flat[series])
     out[cheb] = _chebyshev(flat[cheb])
     return out.reshape(arr.shape)[()]

@@ -113,6 +113,9 @@ def _positive_fields(doc):
 # 4 kappa^3 underflows to 0: a divide-by-zero warning used to precede the refusal
 @example(argv=["oracle-torus", "--n", "1", "--nu", "2", "--lam", "-1e-300"])
 @example(argv=["oracle-torus", "--n", "1", "--nu", "2", "--lam", "-5e-324"])
+# kappa r rounds to 5e-324, whose half has no log: K_1 raised a bare ValueError
+@example(argv=["oracle-torus", "--n", "2", "--nu", "2", "--lam", "-5e-324",
+               "--point", "3e-162,0"])
 # theta u overflows in the smoothing kernel, whose value 1 is still right
 @example(argv=["perron-check", "--u", "1.7e308", "--height", "1e5", "--ell", "1",
                "--theta", "1e300"])

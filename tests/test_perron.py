@@ -10,6 +10,7 @@ import pytest
 from orbitcount import quadrature
 from orbitcount.errors import InputError
 from orbitcount.freespace import C_G, product_factor
+from orbitcount.lattice import Census, enumerate_pruned, f_threshold
 from orbitcount.perron import (
     SmoothingParams,
     kernel_denominator,
@@ -97,6 +98,16 @@ def test_contour_oracle_converges_cubically():
     assert abs(slope - 3.0) <= 0.3
 
 
+def test_contour_oracle_keeps_its_derived_panel_width():
+    # sigma = 1/u puts the pole 2e-4 from the line, so panels are 4e-4 wide:
+    # 25,000 of them over height 10.  A 1e-3 floor on the width took 10,000
+    # and an estimate of 1.7e-9, refused
+    li = perron_contour_oracle(5000.0, SmoothingParams(), height=10.0)
+    assert li.panels == 25_000
+    assert li.error_estimate <= 1e-14
+    assert abs(li.value.real - 0.5) <= 1e-7  # W(5000) = 1/2, truncated at T = 10
+
+
 def test_contour_oracle_negative_argument_vanishes():
     sm = SmoothingParams(ell=2, theta=1.0)
     for u in (-0.7, -1.5):
@@ -180,9 +191,48 @@ def test_smoothed_count_frozen_value(census8):
 
 def test_smoothed_count_coverage_gate(census2):
     sm = SmoothingParams()
-    # census2 certifies radii up to 2 log 2; X beyond that is refused
-    with pytest.raises(InputError, match="census cutoff 2 covers radii up to"):
-        smoothed_geometric_count(census2, 2.0 * math.log(2.0) + 0.1, sm)
+    # census2 holds the shells F <= 4, so it covers X up to arccosh(5/2),
+    # about 1.5668, the radius of shell F = 5; X beyond that is refused
+    with pytest.raises(InputError, match=re.escape(
+            "census cutoff 2 holds the shells F <= 4, up to X = 1.566799236972411 "
+            "(the radius of shell F = 5); X = 1.6 needs a deeper census")):
+        smoothed_geometric_count(census2, 1.6, sm)
+
+
+@pytest.fixture(scope="module")
+def deep_census():
+    return enumerate_pruned(9.0)  # shells F <= 81, edge arccosh(41) ~ 4.41
+
+
+def test_smoothed_count_coverage_is_the_shell_comparison(
+        census1, census2, census4, census8, deep_census, tmp_path):
+    # X runs over every shell radius up to census8's edge, each census's
+    # edge, and the float neighbours of both.  A census, enumerated or
+    # loaded from its file, is refused iff the radius of the first shell it
+    # may lack is below X; an accepted count is the deep census's bit for bit
+    sm = SmoothingParams()
+    censuses = [census1, census2, census4, census8]
+    for c, census in zip((1, 2, 4, 8), censuses[:4]):
+        census.to_csv(tmp_path / f"census{c}.csv")
+        censuses.append(Census.from_csv(tmp_path / f"census{c}.csv"))
+    # a loaded file's cutoff, its largest gauge, keeps its largest shell
+    assert [f_threshold(c.cutoff) for c in censuses] == [2, 4, 16, 64, 2, 4, 15, 63]
+    edges = [float(np.arccosh(0.5 * (f_threshold(c.cutoff) + 1))) for c in censuses]
+    radii = deep_census.shell_table.radius
+    grid = np.concatenate([radii[radii <= max(edges)], edges])
+    grid = np.unique(np.concatenate([grid, np.nextafter(grid, 0.0), np.nextafter(grid, 9.0)]))
+    grid = grid[grid > 0]  # shell F = 2 sits at radius 0
+    accepted = 0
+    for X in grid.tolist():
+        want = smoothed_geometric_count(deep_census, X, sm)
+        for census, edge in zip(censuses, edges):
+            if edge < X:
+                with pytest.raises(InputError, match="needs a deeper census"):
+                    smoothed_geometric_count(census, X, sm)
+            else:
+                assert smoothed_geometric_count(census, X, sm) == want, (census.cutoff, X)
+                accepted += 1
+    assert X > max(edges) and accepted > 2 * len(grid)
 
 
 @pytest.mark.parametrize("X", [0.0, math.nan, math.inf])

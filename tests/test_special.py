@@ -27,7 +27,6 @@ from orbitcount.special import (
     _K1_CHEB,
     _SERIES,
     K1_CROSSOVER,
-    K1_HARD_UNDERFLOW,
     bessel_k1,
 )
 
@@ -75,8 +74,36 @@ def test_domain_error():
 
 
 def test_hard_underflow_region():
-    # e^{-x} is sub-denormal past ~746; the value collapses to 0
+    # e^{-x} is sub-denormal past ~745.13; the value collapses to 0
     assert bessel_k1(800.0) == 0.0
+
+
+def test_chebyshev_lanes_reach_the_end_of_the_float_range():
+    # every x > K1_CROSSOVER is a Chebyshev lane: where math.exp(-x) is 0.0
+    # (past about 745.13) the lane is exactly 0.0, the value a separate zero
+    # lane past 746 used to give
+    x = np.concatenate([
+        np.linspace(700.0, 760.0, 60001)[1:],
+        [746.0, np.nextafter(746.0, 0.0), np.nextafter(746.0, 800.0), 745.13, 745.14,
+         800.0, 1e10, 1e300, 1.7e308, np.finfo(float).max],
+    ])
+    got = bessel_k1(x)
+    want = np.array([_one_point_k1(v) for v in x.tolist()])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    zero = np.array([math.exp(-v) == 0.0 for v in x.tolist()])
+    assert zero[x > 745.14].all() and not zero[x < 745.13].any()
+    assert np.all(got[zero] == 0.0) and np.all(got[x <= 740.0] > 0.0)
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-310, 5.5e-309])
+def test_past_the_float_range_near_0_is_inf(x):
+    # K_1(x) ~ 1/x overflows below about 5.6e-309: +inf, with no exception
+    # (log(x/2) has no float at 5e-324) and no warning (pytest makes one an
+    # error), in a 0-d call and among finite lanes alike
+    assert bessel_k1(x) == math.inf
+    lanes = bessel_k1(np.array([x, 5.6e-309, 1.0, 800.0]))
+    assert lanes[0] == math.inf and np.all(np.isfinite(lanes[1:]))
+    assert lanes[1] == _one_point_k1(5.6e-309)
 
 
 def test_shapes():
@@ -86,12 +113,14 @@ def test_shapes():
 
 
 def _mixed_lanes():
-    # series, Chebyshev and underflow lanes, both switch points exactly and
-    # their neighbours, shuffled so the branches' lanes interleave
+    # series and Chebyshev lanes, the switch point exactly and its
+    # neighbours, lanes where 1/x overflows and where e^{-x} underflows,
+    # shuffled so the branches' lanes interleave
     x = np.concatenate([
         np.geomspace(1e-6, 900.0, 400),
         [K1_CROSSOVER, np.nextafter(K1_CROSSOVER, 0.0), np.nextafter(K1_CROSSOVER, 9.0)],
-        [K1_HARD_UNDERFLOW, np.nextafter(K1_HARD_UNDERFLOW, 0.0), 746.5, 800.0, 1e300],
+        [746.0, np.nextafter(746.0, 0.0), 746.5, 800.0, 1e300, 1.7e308],
+        [5e-324, 5.5e-309, 5.6e-309],
     ])
     return np.random.default_rng(13).permutation(x)
 
@@ -101,20 +130,21 @@ def test_lanes_are_independent():
     got = bessel_k1(x)
     one_by_one = np.array([bessel_k1(np.float64(v)) for v in x])
     assert got.view(np.int64).tolist() == one_by_one.view(np.int64).tolist()
-    assert np.all(got[x > K1_HARD_UNDERFLOW] == 0.0)
-    assert np.all(got[x <= K1_HARD_UNDERFLOW - 1.0] > 0.0)
+    assert np.all(got[x > 746.0] == 0.0) and np.all(got[x < 5.6e-309] == math.inf)
+    assert np.all(np.isfinite(got[x >= 5.6e-309])) and np.all(got[x <= 740.0] > 0.0)
 
 
 def _one_point_k1(x: float) -> float:
     """The same Horner and Clenshaw sums as a plain-float loop on one point:
     the test oracle for the array path's operation order."""
-    if x > K1_HARD_UNDERFLOW:
-        return 0.0
+    inv = 1.0 / x  # inf below about 5.6e-309, with no sums after it
     if x <= K1_CROSSOVER:
+        if inv == math.inf:
+            return inv
         q, p, s = 0.25 * x * x, 0.0, 0.0
         for a, b in _SERIES:
             p, s = p * q + a, s * q + b
-        return 1.0 / x + math.log(0.5 * x) * (0.5 * x * p) - 0.25 * x * s
+        return inv + math.log(0.5 * x) * (0.5 * x * p) - 0.25 * x * s
     t = 2.0 * (K1_CROSSOVER / x) - 1.0
     b1 = b2 = 0.0
     for c in _K1_CHEB[:0:-1]:
