@@ -18,9 +18,10 @@ which in particular *refuses* (n, nu) = (2, 1): its Fourier sum diverges
 logarithmically and its kernel K_0(kappa r)/(2 pi) is singular on the
 lattice.  (3, 1) is refused for the same reason.
 
-Each side is one n-dimensional box sum, its truncation K or M fixed by n
-(``SPECTRAL_TRUNC``, ``GEOM_TRUNC``; the largest box has 121^3 points).
-The geometric side sums the kernel over |m|_inf <= M.  The Fourier profile
+Each side is one n-dimensional box sum.  The Fourier box K is fixed by n
+(``SPECTRAL_TRUNC``).  The geometric side sums the kernel over the least
+box |m|_inf <= M whose certified tail is at most the Fourier side's: the
+precision floor that the fixed K sets.  The Fourier profile
 f(|k|^2) = (4 pi^2 |k|^2 + kappa^2)^{-nu} is even in every k_j, so its box
 |k|_inf <= K folds to the octant,
 
@@ -43,14 +44,18 @@ sup-norm shell s:
   with p = 1 for the e^{-kappa r} kernels, (1 + kappa(s+1/2))/(1 +
   kappa(s-1/2)) for (1, 2) and (s+1/2)/(s-1/2) for (2, 2), since e^x K_1(x)
   decreases.  Each factor is nonincreasing in s, so with S the first shell
-  where q(S) <= 1/2 (else the first where q(S) < 1) the tail is at most
-  t_{M+1} + ... + t_S + t_S q(S)/(1 - q(S)).  A lambda so close to 0 that
-  q >= 1 on the first 200,000 shells is refused.
+  past M where q(S) <= 1/2 (else the first where q(S) < 1) the tail is at
+  most t_{M+1} + ... + t_S + t_S q(S)/(1 - q(S)).  The bound falls as M
+  grows: the least M that meets the target comes from one pass over
+  suffix sums of t_s, as many shells long as the decay q(S) past S says.
+  A box holds at most 2^21 points (M <= 1,048,575, 723 and 63 for n = 1,
+  2, 3); a lambda so close to 0 that its box would pass the cap is
+  refused before any box is built.
 * spectral: |cos| <= 1 and min |k|_2 on shell s is s, so the shell is at
   most count(s) (4 pi^2 s^2 + kappa^2)^{-nu}.  Shells K+1 .. s1 = K+64 are
   summed and the rest is at most the integral c_n s1^{n-2nu} /
   ((2nu - n) (4 pi^2)^nu), where c_n = 3^n - 1 >= count(s)/s^{n-1}.
-* for n = 1 at x = 0 the spectral tail is instead summed by
+* for n = 1 at x = 0 exactly the spectral tail is instead summed by
   Euler-Maclaurin through the f''' term with the closed-form integral,
   remainder <= (2 zeta(4)/(2 pi)^4) |f'''| ~ 0.0014 |f'''|; this is what
   pushes the headline cell to ~1e-13 certified.
@@ -71,16 +76,16 @@ import numpy as np
 from .errors import InputError
 from .special import bessel_k1
 
-#: per dimension n, the spectral box |k|_inf <= K and geometric box |m|_inf <= M
+#: per dimension n, the spectral box |k|_inf <= K
 SPECTRAL_TRUNC = {1: 20000, 2: 300, 3: 60}
-GEOM_TRUNC = {1: 40, 2: 25, 3: 18}
-_GEOM_SHELL_CAP = 200_000
+#: the most points (2M + 1)^n a geometric box |m|_inf <= M may hold
+_BOX_POINTS = 2**21
 _EM_ZETA4_FACTOR = 2.0 * (math.pi**4 / 90.0) / (2.0 * math.pi) ** 4  # ~0.00139
 
 
 @dataclass(frozen=True)
 class TorusParams:
-    """Dimension n (which fixes the truncations), kernel power nu, lambda < 0."""
+    """Dimension n (which fixes the Fourier box), kernel power nu, lambda < 0."""
 
     n: int
     nu: int
@@ -105,21 +110,26 @@ class TorusParams:
         return math.sqrt(-self.lam)
 
 
-def torus_kernel(params: TorusParams, r) -> np.ndarray:
-    """Free-space kernel k_{n,nu}(r), elementwise, with exact r = 0 limits."""
-    k = params.kappa
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise InputError("radius must be >= 0")
-    n, nu = params.n, params.nu
-    # TorusParams refuses 2 nu <= n: (n, nu) is (1, 1), (1, 2), (2, 2) or (3, 2).
-    # The kernel is e^{-kappa r} (or r K_1) over this constant, and for n = 2
-    # its r = 0 limit is 1 / (4 pi kappa^2)
+def _kernel_constant(params: TorusParams) -> float:
+    """The kernel is e^{-kappa r} (or r K_1) over this constant, and for
+    n = 2 its r = 0 limit is 1 / (4 pi kappa^2); refused past the float range."""
+    k, n, nu = params.kappa, params.n, params.nu
+    # TorusParams refuses 2 nu <= n: (n, nu) is (1, 1), (1, 2), (2, 2) or (3, 2)
     const = {(1, 1): 2.0 * k, (1, 2): 4.0 * k * k * k,
              (2, 2): 4.0 * math.pi * k * k, (3, 2): 8.0 * math.pi * k}[n, nu]
     if not const < math.inf:
         raise InputError(f"lambda = {params.lam:g} is out of range: the kernel "
                          f"constant of (n, nu) = ({n}, {nu}) overflows")
+    return const
+
+
+def torus_kernel(params: TorusParams, r) -> np.ndarray:
+    """Free-space kernel k_{n,nu}(r), elementwise, with exact r = 0 limits."""
+    k, n, nu = params.kappa, params.n, params.nu
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 0):
+        raise InputError("radius must be >= 0")
+    const = _kernel_constant(params)
     # A kappa so small that the kernel overflows (4 kappa^3 underflows to 0
     # below |lambda| of about 1e-216) makes it inf, and the geometric tail
     # then refuses lambda as too close to 0.
@@ -149,46 +159,76 @@ def _shell_count(n: int, s):
     return (2 * s + 1) ** n - (2 * s - 1) ** n
 
 
-def torus_geometric_side(params: TorusParams, x) -> tuple[float, float]:
-    """(value, certified tail bound) of the periodized kernel at x."""
-    M = GEOM_TRUNC[params.n]
+def torus_geometric_side(params: TorusParams, x, target: float) -> tuple[float, float]:
+    """(value, certified tail bound) of the periodized kernel at x, summed
+    over the least box whose tail bound is at most ``target``."""
     x = _folded_point(params, x)
+    M, tail = _geometric_box(params, target)
     rng = np.arange(-M, M + 1, dtype=float)
     r = np.sqrt(functools.reduce(np.add.outer, [(xj + rng) ** 2 for xj in x])).ravel()
-    value = float(np.sum(torus_kernel(params, r)))
-    return value, _geometric_tail(params, M)
+    return float(np.sum(torus_kernel(params, r))), tail
 
 
-def _geometric_tail(params: TorusParams, M: int) -> float:
-    """t_{M+1} + ... + t_S + t_S q(S) / (1 - q(S)), the module docstring's
-    bound on the shells s > M; S is found by bisection, as q decreases."""
+def _ratio_bound(params: TorusParams, s):
+    """q(s) of the module docstring (broadcasts over arrays)."""
     n, kappa = params.n, params.kappa
+    if params.nu == 1 or n == 3:  # e^{-kappa r} times a constant
+        p = 1.0
+    elif n == 1:
+        p = (1.0 + kappa * (s + 0.5)) / (1.0 + kappa * (s - 0.5))
+    else:  # r K_1(kappa r)
+        p = (s + 0.5) / (s - 0.5)
+    return _shell_count(n, s + 1) / _shell_count(n, s) * math.exp(-kappa) * p
 
-    def q(s: int) -> float:
-        if params.nu == 1 or n == 3:  # e^{-kappa r} times a constant
-            p = 1.0
-        elif n == 1:
-            p = (1.0 + kappa * (s + 0.5)) / (1.0 + kappa * (s - 0.5))
-        else:  # r K_1(kappa r)
-            p = (s + 0.5) / (s - 0.5)
-        return _shell_count(n, s + 1) / _shell_count(n, s) * math.exp(-kappa) * p
 
-    shells = range(M + 1, M + _GEOM_SHELL_CAP + 1)
-    i = bisect.bisect_left(shells, True, key=lambda s: q(s) <= 0.5)
+def _box_cap(params: TorusParams) -> int:
+    """The largest M whose box holds at most ``_BOX_POINTS`` points, once
+    q < 1 on shell M + 1: else no box within it has a tail bound."""
+    m_cap = int((_BOX_POINTS ** (1.0 / params.n) - 1.0) // 2.0)
+    if not _ratio_bound(params, m_cap + 1) < 1.0:
+        raise _too_close(params, m_cap)
+    return m_cap
+
+
+def _too_close(params: TorusParams, m_cap: int) -> InputError:
+    return InputError(
+        f"lambda = {params.lam:g} is too close to 0: its geometric tail needs a "
+        f"box past |m|_inf <= {m_cap}, the largest of at most {_BOX_POINTS} points"
+    )
+
+
+def _geometric_box(params: TorusParams, target: float) -> tuple[int, float]:
+    """(M, tail): the least box within the cap whose tail bound (module
+    docstring) is at most ``target``, and that bound."""
+    n = params.n
+    m_cap = _box_cap(params)
+    shells = range(1, m_cap + 2)
+    i = bisect.bisect_left(shells, True, key=lambda s: _ratio_bound(params, s) <= 0.5)
     if i == len(shells):
-        i = bisect.bisect_left(shells, True, key=lambda s: q(s) < 1.0)
-    if i == len(shells):
-        raise InputError(
-            f"lambda = {params.lam:g} is too close to 0: the geometric tail "
-            f"does not close within {_GEOM_SHELL_CAP} shells"
-        )
-    s = np.arange(M + 1, shells[i] + 1)
+        i = bisect.bisect_left(shells, True, key=lambda s: _ratio_bound(params, s) < 1.0)
+    S = shells[i]
+    q_S = _ratio_bound(params, S)
+    t_S = _shell_count(n, S) * float(torus_kernel(params, S - 0.5))
+    # shells past S shrink by q(S) at least, so the bound meets the target
+    # within `extra` more of them (in logs: t_S / target can overflow)
+    extra = 0
+    if t_S / (1.0 - q_S) > target:
+        decay = -math.log(q_S) if q_S > 0.0 else math.inf
+        extra = math.ceil((math.log(t_S) - math.log1p(-q_S) - math.log(target)) / decay)
+    s = np.arange(1, min(S + extra, m_cap) + 2)
     t = _shell_count(n, s) * torus_kernel(params, s - 0.5)
-    # every t_s is positive, but underflows to 0 at a large kappa: each
-    # term and the remainder are off by up to ulp(0.0) absolute, so no
-    # bound is 0
-    return (float(np.sum(t)) + float(t[-1]) * q(shells[i]) / (1.0 - q(shells[i]))
-            + (t.size + 2) * math.ulp(0.0))
+    q = _ratio_bound(params, s)
+    # the bound for M = s - 1 sums shells M+1 .. max(M+1, S), the last at
+    # index `last`, then the remainder.  Every t_s is positive, but
+    # underflows to 0 at a large kappa: each term and the remainder are off
+    # by up to ulp(0.0) absolute, so no bound is 0
+    last = np.maximum(s, S) - 1
+    tails = (np.concatenate([np.cumsum(t[S - 1::-1])[::-1], t[S:]])
+             + t[last] * q[last] / (1.0 - q[last]) + (last - s + 4) * math.ulp(0.0))
+    M = int(np.argmax(tails <= target))
+    if not tails[M] <= target:
+        raise _too_close(params, m_cap)
+    return M, float(tails[M])
 
 
 def _euler_maclaurin_tail(params: TorusParams, a: float) -> tuple[float, float]:
@@ -241,7 +281,7 @@ def torus_spectral_side(params: TorusParams, x) -> tuple[float, float, bool]:
         prof = (prof * c)[..., ::-1].sum(-1)
     value = float(prof)
 
-    if params.n == 1 and bool(np.all(np.abs(x) < 1e-15)):
+    if params.n == 1 and not x.any():
         # Euler-Maclaurin acceleration of the exact (positive) tail.
         em, remainder = _euler_maclaurin_tail(params, float(K + 1))
         value += em
@@ -279,15 +319,19 @@ class TorusComparison:
 
 
 def torus_identity_check(params: TorusParams, x) -> TorusComparison:
-    """Evaluate both sides at x and package the certified comparison."""
+    """Evaluate both sides at x and package the certified comparison; the
+    geometric box is the least whose tail is at most the spectral tail."""
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    g, g_tail = torus_geometric_side(params, xa)
+    # the refusals that need no box come first: a lambda too close to 0
+    # (where the spectral profile overflows) and a kernel constant past the
+    # float range
+    _box_cap(params)
+    _kernel_constant(params)
     s, s_tail, accel = torus_spectral_side(params, xa)
+    _refuse_unless_finite(params, s, s_tail)
+    g, g_tail = torus_geometric_side(params, xa, s_tail)
     budget = g_tail + s_tail + 5e-13 * (1.0 + abs(g) + abs(s))
-    if not all(math.isfinite(v) for v in (g, g_tail, s, s_tail, budget)):
-        # e.g. 3u overflows while u^{-4} underflows in the Euler-Maclaurin f'''
-        raise InputError(f"lambda = {params.lam:g} is out of range: a side, tail or "
-                         f"budget of (n, nu) = ({params.n}, {params.nu}) is not finite")
+    _refuse_unless_finite(params, g, g_tail, budget)
     return TorusComparison(
         x=tuple(float(v) for v in xa),
         geometric=g,
@@ -298,3 +342,10 @@ def torus_identity_check(params: TorusParams, x) -> TorusComparison:
         budget=budget,
         discrepancy=abs(g - s),
     )
+
+
+def _refuse_unless_finite(params: TorusParams, *values: float) -> None:
+    # e.g. 3u overflows while u^{-4} underflows in the Euler-Maclaurin f'''
+    if not all(math.isfinite(v) for v in values):
+        raise InputError(f"lambda = {params.lam:g} is out of range: a side, tail or "
+                         f"budget of (n, nu) = ({params.n}, {params.nu}) is not finite")

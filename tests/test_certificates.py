@@ -14,6 +14,8 @@ that.
   periodized kernel.  For |x| <= 1/2 they sum in closed form, a geometric
   series, to cosh(kappa x) e^{-kappa (M + 1)} / (kappa (1 - e^{-kappa}))
   at nu = 1 and to its lambda-derivative at nu = 2.
+* The n = 1 torus spectral tail bounds the Fourier terms |k| > K.  At
+  nu = 1 the whole sum is cosh(kappa (1/2 - |x|)) / (2 kappa sinh(kappa / 2)).
 * The perron oracle's quadrature error estimate bounds what its panels
   miss of the finite-height line integral.  With the partial fractions
   1 / (z prod_m (z + m theta)) = sum_m c_m / (z + m theta), each term
@@ -29,7 +31,8 @@ import pytest
 from orbitcount.lattice import Census, form_counts
 from orbitcount.perron import SmoothingParams, perron_contour_oracle, perron_sigma
 from orbitcount.poincare import series_eval
-from orbitcount.torus import GEOM_TRUNC, TorusParams, torus_geometric_side
+from orbitcount.torus import (TorusParams, _geometric_box, torus_geometric_side,
+                              torus_spectral_side)
 
 F_REF = 2048
 SERIES_ZS = [5.3, 6.0, 6.0 + 50.0j, 7.0]
@@ -93,8 +96,11 @@ def _lam_form(nu: int, lam: float, form):
 @pytest.mark.parametrize("lam", [-1.0, -3.0, -0.01, -400.0])
 @pytest.mark.parametrize("nu", [1, 2])
 def test_torus_geometric_tail_covers_the_omitted_images(nu, lam, x):
-    M = GEOM_TRUNC[1]
-    _value, tail = torus_geometric_side(TorusParams(n=1, nu=nu, lam=lam), x)
+    # the box the identity check sums: the least whose tail meets the spectral one
+    p = TorusParams(n=1, nu=nu, lam=lam)
+    target = torus_spectral_side(p, x)[1]
+    M, _ = _geometric_box(p, target)
+    _value, tail = torus_geometric_side(p, x, target)
     with mp.workdps(40):
         xm = mp.mpf(x)  # the float's exact binary value
         error = _lam_form(nu, lam, lambda k: (
@@ -108,6 +114,18 @@ def test_torus_geometric_tail_covers_the_omitted_images(nu, lam, x):
             kept = mp.fsum(mp.exp(-k * v) * p for v, p in zip(r, power)) / (2 * k)
             assert mp.almosteq(whole - kept, error, rel_eps=mp.mpf(10) ** -20)
         assert 0 < error <= tail, (tail, error)
+
+
+@pytest.mark.parametrize("x", [1e-16, 5e-16, 9.9e-16])
+def test_torus_spectral_tail_covers_a_point_next_to_0(x):
+    # S(x) = cosh(kappa (1/2 - |x|)) / (2 kappa sinh(kappa / 2)) has a kink
+    # of slope -1/2 at 0 that only the omitted Fourier terms carry, so the
+    # x = 0 Euler-Maclaurin tail holds at x = 0 alone
+    value, tail, _accelerated = torus_spectral_side(TorusParams(n=1, nu=1, lam=-1.0), (x,))
+    with mp.workdps(40):
+        xm = mp.mpf(x)
+        exact = mp.cosh(mp.mpf(0.5) - xm) / (2 * mp.sinh(mp.mpf(0.5)))
+        assert abs(value - exact) <= tail, (value - exact, tail)
 
 
 def _finite_height_perron(u: float, ell: int, T: float):

@@ -536,7 +536,8 @@ def test_oracle_torus(tmp_path):
 
 def test_oracle_torus_near_zero_lambda_closes_its_tail(tmp_path):
     # lambda = -1e-8 needs ~1e8 shells before a term falls below 1e-22 of the
-    # value; the geometric remainder closes the tail after one shell instead
+    # value; the geometric remainder closes the tail at the spectral tail's
+    # 1e-8 after about 368,000 shells instead
     report = tmp_path / "torus.json"
     r = run_cli("oracle-torus", "--n", "1", "--nu", "1", "--lam=-1e-8", "--report", str(report))
     assert r.returncode == 0, r.stderr
@@ -565,6 +566,16 @@ def test_negative_exponent_form_is_a_value(tmp_path, census4, argv, field, want)
     for key in field:
         doc = doc[key]
     assert doc == want
+
+
+@pytest.mark.parametrize("n,lam", [("3", "-0.05"), ("2", "-0.002")])
+def test_oracle_torus_box_past_the_cap_exits_1(n, lam):
+    # the least box that meets the spectral tail holds more than 2^21 points
+    r = run_cli("oracle-torus", "--n", n, "--nu", "2", "--lam", lam)
+    assert r.returncode == 1
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and f"lambda = {lam} is too close to 0" in lines[0]
+    assert r.stdout == ""
 
 
 def test_oracle_torus_divergent_exits_1():

@@ -1,9 +1,11 @@
 """Flat-torus two-sided identity: the fully independent cross-check of the
 smoothing/spectral machinery on a space where both sides are elementary."""
 
+import bisect
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +13,9 @@ import pytest
 from orbitcount.errors import InputError
 from orbitcount.special import bessel_k1
 from orbitcount.torus import (
-    GEOM_TRUNC,
     SPECTRAL_TRUNC,
     TorusParams,
+    _geometric_box,
     torus_geometric_side,
     torus_identity_check,
     torus_kernel,
@@ -97,8 +99,8 @@ def _brute_spectral_side(nu: int, K: int, x):
 def test_acceleration_matches_brute_force():
     # the accelerated x = 0 path against a straight heavy truncation; the
     # two certified tails must cover the gap between them
-    # 1e-12 sits above the x = 0 detection threshold but perturbs the sum
-    # by < 1e-18, so it forces the plain truncated path at the same value
+    # 1e-12 is not 0 but perturbs the box sum by < 1e-18, so it forces the
+    # plain truncated path at the same value
     near_zero = (1e-12,)
     for nu in (1, 2):
         fast = torus_spectral_side(TorusParams(n=1, nu=nu, lam=-2.0), (0.0,))
@@ -114,9 +116,9 @@ def test_acceleration_matches_brute_force():
 
 def test_geometric_side_is_periodic_and_even():
     p = TorusParams(n=2, nu=2, lam=-1.5)
-    g0, _ = torus_geometric_side(p, (0.3, 0.1))
-    g1, _ = torus_geometric_side(p, (1.3, 0.1))
-    g2, _ = torus_geometric_side(p, (-0.3, -0.1))
+    g0, _ = torus_geometric_side(p, (0.3, 0.1), 1e-8)
+    g1, _ = torus_geometric_side(p, (1.3, 0.1), 1e-8)
+    g2, _ = torus_geometric_side(p, (-0.3, -0.1), 1e-8)
     assert g0 == pytest.approx(g1, rel=1e-13)
     assert g0 == pytest.approx(g2, rel=1e-13)
 
@@ -143,48 +145,148 @@ def test_spectral_side_equals_the_full_box(monkeypatch, n, nu):
         assert value == pytest.approx(brute, rel=1e-14)
 
 
-def test_geometric_side_equals_a_per_point_loop(monkeypatch):
-    M = 3
-    monkeypatch.setitem(GEOM_TRUNC, 3, M)
+def test_geometric_side_equals_a_per_point_loop():
     p = TorusParams(n=3, nu=2, lam=-2.0)
     x = np.array([0.31, -0.12, 0.44])
+    target = torus_spectral_side(p, x)[1]
+    M, _tail = _geometric_box(p, target)
+    assert M >= 3
     radii = [
         math.sqrt(((x[0] + a) ** 2 + (x[1] + b) ** 2) + (x[2] + c) ** 2)
         for a, b, c in itertools.product(range(-M, M + 1), repeat=3)
     ]
-    value, _tail = torus_geometric_side(p, x)
+    value, _tail = torus_geometric_side(p, x, target)
     assert value == float(np.sum(torus_kernel(p, np.array(radii))))
 
 
+def _box_sum(p: TorusParams, x, M: int) -> float:
+    """The periodized kernel summed over the points of |m|_inf <= M."""
+    axes = np.meshgrid(*[np.arange(-M, M + 1.0)] * p.n, indexing="ij")
+    r = np.sqrt(sum((xj + a) ** 2 for xj, a in zip(x, axes)))
+    return math.fsum(torus_kernel(p, r.ravel()))
+
+
 @pytest.mark.parametrize("n,nu", [(1, 1), (1, 2), (2, 2), (3, 2)])
-def test_geometric_tail_covers_the_dropped_shells(monkeypatch, n, nu):
+def test_geometric_tail_covers_the_dropped_shells(n, nu):
+    # against a box 12 shells deeper than the one the target picks
     x = (0.2,) * n
     for lam in (-0.05, -1.0):
         p = TorusParams(n=n, nu=nu, lam=lam)
-        monkeypatch.setitem(GEOM_TRUNC, n, 4)
-        value, tail = torus_geometric_side(p, x)
-        monkeypatch.setitem(GEOM_TRUNC, n, 12)
-        deep, _ = torus_geometric_side(p, x)
-        assert 0.0 < deep - value <= tail
+        target = 0.1 / (-lam) ** nu
+        M, _ = _geometric_box(p, target)
+        value, tail = torus_geometric_side(p, x, target)
+        assert tail <= target
+        assert 0.0 < _box_sum(p, x, M + 12) - value <= tail
 
 
 def test_geometric_tail_refuses_lambda_too_close_to_0():
     with pytest.raises(InputError, match="too close to 0"):
-        torus_geometric_side(TorusParams(n=1, nu=1, lam=-1e-40), (0.0,))
+        torus_geometric_side(TorusParams(n=1, nu=1, lam=-1e-40), (0.0,), 1e-16)
 
 
 @pytest.mark.parametrize("n,nu,lam", [(1, 1, -400.0), (2, 2, -1000.0), (3, 2, -2000.0)])
 def test_geometric_tail_is_never_zero(n, nu, lam):
     # every shell term is positive, but once e^{-kappa (M + 1/2)} underflowed
     # their sum, and so the certified tail, was exactly 0.0
-    _value, tail = torus_geometric_side(TorusParams(n=n, nu=nu, lam=lam), (0.0,) * n)
+    p = TorusParams(n=n, nu=nu, lam=lam)
+    x = (0.0,) * n
+    _value, tail = torus_geometric_side(p, x, torus_spectral_side(p, x)[1])
     assert tail >= 3 * math.ulp(0.0)
+
+
+#: per n, the largest box |m|_inf <= M of at most 2^21 points
+M_CAP = {1: 1_048_575, 2: 723, 3: 63}
+
+
+def _tail_bound(p: TorusParams, M: int) -> float:
+    """The module docstring's bound on the shells s > M, one shell at a time:
+    t_{M+1} + ... + t_S + t_S q(S) / (1 - q(S)), S the first shell of
+    M+1 .. M_CAP + 1 with q(S) <= 1/2, else with q(S) < 1."""
+    n, k = p.n, p.kappa
+
+    def count(s):
+        return (2 * s + 1) ** n - (2 * s - 1) ** n
+
+    def q(s):
+        if p.nu == 1 or n == 3:
+            growth = 1.0
+        elif n == 1:
+            growth = (1.0 + k * (s + 0.5)) / (1.0 + k * (s - 0.5))
+        else:
+            growth = (s + 0.5) / (s - 0.5)
+        return count(s + 1) / count(s) * math.exp(-k) * growth
+
+    shells = range(M + 1, M_CAP[n] + 2)
+    i = bisect.bisect_left(shells, True, key=lambda s: q(s) <= 0.5)
+    if i == len(shells):
+        i = bisect.bisect_left(shells, True, key=lambda s: q(s) < 1.0)
+    S = shells[i]
+    t = [count(s) * float(torus_kernel(p, s - 0.5)) for s in range(M + 1, S + 1)]
+    return math.fsum(t) + t[-1] * q(S) / (1.0 - q(S)) + (len(t) + 2) * math.ulp(0.0)
+
+
+POINTS = {n: [(0.0,) * n, (0.3,) + (0.0,) * (n - 1), (0.31, 0.12, 0.44)[:n]] for n in (1, 2, 3)}
+LEAST_BOX_CELLS = [
+    (n, nu, lam, x)
+    for n, nu in ((1, 1), (1, 2), (2, 2), (3, 2))
+    for lam in (-1.0, -3.0)
+    for x in POINTS[n]
+] + [
+    (2, 2, -0.01, (0.0, 0.0)),
+    (1, 1, -0.01, (0.0,)),
+    (1, 2, -0.01, (0.3,)),
+    (3, 2, -0.1, (0.0, 0.0, 0.0)),
+    (1, 1, -1e-8, (0.0,)),
+]
+
+
+@pytest.mark.parametrize("n,nu,lam,x", LEAST_BOX_CELLS,
+                         ids=[f"{n}-{nu}-{lam:g}-{x}" for n, nu, lam, x in LEAST_BOX_CELLS])
+def test_geometric_box_is_the_least_that_meets_the_spectral_tail(n, nu, lam, x):
+    p = TorusParams(n=n, nu=nu, lam=lam)
+    target = torus_spectral_side(p, x)[1]
+    M, tail = _geometric_box(p, target)
+    assert tail == pytest.approx(_tail_bound(p, M), rel=1e-13)
+    assert _tail_bound(p, M) <= target < _tail_bound(p, M - 1)
+
+
+@pytest.mark.parametrize("n,nu,lam,x,most", [
+    (2, 2, -0.01, (0.0, 0.0), 1e-7),
+    (1, 1, -0.01, (0.0,), 1e-9),
+    (3, 2, -0.1, (0.0, 0.0, 0.0), 1e-3),
+])
+def test_small_lambda_cells_certify(n, nu, lam, x, most):
+    # a box shorter than a few decay lengths 1/kappa passes with a tail
+    # larger than the value (about 1e4, 1e2, 1e2 here), certifying nothing
+    c = torus_identity_check(TorusParams(n=n, nu=nu, lam=lam), x)
+    assert c.within_budget and c.budget <= most
+
+
+@pytest.mark.parametrize("n,lam", [(3, -0.05), (2, -0.002)])
+def test_box_past_the_cap_is_refused_before_it_is_built(n, lam):
+    # a box at the cap holds about 2^21 points, 16 MB for each float array
+    m = M_CAP[n]
+    assert (2 * m + 1) ** n <= 2**21 < (2 * m + 3) ** n
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match=re.escape(
+                f"lambda = {lam:g} is too close to 0: its geometric tail needs a box "
+                f"past |m|_inf <= {m}")):
+            torus_identity_check(TorusParams(n=n, nu=2, lam=lam), (0.0,) * n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 # (n, nu, lambda) whose kernel constant (4 kappa^3 for (1, 2), 4 pi kappa^2
 # for (2, 2)) or Euler-Maclaurin f''' (3u * u^{-4} = inf * 0 for (1, 1))
-# leaves the float range; every other cell of the grid is finite
-OUT_OF_RANGE = {(1, 1, -1e308), (1, 2, -1e300), (1, 2, -1e308), (2, 2, -1e308)}
+# leaves the float range, and the refusal's cause; every other cell of the
+# grid is finite.  The kernel constant is refused ahead of both sides: at
+# (1, 2, -1e308) the spectral side's f''' is nan too
+OUT_OF_RANGE = {(1, 1, -1e308): "a side, tail or budget",
+                (1, 2, -1e300): "the kernel constant", (1, 2, -1e308): "the kernel constant",
+                (2, 2, -1e308): "the kernel constant"}
 
 
 @pytest.mark.parametrize("lam", [-1e10, -1e205, -1e300, -1e308])
@@ -194,7 +296,8 @@ def test_extreme_lambda_is_finite_or_refused(n, nu, lam):
     # OverflowError from 4 kappa**3
     p = TorusParams(n=n, nu=nu, lam=lam)
     if (n, nu, lam) in OUT_OF_RANGE:
-        with pytest.raises(InputError, match=re.escape(f"lambda = {lam:g} is out of range")):
+        with pytest.raises(InputError, match=re.escape(
+                f"lambda = {lam:g} is out of range: {OUT_OF_RANGE[n, nu, lam]}")):
             torus_identity_check(p, (0.0,) * n)
         return
     c = torus_identity_check(p, (0.0,) * n)
