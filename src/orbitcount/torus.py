@@ -43,14 +43,15 @@ sup-norm shell s:
   decreasing.  t_{s+1}/t_s <= q(s) = [count(s+1)/count(s)] e^{-kappa} p(s),
   with p = 1 for the e^{-kappa r} kernels, (1 + kappa(s+1/2))/(1 +
   kappa(s-1/2)) for (1, 2) and (s+1/2)/(s-1/2) for (2, 2), since e^x K_1(x)
-  decreases.  Each factor is nonincreasing in s, so with S the first shell
-  past M where q(S) <= 1/2 (else the first where q(S) < 1) the tail is at
-  most t_{M+1} + ... + t_S + t_S q(S)/(1 - q(S)).  The bound falls as M
-  grows: the least M that meets the target comes from one pass over
-  suffix sums of t_s, as many shells long as the decay q(S) past S says.
-  A box holds at most 2^21 points (M <= 1,048,575, 723 and 63 for n = 1,
-  2, 3); a lambda so close to 0 that its box would pass the cap is
-  refused before any box is built.
+  decreases.  Each factor is nonincreasing in s, so the tail is at most
+  b(M) = t_{M+1} + t_{M+1} q(M+1)/(1 - q(M+1)) where q(M+1) < 1 (else
+  b(M) = inf).  Once finite, b never rises:
+  b(M+1)/b(M) <= q(M+1)(1 - q(M+1))/(1 - q(M+2)) <= q(M+1) < 1.  So the
+  least M that meets the target lies in the one bracket where the grid
+  M = 0, 1, 3, 7, ... first meets it: two array passes.  A box holds at
+  most 2^21 points (M <= 1,048,575, 723 and 63 for n = 1, 2, 3); a lambda
+  so close to 0 that its box would pass the cap is refused before any box
+  is built.
 * spectral: |cos| <= 1 and min |k|_2 on shell s is s, so the shell is at
   most count(s) (4 pi^2 s^2 + kappa^2)^{-nu}.  Shells K+1 .. s1 = K+64 are
   summed and the rest is at most the integral c_n s1^{n-2nu} /
@@ -66,7 +67,6 @@ geom_tail + spec_tail + 5e-13 * (1 + |G| + |S|) (rounding slack).
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -162,6 +162,8 @@ def _shell_count(n: int, s):
 def torus_geometric_side(params: TorusParams, x, target: float) -> tuple[float, float]:
     """(value, certified tail bound) of the periodized kernel at x, summed
     over the least box whose tail bound is at most ``target``."""
+    if not 0.0 < target < math.inf:
+        raise InputError(f"geometric tail target must be finite and > 0, got {target}")
     x = _folded_point(params, x)
     M, tail = _geometric_box(params, target)
     rng = np.arange(-M, M + 1, dtype=float)
@@ -197,38 +199,31 @@ def _too_close(params: TorusParams, m_cap: int) -> InputError:
     )
 
 
+def _tail_bounds(params: TorusParams, M) -> np.ndarray:
+    """b(M) of the module docstring for each box M of an integer array."""
+    s = M + 1
+    t = _shell_count(params.n, s) * torus_kernel(params, s - 0.5)
+    q = _ratio_bound(params, s)
+    remainder = np.divide(t * q, 1.0 - q, out=np.full_like(q, math.inf), where=q < 1.0)
+    # every t_s is positive, but underflows to 0 at a large kappa: the term
+    # and the remainder are off by up to ulp(0.0) absolute, so no bound is 0
+    return t + remainder + 3 * math.ulp(0.0)
+
+
 def _geometric_box(params: TorusParams, target: float) -> tuple[int, float]:
     """(M, tail): the least box within the cap whose tail bound (module
     docstring) is at most ``target``, and that bound."""
-    n = params.n
     m_cap = _box_cap(params)
-    shells = range(1, m_cap + 2)
-    i = bisect.bisect_left(shells, True, key=lambda s: _ratio_bound(params, s) <= 0.5)
-    if i == len(shells):
-        i = bisect.bisect_left(shells, True, key=lambda s: _ratio_bound(params, s) < 1.0)
-    S = shells[i]
-    q_S = _ratio_bound(params, S)
-    t_S = _shell_count(n, S) * float(torus_kernel(params, S - 0.5))
-    # shells past S shrink by q(S) at least, so the bound meets the target
-    # within `extra` more of them (in logs: t_S / target can overflow)
-    extra = 0
-    if t_S / (1.0 - q_S) > target:
-        decay = -math.log(q_S) if q_S > 0.0 else math.inf
-        extra = math.ceil((math.log(t_S) - math.log1p(-q_S) - math.log(target)) / decay)
-    s = np.arange(1, min(S + extra, m_cap) + 2)
-    t = _shell_count(n, s) * torus_kernel(params, s - 0.5)
-    q = _ratio_bound(params, s)
-    # the bound for M = s - 1 sums shells M+1 .. max(M+1, S), the last at
-    # index `last`, then the remainder.  Every t_s is positive, but
-    # underflows to 0 at a large kappa: each term and the remainder are off
-    # by up to ulp(0.0) absolute, so no bound is 0
-    last = np.maximum(s, S) - 1
-    tails = (np.concatenate([np.cumsum(t[S - 1::-1])[::-1], t[S:]])
-             + t[last] * q[last] / (1.0 - q[last]) + (last - s + 4) * math.ulp(0.0))
-    M = int(np.argmax(tails <= target))
-    if not tails[M] <= target:
+    # b never rises once finite: the first of M = 0, 1, 3, 7, ..., m_cap
+    # that meets the target closes the one bracket that holds the least M
+    grid = np.minimum(2 ** np.arange(m_cap.bit_length() + 1) - 1, m_cap)
+    j = int(np.argmax(_tail_bounds(params, grid) <= target))
+    M = np.arange(grid[j - 1] + 1 if j else 0, grid[j] + 1)
+    tails = _tail_bounds(params, M)
+    i = int(np.argmax(tails <= target))
+    if not tails[i] <= target:
         raise _too_close(params, m_cap)
-    return M, float(tails[M])
+    return int(M[i]), float(tails[i])
 
 
 def _euler_maclaurin_tail(params: TorusParams, a: float) -> tuple[float, float]:
@@ -297,7 +292,7 @@ def torus_spectral_side(params: TorusParams, x) -> tuple[float, float, bool]:
         (3**params.n - 1) / four_pi2**params.nu * (K + 64.0) ** (params.n - 2 * params.nu)
         / (2 * params.nu - params.n)
     )
-    # as in _geometric_tail: each shell and the integral are off by up to
+    # as in _tail_bounds: each shell and the integral are off by up to
     # ulp(0.0) absolute once they underflow, so no bound is 0
     return value, tail + (s.size + 2) * math.ulp(0.0), False
 

@@ -568,7 +568,7 @@ def test_negative_exponent_form_is_a_value(tmp_path, census4, argv, field, want)
     assert doc == want
 
 
-@pytest.mark.parametrize("n,lam", [("3", "-0.05"), ("2", "-0.002")])
+@pytest.mark.parametrize("n,lam", [("3", "-0.05"), ("2", "-0.002"), ("1", "-1e-13")])
 def test_oracle_torus_box_past_the_cap_exits_1(n, lam):
     # the least box that meets the spectral tail holds more than 2^21 points
     r = run_cli("oracle-torus", "--n", n, "--nu", "2", "--lam", lam)

@@ -16,6 +16,7 @@ from orbitcount.torus import (
     SPECTRAL_TRUNC,
     TorusParams,
     _geometric_box,
+    _tail_bounds,
     torus_geometric_side,
     torus_identity_check,
     torus_kernel,
@@ -184,6 +185,15 @@ def test_geometric_tail_refuses_lambda_too_close_to_0():
         torus_geometric_side(TorusParams(n=1, nu=1, lam=-1e-40), (0.0,), 1e-16)
 
 
+@pytest.mark.parametrize("target", [0.0, -1.0, math.nan, math.inf])
+def test_geometric_side_refuses_a_target_that_is_not_finite_and_positive(target):
+    # 0 and -1 raised a bare "math domain error", and nan was refused as
+    # lambda = -1 being too close to 0
+    with pytest.raises(InputError, match=re.escape(
+            f"geometric tail target must be finite and > 0, got {target}")):
+        torus_geometric_side(TorusParams(n=1, nu=1, lam=-1.0), (0.0,), target)
+
+
 @pytest.mark.parametrize("n,nu,lam", [(1, 1, -400.0), (2, 2, -1000.0), (3, 2, -2000.0)])
 def test_geometric_tail_is_never_zero(n, nu, lam):
     # every shell term is positive, but once e^{-kappa (M + 1/2)} underflowed
@@ -199,9 +209,10 @@ M_CAP = {1: 1_048_575, 2: 723, 3: 63}
 
 
 def _tail_bound(p: TorusParams, M: int) -> float:
-    """The module docstring's bound on the shells s > M, one shell at a time:
+    """A bound on the shells s > M summed one shell at a time:
     t_{M+1} + ... + t_S + t_S q(S) / (1 - q(S)), S the first shell of
-    M+1 .. M_CAP + 1 with q(S) <= 1/2, else with q(S) < 1."""
+    M+1 .. M_CAP + 1 with q(S) <= 1/2, else with q(S) < 1.  It is never
+    above the module docstring's b(M), and is b(M) itself where S = M + 1."""
     n, k = p.n, p.kappa
 
     def count(s):
@@ -250,6 +261,29 @@ def test_geometric_box_is_the_least_that_meets_the_spectral_tail(n, nu, lam, x):
     assert _tail_bound(p, M) <= target < _tail_bound(p, M - 1)
 
 
+def test_box_search_is_a_linear_scan():
+    # the least M with b(M) <= target, from the bounds of every box within
+    # the cap (2^20 of them at n = 1): the first M where b meets the target
+    # is the first where its running minimum does
+    targets = np.logspace(-300, 3, 304)
+    reached = set()
+    for n, nu in ((1, 1), (1, 2), (2, 2), (3, 2)):
+        for lam in (-0.05, -0.5, -1.0, -3.0, -100.0):
+            p = TorusParams(n=n, nu=nu, lam=lam)
+            bounds = _tail_bounds(p, np.arange(M_CAP[n] + 1))
+            least = np.searchsorted(-np.minimum.accumulate(bounds), -targets)
+            for target, M in zip(targets, least.tolist()):
+                if M == bounds.size:
+                    with pytest.raises(InputError, match="too close to 0"):
+                        _geometric_box(p, target)
+                    reached.add("refused")
+                    continue
+                assert _geometric_box(p, target) == (M, bounds[M]), (n, nu, lam, target)
+                reached.add("cap" if M == M_CAP[n] else "zero" if M == 0
+                            else "grid" if M & (M + 1) == 0 else "inside")
+    assert reached == {"zero", "grid", "inside", "cap", "refused"}
+
+
 @pytest.mark.parametrize("n,nu,lam,x,most", [
     (2, 2, -0.01, (0.0, 0.0), 1e-7),
     (1, 1, -0.01, (0.0,), 1e-9),
@@ -262,7 +296,7 @@ def test_small_lambda_cells_certify(n, nu, lam, x, most):
     assert c.within_budget and c.budget <= most
 
 
-@pytest.mark.parametrize("n,lam", [(3, -0.05), (2, -0.002)])
+@pytest.mark.parametrize("n,lam", [(3, -0.05), (2, -0.002), (1, -1e-13)])
 def test_box_past_the_cap_is_refused_before_it_is_built(n, lam):
     # a box at the cap holds about 2^21 points, 16 MB for each float array
     m = M_CAP[n]
