@@ -196,13 +196,11 @@ def _cmd_spectral_side(args) -> dict:
                     {"label": lab, "value": complex_fields(v)}
                     for lab, v in val.per_datum
                 ],
-                "constant_labels": list(val.constant_labels),
             }
         )
     return {
         "spectral": {
             "nu": NU,
-            "sign": 1,  # (-1)^nu at nu = 2 (see orbitcount.spectral)
             "rho_norm": RHO_NORM,
             "data_count": len(spectrum.data),
             "evaluations": rows,
@@ -222,7 +220,7 @@ def _cmd_compare(args) -> dict:
             {
                 "x": x,
                 "geometric": geo.value,
-                "geometric_signed": geo.value,  # times the sign, +1
+                "geometric_signed": geo.value,  # times (-1)^nu, +1 at nu = 2
                 "spectral": complex_fields(sp.total),
                 "difference": geo.value - sp.total.real,
                 "census_size_used": geo.census_size_used,
@@ -231,7 +229,6 @@ def _cmd_compare(args) -> dict:
     return {
         "compare": {
             "nu": NU,
-            "sign": 1,
             "ell": sm.ell,
             "theta": sm.theta,
             "rows": rows,

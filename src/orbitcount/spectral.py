@@ -20,13 +20,26 @@ at z = z_xi and z = -z_xi respectively, and Per is the pole-train sum
     c_m = (-1)^{m-1} e^{-m theta X} / ((m-1)! (ell-m)! theta^{ell-1}).
 
 A carries e^{+z_xi X} times a degree-1 polynomial in X; B mirrors with
-e^{-z_xi X}.  The constant datum (lambda = 0, z_xi = |rho|) contributes
-w * (A + B) with no pole-train part.
+e^{-z_xi X}.  Every datum, the constant one (lambda = 0, z_xi = |rho|)
+included, contributes all three residues, since closing the contour to
+the left picks up every pole:
+
+* Per = sum_m c_m h(m theta), where h(z) = 1/(z^2 - z_xi^2)^2 is the
+  datum's term in P_z: c_m h(m theta) is the residue of e^{zX} h(z)/q(z)
+  at -m theta, and h is even.
+* Summed over the spectrum, the trains are sum_m c_m PP(m theta), where
+  PP(z) = sum_xi w_xi h_xi(z) is P_z's spectral expansion at real z.
+* The constant datum's term w_0/(z^2 - 1)^2 is PP's pole at z = 1, which
+  carries the e^{2r} growth of the count.  A PP without it would not be
+  P_z's expansion, so that datum's train belongs like every other's.
+
+On Z^3 the flat analogue of this identity, every train kept, matches the
+exact lattice count (tests/test_flat_identity.py).
 
 The raw contour calculus equals (-1)^nu times this normalization (it is
 the power of (lambda_xi - lambda_z) = -(z - z_xi)(z + z_xi) that flips);
-at nu = 2 that sign is +1, and the reports state it.  The ``nu`` arguments
-accept only the model's value.
+at nu = 2 that sign is +1.  The ``nu`` arguments accept only the model's
+value.
 
 A is g'(z_xi) for g(z) = e^{zX} / ((z + z_xi)^2 q(z)), in closed form as g
 times its logarithmic derivative (never by numerical differentiation), and
@@ -68,9 +81,6 @@ from .quadrature import LineIntegral, fsum_complex, pointwise
 #: tolerance below which two poles are treated as collided
 POLE_TOL = 1e-8
 
-#: treat |lambda| below this as the constant datum
-CONSTANT_LAMBDA_TOL = 1e-12
-
 #: global contour oracle: abscissa margin and half-height of its line
 ORACLE_SIGMA_MARGIN = 1.5
 ORACLE_HEIGHT = 400.0
@@ -89,10 +99,6 @@ def z_from_lambda(lam: complex) -> complex:
     return branch_z(cmath.sqrt(complex(lam) + RHO_NORM * RHO_NORM))
 
 
-def lambda_from_z(z: complex) -> complex:
-    return complex(z) * complex(z) - RHO_NORM * RHO_NORM
-
-
 #: Spectrum file headers and each one's row fields -> z_xi conversion.
 _SPECTRUM_HEADERS = {
     ("label", "lambda", "weight"): z_from_lambda,
@@ -107,12 +113,6 @@ class SpectralDatum:
     label: str
     z: complex
     weight: float
-
-    def lam(self) -> complex:
-        return lambda_from_z(self.z)
-
-    def is_constant(self) -> bool:
-        return abs(self.lam()) <= CONSTANT_LAMBDA_TOL
 
 
 @dataclass(frozen=True)
@@ -270,7 +270,6 @@ def residue_pair(
 class SpectralValue:
     total: complex
     per_datum: tuple[tuple[str, complex], ...]
-    constant_labels: tuple[str, ...] = ()
 
 
 def spectral_side_eval(
@@ -279,29 +278,22 @@ def spectral_side_eval(
     params: SmoothingParams,
     nu: int = NU,
 ) -> SpectralValue:
-    """Sum of datum contributions w (A + B [+ Per]) at count parameter X.
+    """Sum of datum contributions w (A + B + Per) at count parameter X.
 
-    The constant datum (lambda = 0) omits Per.  Every datum's contribution
-    comes from one array evaluation over the whole spectrum; the total is
-    their correctly rounded sum.
+    Every datum's contribution comes from one array evaluation over the
+    whole spectrum; the total is their correctly rounded sum.
     """
     data = spectrum.data
     z = np.array([d.z for d in data], dtype=complex)
     w = np.array([d.weight for d in data], dtype=float)
-    const = np.array([d.is_constant() for d in data], dtype=bool)
     labels = [d.label for d in data]
     with np.errstate(over="ignore", invalid="ignore"):
         _check_request(X, nu)
         A, B, per = _residues(z, X, params, labels)
-        pair = A + B
-        contrib = w * np.where(const, pair, pair + per)
+        contrib = w * (A + B + per)
     _check_finite(contrib, z, X, labels)
     values = contrib.tolist()
-    return SpectralValue(
-        total=fsum_complex(values),
-        per_datum=tuple(zip(labels, values)),
-        constant_labels=tuple(d.label for d, c in zip(data, const) if c),
-    )
+    return SpectralValue(total=fsum_complex(values), per_datum=tuple(zip(labels, values)))
 
 
 def global_contour_oracle(
@@ -317,9 +309,8 @@ def global_contour_oracle(
     ``ORACLE_HEIGHT``, by :func:`orbitcount.perron.smoothing_contour_transform`
     of the kernel sum, whose panels it sizes from that margin, the distance
     to the nearest pole.  Closing left picks up A + B + (pole-train) for every
-    datum, so for non-constant spectra this converges (fast: the integrand
-    decays like |z|^{-4 - ell}) to the spectral_side_eval total as the
-    height grows.
+    datum, so this converges (fast: the integrand decays like |z|^{-4 - ell})
+    to the spectral_side_eval total as the height grows.
 
     The kernel sum adds one datum at a time, each as w_xi / (z^2 - z_xi^2)^2,
     since (z - z_xi)^2 (z + z_xi)^2 = (z^2 - z_xi^2)^2: one power per datum

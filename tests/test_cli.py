@@ -368,10 +368,8 @@ def test_spectral_side_needs_clear_poles(spectrum_csv):
     )
     assert good.returncode == 0, good.stderr
     doc = json.loads(good.stdout)
-    assert doc["spectral"]["sign"] == 1
     rows = doc["spectral"]["evaluations"]
     assert len(rows) == 2
-    assert rows[0]["constant_labels"] == ["const"]
 
 
 def test_compare_emits_rows_without_verdict(census_csv, spectrum_csv):

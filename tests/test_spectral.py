@@ -1,6 +1,7 @@
 """Residue calculus for the spectral expansion: closed forms against the
 circle oracle and the assembled global contour."""
 
+import itertools
 import math
 import re
 
@@ -19,7 +20,6 @@ from orbitcount.spectral import (
     _residues,
     branch_z,
     global_contour_oracle,
-    lambda_from_z,
     residue_pair,
     spectral_side_eval,
     z_from_lambda,
@@ -56,7 +56,7 @@ def test_branch_and_lambda_roundtrip():
     for lam in (-0.64, -3.0, 0.5):
         z = z_from_lambda(lam)
         assert z.real >= 0.0
-        assert lambda_from_z(z) == pytest.approx(lam, rel=1e-14)
+        assert z * z - 1 == pytest.approx(lam, rel=1e-14)
     assert branch_z(complex(-2.0, 1.0)) == complex(2.0, -1.0)
 
 
@@ -197,22 +197,23 @@ def test_nu2_closed_form(ell):
                 assert abs(got - w) <= 1e-14 * abs(w), (z_xi, X, got, w)
 
 
-def test_constant_datum_omits_train():
-    sm = SmoothingParams(ell=2, theta=0.8)
-    sp = Spectrum(
-        (SpectralDatum("c", 1.0 + 0j, 1.0), SpectralDatum("r", 0.35 + 0j, 2.0))
-    )
-    X = 1.2
-    val = spectral_side_eval(sp, X, sm, NU)
-    assert val.constant_labels == ("c",)
-    a_c, b_c = residue_pair(1.0 + 0j, X, sm, NU)
-    a_r, b_r = residue_pair(0.35 + 0j, X, sm, NU)
-    want = 1.0 * (a_c + b_c) + 2.0 * (a_r + b_r + _per(0.35 + 0j, X, sm))
-    assert abs(val.total - want) <= 1e-14 * abs(want)
-    # adding the constant datum's train back reproduces the full contour
-    oracle = global_contour_oracle(sp, X, sm, NU)
-    full = val.total + 1.0 * _per(1.0 + 0j, X, sm)
-    assert abs(full - oracle.value) <= 1e-6
+def test_constant_datum_keeps_its_train():
+    # the constant datum (lambda = 0, z_xi = 1) takes A + B + Per like every
+    # other datum, so the total is the whole contour closed to the left
+    const = SpectralDatum("c", z_from_lambda(0.0), 1.0)
+    assert const.z == 1.0
+    sp = Spectrum((const, SpectralDatum("r", 0.35 + 0j, 2.0)))
+    # no jump in lambda: a datum just off lambda = 0 reads the same
+    pair = [Spectrum((SpectralDatum("c", z_from_lambda(lam), 1.0),)) for lam in (0.0, -1e-9)]
+    for ell, X in itertools.product((1, 2, 3), (0.5, 1.2, 3.0)):
+        sm = SmoothingParams(ell=ell, theta=0.8)
+        val = spectral_side_eval(sp, X, sm, NU)
+        parts = [d.weight * (sum(residue_pair(d.z, X, sm, NU)) + _per(d.z, X, sm)) for d in sp]
+        assert abs(val.total - sum(parts)) <= 1e-14 * sum(abs(t) for t in parts)
+        oracle = global_contour_oracle(sp, X, sm, NU)
+        assert abs(val.total - oracle.value) <= 1e-6, (ell, X, val.total, oracle.value)
+        at, off = (spectral_side_eval(s, X, sm, NU).total for s in pair)
+        assert abs(at - off) <= 1e-7 * abs(at), (ell, X, at, off)
 
 
 def test_side_eval_rejects_nonpositive_x():
@@ -268,8 +269,6 @@ def test_spectrum_csv_both_headers(tmp_path):
     s1 = Spectrum.from_csv(p1)
     assert s1.data[0].z == pytest.approx(1.0)
     assert s1.data[1].z == pytest.approx(np.sqrt(1.0 - 2.25 + 0j))
-    assert s1.data[0].is_constant()
-    assert not s1.data[1].is_constant()
 
     p2 = tmp_path / "z.csv"
     p2.write_text("label,z_re,z_im,weight\na,0.5,0.0,1.5\nb,0.0,1.2,0.5\n")
@@ -349,13 +348,11 @@ def test_array_evaluator_matches_circle_oracle(nu, ell):
 
     for X in (0.8, 2.3):
         val = spectral_side_eval(MIXED, X, sm, nu)
-        assert val.constant_labels == ("const",)
         assert [lab for lab, _ in val.per_datum] == [d.label for d in MIXED]
         for d, (_, got) in zip(MIXED, val.per_datum):
             f = _phi(d.z, X, sm)
-            parts = [res(f, d.z), res(f, -d.z)]
-            if d.label != "const":
-                parts.append(sum(res(f, -m * sm.theta) for m in range(1, sm.ell + 1)))
+            parts = [res(f, d.z), res(f, -d.z),
+                     sum(res(f, -m * sm.theta) for m in range(1, sm.ell + 1))]
             want = d.weight * sum(parts)
             scale = d.weight * sum(abs(t) for t in parts)
             assert abs(got - want) <= 1e-12 * scale, (d.label, got, want)
@@ -376,7 +373,6 @@ def test_per_datum_values_do_not_depend_on_neighbours():
             fwd = spectral_side_eval(sp, X, sm, NU)
             rev = spectral_side_eval(back, X, sm, NU)
             assert rev.per_datum == tuple(reversed(fwd.per_datum))
-            assert rev.constant_labels == fwd.constant_labels == ("d500",)
             one = spectral_side_eval(Spectrum(sp.data[123:124]), X, sm, NU)
             assert one.per_datum == fwd.per_datum[123:124]
 
@@ -413,7 +409,6 @@ def test_header_only_spectrum(tmp_path):
     val = spectral_side_eval(Spectrum.from_csv(path), 1.0, SM, NU)
     assert val.total == 0
     assert val.per_datum == ()
-    assert val.constant_labels == ()
 
 
 BAD_NU = [0, 1, 1.5, 2.5, 3]
