@@ -148,12 +148,7 @@ def smoothing_contour_transform(
     rho = 1 + sqrt(2) (Trefethen, SIAM Review 50, 2008), so G15 is good to
     about rho^-30 ~ 3e-12 and K31 to rho^-62 ~ 2e-24; h = pi / |X| is half
     a period of e^{itX}, a phase of pi/2 per half-panel.  The refusal above
-    ``RESULT_TOL`` still guards every result.  No panel is narrower than
-    the quarter period min(1, pi / (2 max(|X|, 0.01))) the rule replaced
-    when g >= 1/2 or the line is ``perron_sigma(X)``, as for every caller
-    here: for |X| >= pi/2, pi / |X| is twice pi / (2|X|); for |X| < pi/2
-    the old width is at most 1 < pi / max(|X|, 1); and 2 g >= 1, or, for
-    X = u > 1 on sigma = 1/u, 2/u > pi / (2u).
+    ``RESULT_TOL`` still guards every result.
     """
     gap = sigma if pole_gap is None else pole_gap
     if not (math.isfinite(X) and 0 < gap < math.inf and math.isfinite(sigma)

@@ -162,11 +162,12 @@ def _check_request(X: float, nu) -> None:
         raise InputError(f"kernel exponent nu must be {NU}, the model's, got {nu}")
 
 
-# Complex products and quotients over arrays, spelled out in real arithmetic
-# as Python's complex type computes them (CPython's c_prod and c_quot).
-# numpy's own complex multiply fuses multiply-adds where the CPU has them and
-# its divide multiplies by a reciprocal; A + B + Per cancels by up to four
-# digits, which magnifies one such rounding to ~1e-12 relative.
+# Complex products and reciprocals over arrays, spelled out in real
+# arithmetic as Python's complex type computes them (CPython's c_prod, and
+# c_quot of 1 + 0j).  numpy's own complex multiply fuses multiply-adds where
+# the CPU has them and its divide multiplies by a reciprocal; A + B + Per
+# cancels by up to four digits, which magnifies one such rounding to ~1e-12
+# relative.
 
 
 def _pack(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -180,18 +181,18 @@ def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _pack(ar * br - ai * bi, ar * bi + ai * br)
 
 
-def _cdiv(a, b) -> np.ndarray:
-    """a / b by Smith's algorithm, dividing by the scaled denominator; b != 0."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+def _crecip(b) -> np.ndarray:
+    """1 / b by Smith's algorithm, dividing 1 + 0j by the scaled denominator;
+    b != 0.  The numerator's 0 stays in ``ratio + 0.0`` and ``0.0 - ratio``,
+    which give an underflowed zero CPython's sign, as ``-ratio`` would not."""
+    b = np.asarray(b, dtype=complex)
+    br, bi = b.real, b.imag
     by_re = np.abs(br) >= np.abs(bi)
     big, small = np.where(by_re, br, bi), np.where(by_re, bi, br)
     ratio = small / big
     denom = big + small * ratio
-    return _pack(
-        np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom,
-        np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom,
-    )
+    return _pack(np.where(by_re, 1.0, ratio + 0.0) / denom,
+                 np.where(by_re, 0.0 - ratio, -1.0) / denom)
 
 
 def _datum(z: np.ndarray, k: int, labels) -> str:
@@ -235,7 +236,7 @@ def _residues(z: np.ndarray, X: float, params: SmoothingParams, labels=None):
         raise InputError(
             f"{datum} collides with kernel pole at -{m}*theta (theta = {theta}); shift theta"
         )
-    r = _cdiv(1.0, den)
+    r = _crecip(den)
     g = 0.25 * r[:, 0]
     for m in range(ell + 1):
         g = _cmul(g, r[:, m])

@@ -132,18 +132,23 @@ def test_point_dimension_checked():
 
 @pytest.mark.parametrize("n,nu", [(1, 1), (1, 2), (2, 2), (3, 2)])
 def test_spectral_side_equals_the_full_box(monkeypatch, n, nu):
-    # the octant contraction against sum_{|k|_inf <= K} cos(2 pi k.x) / den
-    K = 8
-    monkeypatch.setitem(SPECTRAL_TRUNC, n, K)
+    # the octant contraction against sum_{|k|_inf <= K} cos(2 pi k.x) / den,
+    # at three points in a small box and at one in the box the CLI runs,
+    # where n = 3 sums its last axis once for each of 1,446 partial norms
     rng = np.random.default_rng(20261018 + n)
     p = TorusParams(n=n, nu=nu, lam=-1.7)
-    box = np.array(list(itertools.product(range(-K, K + 1), repeat=n)), dtype=float)
-    den = (4.0 * math.pi**2 * np.sum(box * box, axis=1) + p.kappa**2) ** nu
-    for x in rng.uniform(-0.5, 0.5, size=(3, n)):
-        brute = math.fsum(np.cos(2.0 * math.pi * (box @ x)) / den)
-        value, _tail, accelerated = torus_spectral_side(p, x)
-        assert not accelerated
-        assert value == pytest.approx(brute, rel=1e-14)
+    cases = [(8, rng.uniform(-0.5, 0.5, size=(3, n))),
+             (SPECTRAL_TRUNC[n], rng.uniform(-0.5, 0.5, size=(1, n)))]
+    for K, points in cases:
+        monkeypatch.setitem(SPECTRAL_TRUNC, n, K)
+        r = np.arange(-K, K + 1, dtype=float)
+        box = np.stack(np.meshgrid(*[r] * n, indexing="ij"), axis=-1).reshape(-1, n)
+        den = (4.0 * math.pi**2 * np.sum(box * box, axis=1) + p.kappa**2) ** nu
+        for x in points:
+            brute = math.fsum(np.cos(2.0 * math.pi * (box @ x)) / den)
+            value, _tail, accelerated = torus_spectral_side(p, x)
+            assert not accelerated
+            assert value == pytest.approx(brute, rel=1e-14)
 
 
 def test_geometric_side_equals_a_per_point_loop():
