@@ -15,7 +15,9 @@ gauge^2 = (F + sqrt(F^2 - 4)) / 2, so
 A census is therefore a finite, exactly reproducible object: integer rows
 sorted by the canonical key (F, re a, im a, re b, im b, re c, im c, re d,
 im d).  Its CSV file holds those 8 integers per row and nothing else;
-radius and gauge are derived from F.
+radius and gauge are derived from F.  Every entry is at most 2^30 in
+absolute value, so a row is held as 8 int32 entries (32 bytes), and F and
+the determinant are computed in int64, one block of rows at a time.
 
 A census sum of a radial function is a sum over shells of constant F, which
 the sums read from :attr:`Census.shell_table`.  Shell sizes have a closed
@@ -62,8 +64,9 @@ from .errors import ConvergenceError, InputError
 
 CSV_HEADER = "re_a,im_a,re_b,im_b,re_c,im_c,re_d,im_d"
 
-#: Census rows formatted per write by :meth:`Census.to_csv`.
-_CSV_BLOCK = 8192
+#: Census rows per block: :meth:`Census.to_csv` formats one block per
+#: write, and :meth:`Census.from_rows` widens one block at a time to int64.
+_ROW_BLOCK = 8192
 
 #: Default cap on candidate tuples examined by an enumeration call: the
 #: pruned scan admits cutoff 42 (71,396,840) and refuses 42.5 (75,164,168).
@@ -77,8 +80,9 @@ _PRUNED_BLOCK = 16
 #: subgroup): 4 diagonal unit matrices and 4 antidiagonal ones.
 COMPACT_COUNT = 8
 
-#: Largest |entry| a census row may hold: it keeps F and the determinant
-#: (sums of products of two entries) inside int64.
+#: Largest |entry| a census row may hold.  Rows are stored as int32, which
+#: holds it; F and the determinant (sums of products of two entries) are
+#: computed in int64, which holds them.
 MAX_ENTRY = 1 << 30
 
 
@@ -192,7 +196,7 @@ class Census:
     :func:`enumerate_pruned` refuse it unless every shell holds its
     :func:`form_counts` rows.  So its first shell is F = 2, the 8 gauge-1 rows.
 
-    rows: int64 array (N, 8), columns re_a, im_a, ..., re_d, im_d.
+    rows: int32 array (N, 8), columns re_a, im_a, ..., re_d, im_d.
     fnorm: int64 array (N,), the exact F of each row (nondecreasing).
     cutoff: enumeration cutoff (or max observed gauge for loaded files).
     """
@@ -223,8 +227,8 @@ class Census:
         # Blocks of rows, so the formatted bytes never hold the whole census.
         with open(path, "wb") as fh:
             fh.write(CSV_HEADER.encode() + b"\n")
-            for start in range(0, self.size, _CSV_BLOCK):
-                fh.write(_csv_bytes(self.rows[start : start + _CSV_BLOCK]))
+            for start in range(0, self.size, _ROW_BLOCK):
+                fh.write(_csv_bytes(self.rows[start : start + _ROW_BLOCK]))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "Census":
@@ -265,23 +269,29 @@ class Census:
     def from_rows(cls, arr: np.ndarray, cutoff: float | None) -> "Census":
         """Validate entries and determinants, derive F, sort canonically.
 
-        Rows already in canonical order (every file :meth:`to_csv` writes)
-        are kept as given: no permutation and no gathered copy.
+        Entries are checked on the input as given, so an int64 one cannot
+        wrap, and then held as int32: an int32 input is not copied.  The
+        determinants, F and the sort key are computed in int64 over blocks
+        of :data:`_ROW_BLOCK` rows.  Rows already in canonical order (every
+        file :meth:`to_csv` writes) are kept as given: no permutation and no
+        gathered copy.
         """
-        arr = np.asarray(arr, dtype=np.int64).reshape(-1, 8)
-        low, high = arr.min(initial=0), arr.max(initial=0)  # the sort key reads them too
+        if not (isinstance(arr, np.ndarray) and arr.dtype == np.int32):
+            arr = np.asarray(arr, dtype=np.int64)  # a Python int past int64 is an error
+        arr = arr.reshape(-1, 8)
+        low, high = int(arr.min(initial=0)), int(arr.max(initial=0))  # the sort key reads them too
         if high > MAX_ENTRY or low < -MAX_ENTRY:
-            wide = ((arr > MAX_ENTRY) | (arr < -MAX_ENTRY)).any(axis=1)
-            raise InputError(f"row {int(np.argmax(wide))}: an entry exceeds 2^30 in absolute value")
-        bad = np.flatnonzero(
-            (arr[:, 0] * arr[:, 6] - arr[:, 1] * arr[:, 7]
-             - arr[:, 2] * arr[:, 4] + arr[:, 3] * arr[:, 5] != 1)
-            | (arr[:, 0] * arr[:, 7] + arr[:, 1] * arr[:, 6]
-               - arr[:, 2] * arr[:, 5] - arr[:, 3] * arr[:, 4] != 0)
-        )
-        if bad.size:
-            raise InputError(f"row {bad[0]}: determinant is not 1")
-        f = np.einsum("ij,ij->i", arr, arr)  # row sums of squares, no (N, 8) temporary
+            raise _wide_row(arr)
+        arr = arr.astype(np.int32, copy=False)
+        f = np.empty(arr.shape[0], dtype=np.int64)
+        for start in range(0, arr.shape[0], _ROW_BLOCK):
+            block = arr[start : start + _ROW_BLOCK].astype(np.int64)
+            ar, ai, br, bi, cr, ci, dr, di = block.T
+            bad = np.flatnonzero((ar * dr - ai * di - br * cr + bi * ci != 1)
+                                 | (ar * di + ai * dr - br * ci - bi * cr != 0))
+            if bad.size:
+                raise InputError(f"row {start + bad[0]}: determinant is not 1")
+            np.einsum("ij,ij->i", block, block, out=f[start : start + _ROW_BLOCK])
         order, same = _canonical_order(arr, f, low, high)
         if order is not None:
             f = f[order]
@@ -295,6 +305,13 @@ class Census:
             # cutoff, or it would have been enumerated).
             cutoff = float(np.exp(0.5 * np.arccosh(0.5 * float(f[-1])))) if f.size else 1.0
         return cls(rows=arr, fnorm=f, cutoff=float(cutoff))
+
+
+def _wide_row(rows: np.ndarray) -> InputError:
+    """The refusal of the first row with an entry past :data:`MAX_ENTRY` in
+    absolute value (rows count from 0)."""
+    wide = ((rows > MAX_ENTRY) | (rows < -MAX_ENTRY)).any(axis=1)
+    return InputError(f"row {int(np.argmax(wide))}: an entry exceeds 2^30 in absolute value")
 
 
 def _csv_bytes(rows: np.ndarray) -> np.ndarray:
@@ -333,19 +350,22 @@ def _canonical_order(arr: np.ndarray, f: np.ndarray, low: int,
 
     Every census up to cutoff 32 fits the key into one int64 word: F in the
     top bits, then each entry, shifted to start at 0, in the bit length of
-    the entries' observed range.  Equal words are equal rows, so words that
-    already strictly increase mean rows in canonical order without
-    duplicates: the permutation is then None and the mask all False.  Wider
-    rows are sorted on the 9 columns.
+    the entries' observed range.  It is computed over blocks of
+    :data:`_ROW_BLOCK` rows widened to int64.  Equal words are equal rows,
+    so words that already strictly increase mean rows in canonical order
+    without duplicates: the permutation is then None and the mask all
+    False.  Wider rows are sorted on the 9 columns.
     """
-    bits = int(high - low).bit_length()
+    bits = (high - low).bit_length()
     if int(f.max(initial=0)).bit_length() + 8 * bits <= 63:
         place = 1 << (bits * np.arange(7, -1, -1))
-        # (arr - low) @ place, without an (N, 8) temporary; no partial sum
-        # reaches 2^58, as 8 * bits <= 56
-        key = arr @ place
-        key -= low * place.sum()
-        key += f << (8 * bits)
+        offset = low * int(place.sum())
+        key = np.empty_like(f)
+        for start in range(0, f.size, _ROW_BLOCK):
+            part = slice(start, start + _ROW_BLOCK)
+            # (rows - low) @ place; no partial sum reaches 2^58, as 8 * bits <= 56
+            np.matmul(arr[part].astype(np.int64), place, out=key[part])
+            key[part] += (f[part] << (8 * bits)) - offset
         rise = key[1:] > key[:-1]
         if rise.all():
             return None, ~rise
@@ -359,11 +379,13 @@ def _canonical_order(arr: np.ndarray, f: np.ndarray, low: int,
 
 
 def _read_csv_rows(path: str | Path) -> np.ndarray:
-    """A census CSV as an (N, 8) int64 array.
+    """A census CSV as an (N, 8) int32 array.
 
     Any row that is not 8 integers, and any blank line between rows, is an
-    InputError naming the file and line.  The file is UTF-8 text whose lines
-    end in LF, CRLF or CR; spaces, tabs and line ends around it are dropped.
+    InputError naming the file and line; an entry past int32 is refused as
+    :meth:`Census.from_rows` refuses one past 2^30.  The file is UTF-8 text
+    whose lines end in LF, CRLF or CR; spaces, tabs and line ends around it
+    are dropped.
 
     The file's bytes are read once, and loadtxt parses the rows from them as
     one text stream, which holds no copy of the text and no list of its
@@ -395,8 +417,10 @@ def _read_csv_rows(path: str | Path) -> np.ndarray:
 def _bad_line(path: str | Path, data: bytes) -> InputError:
     """The error for a census file :func:`_read_csv_rows` refused: a byte
     that is not UTF-8, the header, or the first line that is blank or does
-    not parse as 8 integers, found by bisecting the rows with the same
-    parse.  Lines are numbered from the header."""
+    not parse as 8 int32 integers, found by bisecting the rows with the same
+    parse.  Lines are numbered from the header.  A line that parses as 8
+    int64 integers has an entry past int32: the refusal is then
+    :meth:`Census.from_rows`' own, naming the first row past 2^30."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -418,21 +442,28 @@ def _bad_line(path: str | Path, data: bytes) -> InputError:
             lo = mid
     if not lines[lo]:
         return InputError(f"{path}:{lo + 1}: blank line inside the census")
+    try:
+        rows = _parse_csv(lines[1 : lo + 1], lo, np.int64)
+    except (ValueError, Warning):
+        pass
+    else:
+        return InputError(f"{path}: {_wide_row(rows)}")
     return InputError(f"{path}:{lo + 1}: expected 8 integers, got {lines[lo]!r}")
 
 
-def _parse_csv(source, n_rows: int) -> np.ndarray:
-    """n_rows lines of 8 integers from a text stream or a list of lines;
-    ValueError or Warning otherwise."""
+def _parse_csv(source, n_rows: int, dtype=np.int32) -> np.ndarray:
+    """n_rows lines of 8 integers that fit ``dtype``, from a text stream or
+    a list of lines; ValueError or Warning otherwise."""
     if not n_rows:
-        return np.zeros((0, 8), dtype=np.int64)
+        return np.zeros((0, 8), dtype=dtype)
     with warnings.catch_warnings():
         # loadtxt only warns at a blank line and, on older numpy, at an
-        # integer written as a float; both are damage
+        # integer it parses as a float: one written as a float, or one past
+        # dtype (newer numpy raises ValueError there); all are damage
         warnings.simplefilter("error")
         # max_rows lets loadtxt size its output once instead of growing it.
         rows = np.loadtxt(
-            source, dtype=np.int64, delimiter=",", comments=None, ndmin=2, max_rows=n_rows
+            source, dtype=dtype, delimiter=",", comments=None, ndmin=2, max_rows=n_rows
         )
     # loadtxt accepts any width that every row shares
     if rows.shape != (n_rows, 8):
@@ -618,9 +649,10 @@ def enumerate_pruned(
     allocated, so a budget stops the same cutoffs as a full scan would.
     :meth:`Census.from_rows` still checks every row, and every shell's
     count is checked against :func:`form_counts`: a wrong one is a census
-    that cannot be certified (``ConvergenceError``).  The blocks are joined
-    and freed before it sorts, so at most two copies of the rows are alive:
-    the joined ones and their canonical gather.  Blocks are shared out to
+    that cannot be certified (``ConvergenceError``).  Each block's rows are
+    narrowed to int32 as they are kept, and the blocks are joined and freed
+    before it sorts, so at most two int32 copies of the rows are alive: the
+    joined ones and their canonical gather.  Blocks are shared out to
     ``workers`` threads; the census is the same for any count.  Threads do
     not pay: at cutoff 12 on a 2-core x86 VM, 2 threads take 0.83-1.12x
     (median 0.98x) the 1-thread time, so the CLI always runs one.
@@ -677,7 +709,7 @@ def enumerate_pruned(
         # (re, im) to (-im, re), by -i to (im, -re).
         moved = rows[rows[:, 0] > 0]  # a in Q; the a = 0 rows are already all of them
         turned = moved[:, [1, 0, 3, 2, 5, 4, 7, 6]] * np.array([-1, 1, -1, 1, 1, -1, 1, -1])
-        return np.concatenate([rows, turned, -moved, -turned]), work
+        return np.concatenate([rows, turned, -moved, -turned], dtype=np.int32), work
 
     def scan_chunk(blocks: list[np.ndarray]) -> tuple[list[np.ndarray], int]:
         pieces, work = [], 0

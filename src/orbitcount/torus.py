@@ -166,13 +166,18 @@ def torus_geometric_side(params: TorusParams, x, target: float) -> tuple[float, 
         raise InputError(f"geometric tail target must be finite and > 0, got {target}")
     x = _folded_point(params, x)
     M, tail = _geometric_box(params, target)
+    return _box_sum(params, x, M), tail
+
+
+def _box_sum(params: TorusParams, x: np.ndarray, M: int) -> float:
+    """The kernel summed over the box |m|_inf <= M around a folded x."""
     rng = np.arange(-M, M + 1, dtype=float)
     r = np.sqrt(functools.reduce(np.add.outer, [(xj + rng) ** 2 for xj in x])).ravel()
-    return float(np.sum(torus_kernel(params, r))), tail
+    return float(np.sum(torus_kernel(params, r)))
 
 
-def _ratio_bound(params: TorusParams, s):
-    """q(s) of the module docstring (broadcasts over arrays)."""
+def _ratio_bound(params: TorusParams, s, count):
+    """q(s) of the module docstring, given count(s) (broadcasts over arrays)."""
     n, kappa = params.n, params.kappa
     if params.nu == 1 or n == 3:  # e^{-kappa r} times a constant
         p = 1.0
@@ -180,14 +185,14 @@ def _ratio_bound(params: TorusParams, s):
         p = (1.0 + kappa * (s + 0.5)) / (1.0 + kappa * (s - 0.5))
     else:  # r K_1(kappa r)
         p = (s + 0.5) / (s - 0.5)
-    return _shell_count(n, s + 1) / _shell_count(n, s) * math.exp(-kappa) * p
+    return _shell_count(n, s + 1) / count * math.exp(-kappa) * p
 
 
 def _box_cap(params: TorusParams) -> int:
     """The largest M whose box holds at most ``_BOX_POINTS`` points, once
     q < 1 on shell M + 1: else no box within it has a tail bound."""
     m_cap = int((_BOX_POINTS ** (1.0 / params.n) - 1.0) // 2.0)
-    if not _ratio_bound(params, m_cap + 1) < 1.0:
+    if not _ratio_bound(params, m_cap + 1, _shell_count(params.n, m_cap + 1)) < 1.0:
         raise _too_close(params, m_cap)
     return m_cap
 
@@ -202,18 +207,22 @@ def _too_close(params: TorusParams, m_cap: int) -> InputError:
 def _tail_bounds(params: TorusParams, M) -> np.ndarray:
     """b(M) of the module docstring for each box M of an integer array."""
     s = M + 1
-    t = _shell_count(params.n, s) * torus_kernel(params, s - 0.5)
-    q = _ratio_bound(params, s)
+    count = _shell_count(params.n, s)
+    t = count * torus_kernel(params, s - 0.5)
+    q = _ratio_bound(params, s, count)
     remainder = np.divide(t * q, 1.0 - q, out=np.full_like(q, math.inf), where=q < 1.0)
     # every t_s is positive, but underflows to 0 at a large kappa: the term
     # and the remainder are off by up to ulp(0.0) absolute, so no bound is 0
     return t + remainder + 3 * math.ulp(0.0)
 
 
-def _geometric_box(params: TorusParams, target: float) -> tuple[int, float]:
+def _geometric_box(params: TorusParams, target: float,
+                   m_cap: int | None = None) -> tuple[int, float]:
     """(M, tail): the least box within the cap whose tail bound (module
-    docstring) is at most ``target``, and that bound."""
-    m_cap = _box_cap(params)
+    docstring) is at most ``target``, and that bound; ``m_cap`` is
+    :func:`_box_cap`'s, computed here unless given."""
+    if m_cap is None:
+        m_cap = _box_cap(params)
     # b never rises once finite: the first of M = 0, 1, 3, 7, ..., m_cap
     # that meets the target closes the one bracket that holds the least M
     grid = np.minimum(2 ** np.arange(m_cap.bit_length() + 1) - 1, m_cap)
@@ -319,11 +328,12 @@ def torus_identity_check(params: TorusParams, x) -> TorusComparison:
     # the refusals that need no box come first: a lambda too close to 0
     # (where the spectral profile overflows) and a kernel constant past the
     # float range
-    _box_cap(params)
+    m_cap = _box_cap(params)
     _kernel_constant(params)
     s, s_tail, accel = torus_spectral_side(params, xa)
     _refuse_unless_finite(params, s, s_tail)
-    g, g_tail = torus_geometric_side(params, xa, s_tail)
+    M, g_tail = _geometric_box(params, s_tail, m_cap)
+    g = _box_sum(params, _folded_point(params, xa), M)
     budget = g_tail + s_tail + 5e-13 * (1.0 + abs(g) + abs(s))
     _refuse_unless_finite(params, g, g_tail, budget)
     return TorusComparison(

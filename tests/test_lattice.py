@@ -327,8 +327,13 @@ def test_to_csv_wide_and_negative_entries(tmp_path):
     line = ",".join(["%d"] * 8) + "\n"
     expected = CSV_HEADER + "\n" + "".join(line % tuple(r) for r in census.rows.tolist())
     assert path.read_text() == expected
-    # not a complete census, so read back through the row reader
-    assert np.array_equal(_read_csv_rows(path), census.rows)
+    # not a complete census, so read back through the row reader: +-2^30,
+    # the widest entry a row holds, comes back exactly as int32, and
+    # from_csv refuses the file only as incomplete
+    back = _read_csv_rows(path)
+    assert back.dtype == np.int32 and np.array_equal(back, census.rows)
+    with pytest.raises(InputError, match="cannot be a complete census"):
+        Census.from_csv(path)
 
 
 @pytest.mark.parametrize(
@@ -575,6 +580,21 @@ _EDGE_FILES = [
      ": duplicate row [-1, 0, 0, 0, 0, 0, -1, 0]"),
     ("entry-past-2^30", lambda h, r, t: _lines(h, [*r, b"1,0,1073741825,0,0,0,1,0"]),
      ": row 2536: an entry exceeds 2^30 in absolute value"),
+    # rows are parsed as int32: 2^31 - 1 fits it and is refused by the row
+    # check, 2^31 and -2^31 - 1 do not and are refused on the parse path,
+    # with the same message naming the same row
+    ("entry-2^31-1", lambda h, r, t: _lines(h, [*r, b"1,0,2147483647,0,0,0,1,0"]),
+     ": row 2536: an entry exceeds 2^30 in absolute value"),
+    ("entry-2^31", lambda h, r, t: _lines(h, [*r, b"1,0,2147483648,0,0,0,1,0"]),
+     ": row 2536: an entry exceeds 2^30 in absolute value"),
+    ("entry-minus-2^31-1", lambda h, r, t: _lines(h, [*r, b"1,0,0,0,-2147483649,0,1,0"]),
+     ": row 2536: an entry exceeds 2^30 in absolute value"),
+    ("entry-2^31-inside", lambda h, r, t: _line_4(h, r, b"1,0,2147483648,0,0,0,1,0"),
+     ": row 2: an entry exceeds 2^30 in absolute value"),
+    # the first row past 2^30 is named, though a later one stops the parse
+    ("entry-past-2^30-before-one-past-int32",
+     lambda h, r, t: _lines(h, [*r[:2], b"1,0,1073741825,0,0,0,1,0", *r[3:], b"1,0,2147483648,0,0,0,1,0"]),
+     ": row 2: an entry exceeds 2^30 in absolute value"),
 ]
 
 
@@ -596,15 +616,52 @@ def test_from_csv_edge_files(tmp_path, census4, edit, answer):
         assert str(exc.value).startswith(f"{path}")
 
 
+# Peak traced bytes per census row.  Rows are 32 bytes (8 int32 entries);
+# F, the sort key and the sort's permutation are 8 bytes a row each.
+
 def test_from_csv_holds_the_rows_once(tmp_path, census8, peak_bytes):
-    # the file's bytes, one (N, 8) array and vectors of length N; a reader
-    # that also held the text, its lines or a sorted copy peaked at 2.31
+    # the file's bytes (19.2 a row), the rows once, F and the sort key:
+    # 64.9 measured.  With int64 rows it read 88.0; a reader that also held
+    # the text, its lines or a sorted copy of int64 rows read 148
     path = tmp_path / "c8.csv"
     census8.to_csv(path)
-    assert peak_bytes(lambda: Census.from_csv(path)) <= 1.8 * census8.rows.nbytes
+    assert peak_bytes(lambda: Census.from_csv(path)) <= 71 * census8.size
 
 
 def test_enumerate_pruned_frees_its_blocks(census8, peak_bytes):
-    # the joined rows and their sorted copy; keeping the scan blocks alive
-    # through the sort peaked at 3.27
-    assert peak_bytes(lambda: enumerate_pruned(8.0)) <= 2.6 * census8.rows.nbytes
+    # the joined rows, their sorted copy, F and the permutation, and at
+    # cutoff 8 the scan's per-block arrays: 104.4 measured.  With int64 rows
+    # it read 145.2; keeping the scan blocks alive through the sort, 209
+    assert peak_bytes(lambda: enumerate_pruned(8.0)) <= 114 * census8.size
+
+
+def test_enumerate_pruned_at_cutoff_12_frees_its_blocks(peak_bytes):
+    # as at cutoff 8, but the per-block arrays weigh less per row: 83.1
+    # measured, against 145.1 with int64 rows
+    built = []
+    peak = peak_bytes(lambda: built.append(enumerate_pruned(12.0)))
+    assert built[0].size == 211_592
+    assert peak <= 91 * built[0].size
+
+
+def test_rows_are_int32_on_every_path(tmp_path, census4):
+    # from_rows keeps canonical int32 rows without a copy, and narrows any
+    # other input once its entries are checked
+    path = tmp_path / "c4.csv"
+    census4.to_csv(path)
+    wide = census4.rows.astype(np.int64)
+    built = [
+        census4,
+        enumerate_naive(4.0),
+        Census.from_csv(path),
+        Census.from_rows(census4.rows.tolist(), cutoff=4.0),
+        Census.from_rows(wide, cutoff=4.0),
+        Census.from_rows(wide[::-1], cutoff=4.0),
+    ]
+    for census in built:
+        assert census.rows.dtype == np.int32 and census.fnorm.dtype == np.int64
+        assert np.array_equal(census.rows, census4.rows)
+        assert np.array_equal(census.fnorm, census4.fnorm)
+    assert not np.shares_memory(built[4].rows, wide)
+    assert np.shares_memory(Census.from_rows(census4.rows, cutoff=4.0).rows, census4.rows)
+    assert compact_stabilizer_rows().dtype == np.int32
