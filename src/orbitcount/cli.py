@@ -254,7 +254,6 @@ def _cmd_oracle_torus(args) -> dict:
             "geometric_tail": cmp.geometric_tail,
             "spectral": cmp.spectral,
             "spectral_tail": cmp.spectral_tail,
-            "accelerated": cmp.accelerated,
             "budget": cmp.budget,
             "discrepancy": cmp.discrepancy,
             "within_budget": cmp.within_budget,

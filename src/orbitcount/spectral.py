@@ -125,13 +125,17 @@ class Spectrum:
     @classmethod
     def from_csv(cls, path: str | Path) -> "Spectrum":
         """Load `label,lambda,weight` or `label,z_re,z_im,weight` files."""
+        # As in the census reader, lines end at LF, CRLF or CR only (text
+        # mode reads each as LF; str.splitlines would also split at form
+        # feeds, U+2028 and the like), and only spaces and tabs are stripped
+        # from a field, so a label may hold any other character.
         try:
-            lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+            lines = Path(path).read_text(encoding="utf-8").strip(" \t\n").split("\n")
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not UTF-8 text at byte {exc.start}") from None
-        if not lines:
+        if lines == [""]:
             raise InputError(f"{path}: empty spectrum file")
-        header = tuple(h.strip() for h in lines[0].split(","))
+        header = tuple(h.strip(" \t") for h in lines[0].split(","))
         if header not in _SPECTRUM_HEADERS:
             raise InputError(
                 f"{path}: unrecognized spectrum header {lines[0]!r}; expected "
@@ -140,7 +144,7 @@ class Spectrum:
         to_z = _SPECTRUM_HEADERS[header]
         rows = []
         for ln, line in enumerate(lines[1:], start=2):
-            parts = [p.strip() for p in line.split(",")]
+            parts = [p.strip(" \t") for p in line.split(",")]
             if len(parts) != len(header):
                 raise InputError(f"{path}:{ln}: expected {len(header)} fields")
             try:

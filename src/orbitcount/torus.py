@@ -18,10 +18,73 @@ which in particular *refuses* (n, nu) = (2, 1): its Fourier sum diverges
 logarithmically and its kernel K_0(kappa r)/(2 pi) is singular on the
 lattice.  (3, 1) is refused for the same reason.
 
-Each side is one n-dimensional box sum.  The Fourier box K is fixed by n
-(``SPECTRAL_TRUNC``).  The geometric side sums the kernel over the least
-box |m|_inf <= M whose certified tail is at most the Fourier side's: the
-precision floor that the fixed K sets.  The Fourier profile
+The geometric side is one box sum: the kernel over the least box
+|m|_inf <= M whose certified tail is at most the Fourier side's.
+
+At n = 1 the Fourier side is Ewald's split (Ewald, Ann. Phys. 1921).  With
+a_k = 4 pi^2 k^2 + kappa^2, write a^{-nu} = Gamma(nu)^{-1} int_0^inf
+t^{nu-1} e^{-t a} dt and split it at t0 = 1/(4 pi).  The part above t0
+stays a Fourier sum; below t0, Jacobi's theta identity (Poisson summation
+of the Gaussian) turns it into a sum over images:
+
+    S(x) = sum_k cos(2 pi k x) Q_nu(y_k) / a_k^nu  +  sum_m R_nu(|x + m|),
+
+    y_k = t0 a_k,  Q_1(y) = e^{-y},  Q_2(y) = (1 + y) e^{-y},
+    R_nu(r) = (4 pi)^{-1/2} Gamma(nu)^{-1} int_0^t0 t^{nu-3/2} e^{-kappa^2 t - r^2/(4t)} dt.
+
+With s = r / (2 sqrt(t0)) = sqrt(pi) r, q = kappa sqrt(t0),
+A = e^{-kappa r} erfc(s - q), B = e^{kappa r} erfc(s + q) and
+G = e^{-s^2 - q^2}, the real-space integrals are
+
+    R_1 = (A - B) / (4 kappa),
+    R_2 = [(1 + kappa r) A - (1 - kappa r) B] / (8 kappa^3) - G / (4 pi kappa^2),
+
+and as t0 -> inf they tend to the kernels e^{-kappa r}/(2 kappa) and
+(1 + kappa r) e^{-kappa r}/(4 kappa^3).  B is 0 where erfc(s + q)
+underflows; where it is positive, s + q < 27.3 and (s + q)^2 >= 2 kappa r
+keep e^{kappa r} below e^{373}.  8 kappa^3 is taken as 8 kappa times
+kappa^2, as it overflows where 4 kappa^3 does not.  Both sums run over
+|k|, |m| <= L = 6, the Fourier one folded to 0 <= k <= L with weight 2 for
+k > 0, one math.erfc call per term (numpy has no erfc).
+
+Its error bound is the sum of three parts:
+
+* the Gaussian tails.  For k >= 1, y_k >= pi gives Q_nu(y_k) / a_k^nu <=
+  e^{-y_k} / (4 pi^2); for t <= t0, e^{-kappa^2 t - r^2/(4t)} <=
+  e^{-max(kappa r, pi r^2)}, so R_1 is at most that over 2 pi and R_2 over
+  24 pi^2.  The omitted frequencies |k| >= L + 1 and images r >= h = L + 1/2
+  come in pairs, each pair at most e^{-pi h} times the one before (for the
+  images as max(kappa r, pi r^2) is convex with slope at least
+  max(kappa, pi r)), so together they are at most
+  [e^{-q^2 - pi (L+1)^2} + e^{-max(kappa h, pi h^2)}] / (pi (1 - e^{-pi h})).
+* rounding, eps = 2^-52 times a sum of magnitudes, assuming libm's exp and
+  cos within 1 ulp and erfc within 8 ulps (tests/test_certificates.py holds
+  the bound against 40-digit values).  A Fourier term t is off by
+  eps t (32 + 4 y + 4 pi k): y is off by 2 eps y, which moves e^{-y} by
+  that much relative, and the cosine's argument by pi k eps.  In an image,
+  A and B are off by eps (32 + 4 kappa r) relative, the kappa r part being
+  the argument rounding of e^{-kappa r} and e^{kappa r}; the arguments
+  s -+ q are off by at most 2.25 u (s + q) (u = eps/2), which moves A and B
+  each by at most 2.6 u (s + q) G absolute, as
+  e^{-kappa r - (s - q)^2} = e^{kappa r - (s + q)^2} = G; the bound allows
+  32 eps (s + q) G.  G is off by eps (32 + 8 (s^2 + q^2)) relative.  Each
+  piece carries its image's weights: 1 + kappa r at nu = 2, and the
+  divisor 4 kappa, or 8 kappa and kappa^2.  The 32s cover the other
+  roundings, the final sum's included (about 24 eps).  Where erfc(s + q) is subnormal or 0, s + q > 26.5, and
+  as s <= sqrt(pi) h < 11.6, q > 15: B <= G / (sqrt(pi) (s + q)) and its
+  error (below ulp(0.0) e^{373}) are then far below eps times the nearest
+  image's A term, about e^{-kappa/2} / kappa.
+* an absolute floor of (14 L + 12) ulp(0.0): the 3 (2 L + 1) image pieces,
+  the L + 1 Fourier terms and the two sums are each off by up to 2 ulp(0.0)
+  once they underflow, so no bound is 0.
+
+For lambda from -1e-8 to -1e6 and x in [0, 1/2] the bound is 7e-15 to
+5e-13 of the value, which is within it of the closed form
+cosh(kappa (1/2 - |x|)) / (2 kappa sinh(kappa / 2)) and its
+lambda-derivative.
+
+At n = 2 and 3 the Fourier side is a box |k|_inf <= K, fixed by n
+(``SPECTRAL_TRUNC``).  The Fourier profile
 f(|k|^2) = (4 pi^2 |k|^2 + kappa^2)^{-nu} is even in every k_j, so its box
 |k|_inf <= K folds to the octant,
 
@@ -31,9 +94,9 @@ f(|k|^2) = (4 pi^2 |k|^2 + kappa^2)^{-nu} is even in every k_j, so its box
 with w_0 = 1 and w_k = 2, contracted one axis at a time and each axis
 summed from k = K down to 0 (small terms first).  The last axis's sum
 depends on the others only through m = k_1^2 + ... + k_{n-1}^2, so it is
-taken once per distinct m, with f evaluated on m + k_n^2: 1 norm at n = 1,
-301 at n = 2 and 1,446 (of 3,721 pairs) at n = 3.  These are the box's
-products summed in the same order, without building the (K+1)^n box.
+taken once per distinct m, with f evaluated on m + k_n^2: 301 norms at
+n = 2 and 1,446 (of 3,721 pairs) at n = 3.  These are the box's products
+summed in the same order, without building the (K+1)^n box.
 
 Truncation certificates, with count(s) = (2s+1)^n - (2s-1)^n points on the
 sup-norm shell s:
@@ -52,14 +115,11 @@ sup-norm shell s:
   most 2^21 points (M <= 1,048,575, 723 and 63 for n = 1, 2, 3); a lambda
   so close to 0 that its box would pass the cap is refused before any box
   is built.
-* spectral: |cos| <= 1 and min |k|_2 on shell s is s, so the shell is at
-  most count(s) (4 pi^2 s^2 + kappa^2)^{-nu}.  Shells K+1 .. s1 = K+64 are
-  summed and the rest is at most the integral c_n s1^{n-2nu} /
-  ((2nu - n) (4 pi^2)^nu), where c_n = 3^n - 1 >= count(s)/s^{n-1}.
-* for n = 1 at x = 0 exactly the spectral tail is instead summed by
-  Euler-Maclaurin through the f''' term with the closed-form integral,
-  remainder <= (2 zeta(4)/(2 pi)^4) |f'''| ~ 0.0014 |f'''|; this is what
-  pushes the headline cell to ~1e-13 certified.
+* spectral, n = 2 and 3: |cos| <= 1 and min |k|_2 on shell s is s, so the
+  shell is at most count(s) (4 pi^2 s^2 + kappa^2)^{-nu}.  Shells
+  K+1 .. s1 = K+64 are summed and the rest is at most the integral
+  c_n s1^{n-2nu} / ((2nu - n) (4 pi^2)^nu), where c_n = 3^n - 1 >=
+  count(s)/s^{n-1}.
 
 The discrepancy budget reported for a comparison is
 geom_tail + spec_tail + 5e-13 * (1 + |G| + |S|) (rounding slack).
@@ -76,16 +136,17 @@ import numpy as np
 from .errors import InputError
 from .special import bessel_k1
 
-#: per dimension n, the spectral box |k|_inf <= K
-SPECTRAL_TRUNC = {1: 20000, 2: 300, 3: 60}
+#: per dimension n >= 2, the spectral box |k|_inf <= K
+SPECTRAL_TRUNC = {2: 300, 3: 60}
+#: at n = 1, the half-width L of both sums of Ewald's split at t0 = 1/(4 pi)
+_EWALD_L = 6
 #: the most points (2M + 1)^n a geometric box |m|_inf <= M may hold
 _BOX_POINTS = 2**21
-_EM_ZETA4_FACTOR = 2.0 * (math.pi**4 / 90.0) / (2.0 * math.pi) ** 4  # ~0.00139
 
 
 @dataclass(frozen=True)
 class TorusParams:
-    """Dimension n (which fixes the Fourier box), kernel power nu, lambda < 0."""
+    """Dimension n (which fixes the Fourier side's rule), kernel power nu, lambda < 0."""
 
     n: int
     nu: int
@@ -241,34 +302,38 @@ def _profile(params: TorusParams, s2):
     return u if params.nu == 1 else u * u
 
 
-def _euler_maclaurin_tail(params: TorusParams, a: float) -> tuple[float, float]:
-    """Euler-Maclaurin sum over t >= a of the two-sided term profile
-    f(t) = 2 (4 pi^2 t^2 + kappa^2)^{-nu} through f''', and its remainder
-    bound; the integral, f' and f''' are closed forms (nu in {1, 2})."""
-    nu, k = params.nu, params.kappa
-    u = 4.0 * math.pi**2 * a * a + k**2
-    f1 = -16.0 * nu * math.pi**2 * a * u ** (-nu - 1.0)
-    f3 = (
-        128.0 * nu * (nu + 1.0) * math.pi**4 * a * u ** (-nu - 3.0)
-        * (3.0 * u - 8.0 * (nu + 2.0) * math.pi**2 * a * a)
-    )
-    w = 2.0 * math.pi * a
-    if nu == 1:
-        integral = (math.pi / 2.0 - math.atan(w / k)) / (math.pi * k)
-    else:
-        # 2 * (1/(2 pi)) * [F(inf) - F(w)],
-        # F(u) = u/(2 k^2 (u^2 + k^2)) + atan(u/k)/(2 k^3)
-        k3 = k * k * k  # inf, not OverflowError, past the float range
-        f_at = w / (2.0 * k * k * (w * w + k * k)) + math.atan(w / k) / (2.0 * k3)
-        integral = (math.pi / (4.0 * k3) - f_at) / math.pi
-    em = integral + _profile(params, a * a) - f1 / 12.0 + f3 / 720.0  # f(a) / 2
-    return em, _EM_ZETA4_FACTOR * abs(f3)
+def _ewald_side(params: TorusParams, x: float) -> tuple[float, float]:
+    """(value, certified error bound) of the n = 1 Fourier sum at a folded x,
+    by Ewald's split (module docstring)."""
+    nu, kappa, L = params.nu, params.kappa, _EWALD_L
+    q, d, scale = kappa / (2.0 * math.sqrt(math.pi)), 2 ** (nu + 1) * kappa, kappa ** (2 * nu - 2)
+    value = size = 0.0
+    for k in range(L, -1, -1):  # small terms first
+        y = math.pi * k * k + q * q  # t0 a_k
+        t = (2.0 if k else 1.0) * math.exp(-y) * (1.0 + (nu - 1) * y) * _profile(params, k * k)
+        value += t * math.cos(2.0 * math.pi * k * x)
+        size += t * (32.0 + 4.0 * y + 4.0 * math.pi * k)
+    # each image adds R = [p A - (2 - p) B] / d, less G / (4 pi) at nu = 2, over scale
+    for r in (abs(x + m) for m in range(-L, L + 1)):
+        kr, s, p = kappa * r, math.sqrt(math.pi) * r, 1.0 + (nu - 1) * kappa * r
+        g = math.exp(-(s * s + q * q))
+        a = math.exp(-kr) * math.erfc(s - q)
+        b = (e := math.erfc(s + q)) and math.exp(kr) * e  # e > 0: kr <= (s + q)^2 / 2
+        value += ((p * a - (2.0 - p) * b) / d - (nu - 1) * g / (4.0 * math.pi)) / scale
+        size += (p * ((a + b) * (32.0 + 4.0 * kr) + 32.0 * (s + q) * g) / d
+                 + (nu - 1) * (32.0 + 8.0 * (s * s + q * q)) * g / (4.0 * math.pi)) / scale
+    h = L + 0.5  # each omitted term is at most e^{-pi h} times the one before
+    tail = math.exp(-math.pi * (L + 1) ** 2 - q * q) + math.exp(-max(kappa * h, math.pi * h * h))
+    return value, (tail / (math.pi * (1.0 - math.exp(-math.pi * h))) + math.ulp(1.0) * size
+                   + (14 * L + 12) * math.ulp(0.0))
 
 
-def torus_spectral_side(params: TorusParams, x) -> tuple[float, float, bool]:
-    """(value, certified tail bound, accelerated?) of the Fourier sum at x."""
-    K = SPECTRAL_TRUNC[params.n]
+def torus_spectral_side(params: TorusParams, x) -> tuple[float, float]:
+    """(value, certified tail bound) of the Fourier sum at x."""
     x = _folded_point(params, x)
+    if params.n == 1:
+        return _ewald_side(params, float(x[0]))
+    K = SPECTRAL_TRUNC[params.n]
 
     # the octant identity of the module docstring, one axis at a time, the
     # last once per distinct partial norm k_1^2 + ... + k_{n-1}^2
@@ -284,15 +349,6 @@ def torus_spectral_side(params: TorusParams, x) -> tuple[float, float, bool]:
         prof = (prof * c)[..., ::-1].sum(-1)
     value = float(prof)
 
-    if params.n == 1 and not x.any():
-        # Euler-Maclaurin acceleration of the exact (positive) tail.
-        em, remainder = _euler_maclaurin_tail(params, float(K + 1))
-        value += em
-        # |f'''| and the value underflow at a large kappa: the four pieces
-        # of em, the remainder and the slack are each off by up to ulp(0.0)
-        # absolute, so no bound is 0
-        return value, remainder + 1e-16 * abs(value) + (4 + 2) * math.ulp(0.0), True
-
     # shells K+1 .. K+64, then the integral bound (module docstring)
     s = np.arange(K + 1, K + 65, dtype=float)
     tail = float(np.sum(_shell_count(params.n, s) * _profile(params, s * s)))
@@ -302,7 +358,7 @@ def torus_spectral_side(params: TorusParams, x) -> tuple[float, float, bool]:
     )
     # as in _tail_bounds: each shell and the integral are off by up to
     # ulp(0.0) absolute once they underflow, so no bound is 0
-    return value, tail + (s.size + 2) * math.ulp(0.0), False
+    return value, tail + (s.size + 2) * math.ulp(0.0)
 
 
 @dataclass(frozen=True)
@@ -312,7 +368,6 @@ class TorusComparison:
     geometric_tail: float
     spectral: float
     spectral_tail: float
-    accelerated: bool
     budget: float
     discrepancy: float
 
@@ -330,7 +385,7 @@ def torus_identity_check(params: TorusParams, x) -> TorusComparison:
     # float range
     m_cap = _box_cap(params)
     _kernel_constant(params)
-    s, s_tail, accel = torus_spectral_side(params, xa)
+    s, s_tail = torus_spectral_side(params, xa)
     _refuse_unless_finite(params, s, s_tail)
     M, g_tail = _geometric_box(params, s_tail, m_cap)
     g = _box_sum(params, _folded_point(params, xa), M)
@@ -342,14 +397,13 @@ def torus_identity_check(params: TorusParams, x) -> TorusComparison:
         geometric_tail=g_tail,
         spectral=s,
         spectral_tail=s_tail,
-        accelerated=accel,
         budget=budget,
         discrepancy=abs(g - s),
     )
 
 
 def _refuse_unless_finite(params: TorusParams, *values: float) -> None:
-    # e.g. 3u overflows while u^{-4} underflows in the Euler-Maclaurin f'''
+    # a guard: no (n, nu, lambda) is known to reach it, but no report prints nan
     if not all(math.isfinite(v) for v in values):
         raise InputError(f"lambda = {params.lam:g} is out of range: a side, tail or "
                          f"budget of (n, nu) = ({params.n}, {params.nu}) is not finite")

@@ -14,8 +14,10 @@ that.
   periodized kernel.  For |x| <= 1/2 they sum in closed form, a geometric
   series, to cosh(kappa x) e^{-kappa (M + 1)} / (kappa (1 - e^{-kappa}))
   at nu = 1 and to its lambda-derivative at nu = 2.
-* The n = 1 torus spectral tail bounds the Fourier terms |k| > K.  At
-  nu = 1 the whole sum is cosh(kappa (1/2 - |x|)) / (2 kappa sinh(kappa / 2)).
+* The n = 1 torus spectral tail bounds the whole error of Ewald's split:
+  its two Gaussian tails and its rounding.  At nu = 1 the whole sum is
+  cosh(kappa (1/2 - |x|)) / (2 kappa sinh(kappa / 2)), and at nu = 2 its
+  lambda-derivative; the budget is held against the same value.
 * The perron oracle's quadrature error estimate bounds what its panels
   miss of the finite-height line integral.  With the partial fractions
   1 / (z prod_m (z + m theta)) = sum_m c_m / (z + m theta), each term
@@ -23,6 +25,8 @@ that.
   the line for u > 0 and the same with -E1(-w) in place of Ei(w) for
   u < 0, so that the path stays clear of the branch cut.
 """
+
+import math
 
 import mpmath as mp
 import numpy as np
@@ -32,7 +36,7 @@ from orbitcount.lattice import Census, form_counts
 from orbitcount.perron import SmoothingParams, perron_contour_oracle, perron_sigma
 from orbitcount.poincare import series_eval
 from orbitcount.torus import (TorusParams, _geometric_box, torus_geometric_side,
-                              torus_spectral_side)
+                              torus_identity_check, torus_spectral_side)
 
 F_REF = 2048
 SERIES_ZS = [5.3, 6.0, 6.0 + 50.0j, 7.0]
@@ -92,6 +96,19 @@ def _lam_form(nu: int, lam: float, form):
     return at(mp.mpf(lam)) if nu == 1 else mp.diff(at, mp.mpf(lam))
 
 
+def _whole_torus_sum(nu: int, lam: float, xm):
+    """The n = 1 periodized kernel at x, to 40 digits (inside mp.workdps)."""
+    return _lam_form(nu, lam, lambda k: (
+        mp.cosh(k * (mp.mpf(0.5) - abs(xm))) / (2 * k * mp.sinh(k / 2))))
+
+
+def _omitted_images(nu: int, lam: float, xm, M: int):
+    """The images |m| > M of the n = 1 periodized kernel at |x| <= 1/2, a
+    geometric series, to 40 digits (inside mp.workdps)."""
+    return _lam_form(nu, lam, lambda k: (
+        mp.cosh(k * xm) * mp.exp(-k * (M + 1)) / (k * (1 - mp.exp(-k)))))
+
+
 @pytest.mark.parametrize("x", [0.0, 0.3])
 @pytest.mark.parametrize("lam", [-1.0, -3.0, -0.01, -400.0])
 @pytest.mark.parametrize("nu", [1, 2])
@@ -103,11 +120,9 @@ def test_torus_geometric_tail_covers_the_omitted_images(nu, lam, x):
     _value, tail = torus_geometric_side(p, x, target)
     with mp.workdps(40):
         xm = mp.mpf(x)  # the float's exact binary value
-        error = _lam_form(nu, lam, lambda k: (
-            mp.cosh(k * xm) * mp.exp(-k * (M + 1)) / (k * (1 - mp.exp(-k)))))
+        error = _omitted_images(nu, lam, xm, M)
         if lam > -10:  # the whole sum's closed form, less the images |m| <= M
-            whole = _lam_form(nu, lam, lambda k: (
-                mp.cosh(k * (mp.mpf(0.5) - abs(xm))) / (2 * k * mp.sinh(k / 2))))
+            whole = _whole_torus_sum(nu, lam, xm)
             k = mp.sqrt(-mp.mpf(lam))
             r = [abs(xm + m) for m in range(-M, M + 1)]
             power = [1] * len(r) if nu == 1 else [(1 + k * v) / (2 * k * k) for v in r]
@@ -119,13 +134,37 @@ def test_torus_geometric_tail_covers_the_omitted_images(nu, lam, x):
 @pytest.mark.parametrize("x", [1e-16, 5e-16, 9.9e-16])
 def test_torus_spectral_tail_covers_a_point_next_to_0(x):
     # S(x) = cosh(kappa (1/2 - |x|)) / (2 kappa sinh(kappa / 2)) has a kink
-    # of slope -1/2 at 0 that only the omitted Fourier terms carry, so the
-    # x = 0 Euler-Maclaurin tail holds at x = 0 alone
-    value, tail, _accelerated = torus_spectral_side(TorusParams(n=1, nu=1, lam=-1.0), (x,))
+    # of slope -1/2 at 0 that a Fourier box carries only in its omitted
+    # terms; Ewald's split carries it in the image m = 0
+    value, tail = torus_spectral_side(TorusParams(n=1, nu=1, lam=-1.0), (x,))
     with mp.workdps(40):
         xm = mp.mpf(x)
         exact = mp.cosh(mp.mpf(0.5) - xm) / (2 * mp.sinh(mp.mpf(0.5)))
         assert abs(value - exact) <= tail, (value - exact, tail)
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-16, 1e-9, 0.125, 0.3, 0.5])
+@pytest.mark.parametrize("lam", [-1e-8, -0.01, -1.0, -3.0, -400.0, -1e4, -1e6, -1e10])
+@pytest.mark.parametrize("nu", [1, 2])
+def test_torus_n1_certificates_hold_against_the_closed_form(nu, lam, x):
+    # every n = 1 certificate the oracle prints, held against the 40-digit
+    # value: the spectral tail bounds the whole error of the Ewald value, the
+    # geometric tail the images its box omits, and the budget the error of
+    # both sides; none of these cells is refused
+    p = TorusParams(n=1, nu=nu, lam=lam)
+    c = torus_identity_check(p, (x,))
+    M, _ = _geometric_box(p, c.spectral_tail)
+    for bound in (c.spectral_tail, c.geometric_tail, c.budget):
+        assert 0.0 < bound < math.inf
+    with mp.workdps(40):
+        xm = mp.mpf(x)
+        exact = _whole_torus_sum(nu, lam, xm)
+        omitted = _omitted_images(nu, lam, xm, M)
+        spectral_error = abs(mp.mpf(c.spectral) - exact)
+        assert spectral_error <= c.spectral_tail, (c.spectral_tail, spectral_error)
+        assert 0 < omitted <= c.geometric_tail, (c.geometric_tail, omitted)
+        error = spectral_error + abs(mp.mpf(c.geometric) - exact)
+        assert error <= c.budget, (c.budget, error)
 
 
 def _finite_height_perron(u: float, ell: int, T: float):

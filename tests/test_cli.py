@@ -535,7 +535,7 @@ def test_oracle_torus(tmp_path):
 def test_oracle_torus_near_zero_lambda_closes_its_tail(tmp_path):
     # lambda = -1e-8 needs ~1e8 shells before a term falls below 1e-22 of the
     # value; the geometric remainder closes the tail at the spectral tail's
-    # 1e-8 after about 368,000 shells instead
+    # 7.1e-7 (7e-15 of the value) after about 326,000 shells instead
     report = tmp_path / "torus.json"
     r = run_cli("oracle-torus", "--n", "1", "--nu", "1", "--lam=-1e-8", "--report", str(report))
     assert r.returncode == 0, r.stderr
@@ -603,11 +603,12 @@ def test_oracle_torus_extreme_lambda_exits_0_or_1(capsys, n, nu):
 
 
 def test_oracle_torus_out_of_range_lambda_prints_no_traceback():
-    r = run_cli("oracle-torus", "--n", "1", "--nu", "1", "--lam", "-1e308")
+    # at (1, 2) and -1e300 the kernel constant 4 kappa^3 overflows
+    r = run_cli("oracle-torus", "--n", "1", "--nu", "2", "--lam", "-1e300")
     assert r.returncode == 1
     assert r.stderr.splitlines() == [
-        "error: lambda = -1e+308 is out of range: a side, tail or budget of "
-        "(n, nu) = (1, 1) is not finite"
+        "error: lambda = -1e+300 is out of range: the kernel constant of "
+        "(n, nu) = (1, 2) overflows"
     ]
 
 

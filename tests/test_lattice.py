@@ -136,6 +136,20 @@ def test_census_sizes_frozen(census1, census2, census8):
     assert len(census12.shells()) == 122
 
 
+@pytest.mark.parametrize("cutoff, rows, shells", [(8.0, 772, 29), (12.0, 1748, 58)])
+def test_parabolic_rows_number_four_r2(cutoff, rows, shells):
+    # the c = 0 elements [[u, n], [0, u^-1]], u one of the 4 units and n in
+    # Z[i], sit at F = 2 + |n|^2: 4 r2(F - 2) rows at each F, with r2 from
+    # a box of Z[i]
+    census = enumerate_pruned(cutoff)
+    f = census.fnorm[~census.rows[:, 4:6].any(axis=1)]
+    top = int(census.fnorm[-1])
+    n = np.arange(-math.isqrt(top), math.isqrt(top) + 1)
+    r2 = np.bincount((n[:, None] ** 2 + n**2).ravel(), minlength=top - 1)[: top - 1]
+    assert np.array_equal(np.bincount(f - 2, minlength=top - 1), 4 * r2)
+    assert (f.size, np.unique(f).size) == (rows, shells)
+
+
 def test_naive_agrees_at_depth(census8):
     nai = enumerate_naive(8.0)
     assert nai.row_set() == census8.row_set()

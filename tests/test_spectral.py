@@ -305,6 +305,17 @@ def test_spectrum_csv_rejects_malformed_rows(tmp_path, header, bad, message):
         Spectrum.from_csv(path)
 
 
+def test_spectrum_csv_splits_lines_only_at_line_ends(tmp_path):
+    # str.splitlines would also split at \x0b, \x0c, \x1c-\x1e, \x85, U+2028
+    # and U+2029, and refuse line 2 as ":2: expected 3 fields"; only spaces
+    # and tabs are stripped from a field
+    path = tmp_path / "labels.csv"
+    path.write_bytes("label,lambda,weight\r\na\x0cb,-1.0,1.0\rc d ,-2.0,\t2.0\n\x0ce,-3.0,1.0\n"
+                     .encode())
+    got = Spectrum.from_csv(path)
+    assert [(d.label, d.weight) for d in got] == [("a\x0cb", 1.0), ("c d", 2.0), ("\x0ce", 1.0)]
+
+
 @pytest.mark.parametrize(
     "data, message",
     [
