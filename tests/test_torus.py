@@ -94,18 +94,19 @@ def _fourier_box(p: TorusParams, K: int, x: float) -> tuple[float, float]:
     a bound on its error: by |cos| <= 1 the shells |k| > K are at most
     2 int_K^inf (4 pi^2 t^2)^{-nu} dt.  A term is off by a few ulps of
     1/a_k^nu and by the rounding of 2 pi k x, about 1e-16 |x| / k: both are
-    under 1e-14 times the sum of |term| (at least 1/4 at lambda = -2), and
-    the fsum is exact."""
+    under 1e-14 times the sum of |term| (at least 1/4 for -2 <= lambda < 0),
+    and the fsum is exact."""
     k = np.arange(-K, K + 1, dtype=float)
     terms = np.cos(2.0 * math.pi * k * x) / (4.0 * math.pi**2 * k * k - p.lam) ** p.nu
     shells = 2.0 * K ** (1 - 2 * p.nu) / ((2 * p.nu - 1) * (4.0 * math.pi**2) ** p.nu)
     return math.fsum(terms), shells + 1e-14 * float(np.sum(np.abs(terms)))
 
 
-def test_ewald_side_matches_the_plain_fourier_box():
-    # the n = 1 Ewald value against the plain Fourier box, within the box's
-    # error bound and its own, at a small box and a large one; 1e-12 moves
-    # no box term by more than 1e-18 but is not the origin
+def test_acceleration_matches_brute_force():
+    # the n = 1 Ewald value (the accelerated rule) against the plain Fourier
+    # box, within the box's error bound and its own, at a small box and a
+    # large one; 1e-12 moves no box term by more than 1e-18 but is not the
+    # origin
     for nu in (1, 2):
         p = TorusParams(n=1, nu=nu, lam=-2.0)
         for x in (0.0, 1e-12, 0.3):
@@ -130,13 +131,23 @@ def test_point_dimension_checked():
         torus_identity_check(p, (0.0,))
 
 
-@pytest.mark.parametrize("n,nu", [(2, 2), (3, 2)])
+@pytest.mark.parametrize("n,nu", [(1, 1), (1, 2), (2, 2), (3, 2)])
 def test_spectral_side_equals_the_full_box(monkeypatch, n, nu):
     # the octant contraction against sum_{|k|_inf <= K} cos(2 pi k.x) / den,
     # at three points in a small box and at one in the box the CLI runs,
-    # where n = 3 sums its last axis once for each of 1,446 partial norms
+    # where n = 3 sums its last axis once for each of 1,446 partial norms;
+    # n = 1 has no box, and its Ewald value is the whole series, so it meets
+    # the same boxes (K = 8 and 20,000) within their shell bound and its tail
     rng = np.random.default_rng(20261018 + n)
     p = TorusParams(n=n, nu=nu, lam=-1.7)
+    if n == 1:
+        for K, points in [(8, rng.uniform(-0.5, 0.5, size=3)),
+                          (20_000, rng.uniform(-0.5, 0.5, size=1))]:
+            for x in points:
+                value, tail = torus_spectral_side(p, (x,))
+                box, box_bound = _fourier_box(p, K, x)
+                assert abs(value - box) <= box_bound + tail, (K, x, value - box)
+        return
     cases = [(8, rng.uniform(-0.5, 0.5, size=(3, n))),
              (SPECTRAL_TRUNC[n], rng.uniform(-0.5, 0.5, size=(1, n)))]
     for K, points in cases:
