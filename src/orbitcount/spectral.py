@@ -61,7 +61,8 @@ refuses the first z_xi on another pole of phi: one with a denominator
 ``global_contour_oracle`` checks the total independently: it integrates the
 assembled kernel along a vertical line, folded onto the upper half only
 when every z_xi is real or purely imaginary: the Perron contour transform
-of the kernel sum, at the package's one tolerance ``quadrature.RESULT_TOL``.
+of the kernel sum, at the package's one tolerance ``quadrature.RESULT_TOL``,
+up to the least height whose truncation bound is at most half of it.
 """
 
 from __future__ import annotations
@@ -73,17 +74,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ConvergenceError, InputError
 from .freespace import NU, RHO_NORM
 from .perron import SmoothingParams, check_count_parameter, smoothing_contour_transform
-from .quadrature import LineIntegral, fsum_complex, pointwise
+from .quadrature import RESULT_TOL, LineIntegral, fsum_complex, pointwise
 
 #: tolerance below which two poles are treated as collided
 POLE_TOL = 1e-8
 
-#: global contour oracle: abscissa margin and half-height of its line
+#: global contour oracle: abscissa margin of its line
 ORACLE_SIGMA_MARGIN = 1.5
-ORACLE_HEIGHT = 400.0
 
 
 def branch_z(z: complex) -> complex:
@@ -301,6 +301,72 @@ def spectral_side_eval(
     return SpectralValue(total=fsum_complex(values), per_datum=tuple(zip(labels, values)))
 
 
+def _oracle_truncation_bound(
+    T: float, X: float, ell: int, sigma: float, radius: float, weight: float
+) -> float:
+    """Bound on the part of the global oracle's line integral beyond |t| = T.
+
+    On z = sigma + i t the integrand is K(z) e^{zX} / q(z), with
+    K = sum_xi w_xi (z^2 - z_xi^2)^{-2} and q = prod_{m=1}^{ell} (z + m theta).
+    Write R = max |z_xi| (``radius``), W = sum |w_xi| (``weight``) and
+    c = 1 - R^2/T^2; the bound is inf unless T > R.  For |t| >= T:
+
+    * |z^2 - z_xi^2| >= |z|^2 - R^2 >= c |z|^2 >= c t^2, and
+      |z + m theta| >= |t| (sigma and theta are positive), so
+      |K/q| <= W / (c^2 |t|^{ell+4});
+    * dK/dz = -4 z sum_xi w_xi (z^2 - z_xi^2)^{-3} is at most 4 W / (c^3 |t|^5),
+      and |(1/q)'| = |1/q| |sum_m 1/(z + m theta)| <= ell / |t|^{ell+1}, so
+      |d/dt (K/q)| <= W (4/c + ell) / (c^2 |t|^{ell+5});
+    * |e^{zX}| = e^{sigma X}.
+
+    The two tails t >= T and t <= -T, each times 1/(2 pi), are then at most
+    e^{sigma X} W / (pi c^2 (ell + 3) T^{ell+3}) directly; integrating
+    e^{itX} once by parts instead gives the boundary term
+    |K/q|(T) / X plus the integral of |d/dt (K/q)| / X.  The bound is the
+    smaller of the two:
+
+        E(T) <= e^{sigma X} W / (pi c^2 T^{ell+3})
+                * min(1/(ell+3), (1 + (4/c + ell)/(ell+4)) / (X T)).
+
+    It is formed from logarithms, so no power of T or e^{sigma X}
+    overflows on the way, and is inf where it passes the float range.
+    """
+    c = 1.0 - (radius / T) ** 2
+    if not c > 0.0:
+        return math.inf
+    if weight == 0.0:
+        return 0.0
+    log_t = math.log(T)
+    by_parts = math.log1p((4.0 / c + ell) / (ell + 4)) - math.log(X) - log_t
+    log_bound = (sigma * X + math.log(weight / (math.pi * c * c)) - (ell + 3) * log_t
+                 + min(-math.log(ell + 3), by_parts))
+    return math.exp(log_bound) if log_bound < 709.0 else math.inf
+
+
+def _oracle_height(X: float, ell: int, sigma: float, radius: float, weight: float) -> float:
+    """The least height T whose ``_oracle_truncation_bound`` is at most
+    RESULT_TOL/2, to about 1e-11 of itself: the bound falls as T grows
+    past R, so the first of T = 2R + 1, 2(2R + 1), ... that meets it and
+    the one before bracket T, and 36 halvings close the bracket.
+    ConvergenceError when no float height meets it."""
+    target = 0.5 * RESULT_TOL
+    lo, hi = radius, 2.0 * radius + 1.0
+    while not _oracle_truncation_bound(hi, X, ell, sigma, radius, weight) <= target:
+        lo, hi = hi, 2.0 * hi
+        if hi == math.inf:
+            raise ConvergenceError(
+                f"global contour oracle at X = {X}: its truncation bound exceeds "
+                f"{target:g} at every float height"
+            )
+    for _ in range(36):
+        mid = 0.5 * (lo + hi)
+        if _oracle_truncation_bound(mid, X, ell, sigma, radius, weight) <= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def global_contour_oracle(
     spectrum: Spectrum,
     X: float,
@@ -310,12 +376,14 @@ def global_contour_oracle(
     """Numeric vertical-line integral of the assembled spectral kernel.
 
     Integrates sum_xi w_xi e^{zX} / ((z - z_xi)^2 (z + z_xi)^2 q(z)) on
-    Re z = sigma, ``ORACLE_SIGMA_MARGIN`` right of every pole, up to height
-    ``ORACLE_HEIGHT``, by :func:`orbitcount.perron.smoothing_contour_transform`
-    of the kernel sum, whose panels it sizes from that margin, the distance
-    to the nearest pole.  Closing left picks up A + B + (pole-train) for every
-    datum, so this converges (fast: the integrand decays like |z|^{-4 - ell})
-    to the spectral_side_eval total as the height grows.
+    Re z = sigma, ``ORACLE_SIGMA_MARGIN`` right of every pole, by
+    :func:`orbitcount.perron.smoothing_contour_transform` of the kernel
+    sum, whose panels it sizes from that margin, the distance to the
+    nearest pole.  Closing left picks up A + B + (pole-train) for every
+    datum, so the whole line's integral is the spectral_side_eval total.
+    The line stops at the least height whose truncation bound
+    (``_oracle_truncation_bound``: the integrand decays like |z|^{-4 - ell})
+    is at most RESULT_TOL/2, so the height grows with X and falls with ell.
 
     The kernel sum adds one datum at a time, each as w_xi / (z^2 - z_xi^2)^2,
     since (z - z_xi)^2 (z + z_xi)^2 = (z^2 - z_xi^2)^2: one power per datum
@@ -331,6 +399,8 @@ def global_contour_oracle(
     zarr = np.array([d.z for d in spectrum], dtype=complex)
     ws = np.array([d.weight for d in spectrum])
     sigma = float(np.max(np.abs(zarr.real), initial=0.0)) + ORACLE_SIGMA_MARGIN
+    height = _oracle_height(X, params.ell, sigma, float(np.max(np.abs(zarr), initial=0.0)),
+                            math.fsum(np.abs(ws).tolist()))
 
     data = tuple(zip(ws.tolist(), (zarr * zarr).tolist()))
 
@@ -342,7 +412,7 @@ def global_contour_oracle(
         return total
 
     return smoothing_contour_transform(
-        pointwise(kernel_sum), X, params, sigma=sigma, height=ORACLE_HEIGHT,
+        pointwise(kernel_sum), X, params, sigma=sigma, height=height,
         conj_symmetric=bool(np.all((zarr.real == 0) | (zarr.imag == 0))),
         pole_gap=ORACLE_SIGMA_MARGIN,
     )

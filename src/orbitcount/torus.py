@@ -95,8 +95,10 @@ with w_0 = 1 and w_k = 2, contracted one axis at a time and each axis
 summed from k = K down to 0 (small terms first).  The last axis's sum
 depends on the others only through m = k_1^2 + ... + k_{n-1}^2, so it is
 taken once per distinct m, with f evaluated on m + k_n^2: 301 norms at
-n = 2 and 1,446 (of 3,721 pairs) at n = 3.  These are the box's products
-summed in the same order, without building the (K+1)^n box.
+n = 2 and 1,446 (of 3,721 pairs) at n = 3.  f and its product with the
+last axis's cosines are formed in place in that one (norms, K + 1) array.
+These are the box's products summed in the same order, without building
+the (K+1)^n box.
 
 Truncation certificates, with count(s) = (2s+1)^n - (2s-1)^n points on the
 sup-norm shell s:
@@ -297,9 +299,14 @@ def _geometric_box(params: TorusParams, target: float,
 
 
 def _profile(params: TorusParams, s2):
-    """(4 pi^2 s2 + kappa^2)^{-nu}, elementwise."""
-    u = 1.0 / (4.0 * math.pi**2 * s2 + params.kappa**2)
-    return u if params.nu == 1 else u * u
+    """(4 pi^2 s2 + kappa^2)^{-nu}, elementwise.  A float array s2 is
+    overwritten with the result, which needs no temporary; a number is not."""
+    s2 *= 4.0 * math.pi**2
+    s2 += params.kappa**2
+    u = np.reciprocal(s2, out=s2) if isinstance(s2, np.ndarray) else 1.0 / s2
+    if params.nu == 2:
+        u *= u
+    return u
 
 
 def _ewald_side(params: TorusParams, x: float) -> tuple[float, float]:
@@ -343,7 +350,11 @@ def torus_spectral_side(params: TorusParams, x) -> tuple[float, float]:
     cos = [weight * np.cos(2.0 * math.pi * k * xj) for xj in x]
     m = functools.reduce(np.add.outer, [k2] * (params.n - 1), np.zeros((), int))
     mu, inv = np.unique(m, return_inverse=True)
-    rows = (_profile(params, mu[:, None] + k2) * cos.pop())[..., ::-1].sum(-1)
+    # one (norms, K + 1) float array: the norms m + k_n^2, then in place
+    # their profile and its product with the last axis's cosine row
+    box = _profile(params, mu[:, None] + k * k)
+    box *= cos.pop()
+    rows = box[..., ::-1].sum(-1)
     prof = rows[inv.reshape(m.shape)]  # inv's shape varies with numpy
     for c in cos[::-1]:
         prof = (prof * c)[..., ::-1].sum(-1)

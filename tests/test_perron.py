@@ -22,10 +22,10 @@ from orbitcount.perron import (
 from orbitcount.poincare import series_evaluator_for_contour
 from orbitcount.quadrature import pointwise
 from orbitcount.spectral import (
-    ORACLE_HEIGHT,
     ORACLE_SIGMA_MARGIN,
     SpectralDatum,
     Spectrum,
+    _oracle_height,
     global_contour_oracle,
 )
 
@@ -322,7 +322,9 @@ def test_bridge_memory_does_not_grow_with_height(census8, peak_bytes):
 def test_crosscheck_panel_counts(census8):
     # the panels are min(2 g, pi / max(|X|, 1)) wide: pi for the bridge
     # (X = 1, sigma = 7) and min(3, pi / max(X, 1)) for the global oracle,
-    # 1.5 from its poles, on its whole line of height 400
+    # 1.5 from its poles, on its whole line up to its derived height (about
+    # 68, 85, 112, 150 and 278 here; the fixed height 400 took 267, 267,
+    # 382, 510 and 764 panels)
     sm = SmoothingParams(ell=2, theta=1.0)
     f = series_evaluator_for_contour(census8)
     bridge = [smoothing_contour_transform(f, 1.0, sm, sigma=7.0, height=h).panels
@@ -331,16 +333,17 @@ def test_crosscheck_panel_counts(census8):
     grid = [0.6 + 0j, 1.25 + 0j, 2.6 + 0j, 0.45 + 1.1j, 1.4 + 0.8j]
     sp = Spectrum(tuple(SpectralDatum(f"d{i}", z, 1.0) for i, z in enumerate(grid)))
     oracle = [global_contour_oracle(sp, X, sm).panels for X in (0.5, 1.0, 1.5, 2.0, 3.0)]
-    assert oracle == [267, 267, 382, 510, 764]
+    assert oracle == [46, 57, 108, 192, 532]
 
 
 def test_global_oracle_takes_the_perron_factor_per_panel():
     # criterion 3's spectrum holds z_xi off both axes, so the global oracle
-    # integrates its whole line, and its first block starts at t = -400.  A
-    # Perron factor split as e^{z0 X} e^{dp X} carried that start's phase
-    # roundoff, about 400 X eps, onto the panels near t = 0, where the
-    # integrand peaks: at ell = 1, X = 3 it read 5.9e-12 from the line with
-    # e^{zX} taken at each node, while |K31 - G15| estimated 5.6e-14
+    # integrates its whole line, and its first block starts at t = -T, T
+    # its derived height (about 802 at ell = 1, X = 3).  A Perron factor
+    # split as e^{z0 X} e^{dp X} carried that start's phase roundoff, about
+    # T X eps, onto the panels near t = 0, where the integrand peaks: at
+    # the fixed height 400 it read 5.9e-12 from the line with e^{zX} taken
+    # at each node, while |K31 - G15| estimated 5.6e-14
     grid = [0.6 + 0j, 1.25 + 0j, 2.6 + 0j, 0.45 + 1.1j, 1.4 + 0.8j]
     weights = [1.3, 0.7, 0.25, 0.9, 0.4]
     sp = Spectrum(tuple(SpectralDatum(f"d{i}", z, w)
@@ -351,11 +354,13 @@ def test_global_oracle_takes_the_perron_factor_per_panel():
         kernel = sum(w / (z * z - zx * zx) ** 2 for zx, w in zip(grid, weights))
         return kernel * np.exp(z * X) / kernel_denominator(sm, z)
 
+    sigma = 2.6 + ORACLE_SIGMA_MARGIN
+    height = _oracle_height(X, sm.ell, sigma, 2.6, math.fsum(weights))
     want = quadrature.vertical_line_integral(
-        pointwise(pointwise_line), 2.6 + ORACLE_SIGMA_MARGIN, ORACLE_HEIGHT,
+        pointwise(pointwise_line), sigma, height,
         panel_width=min(2.0 * ORACLE_SIGMA_MARGIN, math.pi / X), conj_symmetric=False)
     got = global_contour_oracle(sp, X, sm)
-    assert got.panels == want.panels == 764
+    assert got.panels == want.panels == 1531
     assert abs(got.value - want.value) <= 1e-12
 
 

@@ -9,14 +9,17 @@ import mpmath
 import numpy as np
 import pytest
 
-from orbitcount.errors import InputError
+from orbitcount.errors import ConvergenceError, InputError
 from orbitcount.perron import SmoothingParams, kernel_denominator
-from orbitcount.quadrature import cauchy_circle_residue
+from orbitcount.quadrature import RESULT_TOL, cauchy_circle_residue
 from orbitcount.spectral import (
+    ORACLE_SIGMA_MARGIN,
     SpectralDatum,
     Spectrum,
     _cmul,
     _crecip,
+    _oracle_height,
+    _oracle_truncation_bound,
     _residues,
     branch_z,
     global_contour_oracle,
@@ -44,6 +47,10 @@ def _phi(z_xi, X, sm=SM):
 def _per(z_xi, X, sm=SM):
     """The pole-train term Per of one datum, as spectral_side_eval computes it."""
     return complex(_residues(np.array([complex(z_xi)]), X, sm)[2][0])
+
+
+def _never(*_a, **_k):
+    raise AssertionError("integrand called")
 
 
 def _spectrum(zs=GRID, ws=WEIGHTS):
@@ -125,6 +132,42 @@ def test_side_eval_matches_global_oracle():
         assert abs(side.total - oracle.value) <= 1e-6
         # the benchmark runs this grid: keep it far under RESULT_TOL
         assert oracle.error_estimate <= 1e-12
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_global_oracle_meets_its_truncation_bound(ell):
+    # criterion 3's grid and weights: the line stops at the least height
+    # whose truncation bound is RESULT_TOL/2.  The fixed height 400 read
+    # 8.1e-9 at ell = 1, X = 3; the derived height there is about 802
+    sm = SmoothingParams(ell=ell, theta=1.0)
+    sp = _spectrum()
+    sigma, radius, weight = 2.6 + ORACLE_SIGMA_MARGIN, 2.6, math.fsum(WEIGHTS)
+    for X in (0.5, 1.0, 1.5, 2.0, 3.0):
+        height = _oracle_height(X, ell, sigma, radius, weight)
+        bound = _oracle_truncation_bound(height, X, ell, sigma, radius, weight)
+        assert bound <= RESULT_TOL / 2
+        below = _oracle_truncation_bound(height * (1.0 - 1e-9), X, ell, sigma, radius, weight)
+        assert below > RESULT_TOL / 2, (X, height)
+        side = spectral_side_eval(sp, X, sm, NU).total
+        oracle = global_contour_oracle(sp, X, sm, NU)
+        err = abs(side - oracle.value)
+        assert err <= RESULT_TOL, (X, err)
+        assert err <= bound + oracle.error_estimate, (X, err, bound)
+
+
+def test_global_oracle_of_no_weight_is_zero():
+    # W = 0 bounds the truncation by 0 at any height, and the log form of
+    # the bound must not take log(0)
+    for sp in (Spectrum(()), _spectrum(ws=[0.0] * len(GRID))):
+        assert global_contour_oracle(sp, 1.5, SM, NU).value == 0
+
+
+def test_global_oracle_refuses_an_x_no_float_height_certifies(monkeypatch):
+    # the truncation bound carries e^{sigma X}: at X = 2000 (sigma = 4.1)
+    # it passes RESULT_TOL/2 at every float height, refused before the line
+    monkeypatch.setattr("orbitcount.perron.vertical_line_integral", _never)
+    with pytest.raises(ConvergenceError, match="at every float height"):
+        global_contour_oracle(_spectrum(), 2000.0, SM, NU)
 
 
 def test_global_oracle_on_conjugate_pairs():

@@ -2,6 +2,7 @@
 smoothing/spectral machinery on a space where both sides are elementary."""
 
 import bisect
+import functools
 import itertools
 import math
 import re
@@ -159,6 +160,42 @@ def test_spectral_side_equals_the_full_box(monkeypatch, n, nu):
             brute = math.fsum(np.cos(2.0 * math.pi * (box @ x)) / den)
             value, _tail = torus_spectral_side(p, x)
             assert value == pytest.approx(brute, rel=1e-14)
+
+
+def _octant_reference(p: TorusParams, x) -> float:
+    """The n = 2 and 3 octant contraction as it formed its profile before
+    the box was formed in place: ``profile(mu[:, None] + k2) * cos``, with
+    a fresh temporary at every step."""
+    def profile(s2):
+        u = 1.0 / (4.0 * math.pi**2 * s2 + p.kappa**2)
+        return u if p.nu == 1 else u * u
+
+    K = SPECTRAL_TRUNC[p.n]
+    k = np.arange(K + 1, dtype=float)
+    k2 = np.arange(K + 1) ** 2
+    weight = np.where(k > 0, 2.0, 1.0)
+    x = np.asarray(x, dtype=float) - np.round(x)
+    cos = [weight * np.cos(2.0 * math.pi * k * xj) for xj in x]
+    m = functools.reduce(np.add.outer, [k2] * (p.n - 1), np.zeros((), int))
+    mu, inv = np.unique(m, return_inverse=True)
+    rows = (profile(mu[:, None] + k2) * cos.pop())[..., ::-1].sum(-1)
+    prof = rows[inv.reshape(m.shape)]
+    for c in cos[::-1]:
+        prof = (prof * c)[..., ::-1].sum(-1)
+    return float(prof)
+
+
+@pytest.mark.parametrize("lam", [-0.01, -1.0, -3.0, -400.0, -1e4])
+@pytest.mark.parametrize("n", [2, 3])
+def test_fourier_box_formed_in_place_is_bit_for_bit(n, lam):
+    # the profile is formed in place in one (norms, K + 1) array; every
+    # rounding must be the one the fresh-temporary expression made
+    p = TorusParams(n=n, nu=2, lam=lam)
+    rng = np.random.default_rng(4800 + n)
+    points = [np.zeros(n), np.full(n, 0.5), *rng.uniform(-0.5, 0.5, size=(2, n))]
+    for x in points:
+        value, _tail = torus_spectral_side(p, x)
+        assert value.hex() == _octant_reference(p, x).hex(), x
 
 
 def test_geometric_side_equals_a_per_point_loop():
