@@ -347,7 +347,8 @@ def _oracle_height(X: float, ell: int, sigma: float, radius: float, weight: floa
     """The least height T whose ``_oracle_truncation_bound`` is at most
     RESULT_TOL/2, to about 1e-11 of itself: the bound falls as T grows
     past R, so the first of T = 2R + 1, 2(2R + 1), ... that meets it and
-    the one before bracket T, and 36 halvings close the bracket.
+    the one before (R for the first) bracket T, and 36 halvings close the
+    bracket.
     ConvergenceError when no float height meets it."""
     target = 0.5 * RESULT_TOL
     lo, hi = radius, 2.0 * radius + 1.0
