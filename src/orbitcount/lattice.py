@@ -17,7 +17,10 @@ sorted by the canonical key (F, re a, im a, re b, im b, re c, im c, re d,
 im d).  Its CSV file holds those 8 integers per row and nothing else;
 radius and gauge are derived from F.  Every entry is at most 2^30 in
 absolute value, so a row is held as 8 int32 entries (32 bytes), and F and
-the determinant are computed in int64, one block of rows at a time.
+the determinant are computed in int64, one block of rows at a time.  Up
+to cutoff 32 the canonical key packs into one int64 word; a census is put
+in order by sorting those words in place and decoding its rows and F from
+them, so sorting holds no permutation and no second copy of the rows.
 
 A census sum of a radial function is a sum over shells of constant F, which
 the sums read from :attr:`Census.shell_table`.  Shell sizes have a closed
@@ -64,8 +67,10 @@ from .errors import ConvergenceError, InputError
 
 CSV_HEADER = "re_a,im_a,re_b,im_b,re_c,im_c,re_d,im_d"
 
-#: Census rows per block: :meth:`Census.to_csv` formats one block per
-#: write, and :meth:`Census.from_rows` widens one block at a time to int64.
+#: Census rows per block: :meth:`Census.from_rows` widens one block at a
+#: time to int64 to check it and form its sort keys, :func:`_census_from_keys`
+#: decodes one block of sorted keys at a time into rows, and
+#: :meth:`Census.to_csv` formats one block per write.
 _ROW_BLOCK = 8192
 
 #: Default cap on candidate tuples examined by an enumeration call: the
@@ -270,11 +275,16 @@ class Census:
         """Validate entries and determinants, derive F, sort canonically.
 
         Entries are checked on the input as given, so an int64 one cannot
-        wrap, and then held as int32: an int32 input is not copied.  The
-        determinants, F and the sort key are computed in int64 over blocks
-        of :data:`_ROW_BLOCK` rows.  Rows already in canonical order (every
-        file :meth:`to_csv` writes) are kept as given: no permutation and no
-        gathered copy.
+        wrap, and then held as int32: an int32 input is not copied.  When the
+        packed sort key fits one int64 word (:func:`_key_layout`; every
+        census up to cutoff 32), :func:`_row_keys` checks each block of
+        :data:`_ROW_BLOCK` rows and forms its keys.  Rows already in
+        canonical order (every file :meth:`to_csv` writes) are then kept as
+        given, and F is shifted out of the key array in place: no copy of
+        the rows.  Other rows are put in order by sorting the keys in place
+        and decoding the rows from them (:func:`_census_from_keys`): no
+        permutation and no gathered copy.  Wider rows are checked one block
+        at a time and sorted on the 9 columns (:func:`_canonical_order`).
         """
         if not (isinstance(arr, np.ndarray) and arr.dtype == np.int32):
             arr = np.asarray(arr, dtype=np.int64)  # a Python int past int64 is an error
@@ -283,28 +293,119 @@ class Census:
         if high > MAX_ENTRY or low < -MAX_ENTRY:
             raise _wide_row(arr)
         arr = arr.astype(np.int32, copy=False)
-        f = np.empty(arr.shape[0], dtype=np.int64)
+        # no row's F passes 8 times its largest squared entry
+        layout = _key_layout(low, high, 8 * max(low * low, high * high))
+        if layout is None:
+            f = np.empty(arr.shape[0], dtype=np.int64)
+            for start in range(0, arr.shape[0], _ROW_BLOCK):
+                part = slice(start, start + _ROW_BLOCK)
+                f[part] = _fnorm(arr[part], start)
+            order, same = _canonical_order(arr, f)
+            arr, f = arr[order], f[order]
+            dup = np.flatnonzero(same)
+            if dup.size:
+                raise InputError(f"duplicate row {arr[dup[0]].tolist()}")
+            return cls(rows=arr, fnorm=f, cutoff=_census_cutoff(f, cutoff))
+        key = np.empty(arr.shape[0], dtype=np.int64)
         for start in range(0, arr.shape[0], _ROW_BLOCK):
-            block = arr[start : start + _ROW_BLOCK].astype(np.int64)
-            ar, ai, br, bi, cr, ci, dr, di = block.T
-            bad = np.flatnonzero((ar * dr - ai * di - br * cr + bi * ci != 1)
-                                 | (ar * di + ai * dr - br * ci - bi * cr != 0))
-            if bad.size:
-                raise InputError(f"row {start + bad[0]}: determinant is not 1")
-            np.einsum("ij,ij->i", block, block, out=f[start : start + _ROW_BLOCK])
-        order, same = _canonical_order(arr, f, low, high)
-        if order is not None:
-            f = f[order]
-            arr = arr[order]
-        dup = np.flatnonzero(same)
-        if dup.size:
-            raise InputError(f"duplicate row {arr[dup[0]].tolist()}")
-        if cutoff is None:
-            # Loaded files carry no cutoff; the max observed gauge is a valid
-            # coverage bound (no element can sit between it and the original
-            # cutoff, or it would have been enumerated).
-            cutoff = float(np.exp(0.5 * np.arccosh(0.5 * float(f[-1])))) if f.size else 1.0
-        return cls(rows=arr, fnorm=f, cutoff=float(cutoff))
+            part = slice(start, start + _ROW_BLOCK)
+            key[part] = _row_keys(arr[part], start, layout)
+        # equal keys are equal rows, so keys that already strictly increase
+        # are rows in canonical order without duplicates
+        if (key[1:] > key[:-1]).all():
+            f = np.right_shift(key, 8 * layout.bits, out=key)
+            return cls(rows=arr, fnorm=f, cutoff=_census_cutoff(f, cutoff))
+        key.sort()
+        return _census_from_keys(key, layout, cutoff)
+
+
+def _census_cutoff(f: np.ndarray, cutoff: float | None) -> float:
+    """The cutoff of a census with nondecreasing F ``f``: as given, or for a
+    loaded file (None) the gauge of its largest F.  That is a valid coverage
+    bound: no element can sit between it and the original cutoff, or it
+    would have been enumerated."""
+    if cutoff is None:
+        return float(np.exp(0.5 * np.arccosh(0.5 * float(f[-1])))) if f.size else 1.0
+    return float(cutoff)
+
+
+def _fnorm(rows: np.ndarray, start: int) -> np.ndarray:
+    """F of each row of a block whose first is row ``start``, in int64,
+    refused unless every row's determinant is 1."""
+    block = rows.astype(np.int64, copy=False)
+    ar, ai, br, bi, cr, ci, dr, di = block.T
+    bad = np.flatnonzero((ar * dr - ai * di - br * cr + bi * ci != 1)
+                         | (ar * di + ai * dr - br * ci - bi * cr != 0))
+    if bad.size:
+        raise InputError(f"row {start + bad[0]}: determinant is not 1")
+    return np.einsum("ij,ij->i", block, block)
+
+
+class _KeyLayout(NamedTuple):
+    """The packed one-word sort key of rows with every entry in [low, high]
+    (low <= 0 <= high) and F <= fmax: F in the top bits, then re a, im a,
+    ..., im d, each less ``low``, in ``bits`` bits apiece.  Equal keys are
+    equal rows, and keys order rows as (F, re a, im a, ..., im d) does."""
+
+    low: int
+    high: int
+    fmax: int
+    bits: int
+
+
+def _key_layout(low: int, high: int, fmax: int) -> _KeyLayout | None:
+    """The one-word key layout of rows with entries in [low, high] and
+    F <= fmax, or None when the key needs more than 63 bits.  The key of a
+    census built to cutoff B has entries within m = isqrt(fmax - 1) of 0,
+    fmax = :func:`f_threshold` (B): one word holds it up to fmax = 1024,
+    cutoff 32 (m = 31, 11 + 8 * 6 bits), and not past it (m = 32, 8 * 7 bits
+    for the entries alone)."""
+    bits = (high - low).bit_length()
+    if fmax.bit_length() + 8 * bits > 63:
+        return None
+    return _KeyLayout(low, high, fmax, bits)
+
+
+def _row_keys(rows: np.ndarray, start: int, layout: _KeyLayout) -> np.ndarray:
+    """The sort keys of a block of rows whose first is row ``start``, in int64,
+    once each row is checked: its entries lie in the layout's range, its
+    determinant is 1 (:func:`_fnorm`) and its F is at most the layout's.
+    An entry or F outside the layout is refused, never wrapped into the key."""
+    block = rows.astype(np.int64, copy=False)
+    if block.size and (block.min() < layout.low or block.max() > layout.high):
+        out = ((block < layout.low) | (block > layout.high)).any(axis=1)
+        raise InputError(f"row {start + int(np.argmax(out))}: an entry is outside "
+                         f"[{layout.low}, {layout.high}], the range of the sort key")
+    f = _fnorm(block, start)
+    if f.max(initial=0) > layout.fmax:
+        raise InputError(f"row {start + int(np.argmax(f > layout.fmax))}: F exceeds "
+                         f"{layout.fmax}, the bound of the sort key")
+    place = 1 << (layout.bits * np.arange(7, -1, -1))  # each entry's weight, re a first
+    # (rows - low) @ place; no partial sum reaches 2^58, as 8 * bits <= 56
+    key = block @ place
+    key += (f << (8 * layout.bits)) - layout.low * int(place.sum())
+    return key
+
+
+def _decode_keys(key: np.ndarray, layout: _KeyLayout) -> np.ndarray:
+    """The (len(key), 8) int64 rows of one-word keys in ``layout``."""
+    shifted = key[:, None] >> (layout.bits * np.arange(7, -1, -1))
+    return (shifted & ((1 << layout.bits) - 1)) + layout.low
+
+
+def _census_from_keys(key: np.ndarray, layout: _KeyLayout, cutoff: float | None) -> Census:
+    """The census of rows whose sorted keys in ``layout`` are ``key``, refused
+    at its first duplicate.  The int32 rows are decoded one block of
+    :data:`_ROW_BLOCK` keys at a time, and then F is shifted out of the key
+    array in place, so the rows and the keys are all it holds."""
+    dup = np.flatnonzero(key[1:] == key[:-1])
+    if dup.size:
+        raise InputError(f"duplicate row {_decode_keys(key[dup[:1]], layout)[0].tolist()}")
+    rows = np.empty((key.size, 8), dtype=np.int32)
+    for start in range(0, key.size, _ROW_BLOCK):
+        rows[start : start + _ROW_BLOCK] = _decode_keys(key[start : start + _ROW_BLOCK], layout)
+    f = np.right_shift(key, 8 * layout.bits, out=key)
+    return Census(rows=rows, fnorm=f, cutoff=_census_cutoff(f, cutoff))
 
 
 def _wide_row(rows: np.ndarray) -> InputError:
@@ -342,38 +443,14 @@ def _csv_bytes(rows: np.ndarray) -> np.ndarray:
     return grid[keep]
 
 
-def _canonical_order(arr: np.ndarray, f: np.ndarray, low: int,
-                     high: int) -> tuple[np.ndarray | None, np.ndarray]:
-    """Permutation sorting rows by (F, re a, im a, ..., im d), and a mask of
-    the sorted rows equal to their successor; ``low`` and ``high`` are the
-    smallest and largest entry, 0 included.
-
-    Every census up to cutoff 32 fits the key into one int64 word: F in the
-    top bits, then each entry, shifted to start at 0, in the bit length of
-    the entries' observed range.  It is computed over blocks of
-    :data:`_ROW_BLOCK` rows widened to int64.  Equal words are equal rows,
-    so words that already strictly increase mean rows in canonical order
-    without duplicates: the permutation is then None and the mask all
-    False.  Wider rows are sorted on the 9 columns.
-    """
-    bits = (high - low).bit_length()
-    if int(f.max(initial=0)).bit_length() + 8 * bits <= 63:
-        place = 1 << (bits * np.arange(7, -1, -1))
-        offset = low * int(place.sum())
-        key = np.empty_like(f)
-        for start in range(0, f.size, _ROW_BLOCK):
-            part = slice(start, start + _ROW_BLOCK)
-            # (rows - low) @ place; no partial sum reaches 2^58, as 8 * bits <= 56
-            np.matmul(arr[part].astype(np.int64), place, out=key[part])
-            key[part] += (f[part] << (8 * bits)) - offset
-        rise = key[1:] > key[:-1]
-        if rise.all():
-            return None, ~rise
-        keys = [key]
-        order = np.argsort(key)
-    else:
-        keys = [f, *arr.T]
-        order = np.lexsort(keys[::-1])
+def _canonical_order(arr: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Permutation sorting rows by (F, re a, im a, ..., im d) on the 9
+    columns, and a mask of the sorted rows equal to their successor.  Only
+    rows whose packed key needs more than one int64 word (:func:`_key_layout`
+    returns None) are sorted this way, past cutoff 32; narrower ones sort
+    their keys in place."""
+    keys = [f, *arr.T]
+    order = np.lexsort(keys[::-1])
     same = np.logical_and.reduce([s[1:] == s[:-1] for s in (k[order] for k in keys)])
     return order, same
 
@@ -647,15 +724,24 @@ def enumerate_pruned(
     rotations (same cell count).
     It is checked against the budget before a block's candidates are
     allocated, so a budget stops the same cutoffs as a full scan would.
-    :meth:`Census.from_rows` still checks every row, and every shell's
-    count is checked against :func:`form_counts`: a wrong one is a census
-    that cannot be certified (``ConvergenceError``).  Each block's rows are
-    narrowed to int32 as they are kept, and the blocks are joined and freed
-    before it sorts, so at most two int32 copies of the rows are alive: the
-    joined ones and their canonical gather.  Blocks are shared out to
-    ``workers`` threads; the census is the same for any count.  Threads do
-    not pay: at cutoff 12 on a 2-core x86 VM, 2 threads take 0.83-1.12x
-    (median 0.98x) the 1-thread time, so the CLI always runs one.
+    Every row is checked as :meth:`Census.from_rows` checks it, and every
+    shell's count is checked against :func:`form_counts`: a wrong one is a
+    census that cannot be certified (``ConvergenceError``).
+
+    Up to cutoff 32, each block's rows become their packed one-word sort
+    keys as soon as they are made (:func:`_row_keys`, in the layout of
+    entries in [-m, m], m = isqrt(fmax - 1)), and the rows are dropped.
+    The blocks' keys are joined, the blocks freed, and the keys sorted in
+    place; :func:`_census_from_keys` refuses a duplicate, decodes the int32
+    rows one block at a time and shifts F out of the keys in place.  So the
+    sort moves 8 bytes a row, and the rows are made once, in order.  Past
+    cutoff 32 the key needs two words: each block's rows are kept as int32,
+    joined and freed, and :meth:`Census.from_rows` sorts them.
+
+    Blocks are shared out to ``workers`` threads; the census is the same
+    for any count.  Threads do not pay: at cutoff 12 on a 2-core x86 VM,
+    2 threads take 0.83-1.12x (median 0.98x) the 1-thread time, so the CLI
+    always runs one.
     """
     fmax = f_threshold(cutoff)
     box = _entry_box(fmax, budget, lambda k: k * k - 1, "pruned enumeration (column scan)")
@@ -664,6 +750,8 @@ def enumerate_pruned(
 
     # a = 0 and the quadrant Q = {re a > 0, im a >= 0}; rotation fills the rest.
     scanned = box[(box[:, 0] > 0) & (box[:, 1] >= 0) | (box[:, 0] == 0) & (box[:, 1] == 0)]
+    m = math.isqrt(fmax - 1)  # every entry lies in [-m, m]
+    layout = _key_layout(-m, m, fmax)
 
     def scan_block(a_vals: np.ndarray, work: int) -> tuple[np.ndarray, int]:
         a = np.repeat(a_vals, k, axis=0).T
@@ -709,13 +797,20 @@ def enumerate_pruned(
         # (re, im) to (-im, re), by -i to (im, -re).
         moved = rows[rows[:, 0] > 0]  # a in Q; the a = 0 rows are already all of them
         turned = moved[:, [1, 0, 3, 2, 5, 4, 7, 6]] * np.array([-1, 1, -1, 1, 1, -1, 1, -1])
-        return np.concatenate([rows, turned, -moved, -turned], dtype=np.int32), work
+        if layout is None:
+            return np.concatenate([rows, turned, -moved, -turned], dtype=np.int32), work
+        # each turn's keys as it is made, so no int64 copy of all four is;
+        # rows count from each turn's first
+        keys = [_row_keys(rows, 0, layout), _row_keys(turned, 0, layout)]
+        for piece in (moved, turned):  # negated in place: -moved, -turned
+            keys.append(_row_keys(np.negative(piece, out=piece), 0, layout))
+        return np.concatenate(keys), work
 
     def scan_chunk(blocks: list[np.ndarray]) -> tuple[list[np.ndarray], int]:
         pieces, work = [], 0
         for a_vals in blocks:
-            rows, work = scan_block(a_vals, work)
-            pieces.append(rows)
+            piece, work = scan_block(a_vals, work)
+            pieces.append(piece)
         return pieces, work
 
     blocks = [scanned[i : i + _PRUNED_BLOCK] for i in range(0, len(scanned), _PRUNED_BLOCK)]
@@ -732,9 +827,13 @@ def enumerate_pruned(
     # Each chunk checked only its own share; the total decides.
     _check_budget(n_pairs + sum(w for _, w in results), budget, "pruned enumeration")
 
-    rows = np.concatenate([rows for res, _ in results for rows in res])
-    del results  # free the blocks: sorting gathers a second copy of the rows
-    census = Census.from_rows(rows, cutoff=cutoff)
+    joined = np.concatenate([piece for res, _ in results for piece in res])
+    del results  # free the blocks before the sort
+    if layout is None:
+        census = Census.from_rows(joined, cutoff=cutoff)
+    else:
+        joined.sort()
+        census = _census_from_keys(joined, layout, cutoff)
     wrong = census._wrong_shell(fmax)
     if wrong:  # a census that misses or repeats a row is not certified
         raise ConvergenceError(f"enumeration at cutoff {cutoff}: {wrong}")

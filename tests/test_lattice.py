@@ -16,7 +16,9 @@ from orbitcount.lattice import (
     MAX_ENTRY,
     Census,
     _gxgcd_arrays,
+    _key_layout,
     _read_csv_rows,
+    _row_keys,
     compact_stabilizer_rows,
     enumerate_naive,
     enumerate_pruned,
@@ -276,10 +278,14 @@ def test_from_rows_sorts_wide_rows(census2):
 
 
 def test_from_rows_finds_a_duplicate_in_sorted_rows(census4):
+    # and names it alike in shuffled rows, whose keys are sorted in place
     for k in (0, 1000, census4.size - 1):
         rows = np.insert(census4.rows, k, census4.rows[k], axis=0)  # still sorted
-        with pytest.raises(InputError, match=re.escape(f"duplicate row {census4.rows[k].tolist()}")):
-            Census.from_rows(rows, cutoff=4.0)
+        shuffled = rows[np.random.default_rng(k).permutation(rows.shape[0])]
+        for given in (rows, shuffled, shuffled.astype(np.int64)):
+            with pytest.raises(InputError) as exc:
+                Census.from_rows(given, cutoff=4.0)
+            assert str(exc.value) == f"duplicate row {census4.rows[k].tolist()}"
 
 
 def test_wide_rows_sort_through_lexsort_even_when_sorted(census2, monkeypatch):
@@ -292,6 +298,57 @@ def test_wide_rows_sort_through_lexsort_even_when_sorted(census2, monkeypatch):
     assert calls and np.array_equal(got.rows, rows)
     with pytest.raises(InputError, match="duplicate row"):
         Census.from_rows(np.concatenate([rows, rows[-1:]]), cutoff=None)
+
+
+def test_one_word_key_layout_holds_censuses_up_to_cutoff_32():
+    # the enumerator's layout: entries in [-m, m], m = isqrt(fmax - 1), and F <= fmax
+    def layout(cutoff):
+        fmax = f_threshold(cutoff)
+        m = math.isqrt(fmax - 1)
+        return _key_layout(-m, m, fmax)
+
+    assert f_threshold(32.0) == 1024 and f_threshold(32.02) == 1025
+    at_32 = layout(32.0)
+    assert at_32 is not None and at_32.bits == 6  # 11 + 8 * 6 = 59 bits
+    assert at_32.fmax.bit_length() + 8 * at_32.bits <= 63
+    assert layout(32.02) is None  # m = 32: 8 * 7 bits for the entries, 11 for F
+    assert layout(42.0) is None  # the default budget's largest cutoff
+    assert layout(1.0) is not None and layout(12.0).bits == 5
+    # 63 bits is the most a key may take: the sign bit stays clear
+    assert _key_layout(-31, 31, (1 << 15) - 1) is not None
+    assert _key_layout(-31, 31, 1 << 15) is None
+
+
+def test_enumerate_pruned_past_the_one_word_key_sorts_the_same(census8, monkeypatch):
+    # the two-word path (int32 blocks, joined and sorted on the 9 columns)
+    # runs past cutoff 32; forced here, it builds the same census
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr("orbitcount.lattice._key_layout", lambda low, high, fmax: None)
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+    wide = enumerate_pruned(8.0)
+    assert calls
+    assert wide.rows.dtype == np.int32 and wide.fnorm.dtype == np.int64
+    assert np.array_equal(wide.rows, census8.rows)
+    assert np.array_equal(wide.fnorm, census8.fnorm)
+    assert wide.cutoff == census8.cutoff
+
+
+def test_key_builder_refuses_what_its_layout_cannot_hold():
+    layout = _key_layout(-3, 3, 30)
+    good = np.array([[1, 0, 3, -3, 0, 0, 1, 0], [1, 0, 0, 0, -3, 3, 1, 0]], dtype=np.int64)
+    keys = _row_keys(good, 0, layout)
+    assert keys[1] < keys[0]  # same F, re a and im a; re b 0 < 3
+    assert (keys >> (8 * layout.bits)).tolist() == [20, 20]
+    for entry in (4, -4, 1 << 40):
+        bad = good.copy()
+        bad[1, 2] = entry
+        with pytest.raises(InputError, match=r"row 8: an entry is outside \[-3, 3\]"):
+            _row_keys(bad, 7, layout)
+    with pytest.raises(InputError, match="row 5: F exceeds 19"):
+        _row_keys(good, 5, _key_layout(-3, 3, 19))  # F = 20 is no wider, but past fmax
+    with pytest.raises(InputError, match="row 3: determinant is not 1"):
+        _row_keys(good * [1, 1, 1, 1, 1, 1, 2, 1], 3, layout)  # d doubled
 
 
 def test_from_rows_refuses_entries_beyond_2_pow_30(census4):
@@ -631,31 +688,57 @@ def test_from_csv_edge_files(tmp_path, census4, edit, answer):
 
 
 # Peak traced bytes per census row.  Rows are 32 bytes (8 int32 entries);
-# F, the sort key and the sort's permutation are 8 bytes a row each.
+# the sort key, which becomes F in place, is 8 bytes a row.
 
 def test_from_csv_holds_the_rows_once(tmp_path, census8, peak_bytes):
-    # the file's bytes (19.2 a row), the rows once, F and the sort key:
-    # 64.9 measured.  With int64 rows it read 88.0; a reader that also held
-    # the text, its lines or a sorted copy of int64 rows read 148
+    # the file's bytes (19.2 a row), the rows once and the key array, F
+    # shifted out of it in place: 58.7 measured.  With F beside the key it
+    # read 64.9, with int64 rows 88.0; a reader that also held the text, its
+    # lines or a sorted copy of int64 rows read 148
     path = tmp_path / "c8.csv"
     census8.to_csv(path)
-    assert peak_bytes(lambda: Census.from_csv(path)) <= 71 * census8.size
+    assert peak_bytes(lambda: Census.from_csv(path)) <= 65 * census8.size
 
 
 def test_enumerate_pruned_frees_its_blocks(census8, peak_bytes):
-    # the joined rows, their sorted copy, F and the permutation, and at
-    # cutoff 8 the scan's per-block arrays: 104.4 measured.  With int64 rows
-    # it read 145.2; keeping the scan blocks alive through the sort, 209
-    assert peak_bytes(lambda: enumerate_pruned(8.0)) <= 114 * census8.size
+    # at cutoff 8 the scan's first block of a values (a third of the rows)
+    # sets the peak: 72.6 measured.  Sorting a joined copy of the int32 rows
+    # through a permutation read 104.4, with int64 rows 145.2; keeping the
+    # scan blocks alive through the sort, 209
+    assert peak_bytes(lambda: enumerate_pruned(8.0)) <= 80 * census8.size
 
 
 def test_enumerate_pruned_at_cutoff_12_frees_its_blocks(peak_bytes):
-    # as at cutoff 8, but the per-block arrays weigh less per row: 83.1
-    # measured, against 145.1 with int64 rows
+    # the sorted keys and the rows decoded from them (40 a row), and one
+    # block's decode: 45.0 measured.  The scan's first block peaks just
+    # under it.  Joining the int32 blocks and sorting them through a
+    # permutation and a gathered copy read 83.1, with int64 rows 145.1
     built = []
     peak = peak_bytes(lambda: built.append(enumerate_pruned(12.0)))
     assert built[0].size == 211_592
-    assert peak <= 91 * built[0].size
+    assert peak <= 50 * built[0].size
+
+
+def test_from_rows_of_shuffled_rows_sorts_their_keys_in_place(peak_bytes):
+    # the key array, sorted in place, and the rows decoded from it one block
+    # at a time: 45.0 measured at cutoff 12.  An argsort permutation and
+    # gathered copies of the rows and F read 51.1, and decoding every key
+    # at once 60.1
+    census = enumerate_pruned(12.0)
+    shuffled = census.rows[np.random.default_rng(12).permutation(census.size)]
+    built = []
+    peak = peak_bytes(lambda: built.append(Census.from_rows(shuffled, cutoff=12.0)))
+    assert np.array_equal(built[0].rows, census.rows)
+    assert np.array_equal(built[0].fnorm, census.fnorm)
+    assert peak <= 51.1 * census.size  # no more than the permutation's sort
+
+
+def test_census_csv_at_cutoff_12_is_pinned(tmp_path):
+    # the census of the benchmark's build workload, byte for byte
+    path = tmp_path / "c12.csv"
+    enumerate_pruned(12.0).to_csv(path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "f963514786fb9d0888435ec4687afaf0b326f5fa83f1768c37767e54d99f93ff"
 
 
 def test_rows_are_int32_on_every_path(tmp_path, census4):

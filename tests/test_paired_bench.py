@@ -1,13 +1,16 @@
-"""The summary of tools/paired_bench.py on fixed numbers; no process is started."""
+"""The summary of tools/paired_bench.py on fixed numbers, where no process is
+started, and its export of a git revision."""
 
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
 
-from paired_bench import report_lines, spread, summarize  # noqa: E402
+from paired_bench import checkout, report_lines, spread, summarize  # noqa: E402
 
 
 def test_spread_is_the_inclusive_quartiles():
@@ -47,3 +50,31 @@ def test_report_lines_name_every_metric_and_the_failures():
                         "change 0.5 [0.5, 0.5] IQR 0; change won 2/2")
     assert lines[1] == ("query failed operations: parent 0 of 10, change 2 of 10; "
                         "runs without a result: parent 0, change 1")
+
+
+def _in_git_work_tree() -> bool:
+    try:
+        proc = subprocess.run(["git", "rev-parse", "--is-inside-work-tree"], cwd=ROOT,
+                              capture_output=True, text=True)
+    except OSError:  # no git
+        return False
+    return proc.returncode == 0 and proc.stdout.strip() == "true"
+
+
+@pytest.mark.skipif(not _in_git_work_tree(), reason="not in a git work tree")
+def test_a_revision_is_exported_and_deleted_afterwards(monkeypatch, tmp_path):
+    monkeypatch.chdir(ROOT)
+    listed = subprocess.run(["git", "ls-tree", "-r", "--name-only", "HEAD"], capture_output=True,
+                            text=True, check=True).stdout.split()
+    with checkout("HEAD") as tree:
+        assert tree != ROOT and tree.is_dir()
+        exported = sorted(str(p.relative_to(tree)) for p in tree.rglob("*") if p.is_file())
+        assert exported == sorted(listed)
+        assert (tree / "perfbench" / "run.py").is_file()
+    assert not tree.exists()
+    with checkout(str(tmp_path)) as same:  # a directory is used as it is
+        assert same == tmp_path.resolve()
+    assert tmp_path.is_dir()
+    with pytest.raises(SystemExit, match="neither a directory nor a git revision"):
+        with checkout("no-such-revision-or-directory"):
+            pass

@@ -17,12 +17,27 @@ from orbitcount.torus import (
     SPECTRAL_TRUNC,
     TorusParams,
     _geometric_box,
+    _refuse_unless_finite,
     _tail_bounds,
     torus_geometric_side,
     torus_identity_check,
     torus_kernel,
     torus_spectral_side,
 )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [0, 1, 3])
+def test_a_value_that_is_not_finite_is_refused(bad, at):
+    # no (n, nu, lambda) is known to reach the guard, so it is called directly:
+    # a nan or infinite side, tail or budget is refused, naming lambda and (n, nu)
+    params = TorusParams(n=2, nu=2, lam=-1.5)
+    values = [1.0, 2e-12, 3.0, 4e-12]
+    _refuse_unless_finite(params, *values)  # all finite: no refusal
+    values[at] = bad
+    with pytest.raises(InputError, match=re.escape("lambda = -1.5 is out of range")) as exc:
+        _refuse_unless_finite(params, *values)
+    assert "(n, nu) = (2, 2)" in str(exc.value)
 
 
 def test_params_validation():
