@@ -701,7 +701,7 @@ def test_from_csv_holds_the_rows_once(tmp_path, census8, peak_bytes):
 
 
 def test_enumerate_pruned_frees_its_blocks(census8, peak_bytes):
-    # at cutoff 8 the scan's first block of a values (a third of the rows)
+    # at cutoff 8 the scan's first block of a values (two thirds of the rows)
     # sets the peak: 72.6 measured.  Sorting a joined copy of the int32 rows
     # through a permutation read 104.4, with int64 rows 145.2; keeping the
     # scan blocks alive through the sort, 209

@@ -86,7 +86,8 @@ def export(rev: str, dest: Path) -> None:
         raise SystemExit(f"{rev!r} is neither a directory nor a git revision: "
                          f"{proc.stderr.decode(errors='replace').strip()}")
     with tarfile.open(fileobj=io.BytesIO(proc.stdout)) as tar:
-        # the "data" filter exists (and is asked for) from Python 3.12 on
+        # "data" refuses members that would land outside dest; Pythons that
+        # have filters warn from 3.12 on when none is given
         tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
 
 
