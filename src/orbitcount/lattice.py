@@ -17,10 +17,12 @@ sorted by the canonical key (F, re a, im a, re b, im b, re c, im c, re d,
 im d).  Its CSV file holds those 8 integers per row and nothing else;
 radius and gauge are derived from F.  Every entry is at most 2^30 in
 absolute value, so a row is held as 8 int32 entries (32 bytes), and F and
-the determinant are computed in int64, one block of rows at a time.  Up
-to cutoff 32 the canonical key packs into one int64 word; a census is put
-in order by sorting those words in place and decoding its rows and F from
-them, so sorting holds no permutation and no second copy of the rows.
+the determinant are computed in int64, one block of rows at a time.  The
+canonical key is packed into as few int64 words as hold it: one up to
+cutoff 32, two from there through cutoff 42, the default work budget's
+largest.  A census is put in order by sorting its keys and decoding its
+rows and F from them, so sorting never moves the rows; one word is sorted
+in place, with no permutation and no second copy of the keys.
 
 A census sum of a radial function is a sum over shells of constant F, which
 the sums read from :attr:`Census.shell_table`.  Shell sizes have a closed
@@ -275,16 +277,15 @@ class Census:
         """Validate entries and determinants, derive F, sort canonically.
 
         Entries are checked on the input as given, so an int64 one cannot
-        wrap, and then held as int32: an int32 input is not copied.  When the
-        packed sort key fits one int64 word (:func:`_key_layout`; every
-        census up to cutoff 32), :func:`_row_keys` checks each block of
-        :data:`_ROW_BLOCK` rows and forms its keys.  Rows already in
-        canonical order (every file :meth:`to_csv` writes) are then kept as
-        given, and F is shifted out of the key array in place: no copy of
-        the rows.  Other rows are put in order by sorting the keys in place
-        and decoding the rows from them (:func:`_census_from_keys`): no
-        permutation and no gathered copy.  Wider rows are checked one block
-        at a time and sorted on the 9 columns (:func:`_canonical_order`).
+        wrap, and then held as int32: an int32 input is not copied.
+        :func:`_row_keys` checks each block of :data:`_ROW_BLOCK` rows and
+        forms its packed sort keys, in the layout of the rows' entry range
+        (:func:`_key_layout`).  Rows whose key is one word (every census up
+        to cutoff 32) and already in canonical order (every file
+        :meth:`to_csv` writes) are kept as given, and F is shifted out of the
+        key array in place: no copy of the rows.  Other rows are put in order
+        by sorting the keys (:func:`_sort_keys`) and decoding the rows from
+        them (:func:`_census_from_keys`).
         """
         if not (isinstance(arr, np.ndarray) and arr.dtype == np.int32):
             arr = np.asarray(arr, dtype=np.int64)  # a Python int past int64 is an error
@@ -295,117 +296,133 @@ class Census:
         arr = arr.astype(np.int32, copy=False)
         # no row's F passes 8 times its largest squared entry
         layout = _key_layout(low, high, 8 * max(low * low, high * high))
-        if layout is None:
-            f = np.empty(arr.shape[0], dtype=np.int64)
-            for start in range(0, arr.shape[0], _ROW_BLOCK):
-                part = slice(start, start + _ROW_BLOCK)
-                f[part] = _fnorm(arr[part], start)
-            order, same = _canonical_order(arr, f)
-            arr, f = arr[order], f[order]
-            dup = np.flatnonzero(same)
-            if dup.size:
-                raise InputError(f"duplicate row {arr[dup[0]].tolist()}")
-            return cls(rows=arr, fnorm=f, cutoff=_census_cutoff(f, cutoff))
-        key = np.empty(arr.shape[0], dtype=np.int64)
+        key = np.empty((arr.shape[0], layout.words), dtype=np.int64)
         for start in range(0, arr.shape[0], _ROW_BLOCK):
             part = slice(start, start + _ROW_BLOCK)
             key[part] = _row_keys(arr[part], start, layout)
-        # equal keys are equal rows, so keys that already strictly increase
-        # are rows in canonical order without duplicates
-        if (key[1:] > key[:-1]).all():
-            f = np.right_shift(key, 8 * layout.bits, out=key)
-            return cls(rows=arr, fnorm=f, cutoff=_census_cutoff(f, cutoff))
-        key.sort()
+        # equal keys are equal rows, so one-word keys that already strictly
+        # increase are rows in canonical order without duplicates
+        if layout.words == 1 and (key[1:, 0] > key[:-1, 0]).all():
+            return _census_from_keys(key, layout, cutoff, rows=arr)
+        key = _sort_keys(key)
         return _census_from_keys(key, layout, cutoff)
 
 
-def _census_cutoff(f: np.ndarray, cutoff: float | None) -> float:
-    """The cutoff of a census with nondecreasing F ``f``: as given, or for a
-    loaded file (None) the gauge of its largest F.  That is a valid coverage
-    bound: no element can sit between it and the original cutoff, or it
-    would have been enumerated."""
-    if cutoff is None:
-        return float(np.exp(0.5 * np.arccosh(0.5 * float(f[-1])))) if f.size else 1.0
-    return float(cutoff)
-
-
-def _fnorm(rows: np.ndarray, start: int) -> np.ndarray:
-    """F of each row of a block whose first is row ``start``, in int64,
-    refused unless every row's determinant is 1."""
-    block = rows.astype(np.int64, copy=False)
-    ar, ai, br, bi, cr, ci, dr, di = block.T
-    bad = np.flatnonzero((ar * dr - ai * di - br * cr + bi * ci != 1)
-                         | (ar * di + ai * dr - br * ci - bi * cr != 0))
-    if bad.size:
-        raise InputError(f"row {start + bad[0]}: determinant is not 1")
-    return np.einsum("ij,ij->i", block, block)
-
-
 class _KeyLayout(NamedTuple):
-    """The packed one-word sort key of rows with every entry in [low, high]
-    (low <= 0 <= high) and F <= fmax: F in the top bits, then re a, im a,
-    ..., im d, each less ``low``, in ``bits`` bits apiece.  Equal keys are
-    equal rows, and keys order rows as (F, re a, im a, ..., im d) does."""
+    """The packed sort key of rows with every entry in [low, high]
+    (low <= 0 <= high) and F <= fmax.  Its fields are F, then re a, im a,
+    ..., im d, each entry less ``low`` in ``bits`` bits, packed in that
+    order into :attr:`words` int64 words: at most 63 bits a word, and no
+    field split across two.  Field i sits in word ``word[i]`` with its
+    lowest bit at ``shift[i]``, an earlier field of a word in its higher
+    bits.  So equal keys are equal rows, and keys compared word by word,
+    the first word first, order rows as (F, re a, im a, ..., im d) does."""
 
     low: int
     high: int
     fmax: int
     bits: int
+    word: tuple[int, ...]
+    shift: tuple[int, ...]
+
+    @property
+    def words(self) -> int:
+        return self.word[-1] + 1
 
 
-def _key_layout(low: int, high: int, fmax: int) -> _KeyLayout | None:
-    """The one-word key layout of rows with entries in [low, high] and
-    F <= fmax, or None when the key needs more than 63 bits.  The key of a
-    census built to cutoff B has entries within m = isqrt(fmax - 1) of 0,
-    fmax = :func:`f_threshold` (B): one word holds it up to fmax = 1024,
-    cutoff 32 (m = 31, 11 + 8 * 6 bits), and not past it (m = 32, 8 * 7 bits
-    for the entries alone)."""
+def _key_layout(low: int, high: int, fmax: int) -> _KeyLayout:
+    """The key layout of rows with entries in [low, high] and F <= fmax:
+    each field, in order, joins the last word while that word stays within
+    63 bits, and opens the next word otherwise.
+
+    The key of a census built to cutoff B has entries within
+    m = isqrt(fmax - 1) of 0, fmax = :func:`f_threshold` (B): one word
+    holds it up to fmax = 1024, cutoff 32 (m = 31, 11 + 8 * 6 bits), and
+    two past it through cutoff 42 (m = 32 to 41: 11 + 7 * 7 bits, then im
+    d's 7).  F's bound is capped at 2^63 - 1, so its field takes at most
+    63 bits: 8 max(low^2, high^2) reaches 2^63 at entries of 2^30, but no
+    row of determinant 1 does, since with all 8 components +-2^30 the
+    determinant a d - b c lies in 2^61 Z[i]."""
+    fmax = min(fmax, (1 << 63) - 1)
     bits = (high - low).bit_length()
-    if fmax.bit_length() + 8 * bits > 63:
-        return None
-    return _KeyLayout(low, high, fmax, bits)
+    word, end = [0], [fmax.bit_length()]  # end: the bits a field's word holds through it
+    for _ in range(8):  # the entries
+        fits = end[-1] + bits <= 63
+        word.append(word[-1] + (not fits))
+        end.append(end[-1] * fits + bits)
+    held = dict(zip(word, end))  # each word's bits: its last field's end
+    return _KeyLayout(low, high, fmax, bits, tuple(word),
+                      tuple(held[w] - e for w, e in zip(word, end)))
 
 
 def _row_keys(rows: np.ndarray, start: int, layout: _KeyLayout) -> np.ndarray:
-    """The sort keys of a block of rows whose first is row ``start``, in int64,
-    once each row is checked: its entries lie in the layout's range, its
-    determinant is 1 (:func:`_fnorm`) and its F is at most the layout's.
-    An entry or F outside the layout is refused, never wrapped into the key."""
+    """The (n, words) int64 sort keys of a block of n rows whose first is
+    row ``start``, once each row is checked: its entries lie in the layout's
+    range, its determinant is 1 and its F is at most the layout's.  An entry
+    or F outside the layout is refused, never wrapped into the key."""
     block = rows.astype(np.int64, copy=False)
     if block.size and (block.min() < layout.low or block.max() > layout.high):
         out = ((block < layout.low) | (block > layout.high)).any(axis=1)
         raise InputError(f"row {start + int(np.argmax(out))}: an entry is outside "
                          f"[{layout.low}, {layout.high}], the range of the sort key")
-    f = _fnorm(block, start)
+    ar, ai, br, bi, cr, ci, dr, di = block.T
+    bad = np.flatnonzero((ar * dr - ai * di - br * cr + bi * ci != 1)
+                         | (ar * di + ai * dr - br * ci - bi * cr != 0))
+    if bad.size:
+        raise InputError(f"row {start + bad[0]}: determinant is not 1")
+    f = np.einsum("ij,ij->i", block, block)  # below 2^63 once the determinant is 1
     if f.max(initial=0) > layout.fmax:
         raise InputError(f"row {start + int(np.argmax(f > layout.fmax))}: F exceeds "
                          f"{layout.fmax}, the bound of the sort key")
-    place = 1 << (layout.bits * np.arange(7, -1, -1))  # each entry's weight, re a first
-    # (rows - low) @ place; no partial sum reaches 2^58, as 8 * bits <= 56
+    place = np.zeros((8, layout.words), dtype=np.int64)  # each entry's weight in its word
+    place[np.arange(8), layout.word[1:]] = 1 << np.array(layout.shift[1:])
+    # (rows - low) @ place: no word's sum of entries less low reaches 2^63
     key = block @ place
-    key += (f << (8 * layout.bits)) - layout.low * int(place.sum())
+    key -= layout.low * place.sum(axis=0)
+    key[:, 0] += f << layout.shift[0]
+    return key
+
+
+def _sort_keys(key: np.ndarray) -> np.ndarray:
+    """Keys of :func:`_row_keys` in ascending order: one word sorted in
+    place; more by one lexsort of the words, the first primary, and one
+    gather."""
+    if key.shape[1] > 1:
+        return key[np.lexsort(key.T[::-1])]
+    key[:, 0].sort()  # not key.sort(), which sorts each row's one word
     return key
 
 
 def _decode_keys(key: np.ndarray, layout: _KeyLayout) -> np.ndarray:
-    """The (len(key), 8) int64 rows of one-word keys in ``layout``."""
-    shifted = key[:, None] >> (layout.bits * np.arange(7, -1, -1))
-    return (shifted & ((1 << layout.bits) - 1)) + layout.low
+    """The (len(key), 8) int64 rows of keys in ``layout``."""
+    rows = key[:, layout.word[1:]] >> layout.shift[1:]
+    rows &= (1 << layout.bits) - 1
+    return np.add(rows, layout.low, out=rows)
 
 
-def _census_from_keys(key: np.ndarray, layout: _KeyLayout, cutoff: float | None) -> Census:
-    """The census of rows whose sorted keys in ``layout`` are ``key``, refused
-    at its first duplicate.  The int32 rows are decoded one block of
-    :data:`_ROW_BLOCK` keys at a time, and then F is shifted out of the key
-    array in place, so the rows and the keys are all it holds."""
-    dup = np.flatnonzero(key[1:] == key[:-1])
-    if dup.size:
-        raise InputError(f"duplicate row {_decode_keys(key[dup[:1]], layout)[0].tolist()}")
-    rows = np.empty((key.size, 8), dtype=np.int32)
-    for start in range(0, key.size, _ROW_BLOCK):
-        rows[start : start + _ROW_BLOCK] = _decode_keys(key[start : start + _ROW_BLOCK], layout)
-    f = np.right_shift(key, 8 * layout.bits, out=key)
-    return Census(rows=rows, fnorm=f, cutoff=_census_cutoff(f, cutoff))
+def _census_from_keys(key: np.ndarray, layout: _KeyLayout, cutoff: float | None,
+                      rows: np.ndarray | None = None) -> Census:
+    """The census of the rows whose sorted keys in ``layout`` are ``key``.
+    Unless the rows are given, the keys are refused at their first
+    duplicate and the int32 rows decoded from them, one block of
+    :data:`_ROW_BLOCK` keys at a time.  F is then shifted out of the first
+    word in place: F is the key array itself for one word, and a copy of
+    its first column for more.
+
+    The cutoff is as given, or for a loaded file (None) the gauge of its
+    largest F.  That is a valid coverage bound: no element can sit between
+    it and the original cutoff, or it would have been enumerated."""
+    if rows is None:
+        dup = np.flatnonzero((key[1:] == key[:-1]).all(axis=1))
+        if dup.size:
+            raise InputError(f"duplicate row {_decode_keys(key[dup[:1]], layout)[0].tolist()}")
+        rows = np.empty((key.shape[0], 8), dtype=np.int32)
+        for start in range(0, key.shape[0], _ROW_BLOCK):
+            rows[start : start + _ROW_BLOCK] = _decode_keys(key[start : start + _ROW_BLOCK], layout)
+    f = np.ascontiguousarray(np.right_shift(key[:, 0], layout.shift[0], out=key[:, 0]))
+    if cutoff is None:
+        cutoff = np.exp(0.5 * np.arccosh(0.5 * float(f[-1]))) if f.size else 1.0
+    return Census(rows=rows, fnorm=f, cutoff=float(cutoff))
 
 
 def _wide_row(rows: np.ndarray) -> InputError:
@@ -441,18 +458,6 @@ def _csv_bytes(rows: np.ndarray) -> np.ndarray:
         keep[:, :, width - p] = high | neg
         neg &= high
     return grid[keep]
-
-
-def _canonical_order(arr: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Permutation sorting rows by (F, re a, im a, ..., im d) on the 9
-    columns, and a mask of the sorted rows equal to their successor.  Only
-    rows whose packed key needs more than one int64 word (:func:`_key_layout`
-    returns None) are sorted this way, past cutoff 32; narrower ones sort
-    their keys in place."""
-    keys = [f, *arr.T]
-    order = np.lexsort(keys[::-1])
-    same = np.logical_and.reduce([s[1:] == s[:-1] for s in (k[order] for k in keys)])
-    return order, same
 
 
 def _read_csv_rows(path: str | Path) -> np.ndarray:
@@ -728,15 +733,14 @@ def enumerate_pruned(
     shell's count is checked against :func:`form_counts`: a wrong one is a
     census that cannot be certified (``ConvergenceError``).
 
-    Up to cutoff 32, each block's rows become their packed one-word sort
-    keys as soon as they are made (:func:`_row_keys`, in the layout of
-    entries in [-m, m], m = isqrt(fmax - 1)), and the rows are dropped.
-    The blocks' keys are joined, the blocks freed, and the keys sorted in
-    place; :func:`_census_from_keys` refuses a duplicate, decodes the int32
-    rows one block at a time and shifts F out of the keys in place.  So the
-    sort moves 8 bytes a row, and the rows are made once, in order.  Past
-    cutoff 32 the key needs two words: each block's rows are kept as int32,
-    joined and freed, and :meth:`Census.from_rows` sorts them.
+    Each block's rows become their packed sort keys as soon as they are
+    made (:func:`_row_keys`, in the layout of entries in [-m, m],
+    m = isqrt(fmax - 1): one word up to cutoff 32, two past it), and the
+    rows are dropped.  The blocks' keys are joined, the blocks freed, and
+    the keys sorted (:func:`_sort_keys`, in place for one word);
+    :func:`_census_from_keys` refuses a duplicate, decodes the int32 rows one
+    block at a time and shifts F out of the keys.  So the sort moves 8 bytes
+    a row up to cutoff 32, and the rows are made once, in order.
 
     Blocks are shared out to ``workers`` threads; the census is the same
     for any count.  Threads do not pay: at cutoff 12 on a 2-core x86 VM,
@@ -797,8 +801,6 @@ def enumerate_pruned(
         # (re, im) to (-im, re), by -i to (im, -re).
         moved = rows[rows[:, 0] > 0]  # a in Q; the a = 0 rows are already all of them
         turned = moved[:, [1, 0, 3, 2, 5, 4, 7, 6]] * np.array([-1, 1, -1, 1, 1, -1, 1, -1])
-        if layout is None:
-            return np.concatenate([rows, turned, -moved, -turned], dtype=np.int32), work
         # each turn's keys as it is made, so no int64 copy of all four is;
         # rows count from each turn's first
         keys = [_row_keys(rows, 0, layout), _row_keys(turned, 0, layout)]
@@ -827,13 +829,10 @@ def enumerate_pruned(
     # Each chunk checked only its own share; the total decides.
     _check_budget(n_pairs + sum(w for _, w in results), budget, "pruned enumeration")
 
-    joined = np.concatenate([piece for res, _ in results for piece in res])
+    key = np.concatenate([piece for res, _ in results for piece in res])
     del results  # free the blocks before the sort
-    if layout is None:
-        census = Census.from_rows(joined, cutoff=cutoff)
-    else:
-        joined.sort()
-        census = _census_from_keys(joined, layout, cutoff)
+    key = _sort_keys(key)
+    census = _census_from_keys(key, layout, cutoff)
     wrong = census._wrong_shell(fmax)
     if wrong:  # a census that misses or repeats a row is not certified
         raise ConvergenceError(f"enumeration at cutoff {cutoff}: {wrong}")

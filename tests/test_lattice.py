@@ -16,9 +16,11 @@ from orbitcount.lattice import (
     MAX_ENTRY,
     Census,
     _gxgcd_arrays,
+    _census_from_keys,
     _key_layout,
     _read_csv_rows,
     _row_keys,
+    _sort_keys,
     compact_stabilizer_rows,
     enumerate_naive,
     enumerate_pruned,
@@ -309,37 +311,104 @@ def test_one_word_key_layout_holds_censuses_up_to_cutoff_32():
 
     assert f_threshold(32.0) == 1024 and f_threshold(32.02) == 1025
     at_32 = layout(32.0)
-    assert at_32 is not None and at_32.bits == 6  # 11 + 8 * 6 = 59 bits
+    assert at_32.words == 1 and at_32.bits == 6  # 11 + 8 * 6 = 59 bits
     assert at_32.fmax.bit_length() + 8 * at_32.bits <= 63
-    assert layout(32.02) is None  # m = 32: 8 * 7 bits for the entries, 11 for F
-    assert layout(42.0) is None  # the default budget's largest cutoff
-    assert layout(1.0) is not None and layout(12.0).bits == 5
+    assert layout(32.02).words == 2  # m = 32: 8 * 7 bits for the entries, 11 for F
+    assert layout(42.0).words == 2  # the default budget's largest cutoff
+    assert layout(1.0).words == 1 and layout(12.0).bits == 5
     # 63 bits is the most a key may take: the sign bit stays clear
-    assert _key_layout(-31, 31, (1 << 15) - 1) is not None
-    assert _key_layout(-31, 31, 1 << 15) is None
+    assert _key_layout(-31, 31, (1 << 15) - 1).words == 1
+    assert _key_layout(-31, 31, 1 << 15).words == 2
+
+
+def _check_fields(layout):
+    """Each word holds its fields within 63 bits, in order and unsplit:
+    F first, then the 8 entries, an earlier field in higher bits."""
+    widths = [layout.fmax.bit_length()] + [layout.bits] * 8
+    assert layout.word[0] == 0 and layout.words == layout.word[-1] + 1
+    for i in range(9):
+        assert 0 <= layout.shift[i] and layout.shift[i] + widths[i] <= 63
+        if i and layout.word[i] == layout.word[i - 1]:
+            assert layout.shift[i - 1] == layout.shift[i] + widths[i]
+        elif i:  # a new word, because the field did not fit the last one
+            assert layout.word[i] == layout.word[i - 1] + 1 and layout.shift[i - 1] == 0
+            last = [w for j, w in enumerate(widths) if layout.word[j] == layout.word[i - 1]]
+            assert sum(last) + widths[i] > 63
+    assert layout.shift[8] == 0
+
+
+def test_key_words_follow_the_rows_range():
+    # the enumerator's layout takes one word exactly up to fmax = 1024,
+    # cutoff 32, and two past it through the default budget's cutoff 42
+    for fmax in range(2, f_threshold(42.0) + 1):
+        m = math.isqrt(fmax - 1)
+        layout = _key_layout(-m, m, fmax)
+        _check_fields(layout)
+        assert layout.words == (1 if fmax <= 1024 else 2), fmax
+    # an entry of 2^30 beside the small ones of census2 (bits 31): F's
+    # 63 bits, then two entries a word
+    edge = _key_layout(-1, 1 << 30, 8 << 60)
+    _check_fields(edge)
+    assert edge.fmax == (1 << 63) - 1 and edge.words == 5
+    # entries of both signs up to 2^30 take 32 bits, one a word
+    both = _key_layout(-(1 << 30), 1 << 30, 8 << 60)
+    _check_fields(both)
+    assert both.fmax.bit_length() == 63 and both.bits == 32 and both.words == 9
+
+
+@given(st.integers(-(1 << 30), 0), st.integers(0, 1 << 30), st.integers(0, 8 << 60))
+def test_key_layout_never_splits_a_field(low, high, fmax):
+    _check_fields(_key_layout(low, high, fmax))
+
+
+def test_key_at_its_range_ends_stays_below_2_pow_63():
+    # rows of all-low and all-high entries, their F at the layout's bound, for
+    # every word count the entry bound allows
+    for low, high in ((-31, 31), (-32, 32), (-1, 1 << 30), (-(1 << 30), 1 << 30)):
+        layout = _key_layout(low, high, 8 * max(low * low, high * high))
+        place = np.zeros((8, layout.words), dtype=object)
+        place[np.arange(8), layout.word[1:]] = [1 << s for s in layout.shift[1:]]
+        top = np.full(8, high - low, dtype=object) @ place
+        top[0] += layout.fmax << layout.shift[0]
+        assert all(0 <= w < 1 << 63 for w in top), (low, high)
 
 
 def test_enumerate_pruned_past_the_one_word_key_sorts_the_same(census8, monkeypatch):
-    # the two-word path (int32 blocks, joined and sorted on the 9 columns)
-    # runs past cutoff 32; forced here, it builds the same census
-    calls = []
-    lexsort = np.lexsort
-    monkeypatch.setattr("orbitcount.lattice._key_layout", lambda low, high, fmax: None)
-    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+    # the two-word keys of cutoff 33 (entries in [-32, 32], F <= 1089),
+    # forced on cutoff 8, build the same census
+    key_layout = _key_layout
+    assert (f_threshold(33.0), math.isqrt(f_threshold(33.0) - 1)) == (1089, 32)
+    assert key_layout(-32, 32, 1089).words == 2
+    monkeypatch.setattr("orbitcount.lattice._key_layout",
+                        lambda low, high, fmax: key_layout(-32, 32, 1089))
     wide = enumerate_pruned(8.0)
-    assert calls
     assert wide.rows.dtype == np.int32 and wide.fnorm.dtype == np.int64
     assert np.array_equal(wide.rows, census8.rows)
     assert np.array_equal(wide.fnorm, census8.fnorm)
     assert wide.cutoff == census8.cutoff
 
 
+def test_two_word_keys_sort_and_decode_to_the_census(census8):
+    layout = _key_layout(-32, 32, 1089)
+    shuffled = census8.rows[np.random.default_rng(33).permutation(census8.size)]
+    key = _row_keys(shuffled, 0, layout)
+    assert key.shape == (census8.size, 2)
+    got = _census_from_keys(_sort_keys(key), layout, 8.0)
+    assert np.array_equal(got.rows, census8.rows) and got.rows.dtype == np.int32
+    assert np.array_equal(got.fnorm, census8.fnorm) and got.fnorm.flags.c_contiguous
+    assert got.cutoff == census8.cutoff
+    twice = np.concatenate([shuffled, shuffled[1234:1235]])
+    with pytest.raises(InputError) as exc:
+        _census_from_keys(_sort_keys(_row_keys(twice, 0, layout)), layout, 8.0)
+    assert str(exc.value) == f"duplicate row {shuffled[1234].tolist()}"
+
+
 def test_key_builder_refuses_what_its_layout_cannot_hold():
     layout = _key_layout(-3, 3, 30)
     good = np.array([[1, 0, 3, -3, 0, 0, 1, 0], [1, 0, 0, 0, -3, 3, 1, 0]], dtype=np.int64)
     keys = _row_keys(good, 0, layout)
-    assert keys[1] < keys[0]  # same F, re a and im a; re b 0 < 3
-    assert (keys >> (8 * layout.bits)).tolist() == [20, 20]
+    assert keys.shape == (2, 1) and keys[1, 0] < keys[0, 0]  # same F, re a and im a; re b 0 < 3
+    assert (keys[:, 0] >> (8 * layout.bits)).tolist() == [20, 20]
     for entry in (4, -4, 1 << 40):
         bad = good.copy()
         bad[1, 2] = entry

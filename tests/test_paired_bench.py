@@ -1,6 +1,7 @@
 """The summary of tools/paired_bench.py on fixed numbers, where no process is
 started, and its export of a git revision."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
+import paired_bench  # noqa: E402
 from paired_bench import checkout, report_lines, spread, summarize  # noqa: E402
 
 
@@ -78,3 +80,30 @@ def test_a_revision_is_exported_and_deleted_afterwards(monkeypatch, tmp_path):
     with pytest.raises(SystemExit, match="neither a directory nor a git revision"):
         with checkout("no-such-revision-or-directory"):
             pass
+
+
+def test_seconds_default_to_the_change_benchmark_run_length(monkeypatch, tmp_path, capsys):
+    # a fake run per workload records the run length each call is given
+    seen = []
+
+    def run_workload(checkouts, workload, pairs, seed, seconds, better):
+        seen.append(seconds)
+        return {"metrics": {}, "failed": {"parent": 0, "change": 0},
+                "attempted": {"parent": 0, "change": 0},
+                "runs_without_result": {"parent": 0, "change": 0}}
+
+    monkeypatch.setattr(paired_bench, "run_workload", run_workload)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (parent / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 7}))
+    (change / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 25}))
+    argv = [str(parent), str(change), "--workload", "build", "--pairs", "1"]
+    assert paired_bench.main(argv) == 0
+    assert paired_bench.main(argv + ["--seconds", "3"]) == 0
+    (change / "BENCHMARK.json").write_text(json.dumps({"workloads": []}))
+    assert paired_bench.main(argv) == 0
+    (change / "BENCHMARK.json").unlink()
+    assert paired_bench.main(argv) == 0
+    assert seen == [25, 3.0, 5.0, 5.0]
+    capsys.readouterr()

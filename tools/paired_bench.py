@@ -13,7 +13,9 @@ workload, pair i runs
 
     python3 perfbench/run.py --workload W --seed SEED+i --seconds S --trace 0
 
-once in each checkout, one process at a time.  The parent goes first in
+once in each checkout, one process at a time.  S defaults to the
+``run_seconds`` of the change's ``BENCHMARK.json``, the benchmark's own run
+length, and to 5 when that file has no such field.  The parent goes first in
 even pairs and the change first in odd ones, so a drift in the machine's
 speed falls on both sides alike.  Each run's last stdout line is its JSON
 result.
@@ -70,12 +72,14 @@ def summarize(pairs: list[tuple[float, float]], better: str = "lower") -> dict:
     }
 
 
-def directions(checkout: Path) -> dict[str, str]:
-    """Each metric's better direction, from the checkout's BENCHMARK.json."""
+def benchmark_spec(checkout: Path) -> dict:
+    """The checkout's BENCHMARK.json, or {} when it has none."""
     path = checkout / "BENCHMARK.json"
-    if not path.is_file():
-        return {}
-    spec = json.loads(path.read_text())
+    return json.loads(path.read_text()) if path.is_file() else {}
+
+
+def directions(spec: dict) -> dict[str, str]:
+    """Each metric's better direction, from a BENCHMARK.json spec."""
     return {m["name"]: m["better"] for key in ("end_to_end", "per_layer") for m in spec.get(key, [])}
 
 
@@ -166,18 +170,20 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("change", help="a source checkout, or a git revision to export")
     ap.add_argument("--workload", action="append", choices=WORKLOADS)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=5.0)
+    ap.add_argument("--seconds", type=float, help="default: the change's BENCHMARK.json "
+                    "run_seconds, else 5")
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     with contextlib.ExitStack() as stack:
         checkouts = {side: stack.enter_context(checkout(getattr(args, side))) for side in SIDES}
-        better = directions(checkouts["change"])
+        spec = benchmark_spec(checkouts["change"])
+        seconds = args.seconds if args.seconds is not None else spec.get("run_seconds", 5.0)
         summary = {}
         for workload in args.workload or WORKLOADS:
             summary[workload] = run_workload(checkouts, workload, args.pairs, args.seed,
-                                             args.seconds, better)
+                                             seconds, directions(spec))
             print("\n".join(report_lines(workload, summary[workload])), flush=True)
     print(json.dumps(summary))
     return 0
